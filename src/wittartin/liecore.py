@@ -20,6 +20,7 @@ from .exactlin import (
     frac,
     intersect,
     kernel,
+    unit_vec,
     zero_vec,
 )
 
@@ -74,7 +75,7 @@ class LieAlgebra:
         return LieAlgebra(n, table)
 
     def _jacobi(self, i: int, j: int, k: int) -> Vec:
-        ei, ej, ek = (unit(self.dim, t) for t in (i, j, k))
+        ei, ej, ek = (unit_vec(self.dim, t) for t in (i, j, k))
         t1 = self.bracket(ei, self.bracket(ej, ek))
         t2 = self.bracket(ej, self.bracket(ek, ei))
         t3 = self.bracket(ek, self.bracket(ei, ej))
@@ -98,7 +99,7 @@ class LieAlgebra:
 
     def ad_matrix(self, x: Vec) -> Matrix:
         """Matrix of y -> [x, y] in the defining basis."""
-        cols = [self.bracket(x, unit(self.dim, j)) for j in range(self.dim)]
+        cols = [self.bracket(x, unit_vec(self.dim, j)) for j in range(self.dim)]
         return Matrix.from_cols(cols, rows=self.dim)
 
     def coad_matrix(self, x: Vec) -> Matrix:
@@ -108,10 +109,6 @@ class LieAlgebra:
     def coad_apply(self, x: Vec, lam: Vec) -> Vec:
         """ad*_x lam, i.e. the covector y -> <lam, [x, y]>."""
         return self.coad_matrix(x).apply(lam)
-
-
-def unit(n: int, i: int) -> Vec:
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
 
 Covector = Vec
@@ -158,7 +155,7 @@ def stabilizer_of_momentum(L: LieAlgebra, mu: Covector) -> Subspace:
     rows = []
     for j in range(n):
         rows.append(
-            tuple(dot(mu, L.bracket(unit(n, i), unit(n, j))) for i in range(n))
+            tuple(dot(mu, L.bracket(unit_vec(n, i), unit_vec(n, j))) for i in range(n))
         )
     return kernel(Matrix.from_rows(rows, cols=n))
 
@@ -175,7 +172,7 @@ def h_perp_mu(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
     n = L.dim
     rows = []
     for eta in h.basis_vectors():
-        rows.append(tuple(dot(mu, L.bracket(unit(n, i), eta)) for i in range(n)))
+        rows.append(tuple(dot(mu, L.bracket(unit_vec(n, i), eta)) for i in range(n)))
     result = kernel(Matrix.from_rows(rows, cols=n))
     g_mu = stabilizer_of_momentum(L, mu)
     assert g_mu.leq(result) and h_alpha(L, h, mu).leq(result)
@@ -194,7 +191,7 @@ def h_alpha(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
     n = L.dim
     rows = []
     for eta in h.basis_vectors():
-        rows.append(tuple(dot(mu, L.bracket(unit(n, i), eta)) for i in range(n)))
+        rows.append(tuple(dot(mu, L.bracket(unit_vec(n, i), eta)) for i in range(n)))
     constraint = Matrix.from_rows(rows, cols=n)
     result = intersect(h, kernel(constraint))
     assert is_subalgebra(L, result)
@@ -207,7 +204,7 @@ def chu_form(L: LieAlgebra, mu: Covector) -> BilinearForm:
     n = L.dim
     gram = Matrix.from_rows(
         [
-            tuple(dot(mu, L.bracket(unit(n, i), unit(n, j))) for j in range(n))
+            tuple(dot(mu, L.bracket(unit_vec(n, i), unit_vec(n, j))) for j in range(n))
             for i in range(n)
         ],
         cols=n,
@@ -219,21 +216,19 @@ def chu_form(L: LieAlgebra, mu: Covector) -> BilinearForm:
 
 
 def killing_form(L: LieAlgebra) -> BilinearForm:
-    """B(x, y) = trace(ad_x ad_y)."""
-    n = L.dim
-    ads = [L.ad_matrix(unit(n, i)) for i in range(n)]
-    gram = Matrix.from_rows(
-        [
-            tuple(_trace(ads[i] @ ads[j]) for j in range(n))
-            for i in range(n)
-        ],
-        cols=n,
-    )
-    return BilinearForm(gram)
+    """B(x, y) = trace(ad_x ad_y), read off the structure constants.
 
-
-def _trace(A: Matrix) -> Fraction:
-    return sum((A.entries[i][i] for i in range(A.rows)), ZERO)
+    (ad_i)[k][l] = c[i][l][k], so B_ij = sum_{k,l} c[i][l][k] c[j][k][l];
+    the sum runs over the nonzero entries of ad_i only.
+    """
+    n, c = L.dim, L.c
+    nonzero = [[(k, l, c[i][l][k]) for k in range(n) for l in range(n)
+                if c[i][l][k] != 0] for i in range(n)]
+    gram = tuple(
+        tuple(sum((x * c[j][k][l] for k, l, x in nonzero[i]), ZERO)
+              for j in range(n))
+        for i in range(n))
+    return BilinearForm(Matrix(n, n, gram))
 
 
 # Ready-made algebras used by the example catalog and tests.

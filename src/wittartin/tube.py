@@ -1,10 +1,15 @@
 """Local normal form away from the base point.
 
-omega_tube evaluates the model 2-form at slice points (group coordinate at
-the identity) in exact arithmetic; phi_tilde evaluates the normal-form
-momentum map, which needs a matrix exponential and is therefore the one
-floating-point corner of the package.  Consistency checks tie both back to
-the exact linear model.
+omega_tube_gram evaluates the tube 2-form at a slice point (group coordinate
+at the identity) in exact arithmetic, as one Gram matrix in the model's
+(U, R, V) coordinates.  The form is bilinear, so every block is a product of
+matrices the model already holds: the bracket pairing against the shifted
+momentum mu + rho + Phi_N1(nu) on U x U, the m-dual rows of the g basis on
+U x R, the derivative of the slice momentum on U x V, and omega_N1 on V x V.
+omega_tube pairs two tangent vectors through that Gram matrix.  phi_tilde
+evaluates the normal-form momentum map, which needs a matrix exponential and
+is therefore the one floating-point corner of the package.  Consistency
+checks tie both back to the exact linear model.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import Matrix, Vec, ZERO, dot, is_zero_vec, zero_vec
+from .exactlin import Matrix, Vec, ZERO, add_vec, dot, is_zero_vec, unit_vec, zero_vec
 from .pointmodel import TangentModel, TangentVector, build_model, dphi_G
 from .splitting import Check, ProblemInstance, SplittingChain
 
@@ -65,39 +70,55 @@ def dphi_n1(inst: ProblemInstance, nu: Vec, nudot: Vec) -> Vec:
     return tuple(out)
 
 
-def omega_tube(inst: ProblemInstance, chain: SplittingChain, p: TubePoint,
-               V1: TangentVector, V2: TangentVector,
-               model: TangentModel | None = None) -> Fraction:
-    """The tube 2-form at a slice point, evaluated exactly.
+def omega_tube_gram(inst: ProblemInstance, model: TangentModel,
+                    p: TubePoint) -> Matrix:
+    """Gram matrix of the tube 2-form at a slice point, exactly.
+
+    With Mn the (m, n) basis of g, D_m and D_gm the m- and g_m-dual rows of
+    g_basis_inv, J the Jacobian of dphi_n1 at nu, and
+    K[a][b] = <lam, [e_a, e_b]> for lam = mu + rho + Phi_N1(nu), the blocks
+    in (U, R, V) order are
+
+        UU = Mn^T K Mn     UR = Mn^T D_m^T    UV = Mn^T D_gm^T J
+        RU = -UR^T         RR = 0             RV = 0
+        VU = -UV^T         VR = 0             VV = omega_N1
 
     Only points with group coordinate at the identity are accepted; by
     invariance nothing is lost, and the evaluation stays rational.
     """
     if not is_zero_vec(p.xi):
         raise OffSlice("omega_tube only evaluates at group coordinate zero")
+    n, c = inst.dim, inst.algebra.c
+    lam = add_vec(add_vec(inst.mu, model.iota_mstar(p.rho)),
+                  model.iota_gmstar(phi_n1(inst, p.nu)))
+    K = Matrix(n, n, tuple(tuple(dot(lam, c[a][b]) for b in range(n))
+                           for a in range(n)))
+    gm, dm, sd = model.gm_dim, model.dim_m, model.slice_dim
+    inv = model.g_basis_inv.entries
+    D_gm, D_m = Matrix(gm, n, inv[:gm]), Matrix(dm, n, inv[gm:gm + dm])
+    J = Matrix.from_cols([dphi_n1(inst, p.nu, unit_vec(sd, j))
+                          for j in range(sd)], rows=gm)
+    MnT = model.mn_basis.transpose()
+    UU = MnT @ K @ model.mn_basis
+    UR = MnT @ D_m.transpose()
+    UV = MnT @ D_gm.transpose() @ J
+    bands = ((UU, UR, UV),
+             (-UR.transpose(), Matrix.zeros(dm, dm), Matrix.zeros(dm, sd)),
+             (-UV.transpose(), Matrix.zeros(sd, dm), inst.slice_rep.omega.gram))
+    rows = tuple(sum((B.entries[r] for B in band), ())
+                 for band in bands for r in range(band[0].rows))
+    return Matrix(model.total_dim, model.total_dim, rows)
+
+
+def omega_tube(inst: ProblemInstance, chain: SplittingChain, p: TubePoint,
+               V1: TangentVector, V2: TangentVector,
+               model: TangentModel | None = None) -> Fraction:
+    """The tube 2-form at a slice point on two tangent vectors:
+    pack(V1) . G(p) . pack(V2) with G = omega_tube_gram."""
     if model is None:
         model = build_model(chain, inst)
-    L = inst.algebra
-
-    xi1 = model.embed_u(V1.u)
-    xi2 = model.embed_u(V2.u)
-
-    def paired(rhodot: Vec, nudot: Vec, xi: Vec) -> Fraction:
-        lam = model.iota_mstar(rhodot)
-        dphi = model.iota_gmstar(dphi_n1(inst, p.nu, nudot))
-        return dot(lam, xi) + dot(dphi, xi)
-
-    term12 = paired(V2.rho, V2.nu, xi1) - paired(V1.rho, V1.nu, xi2)
-
-    br = L.bracket(xi1, xi2)
-    lam_point = model.iota_mstar(p.rho)
-    lam_slice = model.iota_gmstar(phi_n1(inst, p.nu))
-    term3 = dot(lam_point, br) + dot(lam_slice, br) + dot(inst.mu, br)
-
-    og = inst.slice_rep.omega.gram
-    term5 = dot(V1.nu, og.apply(V2.nu))
-
-    return term12 + term3 + term5
+    G = omega_tube_gram(inst, model, p)
+    return dot(model.pack(V1), G.apply(model.pack(V2)))
 
 
 def _to_float_rows(M: Matrix) -> list[list[float]]:
@@ -190,9 +211,11 @@ def phi_tilde(inst: ProblemInstance, chain: SplittingChain, p: TubePoint,
 
 
 def check_dphi_consistency(inst: ProblemInstance, chain: SplittingChain,
-                           tol: FloatTolerance = FloatTolerance()) -> list[Check]:
+                           tol: FloatTolerance = FloatTolerance(),
+                           model: TangentModel | None = None) -> list[Check]:
     """Central differences of phi_tilde at the base against dphi_G."""
-    model = build_model(chain, inst)
+    if model is None:
+        model = build_model(chain, inst)
     step = Fraction(1, 10_000)
     dG = dphi_G(model)
 
@@ -225,7 +248,8 @@ def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:
 def phi_equivariance_check(inst: ProblemInstance, chain: SplittingChain,
                            samples: int,
                            tol: FloatTolerance = FloatTolerance(),
-                           seed: int = 0) -> list[Check]:
+                           seed: int = 0,
+                           model: TangentModel | None = None) -> list[Check]:
     """Equivariance of the normal-form momentum on random points.
 
     Compares phi_tilde at [exp(xi), rho, nu] (exponential applied inside the
@@ -234,7 +258,8 @@ def phi_equivariance_check(inst: ProblemInstance, chain: SplittingChain,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    model = build_model(chain, inst)
+    if model is None:
+        model = build_model(chain, inst)
     rng = random.Random(seed)
 
     def rand_frac() -> Fraction:

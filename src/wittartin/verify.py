@@ -25,7 +25,7 @@ from .exactlin import (
     unit_vec,
     zero_vec,
 )
-from .liecore import chu_form, h_alpha, h_perp_mu, killing_form, stabilizer_of_momentum, unit
+from .liecore import chu_form, h_alpha, h_perp_mu, killing_form, stabilizer_of_momentum
 from .splitting import (
     Check,
     ProblemInstance,
@@ -62,9 +62,8 @@ def liecore_checks(inst: ProblemInstance) -> list[Check]:
     out.append(Check("liecore.chu_radical_is_g_mu", chu.radical() == g_mu))
 
     # The center (common kernel of all ad matrices) stabilizes any momentum.
-    stacked = []
-    for i in range(L.dim):
-        stacked.extend(L.ad_matrix(unit(L.dim, i)).entries)
+    ads = [L.ad_matrix(unit_vec(L.dim, i)) for i in range(L.dim)]
+    stacked = [row for A in ads for row in A.entries]
     center = kernel(Matrix.from_rows(stacked, cols=L.dim))
     out.append(Check("liecore.center_in_stabilizer", center.leq(g_mu)))
 
@@ -81,18 +80,9 @@ def liecore_checks(inst: ProblemInstance) -> list[Check]:
     out.append(Check("liecore.h_alpha_two_descriptions",
                      lifted == h_alpha(L, inst.h, inst.mu)))
 
-    B = killing_form(L)
-    ok = True
-    n = L.dim
-    for i in range(n):
-        zi = unit(n, i)
-        for j in range(n):
-            xj = unit(n, j)
-            for k in range(n):
-                yk = unit(n, k)
-                lhs = B(L.bracket(zi, xj), yk) + B(xj, L.bracket(zi, yk))
-                if lhs != 0:
-                    ok = False
+    # B(ad_z x, y) + B(x, ad_z y) = 0 for all x, y is ad_z^T B + B ad_z = 0.
+    B = killing_form(L).gram
+    ok = all((A.transpose() @ B + B @ A).is_zero() for A in ads)
     out.append(Check("liecore.killing_ad_invariant", ok))
 
     out.append(Check("liecore.g_mu_in_h_perp_mu",
@@ -129,7 +119,7 @@ def model_checks(inst: ProblemInstance, chain: SplittingChain,
     # orthogonals of the orbit directions.
     g_orbit = Subspace.span(
         model.total_dim,
-        [pm.inf_action(model, unit(inst.dim, i)).coords()
+        [pm.inf_action(model, unit_vec(inst.dim, i)).coords()
          for i in range(inst.dim)],
     )
     h_orbit = Subspace.span(
@@ -159,7 +149,7 @@ def model_checks(inst: ProblemInstance, chain: SplittingChain,
     out.extend(_guard("model.f_contract", f_contract))
 
     ok = True
-    for x in (unit(inst.dim, i) for i in range(inst.dim)):
+    for x in (unit_vec(inst.dim, i) for i in range(inst.dim)):
         v = pm.inf_action(model, x)
         if not inst.gm.contains(x) and all(c == 0 for c in v.u):
             ok = False
@@ -269,15 +259,9 @@ def tube_checks(inst: ProblemInstance, chain: SplittingChain,
     origin = tube.TubePoint(zero_vec(inst.dim), zero_vec(model.dim_m),
                             zero_vec(model.slice_dim))
 
-    ok = True
-    for i in range(model.total_dim):
-        vi = pm.unit_tangent(model, i)
-        for j in range(model.total_dim):
-            vj = pm.unit_tangent(model, j)
-            val = tube.omega_tube(inst, chain, origin, vi, vj, model)
-            if val != model.omega.gram.entries[i][j]:
-                ok = False
-    out.append(Check("tube.base_point_matches_model", ok))
+    out.append(Check("tube.base_point_matches_model",
+                     tube.omega_tube_gram(inst, model, origin)
+                     == model.omega.gram))
 
     rng = random.Random(seed)
 
@@ -291,15 +275,7 @@ def tube_checks(inst: ProblemInstance, chain: SplittingChain,
             zero_vec(inst.dim),
             tuple(rand_small() for _ in range(model.dim_m)),
             tuple(rand_small() for _ in range(model.slice_dim)))
-        gram_rows = []
-        for i in range(model.total_dim):
-            vi = pm.unit_tangent(model, i)
-            row = []
-            for j in range(model.total_dim):
-                vj = pm.unit_tangent(model, j)
-                row.append(tube.omega_tube(inst, chain, p, vi, vj, model))
-            gram_rows.append(tuple(row))
-        G = Matrix.from_rows(gram_rows, cols=model.total_dim)
+        G = tube.omega_tube_gram(inst, model, p)
         if not G.is_antisymmetric():
             ok_anti = False
         if model.total_dim and G.det() == 0:
@@ -307,9 +283,9 @@ def tube_checks(inst: ProblemInstance, chain: SplittingChain,
     out.append(Check("tube.antisymmetric_at_slice_points", ok_anti))
     out.append(Check("tube.nondegenerate_near_origin", ok_nondeg))
 
-    out.extend(tube.check_dphi_consistency(inst, chain, tol))
+    out.extend(tube.check_dphi_consistency(inst, chain, tol, model))
     out.extend(tube.phi_equivariance_check(
-        inst, chain, max(samples, 1), tol, seed=seed))
+        inst, chain, max(samples, 1), tol, seed=seed, model=model))
     return out
 
 

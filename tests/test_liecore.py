@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittartin.exactlin import Matrix, Subspace, intersect
+from wittartin.exactlin import Matrix, Subspace, intersect, unit_vec
 from wittartin.liecore import (
     LieAlgebra,
     NotSubalgebra,
@@ -17,7 +17,6 @@ from wittartin.liecore import (
     killing_form,
     so3,
     stabilizer_of_momentum,
-    unit,
 )
 
 F = Fraction
@@ -48,15 +47,15 @@ class TestConstruction:
 
     def test_so3_brackets_are_cross_products(self):
         L = so3()
-        assert L.bracket(unit(3, 0), unit(3, 1)) == vec(0, 0, 1)
-        assert L.bracket(unit(3, 1), unit(3, 2)) == vec(1, 0, 0)
-        assert L.bracket(unit(3, 2), unit(3, 0)) == vec(0, 1, 0)
+        assert L.bracket(unit_vec(3, 0), unit_vec(3, 1)) == vec(0, 0, 1)
+        assert L.bracket(unit_vec(3, 1), unit_vec(3, 2)) == vec(1, 0, 0)
+        assert L.bracket(unit_vec(3, 2), unit_vec(3, 0)) == vec(0, 1, 0)
 
 
 class TestAdCoad:
     def test_so3_ad_e3_is_rotation_generator(self):
         # Cross-product table: e3 x e1 = e2, e3 x e2 = -e1.
-        A = so3().ad_matrix(unit(3, 2))
+        A = so3().ad_matrix(unit_vec(3, 2))
         assert A == Matrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
 
     def test_abelian_ad_vanishes(self):
@@ -74,7 +73,7 @@ class TestAdCoad:
         coad = L.coad_matrix(x).apply(lam)
         for j in range(3):
             pairing = sum(l * b for l, b in
-                          zip(lam, L.bracket(x, unit(3, j))))
+                          zip(lam, L.bracket(x, unit_vec(3, j))))
             assert coad[j] == pairing
 
 
@@ -168,5 +167,22 @@ class TestKillingForm:
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    z, x, y = unit(3, i), unit(3, j), unit(3, k)
+                    z, x, y = unit_vec(3, i), unit_vec(3, j), unit_vec(3, k)
                     assert B(L.bracket(z, x), y) + B(x, L.bracket(z, y)) == 0
+
+    def test_equals_trace_of_ad_products_on_corpus(self):
+        from corpus import build_corpus
+
+        # aff(1): [e0, e1] = e1, whose Killing form diag(1, 0) is neither
+        # zero nor a multiple of the identity.
+        aff1 = LieAlgebra.from_constants([[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+        algebras = {inst.algebra for inst in build_corpus()}
+        algebras |= {aff1, direct_sum(so3(), aff1)}
+        for L in algebras:
+            n = L.dim
+            ads = [L.ad_matrix(unit_vec(n, i)) for i in range(n)]
+            reference = Matrix.from_rows(
+                [[sum((ads[i] @ ads[j]).entries[k][k] for k in range(n))
+                  for j in range(n)] for i in range(n)])
+            assert killing_form(L).gram == reference, n
+        assert killing_form(aff1).gram == Matrix.from_rows([[1, 0], [0, 0]])

@@ -12,8 +12,9 @@ from wittartin.exactlin import (
     is_direct_sum,
     kernel,
     sum_spaces,
+    unit_vec,
 )
-from wittartin.liecore import InnerProduct, abelian, so3, unit
+from wittartin.liecore import InnerProduct, abelian, so3
 from wittartin.splitting import (
     ProblemInstance,
     SliceRep,
@@ -109,10 +110,10 @@ class TestSo3xSo3:
         inst = so3xso3_diag(with_gm=False)  # mu = (e3*, 2e3*)
         L, mu, h = inst.algebra, inst.mu, inst.h
 
-        rows = [[sum(mu[k] * L.bracket(unit(6, i), unit(6, j))[k]
+        rows = [[sum(mu[k] * L.bracket(unit_vec(6, i), unit_vec(6, j))[k]
                      for k in range(6)) for i in range(6)] for j in range(6)]
         g_mu_dim = kernel(Matrix.from_rows(rows)).dim
-        rows_h = [[sum(mu[k] * L.bracket(unit(6, i), eta)[k]
+        rows_h = [[sum(mu[k] * L.bracket(unit_vec(6, i), eta)[k]
                        for k in range(6)) for i in range(6)]
                   for eta in h.basis_vectors()]
         hperp_dim = kernel(Matrix.from_rows(rows_h)).dim

@@ -1,27 +1,69 @@
 """Normal-form evaluation away from the base point."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from instances import so3_case, so3xso3_diag, standard_slice, torus_instance, vec
-from wittartin.exactlin import Matrix, Subspace, zero_vec
+from wittartin.catalog import all_examples, build_example
+from wittartin.exactlin import Matrix, Subspace, dot, zero_vec
+from wittartin.instancefile import from_dict
 from wittartin.liecore import InnerProduct, so3
 from wittartin.pointmodel import build_model, unit_tangent
-from wittartin.splitting import ProblemInstance, build_chain
+from wittartin.splitting import ProblemInstance, build_chain, validate
 from wittartin.tube import (
     FloatTolerance,
     OffSlice,
     TubePoint,
     check_dphi_consistency,
+    dphi_n1,
     expm,
     omega_tube,
+    omega_tube_gram,
     phi_equivariance_check,
+    phi_n1,
     phi_tilde,
 )
 
 F = Fraction
+
+
+def omega_tube_reference(inst, model, p, V1, V2):
+    """The tube 2-form evaluated one pair of vectors at a time:
+
+        <rho2, xi1> - <rho1, xi2> + <DPhi_N1(nu) nu2, xi1> - <DPhi_N1(nu) nu1, xi2>
+        + <mu + rho + Phi_N1(nu), [xi1, xi2]> + omega_N1(nu1, nu2)
+
+    with xi_i the g-vector of the U block of V_i.  This is the entrywise
+    formula the Gram matrix of omega_tube_gram must reproduce exactly.
+    """
+    xi1 = model.embed_u(V1.u)
+    xi2 = model.embed_u(V2.u)
+
+    def paired(rhodot, nudot, xi):
+        lam = model.iota_mstar(rhodot)
+        dphi = model.iota_gmstar(dphi_n1(inst, p.nu, nudot))
+        return dot(lam, xi) + dot(dphi, xi)
+
+    term12 = paired(V2.rho, V2.nu, xi1) - paired(V1.rho, V1.nu, xi2)
+    br = inst.algebra.bracket(xi1, xi2)
+    lam_point = model.iota_mstar(p.rho)
+    lam_slice = model.iota_gmstar(phi_n1(inst, p.nu))
+    term3 = dot(lam_point, br) + dot(lam_slice, br) + dot(inst.mu, br)
+    term5 = dot(V1.nu, inst.slice_rep.omega.gram.apply(V2.nu))
+    return term12 + term3 + term5
+
+
+def _differential_instances():
+    """Every catalog instance, torus(4,2), and so(3)^2 with a g_m that acts
+    on the slice and a momentum with unequal Cartan parts."""
+    out = [(name, from_dict(doc)) for name, doc in all_examples()]
+    out.append(("torus(4,2)", from_dict(build_example("torus", 4, 2))))
+    out.append(("so3^2-gm", so3xso3_diag(mu=vec(0, 0, 1, 0, 0, 2),
+                                         with_gm=True)))
+    return [pytest.param(name, inst, id=name) for name, inst in out]
 
 
 def setup(inst):
@@ -87,6 +129,57 @@ class TestOmegaTube:
                 vi, vj = unit_tangent(model, i), unit_tangent(model, j)
                 assert omega_tube(inst, chain, p, vi, vj, model) == \
                     -omega_tube(inst, chain, p, vj, vi, model)
+
+
+class TestGramAgainstReference:
+    @pytest.mark.parametrize("name, inst", _differential_instances())
+    def test_gram_equals_entrywise_formula(self, name, inst):
+        assert validate(inst).passed
+        chain, model = setup(inst)
+        rng = random.Random(name)
+
+        def rand_frac():
+            return F(rng.randint(-9, 9), rng.randint(1, 7))
+
+        points = [origin(model)] + [
+            TubePoint(zero_vec(inst.dim),
+                      tuple(rand_frac() for _ in range(model.dim_m)),
+                      tuple(rand_frac() for _ in range(model.slice_dim)))
+            for _ in range(2)]
+        units = [unit_tangent(model, i) for i in range(model.total_dim)]
+        for p in points:
+            G = omega_tube_gram(inst, model, p)
+            assert (G.rows, G.cols) == (model.total_dim, model.total_dim)
+            for i, vi in enumerate(units):
+                for j, vj in enumerate(units):
+                    assert G.entries[i][j] == \
+                        omega_tube_reference(inst, model, p, vi, vj), (i, j)
+        assert omega_tube_gram(inst, model, points[0]) == model.omega.gram
+
+    def test_omega_tube_pairs_through_the_gram(self):
+        inst = so3xso3_diag(mu=vec(0, 0, 1, 0, 0, 2), with_gm=True)
+        chain, model = setup(inst)
+        rng = random.Random(7)
+
+        def rand_vec(n):
+            return tuple(F(rng.randint(-5, 5), rng.randint(1, 4))
+                         for _ in range(n))
+
+        p = TubePoint(zero_vec(6), rand_vec(model.dim_m),
+                      rand_vec(model.slice_dim))
+        for _ in range(5):
+            V1 = model.unpack(rand_vec(model.total_dim))
+            V2 = model.unpack(rand_vec(model.total_dim))
+            assert omega_tube(inst, chain, p, V1, V2, model) == \
+                omega_tube_reference(inst, model, p, V1, V2)
+
+    def test_gram_rejects_off_slice_points(self):
+        inst = so3_case("generic")
+        chain, model = setup(inst)
+        p = TubePoint(vec(0, 1, 0), zero_vec(model.dim_m),
+                      zero_vec(model.slice_dim))
+        with pytest.raises(OffSlice):
+            omega_tube_gram(inst, model, p)
 
 
 class TestPhiTilde:
