@@ -18,7 +18,7 @@ import time
 
 from . import catalog, instancefile, verify
 from .report import build_report, render_text, report_to_dict
-from .splitting import Check, validate
+from .splitting import Check, CheckFailed, ValidationFailed, validate
 
 
 def _check_payload(checks: list[Check]) -> dict:
@@ -63,13 +63,16 @@ def cmd_decompose(args) -> int:
         for c in failures:
             print(f"FAIL {c.name}: {c.detail}", file=sys.stderr)
         return 1
-    report = validate(inst)
-    if not report.passed:
-        for c in report.failures():
+    start = time.monotonic()
+    try:
+        rep = build_report(inst)
+    except ValidationFailed as e:
+        for c in e.report.failures():
             print(f"FAIL validate.{c.name}: {c.detail}", file=sys.stderr)
         return 1
-    start = time.monotonic()
-    rep = build_report(inst)
+    except CheckFailed as e:
+        print(f"FAIL {e.name}: {e.detail}", file=sys.stderr)
+        return 1
     elapsed = time.monotonic() - start
     if args.format == "json":
         _emit_json(report_to_dict(rep), sys.stdout)

@@ -6,18 +6,23 @@ decompose_H produces the subalgebra counterpart whose slice block is
     NH1 = s*m  +  (b*m + Y_m)  +  N1,
 
 together with the block form on it and the quadratic momentum map of the
-h_m-action.  Every claimed identity is checked exactly and a failure
-raises ChainInconsistent with the index of the first broken assertion.
+h_m-action.  The constructors only compute; every identity they rely on is
+a named check defined here (g_decomposition_check, h_decomposition_checks,
+slice_form_check, momentum_formula_check, momentum_forms_check), which
+verify reports and report.build_report requires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .exactlin import (
     BilinearForm,
     Matrix,
+    NotContained,
+    ONE,
     Subspace,
     Vec,
     ZERO,
@@ -36,14 +41,6 @@ from .pointmodel import (
     ker_dphi_H,
 )
 from .splitting import Check
-
-
-class ChainInconsistent(AssertionError):
-    """A decomposition assertion failed; `index` names which one."""
-
-    def __init__(self, index: int, message: str):
-        self.index = index
-        super().__init__(f"assertion {index}: {message}")
 
 
 @dataclass(frozen=True)
@@ -91,36 +88,56 @@ def decompose_G(model: TangentModel) -> WittDecompositionG:
     T1 = _image_under_action(model, chain.n_space)
     N0 = _unit_span(model, list(model.blocks["pstar"]) + list(model.blocks["bstar"]))
     N1 = _unit_span(model, model.blocks["N1"])
+    return WittDecompositionG(T0=T0, T1=T1, N0=N0, N1=N1,
+                              gram_T1=gram_on(model.omega, T1),
+                              gram_N1=gram_on(model.omega, N1))
 
-    full = Subspace.full(model.total_dim)
-    assert is_direct_sum([T0, T1, N0, N1])
-    assert sum_spaces(T0, T1, N0, N1) == full
-    assert sum_spaces(T0, N1) == ker_dphi_G(model)
-    assert _cross_gram(model, T1, N1).is_zero()
-    T0N0 = sum_spaces(T0, N0)
-    assert _cross_gram(model, T1, T0N0).is_zero()
-    assert _cross_gram(model, N1, T0N0).is_zero()
-    assert gram_on(model.omega, T0).is_zero()
-    assert gram_on(model.omega, N0).is_zero()
-    assert T0.dim == N0.dim
-    assert gram_on(model.omega, T0N0).rank() == T0N0.dim
 
-    gram_T1 = gram_on(model.omega, T1)
-    # The form on the orbit directions is the Chu pairing of the n basis:
+def g_decomposition_check(decomp: WittDecompositionG,
+                          model: TangentModel) -> Check:
+    """wittG.all_assertions: the twelve identities of the G-side split.
+
+    The detail names the first identity that fails.
+    """
+    d, omega = decomp, model.omega
+    T0N0 = sum_spaces(d.T0, d.N0)
+    identities = (
+        ("T0 + T1 + N0 + N1 is direct",
+         lambda: is_direct_sum([d.T0, d.T1, d.N0, d.N1])),
+        ("T0 + T1 + N0 + N1 is the whole model",
+         lambda: sum_spaces(d.T0, d.T1, d.N0, d.N1)
+         == Subspace.full(model.total_dim)),
+        ("T0 + N1 is ker dphi_G",
+         lambda: sum_spaces(d.T0, d.N1) == ker_dphi_G(model)),
+        ("T1 is omega-orthogonal to N1",
+         lambda: _cross_gram(model, d.T1, d.N1).is_zero()),
+        ("T1 is omega-orthogonal to T0 + N0",
+         lambda: _cross_gram(model, d.T1, T0N0).is_zero()),
+        ("N1 is omega-orthogonal to T0 + N0",
+         lambda: _cross_gram(model, d.N1, T0N0).is_zero()),
+        ("T0 is isotropic", lambda: gram_on(omega, d.T0).is_zero()),
+        ("N0 is isotropic", lambda: gram_on(omega, d.N0).is_zero()),
+        ("dim T0 equals dim N0", lambda: d.T0.dim == d.N0.dim),
+        ("T0 + N0 is symplectic",
+         lambda: gram_on(omega, T0N0).rank() == T0N0.dim),
+        ("the form on T1 is the Chu pairing of the n basis",
+         lambda: d.gram_T1 == _chu_on_n(model)),
+        ("the form on N1 is omega_N1",
+         lambda: d.gram_N1 == model.inst.slice_rep.omega.gram),
+    )
+    broken = next((name for name, holds in identities if not holds()), None)
+    return Check("wittG.all_assertions", broken is None,
+                 "" if broken is None else f"fails: {broken}")
+
+
+def _chu_on_n(model: TangentModel) -> Matrix:
     # T1's canonical basis vectors are the model units at the n positions,
     # which correspond to the concatenated (a, s, ntilde, r) columns.
     chu = chu_form(model.inst.algebra, model.inst.mu)
-    n_indices = [i for name in ("a", "s", "ntilde", "r")
-                 for i in model.blocks[name]]
-    n_cols = [model.mn_basis.col(i) for i in n_indices]
-    kks = Matrix.from_rows(
+    n_cols = [model.mn_basis.col(i) for name in ("a", "s", "ntilde", "r")
+              for i in model.blocks[name]]
+    return Matrix.from_rows(
         [[chu(x, y) for y in n_cols] for x in n_cols], cols=len(n_cols))
-    assert gram_T1 == kks
-    gram_N1 = gram_on(model.omega, N1)
-    assert gram_N1 == model.inst.slice_rep.omega.gram
-
-    return WittDecompositionG(T0=T0, T1=T1, N0=N0, N1=N1,
-                              gram_T1=gram_T1, gram_N1=gram_N1)
 
 
 def eq_M_subspace(model: TangentModel) -> Subspace:
@@ -158,7 +175,7 @@ def eq_M_subspace(model: TangentModel) -> Subspace:
     return Subspace.span(model.total_dim, vectors)
 
 
-def _build_h_parts(model: TangentModel) -> WittDecompositionH:
+def decompose_H(model: TangentModel) -> WittDecompositionH:
     chain = model.chain
     TH0 = _image_under_action(model, chain.h_alpha)
     TH1 = _image_under_action(model, chain.ntilde)
@@ -184,7 +201,7 @@ def _build_h_parts(model: TangentModel) -> WittDecompositionH:
 
 def h_decomposition_checks(decomp: WittDecompositionH,
                            model: TangentModel) -> list[Check]:
-    """The seven assertion groups for the H-side decomposition."""
+    """The seven identity groups wittH.1-7 of the H-side decomposition."""
     chain = model.chain
     chu = chu_form(model.inst.algebra, model.inst.mu)
     full = Subspace.full(model.total_dim)
@@ -243,62 +260,36 @@ def h_decomposition_checks(decomp: WittDecompositionH,
     return out
 
 
-def decompose_H(model: TangentModel) -> WittDecompositionH:
-    decomp = _build_h_parts(model)
-    for i, check in enumerate(h_decomposition_checks(decomp, model), start=1):
-        if not check.passed:
-            raise ChainInconsistent(i, check.name)
-    return decomp
-
-
 def slice_form(decomp: WittDecompositionH, model: TangentModel) -> BilinearForm:
-    """Form on NH1 in the block basis (s, b, Y_m, N1); exactly block diagonal."""
+    """Form on NH1 in the block basis (s, b, Y_m, N1).
+
+    slice_form_check proves it block diagonal with the expected blocks.
+    """
     idx = decomp.nh1_indices
     g = model.omega.gram
-    gram = Matrix.from_rows(
-        [[g.entries[i][j] for j in idx] for i in idx], cols=len(idx))
+    return BilinearForm(Matrix.from_rows(
+        [[g.entries[i][j] for j in idx] for i in idx], cols=len(idx)))
 
+
+def slice_form_check(decomp: WittDecompositionH, model: TangentModel,
+                     form: BilinearForm) -> Check:
+    """sliceform.block_diagonal: the form on NH1 is the Chu form on s, the
+    canonical pairing on b + Y_m and omega_N1 on N1, with no cross terms."""
     chain = model.chain
-    ds, db = chain.s.dim, chain.b.dim
-    dn1 = model.slice_dim
-    ranges = {
-        "s": range(0, ds),
-        "b": range(ds, ds + db),
-        "Ym": range(ds + db, ds + 2 * db),
-        "N1": range(ds + 2 * db, ds + 2 * db + dn1),
-    }
-    names = ["s", "b", "Ym", "N1"]
-    blockof = {}
-    for nm in names:
-        for i in ranges[nm]:
-            blockof[i] = nm
-    xm_names = {"b", "Ym"}
-    for i in range(len(idx)):
-        for j in range(len(idx)):
-            bi, bj = blockof[i], blockof[j]
-            same = bi == bj or (bi in xm_names and bj in xm_names)
-            if not same:
-                assert gram.entries[i][j] == 0, "slice form has a cross term"
-
-    chu = chu_form(model.inst.algebra, model.inst.mu)
-    svecs = chain.s.basis_vectors()
-    for i, x in enumerate(svecs):
-        for j, y in enumerate(svecs):
-            assert gram.entries[i][j] == chu(x, y)
+    ds, db, dn1 = chain.s.dim, chain.b.dim, model.slice_dim
+    size = ds + 2 * db + dn1
+    expected = [[ZERO] * size for _ in range(size)]
+    chu_s = gram_on(chu_form(model.inst.algebra, model.inst.mu), chain.s)
+    for i in range(ds):
+        expected[i][:ds] = chu_s.entries[i]
     for i in range(db):
-        for j in range(db):
-            expected_bY = Fraction(1) if i == j else ZERO
-            assert gram.entries[ds + i][ds + db + j] == expected_bY
-            assert gram.entries[ds + db + i][ds + j] == -expected_bY
-            assert gram.entries[ds + i][ds + j] == 0
-            assert gram.entries[ds + db + i][ds + db + j] == 0
-    og = model.inst.slice_rep.omega.gram
+        expected[ds + i][ds + db + i] = ONE
+        expected[ds + db + i][ds + i] = -ONE
     base = ds + 2 * db
-    for i in range(dn1):
-        for j in range(dn1):
-            assert gram.entries[base + i][base + j] == og.entries[i][j]
-
-    return BilinearForm(gram)
+    for i, row in enumerate(model.inst.slice_rep.omega.gram.entries):
+        expected[base + i][base:] = row
+    return Check("sliceform.block_diagonal",
+                 form.gram == Matrix.from_rows(expected, cols=size))
 
 
 def _eta_action_on_nh1(decomp: WittDecompositionH, model: TangentModel,
@@ -307,7 +298,7 @@ def _eta_action_on_nh1(decomp: WittDecompositionH, model: TangentModel,
 
     eta acts by the bracket on the s and b blocks (both are ad(g_m)-stable),
     by the negative coadjoint action on Y_m inside m*, and by the slice
-    representation on N1.
+    representation on N1.  Raises NotContained when a block is not stable.
     """
     L = model.inst.algebra
     chain = model.chain
@@ -319,7 +310,8 @@ def _eta_action_on_nh1(decomp: WittDecompositionH, model: TangentModel,
         for v in space.basis_vectors():
             w = L.bracket(eta, v)
             coords = space.coords_of(w)
-            assert coords is not None, "block is not ad(gm)-stable"
+            if coords is None:
+                raise NotContained("block is not ad(gm)-stable")
             col = [ZERO] * size
             for t, c in enumerate(coords):
                 col[offset + t] = c
@@ -335,27 +327,15 @@ def _eta_action_on_nh1(decomp: WittDecompositionH, model: TangentModel,
         w = L.bracket(eta, y)
         coords = _coords_in_columns(m_cols, w, model)
         ad_on_m.append(coords)
-    for j in range(db):
-        rho = [ZERO] * model.dim_m
-        rho[chain.p.dim + j] = Fraction(1)
-        new = [ZERO] * model.dim_m
-        for k in range(model.dim_m):
-            # (eta . rho)_k = -<rho, [eta, m_k]>
-            new[k] = -sum((rho[t] * ad_on_m[k][t]
-                           for t in range(model.dim_m)), ZERO)
-        assert all(new[t] == 0 for t in range(chain.p.dim)), \
-            "coadjoint action leaves the b* block"
-        col = [ZERO] * size
-        for t in range(db):
-            col[ds + db + t] = new[chain.p.dim + t]
-        cols.append(col)
+    for j in range(chain.p.dim, model.dim_m):
+        # (eta . rho_j)_k = -<rho_j, [eta, m_k]> for the dual basis rho_j.
+        new = [-ad_on_m[k][j] for k in range(model.dim_m)]
+        if any(new[t] != 0 for t in range(chain.p.dim)):
+            raise NotContained("coadjoint action leaves the b* block")
+        cols.append([ZERO] * (ds + db) + new[chain.p.dim:] + [ZERO] * dn1)
 
     A_eta = _combine_slice_action(model, eta)
-    for j in range(dn1):
-        col = [ZERO] * size
-        for i in range(dn1):
-            col[ds + 2 * db + i] = A_eta.entries[i][j]
-        cols.append(col)
+    cols.extend([ZERO] * (ds + 2 * db) + list(col) for col in A_eta.columns())
 
     return Matrix.from_cols(cols, rows=size)
 
@@ -363,13 +343,15 @@ def _eta_action_on_nh1(decomp: WittDecompositionH, model: TangentModel,
 def _coords_in_columns(cols: list[Vec], v: Vec, model: TangentModel) -> Vec:
     B = Matrix.from_cols(cols, rows=model.inst.dim)
     sol = B.solve(v)
-    assert sol is not None, "vector is outside the m block"
+    if sol is None:
+        raise NotContained("vector is outside the m block")
     return sol
 
 
 def _combine_slice_action(model: TangentModel, eta: Vec) -> Matrix:
     coords = model.inst.gm.coords_of(eta)
-    assert coords is not None, "eta must lie in g_m"
+    if coords is None:
+        raise NotContained("eta must lie in g_m")
     A = Matrix.zeros(model.slice_dim, model.slice_dim)
     for t, c in enumerate(coords):
         if c != 0:
@@ -386,9 +368,9 @@ def slice_momentum(decomp: WittDecompositionH, model: TangentModel,
         1/2 <(ad*_x)^2 mu, eta> + <-ad*_b f(w), eta>
             + 1/2 omega_N1(eta.nu, nu)
 
-    and checks it, for every h_m basis vector, against the direct definition
-    1/2 omega_NH1(eta . nu_tilde, nu_tilde).  With h_m = 0 the result is the
-    zero covector in a zero-dimensional dual.
+    for every h_m basis vector; momentum_formula_check compares it with the
+    direct definition.  With h_m = 0 the result is the zero covector in a
+    zero-dimensional dual.
     """
     chain = model.chain
     L = model.inst.algebra
@@ -404,42 +386,42 @@ def slice_momentum(decomp: WittDecompositionH, model: TangentModel,
     w = nu_tilde[ds + db:ds + 2 * db]
     nu = nu_tilde[ds + 2 * db:]
 
-    x = _linear_combination(chain.s.basis_vectors(), x_s, model.inst.dim)
-    bvec = _linear_combination(chain.b.basis_vectors(), c_b, model.inst.dim)
+    x = chain.s.basis.apply(x_s)
+    bvec = chain.b.basis.apply(c_b)
     fw = tuple([ZERO] * chain.p.dim) + tuple(w)  # f(w) in m* coordinates
+    quad = L.coad_apply(x, L.coad_apply(x, model.inst.mu))
+    m_cols = [model.mn_basis.col(j) for j in range(model.dim_m)]
 
-    full_gram = slice_form(decomp, model).gram
     values = []
     for eta in hm_vectors:
-        quad = L.coad_apply(x, L.coad_apply(x, model.inst.mu))
         term1 = Fraction(1, 2) * dot(quad, eta)
 
         br = L.bracket(bvec, eta)
-        br_m = _coords_in_columns(
-            [model.mn_basis.col(j) for j in range(model.dim_m)], br, model) \
-            if model.dim_m else ()
+        br_m = _coords_in_columns(m_cols, br, model) if model.dim_m else ()
         term2 = -dot(fw, br_m) if model.dim_m else ZERO
 
         A_eta = _combine_slice_action(model, eta)
+        # omega(Av, v) with our Gram convention is (Av)^T G v.
         term3 = Fraction(1, 2) * dot(A_eta.apply(nu),
                                      model.inst.slice_rep.omega.gram.apply(nu))
-        # omega(Av, v) with our Gram convention is (Av)^T G v.
-        formula = term1 + term2 + term3
-
-        act = _eta_action_on_nh1(decomp, model, eta)
-        moved = act.apply(nu_tilde)
-        direct = Fraction(1, 2) * dot(moved, full_gram.apply(nu_tilde))
-        assert formula == direct, "momentum formula disagrees with definition"
-        values.append(formula)
+        values.append(term1 + term2 + term3)
     return tuple(values)
 
 
-def _linear_combination(vectors: list[Vec], coords: Vec, n: int) -> Vec:
-    out = [ZERO] * n
-    for c, v in zip(coords, vectors, strict=True):
-        if c != 0:
-            out = [x + c * y for x, y in zip(out, v)]
-    return tuple(out)
+def momentum_formula_check(decomp: WittDecompositionH, model: TangentModel,
+                           samples: Sequence[Vec]) -> Check:
+    """momentum.formula_equals_direct: on every sample nu_tilde, the closed
+    formula of slice_momentum equals the definition
+    1/2 omega_NH1(eta . nu_tilde, nu_tilde) for each h_m basis vector eta."""
+    gram = slice_form(decomp, model).gram
+    acts = [_eta_action_on_nh1(decomp, model, eta)
+            for eta in model.chain.h_m.basis_vectors()]
+    ok = all(slice_momentum(decomp, model, v)
+             == tuple(Fraction(1, 2) * dot(A.apply(v), gram.apply(v))
+                      for A in acts)
+             for v in samples)
+    return Check("momentum.formula_equals_direct", ok,
+                 f"{len(samples)} samples")
 
 
 def slice_momentum_forms(decomp: WittDecompositionH,
@@ -448,16 +430,25 @@ def slice_momentum_forms(decomp: WittDecompositionH,
 
     Each matrix S satisfies <momentum(v), eta> = v^T S v and is symmetric
     outright, because the block action is infinitesimally symplectic for
-    the form on NH1.
+    the form on NH1 (momentum_forms_check).
     """
     gram = slice_form(decomp, model).gram
-    forms = []
-    for eta in model.chain.h_m.basis_vectors():
-        act = _eta_action_on_nh1(decomp, model, eta)
-        S = (act.transpose() @ gram).scale(Fraction(1, 2))
-        assert S.is_symmetric(), "momentum quadratic form is not symmetric"
-        forms.append(S)
-    return tuple(forms)
+    return tuple(
+        (_eta_action_on_nh1(decomp, model, eta).transpose() @ gram)
+        .scale(Fraction(1, 2))
+        for eta in model.chain.h_m.basis_vectors())
+
+
+def momentum_forms_check(decomp: WittDecompositionH, model: TangentModel,
+                         forms: tuple[Matrix, ...],
+                         samples: Sequence[Vec]) -> Check:
+    """momentum.quadratic_forms_symmetric: every form is symmetric and, on
+    each sample vector v, v^T S v equals slice_momentum(v)."""
+    ok = all(S.is_symmetric() for S in forms) and all(
+        slice_momentum(decomp, model, v)
+        == tuple(dot(v, S.apply(v)) for S in forms)
+        for v in samples)
+    return Check("momentum.quadratic_forms_symmetric", ok)
 
 
 def coadjoint_slice_check(chain, inst) -> list[Check]:
@@ -490,7 +481,8 @@ def coadjoint_slice_check(chain, inst) -> list[Check]:
     images = []
     for v in chain.h_alpha.basis_vectors():
         coords = B2.solve(v)
-        assert coords is not None
+        if coords is None:
+            raise NotContained("h_alpha vector is outside g_mu + n")
         images.append(tuple(coords[chain.g_mu.dim:]))
     halpha_orbit = Subspace.span(dim_n, images)
     out.append(Check(

@@ -182,11 +182,6 @@ class Matrix:
             raise AmbientMismatch("vector length does not match column count")
         return tuple(dot(row, v) for row in self.entries)
 
-    def apply_transpose(self, v: Vec) -> Vec:
-        if len(v) != self.rows:
-            raise AmbientMismatch("vector length does not match row count")
-        return tuple(dot(self.col(j), v) for j in range(self.cols))
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise AmbientMismatch("hstack needs equal row counts")
@@ -312,7 +307,6 @@ class Subspace:
 
     ambient_dim: int
     basis: Matrix
-    canonical: bool = True
 
     @staticmethod
     def span(ambient_dim: int, vectors: Sequence) -> "Subspace":
@@ -403,11 +397,6 @@ def kernel(A: Matrix) -> Subspace:
     return Subspace.span(A.cols, vectors)
 
 
-def image(A: Matrix) -> Subspace:
-    """Canonical column space of A."""
-    return Subspace.span(A.rows, A.columns())
-
-
 def sum_spaces(*parts: Subspace) -> Subspace:
     if not parts:
         raise ValueError("sum of no subspaces")
@@ -459,9 +448,7 @@ def orth_complement(U: Subspace, W: Subspace, ip: BilinearForm) -> Subspace:
     pairing = U.basis.transpose() @ ip.gram @ W.basis
     ker = kernel(pairing)
     vectors = [W.basis.apply(c) for c in ker.basis_vectors()]
-    result = Subspace.span(U.ambient_dim, vectors)
-    assert is_direct_sum([U, result]) and sum_spaces(U, result) == W
-    return result
+    return Subspace.span(U.ambient_dim, vectors)
 
 
 def gram_on(form: BilinearForm, U: Subspace) -> Matrix:
@@ -469,10 +456,6 @@ def gram_on(form: BilinearForm, U: Subspace) -> Matrix:
     if form.ambient_dim != U.ambient_dim:
         raise AmbientMismatch("form and subspace live in different spaces")
     return U.basis.transpose() @ form.gram @ U.basis
-
-
-def restrict_form(form: BilinearForm, U: Subspace) -> BilinearForm:
-    return BilinearForm(gram_on(form, U))
 
 
 def perp_under_form(form: BilinearForm, U: Subspace) -> Subspace:

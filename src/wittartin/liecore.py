@@ -173,10 +173,7 @@ def h_perp_mu(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
     rows = []
     for eta in h.basis_vectors():
         rows.append(tuple(dot(mu, L.bracket(unit_vec(n, i), eta)) for i in range(n)))
-    result = kernel(Matrix.from_rows(rows, cols=n))
-    g_mu = stabilizer_of_momentum(L, mu)
-    assert g_mu.leq(result) and h_alpha(L, h, mu).leq(result)
-    return result
+    return kernel(Matrix.from_rows(rows, cols=n))
 
 
 def h_alpha(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
@@ -185,22 +182,14 @@ def h_alpha(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
     The two descriptions (intersection with h_perp_mu; kernel of the pairing
     restricted to h) agree because the pairing only sees brackets inside h.
     """
-    w = subalgebra_witness(L, h)
-    if w is not None:
-        raise NotSubalgebra(f"basis pair {w} of h has bracket outside h")
-    n = L.dim
-    rows = []
-    for eta in h.basis_vectors():
-        rows.append(tuple(dot(mu, L.bracket(unit_vec(n, i), eta)) for i in range(n)))
-    constraint = Matrix.from_rows(rows, cols=n)
-    result = intersect(h, kernel(constraint))
-    assert is_subalgebra(L, result)
-    assert intersect(h, stabilizer_of_momentum(L, mu)).leq(result)
-    return result
+    return intersect(h, h_perp_mu(L, h, mu))
 
 
 def chu_form(L: LieAlgebra, mu: Covector) -> BilinearForm:
-    """The form (x, y) -> <mu, [x, y]>; its radical is exactly g_mu."""
+    """The form (x, y) -> <mu, [x, y]>.
+
+    Its radical is g_mu; verify proves that as liecore.chu_radical_is_g_mu.
+    """
     n = L.dim
     gram = Matrix.from_rows(
         [
@@ -209,10 +198,7 @@ def chu_form(L: LieAlgebra, mu: Covector) -> BilinearForm:
         ],
         cols=n,
     )
-    form = BilinearForm(gram)
-    assert form.is_antisymmetric()
-    assert form.radical() == stabilizer_of_momentum(L, mu)
-    return form
+    return BilinearForm(gram)
 
 
 def killing_form(L: LieAlgebra) -> BilinearForm:

@@ -32,7 +32,7 @@ from .exactlin import (
     unit_vec,
     zero_vec,
 )
-from .splitting import ProblemInstance, SplittingChain
+from .splitting import Check, ProblemInstance, SplittingChain
 
 
 class DegenerateModel(ValueError):
@@ -185,7 +185,6 @@ def build_model(chain: SplittingChain, inst: ProblemInstance) -> TangentModel:
             gram[un + dim_m + i][un + dim_m + j] = og.entries[i][j]
     omega = BilinearForm(Matrix(total, total,
                                 tuple(tuple(row) for row in gram)))
-    assert omega.is_antisymmetric()
     if omega.gram.rank() != total:
         raise DegenerateModel("point form is singular")
 
@@ -213,19 +212,23 @@ def f_map(model: TangentModel, w: TangentVector) -> Vec:
     """The isomorphism N0 -> m*: in this model, read off the R block.
 
     The defining contract <f(w), y> = omega(y_M, w) for y in the m basis is
-    asserted on every call, which is what ties the model to the abstract map.
+    the named check model.f_contract, which ties the model to the abstract
+    map.
     """
     if not is_zero_vec(w.u) or not is_zero_vec(w.nu):
         raise NotInN0("vector has components outside the N0 block")
-    for j in range(model.dim_m):
-        y = unit_vec(model.dim_m + model.dim_n, j)
-        lhs = w.rho[j]
-        rhs = model.omega_value(
-            TangentVector(y, zero_vec(model.dim_m), zero_vec(model.slice_dim)),
-            w,
-        )
-        assert lhs == rhs, "f contract violated"
     return w.rho
+
+
+def f_contract_check(model: TangentModel) -> Check:
+    """model.f_contract: omega(U_j, R_k) = delta_jk on the m part of U.
+
+    With f(w) = rho this is <f(w), y_j> = omega(y_j M, w) for every w in N0.
+    """
+    un, dim_m = model.dim_m + model.dim_n, model.dim_m
+    block = [row[un:un + dim_m] for row in model.omega.gram.entries[:dim_m]]
+    return Check("model.f_contract",
+                 Matrix(dim_m, dim_m, tuple(block)) == Matrix.identity(dim_m))
 
 
 def dphi_G(model: TangentModel) -> Matrix:

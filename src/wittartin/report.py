@@ -13,12 +13,16 @@ from . import decomposition as dec
 from . import pointmodel as pm
 from .exactlin import Matrix, Subspace
 from .instancefile import to_dict
+from .liecore import chu_form
 from .splitting import (
     Check,
     ProblemInstance,
     build_chain,
+    chain_checks,
     dim_formulas,
+    require,
 )
+from .verify import chu_radical_check, h_alpha_check, h_perp_mu_check
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,6 @@ class Report:
     witt_g: dict
     witt_h: dict
     checks: tuple[Check, ...]
-    elapsed_seconds: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -45,12 +48,30 @@ def _subspace_strings(S: Subspace) -> list[list[str]]:
 
 
 def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Report:
-    """Decompose one instance and collect the block data."""
+    """Decompose one instance and collect the block data.
+
+    This is the strict path: it raises ValidationFailed on an invalid
+    instance and CheckFailed for the first failed named check among those
+    the constructors rely on (chain, liecore, f contract, wittG, wittH 1-7,
+    slice form and momentum-form symmetry).  Each of them runs once.
+    """
     chain = build_chain(inst)
+    require(chain_checks(inst, chain))
+    require([
+        chu_radical_check(chu_form(inst.algebra, inst.mu), chain.g_mu),
+        h_alpha_check(inst, chain.h_alpha),
+        h_perp_mu_check(chain.g_mu, chain.h_perp_mu_space),
+    ])
     model = pm.build_model(chain, inst)
+    require([pm.f_contract_check(model)])
     g_dec = dec.decompose_G(model)
+    require([dec.g_decomposition_check(g_dec, model)])
     h_dec = dec.decompose_H(model)
+    require(dec.h_decomposition_checks(h_dec, model))
     form = dec.slice_form(h_dec, model)
+    require([dec.slice_form_check(h_dec, model, form)])
+    forms = dec.slice_momentum_forms(h_dec, model)
+    require([dec.momentum_forms_check(h_dec, model, forms, ())])
     dims = dim_formulas(chain)
 
     from .exactlin import gram_on
@@ -89,10 +110,7 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
         # covector in a zero-dimensional dual.
         "slice_momentum": {
             "h_m_dim": chain.h_m.dim,
-            "quadratic_forms": [
-                _matrix_strings(S)
-                for S in dec.slice_momentum_forms(h_dec, model)
-            ],
+            "quadratic_forms": [_matrix_strings(S) for S in forms],
         },
     }
     checks = (

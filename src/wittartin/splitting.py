@@ -55,6 +55,22 @@ class Check:
     detail: str = ""
 
 
+class CheckFailed(Exception):
+    """A named check failed on a strict build path."""
+
+    def __init__(self, name: str, detail: str):
+        self.name = name
+        self.detail = detail
+        super().__init__(f"{name}: {detail}" if detail else name)
+
+
+def require(checks) -> None:
+    """Raise CheckFailed for the first failed check, if any."""
+    for c in checks:
+        if not c.passed:
+            raise CheckFailed(c.name, c.detail)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[Check, ...]
@@ -261,7 +277,6 @@ def _lagrangian_shear(chu: BilinearForm, a: Subspace, C: Subspace) -> Subspace:
         [[chu(ci, cj) for cj in cvs] for ci in cvs], cols=C.dim)
     P = Matrix.from_rows(
         [[chu(ai, cj) for cj in cvs] for ai in avs], cols=C.dim)
-    assert P.rows == P.cols, "pairing a x C must be square"
     T = P.transpose().inverse() @ K.scale(Fraction(1, 2))
     sheared = []
     for j, cv in enumerate(cvs):
@@ -275,14 +290,17 @@ def _lagrangian_shear(chu: BilinearForm, a: Subspace, C: Subspace) -> Subspace:
 
 
 def build_chain(inst: ProblemInstance) -> SplittingChain:
-    """Construct the full chain; every defining identity is asserted."""
+    """Construct the full chain.
+
+    Raises ValidationFailed on an invalid instance.  The defining identities
+    of the result are the named checks of chain_checks.
+    """
     report = validate(inst)
     if not report.passed:
         raise ValidationFailed(report)
 
     L = inst.algebra
     ip = inst.ip.form()
-    g = Subspace.full(L.dim)
 
     g_mu = stabilizer_of_momentum(L, inst.mu)
     hperp = h_perp_mu(L, inst.h, inst.mu)
@@ -300,24 +318,20 @@ def build_chain(inst: ProblemInstance) -> SplittingChain:
 
     chu = chu_form(L, inst.mu)
     V = perp_under_form(chu, sum_spaces(ntilde, s))
-    Lsub = sum_spaces(g_mu, a)
-    assert Lsub.leq(V), "g_mu + a must be Chu-orthogonal to ntilde + s"
-    C = orth_complement(Lsub, V, ip)
+    # Raises NotContained unless g_mu + a is Chu-orthogonal to ntilde + s.
+    C = orth_complement(sum_spaces(g_mu, a), V, ip)
     r = _lagrangian_shear(chu, a, C)
 
     m_space = sum_spaces(p, b)
     n_space = sum_spaces(q, ntilde, r)
 
-    chain = SplittingChain(
+    return SplittingChain(
         g_mu=g_mu, h_mu=h_mu, h_m=h_m, h_alpha=halpha,
         h_perp_mu_space=hperp, hm_perp_in_gm=hm_perp,
         p=p, b=b, a=a, s=s, q=q, ntilde=ntilde, r=r,
         m_space=m_space, n_space=n_space,
         slice_dim=inst.slice_rep.dim,
     )
-    problems = [c for c in chain_checks(inst, chain) if not c.passed]
-    assert not problems, f"chain identity failed: {problems[0].name}"
-    return chain
 
 
 def chain_checks(inst: ProblemInstance, chain: SplittingChain) -> list[Check]:
@@ -419,15 +433,10 @@ class DimReport:
     slice_dim_H: int          # predicted dim of the H-slice
     kernel_gap: int           # predicted dim ker DPhi_H - dim ker DPhi_G
 
-    @property
-    def slice_dim_G(self) -> int:
-        return self.dims["N1"]
-
 
 def dim_formulas(chain: SplittingChain) -> DimReport:
     """Dimension bookkeeping for the compatible slice."""
     d = chain.dims()
     slice_dim_H = d["N1"] + 2 * d["b"] + d["s"]
     kernel_gap = d["q"] + d["b"]
-    assert kernel_gap == d["a"] + d["s"] + d["b"]
     return DimReport(dims=d, slice_dim_H=slice_dim_H, kernel_gap=kernel_gap)

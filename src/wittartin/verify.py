@@ -14,10 +14,10 @@ from . import decomposition as dec
 from . import pointmodel as pm
 from . import tube
 from .exactlin import (
+    BilinearForm,
     Matrix,
     Subspace,
     Vec,
-    ZERO,
     dot,
     kernel,
     perp_under_form,
@@ -25,7 +25,14 @@ from .exactlin import (
     unit_vec,
     zero_vec,
 )
-from .liecore import chu_form, h_alpha, h_perp_mu, killing_form, stabilizer_of_momentum
+from .liecore import (
+    chu_form,
+    h_alpha,
+    h_perp_mu,
+    is_subalgebra,
+    killing_form,
+    stabilizer_of_momentum,
+)
 from .splitting import (
     Check,
     ProblemInstance,
@@ -37,14 +44,29 @@ from .splitting import (
 )
 
 
-def _guard(name: str, fn) -> list[Check]:
-    """Run fn() -> list[Check]; convert any assertion into a failed check."""
-    try:
-        return fn()
-    except AssertionError as e:
-        return [Check(name, False, f"assertion failed: {e}")]
-    except dec.ChainInconsistent as e:
-        return [Check(name, False, str(e))]
+def chu_radical_check(chu: BilinearForm, g_mu: Subspace) -> Check:
+    """liecore.chu_radical_is_g_mu: the Chu form is antisymmetric and its
+    radical is the stabilizer g_mu."""
+    return Check("liecore.chu_radical_is_g_mu",
+                 chu.is_antisymmetric() and chu.radical() == g_mu)
+
+
+def h_alpha_check(inst: ProblemInstance, halpha: Subspace) -> Check:
+    """liecore.h_alpha_two_descriptions: h_alpha is also the kernel of the
+    pairing restricted to h, and it is a subalgebra."""
+    L = inst.algebra
+    hv = inst.h.basis_vectors()
+    rows = [tuple(dot(inst.mu, L.bracket(x, eta)) for x in hv) for eta in hv]
+    inside = kernel(Matrix.from_rows(rows, cols=len(hv)))
+    lifted = Subspace.span(
+        L.dim, [inst.h.basis.apply(c) for c in inside.basis_vectors()])
+    return Check("liecore.h_alpha_two_descriptions",
+                 lifted == halpha and is_subalgebra(L, halpha))
+
+
+def h_perp_mu_check(g_mu: Subspace, hperp: Subspace) -> Check:
+    """liecore.g_mu_in_h_perp_mu."""
+    return Check("liecore.g_mu_in_h_perp_mu", g_mu.leq(hperp))
 
 
 def liecore_checks(inst: ProblemInstance) -> list[Check]:
@@ -57,9 +79,7 @@ def liecore_checks(inst: ProblemInstance) -> list[Check]:
         for v in g_mu.basis_vectors()
     )
     out.append(Check("liecore.stabilizer_annihilates_mu", ok))
-
-    chu = chu_form(L, inst.mu)
-    out.append(Check("liecore.chu_radical_is_g_mu", chu.radical() == g_mu))
+    out.append(chu_radical_check(chu_form(L, inst.mu), g_mu))
 
     # The center (common kernel of all ad matrices) stabilizes any momentum.
     ads = [L.ad_matrix(unit_vec(L.dim, i)) for i in range(L.dim)]
@@ -67,35 +87,15 @@ def liecore_checks(inst: ProblemInstance) -> list[Check]:
     center = kernel(Matrix.from_rows(stacked, cols=L.dim))
     out.append(Check("liecore.center_in_stabilizer", center.leq(g_mu)))
 
-    # Second description of h_alpha: kernel of the pairing inside h-coordinates.
-    hv = inst.h.basis_vectors()
-    rows = []
-    for eta in hv:
-        rows.append(tuple(dot(inst.mu, L.bracket(x, eta)) for x in hv))
-    inside = kernel(Matrix.from_rows(rows, cols=len(hv)))
-    lifted = Subspace.span(
-        L.dim,
-        [_combo(hv, c, L.dim) for c in inside.basis_vectors()],
-    )
-    out.append(Check("liecore.h_alpha_two_descriptions",
-                     lifted == h_alpha(L, inst.h, inst.mu)))
+    out.append(h_alpha_check(inst, h_alpha(L, inst.h, inst.mu)))
 
     # B(ad_z x, y) + B(x, ad_z y) = 0 for all x, y is ad_z^T B + B ad_z = 0.
     B = killing_form(L).gram
     ok = all((A.transpose() @ B + B @ A).is_zero() for A in ads)
     out.append(Check("liecore.killing_ad_invariant", ok))
 
-    out.append(Check("liecore.g_mu_in_h_perp_mu",
-                     g_mu.leq(h_perp_mu(L, inst.h, inst.mu))))
+    out.append(h_perp_mu_check(g_mu, h_perp_mu(L, inst.h, inst.mu)))
     return out
-
-
-def _combo(vectors, coords, n) -> Vec:
-    out = [ZERO] * n
-    for c, v in zip(coords, vectors, strict=True):
-        if c != 0:
-            out = [x + c * y for x, y in zip(out, v)]
-    return tuple(out)
 
 
 def model_checks(inst: ProblemInstance, chain: SplittingChain,
@@ -136,17 +136,7 @@ def model_checks(inst: ProblemInstance, chain: SplittingChain,
                      kerH.dim - kerG.dim == d.kernel_gap,
                      f"actual gap {kerH.dim - kerG.dim}, predicted {d.kernel_gap}"))
 
-    def f_contract():
-        checks = []
-        for j in range(model.dim_m):
-            w = pm.TangentVector(
-                zero_vec(model.dim_m + model.dim_n),
-                unit_vec(model.dim_m, j),
-                zero_vec(model.slice_dim))
-            pm.f_map(model, w)  # contract asserted inside
-        checks.append(Check("model.f_contract", True))
-        return checks
-    out.extend(_guard("model.f_contract", f_contract))
+    out.append(pm.f_contract_check(model))
 
     ok = True
     for x in (unit_vec(inst.dim, i) for i in range(inst.dim)):
@@ -163,14 +153,9 @@ def model_checks(inst: ProblemInstance, chain: SplittingChain,
 def decomposition_checks(inst: ProblemInstance, chain: SplittingChain,
                          model: pm.TangentModel,
                          samples: int, seed: int) -> list[Check]:
-    out = []
+    out = [dec.g_decomposition_check(dec.decompose_G(model), model)]
 
-    def g_side():
-        dec.decompose_G(model)  # assertions inside
-        return [Check("wittG.all_assertions", True)]
-    out.extend(_guard("wittG.all_assertions", g_side))
-
-    decomp = dec._build_h_parts(model)
+    decomp = dec.decompose_H(model)
     out.extend(dec.h_decomposition_checks(decomp, model))
 
     # Oracle route: generic rank reduction of the momentum differential
@@ -180,43 +165,26 @@ def decomposition_checks(inst: ProblemInstance, chain: SplittingChain,
         pm.ker_dphi_H(model) == sum_spaces(decomp.TH0, decomp.NH1),
     ))
 
-    def form_block():
-        form = dec.slice_form(decomp, model)
-        nh1_dim = chain.s.dim + 2 * chain.b.dim + model.slice_dim
-        checks = [Check("sliceform.block_diagonal", True),
-                  Check("sliceform.dim_formula",
-                        form.ambient_dim == nh1_dim
-                        and decomp.NH1.dim == nh1_dim)]
-        d = dim_formulas(chain)
-        checks.append(Check("dims.slice_dim_formula",
-                            decomp.NH1.dim == d.slice_dim_H))
-        return checks
-    out.extend(_guard("sliceform.block_diagonal", form_block))
+    form = dec.slice_form(decomp, model)
+    nh1_dim = chain.s.dim + 2 * chain.b.dim + model.slice_dim
+    out.append(dec.slice_form_check(decomp, model, form))
+    out.append(Check("sliceform.dim_formula",
+                     form.ambient_dim == nh1_dim
+                     and decomp.NH1.dim == nh1_dim))
+    out.append(Check("dims.slice_dim_formula",
+                     decomp.NH1.dim == dim_formulas(chain).slice_dim_H))
 
     rng = random.Random(seed)
 
-    def momentum_block():
-        nh1_dim = chain.s.dim + 2 * chain.b.dim + model.slice_dim
-        for _ in range(samples):
-            nu_tilde = tuple(
-                Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                for _ in range(nh1_dim))
-            dec.slice_momentum(decomp, model, nu_tilde)  # equality asserted
-        return [Check("momentum.formula_equals_direct", True,
-                      f"{samples} samples")]
-    out.extend(_guard("momentum.formula_equals_direct", momentum_block))
-
-    def momentum_forms():
-        forms = dec.slice_momentum_forms(decomp, model)
-        nh1_dim = chain.s.dim + 2 * chain.b.dim + model.slice_dim
-        for _ in range(min(samples, 3)):
-            v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    def draw(count: int, top: int, den: int) -> list[Vec]:
+        return [tuple(Fraction(rng.randint(-top, top), rng.randint(1, den))
                       for _ in range(nh1_dim))
-            value = dec.slice_momentum(decomp, model, v)
-            quadratic = tuple(dot(v, S.apply(v)) for S in forms)
-            assert value == quadratic
-        return [Check("momentum.quadratic_forms_symmetric", True)]
-    out.extend(_guard("momentum.quadratic_forms_symmetric", momentum_forms))
+                for _ in range(count)]
+
+    out.append(dec.momentum_formula_check(decomp, model, draw(samples, 6, 4)))
+    out.append(dec.momentum_forms_check(
+        decomp, model, dec.slice_momentum_forms(decomp, model),
+        draw(min(samples, 3), 4, 3)))
 
     out.append(Check("momentum.phiN1_equivariance",
                      _phi_n1_equivariance(inst, rng, samples)))
@@ -291,7 +259,12 @@ def tube_checks(inst: ProblemInstance, chain: SplittingChain,
 
 def run_all(inst: ProblemInstance, samples: int = 10,
             seed: int = 0, include_tube: bool = True) -> list[Check]:
-    """Every named check for one instance, in a stable order."""
+    """Every named check for one instance, in a stable order.
+
+    The list ends early, with the failures named, when validation fails,
+    when the chain cannot be built (chain.builds) or fails a chain check,
+    or when the model cannot be built (model.builds).
+    """
     checks: list[Check] = []
     report = validate(inst)
     checks.extend(Check(f"validate.{c.name}", c.passed, c.detail)
@@ -300,19 +273,22 @@ def run_all(inst: ProblemInstance, samples: int = 10,
         return checks
 
     checks.extend(liecore_checks(inst))
-    chain = build_chain(inst)
-    checks.extend(chain_checks(inst, chain))
-
-    def build():
-        model = pm.build_model(chain, inst)
-        return [Check("model.builds", True)], model
+    try:
+        chain = build_chain(inst)
+    except ValueError as e:
+        checks.append(Check("chain.builds", False, str(e)))
+        return checks
+    chain_results = chain_checks(inst, chain)
+    checks.extend(chain_results)
+    if not all(c.passed for c in chain_results):
+        return checks
 
     try:
-        built, model = build()
-        checks.extend(built)
+        model = pm.build_model(chain, inst)
     except pm.DegenerateModel as e:
         checks.append(Check("model.builds", False, str(e)))
         return checks
+    checks.append(Check("model.builds", True))
 
     checks.extend(model_checks(inst, chain, model))
     checks.extend(decomposition_checks(inst, chain, model, samples, seed))

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from wittartin import decomposition as dec
 from wittartin.catalog import EXAMPLE_NAMES
 from wittartin.cli import main
+from wittartin.exactlin import BilinearForm
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +128,18 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", str(path))
         assert code == 1
         assert "gm_in_g_mu" in err
+
+    def test_failed_check_exit_1_with_named_fail(self, capsys, tmp_path,
+                                                 monkeypatch):
+        path = write_example(capsys, tmp_path, "so3-generic")
+        exact = dec.slice_form
+        monkeypatch.setattr(
+            dec, "slice_form",
+            lambda d, model: BilinearForm(exact(d, model).gram.scale(2)))
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("FAIL sliceform.block_diagonal:")
 
 
 class TestVerify:

@@ -12,7 +12,7 @@ from instances import (
     vec,
 )
 from wittartin.decomposition import (
-    _build_h_parts,
+    _eta_action_on_nh1,
     coadjoint_slice_check,
     decompose_G,
     decompose_H,
@@ -21,7 +21,7 @@ from wittartin.decomposition import (
     slice_form,
     slice_momentum,
 )
-from wittartin.exactlin import Matrix, Subspace, sum_spaces, zero_vec
+from wittartin.exactlin import Matrix, Subspace, dot, sum_spaces, zero_vec
 from wittartin.liecore import InnerProduct, chu_form, so3
 from wittartin.pointmodel import build_model, ker_dphi_H
 from wittartin.splitting import ProblemInstance, build_chain
@@ -104,7 +104,7 @@ class TestDecomposeH:
 
     def test_all_checks_pass_on_mixed_instance(self):
         _, model = setup(so3xso3_diag(with_gm=True))
-        d = _build_h_parts(model)
+        d = decompose_H(model)
         for check in h_decomposition_checks(d, model):
             assert check.passed, check.name
 
@@ -120,7 +120,7 @@ class TestEqM:
                      so3xso3_diag(with_gm=True),
                      middle_term_instance()):
             _, model = setup(inst)
-            d = _build_h_parts(model)
+            d = decompose_H(model)
             qm = sum_spaces(
                 Subspace.span(model.total_dim,
                               [c for c in d.s_block.basis_vectors()]),
@@ -207,12 +207,19 @@ class TestSliceMomentum:
     def test_formula_matches_direct_on_random_vectors(self):
         import random
         rng = random.Random(7)
-        _, model = setup(so3xso3_diag(with_gm=True))
-        d = decompose_H(model)
-        for _ in range(10):
-            nu_tilde = tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
-                             for _ in range(d.NH1.dim))
-            slice_momentum(d, model, nu_tilde)  # equality asserted inside
+        # [b, eta] = 0 on the first instance and != 0 on the second.
+        for inst in (so3xso3_diag(with_gm=True), middle_term_instance()):
+            _, model = setup(inst)
+            d = decompose_H(model)
+            # Direct route: 1/2 omega_NH1(eta . nu_tilde, nu_tilde).
+            gram = slice_form(d, model).gram
+            (eta,) = model.chain.h_m.basis_vectors()
+            act = _eta_action_on_nh1(d, model, eta)
+            for _ in range(10):
+                v = tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
+                          for _ in range(d.NH1.dim))
+                direct = F(1, 2) * dot(act.apply(v), gram.apply(v))
+                assert slice_momentum(d, model, v) == (direct,)
 
     def test_quadratic_form_representation(self):
         from wittartin.decomposition import slice_momentum_forms

@@ -1,22 +1,30 @@
-"""Non-vacuity of the matrix-form checks in run_all.
+"""Non-vacuity of the checks in run_all.
 
 Each test breaks one computation on purpose and requires run_all to finish,
 with the same check names as an unbroken run, and to report the check that
 guards the computation as a named FAIL.
 """
 
-from wittartin import tube, verify
+from dataclasses import replace
+
+from wittartin import decomposition as dec
+from wittartin import pointmodel as pm
+from wittartin import splitting, tube, verify
 from wittartin.catalog import build_example
-from wittartin.exactlin import BilinearForm, Matrix
+from wittartin.exactlin import BilinearForm, Matrix, Subspace
 from wittartin.instancefile import from_dict
 
 
-def _run():
-    return verify.run_all(from_dict(build_example("so3-generic")), samples=3)
+def _run(example="so3-generic"):
+    return verify.run_all(from_dict(build_example(example)), samples=3)
 
 
 def _failed(checks):
     return [c.name for c in checks if not c.passed]
+
+
+def _check(checks, name):
+    return next(c for c in checks if c.name == name)
 
 
 def test_unbroken_so3_instance_passes_every_check():
@@ -48,3 +56,79 @@ def test_non_invariant_killing_form_fails_invariance_check(monkeypatch):
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["liecore.killing_ad_invariant"]
+
+
+def test_wrong_T1_gram_fails_witt_g_check_and_names_the_identity(monkeypatch):
+    expected_names = [c.name for c in _run()]
+    exact = dec.decompose_G
+
+    def doubled_gram_T1(model):
+        d = exact(model)
+        return replace(d, gram_T1=d.gram_T1.scale(2))
+
+    monkeypatch.setattr(dec, "decompose_G", doubled_gram_T1)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["wittG.all_assertions"]
+    assert "Chu pairing" in _check(checks, "wittG.all_assertions").detail
+
+
+def test_scaled_slice_form_fails_block_diagonal_check(monkeypatch):
+    expected_names = [c.name for c in _run()]
+    exact = dec.slice_form
+    monkeypatch.setattr(
+        dec, "slice_form",
+        lambda decomp, model: BilinearForm(exact(decomp, model).gram.scale(2)))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert "sliceform.block_diagonal" in _failed(checks)
+
+
+def test_wrong_pairing_block_fails_f_contract(monkeypatch):
+    expected_names = [c.name for c in _run()]
+    exact = pm.build_model
+
+    def doubled_pairing(chain, inst):
+        model = exact(chain, inst)
+        un = model.dim_m + model.dim_n
+        rows = [list(row) for row in model.omega.gram.entries]
+        rows[0][un] *= 2
+        rows[un][0] *= 2
+        gram = Matrix.from_rows(rows, cols=model.total_dim)
+        return replace(model, omega=BilinearForm(gram))
+
+    monkeypatch.setattr(pm, "build_model", doubled_pairing)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert "model.f_contract" in _failed(checks)
+
+
+def test_doubled_momentum_formula_fails_formula_check(monkeypatch):
+    expected_names = [c.name for c in _run("so3xso3-diagonal")]
+    exact = dec.slice_momentum
+    monkeypatch.setattr(
+        dec, "slice_momentum",
+        lambda decomp, model, v: tuple(2 * x
+                                       for x in exact(decomp, model, v)))
+    checks = _run("so3xso3-diagonal")
+    assert [c.name for c in checks] == expected_names
+    assert "momentum.formula_equals_direct" in _failed(checks)
+
+
+def test_chain_that_cannot_be_built_is_a_named_fail(monkeypatch):
+    # g_mu + a is then outside the Chu-orthogonal of ntilde + s.
+    monkeypatch.setattr(splitting, "perp_under_form",
+                        lambda form, U: Subspace.zero(U.ambient_dim))
+    checks = _run()
+    assert checks[-1].name == "chain.builds"
+    assert _failed(checks) == ["chain.builds"]
+
+
+def test_failed_chain_check_ends_the_run_with_a_named_fail(monkeypatch):
+    monkeypatch.setattr(splitting, "_lagrangian_shear",
+                        lambda chu, a, C: Subspace.zero(a.ambient_dim))
+    checks = _run()
+    names = [c.name for c in checks]
+    assert "chain.r_dim_matches_a" in _failed(checks)
+    assert names[-1] == "chain.ad_gm_invariance"
+    assert "model.builds" not in names
