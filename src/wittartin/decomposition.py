@@ -33,7 +33,6 @@ from .exactlin import (
     sum_spaces,
     unit_vec,
 )
-from .liecore import chu_form
 from .pointmodel import (
     TangentModel,
     inf_action,
@@ -133,11 +132,10 @@ def g_decomposition_check(decomp: WittDecompositionG,
 def _chu_on_n(model: TangentModel) -> Matrix:
     # T1's canonical basis vectors are the model units at the n positions,
     # which correspond to the concatenated (a, s, ntilde, r) columns.
-    chu = chu_form(model.inst.algebra, model.inst.mu)
-    n_cols = [model.mn_basis.col(i) for name in ("a", "s", "ntilde", "r")
-              for i in model.blocks[name]]
-    return Matrix.from_rows(
-        [[chu(x, y) for y in n_cols] for x in n_cols], cols=len(n_cols))
+    N = Matrix.from_cols(
+        [model.mn_basis.col(i) for name in ("a", "s", "ntilde", "r")
+         for i in model.blocks[name]], rows=model.inst.dim)
+    return N.transpose() @ model.inst.chu.gram @ N
 
 
 def eq_M_subspace(model: TangentModel) -> Subspace:
@@ -148,22 +146,20 @@ def eq_M_subspace(model: TangentModel) -> Subspace:
     This is the independent route against which the constructive identity
     ker dphi_H = ker dphi_G + M is checked.
     """
-    L = model.inst.algebra
     n_indices = [i for name in ("a", "s", "ntilde", "r")
                  for i in model.blocks[name]]
     r_indices = list(model.blocks["pstar"]) + list(model.blocks["bstar"])
     local = n_indices + r_indices
 
-    h_vectors = model.inst.h.basis_vectors()
+    n_cols = [model.mn_basis.col(i) for i in n_indices]  # U index == mn column
     rows = []
-    for eta in h_vectors:
-        row = []
-        for i in n_indices:
-            z = model.mn_basis.col(i)  # U index == mn column index
-            row.append(-dot(model.inst.mu, L.bracket(z, eta)))
-        for j in range(model.dim_m):
-            row.append(dot(model.dual_row(model.gm_dim + j), eta))
-        rows.append(tuple(row))
+    for eta in model.inst.h.basis_vectors():
+        # -<mu, [z, eta]> = -z . K eta with K the Chu Gram matrix.
+        k_eta = model.inst.chu.gram.apply(eta)
+        rows.append(tuple(
+            [-dot(z, k_eta) for z in n_cols]
+            + [dot(model.dual_row(model.gm_dim + j), eta)
+               for j in range(model.dim_m)]))
     constraint = Matrix.from_rows(rows, cols=len(local))
     ker = kernel(constraint)
     vectors = []
@@ -203,7 +199,7 @@ def h_decomposition_checks(decomp: WittDecompositionH,
                            model: TangentModel) -> list[Check]:
     """The seven identity groups wittH.1-7 of the H-side decomposition."""
     chain = model.chain
-    chu = chu_form(model.inst.algebra, model.inst.mu)
+    chu = model.inst.chu
     full = Subspace.full(model.total_dim)
     out: list[Check] = []
 
@@ -279,7 +275,7 @@ def slice_form_check(decomp: WittDecompositionH, model: TangentModel,
     ds, db, dn1 = chain.s.dim, chain.b.dim, model.slice_dim
     size = ds + 2 * db + dn1
     expected = [[ZERO] * size for _ in range(size)]
-    chu_s = gram_on(chu_form(model.inst.algebra, model.inst.mu), chain.s)
+    chu_s = gram_on(model.inst.chu, chain.s)
     for i in range(ds):
         expected[i][:ds] = chu_s.entries[i]
     for i in range(db):
@@ -352,11 +348,7 @@ def _combine_slice_action(model: TangentModel, eta: Vec) -> Matrix:
     coords = model.inst.gm.coords_of(eta)
     if coords is None:
         raise NotContained("eta must lie in g_m")
-    A = Matrix.zeros(model.slice_dim, model.slice_dim)
-    for t, c in enumerate(coords):
-        if c != 0:
-            A = A + model.inst.slice_rep.action[t].scale(c)
-    return A
+    return model.inst.slice_rep.combine(coords)
 
 
 def slice_momentum(decomp: WittDecompositionH, model: TangentModel,
@@ -457,14 +449,13 @@ def coadjoint_slice_check(chain, inst) -> list[Check]:
     The kernel of x -> -(ad*_x mu)|_h on the quotient must be the image of
     a + s, and the image of s must complement the h_alpha orbit inside it.
     """
-    L = inst.algebra
     n_vectors = (chain.a.basis_vectors() + chain.s.basis_vectors()
                  + chain.ntilde.basis_vectors() + chain.r.basis_vectors())
     dim_n = len(n_vectors)
-    h_vectors = inst.h.basis_vectors()
     rows = []
-    for eta in h_vectors:
-        rows.append(tuple(-dot(inst.mu, L.bracket(v, eta)) for v in n_vectors))
+    for eta in inst.h.basis_vectors():
+        k_eta = inst.chu.gram.apply(eta)
+        rows.append(tuple(-dot(v, k_eta) for v in n_vectors))
     constraint = Matrix.from_rows(rows, cols=dim_n)
     ker = kernel(constraint)
 
@@ -476,7 +467,7 @@ def coadjoint_slice_check(chain, inst) -> list[Check]:
     out = [Check("coadjoint.kernel_is_a_plus_s_orbit", ker == expected)]
 
     # h_alpha orbit in the quotient: n-components of the h_alpha basis.
-    B2 = chain.g_mu.basis.hstack(Matrix.from_cols(n_vectors, rows=L.dim)) \
+    B2 = chain.g_mu.basis.hstack(Matrix.from_cols(n_vectors, rows=inst.dim)) \
         if dim_n else chain.g_mu.basis
     images = []
     for v in chain.h_alpha.basis_vectors():

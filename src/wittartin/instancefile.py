@@ -173,29 +173,22 @@ def _parse_slice(raw: Any, gm: Subspace, gm_given: list[Vec]) -> SliceRep:
     if not isinstance(actions_raw, list) or len(actions_raw) != len(gm_given):
         raise InstanceFormatError(
             "'slice.action' must list one matrix per gm_basis vector")
-    given_actions = [
+    given = SliceRep(omega, tuple(
         _parse_matrix(a, d, d, f"slice.action[{t}]")
-        for t, a in enumerate(actions_raw)
-    ]
+        for t, a in enumerate(actions_raw)))
     # Actions are supplied for the file's gm basis; re-express them for the
     # canonical basis so everything downstream keys off canonical columns.
-    if gm.dim:
-        given = Matrix.from_cols(gm_given, rows=gm.ambient_dim)
-        canonical_actions = []
-        for w in gm.basis_vectors():
-            coords = given.solve(w)
-            if coords is None:
-                raise InstanceDataError("gm_basis_independent",
-                                        "cannot rebase slice actions")
-            A = Matrix.zeros(d, d)
-            for t, c in enumerate(coords):
-                if c != 0:
-                    A = A + given_actions[t].scale(c)
-            canonical_actions.append(A)
-        actions = tuple(canonical_actions)
-    else:
-        actions = ()
-    return SliceRep(omega, actions)
+    if not gm.dim:
+        return SliceRep(omega, ())
+    given_basis = Matrix.from_cols(gm_given, rows=gm.ambient_dim)
+    actions = []
+    for w in gm.basis_vectors():
+        coords = given_basis.solve(w)
+        if coords is None:
+            raise InstanceDataError("gm_basis_independent",
+                                    "cannot rebase slice actions")
+        actions.append(given.combine(coords))
+    return SliceRep(omega, tuple(actions))
 
 
 def to_dict(doc_or_inst) -> dict:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactlin import (
     BilinearForm,
@@ -20,7 +21,6 @@ from .exactlin import (
     frac,
     intersect,
     kernel,
-    unit_vec,
     zero_vec,
 )
 
@@ -38,7 +38,9 @@ class LieAlgebra:
     """A Lie algebra on Q^n with [e_i, e_j] = sum_k c[i][j][k] e_k.
 
     Antisymmetry and the Jacobi identity are checked eagerly; malformed
-    constants are rejected at construction time.
+    constants are rejected at construction time.  Every operation reads the
+    nonzero constants, held once as (i, j, k, c[i][j][k]) in lexicographic
+    order.
     """
 
     dim: int
@@ -50,21 +52,23 @@ class LieAlgebra:
             len(ci) != n or any(len(cij) != n for cij in ci) for ci in self.c
         ):
             raise StructureConstantError("structure constant array is not n x n x n")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
-                        raise StructureConstantError(
-                            f"antisymmetry fails at (i,j,k)=({i},{j},{k})"
-                        )
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    s = self._jacobi(i, j, k)
-                    if any(x != 0 for x in s):
-                        raise StructureConstantError(
-                            f"Jacobi identity fails on basis triple ({i},{j},{k})"
-                        )
+        # c[i][j][k] = -c[j][i][k] fails at (i,j,k) or (j,i,k) only when one
+        # of the two is nonzero; report the lexicographically first.
+        bad = [min((i, j, k), (j, i, k)) for i, j, k, x in self.nonzero
+               if self.c[j][i][k] != -x]
+        if bad:
+            raise StructureConstantError(
+                "antisymmetry fails at (i,j,k)=({},{},{})".format(*min(bad)))
+        bad = self._jacobi_failures()
+        if bad:
+            raise StructureConstantError(
+                "Jacobi identity fails on basis triple ({},{},{})".format(*min(bad)))
+
+    @cached_property
+    def nonzero(self) -> tuple[tuple[int, int, int, Fraction], ...]:
+        n = self.dim
+        return tuple((i, j, k, self.c[i][j][k]) for i in range(n)
+                     for j in range(n) for k in range(n) if self.c[i][j][k])
 
     @staticmethod
     def from_constants(c) -> "LieAlgebra":
@@ -74,33 +78,41 @@ class LieAlgebra:
         )
         return LieAlgebra(n, table)
 
-    def _jacobi(self, i: int, j: int, k: int) -> Vec:
-        ei, ej, ek = (unit_vec(self.dim, t) for t in (i, j, k))
-        t1 = self.bracket(ei, self.bracket(ej, ek))
-        t2 = self.bracket(ej, self.bracket(ek, ei))
-        t3 = self.bracket(ek, self.bracket(ei, ej))
-        return tuple(a + b + c for a, b, c in zip(t1, t2, t3))
+    def _jacobi_failures(self) -> list[tuple[int, int, int]]:
+        """Basis triples i < j < k whose Jacobiator is nonzero.
+
+        For i < j < k the Jacobiator is
+        [e_i,[e_j,e_k]] - [e_j,[e_i,e_k]] + [e_k,[e_i,e_j]]: every term is
+        [e_x, [e_y, e_z]] with y < z, negated exactly when y < x < z.
+        """
+        by_middle: dict[int, list] = {}
+        for x, l, m, b in self.nonzero:
+            by_middle.setdefault(l, []).append((x, m, b))
+        jac: dict[tuple, Fraction] = {}
+        for y, z, l, a in self.nonzero:
+            if y < z:
+                for x, m, b in by_middle.get(l, ()):
+                    if x != y and x != z:
+                        key = (tuple(sorted((x, y, z))), m)
+                        term = -a * b if y < x < z else a * b
+                        jac[key] = jac.get(key, ZERO) + term
+        return [t for (t, _), v in jac.items() if v]
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
-        n = self.dim
-        out = [ZERO] * n
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            for j in range(n):
-                if y[j] == 0:
-                    continue
-                coef = x[i] * y[j]
-                for k in range(n):
-                    cijk = self.c[i][j][k]
-                    if cijk != 0:
-                        out[k] += coef * cijk
+        out = [ZERO] * self.dim
+        for i, j, k, c in self.nonzero:
+            if x[i] and y[j]:
+                out[k] += x[i] * y[j] * c
         return tuple(out)
 
     def ad_matrix(self, x: Vec) -> Matrix:
         """Matrix of y -> [x, y] in the defining basis."""
-        cols = [self.bracket(x, unit_vec(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_cols(cols, rows=self.dim)
+        n = self.dim
+        m = [[ZERO] * n for _ in range(n)]
+        for i, j, k, c in self.nonzero:
+            if x[i]:
+                m[k][j] += x[i] * c
+        return Matrix(n, n, tuple(map(tuple, m)))
 
     def coad_matrix(self, x: Vec) -> Matrix:
         """Matrix of ad*_x on covector coordinates: the transpose of ad_x."""
@@ -108,7 +120,21 @@ class LieAlgebra:
 
     def coad_apply(self, x: Vec, lam: Vec) -> Vec:
         """ad*_x lam, i.e. the covector y -> <lam, [x, y]>."""
-        return self.coad_matrix(x).apply(lam)
+        out = [ZERO] * self.dim
+        for i, j, k, c in self.nonzero:
+            if x[i] and lam[k]:
+                out[j] += x[i] * lam[k] * c
+        return tuple(out)
+
+    def bracket_pairing(self, lam: Vec) -> Matrix:
+        """K[a][b] = <lam, [e_a, e_b]>: the structure constants contracted
+        with the covector lam."""
+        n = self.dim
+        K = [[ZERO] * n for _ in range(n)]
+        for a, b, k, c in self.nonzero:
+            if lam[k]:
+                K[a][b] += lam[k] * c
+        return Matrix(n, n, tuple(map(tuple, K)))
 
 
 Covector = Vec
@@ -150,14 +176,8 @@ def is_subalgebra(L: LieAlgebra, S: Subspace) -> bool:
 
 def stabilizer_of_momentum(L: LieAlgebra, mu: Covector) -> Subspace:
     """g_mu = {x : ad*_x mu = 0}, the coadjoint stabilizer of mu."""
-    n = L.dim
-    # Row j of the constraint matrix is x -> <mu, [x, e_j]>.
-    rows = []
-    for j in range(n):
-        rows.append(
-            tuple(dot(mu, L.bracket(unit_vec(n, i), unit_vec(n, j))) for i in range(n))
-        )
-    return kernel(Matrix.from_rows(rows, cols=n))
+    # Row j of the constraint matrix is x -> <mu, [x, e_j]>: column j of K.
+    return kernel(L.bracket_pairing(mu).transpose())
 
 
 def h_perp_mu(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
@@ -169,11 +189,8 @@ def h_perp_mu(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
     w = subalgebra_witness(L, h)
     if w is not None:
         raise NotSubalgebra(f"basis pair {w} of h has bracket outside h")
-    n = L.dim
-    rows = []
-    for eta in h.basis_vectors():
-        rows.append(tuple(dot(mu, L.bracket(unit_vec(n, i), eta)) for i in range(n)))
-    return kernel(Matrix.from_rows(rows, cols=n))
+    # Row t is x -> <mu, [x, eta_t]>, i.e. K eta_t.
+    return kernel((L.bracket_pairing(mu) @ h.basis).transpose())
 
 
 def h_alpha(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
@@ -190,31 +207,22 @@ def chu_form(L: LieAlgebra, mu: Covector) -> BilinearForm:
 
     Its radical is g_mu; verify proves that as liecore.chu_radical_is_g_mu.
     """
-    n = L.dim
-    gram = Matrix.from_rows(
-        [
-            tuple(dot(mu, L.bracket(unit_vec(n, i), unit_vec(n, j))) for j in range(n))
-            for i in range(n)
-        ],
-        cols=n,
-    )
-    return BilinearForm(gram)
+    return BilinearForm(L.bracket_pairing(mu))
 
 
 def killing_form(L: LieAlgebra) -> BilinearForm:
     """B(x, y) = trace(ad_x ad_y), read off the structure constants.
 
     (ad_i)[k][l] = c[i][l][k], so B_ij = sum_{k,l} c[i][l][k] c[j][k][l];
-    the sum runs over the nonzero entries of ad_i only.
+    the sum runs over the nonzero constants only.
     """
     n, c = L.dim, L.c
-    nonzero = [[(k, l, c[i][l][k]) for k in range(n) for l in range(n)
-                if c[i][l][k] != 0] for i in range(n)]
-    gram = tuple(
-        tuple(sum((x * c[j][k][l] for k, l, x in nonzero[i]), ZERO)
-              for j in range(n))
-        for i in range(n))
-    return BilinearForm(Matrix(n, n, gram))
+    gram = [[ZERO] * n for _ in range(n)]
+    for i, l, k, x in L.nonzero:
+        for j in range(n):
+            if c[j][k][l]:
+                gram[i][j] += x * c[j][k][l]
+    return BilinearForm(Matrix(n, n, tuple(map(tuple, gram))))
 
 
 # Ready-made algebras used by the example catalog and tests.

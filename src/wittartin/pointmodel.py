@@ -26,7 +26,6 @@ from .exactlin import (
     Subspace,
     Vec,
     ZERO,
-    dot,
     is_zero_vec,
     kernel,
     unit_vec,
@@ -96,27 +95,23 @@ class TangentModel:
         """Covector (in g* coordinates) dual to column `index` of g_basis."""
         return self.g_basis_inv.row(index)
 
+    def dual_cols(self, start: int, stop: int) -> Matrix:
+        """Dual rows start..stop-1 of g_basis_inv, as the columns of the
+        matrix that zero-extends covectors on those basis columns to g*."""
+        return Matrix(stop - start, self.inst.dim,
+                      self.g_basis_inv.entries[start:stop]).transpose()
+
     def iota_mstar(self, rho: Vec) -> Vec:
         """Zero-extension of an m* covector to g* (kills gm and n)."""
         if len(rho) != self.dim_m:
             raise ValueError("wrong m* length")
-        out = [ZERO] * self.inst.dim
-        for j, c in enumerate(rho):
-            if c != 0:
-                row = self.dual_row(self.gm_dim + j)
-                out = [x + c * y for x, y in zip(out, row)]
-        return tuple(out)
+        return self.dual_cols(self.gm_dim, self.gm_dim + self.dim_m).apply(rho)
 
     def iota_gmstar(self, lam: Vec) -> Vec:
         """Zero-extension of a g_m* covector to g* (kills m and n)."""
         if len(lam) != self.gm_dim:
             raise ValueError("wrong g_m* length")
-        out = [ZERO] * self.inst.dim
-        for j, c in enumerate(lam):
-            if c != 0:
-                row = self.dual_row(j)
-                out = [x + c * y for x, y in zip(out, row)]
-        return tuple(out)
+        return self.dual_cols(0, self.gm_dim).apply(lam)
 
     def pack(self, v: TangentVector) -> Vec:
         if (len(v.u), len(v.rho), len(v.nu)) != (
@@ -139,8 +134,7 @@ class TangentModel:
 def build_model(chain: SplittingChain, inst: ProblemInstance) -> TangentModel:
     """Assemble the model and its point form; raises DegenerateModel if the
     form is singular."""
-    L = inst.algebra
-    n = L.dim
+    n = inst.dim
 
     block_spaces = {
         "p": chain.p, "b": chain.b, "a": chain.a,
@@ -170,12 +164,9 @@ def build_model(chain: SplittingChain, inst: ProblemInstance) -> TangentModel:
 
     # Gram of the point form in (U, R, V) coordinates.
     gram = [[ZERO] * total for _ in range(total)]
-    chu_on_cols = [
-        [dot(inst.mu, L.bracket(ci, cj)) for cj in cols] for ci in cols
-    ]
+    chu_on_cols = (mn_basis.transpose() @ inst.chu.gram @ mn_basis).entries
     for i in range(un):
-        for j in range(un):
-            gram[i][j] = chu_on_cols[i][j]
+        gram[i][:un] = chu_on_cols[i]
     for i in range(dim_m):
         gram[i][un + i] = Fraction(1)
         gram[un + i][i] = Fraction(-1)

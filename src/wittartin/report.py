@@ -13,7 +13,6 @@ from . import decomposition as dec
 from . import pointmodel as pm
 from .exactlin import Matrix, Subspace
 from .instancefile import to_dict
-from .liecore import chu_form
 from .splitting import (
     Check,
     ProblemInstance,
@@ -58,7 +57,7 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
     chain = build_chain(inst)
     require(chain_checks(inst, chain))
     require([
-        chu_radical_check(chu_form(inst.algebra, inst.mu), chain.g_mu),
+        chu_radical_check(inst.chu, chain.g_mu),
         h_alpha_check(inst, chain.h_alpha),
         h_perp_mu_check(chain.g_mu, chain.h_perp_mu_space),
     ])

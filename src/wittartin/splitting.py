@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .exactlin import (
     BilinearForm,
     Matrix,
     Subspace,
     Vec,
+    gram_on,
     intersect,
     is_direct_sum,
     orth_complement,
@@ -32,7 +34,6 @@ from .liecore import (
     InnerProduct,
     LieAlgebra,
     chu_form,
-    h_alpha,
     h_perp_mu,
     stabilizer_of_momentum,
     subalgebra_witness,
@@ -99,10 +100,24 @@ class SliceRep:
     def trivial() -> "SliceRep":
         return SliceRep(BilinearForm(Matrix.zeros(0, 0)), ())
 
+    def combine(self, coords: Vec) -> Matrix:
+        """sum_t coords[t] action[t]: the action of a g_m element given by
+        its coordinates in the g_m basis the actions are keyed to."""
+        A = Matrix.zeros(self.dim, self.dim)
+        for t, c in enumerate(coords):
+            if c != 0:
+                A = A + self.action[t].scale(c)
+        return A
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Algebra-level data of a point with momentum mu and stabilizer g_m."""
+    """Algebra-level data of a point with momentum mu and stabilizer g_m.
+
+    The data derived from mu (validation report, Chu form, g_mu, h_perp_mu
+    and h_alpha) is computed on first use and then held by the instance,
+    which is immutable.
+    """
 
     algebra: LieAlgebra
     h: Subspace
@@ -115,6 +130,29 @@ class ProblemInstance:
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        return validate(self)
+
+    @cached_property
+    def chu(self) -> BilinearForm:
+        """The Chu form (x, y) -> <mu, [x, y]>."""
+        return chu_form(self.algebra, self.mu)
+
+    @cached_property
+    def g_mu(self) -> Subspace:
+        return stabilizer_of_momentum(self.algebra, self.mu)
+
+    @cached_property
+    def h_perp_mu(self) -> Subspace:
+        # The liecore function of the same name; names in a method body
+        # resolve in the module, not the class.
+        return h_perp_mu(self.algebra, self.h, self.mu)
+
+    @cached_property
+    def h_alpha(self) -> Subspace:
+        return intersect(self.h, self.h_perp_mu)
 
 
 def validate(inst: ProblemInstance) -> ValidationReport:
@@ -140,9 +178,8 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     record("gm_subalgebra", w is None,
            "" if w is None else f"bracket of gm basis pair {w} leaves gm")
 
-    g_mu = stabilizer_of_momentum(L, inst.mu)
     bad = next((i for i, v in enumerate(inst.gm.basis_vectors())
-                if not g_mu.contains(v)), None)
+                if not inst.g_mu.contains(v)), None)
     record("gm_in_g_mu", bad is None,
            "" if bad is None else f"gm basis vector {bad} does not stabilize mu")
 
@@ -204,10 +241,7 @@ def validate(inst: ProblemInstance) -> ValidationReport:
                 coords = inst.gm.coords_of(br)
                 if coords is None:
                     continue  # reported by gm_subalgebra
-                lhs = Matrix.zeros(sl.dim, sl.dim)
-                for t, c in enumerate(coords):
-                    if c != 0:
-                        lhs = lhs + sl.action[t].scale(c)
+                lhs = sl.combine(coords)
                 rhs = sl.action[i] @ sl.action[j] - sl.action[j] @ sl.action[i]
                 if lhs != rhs:
                     witness = (i, j)
@@ -271,22 +305,10 @@ def _lagrangian_shear(chu: BilinearForm, a: Subspace, C: Subspace) -> Subspace:
     """
     if C.dim == 0:
         return C
-    avs = a.basis_vectors()
-    cvs = C.basis_vectors()
-    K = Matrix.from_rows(
-        [[chu(ci, cj) for cj in cvs] for ci in cvs], cols=C.dim)
-    P = Matrix.from_rows(
-        [[chu(ai, cj) for cj in cvs] for ai in avs], cols=C.dim)
+    K = gram_on(chu, C)
+    P = a.basis.transpose() @ chu.gram @ C.basis
     T = P.transpose().inverse() @ K.scale(Fraction(1, 2))
-    sheared = []
-    for j, cv in enumerate(cvs):
-        v = list(cv)
-        for al, av in enumerate(avs):
-            coef = T.entries[al][j]
-            if coef != 0:
-                v = [x + coef * y for x, y in zip(v, av)]
-        sheared.append(tuple(v))
-    return Subspace.span(a.ambient_dim, sheared)
+    return Subspace.span(a.ambient_dim, (C.basis + a.basis @ T).columns())
 
 
 def build_chain(inst: ProblemInstance) -> SplittingChain:
@@ -295,16 +317,11 @@ def build_chain(inst: ProblemInstance) -> SplittingChain:
     Raises ValidationFailed on an invalid instance.  The defining identities
     of the result are the named checks of chain_checks.
     """
-    report = validate(inst)
-    if not report.passed:
-        raise ValidationFailed(report)
+    if not inst.validation.passed:
+        raise ValidationFailed(inst.validation)
 
-    L = inst.algebra
     ip = inst.ip.form()
-
-    g_mu = stabilizer_of_momentum(L, inst.mu)
-    hperp = h_perp_mu(L, inst.h, inst.mu)
-    halpha = h_alpha(L, inst.h, inst.mu)
+    g_mu, hperp, halpha = inst.g_mu, inst.h_perp_mu, inst.h_alpha
     h_mu = intersect(inst.h, g_mu)
     h_m = intersect(inst.h, inst.gm)
 
@@ -316,7 +333,7 @@ def build_chain(inst: ProblemInstance) -> SplittingChain:
     q = sum_spaces(a, s)
     ntilde = orth_complement(halpha, inst.h, ip)
 
-    chu = chu_form(L, inst.mu)
+    chu = inst.chu
     V = perp_under_form(chu, sum_spaces(ntilde, s))
     # Raises NotContained unless g_mu + a is Chu-orthogonal to ntilde + s.
     C = orth_complement(sum_spaces(g_mu, a), V, ip)
@@ -338,7 +355,7 @@ def chain_checks(inst: ProblemInstance, chain: SplittingChain) -> list[Check]:
     """The defining identities of the chain, as named pass/fail checks."""
     L = inst.algebra
     g = Subspace.full(L.dim)
-    chu = chu_form(L, inst.mu)
+    chu = inst.chu
     out: list[Check] = []
 
     def record(name, passed, detail=""):

@@ -88,20 +88,16 @@ def omega_tube_gram(inst: ProblemInstance, model: TangentModel,
     """
     if not is_zero_vec(p.xi):
         raise OffSlice("omega_tube only evaluates at group coordinate zero")
-    n, c = inst.dim, inst.algebra.c
     lam = add_vec(add_vec(inst.mu, model.iota_mstar(p.rho)),
                   model.iota_gmstar(phi_n1(inst, p.nu)))
-    K = Matrix(n, n, tuple(tuple(dot(lam, c[a][b]) for b in range(n))
-                           for a in range(n)))
+    K = inst.algebra.bracket_pairing(lam)
     gm, dm, sd = model.gm_dim, model.dim_m, model.slice_dim
-    inv = model.g_basis_inv.entries
-    D_gm, D_m = Matrix(gm, n, inv[:gm]), Matrix(dm, n, inv[gm:gm + dm])
     J = Matrix.from_cols([dphi_n1(inst, p.nu, unit_vec(sd, j))
                           for j in range(sd)], rows=gm)
     MnT = model.mn_basis.transpose()
     UU = MnT @ K @ model.mn_basis
-    UR = MnT @ D_m.transpose()
-    UV = MnT @ D_gm.transpose() @ J
+    UR = MnT @ model.dual_cols(gm, gm + dm)
+    UV = MnT @ model.dual_cols(0, gm) @ J
     bands = ((UU, UR, UV),
              (-UR.transpose(), Matrix.zeros(dm, dm), Matrix.zeros(dm, sd)),
              (-UV.transpose(), Matrix.zeros(sd, dm), inst.slice_rep.omega.gram))
@@ -126,9 +122,8 @@ def _to_float_rows(M: Matrix) -> list[list[float]]:
 
 
 def _mat_mul(A: list[list[float]], B: list[list[float]]) -> list[list[float]]:
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
 
 
 def _mat_add(A, B):

@@ -19,20 +19,14 @@ from .exactlin import (
     Subspace,
     Vec,
     dot,
+    gram_on,
     kernel,
     perp_under_form,
     sum_spaces,
     unit_vec,
     zero_vec,
 )
-from .liecore import (
-    chu_form,
-    h_alpha,
-    h_perp_mu,
-    is_subalgebra,
-    killing_form,
-    stabilizer_of_momentum,
-)
+from .liecore import is_subalgebra, killing_form
 from .splitting import (
     Check,
     ProblemInstance,
@@ -40,7 +34,6 @@ from .splitting import (
     build_chain,
     chain_checks,
     dim_formulas,
-    validate,
 )
 
 
@@ -54,14 +47,12 @@ def chu_radical_check(chu: BilinearForm, g_mu: Subspace) -> Check:
 def h_alpha_check(inst: ProblemInstance, halpha: Subspace) -> Check:
     """liecore.h_alpha_two_descriptions: h_alpha is also the kernel of the
     pairing restricted to h, and it is a subalgebra."""
-    L = inst.algebra
-    hv = inst.h.basis_vectors()
-    rows = [tuple(dot(inst.mu, L.bracket(x, eta)) for x in hv) for eta in hv]
-    inside = kernel(Matrix.from_rows(rows, cols=len(hv)))
+    # Row t is x -> <mu, [x, eta_t]> on h coordinates.
+    inside = kernel(gram_on(inst.chu, inst.h).transpose())
     lifted = Subspace.span(
-        L.dim, [inst.h.basis.apply(c) for c in inside.basis_vectors()])
+        inst.dim, [inst.h.basis.apply(c) for c in inside.basis_vectors()])
     return Check("liecore.h_alpha_two_descriptions",
-                 lifted == halpha and is_subalgebra(L, halpha))
+                 lifted == halpha and is_subalgebra(inst.algebra, halpha))
 
 
 def h_perp_mu_check(g_mu: Subspace, hperp: Subspace) -> Check:
@@ -73,13 +64,13 @@ def liecore_checks(inst: ProblemInstance) -> list[Check]:
     L = inst.algebra
     out = []
 
-    g_mu = stabilizer_of_momentum(L, inst.mu)
+    g_mu = inst.g_mu
     ok = all(
         all(x == 0 for x in L.coad_apply(v, inst.mu))
         for v in g_mu.basis_vectors()
     )
     out.append(Check("liecore.stabilizer_annihilates_mu", ok))
-    out.append(chu_radical_check(chu_form(L, inst.mu), g_mu))
+    out.append(chu_radical_check(inst.chu, g_mu))
 
     # The center (common kernel of all ad matrices) stabilizes any momentum.
     ads = [L.ad_matrix(unit_vec(L.dim, i)) for i in range(L.dim)]
@@ -87,14 +78,14 @@ def liecore_checks(inst: ProblemInstance) -> list[Check]:
     center = kernel(Matrix.from_rows(stacked, cols=L.dim))
     out.append(Check("liecore.center_in_stabilizer", center.leq(g_mu)))
 
-    out.append(h_alpha_check(inst, h_alpha(L, inst.h, inst.mu)))
+    out.append(h_alpha_check(inst, inst.h_alpha))
 
     # B(ad_z x, y) + B(x, ad_z y) = 0 for all x, y is ad_z^T B + B ad_z = 0.
     B = killing_form(L).gram
     ok = all((A.transpose() @ B + B @ A).is_zero() for A in ads)
     out.append(Check("liecore.killing_ad_invariant", ok))
 
-    out.append(h_perp_mu_check(g_mu, h_perp_mu(L, inst.h, inst.mu)))
+    out.append(h_perp_mu_check(g_mu, inst.h_perp_mu))
     return out
 
 
@@ -266,7 +257,7 @@ def run_all(inst: ProblemInstance, samples: int = 10,
     or when the model cannot be built (model.builds).
     """
     checks: list[Check] = []
-    report = validate(inst)
+    report = inst.validation
     checks.extend(Check(f"validate.{c.name}", c.passed, c.detail)
                   for c in report.checks)
     if not report.passed:
