@@ -48,7 +48,6 @@ from .decomposition import (
     slice_momentum_forms,
 )
 from .tube import (
-    FloatTolerance,
     TubePoint,
     check_dphi_consistency,
     omega_tube,

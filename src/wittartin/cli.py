@@ -174,6 +174,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and not args.all_examples and not args.path:
         parser.error("verify needs a path or --all-examples")
+    if args.command == "verify" and args.samples < 0:
+        parser.error("--samples must not be negative")
     try:
         return args.fn(args)
     except instancefile.InstanceFormatError as e:

@@ -5,11 +5,12 @@ decompose_H produces the subalgebra counterpart whose slice block is
 
     NH1 = s*m  +  (b*m + Y_m)  +  N1,
 
-together with the block form on it and the quadratic momentum map of the
-h_m-action.  The constructors only compute; every identity they rely on is
-a named check defined here (g_decomposition_check, h_decomposition_checks,
-slice_form_check, momentum_formula_check, momentum_forms_check), which
-verify reports and report.build_report requires.
+together with the block form on it, the action of h_m on it, and the
+quadratic momentum map of that action.  The constructors only compute;
+every identity they rely on is a named check defined here
+(g_decomposition_check, h_decomposition_checks, slice_form_check,
+momentum_formula_check, momentum_forms_check), which verify reports and
+report.build_report requires.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from .exactlin import (
     sum_spaces,
     unit_vec,
 )
-from .pointmodel import (
-    TangentModel,
-    inf_action,
-    ker_dphi_G,
-    ker_dphi_H,
-)
+from .pointmodel import TangentModel, inf_action
 from .splitting import Check
 
 
@@ -48,8 +44,6 @@ class WittDecompositionG:
     T1: Subspace
     N0: Subspace
     N1: Subspace
-    gram_T1: Matrix
-    gram_N1: Matrix
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,10 @@ class WittDecompositionH:
     N1_block: Subspace
     Ym: Subspace
     Zm: Subspace
-    # Model coordinate indices of the NH1 blocks, in report order.
-    nh1_indices: tuple[int, ...]
+    # The form on NH1 and the action of each h_m basis vector on NH1, both
+    # in the block coordinates (s, b, Y_m, N1).
+    form: BilinearForm
+    eta_actions: tuple[Matrix, ...]
 
 
 def _image_under_action(model: TangentModel, space: Subspace) -> Subspace:
@@ -87,9 +83,7 @@ def decompose_G(model: TangentModel) -> WittDecompositionG:
     T1 = _image_under_action(model, chain.n_space)
     N0 = _unit_span(model, list(model.blocks["pstar"]) + list(model.blocks["bstar"]))
     N1 = _unit_span(model, model.blocks["N1"])
-    return WittDecompositionG(T0=T0, T1=T1, N0=N0, N1=N1,
-                              gram_T1=gram_on(model.omega, T1),
-                              gram_N1=gram_on(model.omega, N1))
+    return WittDecompositionG(T0=T0, T1=T1, N0=N0, N1=N1)
 
 
 def g_decomposition_check(decomp: WittDecompositionG,
@@ -107,7 +101,7 @@ def g_decomposition_check(decomp: WittDecompositionG,
          lambda: sum_spaces(d.T0, d.T1, d.N0, d.N1)
          == Subspace.full(model.total_dim)),
         ("T0 + N1 is ker dphi_G",
-         lambda: sum_spaces(d.T0, d.N1) == ker_dphi_G(model)),
+         lambda: sum_spaces(d.T0, d.N1) == model.ker_dphi_G),
         ("T1 is omega-orthogonal to N1",
          lambda: _cross_gram(model, d.T1, d.N1).is_zero()),
         ("T1 is omega-orthogonal to T0 + N0",
@@ -120,9 +114,9 @@ def g_decomposition_check(decomp: WittDecompositionG,
         ("T0 + N0 is symplectic",
          lambda: gram_on(omega, T0N0).rank() == T0N0.dim),
         ("the form on T1 is the Chu pairing of the n basis",
-         lambda: d.gram_T1 == _chu_on_n(model)),
+         lambda: gram_on(omega, d.T1) == _chu_on_n(model)),
         ("the form on N1 is omega_N1",
-         lambda: d.gram_N1 == model.inst.slice_rep.omega.gram),
+         lambda: gram_on(omega, d.N1) == model.inst.slice_rep.omega.gram),
     )
     broken = next((name for name, holds in identities if not holds()), None)
     return Check("wittG.all_assertions", broken is None,
@@ -181,17 +175,15 @@ def decompose_H(model: TangentModel) -> WittDecompositionH:
     Xm = sum_spaces(b_block, Ym)
     N1_block = _unit_span(model, model.blocks["N1"])
     NH1 = sum_spaces(s_block, Xm, N1_block)
-    NH0 = sum_spaces(_unit_span(model, model.blocks["pstar"]),
-                     _image_under_action(model, chain.r))
-    Zm = sum_spaces(_image_under_action(model, chain.a),
-                    _image_under_action(model, chain.r))
-    nh1_indices = tuple(
-        list(model.blocks["s"]) + list(model.blocks["b"])
-        + list(model.blocks["bstar"]) + list(model.blocks["N1"]))
+    r_block = _image_under_action(model, chain.r)
+    NH0 = sum_spaces(_unit_span(model, model.blocks["pstar"]), r_block)
+    Zm = sum_spaces(_image_under_action(model, chain.a), r_block)
     return WittDecompositionH(
         TH0=TH0, TH1=TH1, NH0=NH0, NH1=NH1,
         s_block=s_block, Xm_block=Xm, N1_block=N1_block,
-        Ym=Ym, Zm=Zm, nh1_indices=nh1_indices,
+        Ym=Ym, Zm=Zm, form=slice_form(model),
+        eta_actions=tuple(_eta_action_on_nh1(model, eta)
+                          for eta in chain.h_m.basis_vectors()),
     )
 
 
@@ -211,15 +203,15 @@ def h_decomposition_checks(decomp: WittDecompositionH,
            and sum_spaces(decomp.TH0, decomp.TH1, decomp.NH0, decomp.NH1)
            == full)
     record("wittH.2_TH0_NH1_is_ker_dphiH",
-           sum_spaces(decomp.TH0, decomp.NH1) == ker_dphi_H(model))
+           sum_spaces(decomp.TH0, decomp.NH1) == model.ker_dphi_H)
 
     M = eq_M_subspace(model)
-    kerG = ker_dphi_G(model)
+    kerG = model.ker_dphi_G
     qm = sum_spaces(_image_under_action(model, chain.a),
                     _image_under_action(model, chain.s))
     record("wittH.3_ker_split_with_M",
            is_direct_sum([kerG, M])
-           and sum_spaces(kerG, M) == ker_dphi_H(model)
+           and sum_spaces(kerG, M) == model.ker_dphi_H
            and M == sum_spaces(qm, decomp.Ym))
 
     TH0NH0 = sum_spaces(decomp.TH0, decomp.NH0)
@@ -256,19 +248,19 @@ def h_decomposition_checks(decomp: WittDecompositionH,
     return out
 
 
-def slice_form(decomp: WittDecompositionH, model: TangentModel) -> BilinearForm:
-    """Form on NH1 in the block basis (s, b, Y_m, N1).
+def slice_form(model: TangentModel) -> BilinearForm:
+    """Form on NH1 in the block basis (s, b, Y_m, N1): the point form on the
+    model coordinates of those blocks.
 
     slice_form_check proves it block diagonal with the expected blocks.
     """
-    idx = decomp.nh1_indices
+    idx = [i for name in ("s", "b", "bstar", "N1") for i in model.blocks[name]]
     g = model.omega.gram
     return BilinearForm(Matrix.from_rows(
         [[g.entries[i][j] for j in idx] for i in idx], cols=len(idx)))
 
 
-def slice_form_check(decomp: WittDecompositionH, model: TangentModel,
-                     form: BilinearForm) -> Check:
+def slice_form_check(decomp: WittDecompositionH, model: TangentModel) -> Check:
     """sliceform.block_diagonal: the form on NH1 is the Chu form on s, the
     canonical pairing on b + Y_m and omega_N1 on N1, with no cross terms."""
     chain = model.chain
@@ -285,16 +277,16 @@ def slice_form_check(decomp: WittDecompositionH, model: TangentModel,
     for i, row in enumerate(model.inst.slice_rep.omega.gram.entries):
         expected[base + i][base:] = row
     return Check("sliceform.block_diagonal",
-                 form.gram == Matrix.from_rows(expected, cols=size))
+                 decomp.form.gram == Matrix.from_rows(expected, cols=size))
 
 
-def _eta_action_on_nh1(decomp: WittDecompositionH, model: TangentModel,
-                       eta: Vec) -> Matrix:
+def _eta_action_on_nh1(model: TangentModel, eta: Vec) -> Matrix:
     """Matrix of the h_m-action on NH1 in the block coordinates.
 
     eta acts by the bracket on the s and b blocks (both are ad(g_m)-stable),
     by the negative coadjoint action on Y_m inside m*, and by the slice
-    representation on N1.  Raises NotContained when a block is not stable.
+    representation on N1.  Raises NotContained when a block is not stable,
+    which the chain check chain.ad_gm_invariance rules out.
     """
     L = model.inst.algebra
     chain = model.chain
@@ -351,8 +343,7 @@ def _combine_slice_action(model: TangentModel, eta: Vec) -> Matrix:
     return model.inst.slice_rep.combine(coords)
 
 
-def slice_momentum(decomp: WittDecompositionH, model: TangentModel,
-                   nu_tilde: Vec) -> Vec:
+def slice_momentum(model: TangentModel, nu_tilde: Vec) -> Vec:
     """Momentum of the h_m-action on NH1 at nu_tilde, in h_m* coordinates.
 
     Evaluates the three-term closed formula
@@ -405,39 +396,33 @@ def momentum_formula_check(decomp: WittDecompositionH, model: TangentModel,
     """momentum.formula_equals_direct: on every sample nu_tilde, the closed
     formula of slice_momentum equals the definition
     1/2 omega_NH1(eta . nu_tilde, nu_tilde) for each h_m basis vector eta."""
-    gram = slice_form(decomp, model).gram
-    acts = [_eta_action_on_nh1(decomp, model, eta)
-            for eta in model.chain.h_m.basis_vectors()]
-    ok = all(slice_momentum(decomp, model, v)
+    gram = decomp.form.gram
+    ok = all(slice_momentum(model, v)
              == tuple(Fraction(1, 2) * dot(A.apply(v), gram.apply(v))
-                      for A in acts)
+                      for A in decomp.eta_actions)
              for v in samples)
     return Check("momentum.formula_equals_direct", ok,
                  f"{len(samples)} samples")
 
 
-def slice_momentum_forms(decomp: WittDecompositionH,
-                         model: TangentModel) -> tuple[Matrix, ...]:
+def slice_momentum_forms(decomp: WittDecompositionH) -> tuple[Matrix, ...]:
     """The momentum as quadratic forms: one Gram matrix per h_m basis vector.
 
     Each matrix S satisfies <momentum(v), eta> = v^T S v and is symmetric
     outright, because the block action is infinitesimally symplectic for
     the form on NH1 (momentum_forms_check).
     """
-    gram = slice_form(decomp, model).gram
-    return tuple(
-        (_eta_action_on_nh1(decomp, model, eta).transpose() @ gram)
-        .scale(Fraction(1, 2))
-        for eta in model.chain.h_m.basis_vectors())
+    gram = decomp.form.gram
+    return tuple((A.transpose() @ gram).scale(Fraction(1, 2))
+                 for A in decomp.eta_actions)
 
 
-def momentum_forms_check(decomp: WittDecompositionH, model: TangentModel,
-                         forms: tuple[Matrix, ...],
+def momentum_forms_check(model: TangentModel, forms: tuple[Matrix, ...],
                          samples: Sequence[Vec]) -> Check:
     """momentum.quadratic_forms_symmetric: every form is symmetric and, on
     each sample vector v, v^T S v equals slice_momentum(v)."""
     ok = all(S.is_symmetric() for S in forms) and all(
-        slice_momentum(decomp, model, v)
+        slice_momentum(model, v)
         == tuple(dot(v, S.apply(v)) for S in forms)
         for v in samples)
     return Check("momentum.quadratic_forms_symmetric", ok)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactlin import (
     BilinearForm,
@@ -80,6 +81,15 @@ class TangentModel:
     @property
     def slice_dim(self) -> int:
         return self.inst.slice_rep.dim
+
+    # The kernels of the momentum differentials, computed once, on first use.
+    @cached_property
+    def ker_dphi_G(self) -> Subspace:
+        return kernel(dphi_G(self))
+
+    @cached_property
+    def ker_dphi_H(self) -> Subspace:
+        return kernel(dphi_H(self))
 
     def embed_u(self, u: Vec) -> Vec:
         """The g-vector with the given (m, n) coordinates."""
@@ -244,14 +254,6 @@ def dphi_G(model: TangentModel) -> Matrix:
 def dphi_H(model: TangentModel) -> Matrix:
     """Momentum differential for the subalgebra: restrict covectors to h."""
     return model.inst.h.basis.transpose() @ dphi_G(model)
-
-
-def ker_dphi_G(model: TangentModel) -> Subspace:
-    return kernel(dphi_G(model))
-
-
-def ker_dphi_H(model: TangentModel) -> Subspace:
-    return kernel(dphi_H(model))
 
 
 def unit_tangent(model: TangentModel, index: int) -> TangentVector:

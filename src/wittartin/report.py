@@ -67,10 +67,9 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
     require([dec.g_decomposition_check(g_dec, model)])
     h_dec = dec.decompose_H(model)
     require(dec.h_decomposition_checks(h_dec, model))
-    form = dec.slice_form(h_dec, model)
-    require([dec.slice_form_check(h_dec, model, form)])
-    forms = dec.slice_momentum_forms(h_dec, model)
-    require([dec.momentum_forms_check(h_dec, model, forms, ())])
+    require([dec.slice_form_check(h_dec, model)])
+    forms = dec.slice_momentum_forms(h_dec)
+    require([dec.momentum_forms_check(model, forms, ())])
     dims = dim_formulas(chain)
 
     from .exactlin import gram_on
@@ -81,14 +80,10 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
             "gram": _matrix_strings(gram_on(model.omega, space)),
         }
 
-    witt_g = {
-        "T0": block(g_dec.T0),
-        "T1": block(g_dec.T1),
-        "N0": block(g_dec.N0),
-        "N1": block(g_dec.N1),
-        "gram_T1": _matrix_strings(g_dec.gram_T1),
-        "gram_N1": _matrix_strings(g_dec.gram_N1),
-    }
+    witt_g = {name: block(getattr(g_dec, name))
+              for name in ("T0", "T1", "N0", "N1")}
+    witt_g["gram_T1"] = witt_g["T1"]["gram"]
+    witt_g["gram_N1"] = witt_g["N1"]["gram"]
     witt_h = {
         "TH0": block(h_dec.TH0),
         "TH1": block(h_dec.TH1),
@@ -101,7 +96,7 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
         },
         "Y_m": block(h_dec.Ym),
         "Z_m": block(h_dec.Zm),
-        "slice_form_gram": _matrix_strings(form.gram),
+        "slice_form_gram": _matrix_strings(h_dec.form.gram),
         "dim_X_m": h_dec.Xm_block.dim,
         "dim_N1_tilde": h_dec.NH1.dim,
         # One quadratic form per h_m basis vector; an empty list states

@@ -194,21 +194,23 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     record("gm_normalizes_h", witness is None,
            "" if witness is None else f"[gm_{witness[0]}, h_{witness[1]}] leaves h")
 
-    record("ip_dimension", inst.ip.ambient_dim == n, "")
+    ip_fits = inst.ip.ambient_dim == n
+    record("ip_dimension", ip_fits, "")
     record("ip_symmetric", inst.ip.gram.is_symmetric(), "")
-    minors = inst.ip.gram.leading_principal_minors() if inst.ip.gram.rows == n else []
+    minors = inst.ip.gram.leading_principal_minors() if ip_fits else []
     record("ip_positive_definite", bool(minors) and all(m > 0 for m in minors), "")
 
-    witness = None
+    # A form of another dimension is not a form on g: it fails ad
+    # invariance, and multiplying it by the ad matrices would raise.
+    detail = "" if ip_fits else (
+        f"inner product has dimension {inst.ip.ambient_dim}, g has {n}")
     G = inst.ip.gram
-    for t, eta in enumerate(inst.gm.basis_vectors()):
+    for t, eta in enumerate(inst.gm.basis_vectors() if ip_fits else ()):
         ad_eta = L.ad_matrix(eta)
-        defect = ad_eta.transpose() @ G + G @ ad_eta
-        if not defect.is_zero():
-            witness = t
+        if not (ad_eta.transpose() @ G + G @ ad_eta).is_zero():
+            detail = f"ad invariance fails for gm basis vector {t}"
             break
-    record("ip_ad_gm_invariant", witness is None,
-           "" if witness is None else f"ad invariance fails for gm basis vector {witness}")
+    record("ip_ad_gm_invariant", not detail, detail)
 
     for t, rep in enumerate(inst.gm_component_reps):
         ok = rep.rows == n and rep.cols == n and rep.rank() == n

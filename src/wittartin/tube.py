@@ -9,7 +9,8 @@ U x R, the derivative of the slice momentum on U x V, and omega_N1 on V x V.
 omega_tube pairs two tangent vectors through that Gram matrix.  phi_tilde
 evaluates the normal-form momentum map, which needs a matrix exponential and
 is therefore the one floating-point corner of the package.  Consistency
-checks tie both back to the exact linear model.
+checks tie both back to the exact linear model; their two tolerances are
+the module constants REL_TOL and FD_TOL.
 """
 
 from __future__ import annotations
@@ -19,8 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import Matrix, Vec, ZERO, add_vec, dot, is_zero_vec, unit_vec, zero_vec
-from .pointmodel import TangentModel, TangentVector, build_model, dphi_G
-from .splitting import Check, ProblemInstance, SplittingChain
+from .pointmodel import TangentModel, TangentVector, dphi_G
+from .splitting import Check, ProblemInstance
+
+# Relative tolerance of the exponential series and of the equivariance
+# comparison, and the bound on the finite-difference error of phi_tilde.
+REL_TOL = 1e-9
+FD_TOL = 1e-6
 
 
 class OffSlice(ValueError):
@@ -29,16 +35,6 @@ class OffSlice(ValueError):
 
 class SeriesNotConverged(ArithmeticError):
     """The exponential series remainder bound exceeded the tolerance."""
-
-
-@dataclass(frozen=True)
-class FloatTolerance:
-    rel_tol: float = 1e-9
-    fd_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.fd_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -70,8 +66,13 @@ def dphi_n1(inst: ProblemInstance, nu: Vec, nudot: Vec) -> Vec:
     return tuple(out)
 
 
-def omega_tube_gram(inst: ProblemInstance, model: TangentModel,
-                    p: TubePoint) -> Matrix:
+def _shifted_momentum(model: TangentModel, p: TubePoint) -> Vec:
+    """mu + rho + Phi_N1(nu), exactly, in g* coordinates."""
+    return add_vec(add_vec(model.inst.mu, model.iota_mstar(p.rho)),
+                   model.iota_gmstar(phi_n1(model.inst, p.nu)))
+
+
+def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:
     """Gram matrix of the tube 2-form at a slice point, exactly.
 
     With Mn the (m, n) basis of g, D_m and D_gm the m- and g_m-dual rows of
@@ -88,9 +89,8 @@ def omega_tube_gram(inst: ProblemInstance, model: TangentModel,
     """
     if not is_zero_vec(p.xi):
         raise OffSlice("omega_tube only evaluates at group coordinate zero")
-    lam = add_vec(add_vec(inst.mu, model.iota_mstar(p.rho)),
-                  model.iota_gmstar(phi_n1(inst, p.nu)))
-    K = inst.algebra.bracket_pairing(lam)
+    inst = model.inst
+    K = inst.algebra.bracket_pairing(_shifted_momentum(model, p))
     gm, dm, sd = model.gm_dim, model.dim_m, model.slice_dim
     J = Matrix.from_cols([dphi_n1(inst, p.nu, unit_vec(sd, j))
                           for j in range(sd)], rows=gm)
@@ -106,14 +106,11 @@ def omega_tube_gram(inst: ProblemInstance, model: TangentModel,
     return Matrix(model.total_dim, model.total_dim, rows)
 
 
-def omega_tube(inst: ProblemInstance, chain: SplittingChain, p: TubePoint,
-               V1: TangentVector, V2: TangentVector,
-               model: TangentModel | None = None) -> Fraction:
+def omega_tube(model: TangentModel, p: TubePoint,
+               V1: TangentVector, V2: TangentVector) -> Fraction:
     """The tube 2-form at a slice point on two tangent vectors:
     pack(V1) . G(p) . pack(V2) with G = omega_tube_gram."""
-    if model is None:
-        model = build_model(chain, inst)
-    G = omega_tube_gram(inst, model, p)
+    G = omega_tube_gram(model, p)
     return dot(model.pack(V1), G.apply(model.pack(V2)))
 
 
@@ -143,7 +140,7 @@ def _identity(n: int) -> list[list[float]]:
     return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
 
 
-def expm(A: list[list[float]], rel_tol: float = 1e-9) -> list[list[float]]:
+def expm(A: list[list[float]], rel_tol: float = REL_TOL) -> list[list[float]]:
     """Matrix exponential by scaling and squaring with a bounded series tail.
 
     After scaling so the norm is at most 1/2, the Taylor series is summed
@@ -178,58 +175,44 @@ def expm(A: list[list[float]], rel_tol: float = 1e-9) -> list[list[float]]:
     return result
 
 
-def phi_tilde(inst: ProblemInstance, chain: SplittingChain, p: TubePoint,
-              tol: FloatTolerance = FloatTolerance(),
-              model: TangentModel | None = None) -> tuple[float, ...]:
+def phi_tilde(model: TangentModel, p: TubePoint) -> tuple[float, ...]:
     """Normal-form momentum Ad*_{exp(-xi)}(mu + rho + Phi_N1(nu)), as floats.
 
     At xi = 0 the exponential is skipped and the returned floats are exact
     conversions of the rational covector.
     """
-    if model is None:
-        model = build_model(chain, inst)
-    lam = list(inst.mu)
-    for i, x in enumerate(model.iota_mstar(p.rho)):
-        lam[i] += x
-    for i, x in enumerate(model.iota_gmstar(phi_n1(inst, p.nu))):
-        lam[i] += x
+    lam = _shifted_momentum(model, p)
     if is_zero_vec(p.xi):
         return tuple(float(x) for x in lam)
 
-    L = inst.algebra
+    L = model.inst.algebra
     neg_ad = _to_float_rows(L.ad_matrix(p.xi).scale(Fraction(-1)))
-    E = expm(neg_ad, tol.rel_tol)
+    E = expm(neg_ad)
     lamf = [float(x) for x in lam]
     # <Ad*_{exp(-xi)} lam, y> = <lam, exp(-ad_xi) y>: apply the transpose.
-    n = inst.dim
+    n = L.dim
     return tuple(sum(E[i][j] * lamf[i] for i in range(n)) for j in range(n))
 
 
-def check_dphi_consistency(inst: ProblemInstance, chain: SplittingChain,
-                           tol: FloatTolerance = FloatTolerance(),
-                           model: TangentModel | None = None) -> list[Check]:
+def check_dphi_consistency(model: TangentModel) -> list[Check]:
     """Central differences of phi_tilde at the base against dphi_G."""
-    if model is None:
-        model = build_model(chain, inst)
     step = Fraction(1, 10_000)
     dG = dphi_G(model)
 
     worst = 0.0
     worst_dir = -1
     for d in range(model.total_dim):
-        plus = _point_along(model, d, step)
-        minus = _point_along(model, d, -step)
-        fp = phi_tilde(inst, chain, plus, tol, model)
-        fm = phi_tilde(inst, chain, minus, tol, model)
+        fp = phi_tilde(model, _point_along(model, d, step))
+        fm = phi_tilde(model, _point_along(model, d, -step))
         fd = [(a - b) / (2.0 * float(step)) for a, b in zip(fp, fm)]
-        col = [float(dG.entries[i][d]) for i in range(inst.dim)]
+        col = [float(x) for x in dG.col(d)]
         scale = max(1.0, max((abs(c) for c in col), default=0.0))
         err = max((abs(a - b) for a, b in zip(fd, col)), default=0.0) / scale
         if err > worst:
             worst, worst_dir = err, d
     return [Check(
         "tube.dphi_fd_consistency",
-        worst <= tol.fd_tol,
+        worst <= FD_TOL,
         f"max relative error {worst:.3e} at direction {worst_dir}",
     )]
 
@@ -240,44 +223,37 @@ def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:
     return TubePoint(xi=model.embed_u(v.u), rho=v.rho, nu=v.nu)
 
 
-def phi_equivariance_check(inst: ProblemInstance, chain: SplittingChain,
-                           samples: int,
-                           tol: FloatTolerance = FloatTolerance(),
-                           seed: int = 0,
-                           model: TangentModel | None = None) -> list[Check]:
+def phi_equivariance_check(model: TangentModel, samples: int,
+                           seed: int = 0) -> list[Check]:
     """Equivariance of the normal-form momentum on random points.
 
     Compares phi_tilde at [exp(xi), rho, nu] (exponential applied inside the
     evaluation) against the coadjoint matrix exponential applied to the
-    momentum of [e, rho, nu]; the two float paths must agree to rel_tol.
+    momentum of [e, rho, nu]; the two float paths must agree to REL_TOL.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if model is None:
-        model = build_model(chain, inst)
     rng = random.Random(seed)
 
     def rand_frac() -> Fraction:
         return Fraction(rng.randint(-8, 8), rng.randint(1, 8))
 
     worst = 0.0
-    L = inst.algebra
+    L = model.inst.algebra
+    n = L.dim
     for _ in range(samples):
-        xi = tuple(rand_frac() for _ in range(inst.dim))
+        xi = tuple(rand_frac() for _ in range(n))
         rho = tuple(rand_frac() for _ in range(model.dim_m))
         nu = tuple(rand_frac() for _ in range(model.slice_dim))
-        lhs = phi_tilde(inst, chain, TubePoint(xi, rho, nu), tol, model)
-        base = phi_tilde(inst, chain,
-                         TubePoint(zero_vec(inst.dim), rho, nu), tol, model)
-        coad = _to_float_rows(L.coad_matrix(tuple(-x for x in xi)))
-        M = expm(coad, tol.rel_tol)
-        rhs = [sum(M[i][j] * base[j] for j in range(inst.dim))
-               for i in range(inst.dim)]
+        lhs = phi_tilde(model, TubePoint(xi, rho, nu))
+        base = phi_tilde(model, TubePoint(zero_vec(n), rho, nu))
+        M = expm(_to_float_rows(L.coad_matrix(tuple(-x for x in xi))))
+        rhs = [sum(M[i][j] * base[j] for j in range(n)) for i in range(n)]
         scale = max(1.0, max((abs(x) for x in rhs), default=0.0))
         dev = max((abs(a - b) for a, b in zip(lhs, rhs)), default=0.0) / scale
         worst = max(worst, dev)
     return [Check(
         "tube.equivariance",
-        worst <= tol.rel_tol,
+        worst <= REL_TOL,
         f"max relative deviation {worst:.3e} over {samples} samples",
     )]

@@ -30,7 +30,6 @@ from .liecore import is_subalgebra, killing_form
 from .splitting import (
     Check,
     ProblemInstance,
-    SplittingChain,
     build_chain,
     chain_checks,
     dim_formulas,
@@ -89,16 +88,15 @@ def liecore_checks(inst: ProblemInstance) -> list[Check]:
     return out
 
 
-def model_checks(inst: ProblemInstance, chain: SplittingChain,
-                 model: pm.TangentModel) -> list[Check]:
+def model_checks(model: pm.TangentModel) -> list[Check]:
+    inst = model.inst
     out = []
     out.append(Check("model.omega_antisymmetric",
                      model.omega.is_antisymmetric()))
     out.append(Check("model.omega_nondegenerate",
                      model.omega.gram.rank() == model.total_dim))
 
-    kerG = pm.ker_dphi_G(model)
-    kerH = pm.ker_dphi_H(model)
+    kerG, kerH = model.ker_dphi_G, model.ker_dphi_H
     m_units = [unit_vec(model.total_dim, i)
                for name in ("p", "b") for i in model.blocks[name]]
     n1_units = [unit_vec(model.total_dim, i) for i in model.blocks["N1"]]
@@ -122,7 +120,7 @@ def model_checks(inst: ProblemInstance, chain: SplittingChain,
     out.append(Check("model.ker_dphiH_is_h_orbit_perp",
                      kerH == perp_under_form(model.omega, h_orbit)))
 
-    d = dim_formulas(chain)
+    d = dim_formulas(model.chain)
     out.append(Check("dims.kernel_gap_formula",
                      kerH.dim - kerG.dim == d.kernel_gap,
                      f"actual gap {kerH.dim - kerG.dim}, predicted {d.kernel_gap}"))
@@ -141,9 +139,9 @@ def model_checks(inst: ProblemInstance, chain: SplittingChain,
     return out
 
 
-def decomposition_checks(inst: ProblemInstance, chain: SplittingChain,
-                         model: pm.TangentModel,
+def decomposition_checks(model: pm.TangentModel,
                          samples: int, seed: int) -> list[Check]:
+    inst, chain = model.inst, model.chain
     out = [dec.g_decomposition_check(dec.decompose_G(model), model)]
 
     decomp = dec.decompose_H(model)
@@ -153,14 +151,13 @@ def decomposition_checks(inst: ProblemInstance, chain: SplittingChain,
     # against the constructed TH0 + NH1.
     out.append(Check(
         "wittH.oracle_kernel_equality",
-        pm.ker_dphi_H(model) == sum_spaces(decomp.TH0, decomp.NH1),
+        model.ker_dphi_H == sum_spaces(decomp.TH0, decomp.NH1),
     ))
 
-    form = dec.slice_form(decomp, model)
     nh1_dim = chain.s.dim + 2 * chain.b.dim + model.slice_dim
-    out.append(dec.slice_form_check(decomp, model, form))
+    out.append(dec.slice_form_check(decomp, model))
     out.append(Check("sliceform.dim_formula",
-                     form.ambient_dim == nh1_dim
+                     decomp.form.ambient_dim == nh1_dim
                      and decomp.NH1.dim == nh1_dim))
     out.append(Check("dims.slice_dim_formula",
                      decomp.NH1.dim == dim_formulas(chain).slice_dim_H))
@@ -174,8 +171,7 @@ def decomposition_checks(inst: ProblemInstance, chain: SplittingChain,
 
     out.append(dec.momentum_formula_check(decomp, model, draw(samples, 6, 4)))
     out.append(dec.momentum_forms_check(
-        decomp, model, dec.slice_momentum_forms(decomp, model),
-        draw(min(samples, 3), 4, 3)))
+        model, dec.slice_momentum_forms(decomp), draw(min(samples, 3), 4, 3)))
 
     out.append(Check("momentum.phiN1_equivariance",
                      _phi_n1_equivariance(inst, rng, samples)))
@@ -211,16 +207,15 @@ def _phi_n1_equivariance(inst: ProblemInstance, rng: random.Random,
     return True
 
 
-def tube_checks(inst: ProblemInstance, chain: SplittingChain,
-                model: pm.TangentModel, samples: int, seed: int,
-                tol: tube.FloatTolerance = tube.FloatTolerance()) -> list[Check]:
+def tube_checks(model: pm.TangentModel, samples: int,
+                seed: int) -> list[Check]:
+    n = model.inst.dim
     out = []
-    origin = tube.TubePoint(zero_vec(inst.dim), zero_vec(model.dim_m),
+    origin = tube.TubePoint(zero_vec(n), zero_vec(model.dim_m),
                             zero_vec(model.slice_dim))
 
     out.append(Check("tube.base_point_matches_model",
-                     tube.omega_tube_gram(inst, model, origin)
-                     == model.omega.gram))
+                     tube.omega_tube_gram(model, origin) == model.omega.gram))
 
     rng = random.Random(seed)
 
@@ -231,10 +226,10 @@ def tube_checks(inst: ProblemInstance, chain: SplittingChain,
     ok_nondeg = True
     for _ in range(min(samples, 5)):
         p = tube.TubePoint(
-            zero_vec(inst.dim),
+            zero_vec(n),
             tuple(rand_small() for _ in range(model.dim_m)),
             tuple(rand_small() for _ in range(model.slice_dim)))
-        G = tube.omega_tube_gram(inst, model, p)
+        G = tube.omega_tube_gram(model, p)
         if not G.is_antisymmetric():
             ok_anti = False
         if model.total_dim and G.det() == 0:
@@ -242,9 +237,8 @@ def tube_checks(inst: ProblemInstance, chain: SplittingChain,
     out.append(Check("tube.antisymmetric_at_slice_points", ok_anti))
     out.append(Check("tube.nondegenerate_near_origin", ok_nondeg))
 
-    out.extend(tube.check_dphi_consistency(inst, chain, tol, model))
-    out.extend(tube.phi_equivariance_check(
-        inst, chain, max(samples, 1), tol, seed=seed, model=model))
+    out.extend(tube.check_dphi_consistency(model))
+    out.extend(tube.phi_equivariance_check(model, max(samples, 1), seed=seed))
     return out
 
 
@@ -281,8 +275,8 @@ def run_all(inst: ProblemInstance, samples: int = 10,
         return checks
     checks.append(Check("model.builds", True))
 
-    checks.extend(model_checks(inst, chain, model))
-    checks.extend(decomposition_checks(inst, chain, model, samples, seed))
+    checks.extend(model_checks(model))
+    checks.extend(decomposition_checks(model, samples, seed))
     if include_tube:
-        checks.extend(tube_checks(inst, chain, model, samples, seed))
+        checks.extend(tube_checks(model, samples, seed))
     return checks

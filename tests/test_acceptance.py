@@ -1,9 +1,10 @@
 """Acceptance criteria.
 
 Each criterion is one test that prints a PASS/FAIL line (visible with -s or
-in verbose failure output).  All tolerances are pinned here: the core
-criteria are exact (zero tolerance); the tube criterion uses the stated
-float bounds (finite differences 1e-6 at step 1e-4, equivariance 1e-9).
+in verbose failure output).  The core criteria are exact (zero
+tolerance); the tube criterion requires the tube module's float bounds to
+be the stated ones (finite differences 1e-6 at step 1e-4, equivariance
+1e-9).
 """
 
 import json
@@ -18,13 +19,10 @@ from wittartin.cli import main
 from wittartin.decomposition import decompose_H, slice_form
 from wittartin.exactlin import Matrix, sum_spaces
 from wittartin.instancefile import from_dict
-from wittartin.pointmodel import build_model, ker_dphi_H
+from wittartin.pointmodel import build_model
 from wittartin.splitting import build_chain
-from wittartin.tube import (
-    FloatTolerance,
-    check_dphi_consistency,
-    phi_equivariance_check,
-)
+from wittartin import tube
+from wittartin.tube import check_dphi_consistency, phi_equivariance_check
 
 F = Fraction
 
@@ -85,7 +83,7 @@ def test_criterion_2_torus_family():
             chain = build_chain(inst)
             model = build_model(chain, inst)
             dec = decompose_H(model)
-            form = slice_form(dec, model).gram
+            form = slice_form(model).gram
 
             ok &= chain.s.dim == 0
             ok &= dec.Xm_block.dim == 2 * (n - k)
@@ -132,7 +130,7 @@ def test_criterion_4_oracle_equivalence():
         if model.total_dim > 10:
             continue
         decomp = decompose_H(model)
-        ok &= ker_dphi_H(model) == sum_spaces(decomp.TH0, decomp.NH1)
+        ok &= model.ker_dphi_H == sum_spaces(decomp.TH0, decomp.NH1)
         checked += 1
     _report("criterion 4: kernel oracle equivalence (model dim <= 10)",
             ok and checked > 0, f"{checked} instances compared")
@@ -146,7 +144,7 @@ def test_criterion_5_tube_consistency():
     from wittartin.exactlin import zero_vec
 
     start = time.monotonic()
-    tol = FloatTolerance(rel_tol=1e-9, fd_tol=1e-6)
+    assert (tube.REL_TOL, tube.FD_TOL) == (1e-9, 1e-6)
     ok = True
     details = []
     for name in ("so3-generic", "so3-collinear", "so3-zero",
@@ -158,13 +156,13 @@ def test_criterion_5_tube_consistency():
         origin = TubePoint(zero_vec(inst.dim), zero_vec(model.dim_m),
                            zero_vec(model.slice_dim))
         exact = all(
-            omega_tube(inst, chain, origin, unit_tangent(model, i),
-                       unit_tangent(model, j), model)
+            omega_tube(model, origin, unit_tangent(model, i),
+                       unit_tangent(model, j))
             == model.omega.gram.entries[i][j]
             for i in range(model.total_dim) for j in range(model.total_dim))
 
-        fd = check_dphi_consistency(inst, chain, tol)
-        eq = phi_equivariance_check(inst, chain, samples=20, tol=tol)
+        fd = check_dphi_consistency(model)
+        eq = phi_equivariance_check(model, samples=20)
         ok &= exact and fd[0].passed and eq[0].passed
         details.append(f"{name}: {fd[0].detail}; {eq[0].detail}")
     elapsed = time.monotonic() - start

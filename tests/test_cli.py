@@ -135,7 +135,7 @@ class TestDecompose:
         exact = dec.slice_form
         monkeypatch.setattr(
             dec, "slice_form",
-            lambda d, model: BilinearForm(exact(d, model).gram.scale(2)))
+            lambda model: BilinearForm(exact(model).gram.scale(2)))
         code, out, err = run_cli(capsys, "decompose", str(path))
         assert code == 1
         assert out == ""
@@ -186,6 +186,14 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify"])
         assert exc.value.code == 2
+
+    def test_negative_samples_is_usage_error(self, capsys, tmp_path):
+        path = write_example(capsys, tmp_path, "so3-generic")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(path), "--samples", "-3"])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert "--samples" in err
 
 
 class TestModuleEntryPoint:

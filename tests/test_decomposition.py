@@ -21,9 +21,9 @@ from wittartin.decomposition import (
     slice_form,
     slice_momentum,
 )
-from wittartin.exactlin import Matrix, Subspace, dot, sum_spaces, zero_vec
+from wittartin.exactlin import Matrix, Subspace, dot, gram_on, sum_spaces, zero_vec
 from wittartin.liecore import InnerProduct, chu_form, so3
-from wittartin.pointmodel import build_model, ker_dphi_H
+from wittartin.pointmodel import build_model
 from wittartin.splitting import ProblemInstance, build_chain
 
 F = Fraction
@@ -64,8 +64,9 @@ class TestDecomposeG:
                  for i in model.blocks[name]]
         expected = Matrix.from_rows(
             [[chu(x, y) for y in nvecs] for x in nvecs], cols=len(nvecs))
-        assert d.gram_T1 == expected
-        assert d.gram_T1.rank() == d.T1.dim
+        gram_T1 = gram_on(model.omega, d.T1)
+        assert gram_T1 == expected
+        assert gram_T1.rank() == d.T1.dim
 
 
 class TestDecomposeH:
@@ -100,7 +101,7 @@ class TestDecomposeH:
         _, model = setup(inst)
         d = decompose_H(model)
         assert d.NH1 == Subspace.full(model.total_dim)
-        assert ker_dphi_H(model) == Subspace.full(model.total_dim)
+        assert model.ker_dphi_H == Subspace.full(model.total_dim)
 
     def test_all_checks_pass_on_mixed_instance(self):
         _, model = setup(so3xso3_diag(with_gm=True))
@@ -111,7 +112,7 @@ class TestDecomposeH:
     def test_kernel_identity(self):
         _, model = setup(so3xso3_diag(with_gm=False))
         d = decompose_H(model)
-        assert sum_spaces(d.TH0, d.NH1) == ker_dphi_H(model)
+        assert sum_spaces(d.TH0, d.NH1) == model.ker_dphi_H
 
 
 class TestEqM:
@@ -137,7 +138,7 @@ class TestSliceForm:
     def test_collinear_is_kks_plus_slice(self):
         _, model = setup(so3_case("collinear", slice_dim=2))
         d = decompose_H(model)
-        form = slice_form(d, model)
+        form = slice_form(model)
         chain = model.chain
         chu = chu_form(model.inst.algebra, model.inst.mu)
         svecs = chain.s.basis_vectors()
@@ -154,7 +155,7 @@ class TestSliceForm:
     def test_abelian_is_canonical_pairing_plus_slice(self):
         _, model = setup(torus_instance(3, 1, slice_dim=2))
         d = decompose_H(model)
-        form = slice_form(d, model)
+        form = slice_form(model)
         n = form.ambient_dim
         assert n == 6
         expected = [[F(0)] * n for _ in range(n)]
@@ -171,7 +172,7 @@ class TestSliceForm:
             InnerProduct(Matrix.identity(3)), standard_slice(2))
         _, model = setup(inst)
         d = decompose_H(model)
-        form = slice_form(d, model)
+        form = slice_form(model)
         assert form.gram == inst.slice_rep.omega.gram
 
 
@@ -179,13 +180,13 @@ class TestSliceMomentum:
     def test_zero_vector_gives_zero(self):
         _, model = setup(so3xso3_diag(with_gm=True))
         d = decompose_H(model)
-        out = slice_momentum(d, model, zero_vec(d.NH1.dim))
+        out = slice_momentum(model, zero_vec(d.NH1.dim))
         assert out == (F(0),)
 
     def test_free_instances_give_empty_covector(self):
         _, model = setup(so3_case("generic", slice_dim=2))
         d = decompose_H(model)
-        assert slice_momentum(d, model, zero_vec(d.NH1.dim)) == ()
+        assert slice_momentum(model, zero_vec(d.NH1.dim)) == ()
 
     def test_diagonal_instance_frozen_value(self):
         # Oracle: direct definition 1/2 omega_NH1(eta.nu, nu), evaluated by
@@ -194,7 +195,7 @@ class TestSliceMomentum:
         _, model = setup(so3xso3_diag(with_gm=True))
         d = decompose_H(model)
         nu_tilde = (F(1), F(1, 2), F(-1), F(2), F(1, 3), F(-1, 2))
-        assert slice_momentum(d, model, nu_tilde) == (F(-103, 72),)
+        assert slice_momentum(model, nu_tilde) == (F(-103, 72),)
 
     def test_middle_term_instance_frozen_value(self):
         # Here [b, eta] != 0, so the -ad*_b f(w) term genuinely contributes;
@@ -202,7 +203,7 @@ class TestSliceMomentum:
         _, model = setup(middle_term_instance())
         d = decompose_H(model)
         nu_tilde = tuple(F(k + 1, 2) for k in range(d.NH1.dim))
-        assert slice_momentum(d, model, nu_tilde) == (F(-187, 8),)
+        assert slice_momentum(model, nu_tilde) == (F(-187, 8),)
 
     def test_formula_matches_direct_on_random_vectors(self):
         import random
@@ -212,25 +213,25 @@ class TestSliceMomentum:
             _, model = setup(inst)
             d = decompose_H(model)
             # Direct route: 1/2 omega_NH1(eta . nu_tilde, nu_tilde).
-            gram = slice_form(d, model).gram
+            gram = slice_form(model).gram
             (eta,) = model.chain.h_m.basis_vectors()
-            act = _eta_action_on_nh1(d, model, eta)
+            act = _eta_action_on_nh1(model, eta)
             for _ in range(10):
                 v = tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
                           for _ in range(d.NH1.dim))
                 direct = F(1, 2) * dot(act.apply(v), gram.apply(v))
-                assert slice_momentum(d, model, v) == (direct,)
+                assert slice_momentum(model, v) == (direct,)
 
     def test_quadratic_form_representation(self):
         from wittartin.decomposition import slice_momentum_forms
         from wittartin.exactlin import dot
         _, model = setup(middle_term_instance())
         d = decompose_H(model)
-        forms = slice_momentum_forms(d, model)
+        forms = slice_momentum_forms(d)
         assert len(forms) == model.chain.h_m.dim == 1
         assert forms[0].is_symmetric()
         v = tuple(F(k + 1, 2) for k in range(d.NH1.dim))
-        assert (dot(v, forms[0].apply(v)),) == slice_momentum(d, model, v)
+        assert (dot(v, forms[0].apply(v)),) == slice_momentum(model, v)
 
 
 class TestCoadjointSlice:

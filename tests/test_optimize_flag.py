@@ -22,7 +22,7 @@ from wittartin.instancefile import from_dict
 
 exact = decomposition.slice_momentum_forms
 decomposition.slice_momentum_forms = (
-    lambda d, model: tuple(S.scale(2) for S in exact(d, model)))
+    lambda d: tuple(S.scale(2) for S in exact(d)))
 inst = from_dict(build_example("so3xso3-diagonal"))
 for c in verify.run_all(inst, samples=3):
     print("PASS" if c.passed else "FAIL", c.name)

@@ -21,8 +21,6 @@ from wittartin.pointmodel import (
     dphi_H,
     f_map,
     inf_action,
-    ker_dphi_G,
-    ker_dphi_H,
 )
 from wittartin.splitting import build_chain
 
@@ -130,19 +128,19 @@ class TestDphiG:
             assert all(x == 0 for x in D.col(j))
         for j in range(m.slice_dim):
             assert all(x == 0 for x in D.col(m.dim_m + m.dim_n + m.dim_m + j))
-        assert ker_dphi_G(m).dim == m.total_dim - m.dim_m
+        assert m.ker_dphi_G.dim == m.total_dim - m.dim_m
 
     def test_so3_generic_kernel_dim(self):
         for slice_dim, expected in ((0, 1), (2, 3)):
             m = model_for(so3_case("generic", slice_dim=slice_dim))
-            assert ker_dphi_G(m).dim == expected
+            assert m.ker_dphi_G.dim == expected
 
     def test_kernel_is_m_plus_slice_block(self):
         m = model_for(so3_case("collinear", slice_dim=2))
         units = [unit_vec(m.total_dim, i)
                  for name in ("p", "b") for i in m.blocks[name]]
         units += [unit_vec(m.total_dim, i) for i in m.blocks["N1"]]
-        assert ker_dphi_G(m) == Subspace.span(m.total_dim, units)
+        assert m.ker_dphi_G == Subspace.span(m.total_dim, units)
 
     def test_nonzero_on_n_directions(self):
         m = model_for(so3_case("generic"))
@@ -168,7 +166,7 @@ class TestDphiH:
             so3(), Subspace.full(3), Subspace.zero(3), vec(0, 0, 1),
             InnerProduct(Matrix.identity(3)), standard_slice(2))
         m = model_for(inst)
-        assert ker_dphi_H(m) == ker_dphi_G(m)
+        assert m.ker_dphi_H == m.ker_dphi_G
 
     def test_h_zero_kernel_is_everything(self):
         from wittartin.liecore import so3, InnerProduct
@@ -177,7 +175,7 @@ class TestDphiH:
             so3(), Subspace.zero(3), Subspace.zero(3), vec(0, 0, 1),
             InnerProduct(Matrix.identity(3)), standard_slice(2))
         m = model_for(inst)
-        assert ker_dphi_H(m) == Subspace.full(m.total_dim)
+        assert m.ker_dphi_H == Subspace.full(m.total_dim)
 
     def test_so3_generic_kernel_dim_from_oracle(self):
         # Golden number fixed by the generic rank oracle: model dim 4,
@@ -185,11 +183,11 @@ class TestDphiH:
         m = model_for(so3_case("generic", slice_dim=0))
         D = dphi_H(m)
         assert D.rank() == 1
-        assert ker_dphi_H(m).dim == 3
+        assert m.ker_dphi_H.dim == 3
 
     def test_kernel_gap_matches_formula(self):
         inst = so3xso3_diag(with_gm=True)
         m = model_for(inst)
-        gap = ker_dphi_H(m).dim - ker_dphi_G(m).dim
+        gap = m.ker_dphi_H.dim - m.ker_dphi_G.dim
         d = m.chain.dims()
         assert gap == d["q"] + d["b"]

@@ -1,10 +1,12 @@
 """Validation and the subspace chain, against the worked rotation cases."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from instances import so3_case, so3xso3_diag, torus_instance, vec
+from wittartin.catalog import build_example
 from wittartin.exactlin import (
     BilinearForm,
     Matrix,
@@ -14,6 +16,7 @@ from wittartin.exactlin import (
     sum_spaces,
     unit_vec,
 )
+from wittartin.instancefile import from_dict
 from wittartin.liecore import InnerProduct, abelian, so3
 from wittartin.splitting import (
     ProblemInstance,
@@ -23,6 +26,7 @@ from wittartin.splitting import (
     dim_formulas,
     validate,
 )
+from wittartin.verify import run_all
 
 F = Fraction
 
@@ -56,6 +60,26 @@ class TestValidate:
         report = validate(inst)
         failed = {c.name for c in report.failures()}
         assert "ip_ad_gm_invariant" in failed
+
+    def test_wrong_ip_dimension_is_a_named_fail(self):
+        # g_m != 0, so ad invariance would multiply the 7x7 form by 6x6 ad
+        # matrices; it fails with a detail instead, in the usual order.
+        good = from_dict(build_example("so3xso3-diagonal"))
+        inst = replace(good, ip=InnerProduct(Matrix.identity(7)))
+        assert inst.gm.dim == 1
+        report = validate(inst)
+        assert ([c.name for c in report.checks]
+                == [c.name for c in validate(good).checks])
+        failed = {c.name: c.detail for c in report.failures()}
+        assert list(failed) == ["ip_dimension", "ip_positive_definite",
+                                "ip_ad_gm_invariant"]
+        assert failed["ip_ad_gm_invariant"] == (
+            "inner product has dimension 7, g has 6")
+        checks = run_all(inst)
+        assert [c.name for c in checks] == [
+            f"validate.{c.name}" for c in report.checks]
+        assert [c.name for c in checks if not c.passed] == [
+            f"validate.{name}" for name in failed]
 
     def test_build_chain_rejects_invalid(self):
         inst = ProblemInstance(

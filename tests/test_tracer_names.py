@@ -1,5 +1,5 @@
 """Every function the benchmark's span recorder traces must still exist,
-and the per-instance derived data is computed once.
+and the per-instance and per-model derived data is computed once.
 
 perfbench/spans.py wraps package functions by module and attribute name, so
 a rename in the package would otherwise only surface in a traced benchmark
@@ -7,11 +7,20 @@ run.  The recorder is loaded by path, installed and uninstalled here.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from wittartin import catalog, instancefile, report, tube, verify  # noqa: F401
+from wittartin import (  # noqa: F401
+    catalog,
+    decomposition,
+    instancefile,
+    pointmodel,
+    report,
+    tube,
+    verify,
+)
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -42,17 +51,41 @@ def test_recorder_wraps_and_restores_every_traced_name():
         assert name in targets.values()
 
 
-@pytest.mark.parametrize("run", [verify.run_all, report.build_report],
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name, in every wittartin module that holds it, by a
+    wrapper that records one entry per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if ((mod_name == "wittartin" or mod_name.startswith("wittartin."))
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("run, most_dphi_G",
+                         [(verify.run_all, 3), (report.build_report, 2)],
                          ids=["run_all", "build_report"])
-def test_mu_data_is_derived_once_per_instance(run):
+def test_mu_data_is_derived_once_per_instance(monkeypatch, run, most_dphi_G):
     """One pass over so3xso3-diagonal validates the instance and computes
-    its Chu form and g_mu exactly once, counted the way the benchmark's
-    calls_per_instance metrics count them."""
+    its Chu form, g_mu, slice form and h_m-action on NH1 (h_m has
+    dimension 1) exactly once, counted the way the benchmark's
+    calls_per_instance metrics count them; dphi_G runs once per kernel of
+    the model, plus once for the tube's finite-difference check."""
     spans = _load_spans()
     inst = instancefile.from_dict(catalog.build_example("so3xso3-diagonal"))
+    dphi_G = _count_calls(monkeypatch, pointmodel, "dphi_G")
+    eta_actions = _count_calls(monkeypatch, decomposition, "_eta_action_on_nh1")
     with spans.Recorder() as recorder:
         run(inst)
     totals = recorder.totals()
     for name in ("liecore.stabilizer_of_momentum", "liecore.chu_form",
-                 "splitting.validate"):
+                 "splitting.validate", "decomposition.slice_form"):
         assert totals.get(name, {"calls": 0})["calls"] == 1, name
+    assert len(eta_actions) == 1
+    assert 0 < len(dphi_G) <= most_dphi_G

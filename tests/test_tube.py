@@ -14,7 +14,6 @@ from wittartin.liecore import InnerProduct, so3
 from wittartin.pointmodel import build_model, unit_tangent
 from wittartin.splitting import ProblemInstance, build_chain, validate
 from wittartin.tube import (
-    FloatTolerance,
     OffSlice,
     TubePoint,
     check_dphi_consistency,
@@ -67,8 +66,7 @@ def _differential_instances():
 
 
 def setup(inst):
-    chain = build_chain(inst)
-    return chain, build_model(chain, inst)
+    return build_model(build_chain(inst), inst)
 
 
 def origin(model):
@@ -80,62 +78,62 @@ class TestOmegaTube:
     def test_base_point_equals_model_form(self):
         for inst in (so3_case("generic", slice_dim=2),
                      so3xso3_diag(with_gm=True)):
-            chain, model = setup(inst)
+            model = setup(inst)
             p = origin(model)
             for i in range(model.total_dim):
                 vi = unit_tangent(model, i)
                 for j in range(model.total_dim):
                     vj = unit_tangent(model, j)
-                    assert omega_tube(inst, chain, p, vi, vj, model) \
+                    assert omega_tube(model, p, vi, vj) \
                         == model.omega.gram.entries[i][j]
 
     def test_abelian_rho_independence(self):
         inst = torus_instance(3, 1, slice_dim=2)
-        chain, model = setup(inst)
+        model = setup(inst)
         v1 = unit_tangent(model, 0)
         v2 = unit_tangent(model, 1)
-        at_zero = omega_tube(inst, chain, origin(model), v1, v2, model)
+        at_zero = omega_tube(model, origin(model), v1, v2)
         shifted = TubePoint(zero_vec(3), (F(1, 3),) * model.dim_m,
                             zero_vec(model.slice_dim))
-        assert omega_tube(inst, chain, shifted, v1, v2, model) == at_zero
+        assert omega_tube(model, shifted, v1, v2) == at_zero
 
     def test_so3_bracket_term_hand_expanded(self):
         # V's along a and r; [e1, e2] = e3, so the value is
         # <mu + rho~, e3> = 1 + 1/2 on the generic instance.
         inst = so3_case("generic", slice_dim=0)
-        chain, model = setup(inst)
+        model = setup(inst)
         p = TubePoint(vec(0, 0, 0), (F(1, 2),), ())
         v1 = unit_tangent(model, model.blocks["a"][0])
         v2 = unit_tangent(model, model.blocks["r"][0])
-        assert omega_tube(inst, chain, p, v1, v2, model) == F(3, 2)
+        assert omega_tube(model, p, v1, v2) == F(3, 2)
 
     def test_rejects_off_slice_points(self):
         inst = so3_case("generic")
-        chain, model = setup(inst)
+        model = setup(inst)
         p = TubePoint(vec(1, 0, 0), zero_vec(model.dim_m),
                       zero_vec(model.slice_dim))
         v = unit_tangent(model, 0)
         with pytest.raises(OffSlice):
-            omega_tube(inst, chain, p, v, v, model)
+            omega_tube(model, p, v, v)
 
     def test_antisymmetry_at_slice_points(self):
         inst = so3xso3_diag(with_gm=True)
-        chain, model = setup(inst)
+        model = setup(inst)
         p = TubePoint(zero_vec(6),
                       tuple(F(1, 10) for _ in range(model.dim_m)),
                       tuple(F(-1, 10) for _ in range(model.slice_dim)))
         for i in (0, 3, 5):
             for j in (1, 2, 4):
                 vi, vj = unit_tangent(model, i), unit_tangent(model, j)
-                assert omega_tube(inst, chain, p, vi, vj, model) == \
-                    -omega_tube(inst, chain, p, vj, vi, model)
+                assert omega_tube(model, p, vi, vj) == \
+                    -omega_tube(model, p, vj, vi)
 
 
 class TestGramAgainstReference:
     @pytest.mark.parametrize("name, inst", _differential_instances())
     def test_gram_equals_entrywise_formula(self, name, inst):
         assert validate(inst).passed
-        chain, model = setup(inst)
+        model = setup(inst)
         rng = random.Random(name)
 
         def rand_frac():
@@ -148,17 +146,17 @@ class TestGramAgainstReference:
             for _ in range(2)]
         units = [unit_tangent(model, i) for i in range(model.total_dim)]
         for p in points:
-            G = omega_tube_gram(inst, model, p)
+            G = omega_tube_gram(model, p)
             assert (G.rows, G.cols) == (model.total_dim, model.total_dim)
             for i, vi in enumerate(units):
                 for j, vj in enumerate(units):
                     assert G.entries[i][j] == \
                         omega_tube_reference(inst, model, p, vi, vj), (i, j)
-        assert omega_tube_gram(inst, model, points[0]) == model.omega.gram
+        assert omega_tube_gram(model, points[0]) == model.omega.gram
 
     def test_omega_tube_pairs_through_the_gram(self):
         inst = so3xso3_diag(mu=vec(0, 0, 1, 0, 0, 2), with_gm=True)
-        chain, model = setup(inst)
+        model = setup(inst)
         rng = random.Random(7)
 
         def rand_vec(n):
@@ -170,31 +168,31 @@ class TestGramAgainstReference:
         for _ in range(5):
             V1 = model.unpack(rand_vec(model.total_dim))
             V2 = model.unpack(rand_vec(model.total_dim))
-            assert omega_tube(inst, chain, p, V1, V2, model) == \
+            assert omega_tube(model, p, V1, V2) == \
                 omega_tube_reference(inst, model, p, V1, V2)
 
     def test_gram_rejects_off_slice_points(self):
         inst = so3_case("generic")
-        chain, model = setup(inst)
+        model = setup(inst)
         p = TubePoint(vec(0, 1, 0), zero_vec(model.dim_m),
                       zero_vec(model.slice_dim))
         with pytest.raises(OffSlice):
-            omega_tube_gram(inst, model, p)
+            omega_tube_gram(model, p)
 
 
 class TestPhiTilde:
     def test_origin_gives_mu_exactly(self):
         inst = so3_case("generic", slice_dim=2)
-        chain, model = setup(inst)
-        res = phi_tilde(inst, chain, origin(model), model=model)
+        model = setup(inst)
+        res = phi_tilde(model, origin(model))
         assert res == tuple(float(x) for x in inst.mu)
 
     def test_abelian_is_translation_for_any_xi(self):
         inst = torus_instance(3, 2, slice_dim=2)
-        chain, model = setup(inst)
+        model = setup(inst)
         p = TubePoint(vec(5, -7, F(1, 3)), (F(1, 2), F(2), F(-3)),
                       (F(1), F(1, 4)))
-        res = phi_tilde(inst, chain, p, model=model)
+        res = phi_tilde(model, p)
         lam = list(inst.mu)
         for i, x in enumerate(model.iota_mstar(p.rho)):
             lam[i] += x
@@ -206,10 +204,10 @@ class TestPhiTilde:
             so3(), Subspace.span(3, [vec(0, 0, 1)]), Subspace.zero(3),
             vec(1, 0, 0), InnerProduct(Matrix.identity(3)),
             standard_slice(0))
-        chain, model = setup(inst)
+        model = setup(inst)
         t = F(7, 10)
         p = TubePoint((F(0), F(0), t), zero_vec(model.dim_m), ())
-        res = phi_tilde(inst, chain, p, model=model)
+        res = phi_tilde(model, p)
         expected = (math.cos(t), math.sin(t), 0.0)
         assert max(abs(a - b) for a, b in zip(res, expected)) <= 1e-9
 
@@ -224,49 +222,40 @@ class TestExpm:
         assert abs(E[0][0] - math.cos(t)) < 1e-12
         assert abs(E[1][0] - math.sin(t)) < 1e-12
 
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            FloatTolerance(rel_tol=0)
-
 
 class TestConsistencyChecks:
     def test_abelian_fd_is_essentially_exact(self):
         inst = torus_instance(3, 1, slice_dim=2)
-        chain = build_chain(inst)
-        checks = check_dphi_consistency(inst, chain)
+        checks = check_dphi_consistency(setup(inst))
         assert checks[0].passed, checks[0].detail
 
     def test_so3_generic_fd(self):
         inst = so3_case("generic", slice_dim=2)
-        chain = build_chain(inst)
-        checks = check_dphi_consistency(inst, chain)
+        checks = check_dphi_consistency(setup(inst))
         assert checks[0].passed, checks[0].detail
 
     def test_so3xso3_fd(self):
         inst = so3xso3_diag(with_gm=True)
-        chain = build_chain(inst)
-        checks = check_dphi_consistency(inst, chain)
+        checks = check_dphi_consistency(setup(inst))
         assert checks[0].passed, checks[0].detail
 
     def test_equivariance_identity_group_element(self):
         # xi = 0: both paths reduce to the same exact covector.
         inst = so3_case("generic", slice_dim=2)
-        chain, model = setup(inst)
+        model = setup(inst)
         p = TubePoint(zero_vec(3), (F(1, 2),) * model.dim_m,
                       (F(1), F(-2)))
-        lhs = phi_tilde(inst, chain, p, model=model)
-        base = phi_tilde(inst, chain, p, model=model)
+        lhs = phi_tilde(model, p)
+        base = phi_tilde(model, p)
         assert lhs == base
 
     def test_equivariance_sampled(self):
         inst = so3_case("generic", slice_dim=2)
-        chain = build_chain(inst)
-        checks = phi_equivariance_check(inst, chain, samples=20)
+        checks = phi_equivariance_check(setup(inst), samples=20)
         assert checks[0].passed, checks[0].detail
 
     def test_equivariance_abelian_exact(self):
         inst = torus_instance(3, 1, slice_dim=0)
-        chain = build_chain(inst)
-        checks = phi_equivariance_check(inst, chain, samples=5)
+        checks = phi_equivariance_check(setup(inst), samples=5)
         assert checks[0].passed
         assert "deviation 0.000e+00" in checks[0].detail

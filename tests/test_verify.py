@@ -35,8 +35,8 @@ def test_flipped_tube_gram_entry_fails_base_point_check(monkeypatch):
     expected_names = [c.name for c in _run()]
     exact = tube.omega_tube_gram
 
-    def flipped(inst, model, p):
-        G = exact(inst, model, p)
+    def flipped(model, p):
+        G = exact(model, p)
         rows = [list(row) for row in G.entries]
         i, j = next((i, j) for i, row in enumerate(rows)
                     for j, x in enumerate(row) if x != 0)
@@ -60,13 +60,8 @@ def test_non_invariant_killing_form_fails_invariance_check(monkeypatch):
 
 def test_wrong_T1_gram_fails_witt_g_check_and_names_the_identity(monkeypatch):
     expected_names = [c.name for c in _run()]
-    exact = dec.decompose_G
-
-    def doubled_gram_T1(model):
-        d = exact(model)
-        return replace(d, gram_T1=d.gram_T1.scale(2))
-
-    monkeypatch.setattr(dec, "decompose_G", doubled_gram_T1)
+    exact = dec._chu_on_n
+    monkeypatch.setattr(dec, "_chu_on_n", lambda model: exact(model).scale(2))
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["wittG.all_assertions"]
@@ -78,7 +73,7 @@ def test_scaled_slice_form_fails_block_diagonal_check(monkeypatch):
     exact = dec.slice_form
     monkeypatch.setattr(
         dec, "slice_form",
-        lambda decomp, model: BilinearForm(exact(decomp, model).gram.scale(2)))
+        lambda model: BilinearForm(exact(model).gram.scale(2)))
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert "sliceform.block_diagonal" in _failed(checks)
@@ -108,8 +103,7 @@ def test_doubled_momentum_formula_fails_formula_check(monkeypatch):
     exact = dec.slice_momentum
     monkeypatch.setattr(
         dec, "slice_momentum",
-        lambda decomp, model, v: tuple(2 * x
-                                       for x in exact(decomp, model, v)))
+        lambda model, v: tuple(2 * x for x in exact(model, v)))
     checks = _run("so3xso3-diagonal")
     assert [c.name for c in checks] == expected_names
     assert "momentum.formula_equals_direct" in _failed(checks)
