@@ -30,11 +30,9 @@ from .splitting import (
 )
 from .pointmodel import (
     TangentModel,
-    TangentVector,
     build_model,
     dphi_G,
     dphi_H,
-    f_map,
     inf_action,
 )
 from .decomposition import (

@@ -6,11 +6,15 @@ decompose_H produces the subalgebra counterpart whose slice block is
     NH1 = s*m  +  (b*m + Y_m)  +  N1,
 
 together with the block form on it, the action of h_m on it, and the
-quadratic momentum map of that action.  The constructors only compute;
+quadratic momentum map of that action.  Every block is a span of model
+unit vectors, so the constructors return it as a tuple of model coordinate
+indices and read its form off the omega submatrix.  They only compute;
 every identity they rely on is a named check defined here
 (g_decomposition_check, h_decomposition_checks, slice_form_check,
 momentum_formula_check, momentum_forms_check), which verify reports and
-report.build_report requires.
+report.build_report requires.  The decomposition checks build each block
+again from its definition (images under the action, coordinate blocks of
+m* and N1) and prove the index tuples equal to it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .exactlin import (
     dot,
     gram_on,
     is_direct_sum,
+    is_zero_vec,
     kernel,
     sum_spaces,
     unit_vec,
@@ -38,85 +43,124 @@ from .pointmodel import TangentModel, inf_action
 from .splitting import Check
 
 
+# A Witt block is the span of the model unit vectors at these indices.
+Indices = tuple[int, ...]
+# The model blocks of NH1, in the order of its form and h_m-action.
+NH1_ORDER = ("s", "b", "bstar", "N1")
+
+
 @dataclass(frozen=True)
 class WittDecompositionG:
-    T0: Subspace
-    T1: Subspace
-    N0: Subspace
-    N1: Subspace
+    T0: Indices
+    T1: Indices
+    N0: Indices
+    N1: Indices
 
 
 @dataclass(frozen=True)
 class WittDecompositionH:
-    TH0: Subspace
-    TH1: Subspace
-    NH0: Subspace
-    NH1: Subspace
-    s_block: Subspace
-    Xm_block: Subspace
-    N1_block: Subspace
-    Ym: Subspace
-    Zm: Subspace
+    TH0: Indices
+    TH1: Indices
+    NH0: Indices
+    NH1: Indices  # in NH1_ORDER, not ascending
+    s_block: Indices
+    Xm_block: Indices
+    N1_block: Indices
+    Ym: Indices
+    Zm: Indices
     # The form on NH1 and the action of each h_m basis vector on NH1, both
     # in the block coordinates (s, b, Y_m, N1).
     form: BilinearForm
     eta_actions: tuple[Matrix, ...]
 
 
+def decompose_G(model: TangentModel) -> WittDecompositionG:
+    """T0 = U_p + U_b, T1 = U_a + U_s + U_ntilde + U_r, N0 = R and N1 = V.
+
+    g_decomposition_check proves each block equal to its definition.
+    """
+    ix = model.indices
+    return WittDecompositionG(T0=ix("p", "b"), T1=ix("a", "s", "ntilde", "r"),
+                              N0=ix("pstar", "bstar"), N1=ix("N1"))
+
+
+def decompose_H(model: TangentModel) -> WittDecompositionH:
+    """TH0 = U_p + U_a, TH1 = U_ntilde, NH0 = U_r + R_p*,
+    NH1 = U_s + U_b + R_b* + V, X_m = U_b + R_b*, Y_m = R_b* and
+    Z_m = U_a + U_r, with the form and the h_m-action on NH1.
+
+    h_decomposition_checks proves each block equal to its definition.
+    """
+    ix = model.indices
+    return WittDecompositionH(
+        TH0=ix("p", "a"), TH1=ix("ntilde"), NH0=ix("r", "pstar"),
+        NH1=ix(*NH1_ORDER), s_block=ix("s"), Xm_block=ix("b", "bstar"),
+        N1_block=ix("N1"), Ym=ix("bstar"), Zm=ix("a", "r"),
+        form=slice_form(model),
+        eta_actions=tuple(_eta_action_on_nh1(model, eta)
+                          for eta in model.chain.h_m.basis_vectors()),
+    )
+
+
 def _image_under_action(model: TangentModel, space: Subspace) -> Subspace:
-    vectors = [inf_action(model, v).coords() for v in space.basis_vectors()]
-    return Subspace.span(model.total_dim, vectors)
-
-
-def _unit_span(model: TangentModel, indices) -> Subspace:
-    return Subspace.span(
-        model.total_dim, [unit_vec(model.total_dim, i) for i in indices])
+    return Subspace.span(model.total_dim,
+                         [inf_action(model, v) for v in space.basis_vectors()])
 
 
 def _cross_gram(model: TangentModel, U: Subspace, V: Subspace) -> Matrix:
     return U.basis.transpose() @ model.omega.gram @ V.basis
 
 
-def decompose_G(model: TangentModel) -> WittDecompositionG:
-    chain = model.chain
-    T0 = _image_under_action(model, chain.m_space)
-    T1 = _image_under_action(model, chain.n_space)
-    N0 = _unit_span(model, list(model.blocks["pstar"]) + list(model.blocks["bstar"]))
-    N1 = _unit_span(model, model.blocks["N1"])
-    return WittDecompositionG(T0=T0, T1=T1, N0=N0, N1=N1)
+def _unlike_definition(decomp, definitions: dict[str, Subspace],
+                       model: TangentModel) -> str | None:
+    """The first block whose coordinate span is not its definition."""
+    return next((name for name, space in definitions.items()
+                 if model.unit_span(getattr(decomp, name)) != space), None)
 
 
 def g_decomposition_check(decomp: WittDecompositionG,
                           model: TangentModel) -> Check:
-    """wittG.all_assertions: the twelve identities of the G-side split.
+    """wittG.all_assertions: each block is its definition, and the twelve
+    identities of the G-side split hold for the defined blocks.
 
-    The detail names the first identity that fails.
+    T0 and T1 are defined as the images of m and n under the action, N0 and
+    N1 as the R and V coordinate blocks.  The detail names the first
+    identity that fails.
     """
-    d, omega = decomp, model.omega
-    T0N0 = sum_spaces(d.T0, d.N0)
+    chain = model.chain
+    d = {"T0": _image_under_action(model, chain.m_space),
+         "T1": _image_under_action(model, chain.n_space),
+         "N0": model.unit_span(model.indices("pstar", "bstar")),
+         "N1": model.unit_span(model.indices("N1"))}
+    unlike = _unlike_definition(decomp, d, model)
+    T0, T1, N0, N1 = d.values()
+    omega = model.omega
+    T0N0 = sum_spaces(T0, N0)
     identities = (
+        (f"{unlike or 'each block'} is its definition",
+         lambda: unlike is None),
         ("T0 + T1 + N0 + N1 is direct",
-         lambda: is_direct_sum([d.T0, d.T1, d.N0, d.N1])),
+         lambda: is_direct_sum([T0, T1, N0, N1])),
         ("T0 + T1 + N0 + N1 is the whole model",
-         lambda: sum_spaces(d.T0, d.T1, d.N0, d.N1)
+         lambda: sum_spaces(T0, T1, N0, N1)
          == Subspace.full(model.total_dim)),
         ("T0 + N1 is ker dphi_G",
-         lambda: sum_spaces(d.T0, d.N1) == model.ker_dphi_G),
+         lambda: sum_spaces(T0, N1) == model.ker_dphi_G),
         ("T1 is omega-orthogonal to N1",
-         lambda: _cross_gram(model, d.T1, d.N1).is_zero()),
+         lambda: _cross_gram(model, T1, N1).is_zero()),
         ("T1 is omega-orthogonal to T0 + N0",
-         lambda: _cross_gram(model, d.T1, T0N0).is_zero()),
+         lambda: _cross_gram(model, T1, T0N0).is_zero()),
         ("N1 is omega-orthogonal to T0 + N0",
-         lambda: _cross_gram(model, d.N1, T0N0).is_zero()),
-        ("T0 is isotropic", lambda: gram_on(omega, d.T0).is_zero()),
-        ("N0 is isotropic", lambda: gram_on(omega, d.N0).is_zero()),
-        ("dim T0 equals dim N0", lambda: d.T0.dim == d.N0.dim),
+         lambda: _cross_gram(model, N1, T0N0).is_zero()),
+        ("T0 is isotropic", lambda: gram_on(omega, T0).is_zero()),
+        ("N0 is isotropic", lambda: gram_on(omega, N0).is_zero()),
+        ("dim T0 equals dim N0", lambda: T0.dim == N0.dim),
         ("T0 + N0 is symplectic",
          lambda: gram_on(omega, T0N0).rank() == T0N0.dim),
         ("the form on T1 is the Chu pairing of the n basis",
-         lambda: gram_on(omega, d.T1) == _chu_on_n(model)),
+         lambda: gram_on(omega, T1) == _chu_on_n(model)),
         ("the form on N1 is omega_N1",
-         lambda: gram_on(omega, d.N1) == model.inst.slice_rep.omega.gram),
+         lambda: gram_on(omega, N1) == model.inst.slice_rep.omega.gram),
     )
     broken = next((name for name, holds in identities if not holds()), None)
     return Check("wittG.all_assertions", broken is None,
@@ -127,9 +171,19 @@ def _chu_on_n(model: TangentModel) -> Matrix:
     # T1's canonical basis vectors are the model units at the n positions,
     # which correspond to the concatenated (a, s, ntilde, r) columns.
     N = Matrix.from_cols(
-        [model.mn_basis.col(i) for name in ("a", "s", "ntilde", "r")
-         for i in model.blocks[name]], rows=model.inst.dim)
+        [model.mn_basis.col(i) for i in model.indices("a", "s", "ntilde", "r")],
+        rows=model.inst.dim)
     return N.transpose() @ model.inst.chu.gram @ N
+
+
+def _h_constraint_rows(inst, n_vectors: Sequence[Vec]) -> list[Vec]:
+    """One row per h basis vector eta: z -> -<mu, [z, eta]> = -z . K eta over
+    the n vectors, with K the Chu Gram matrix."""
+    rows = []
+    for eta in inst.h.basis_vectors():
+        k_eta = inst.chu.gram.apply(eta)
+        rows.append(tuple(-dot(z, k_eta) for z in n_vectors))
+    return rows
 
 
 def eq_M_subspace(model: TangentModel) -> Subspace:
@@ -140,56 +194,31 @@ def eq_M_subspace(model: TangentModel) -> Subspace:
     This is the independent route against which the constructive identity
     ker dphi_H = ker dphi_G + M is checked.
     """
-    n_indices = [i for name in ("a", "s", "ntilde", "r")
-                 for i in model.blocks[name]]
-    r_indices = list(model.blocks["pstar"]) + list(model.blocks["bstar"])
-    local = n_indices + r_indices
+    n_indices = model.indices("a", "s", "ntilde", "r")
+    local = n_indices + model.indices("pstar", "bstar")
 
     n_cols = [model.mn_basis.col(i) for i in n_indices]  # U index == mn column
-    rows = []
-    for eta in model.inst.h.basis_vectors():
-        # -<mu, [z, eta]> = -z . K eta with K the Chu Gram matrix.
-        k_eta = model.inst.chu.gram.apply(eta)
-        rows.append(tuple(
-            [-dot(z, k_eta) for z in n_cols]
-            + [dot(model.dual_row(model.gm_dim + j), eta)
-               for j in range(model.dim_m)]))
+    rows = [
+        n_row + tuple(dot(model.dual_row(model.gm_dim + j), eta)
+                      for j in range(model.dim_m))
+        for n_row, eta in zip(_h_constraint_rows(model.inst, n_cols),
+                              model.inst.h.basis_vectors())]
     constraint = Matrix.from_rows(rows, cols=len(local))
     ker = kernel(constraint)
-    vectors = []
-    for c in ker.basis_vectors():
-        v = [ZERO] * model.total_dim
-        for pos, idx in enumerate(local):
-            v[idx] = c[pos]
-        vectors.append(tuple(v))
+    vectors = [tuple(dict(zip(local, c)).get(i, ZERO)
+                     for i in range(model.total_dim))
+               for c in ker.basis_vectors()]
     return Subspace.span(model.total_dim, vectors)
-
-
-def decompose_H(model: TangentModel) -> WittDecompositionH:
-    chain = model.chain
-    TH0 = _image_under_action(model, chain.h_alpha)
-    TH1 = _image_under_action(model, chain.ntilde)
-    s_block = _image_under_action(model, chain.s)
-    b_block = _image_under_action(model, chain.b)
-    Ym = _unit_span(model, model.blocks["bstar"])
-    Xm = sum_spaces(b_block, Ym)
-    N1_block = _unit_span(model, model.blocks["N1"])
-    NH1 = sum_spaces(s_block, Xm, N1_block)
-    r_block = _image_under_action(model, chain.r)
-    NH0 = sum_spaces(_unit_span(model, model.blocks["pstar"]), r_block)
-    Zm = sum_spaces(_image_under_action(model, chain.a), r_block)
-    return WittDecompositionH(
-        TH0=TH0, TH1=TH1, NH0=NH0, NH1=NH1,
-        s_block=s_block, Xm_block=Xm, N1_block=N1_block,
-        Ym=Ym, Zm=Zm, form=slice_form(model),
-        eta_actions=tuple(_eta_action_on_nh1(model, eta)
-                          for eta in chain.h_m.basis_vectors()),
-    )
 
 
 def h_decomposition_checks(decomp: WittDecompositionH,
                            model: TangentModel) -> list[Check]:
-    """The seven identity groups wittH.1-7 of the H-side decomposition."""
+    """The seven identity groups wittH.1-7 of the H-side decomposition.
+
+    wittH.1 also proves each block equal to its definition: images of
+    h_alpha, ntilde, s, b, a and r under the action, and the R_p*, R_b* and
+    V coordinate blocks.  wittH.2-7 run on the defined blocks.
+    """
     chain = model.chain
     chu = model.inst.chu
     full = Subspace.full(model.total_dim)
@@ -198,39 +227,54 @@ def h_decomposition_checks(decomp: WittDecompositionH,
     def record(name, passed, detail=""):
         out.append(Check(name, passed, detail))
 
+    def image(space):
+        return _image_under_action(model, space)
+
+    s_block, a_block, r_block = image(chain.s), image(chain.a), image(chain.r)
+    Ym = model.unit_span(model.indices("bstar"))
+    Xm = sum_spaces(image(chain.b), Ym)
+    N1_block = model.unit_span(model.indices("N1"))
+    d = {"TH0": image(chain.h_alpha), "TH1": image(chain.ntilde),
+         "NH0": sum_spaces(model.unit_span(model.indices("pstar")), r_block),
+         "NH1": sum_spaces(s_block, Xm, N1_block),
+         "s_block": s_block, "Xm_block": Xm, "N1_block": N1_block,
+         "Ym": Ym, "Zm": sum_spaces(a_block, r_block)}
+    TH0, TH1, NH0, NH1 = d["TH0"], d["TH1"], d["NH0"], d["NH1"]
+
+    unlike = _unlike_definition(decomp, d, model)
     record("wittH.1_direct_sum",
-           is_direct_sum([decomp.TH0, decomp.TH1, decomp.NH0, decomp.NH1])
-           and sum_spaces(decomp.TH0, decomp.TH1, decomp.NH0, decomp.NH1)
-           == full)
+           unlike is None
+           and is_direct_sum([TH0, TH1, NH0, NH1])
+           and sum_spaces(TH0, TH1, NH0, NH1) == full,
+           "" if unlike is None else f"{unlike} is not its definition")
     record("wittH.2_TH0_NH1_is_ker_dphiH",
-           sum_spaces(decomp.TH0, decomp.NH1) == model.ker_dphi_H)
+           sum_spaces(TH0, NH1) == model.ker_dphi_H)
 
     M = eq_M_subspace(model)
     kerG = model.ker_dphi_G
-    qm = sum_spaces(_image_under_action(model, chain.a),
-                    _image_under_action(model, chain.s))
+    qm = sum_spaces(a_block, s_block)
     record("wittH.3_ker_split_with_M",
            is_direct_sum([kerG, M])
            and sum_spaces(kerG, M) == model.ker_dphi_H
-           and M == sum_spaces(qm, decomp.Ym))
+           and M == sum_spaces(qm, Ym))
 
-    TH0NH0 = sum_spaces(decomp.TH0, decomp.NH0)
+    TH0NH0 = sum_spaces(TH0, NH0)
     ortho = (
-        _cross_gram(model, decomp.TH1, decomp.NH1).is_zero()
-        and _cross_gram(model, decomp.TH1, TH0NH0).is_zero()
-        and _cross_gram(model, decomp.NH1, TH0NH0).is_zero()
+        _cross_gram(model, TH1, NH1).is_zero()
+        and _cross_gram(model, TH1, TH0NH0).is_zero()
+        and _cross_gram(model, NH1, TH0NH0).is_zero()
     )
     lagrangian = (
-        gram_on(model.omega, decomp.TH0).is_zero()
-        and gram_on(model.omega, decomp.NH0).is_zero()
-        and decomp.TH0.dim == decomp.NH0.dim
+        gram_on(model.omega, TH0).is_zero()
+        and gram_on(model.omega, NH0).is_zero()
+        and TH0.dim == NH0.dim
         and gram_on(model.omega, TH0NH0).rank() == TH0NH0.dim
     )
     record("wittH.4_orthogonality_and_lagrangian", ortho and lagrangian)
 
     nondeg = all(
         gram_on(model.omega, space).rank() == space.dim
-        for space in (decomp.s_block, decomp.Xm_block, decomp.NH1, decomp.Zm)
+        for space in (s_block, Xm, NH1, d["Zm"])
     )
     record("wittH.5_symplectic_blocks", nondeg)
 
@@ -249,15 +293,12 @@ def h_decomposition_checks(decomp: WittDecompositionH,
 
 
 def slice_form(model: TangentModel) -> BilinearForm:
-    """Form on NH1 in the block basis (s, b, Y_m, N1): the point form on the
-    model coordinates of those blocks.
+    """Form on NH1 in the block basis (s, b, Y_m, N1): the omega submatrix on
+    the NH1 indices, in that order.
 
     slice_form_check proves it block diagonal with the expected blocks.
     """
-    idx = [i for name in ("s", "b", "bstar", "N1") for i in model.blocks[name]]
-    g = model.omega.gram
-    return BilinearForm(Matrix.from_rows(
-        [[g.entries[i][j] for j in idx] for i in idx], cols=len(idx)))
+    return BilinearForm(model.omega_on(model.indices(*NH1_ORDER)))
 
 
 def slice_form_check(decomp: WittDecompositionH, model: TangentModel) -> Check:
@@ -294,27 +335,19 @@ def _eta_action_on_nh1(model: TangentModel, eta: Vec) -> Matrix:
     size = ds + 2 * db + dn1
     cols: list[list[Fraction]] = []
 
-    def bracket_block(space: Subspace, offset: int):
-        for v in space.basis_vectors():
-            w = L.bracket(eta, v)
-            coords = space.coords_of(w)
-            if coords is None:
-                raise NotContained("block is not ad(gm)-stable")
-            col = [ZERO] * size
-            for t, c in enumerate(coords):
-                col[offset + t] = c
-            cols.append(col)
-
-    bracket_block(chain.s, 0)
-    bracket_block(chain.b, ds)
+    for name, offset in (("s", 0), ("b", ds)):
+        block = model.blocks[name]
+        for i in block:
+            coords = _basis_coords(
+                model, L.bracket(eta, model.mn_basis.col(i)),
+                range(model.gm_dim + block.start, model.gm_dim + block.stop),
+                "block is not ad(gm)-stable")
+            cols.append([ZERO] * offset + list(coords)
+                        + [ZERO] * (size - offset - len(coords)))
 
     # -ad*_eta on m*, restricted to the b* coordinates.
-    m_cols = [model.mn_basis.col(j) for j in range(model.dim_m)]
-    ad_on_m = []
-    for y in m_cols:
-        w = L.bracket(eta, y)
-        coords = _coords_in_columns(m_cols, w, model)
-        ad_on_m.append(coords)
+    ad_on_m = [_m_coords(model, L.bracket(eta, model.mn_basis.col(j)))
+               for j in range(model.dim_m)]
     for j in range(chain.p.dim, model.dim_m):
         # (eta . rho_j)_k = -<rho_j, [eta, m_k]> for the dual basis rho_j.
         new = [-ad_on_m[k][j] for k in range(model.dim_m)]
@@ -328,18 +361,27 @@ def _eta_action_on_nh1(model: TangentModel, eta: Vec) -> Matrix:
     return Matrix.from_cols(cols, rows=size)
 
 
-def _coords_in_columns(cols: list[Vec], v: Vec, model: TangentModel) -> Vec:
-    B = Matrix.from_cols(cols, rows=model.inst.dim)
-    sol = B.solve(v)
-    if sol is None:
-        raise NotContained("vector is outside the m block")
-    return sol
+def _basis_coords(model: TangentModel, x: Vec, cols: range,
+                  outside: str) -> Vec:
+    """Coordinates of x on the columns cols of the (g_m, m, n) basis of g;
+    raises NotContained(outside) when x has a component on another column."""
+    coords = model.g_coords(x)
+    if not (is_zero_vec(coords[:cols.start])
+            and is_zero_vec(coords[cols.stop:])):
+        raise NotContained(outside)
+    return coords[cols.start:cols.stop]
+
+
+def _m_coords(model: TangentModel, x: Vec) -> Vec:
+    """Coordinates of x in the (p, b) basis of m."""
+    return _basis_coords(model, x, range(model.gm_dim,
+                                         model.gm_dim + model.dim_m),
+                         "vector is outside the m block")
 
 
 def _combine_slice_action(model: TangentModel, eta: Vec) -> Matrix:
-    coords = model.inst.gm.coords_of(eta)
-    if coords is None:
-        raise NotContained("eta must lie in g_m")
+    coords = _basis_coords(model, eta, range(model.gm_dim),
+                           "eta must lie in g_m")
     return model.inst.slice_rep.combine(coords)
 
 
@@ -373,15 +415,12 @@ def slice_momentum(model: TangentModel, nu_tilde: Vec) -> Vec:
     bvec = chain.b.basis.apply(c_b)
     fw = tuple([ZERO] * chain.p.dim) + tuple(w)  # f(w) in m* coordinates
     quad = L.coad_apply(x, L.coad_apply(x, model.inst.mu))
-    m_cols = [model.mn_basis.col(j) for j in range(model.dim_m)]
 
     values = []
     for eta in hm_vectors:
         term1 = Fraction(1, 2) * dot(quad, eta)
 
-        br = L.bracket(bvec, eta)
-        br_m = _coords_in_columns(m_cols, br, model) if model.dim_m else ()
-        term2 = -dot(fw, br_m) if model.dim_m else ZERO
+        term2 = -dot(fw, _m_coords(model, L.bracket(bvec, eta)))
 
         A_eta = _combine_slice_action(model, eta)
         # omega(Av, v) with our Gram convention is (Av)^T G v.
@@ -437,17 +476,14 @@ def coadjoint_slice_check(chain, inst) -> list[Check]:
     n_vectors = (chain.a.basis_vectors() + chain.s.basis_vectors()
                  + chain.ntilde.basis_vectors() + chain.r.basis_vectors())
     dim_n = len(n_vectors)
-    rows = []
-    for eta in inst.h.basis_vectors():
-        k_eta = inst.chu.gram.apply(eta)
-        rows.append(tuple(-dot(v, k_eta) for v in n_vectors))
-    constraint = Matrix.from_rows(rows, cols=dim_n)
+    constraint = Matrix.from_rows(_h_constraint_rows(inst, n_vectors),
+                                  cols=dim_n)
     ker = kernel(constraint)
 
-    da, dssz = chain.a.dim, chain.s.dim
-    a_image = Subspace.span(dim_n, [unit_vec(dim_n, i) for i in range(da)])
-    s_image = Subspace.span(dim_n, [unit_vec(dim_n, da + i) for i in range(dssz)])
-    expected = sum_spaces(a_image, s_image) if da + dssz else Subspace.zero(dim_n)
+    da, ds = chain.a.dim, chain.s.dim
+    expected = Subspace.span(dim_n, [unit_vec(dim_n, i) for i in range(da + ds)])
+    s_image = Subspace.span(dim_n, [unit_vec(dim_n, i)
+                                    for i in range(da, da + ds)])
 
     out = [Check("coadjoint.kernel_is_a_plus_s_orbit", ker == expected)]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .exactlin import (
     BilinearForm,
@@ -27,7 +28,6 @@ from .exactlin import (
     Subspace,
     Vec,
     ZERO,
-    is_zero_vec,
     kernel,
     unit_vec,
     zero_vec,
@@ -37,22 +37,6 @@ from .splitting import Check, ProblemInstance, SplittingChain
 
 class DegenerateModel(ValueError):
     """The assembled point form is singular (inconsistent slice data)."""
-
-
-class NotInN0(ValueError):
-    """A vector required to lie in the N0 block has other components."""
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Model tangent vector split into its (u, rho, nu) blocks."""
-
-    u: Vec
-    rho: Vec
-    nu: Vec
-
-    def coords(self) -> Vec:
-        return self.u + self.rho + self.nu
 
 
 # Order of the chain blocks inside the U coordinates.
@@ -123,22 +107,21 @@ class TangentModel:
             raise ValueError("wrong g_m* length")
         return self.dual_cols(0, self.gm_dim).apply(lam)
 
-    def pack(self, v: TangentVector) -> Vec:
-        if (len(v.u), len(v.rho), len(v.nu)) != (
-                self.dim_m + self.dim_n, self.dim_m, self.slice_dim):
-            raise ValueError("tangent vector blocks have wrong lengths")
-        return v.coords()
+    def indices(self, *names: str) -> tuple[int, ...]:
+        """Model coordinate indices of the named blocks, in the given order."""
+        return tuple(i for name in names for i in self.blocks[name])
 
-    def unpack(self, coords: Vec) -> TangentVector:
-        un = self.dim_m + self.dim_n
-        return TangentVector(
-            u=coords[:un],
-            rho=coords[un:un + self.dim_m],
-            nu=coords[un + self.dim_m:],
-        )
+    def unit_span(self, indices: Sequence[int]) -> Subspace:
+        """The coordinate subspace spanned by the unit vectors at indices."""
+        return Subspace.span(self.total_dim,
+                             [unit_vec(self.total_dim, i) for i in indices])
 
-    def omega_value(self, v: TangentVector, w: TangentVector) -> Fraction:
-        return self.omega(self.pack(v), self.pack(w))
+    def omega_on(self, indices: Sequence[int]) -> Matrix:
+        """The point form on the unit vectors at indices, in that order: the
+        omega submatrix on those rows and columns."""
+        g = self.omega.gram.entries
+        return Matrix(len(indices), len(indices),
+                      tuple(tuple(g[i][j] for j in indices) for i in indices))
 
 
 def build_model(chain: SplittingChain, inst: ProblemInstance) -> TangentModel:
@@ -197,34 +180,21 @@ def build_model(chain: SplittingChain, inst: ProblemInstance) -> TangentModel:
     )
 
 
-def inf_action(model: TangentModel, x: Vec) -> TangentVector:
-    """Generator of x at the point: the g/g_m component, in U coordinates."""
+def inf_action(model: TangentModel, x: Vec) -> Vec:
+    """Generator of x at the point, in model coordinates: the g/g_m
+    component in the U block, zero in the R and V blocks."""
     if len(x) != model.inst.dim:
         raise ValueError("algebra vector of wrong length")
-    coords = model.g_coords(x)
-    return TangentVector(
-        u=coords[model.gm_dim:],
-        rho=zero_vec(model.dim_m),
-        nu=zero_vec(model.slice_dim),
-    )
-
-
-def f_map(model: TangentModel, w: TangentVector) -> Vec:
-    """The isomorphism N0 -> m*: in this model, read off the R block.
-
-    The defining contract <f(w), y> = omega(y_M, w) for y in the m basis is
-    the named check model.f_contract, which ties the model to the abstract
-    map.
-    """
-    if not is_zero_vec(w.u) or not is_zero_vec(w.nu):
-        raise NotInN0("vector has components outside the N0 block")
-    return w.rho
+    return (model.g_coords(x)[model.gm_dim:]
+            + zero_vec(model.dim_m + model.slice_dim))
 
 
 def f_contract_check(model: TangentModel) -> Check:
     """model.f_contract: omega(U_j, R_k) = delta_jk on the m part of U.
 
-    With f(w) = rho this is <f(w), y_j> = omega(y_j M, w) for every w in N0.
+    The isomorphism f: N0 -> m* reads off the R block, f(w) = rho; this
+    check is its defining contract <f(w), y_j> = omega(y_j M, w) for every
+    w in N0.
     """
     un, dim_m = model.dim_m + model.dim_n, model.dim_m
     block = [row[un:un + dim_m] for row in model.omega.gram.entries[:dim_m]]
@@ -254,8 +224,3 @@ def dphi_G(model: TangentModel) -> Matrix:
 def dphi_H(model: TangentModel) -> Matrix:
     """Momentum differential for the subalgebra: restrict covectors to h."""
     return model.inst.h.basis.transpose() @ dphi_G(model)
-
-
-def unit_tangent(model: TangentModel, index: int) -> TangentVector:
-    """The model basis vector at the given coordinate index."""
-    return model.unpack(unit_vec(model.total_dim, index))

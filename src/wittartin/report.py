@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import decomposition as dec
 from . import pointmodel as pm
-from .exactlin import Matrix, Subspace
+from .exactlin import Matrix, unit_vec
 from .instancefile import to_dict
 from .splitting import (
     Check,
@@ -42,10 +42,6 @@ def _matrix_strings(M: Matrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in M.entries]
 
 
-def _subspace_strings(S: Subspace) -> list[list[str]]:
-    return [[str(x) for x in v] for v in S.basis_vectors()]
-
-
 def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Report:
     """Decompose one instance and collect the block data.
 
@@ -72,12 +68,14 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
     require([dec.momentum_forms_check(model, forms, ())])
     dims = dim_formulas(chain)
 
-    from .exactlin import gram_on
-
-    def block(space):
+    def block(indices):
+        # The canonical basis of a coordinate span is its unit vectors in
+        # ascending index order, and its Gram the omega submatrix there.
+        ordered = sorted(indices)
         return {
-            "basis": _subspace_strings(space),
-            "gram": _matrix_strings(gram_on(model.omega, space)),
+            "basis": [[str(x) for x in unit_vec(model.total_dim, i)]
+                      for i in ordered],
+            "gram": _matrix_strings(model.omega_on(ordered)),
         }
 
     witt_g = {name: block(getattr(g_dec, name))
@@ -97,8 +95,8 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
         "Y_m": block(h_dec.Ym),
         "Z_m": block(h_dec.Zm),
         "slice_form_gram": _matrix_strings(h_dec.form.gram),
-        "dim_X_m": h_dec.Xm_block.dim,
-        "dim_N1_tilde": h_dec.NH1.dim,
+        "dim_X_m": len(h_dec.Xm_block),
+        "dim_N1_tilde": len(h_dec.NH1),
         # One quadratic form per h_m basis vector; an empty list states
         # explicitly that the momentum of the slice action is the zero
         # covector in a zero-dimensional dual.
@@ -110,7 +108,7 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
     checks = (
         Check("report.decompositions_built", True),
         Check("report.slice_dim_matches_formula",
-              h_dec.NH1.dim == dims.slice_dim_H),
+              len(h_dec.NH1) == dims.slice_dim_H),
     )
     return Report(
         instance=to_dict(instance_doc if instance_doc is not None else inst),

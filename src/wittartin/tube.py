@@ -6,11 +6,11 @@ at the identity) in exact arithmetic, as one Gram matrix in the model's
 matrices the model already holds: the bracket pairing against the shifted
 momentum mu + rho + Phi_N1(nu) on U x U, the m-dual rows of the g basis on
 U x R, the derivative of the slice momentum on U x V, and omega_N1 on V x V.
-omega_tube pairs two tangent vectors through that Gram matrix.  phi_tilde
-evaluates the normal-form momentum map, which needs a matrix exponential and
-is therefore the one floating-point corner of the package.  Consistency
-checks tie both back to the exact linear model; their two tolerances are
-the module constants REL_TOL and FD_TOL.
+omega_tube pairs two model coordinate vectors through that Gram matrix.
+phi_tilde evaluates the normal-form momentum map, which needs a matrix
+exponential and is therefore the one floating-point corner of the package.
+Consistency checks tie both back to the exact linear model; their two
+tolerances are the module constants REL_TOL and FD_TOL.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import Matrix, Vec, ZERO, add_vec, dot, is_zero_vec, unit_vec, zero_vec
-from .pointmodel import TangentModel, TangentVector, dphi_G
+from .exactlin import Matrix, Vec, add_vec, dot, is_zero_vec, scale_vec, unit_vec, zero_vec
+from .pointmodel import TangentModel, dphi_G
 from .splitting import Check, ProblemInstance
 
 # Relative tolerance of the exponential series and of the equivariance
@@ -106,12 +106,11 @@ def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:
     return Matrix(model.total_dim, model.total_dim, rows)
 
 
-def omega_tube(model: TangentModel, p: TubePoint,
-               V1: TangentVector, V2: TangentVector) -> Fraction:
-    """The tube 2-form at a slice point on two tangent vectors:
-    pack(V1) . G(p) . pack(V2) with G = omega_tube_gram."""
+def omega_tube(model: TangentModel, p: TubePoint, v1: Vec, v2: Vec) -> Fraction:
+    """The tube 2-form at a slice point on two model coordinate vectors:
+    v1 . G(p) . v2 with G = omega_tube_gram."""
     G = omega_tube_gram(model, p)
-    return dot(model.pack(V1), G.apply(model.pack(V2)))
+    return dot(v1, G.apply(v2))
 
 
 def _to_float_rows(M: Matrix) -> list[list[float]]:
@@ -218,9 +217,12 @@ def check_dphi_consistency(model: TangentModel) -> list[Check]:
 
 
 def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:
-    v = model.unpack(tuple(
-        t if i == index else ZERO for i in range(model.total_dim)))
-    return TubePoint(xi=model.embed_u(v.u), rho=v.rho, nu=v.nu)
+    """The point t times the model unit vector at index, with its U block
+    mapped into g."""
+    v = scale_vec(t, unit_vec(model.total_dim, index))
+    un = model.dim_m + model.dim_n
+    return TubePoint(xi=model.embed_u(v[:un]), rho=v[un:un + model.dim_m],
+                     nu=v[un + model.dim_m:])
 
 
 def phi_equivariance_check(model: TangentModel, samples: int,

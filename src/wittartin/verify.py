@@ -20,9 +20,9 @@ from .exactlin import (
     Vec,
     dot,
     gram_on,
+    is_zero_vec,
     kernel,
     perp_under_form,
-    sum_spaces,
     unit_vec,
     zero_vec,
 )
@@ -97,10 +97,7 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
                      model.omega.gram.rank() == model.total_dim))
 
     kerG, kerH = model.ker_dphi_G, model.ker_dphi_H
-    m_units = [unit_vec(model.total_dim, i)
-               for name in ("p", "b") for i in model.blocks[name]]
-    n1_units = [unit_vec(model.total_dim, i) for i in model.blocks["N1"]]
-    expected = Subspace.span(model.total_dim, m_units + n1_units)
+    expected = model.unit_span(model.indices("p", "b", "N1"))
     out.append(Check("model.ker_dphiG_is_T0_plus_N1", kerG == expected))
     out.append(Check("model.ker_dphiG_inside_ker_dphiH", kerG.leq(kerH)))
 
@@ -108,12 +105,11 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
     # orthogonals of the orbit directions.
     g_orbit = Subspace.span(
         model.total_dim,
-        [pm.inf_action(model, unit_vec(inst.dim, i)).coords()
-         for i in range(inst.dim)],
+        [pm.inf_action(model, unit_vec(inst.dim, i)) for i in range(inst.dim)],
     )
     h_orbit = Subspace.span(
         model.total_dim,
-        [pm.inf_action(model, v).coords() for v in inst.h.basis_vectors()],
+        [pm.inf_action(model, v) for v in inst.h.basis_vectors()],
     )
     out.append(Check("model.ker_dphiG_is_orbit_perp",
                      kerG == perp_under_form(model.omega, g_orbit)))
@@ -129,11 +125,10 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
 
     ok = True
     for x in (unit_vec(inst.dim, i) for i in range(inst.dim)):
-        v = pm.inf_action(model, x)
-        if not inst.gm.contains(x) and all(c == 0 for c in v.u):
+        if not inst.gm.contains(x) and is_zero_vec(pm.inf_action(model, x)):
             ok = False
     for v in inst.gm.basis_vectors():
-        if any(c != 0 for c in pm.inf_action(model, v).u):
+        if not is_zero_vec(pm.inf_action(model, v)):
             ok = False
     out.append(Check("model.inf_action_kernel_is_gm", ok))
     return out
@@ -151,16 +146,16 @@ def decomposition_checks(model: pm.TangentModel,
     # against the constructed TH0 + NH1.
     out.append(Check(
         "wittH.oracle_kernel_equality",
-        model.ker_dphi_H == sum_spaces(decomp.TH0, decomp.NH1),
+        model.ker_dphi_H == model.unit_span(decomp.TH0 + decomp.NH1),
     ))
 
     nh1_dim = chain.s.dim + 2 * chain.b.dim + model.slice_dim
     out.append(dec.slice_form_check(decomp, model))
     out.append(Check("sliceform.dim_formula",
                      decomp.form.ambient_dim == nh1_dim
-                     and decomp.NH1.dim == nh1_dim))
+                     and len(decomp.NH1) == nh1_dim))
     out.append(Check("dims.slice_dim_formula",
-                     decomp.NH1.dim == dim_formulas(chain).slice_dim_H))
+                     len(decomp.NH1) == dim_formulas(chain).slice_dim_H))
 
     rng = random.Random(seed)
 
@@ -238,7 +233,7 @@ def tube_checks(model: pm.TangentModel, samples: int,
     out.append(Check("tube.nondegenerate_near_origin", ok_nondeg))
 
     out.extend(tube.check_dphi_consistency(model))
-    out.extend(tube.phi_equivariance_check(model, max(samples, 1), seed=seed))
+    out.extend(tube.phi_equivariance_check(model, samples, seed=seed))
     return out
 
 
@@ -248,8 +243,11 @@ def run_all(inst: ProblemInstance, samples: int = 10,
 
     The list ends early, with the failures named, when validation fails,
     when the chain cannot be built (chain.builds) or fails a chain check,
-    or when the model cannot be built (model.builds).
+    or when the model cannot be built (model.builds).  The sampled checks
+    need at least one sample, so samples < 1 raises ValueError.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     checks: list[Check] = []
     report = inst.validation
     checks.extend(Check(f"validate.{c.name}", c.passed, c.detail)

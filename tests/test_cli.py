@@ -188,12 +188,14 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_negative_samples_is_usage_error(self, capsys, tmp_path):
+        # Zero samples would pass the sampled checks without testing a point.
         path = write_example(capsys, tmp_path, "so3-generic")
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", str(path), "--samples", "-3"])
-        assert exc.value.code == 2
-        _, err = capsys.readouterr()
-        assert "--samples" in err
+        for samples in ("-3", "0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", str(path), "--samples", samples])
+            assert exc.value.code == 2
+            _, err = capsys.readouterr()
+            assert "--samples" in err
 
 
 class TestModuleEntryPoint:

@@ -21,7 +21,7 @@ from wittartin.decomposition import (
     slice_form,
     slice_momentum,
 )
-from wittartin.exactlin import Matrix, Subspace, dot, gram_on, sum_spaces, zero_vec
+from wittartin.exactlin import Matrix, Subspace, dot, gram_on, zero_vec
 from wittartin.liecore import InnerProduct, chu_form, so3
 from wittartin.pointmodel import build_model
 from wittartin.splitting import ProblemInstance, build_chain
@@ -39,21 +39,21 @@ class TestDecomposeG:
     def test_so3_generic_dims(self):
         _, model = setup(so3_case("generic", slice_dim=0))
         d = decompose_G(model)
-        assert (d.T0.dim, d.T1.dim, d.N0.dim, d.N1.dim) == (1, 2, 1, 0)
+        assert tuple(map(len, (d.T0, d.T1, d.N0, d.N1))) == (1, 2, 1, 0)
 
     def test_abelian_free(self):
         _, model = setup(torus_instance(4, 2, slice_dim=2))
         d = decompose_G(model)
-        assert d.T1.dim == 0
-        assert d.T0.dim == 4          # g_mu = g, so T0 is all orbit directions
-        assert d.N0.dim == 4          # isomorphic to g*
-        assert d.N1.dim == 2
+        assert len(d.T1) == 0
+        assert len(d.T0) == 4         # g_mu = g, so T0 is all orbit directions
+        assert len(d.N0) == 4         # isomorphic to g*
+        assert len(d.N1) == 2
 
     def test_fixed_point_everything_in_N1(self):
         _, model = setup(full_stabilizer_instance())
         d = decompose_G(model)
-        assert (d.T0.dim, d.T1.dim, d.N0.dim) == (0, 0, 0)
-        assert d.N1.dim == model.total_dim
+        assert (d.T0, d.T1, d.N0) == ((), (), ())
+        assert d.N1 == tuple(range(model.total_dim))
 
     def test_gram_T1_is_kks(self):
         chain, model = setup(so3_case("collinear", slice_dim=2))
@@ -64,9 +64,10 @@ class TestDecomposeG:
                  for i in model.blocks[name]]
         expected = Matrix.from_rows(
             [[chu(x, y) for y in nvecs] for x in nvecs], cols=len(nvecs))
-        gram_T1 = gram_on(model.omega, d.T1)
+        gram_T1 = model.omega_on(d.T1)
         assert gram_T1 == expected
-        assert gram_T1.rank() == d.T1.dim
+        assert gram_T1 == gram_on(model.omega, model.unit_span(d.T1))
+        assert gram_T1.rank() == len(d.T1)
 
 
 class TestDecomposeH:
@@ -74,25 +75,25 @@ class TestDecomposeH:
         # N1_tilde = N1 + X_m with X_m of dimension 2 (b and its dual).
         _, model = setup(so3_case("generic", slice_dim=2))
         d = decompose_H(model)
-        assert d.s_block.dim == 0
-        assert d.Xm_block.dim == 2
-        assert d.NH1.dim == 4
-        assert d.NH1 == sum_spaces(d.Xm_block, d.N1_block)
+        assert len(d.s_block) == 0
+        assert len(d.Xm_block) == 2
+        assert len(d.NH1) == 4
+        assert d.NH1 == d.Xm_block + d.N1_block
 
     def test_so3_collinear_blocks(self):
         # N1_tilde = N1 + s*m with s*m of dimension 2 and X_m = 0.
         _, model = setup(so3_case("collinear", slice_dim=2))
         d = decompose_H(model)
-        assert d.s_block.dim == 2
-        assert d.Xm_block.dim == 0
-        assert d.NH1 == sum_spaces(d.s_block, d.N1_block)
+        assert len(d.s_block) == 2
+        assert len(d.Xm_block) == 0
+        assert d.NH1 == d.s_block + d.N1_block
 
     def test_abelian_Xm_is_quotient_plus_dual(self):
         _, model = setup(torus_instance(5, 2, slice_dim=2))
         d = decompose_H(model)
-        assert d.s_block.dim == 0
-        assert d.Xm_block.dim == 2 * (5 - 2)
-        assert d.NH1.dim == 2 * (5 - 2) + 2
+        assert len(d.s_block) == 0
+        assert len(d.Xm_block) == 2 * (5 - 2)
+        assert len(d.NH1) == 2 * (5 - 2) + 2
 
     def test_h_zero_slice_is_whole_model(self):
         inst = ProblemInstance(
@@ -100,7 +101,7 @@ class TestDecomposeH:
             InnerProduct(Matrix.identity(3)), standard_slice(2))
         _, model = setup(inst)
         d = decompose_H(model)
-        assert d.NH1 == Subspace.full(model.total_dim)
+        assert sorted(d.NH1) == list(range(model.total_dim))
         assert model.ker_dphi_H == Subspace.full(model.total_dim)
 
     def test_all_checks_pass_on_mixed_instance(self):
@@ -109,10 +110,21 @@ class TestDecomposeH:
         for check in h_decomposition_checks(d, model):
             assert check.passed, check.name
 
+    def test_blocks_are_model_index_tuples(self):
+        _, model = setup(middle_term_instance())
+        d = decompose_H(model)
+        ix = model.indices
+        assert (d.TH0, d.TH1, d.NH0) == (ix("p", "a"), ix("ntilde"),
+                                         ix("r", "pstar"))
+        # NH1 keeps the block order of its form: s, b, Y_m, N1.
+        assert d.NH1 == d.s_block + ix("b") + d.Ym + d.N1_block
+        assert (d.Xm_block, d.Zm) == (ix("b", "bstar"), ix("a", "r"))
+        assert d.form.gram == model.omega_on(d.NH1)
+
     def test_kernel_identity(self):
         _, model = setup(so3xso3_diag(with_gm=False))
         d = decompose_H(model)
-        assert sum_spaces(d.TH0, d.NH1) == model.ker_dphi_H
+        assert model.unit_span(d.TH0 + d.NH1) == model.ker_dphi_H
 
 
 class TestEqM:
@@ -122,16 +134,12 @@ class TestEqM:
                      middle_term_instance()):
             _, model = setup(inst)
             d = decompose_H(model)
-            qm = sum_spaces(
-                Subspace.span(model.total_dim,
-                              [c for c in d.s_block.basis_vectors()]),
-                Subspace.span(model.total_dim,
-                              [c for c in d.Ym.basis_vectors()]))
             M = eq_M_subspace(model)
-            chain = model.chain
             # q*m occupies the a and s coordinate blocks.
-            expected_dim = chain.a.dim + chain.s.dim + chain.b.dim
-            assert M.dim == expected_dim
+            qm = model.indices("a", "s")
+            assert M == model.unit_span(qm + d.Ym)
+            chain = model.chain
+            assert M.dim == chain.a.dim + chain.s.dim + chain.b.dim
 
 
 class TestSliceForm:
@@ -180,13 +188,13 @@ class TestSliceMomentum:
     def test_zero_vector_gives_zero(self):
         _, model = setup(so3xso3_diag(with_gm=True))
         d = decompose_H(model)
-        out = slice_momentum(model, zero_vec(d.NH1.dim))
+        out = slice_momentum(model, zero_vec(len(d.NH1)))
         assert out == (F(0),)
 
     def test_free_instances_give_empty_covector(self):
         _, model = setup(so3_case("generic", slice_dim=2))
         d = decompose_H(model)
-        assert slice_momentum(model, zero_vec(d.NH1.dim)) == ()
+        assert slice_momentum(model, zero_vec(len(d.NH1))) == ()
 
     def test_diagonal_instance_frozen_value(self):
         # Oracle: direct definition 1/2 omega_NH1(eta.nu, nu), evaluated by
@@ -202,7 +210,7 @@ class TestSliceMomentum:
         # value recorded from the direct-definition evaluation.
         _, model = setup(middle_term_instance())
         d = decompose_H(model)
-        nu_tilde = tuple(F(k + 1, 2) for k in range(d.NH1.dim))
+        nu_tilde = tuple(F(k + 1, 2) for k in range(len(d.NH1)))
         assert slice_momentum(model, nu_tilde) == (F(-187, 8),)
 
     def test_formula_matches_direct_on_random_vectors(self):
@@ -218,7 +226,7 @@ class TestSliceMomentum:
             act = _eta_action_on_nh1(model, eta)
             for _ in range(10):
                 v = tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
-                          for _ in range(d.NH1.dim))
+                          for _ in range(len(d.NH1)))
                 direct = F(1, 2) * dot(act.apply(v), gram.apply(v))
                 assert slice_momentum(model, v) == (direct,)
 
@@ -230,7 +238,7 @@ class TestSliceMomentum:
         forms = slice_momentum_forms(d)
         assert len(forms) == model.chain.h_m.dim == 1
         assert forms[0].is_symmetric()
-        v = tuple(F(k + 1, 2) for k in range(d.NH1.dim))
+        v = tuple(F(k + 1, 2) for k in range(len(d.NH1)))
         assert (dot(v, forms[0].apply(v)),) == slice_momentum(model, v)
 
 

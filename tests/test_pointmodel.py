@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
 from instances import (
     full_stabilizer_instance,
     so3_case,
@@ -13,15 +11,7 @@ from instances import (
     vec,
 )
 from wittartin.exactlin import Matrix, Subspace, unit_vec, zero_vec
-from wittartin.pointmodel import (
-    NotInN0,
-    TangentVector,
-    build_model,
-    dphi_G,
-    dphi_H,
-    f_map,
-    inf_action,
-)
+from wittartin.pointmodel import build_model, dphi_G, dphi_H, inf_action
 from wittartin.splitting import build_chain
 
 F = Fraction
@@ -68,15 +58,17 @@ class TestInfAction:
         inst = so3xso3_diag(with_gm=True)
         m = model_for(inst)
         v = inf_action(m, vec(0, 0, 1, 0, 0, 1))
-        assert all(x == 0 for x in v.coords())
+        assert v == zero_vec(m.total_dim)
 
     def test_n_vector_passes_through(self):
         inst = so3_case("generic")
         m = model_for(inst)
         chain = m.chain
+        un = m.dim_m + m.dim_n
         for x in chain.n_space.basis_vectors():
             v = inf_action(m, x)
-            assert m.embed_u(v.u) == x
+            assert m.embed_u(v[:un]) == x
+            assert v[un:] == zero_vec(m.total_dim - un)
 
     def test_mixed_vector_projects(self):
         inst = so3xso3_diag(with_gm=True)
@@ -85,37 +77,30 @@ class TestInfAction:
         x = m.chain.n_space.basis_vectors()[0]
         mixed = tuple(a + b for a, b in zip(eta, x))
         v = inf_action(m, mixed)
-        assert m.embed_u(v.u) == x
+        assert m.embed_u(v[:m.dim_m + m.dim_n]) == x
+
+
+def n0_vector(m, rho):
+    """The model coordinates of the N0 vector with R block rho."""
+    return zero_vec(m.dim_m + m.dim_n) + tuple(rho) + zero_vec(m.slice_dim)
 
 
 class TestFMap:
-    def test_zero(self):
-        m = model_for(so3_case("generic"))
-        w = TangentVector(zero_vec(m.dim_m + m.dim_n),
-                          zero_vec(m.dim_m), zero_vec(m.slice_dim))
-        assert f_map(m, w) == zero_vec(m.dim_m)
+    """f: N0 -> m* reads off the R block; its contract is
+    <f(w), y> = omega(y_M, w) for y in the m basis."""
 
     def test_reads_off_rho_with_pairing_contract(self):
         m = model_for(so3_case("generic"))
         rho = tuple(F(k + 1, 2) for k in range(m.dim_m))
-        w = TangentVector(zero_vec(m.dim_m + m.dim_n), rho,
-                          zero_vec(m.slice_dim))
-        assert f_map(m, w) == rho
-
-    def test_rejects_vectors_outside_N0(self):
-        m = model_for(so3_case("generic"))
-        w = TangentVector(unit_vec(m.dim_m + m.dim_n, 0),
-                          zero_vec(m.dim_m), zero_vec(m.slice_dim))
-        with pytest.raises(NotInN0):
-            f_map(m, w)
+        w = n0_vector(m, rho)
+        for j, y in enumerate(m.mn_basis.col(i) for i in m.indices("p", "b")):
+            assert m.omega(inf_action(m, y), w) == rho[j]
 
     def test_antisymmetry_of_pairing(self):
         m = model_for(so3_case("generic"))
-        rho = tuple(F(1) for _ in range(m.dim_m))
-        w = TangentVector(zero_vec(m.dim_m + m.dim_n), rho,
-                          zero_vec(m.slice_dim))
+        w = n0_vector(m, (F(1),) * m.dim_m)
         y = inf_action(m, m.chain.m_space.basis_vectors()[0])
-        assert m.omega_value(y, w) == -m.omega_value(w, y)
+        assert m.omega(y, w) == -m.omega(w, y)
 
 
 class TestDphiG:

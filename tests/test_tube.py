@@ -8,10 +8,10 @@ import pytest
 
 from instances import so3_case, so3xso3_diag, standard_slice, torus_instance, vec
 from wittartin.catalog import all_examples, build_example
-from wittartin.exactlin import Matrix, Subspace, dot, zero_vec
+from wittartin.exactlin import Matrix, Subspace, dot, unit_vec, zero_vec
 from wittartin.instancefile import from_dict
 from wittartin.liecore import InnerProduct, so3
-from wittartin.pointmodel import build_model, unit_tangent
+from wittartin.pointmodel import build_model
 from wittartin.splitting import ProblemInstance, build_chain, validate
 from wittartin.tube import (
     OffSlice,
@@ -29,29 +29,36 @@ from wittartin.tube import (
 F = Fraction
 
 
-def omega_tube_reference(inst, model, p, V1, V2):
+def split(model, v):
+    """The (u, rho, nu) blocks of a model coordinate vector."""
+    un = model.dim_m + model.dim_n
+    return v[:un], v[un:un + model.dim_m], v[un + model.dim_m:]
+
+
+def omega_tube_reference(inst, model, p, v1, v2):
     """The tube 2-form evaluated one pair of vectors at a time:
 
         <rho2, xi1> - <rho1, xi2> + <DPhi_N1(nu) nu2, xi1> - <DPhi_N1(nu) nu1, xi2>
         + <mu + rho + Phi_N1(nu), [xi1, xi2]> + omega_N1(nu1, nu2)
 
-    with xi_i the g-vector of the U block of V_i.  This is the entrywise
+    with xi_i the g-vector of the U block of v_i.  This is the entrywise
     formula the Gram matrix of omega_tube_gram must reproduce exactly.
     """
-    xi1 = model.embed_u(V1.u)
-    xi2 = model.embed_u(V2.u)
+    (u1, rho1, nu1), (u2, rho2, nu2) = split(model, v1), split(model, v2)
+    xi1 = model.embed_u(u1)
+    xi2 = model.embed_u(u2)
 
     def paired(rhodot, nudot, xi):
         lam = model.iota_mstar(rhodot)
         dphi = model.iota_gmstar(dphi_n1(inst, p.nu, nudot))
         return dot(lam, xi) + dot(dphi, xi)
 
-    term12 = paired(V2.rho, V2.nu, xi1) - paired(V1.rho, V1.nu, xi2)
+    term12 = paired(rho2, nu2, xi1) - paired(rho1, nu1, xi2)
     br = inst.algebra.bracket(xi1, xi2)
     lam_point = model.iota_mstar(p.rho)
     lam_slice = model.iota_gmstar(phi_n1(inst, p.nu))
     term3 = dot(lam_point, br) + dot(lam_slice, br) + dot(inst.mu, br)
-    term5 = dot(V1.nu, inst.slice_rep.omega.gram.apply(V2.nu))
+    term5 = dot(nu1, inst.slice_rep.omega.gram.apply(nu2))
     return term12 + term3 + term5
 
 
@@ -69,6 +76,10 @@ def setup(inst):
     return build_model(build_chain(inst), inst)
 
 
+def unit(model, i):
+    return unit_vec(model.total_dim, i)
+
+
 def origin(model):
     return TubePoint(zero_vec(model.inst.dim), zero_vec(model.dim_m),
                      zero_vec(model.slice_dim))
@@ -81,17 +92,17 @@ class TestOmegaTube:
             model = setup(inst)
             p = origin(model)
             for i in range(model.total_dim):
-                vi = unit_tangent(model, i)
+                vi = unit(model, i)
                 for j in range(model.total_dim):
-                    vj = unit_tangent(model, j)
+                    vj = unit(model, j)
                     assert omega_tube(model, p, vi, vj) \
                         == model.omega.gram.entries[i][j]
 
     def test_abelian_rho_independence(self):
         inst = torus_instance(3, 1, slice_dim=2)
         model = setup(inst)
-        v1 = unit_tangent(model, 0)
-        v2 = unit_tangent(model, 1)
+        v1 = unit(model, 0)
+        v2 = unit(model, 1)
         at_zero = omega_tube(model, origin(model), v1, v2)
         shifted = TubePoint(zero_vec(3), (F(1, 3),) * model.dim_m,
                             zero_vec(model.slice_dim))
@@ -103,8 +114,8 @@ class TestOmegaTube:
         inst = so3_case("generic", slice_dim=0)
         model = setup(inst)
         p = TubePoint(vec(0, 0, 0), (F(1, 2),), ())
-        v1 = unit_tangent(model, model.blocks["a"][0])
-        v2 = unit_tangent(model, model.blocks["r"][0])
+        v1 = unit(model, model.blocks["a"][0])
+        v2 = unit(model, model.blocks["r"][0])
         assert omega_tube(model, p, v1, v2) == F(3, 2)
 
     def test_rejects_off_slice_points(self):
@@ -112,7 +123,7 @@ class TestOmegaTube:
         model = setup(inst)
         p = TubePoint(vec(1, 0, 0), zero_vec(model.dim_m),
                       zero_vec(model.slice_dim))
-        v = unit_tangent(model, 0)
+        v = unit(model, 0)
         with pytest.raises(OffSlice):
             omega_tube(model, p, v, v)
 
@@ -124,7 +135,7 @@ class TestOmegaTube:
                       tuple(F(-1, 10) for _ in range(model.slice_dim)))
         for i in (0, 3, 5):
             for j in (1, 2, 4):
-                vi, vj = unit_tangent(model, i), unit_tangent(model, j)
+                vi, vj = unit(model, i), unit(model, j)
                 assert omega_tube(model, p, vi, vj) == \
                     -omega_tube(model, p, vj, vi)
 
@@ -144,7 +155,7 @@ class TestGramAgainstReference:
                       tuple(rand_frac() for _ in range(model.dim_m)),
                       tuple(rand_frac() for _ in range(model.slice_dim)))
             for _ in range(2)]
-        units = [unit_tangent(model, i) for i in range(model.total_dim)]
+        units = [unit(model, i) for i in range(model.total_dim)]
         for p in points:
             G = omega_tube_gram(model, p)
             assert (G.rows, G.cols) == (model.total_dim, model.total_dim)
@@ -166,10 +177,10 @@ class TestGramAgainstReference:
         p = TubePoint(zero_vec(6), rand_vec(model.dim_m),
                       rand_vec(model.slice_dim))
         for _ in range(5):
-            V1 = model.unpack(rand_vec(model.total_dim))
-            V2 = model.unpack(rand_vec(model.total_dim))
-            assert omega_tube(model, p, V1, V2) == \
-                omega_tube_reference(inst, model, p, V1, V2)
+            v1 = rand_vec(model.total_dim)
+            v2 = rand_vec(model.total_dim)
+            assert omega_tube(model, p, v1, v2) == \
+                omega_tube_reference(inst, model, p, v1, v2)
 
     def test_gram_rejects_off_slice_points(self):
         inst = so3_case("generic")

@@ -7,6 +7,8 @@ guards the computation as a named FAIL.
 
 from dataclasses import replace
 
+import pytest
+
 from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
 from wittartin import splitting, tube, verify
@@ -66,6 +68,45 @@ def test_wrong_T1_gram_fails_witt_g_check_and_names_the_identity(monkeypatch):
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["wittG.all_assertions"]
     assert "Chu pairing" in _check(checks, "wittG.all_assertions").detail
+
+
+def test_swapped_T0_T1_indices_fail_witt_g_check_and_name_the_block(
+        monkeypatch):
+    expected_names = [c.name for c in _run()]
+    exact = dec.decompose_G
+
+    def swapped(model):
+        d = exact(model)
+        return replace(d, T0=d.T1, T1=d.T0)
+
+    monkeypatch.setattr(dec, "decompose_G", swapped)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["wittG.all_assertions"]
+    assert _check(checks, "wittG.all_assertions").detail \
+        == "fails: T0 is its definition"
+
+
+def test_TH1_indices_as_TH0_fail_witt_h_direct_sum_and_name_the_block(
+        monkeypatch):
+    expected_names = [c.name for c in _run("so3-collinear")]
+    exact = dec.decompose_H
+
+    def moved(model):
+        d = exact(model)
+        return replace(d, TH0=d.TH1)
+
+    monkeypatch.setattr(dec, "decompose_H", moved)
+    checks = _run("so3-collinear")
+    assert [c.name for c in checks] == expected_names
+    assert "wittH.1_direct_sum" in _failed(checks)
+    assert "TH0" in _check(checks, "wittH.1_direct_sum").detail
+
+
+def test_run_all_rejects_zero_samples():
+    inst = from_dict(build_example("so3-generic"))
+    with pytest.raises(ValueError, match="samples"):
+        verify.run_all(inst, samples=0)
 
 
 def test_scaled_slice_form_fails_block_diagonal_check(monkeypatch):
