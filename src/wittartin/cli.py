@@ -95,8 +95,11 @@ def cmd_verify(args) -> int:
     else:
         inst, failures = _load_instance(args.path)
         if failures is not None:
-            for c in failures:
-                print(f"FAIL {c.name}: {c.detail}")
+            if args.format == "json":
+                _emit_json(_check_payload(failures), sys.stdout)
+            else:
+                for c in failures:
+                    print(f"FAIL {c.name}: {c.detail}")
             return 1
         jobs.append((args.path, inst))
 
@@ -172,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and not args.all_examples and not args.path:
-        parser.error("verify needs a path or --all-examples")
+    if args.command == "verify" and args.all_examples == bool(args.path):
+        parser.error("verify needs a path or --all-examples, not both")
     if args.command == "verify" and args.samples < 1:
         parser.error("--samples must be at least 1")
     try:

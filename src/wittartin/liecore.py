@@ -225,6 +225,24 @@ def killing_form(L: LieAlgebra) -> BilinearForm:
     return BilinearForm(Matrix(n, n, tuple(map(tuple, gram))))
 
 
+def center(L: LieAlgebra) -> Subspace:
+    """{x : [x, e_j] = 0 for all j}: the kernel of the rows (c[i][j][k])_i."""
+    rows = {(j, k): [L.c[i][j][k] for i in range(L.dim)] for _, j, k, _ in L.nonzero}
+    return kernel(Matrix.from_rows(list(rows.values()), cols=L.dim))
+
+
+def ad_invariance_defect(L: LieAlgebra, B: Matrix) -> dict:
+    """Nonzero entries (i, a, b) of ad_i^T B + B ad_i, B not assumed symmetric:
+    sum_k c[i][a][k] B[k][b] + B[a][k] c[i][b][k] over nonzero c and B."""
+    g, out = B.entries, {}
+    for i, j, k, c in L.nonzero:
+        for t in range(L.dim):
+            for key, x in (((i, j, t), g[k][t]), ((i, t, j), g[t][k])):
+                if x:
+                    out[key] = out.get(key, ZERO) + c * x
+    return {key: x for key, x in out.items() if x}
+
+
 # Ready-made algebras used by the example catalog and tests.
 
 def so3() -> LieAlgebra:

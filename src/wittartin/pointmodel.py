@@ -89,23 +89,36 @@ class TangentModel:
         """Covector (in g* coordinates) dual to column `index` of g_basis."""
         return self.g_basis_inv.row(index)
 
-    def dual_cols(self, start: int, stop: int) -> Matrix:
-        """Dual rows start..stop-1 of g_basis_inv, as the columns of the
-        matrix that zero-extends covectors on those basis columns to g*."""
-        return Matrix(stop - start, self.inst.dim,
-                      self.g_basis_inv.entries[start:stop]).transpose()
+    # D_m^T, D_gm^T zero-extend m* and g_m* covectors to g*; with their
+    # pairings against the mn columns they are the tube's constant blocks.
+    @cached_property
+    def dual_m(self) -> Matrix:
+        gm, inv = self.gm_dim, self.g_basis_inv.entries
+        return Matrix.from_cols(inv[gm:gm + self.dim_m], self.inst.dim)
+
+    @cached_property
+    def dual_gm(self) -> Matrix:
+        return Matrix.from_cols(self.g_basis_inv.entries[:self.gm_dim], self.inst.dim)
+
+    @cached_property
+    def mn_dual_m(self) -> Matrix:
+        return self.mn_basis.transpose() @ self.dual_m
+
+    @cached_property
+    def mn_dual_gm(self) -> Matrix:
+        return self.mn_basis.transpose() @ self.dual_gm
 
     def iota_mstar(self, rho: Vec) -> Vec:
         """Zero-extension of an m* covector to g* (kills gm and n)."""
         if len(rho) != self.dim_m:
             raise ValueError("wrong m* length")
-        return self.dual_cols(self.gm_dim, self.gm_dim + self.dim_m).apply(rho)
+        return self.dual_m.apply(rho)
 
     def iota_gmstar(self, lam: Vec) -> Vec:
         """Zero-extension of a g_m* covector to g* (kills m and n)."""
         if len(lam) != self.gm_dim:
             raise ValueError("wrong g_m* length")
-        return self.dual_cols(0, self.gm_dim).apply(lam)
+        return self.dual_gm.apply(lam)
 
     def indices(self, *names: str) -> tuple[int, ...]:
         """Model coordinate indices of the named blocks, in the given order."""

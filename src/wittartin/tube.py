@@ -78,7 +78,7 @@ def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:
     With Mn the (m, n) basis of g, D_m and D_gm the m- and g_m-dual rows of
     g_basis_inv, J the Jacobian of dphi_n1 at nu, and
     K[a][b] = <lam, [e_a, e_b]> for lam = mu + rho + Phi_N1(nu), the blocks
-    in (U, R, V) order are
+    in (U, R, V) order (UU summed over nonzero K and Mn entries only) are
 
         UU = Mn^T K Mn     UR = Mn^T D_m^T    UV = Mn^T D_gm^T J
         RU = -UR^T         RR = 0             RV = 0
@@ -90,14 +90,18 @@ def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:
     if not is_zero_vec(p.xi):
         raise OffSlice("omega_tube only evaluates at group coordinate zero")
     inst = model.inst
-    K = inst.algebra.bracket_pairing(_shifted_momentum(model, p))
-    gm, dm, sd = model.gm_dim, model.dim_m, model.slice_dim
+    gm, dm, sd, un = model.gm_dim, model.dim_m, model.slice_dim, model.mn_basis.cols
     J = Matrix.from_cols([dphi_n1(inst, p.nu, unit_vec(sd, j))
                           for j in range(sd)], rows=gm)
-    MnT = model.mn_basis.transpose()
-    UU = MnT @ K @ model.mn_basis
-    UR = MnT @ model.dual_cols(gm, gm + dm)
-    UV = MnT @ model.dual_cols(0, gm) @ J
+    K = inst.algebra.bracket_pairing(_shifted_momentum(model, p)).entries
+    mn = [[(a, x) for a, x in enumerate(row) if x] for row in model.mn_basis.entries]
+    uu = [[Fraction(0)] * un for _ in range(un)]
+    for i, j, w in ((i, j, w) for i, r in enumerate(K) for j, w in enumerate(r) if w):
+        for a, x in mn[i]:
+            for b, y in mn[j]:
+                uu[a][b] += x * w * y
+    UU = Matrix(un, un, tuple(map(tuple, uu)))
+    UR, UV = model.mn_dual_m, model.mn_dual_gm @ J
     bands = ((UU, UR, UV),
              (-UR.transpose(), Matrix.zeros(dm, dm), Matrix.zeros(dm, sd)),
              (-UV.transpose(), Matrix.zeros(sd, dm), inst.slice_rep.omega.gram))
@@ -118,8 +122,14 @@ def _to_float_rows(M: Matrix) -> list[list[float]]:
 
 
 def _mat_mul(A: list[list[float]], B: list[list[float]]) -> list[list[float]]:
-    cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
+    # Sums the nonzero a*b in increasing k: == the dense sums but for a 0's sign.
+    nzB = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    out = [[0.0] * (len(B[0]) if B else 0) for _ in A]
+    for acc, row in zip(out, A):
+        for a, nz in zip(row, nzB):
+            for j, b in nz if a else ():
+                acc[j] += a * b
+    return out
 
 
 def _mat_add(A, B):
@@ -158,12 +168,13 @@ def expm(A: list[list[float]], rel_tol: float = REL_TOL) -> list[list[float]]:
 
     result = _identity(n)
     term = _identity(n)
+    s_norm = _mat_norm(S)
     converged = False
     for k in range(1, 60):
         term = _mat_scale(1.0 / k, _mat_mul(term, S))
         result = _mat_add(result, term)
         tail = _mat_norm(term)
-        q = _mat_norm(S) / (k + 2)
+        q = s_norm / (k + 2)
         if q < 1 and tail / (1 - q) <= rel_tol * max(1.0, _mat_norm(result)):
             converged = True
             break
@@ -185,8 +196,7 @@ def phi_tilde(model: TangentModel, p: TubePoint) -> tuple[float, ...]:
         return tuple(float(x) for x in lam)
 
     L = model.inst.algebra
-    neg_ad = _to_float_rows(L.ad_matrix(p.xi).scale(Fraction(-1)))
-    E = expm(neg_ad)
+    E = expm(_to_float_rows(L.ad_matrix(tuple(-x for x in p.xi))))
     lamf = [float(x) for x in lam]
     # <Ad*_{exp(-xi)} lam, y> = <lam, exp(-ad_xi) y>: apply the transpose.
     n = L.dim

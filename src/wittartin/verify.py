@@ -15,7 +15,6 @@ from . import pointmodel as pm
 from . import tube
 from .exactlin import (
     BilinearForm,
-    Matrix,
     Subspace,
     Vec,
     dot,
@@ -26,7 +25,7 @@ from .exactlin import (
     unit_vec,
     zero_vec,
 )
-from .liecore import is_subalgebra, killing_form
+from .liecore import ad_invariance_defect, center, is_subalgebra, killing_form
 from .splitting import (
     Check,
     ProblemInstance,
@@ -60,32 +59,19 @@ def h_perp_mu_check(g_mu: Subspace, hperp: Subspace) -> Check:
 
 
 def liecore_checks(inst: ProblemInstance) -> list[Check]:
-    L = inst.algebra
-    out = []
-
-    g_mu = inst.g_mu
-    ok = all(
-        all(x == 0 for x in L.coad_apply(v, inst.mu))
-        for v in g_mu.basis_vectors()
-    )
-    out.append(Check("liecore.stabilizer_annihilates_mu", ok))
-    out.append(chu_radical_check(inst.chu, g_mu))
-
-    # The center (common kernel of all ad matrices) stabilizes any momentum.
-    ads = [L.ad_matrix(unit_vec(L.dim, i)) for i in range(L.dim)]
-    stacked = [row for A in ads for row in A.entries]
-    center = kernel(Matrix.from_rows(stacked, cols=L.dim))
-    out.append(Check("liecore.center_in_stabilizer", center.leq(g_mu)))
-
-    out.append(h_alpha_check(inst, inst.h_alpha))
-
-    # B(ad_z x, y) + B(x, ad_z y) = 0 for all x, y is ad_z^T B + B ad_z = 0.
-    B = killing_form(L).gram
-    ok = all((A.transpose() @ B + B @ A).is_zero() for A in ads)
-    out.append(Check("liecore.killing_ad_invariant", ok))
-
-    out.append(h_perp_mu_check(g_mu, inst.h_perp_mu))
-    return out
+    L, g_mu = inst.algebra, inst.g_mu
+    return [
+        Check("liecore.stabilizer_annihilates_mu",
+              all(is_zero_vec(L.coad_apply(v, inst.mu))
+                  for v in g_mu.basis_vectors())),
+        chu_radical_check(inst.chu, g_mu),
+        Check("liecore.center_in_stabilizer", center(L).leq(g_mu)),
+        h_alpha_check(inst, inst.h_alpha),
+        # B(ad_z x, y) + B(x, ad_z y) = 0 for all x, y is ad_z^T B + B ad_z = 0.
+        Check("liecore.killing_ad_invariant",
+              not ad_invariance_defect(L, killing_form(L).gram)),
+        h_perp_mu_check(g_mu, inst.h_perp_mu),
+    ]
 
 
 def model_checks(model: pm.TangentModel) -> list[Check]:

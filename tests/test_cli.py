@@ -1,8 +1,10 @@
 """The command-line surface: exit codes, determinism, catalog round trips."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,9 @@ from wittartin import decomposition as dec
 from wittartin.catalog import EXAMPLE_NAMES
 from wittartin.cli import main
 from wittartin.exactlin import BilinearForm
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_VERIFY = ROOT / "tests" / "golden" / "verify-all-examples.json"
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +192,38 @@ class TestVerify:
             main(["verify"])
         assert exc.value.code == 2
 
+    def test_path_with_all_examples_is_usage_error(self, capsys, tmp_path):
+        # --all-examples would otherwise ignore the file without a word.
+        path = write_example(capsys, tmp_path, "so3-generic")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(path), "--all-examples"])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert "not both" in err
+
+    def test_bad_instance_data_gives_json_payload(self, capsys, tmp_path):
+        path = write_example(capsys, tmp_path, "so3-generic")
+        doc = json.loads(path.read_text())
+        doc["h_basis"] = doc["h_basis"] * 2
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(path), "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["format"] == "wittartin-checks/1"
+        assert payload["passed"] is False
+        assert [c["name"] for c in payload["checks"]] == ["h_basis_independent"]
+        assert (code, out) == run_cli(capsys, "check", str(path))[:2]
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert out.startswith("FAIL h_basis_independent: ")
+
+    def test_all_examples_json_matches_golden_file(self, capsys):
+        # Every check name, result and detail, the float tube details too.
+        code, out, _ = run_cli(capsys, "verify", "--all-examples",
+                               "--format", "json")
+        assert code == 0
+        assert out.encode() == GOLDEN_VERIFY.read_bytes()
+
     def test_negative_samples_is_usage_error(self, capsys, tmp_path):
         # Zero samples would pass the sampled checks without testing a point.
         path = write_example(capsys, tmp_path, "so3-generic")
@@ -200,9 +237,10 @@ class TestVerify:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_smoke(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         out = subprocess.run(
             [sys.executable, "-m", "wittartin", "example", "so3-generic"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env, timeout=300)
         assert out.returncode == 0
         doc = json.loads(out.stdout)
         assert doc["dim"] == 3

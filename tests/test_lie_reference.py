@@ -5,7 +5,9 @@ bracket unit vectors through the full n x n x n table instead, as the
 package used to.  Every algebra of the test corpus, plus the non-unimodular
 aff(1), so(3) + aff(1) and the Heisenberg algebra, is compared on
 Hypothesis-drawn vectors.  The constructor's antisymmetry and Jacobi checks
-are compared with the triple-by-triple reference on drawn tables.
+are compared with the triple-by-triple reference on drawn tables.  The
+verify-only Lie checks (center, Killing invariance) are compared with the
+dense ad-matrix formulas they replaced.
 """
 
 from fractions import Fraction
@@ -19,9 +21,12 @@ from wittartin.exactlin import Matrix, Subspace, dot, kernel, unit_vec
 from wittartin.liecore import (
     LieAlgebra,
     StructureConstantError,
+    ad_invariance_defect,
+    center,
     chu_form,
     direct_sum,
     h_perp_mu,
+    killing_form,
     so3,
     stabilizer_of_momentum,
 )
@@ -74,6 +79,24 @@ def ref_tube_K(L, lam):
     n = L.dim
     return Matrix(n, n, tuple(tuple(dot(lam, L.c[a][b]) for b in range(n))
                               for a in range(n)))
+
+
+def ref_center(L):
+    """The common kernel of the stacked ad matrices of the basis."""
+    ads = [L.ad_matrix(unit_vec(L.dim, i)) for i in range(L.dim)]
+    return kernel(Matrix.from_rows([row for A in ads for row in A.entries],
+                                   cols=L.dim))
+
+
+def ref_ad_invariance_defect(L, B):
+    """Nonzero entries of the dense ad_i^T B + B ad_i, one i at a time."""
+    out = {}
+    for i in range(L.dim):
+        A = L.ad_matrix(unit_vec(L.dim, i))
+        D = A.transpose() @ B + B @ A
+        out.update(((i, a, b), x) for a, row in enumerate(D.entries)
+                   for b, x in enumerate(row) if x)
+    return out
 
 
 def ref_first_failure(c):
@@ -140,6 +163,31 @@ def test_mu_data_matches_unit_vector_formulas(L, data):
     assert chu_form(L, mu).gram == ref_chu_gram(L, mu)
     assert stabilizer_of_momentum(L, mu) == ref_stabilizer(L, mu)
     assert L.bracket_pairing(mu) == ref_tube_K(L, mu)
+
+
+def matrices(rows, cols):
+    """Drawn matrices with about half their entries zero."""
+    entry = st.one_of(st.just(ZERO), small)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda r: Matrix.from_rows(r, cols=cols))
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=_ids(ALGEBRAS))
+def test_center_matches_stacked_ad_kernel(L):
+    assert center(L) == ref_center(L)
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=_ids(ALGEBRAS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_ad_invariance_defect_matches_dense_products(L, data):
+    B = killing_form(L).gram
+    assert ad_invariance_defect(L, B) == ref_ad_invariance_defect(L, B) == {}
+    # A drawn, generally non-symmetric, form is not invariant: both terms
+    # must be read with their own index order.
+    B = data.draw(matrices(L.dim, L.dim))
+    assert ad_invariance_defect(L, B) == ref_ad_invariance_defect(L, B)
 
 
 @pytest.mark.parametrize("L, h", SUBALGEBRAS,

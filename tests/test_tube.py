@@ -5,8 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpus import build_corpus
 from instances import so3_case, so3xso3_diag, standard_slice, torus_instance, vec
+from wittartin import tube
 from wittartin.catalog import all_examples, build_example
 from wittartin.exactlin import Matrix, Subspace, dot, unit_vec, zero_vec
 from wittartin.instancefile import from_dict
@@ -191,6 +195,40 @@ class TestGramAgainstReference:
             omega_tube_gram(model, p)
 
 
+def ref_uu(model, p):
+    """UU = Mn^T K Mn: the dense product omega_tube_gram's U x U block
+    replaced, with K the bracket pairing against the shifted momentum."""
+    K = model.inst.algebra.bracket_pairing(tube._shifted_momentum(model, p))
+    return model.mn_basis.transpose() @ K @ model.mn_basis
+
+
+def _corpus_models():
+    """Two buildable instances of every algebra in the test corpus."""
+    seen = {}
+    for inst in build_corpus():
+        if len(seen.setdefault(inst.algebra, [])) < 2:
+            seen[inst.algebra].append(setup(inst))
+    return [pytest.param(m, id=f"dim{m.inst.dim}-{t}")
+            for t, m in enumerate(m for ms in seen.values() for m in ms)]
+
+
+@pytest.mark.parametrize("model", _corpus_models())
+def test_uu_block_equals_dense_product(model):
+    rng = random.Random(model.total_dim)
+    points = [origin(model)] + [
+        TubePoint(zero_vec(model.inst.dim),
+                  tuple(F(rng.randint(-9, 9), rng.randint(1, 7))
+                        for _ in range(model.dim_m)),
+                  tuple(F(rng.randint(-9, 9), rng.randint(1, 7))
+                        for _ in range(model.slice_dim)))
+        for _ in range(2)]
+    un = model.dim_m + model.dim_n
+    for p in points:
+        G = omega_tube_gram(model, p)
+        assert tuple(row[:un] for row in G.entries[:un]) \
+            == ref_uu(model, p).entries
+
+
 class TestPhiTilde:
     def test_origin_gives_mu_exactly(self):
         inst = so3_case("generic", slice_dim=2)
@@ -270,3 +308,52 @@ class TestConsistencyChecks:
         checks = phi_equivariance_check(setup(inst), samples=5)
         assert checks[0].passed
         assert "deviation 0.000e+00" in checks[0].detail
+
+
+def ref_mat_mul(A, B):
+    """The dense row-by-column float product that tube._mat_mul replaced."""
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
+
+
+def float_matrices(rows, cols, bound=1e3):
+    """Mostly zeros, signed zeros included, as in ad matrices and their
+    powers; the bound keeps every product and exponential finite."""
+    entry = st.one_of(st.just(0.0), st.just(-0.0), st.just(0.0),
+                      st.floats(-bound, bound, allow_nan=False))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+class TestZeroSkippingProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
+           .flatmap(lambda d: st.tuples(float_matrices(d[0], d[1]),
+                                        float_matrices(d[1], d[2]))))
+    def test_equals_dense_product(self, AB):
+        A, B = AB
+        assert tube._mat_mul(A, B) == ref_mat_mul(A, B)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: float_matrices(n, n, 4.0)))
+    def test_expm_equals_expm_on_dense_product(self, A):
+        assert expm(A) == _expm_with(ref_mat_mul, A)
+
+    def test_expm_equals_expm_on_dense_product_for_corpus_ad_matrices(self):
+        rng = random.Random(11)
+        for L in sorted({inst.algebra for inst in build_corpus()},
+                        key=lambda L: (L.dim, str(L.c))):
+            xi = tuple(F(rng.randint(-8, 8), rng.randint(1, 8))
+                       for _ in range(L.dim))
+            A = [[float(x) for x in row] for row in L.ad_matrix(xi).entries]
+            assert expm(A) == _expm_with(ref_mat_mul, A)
+
+
+def _expm_with(mat_mul, A):
+    """expm with tube._mat_mul swapped for mat_mul for one call."""
+    fast = tube._mat_mul
+    tube._mat_mul = mat_mul
+    try:
+        return expm(A)
+    finally:
+        tube._mat_mul = fast

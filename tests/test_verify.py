@@ -13,7 +13,7 @@ from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
 from wittartin import splitting, tube, verify
 from wittartin.catalog import build_example
-from wittartin.exactlin import BilinearForm, Matrix, Subspace
+from wittartin.exactlin import BilinearForm, Matrix, Subspace, is_zero_vec
 from wittartin.instancefile import from_dict
 
 
@@ -30,7 +30,9 @@ def _check(checks, name):
 
 
 def test_unbroken_so3_instance_passes_every_check():
-    assert _failed(_run()) == []
+    checks = _run()
+    assert len(checks) == 69
+    assert _failed(checks) == []
 
 
 def test_flipped_tube_gram_entry_fails_base_point_check(monkeypatch):
@@ -167,3 +169,69 @@ def test_failed_chain_check_ends_the_run_with_a_named_fail(monkeypatch):
     assert "chain.r_dim_matches_a" in _failed(checks)
     assert names[-1] == "chain.ad_gm_invariance"
     assert "model.builds" not in names
+
+
+def test_full_center_fails_center_check(monkeypatch):
+    expected_names = [c.name for c in _run()]
+    monkeypatch.setattr(verify, "center", lambda L: Subspace.full(L.dim))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["liecore.center_in_stabilizer"]
+
+
+def _off_origin(change):
+    """omega_tube_gram with `change` applied at every point but the origin,
+    so the base-point check still passes."""
+    exact = tube.omega_tube_gram
+
+    def broken(model, p):
+        G = exact(model, p)
+        return G if is_zero_vec(p.rho + p.nu) else change(G)
+    return broken
+
+
+def test_symmetric_part_off_origin_fails_antisymmetry_check(monkeypatch):
+    expected_names = [c.name for c in _run()]
+
+    def bumped(G):
+        rows = [list(row) for row in G.entries]
+        rows[0][0] += 1
+        return Matrix.from_rows(rows, cols=G.cols)
+
+    monkeypatch.setattr(tube, "omega_tube_gram", _off_origin(bumped))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.antisymmetric_at_slice_points"]
+
+
+def test_zero_form_off_origin_fails_nondegeneracy_check(monkeypatch):
+    expected_names = [c.name for c in _run()]
+    monkeypatch.setattr(tube, "omega_tube_gram",
+                        _off_origin(lambda G: Matrix.zeros(G.rows, G.cols)))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.nondegenerate_near_origin"]
+
+
+def test_doubled_momentum_differential_fails_fd_check(monkeypatch):
+    expected_names = [c.name for c in _run()]
+    monkeypatch.setattr(tube, "dphi_G", lambda model: pm.dphi_G(model).scale(2))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.dphi_fd_consistency"]
+
+
+def test_shifted_momentum_off_identity_fails_equivariance(monkeypatch):
+    # The shift is the same on both sides of every central difference along
+    # the group, so only the equivariance comparison sees it.
+    expected_names = [c.name for c in _run()]
+    exact = tube.phi_tilde
+
+    def shifted(model, p):
+        out = exact(model, p)
+        return out if is_zero_vec(p.xi) else (out[0] + 1e-3,) + out[1:]
+
+    monkeypatch.setattr(tube, "phi_tilde", shifted)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.equivariance"]
