@@ -4,9 +4,11 @@ from .exactlin import (
     BilinearForm,
     Matrix,
     Subspace,
+    cross_gram,
+    direct_sum,
     gram_on,
+    image,
     intersect,
-    is_direct_sum,
     kernel,
     orth_complement,
     sum_spaces,

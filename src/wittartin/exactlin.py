@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Scalar = Fraction
 Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -340,8 +339,9 @@ class Subspace:
         return self.coords_of(v) is not None
 
     def leq(self, other: "Subspace") -> bool:
+        """self <= other: adding self's basis to other's keeps the rank."""
         self._check_ambient(other)
-        return all(other.contains(v) for v in self.basis_vectors())
+        return other.basis.hstack(self.basis).rank() == other.dim
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -361,9 +361,6 @@ class BilinearForm:
     @property
     def ambient_dim(self) -> int:
         return self.gram.rows
-
-    def __call__(self, u: Vec, v: Vec) -> Fraction:
-        return dot(u, self.gram.apply(v))
 
     def is_symmetric(self) -> bool:
         return self.gram.is_symmetric()
@@ -413,18 +410,42 @@ def intersect(U: Subspace, V: Subspace) -> Subspace:
     U._check_ambient(V)
     if U.dim == 0 or V.dim == 0:
         return Subspace.zero(U.ambient_dim)
-    stacked = U.basis.hstack(-V.basis)
-    ker = kernel(stacked)
-    vectors = [U.basis.apply(k[: U.dim]) for k in ker.basis_vectors()]
-    return Subspace.span(U.ambient_dim, vectors)
+    # (x, y) in the kernel of [U | -V] gives the common vector Ux = Vy.
+    ker = kernel(U.basis.hstack(-V.basis))
+    return image(U.basis.hstack(Matrix.zeros(U.ambient_dim, V.dim)), ker)
 
 
-def is_direct_sum(parts: Sequence[Subspace]) -> bool:
-    """True when the parts sum directly (dims add up to the dim of the sum)."""
-    if not parts:
-        return True
+def direct_sum(*parts: Subspace) -> Subspace | None:
+    """The sum of the parts when it is direct, that is when their dimensions
+    add up to its dimension; None otherwise."""
     total = sum_spaces(*parts)
-    return sum(p.dim for p in parts) == total.dim
+    return total if sum(p.dim for p in parts) == total.dim else None
+
+
+def image(A: Matrix, U: Subspace) -> Subspace:
+    """The subspace A(U)."""
+    if A.cols != U.ambient_dim:
+        raise AmbientMismatch("matrix and subspace live in different spaces")
+    return Subspace.span(A.rows, (A @ U.basis).columns())
+
+
+def first_escape(S: Subspace, A: Matrix) -> int | None:
+    """Index of the first basis vector s of S with A s outside S, or None
+    when A maps S into itself.
+
+    In the echelon form of [S | A S] the first pivot past the columns of S
+    is that index: every column of A S before it lies in S.
+    """
+    if A.rows != S.ambient_dim or A.cols != S.ambient_dim:
+        raise AmbientMismatch("matrix and subspace live in different spaces")
+    pivots = S.basis.hstack(A @ S.basis).rref()[1]
+    return next((p - S.dim for p in pivots if p >= S.dim), None)
+
+
+def preserves(A: Matrix, G: Matrix) -> bool:
+    """A is infinitesimally an isometry of the form with Gram G:
+    A^T G + G A = 0."""
+    return (A.transpose() @ G + G @ A).is_zero()
 
 
 def check_positive_definite(ip: BilinearForm):
@@ -445,17 +466,20 @@ def orth_complement(U: Subspace, W: Subspace, ip: BilinearForm) -> Subspace:
     if W.dim == 0:
         return Subspace.zero(U.ambient_dim)
     # Solve <u_i, W c>_ip = 0 inside W-coordinates.
-    pairing = U.basis.transpose() @ ip.gram @ W.basis
-    ker = kernel(pairing)
-    vectors = [W.basis.apply(c) for c in ker.basis_vectors()]
-    return Subspace.span(U.ambient_dim, vectors)
+    return image(W.basis, kernel(cross_gram(ip, U, W)))
+
+
+def cross_gram(form: BilinearForm, U: Subspace, V: Subspace) -> Matrix:
+    """Pairings form(u_i, v_j) of the canonical bases of U (rows) and V
+    (columns)."""
+    if not form.ambient_dim == U.ambient_dim == V.ambient_dim:
+        raise AmbientMismatch("form and subspaces live in different spaces")
+    return U.basis.transpose() @ form.gram @ V.basis
 
 
 def gram_on(form: BilinearForm, U: Subspace) -> Matrix:
     """Gram matrix of the form restricted to the canonical basis of U."""
-    if form.ambient_dim != U.ambient_dim:
-        raise AmbientMismatch("form and subspace live in different spaces")
-    return U.basis.transpose() @ form.gram @ U.basis
+    return cross_gram(form, U, U)
 
 
 def perp_under_form(form: BilinearForm, U: Subspace) -> Subspace:

@@ -13,10 +13,9 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .exactlin import Matrix, NotPositiveDefinite, Subspace, Vec
+from .exactlin import BilinearForm, Matrix, NotPositiveDefinite, Subspace, Vec
 from .liecore import InnerProduct, LieAlgebra, StructureConstantError, killing_form
 from .splitting import ProblemInstance, SliceRep
-from .exactlin import BilinearForm
 
 FORMAT = "wittartin-instance/1"
 

@@ -17,7 +17,6 @@ from .exactlin import (
     Vec,
     ZERO,
     check_positive_definite,
-    dot,
     frac,
     intersect,
     kernel,
@@ -152,9 +151,6 @@ class InnerProduct:
     @property
     def ambient_dim(self) -> int:
         return self.gram.rows
-
-    def pairing(self, x: Vec, y: Vec) -> Fraction:
-        return dot(x, self.gram.apply(y))
 
     def form(self) -> BilinearForm:
         return BilinearForm(self.gram)

@@ -135,22 +135,12 @@ def report_to_dict(report: Report) -> dict:
     }
 
 
-_DIM_ORDER = ("g", "g_mu", "h_mu", "h_m", "h_alpha", "h_perp_mu",
-              "p", "b", "a", "s", "q", "ntilde", "r", "m", "n", "N1")
-
-_DIM_LABEL = {
-    "g": "g", "g_mu": "g_mu", "h_mu": "h_mu", "h_m": "h_m",
-    "h_alpha": "h_alpha", "h_perp_mu": "h_perp_mu",
-    "p": "p", "b": "b", "a": "a", "s": "s(G,H,mu)", "q": "q",
-    "ntilde": "ntilde", "r": "r", "m": "m", "n": "n", "N1": "N1",
-}
-
-
 def render_text(report: Report) -> str:
     lines = []
     lines.append("dims:")
-    for key in _DIM_ORDER:
-        lines.append(f"  {_DIM_LABEL[key]:<10} {report.dims[key]}")
+    for key, dim in report.dims.items():
+        label = "s(G,H,mu)" if key == "s" else key
+        lines.append(f"  {label:<10} {dim}")
     lines.append(f"  {'N1_tilde':<10} {report.slice_dim_H}")
     lines.append("")
 

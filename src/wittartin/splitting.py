@@ -23,11 +23,14 @@ from .exactlin import (
     Matrix,
     Subspace,
     Vec,
+    cross_gram,
+    direct_sum,
+    first_escape,
     gram_on,
     intersect,
-    is_direct_sum,
     orth_complement,
     perp_under_form,
+    preserves,
     sum_spaces,
 )
 from .liecore import (
@@ -183,14 +186,9 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     record("gm_in_g_mu", bad is None,
            "" if bad is None else f"gm basis vector {bad} does not stabilize mu")
 
-    witness = None
-    for i, eta in enumerate(inst.gm.basis_vectors()):
-        for j, x in enumerate(inst.h.basis_vectors()):
-            if not inst.h.contains(L.bracket(eta, x)):
-                witness = (i, j)
-                break
-        if witness:
-            break
+    escapes = ((i, first_escape(inst.h, L.ad_matrix(eta)))
+               for i, eta in enumerate(inst.gm.basis_vectors()))
+    witness = next(((i, j) for i, j in escapes if j is not None), None)
     record("gm_normalizes_h", witness is None,
            "" if witness is None else f"[gm_{witness[0]}, h_{witness[1]}] leaves h")
 
@@ -202,14 +200,12 @@ def validate(inst: ProblemInstance) -> ValidationReport:
 
     # A form of another dimension is not a form on g: it fails ad
     # invariance, and multiplying it by the ad matrices would raise.
-    detail = "" if ip_fits else (
-        f"inner product has dimension {inst.ip.ambient_dim}, g has {n}")
-    G = inst.ip.gram
-    for t, eta in enumerate(inst.gm.basis_vectors() if ip_fits else ()):
-        ad_eta = L.ad_matrix(eta)
-        if not (ad_eta.transpose() @ G + G @ ad_eta).is_zero():
-            detail = f"ad invariance fails for gm basis vector {t}"
-            break
+    if not ip_fits:
+        detail = f"inner product has dimension {inst.ip.ambient_dim}, g has {n}"
+    else:
+        t = next((t for t, eta in enumerate(inst.gm.basis_vectors())
+                  if not preserves(L.ad_matrix(eta), inst.ip.gram)), None)
+        detail = "" if t is None else f"ad invariance fails for gm basis vector {t}"
     record("ip_ad_gm_invariant", not detail, detail)
 
     for t, rep in enumerate(inst.gm_component_reps):
@@ -222,15 +218,9 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     record("slice_omega_antisymmetric", sl.omega.is_antisymmetric(), "")
     record("slice_omega_nondegenerate",
            sl.dim == 0 or sl.omega.is_nondegenerate(), "")
-    witness = None
-    for t, A in enumerate(sl.action):
-        if A.rows != sl.dim or A.cols != sl.dim:
-            witness = t
-            break
-        defect = A.transpose() @ sl.omega.gram + sl.omega.gram @ A
-        if not defect.is_zero():
-            witness = t
-            break
+    witness = next((t for t, A in enumerate(sl.action)
+                    if A.rows != sl.dim or A.cols != sl.dim
+                    or not preserves(A, sl.omega.gram)), None)
     record("slice_action_symplectic", witness is None,
            "" if witness is None else f"action matrix {witness} is not in sp(omega)")
 
@@ -308,7 +298,7 @@ def _lagrangian_shear(chu: BilinearForm, a: Subspace, C: Subspace) -> Subspace:
     if C.dim == 0:
         return C
     K = gram_on(chu, C)
-    P = a.basis.transpose() @ chu.gram @ C.basis
+    P = cross_gram(chu, a, C)
     T = P.transpose().inverse() @ K.scale(Fraction(1, 2))
     return Subspace.span(a.ambient_dim, (C.basis + a.basis @ T).columns())
 
@@ -364,36 +354,25 @@ def chain_checks(inst: ProblemInstance, chain: SplittingChain) -> list[Check]:
         out.append(Check(name, passed, detail))
 
     record("chain.gm_decomposition",
-           is_direct_sum([chain.h_m, chain.hm_perp_in_gm])
-           and sum_spaces(chain.h_m, chain.hm_perp_in_gm) == inst.gm)
+           direct_sum(chain.h_m, chain.hm_perp_in_gm) == inst.gm)
     record("chain.hmu_decomposition",
-           is_direct_sum([chain.h_m, chain.p])
-           and sum_spaces(chain.h_m, chain.p) == chain.h_mu)
+           direct_sum(chain.h_m, chain.p) == chain.h_mu)
     record("chain.gmu_decomposition",
-           is_direct_sum([chain.h_m, chain.p, chain.hm_perp_in_gm, chain.b])
-           and sum_spaces(chain.h_m, chain.p, chain.hm_perp_in_gm, chain.b)
+           direct_sum(chain.h_m, chain.p, chain.hm_perp_in_gm, chain.b)
            == chain.g_mu)
     record("chain.halpha_decomposition",
-           is_direct_sum([chain.h_mu, chain.a])
-           and sum_spaces(chain.h_mu, chain.a) == chain.h_alpha)
+           direct_sum(chain.h_mu, chain.a) == chain.h_alpha)
     record("chain.hperpmu_decomposition",
-           is_direct_sum([chain.g_mu, chain.a, chain.s])
-           and sum_spaces(chain.g_mu, chain.a, chain.s)
-           == chain.h_perp_mu_space)
-    record("chain.q_decomposition",
-           is_direct_sum([chain.a, chain.s])
-           and sum_spaces(chain.a, chain.s) == chain.q)
+           direct_sum(chain.g_mu, chain.a, chain.s) == chain.h_perp_mu_space)
+    record("chain.q_decomposition", direct_sum(chain.a, chain.s) == chain.q)
     record("chain.h_decomposition",
-           is_direct_sum([chain.h_alpha, chain.ntilde])
-           and sum_spaces(chain.h_alpha, chain.ntilde) == inst.h)
+           direct_sum(chain.h_alpha, chain.ntilde) == inst.h)
     record("chain.ntilde_avoids_hperpmu",
            intersect(chain.ntilde, chain.h_perp_mu_space).dim == 0)
     record("chain.g_decomposition_hperp",
-           is_direct_sum([chain.h_perp_mu_space, chain.ntilde, chain.r])
-           and sum_spaces(chain.h_perp_mu_space, chain.ntilde, chain.r) == g)
+           direct_sum(chain.h_perp_mu_space, chain.ntilde, chain.r) == g)
     record("chain.g_decomposition_gm_m_n",
-           is_direct_sum([inst.gm, chain.m_space, chain.n_space])
-           and sum_spaces(inst.gm, chain.m_space, chain.n_space) == g
+           direct_sum(inst.gm, chain.m_space, chain.n_space) == g
            and sum_spaces(chain.p, chain.b) == chain.m_space
            and sum_spaces(chain.q, chain.ntilde, chain.r) == chain.n_space)
     record("chain.gmu_halpha_in_hperpmu",
@@ -405,14 +384,9 @@ def chain_checks(inst: ProblemInstance, chain: SplittingChain) -> list[Check]:
 
     # r must pair to zero under the Chu form with ntilde, s and itself;
     # this is what makes r*m land in the H-side Lagrangian complement.
-    ok = True
-    for rv in chain.r.basis_vectors():
-        for other in (chain.ntilde.basis_vectors()
-                      + chain.s.basis_vectors()
-                      + chain.r.basis_vectors()):
-            if chu(rv, other) != 0:
-                ok = False
-    record("chain.r_chu_orthogonality", ok)
+    record("chain.r_chu_orthogonality",
+           all(cross_gram(chu, chain.r, other).is_zero()
+               for other in (chain.ntilde, chain.s, chain.r)))
     record("chain.r_dim_matches_a", chain.r.dim == chain.a.dim)
 
     named = {
@@ -423,25 +397,17 @@ def chain_checks(inst: ProblemInstance, chain: SplittingChain) -> list[Check]:
         "g_mu": chain.g_mu, "h_mu": chain.h_mu, "h_alpha": chain.h_alpha,
         "h_perp_mu": chain.h_perp_mu_space,
     }
-    bad = []
-    for name, space in named.items():
-        for eta in inst.gm.basis_vectors():
-            for v in space.basis_vectors():
-                if not space.contains(L.bracket(eta, v)):
-                    bad.append(name)
-                    break
+    ads = [L.ad_matrix(eta) for eta in inst.gm.basis_vectors()]
+    bad = [name for name, space in named.items()
+           if any(first_escape(space, A) is not None for A in ads)]
     record("chain.ad_gm_invariance", not bad,
-           "" if not bad else f"not ad(gm)-invariant: {sorted(set(bad))}")
+           "" if not bad else f"not ad(gm)-invariant: {sorted(bad)}")
 
     for t, rep in enumerate(inst.gm_component_reps):
-        bad = []
-        for name, space in named.items():
-            for v in space.basis_vectors():
-                if not space.contains(rep.apply(v)):
-                    bad.append(name)
-                    break
+        bad = [name for name, space in named.items()
+               if first_escape(space, rep) is not None]
         record(f"chain.gm_component_rep_{t}_invariance", not bad,
-               "" if not bad else f"not invariant under rep {t}: {sorted(set(bad))}")
+               "" if not bad else f"not invariant under rep {t}: {sorted(bad)}")
 
     return out
 

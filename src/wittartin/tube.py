@@ -227,12 +227,13 @@ def check_dphi_consistency(model: TangentModel) -> list[Check]:
 
 
 def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:
-    """The point t times the model unit vector at index, with its U block
-    mapped into g."""
+    """The point t times the model unit vector at index.  A U direction is
+    column index of the (m, n) basis, so xi is t times that column."""
     v = scale_vec(t, unit_vec(model.total_dim, index))
     un = model.dim_m + model.dim_n
-    return TubePoint(xi=model.embed_u(v[:un]), rho=v[un:un + model.dim_m],
-                     nu=v[un + model.dim_m:])
+    xi = (scale_vec(t, model.mn_basis.col(index)) if index < un
+          else zero_vec(model.inst.dim))
+    return TubePoint(xi=xi, rho=v[un:un + model.dim_m], nu=v[un + model.dim_m:])
 
 
 def phi_equivariance_check(model: TangentModel, samples: int,

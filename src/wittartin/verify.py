@@ -19,6 +19,7 @@ from .exactlin import (
     Vec,
     dot,
     gram_on,
+    image,
     is_zero_vec,
     kernel,
     perp_under_form,
@@ -47,10 +48,9 @@ def h_alpha_check(inst: ProblemInstance, halpha: Subspace) -> Check:
     pairing restricted to h, and it is a subalgebra."""
     # Row t is x -> <mu, [x, eta_t]> on h coordinates.
     inside = kernel(gram_on(inst.chu, inst.h).transpose())
-    lifted = Subspace.span(
-        inst.dim, [inst.h.basis.apply(c) for c in inside.basis_vectors()])
     return Check("liecore.h_alpha_two_descriptions",
-                 lifted == halpha and is_subalgebra(inst.algebra, halpha))
+                 image(inst.h.basis, inside) == halpha
+                 and is_subalgebra(inst.algebra, halpha))
 
 
 def h_perp_mu_check(g_mu: Subspace, hperp: Subspace) -> Check:

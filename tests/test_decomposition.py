@@ -58,12 +58,13 @@ class TestDecomposeG:
     def test_gram_T1_is_kks(self):
         chain, model = setup(so3_case("collinear", slice_dim=2))
         d = decompose_G(model)
-        chu = chu_form(model.inst.algebra, model.inst.mu)
+        K = chu_form(model.inst.algebra, model.inst.mu).gram
         nvecs = [model.mn_basis.col(i)
                  for name in ("a", "s", "ntilde", "r")
                  for i in model.blocks[name]]
         expected = Matrix.from_rows(
-            [[chu(x, y) for y in nvecs] for x in nvecs], cols=len(nvecs))
+            [[dot(x, K.apply(y)) for y in nvecs] for x in nvecs],
+            cols=len(nvecs))
         gram_T1 = model.omega_on(d.T1)
         assert gram_T1 == expected
         assert gram_T1 == gram_on(model.omega, model.unit_span(d.T1))
@@ -148,11 +149,12 @@ class TestSliceForm:
         d = decompose_H(model)
         form = slice_form(model)
         chain = model.chain
-        chu = chu_form(model.inst.algebra, model.inst.mu)
+        K = chu_form(model.inst.algebra, model.inst.mu).gram
         svecs = chain.s.basis_vectors()
         for i in range(2):
             for j in range(2):
-                assert form.gram.entries[i][j] == chu(svecs[i], svecs[j])
+                assert form.gram.entries[i][j] == dot(svecs[i],
+                                                      K.apply(svecs[j]))
         # s block is genuinely symplectic here.
         sub = Matrix.from_rows([[form.gram.entries[i][j] for j in range(2)]
                                 for i in range(2)])

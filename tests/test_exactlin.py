@@ -1,4 +1,5 @@
-"""Exact linear algebra: frozen examples and algebraic laws."""
+"""Exact linear algebra: frozen examples, algebraic laws, and the subspace
+predicates against their entry-by-entry and vector-by-vector definitions."""
 
 from fractions import Fraction
 
@@ -12,12 +13,17 @@ from wittartin.exactlin import (
     NotContained,
     NotPositiveDefinite,
     Subspace,
+    cross_gram,
+    direct_sum,
+    dot,
+    first_escape,
     gram_on,
     identity_form,
+    image,
     intersect,
-    is_direct_sum,
     kernel,
     orth_complement,
+    preserves,
     sum_spaces,
 )
 
@@ -76,19 +82,55 @@ class TestOrthComplement:
 class TestSumIntersect:
     def test_axes_direct_sum(self):
         U, V = span(3, (1, 0, 0)), span(3, (0, 1, 0))
-        assert is_direct_sum([U, V])
+        assert direct_sum(U, V) == span(3, (1, 0, 0), (0, 1, 0))
         assert sum_spaces(U, V) == span(3, (1, 0, 0), (0, 1, 0))
 
     def test_skew_lines_trivial_intersection(self):
         U, V = span(2, (1, 0)), span(2, (1, 1))
         assert intersect(U, V).dim == 0
-        assert is_direct_sum([U, V])
+        assert direct_sum(U, V) == Subspace.full(2)
 
     def test_overlapping_planes(self):
         U = span(3, (1, 0, 0), (0, 1, 0))
         V = span(3, (0, 1, 0), (0, 0, 1))
         assert intersect(U, V) == span(3, (0, 1, 0))
-        assert not is_direct_sum([U, V])
+        assert direct_sum(U, V) is None
+
+    def test_zero_parts_are_direct(self):
+        U = span(3, (1, 2, 0))
+        assert direct_sum(U, Subspace.zero(3), Subspace.zero(3)) == U
+        assert direct_sum(Subspace.zero(3)) == Subspace.zero(3)
+
+
+class TestPredicates:
+    def test_leq(self):
+        line, plane = span(3, (1, 1, 0)), span(3, (1, 0, 0), (0, 1, 0))
+        assert line.leq(plane) and not plane.leq(line)
+        assert Subspace.zero(3).leq(line) and not line.leq(Subspace.zero(3))
+
+    def test_cross_gram_is_rectangular(self):
+        J = BilinearForm(Matrix.from_rows([[0, 1], [-1, 0]]))
+        g = cross_gram(J, span(2, (1, 0)), Subspace.full(2))
+        assert g == Matrix.from_rows([[0, 1]])
+        assert cross_gram(J, Subspace.zero(2), Subspace.full(2)).rows == 0
+
+    def test_image_of_a_plane_under_a_projection(self):
+        P = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+        assert image(P, span(3, (1, 1, 0), (0, 1, 1))) == \
+            span(3, (1, 0, 0), (0, 0, 1))
+        assert image(P, Subspace.zero(3)) == Subspace.zero(3)
+
+    def test_first_escape_names_the_first_basis_vector_that_leaves(self):
+        # diag(1, 2, 3) fixes (1, 0, 0) and moves (0, 1, 1) to (0, 2, 3).
+        A = Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        assert first_escape(span(3, (1, 0, 0), (0, 1, 1)), A) == 1
+        assert first_escape(span(3, (0, 1, 0), (0, 0, 1)), A) is None
+        assert first_escape(Subspace.zero(3), A) is None
+
+    def test_preserves_on_sp2(self):
+        J = Matrix.from_rows([[0, 1], [-1, 0]])
+        assert preserves(Matrix.from_rows([[1, 0], [0, -1]]), J)
+        assert not preserves(Matrix.identity(2), J)
 
 
 class TestGramOn:
@@ -179,5 +221,102 @@ def test_orth_complement_splits(us, extra):
     U = Subspace.span(4, us)
     W = Subspace.span(4, us + extra)
     C = orth_complement(U, W, identity_form(4))
-    assert is_direct_sum([U, C])
-    assert sum_spaces(U, C) == W
+    assert direct_sum(U, C) == W
+
+
+# The predicates against the formulations they replace, on drawn subspaces
+# of Q^4.  Entries come from {-1, 0, 1} so that dependent spanning sets,
+# zero-dimensional spaces and invariant subspaces are common.
+
+N = 4
+sparse_fracs = st.sampled_from([F(-1), F(0), F(0), F(1), F(1, 2)])
+
+
+def subspaces(max_vectors=3):
+    return st.lists(st.lists(sparse_fracs, min_size=N, max_size=N),
+                    min_size=0, max_size=max_vectors).map(
+        lambda vs: Subspace.span(N, vs))
+
+
+def square_matrices():
+    diagonal = st.lists(st.sampled_from([F(0), F(1), F(2)]),
+                        min_size=N, max_size=N).map(
+        lambda d: Matrix.from_rows([[d[i] if i == j else 0 for j in range(N)]
+                                    for i in range(N)]))
+    dense = st.lists(st.lists(sparse_fracs, min_size=N, max_size=N),
+                     min_size=N, max_size=N).map(Matrix.from_rows)
+    return st.one_of(diagonal, dense)
+
+
+def old_is_direct_sum(parts):
+    if not parts:
+        return True
+    total = sum_spaces(*parts)
+    return sum(p.dim for p in parts) == total.dim
+
+
+def old_leq(U, W):
+    return all(W.contains(v) for v in U.basis_vectors())
+
+
+def old_cross_gram(form, U, V):
+    return [[dot(u, form.gram.apply(v)) for v in V.basis_vectors()]
+            for u in U.basis_vectors()]
+
+
+def old_first_escape(S, A):
+    return next((i for i, v in enumerate(S.basis_vectors())
+                 if not S.contains(A.apply(v))), None)
+
+
+def old_image(A, U):
+    return Subspace.span(A.rows, [A.apply(v) for v in U.basis_vectors()])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(subspaces(), min_size=1, max_size=3), subspaces(4),
+       st.booleans())
+def test_direct_sum_matches_is_direct_sum_and_sum(parts, other, use_sum):
+    W = sum_spaces(*parts) if use_sum else other
+    assert (direct_sum(*parts) == W) == (
+        old_is_direct_sum(parts) and sum_spaces(*parts) == W)
+    assert (direct_sum(*parts) is None) == (not old_is_direct_sum(parts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(subspaces(), subspaces(), st.booleans())
+def test_leq_matches_per_vector_containment(U, X, contain):
+    W = sum_spaces(U, X) if contain else X
+    assert U.leq(W) == old_leq(U, W)
+    assert W.leq(U) == old_leq(W, U)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(), subspaces(), subspaces())
+def test_cross_gram_matches_entry_by_entry_pairing(G, U, V):
+    form = BilinearForm(G)
+    g = cross_gram(form, U, V)
+    assert (g.rows, g.cols) == (U.dim, V.dim)
+    assert [list(row) for row in g.entries] == old_cross_gram(form, U, V)
+    assert gram_on(form, U) == cross_gram(form, U, U)
+
+
+@settings(max_examples=80, deadline=None)
+@given(subspaces(), square_matrices())
+def test_first_escape_matches_per_vector_containment(S, A):
+    assert first_escape(S, A) == old_first_escape(S, A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(), subspaces())
+def test_image_matches_apply_then_span(A, U):
+    assert image(A, U) == old_image(A, U)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(), square_matrices())
+def test_preserves_matches_pairing_definition(A, G):
+    units = Subspace.full(N).basis_vectors()
+    pair = [[dot(A.apply(u), G.apply(v)) + dot(u, G.apply(A.apply(v)))
+             for v in units] for u in units]
+    assert preserves(A, G) == all(x == 0 for row in pair for x in row)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittartin.exactlin import Matrix, Subspace, intersect, unit_vec
+from wittartin.exactlin import Matrix, Subspace, dot, intersect, unit_vec
 from wittartin.liecore import (
     LieAlgebra,
     NotSubalgebra,
@@ -163,7 +163,11 @@ class TestKillingForm:
 
     def test_ad_invariance(self):
         L = so3()
-        B = killing_form(L)
+        G = killing_form(L).gram
+
+        def B(x, y):
+            return dot(x, G.apply(y))
+
         for i in range(3):
             for j in range(3):
                 for k in range(3):

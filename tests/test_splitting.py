@@ -11,7 +11,8 @@ from wittartin.exactlin import (
     BilinearForm,
     Matrix,
     Subspace,
-    is_direct_sum,
+    direct_sum,
+    dot,
     kernel,
     sum_spaces,
     unit_vec,
@@ -188,10 +189,14 @@ class TestShearedComplement:
 
         inst = _sheared_r_instance()
         chain = build_chain(inst)
-        chu = chu_form(inst.algebra, inst.mu)
+        K = chu_form(inst.algebra, inst.mu).gram
+
+        def chu(x, y):
+            return dot(x, K.apply(y))
+
         assert chain.a.dim == 2 and chain.r.dim == 2
 
-        V = perp_under_form(chu, sum_spaces(chain.ntilde, chain.s))
+        V = perp_under_form(inst.chu, sum_spaces(chain.ntilde, chain.s))
         pre = orth_complement(sum_spaces(chain.g_mu, chain.a), V,
                               inst.ip.form())
         pre_vs = pre.basis_vectors()
@@ -213,7 +218,7 @@ class TestChainIdentities:
         assert sum_spaces(chain.h_mu, chain.a) == chain.h_alpha
         assert sum_spaces(chain.g_mu, chain.a, chain.s) == chain.h_perp_mu_space
         assert sum_spaces(chain.h_alpha, chain.ntilde) == inst.h
-        assert is_direct_sum([inst.gm, chain.m_space, chain.n_space])
+        assert direct_sum(inst.gm, chain.m_space, chain.n_space) == g
         assert sum_spaces(inst.gm, chain.m_space, chain.n_space) == g
 
     def test_determinism(self):

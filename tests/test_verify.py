@@ -13,7 +13,14 @@ from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
 from wittartin import splitting, tube, verify
 from wittartin.catalog import build_example
-from wittartin.exactlin import BilinearForm, Matrix, Subspace, is_zero_vec
+from wittartin.exactlin import (
+    BilinearForm,
+    Matrix,
+    Subspace,
+    add_vec,
+    is_zero_vec,
+    sum_spaces,
+)
 from wittartin.instancefile import from_dict
 
 
@@ -169,6 +176,127 @@ def test_failed_chain_check_ends_the_run_with_a_named_fail(monkeypatch):
     assert "chain.r_dim_matches_a" in _failed(checks)
     assert names[-1] == "chain.ad_gm_invariance"
     assert "model.builds" not in names
+
+
+def _assert_chain_fail(checks, name):
+    """Exactly the named chain check fails, and the run ends after the
+    chain checks."""
+    names = [c.name for c in checks]
+    assert _failed(checks) == [name]
+    assert names[-1] == "chain.ad_gm_invariance"
+    assert "model.builds" not in names
+
+
+def test_q_outside_a_plus_s_fails_q_decomposition(monkeypatch):
+    # n = q + ntilde + r still holds with q = n, but a + s is smaller.
+    exact = verify.build_chain
+    monkeypatch.setattr(verify, "build_chain",
+                        lambda inst: replace(exact(inst), q=exact(inst).n_space))
+    _assert_chain_fail(_run(), "chain.q_decomposition")
+
+
+def test_unsheared_r_fails_r_chu_orthogonality(monkeypatch):
+    # On this instance the plain complement is not Chu-isotropic.
+    from corpus import _sheared_r_instance
+    monkeypatch.setattr(splitting, "_lagrangian_shear", lambda chu, a, C: C)
+    checks = verify.run_all(_sheared_r_instance(), samples=3)
+    _assert_chain_fail(checks, "chain.r_chu_orthogonality")
+
+
+def test_s_tilted_into_b_fails_ad_gm_invariance_and_names_it(monkeypatch):
+    # s + b is unchanged, so every decomposition still holds, but the
+    # rotation by the diagonal e3 moves the tilted vector out of s.
+    exact = verify.build_chain
+
+    def tilted(inst):
+        chain = exact(inst)
+        cols = chain.s.basis_vectors()
+        cols[0] = add_vec(cols[0], chain.b.basis_vectors()[0])
+        s = Subspace.span(inst.dim, cols)
+        q = sum_spaces(chain.a, s)
+        return replace(chain, s=s, q=q,
+                       n_space=sum_spaces(q, chain.ntilde, chain.r))
+
+    monkeypatch.setattr(verify, "build_chain", tilted)
+    checks = _run("so3xso3-diagonal")
+    _assert_chain_fail(checks, "chain.ad_gm_invariance")
+    assert "'s'" in _check(checks, "chain.ad_gm_invariance").detail
+
+
+def _diagonal_with(**changes):
+    return replace(from_dict(build_example("so3xso3-diagonal")), **changes)
+
+
+def test_h_not_normalized_by_gm_fails_and_names_the_pair():
+    # h = span(e3, e1') is abelian; the diagonal e3 fixes e3 and moves e1'.
+    inst = _diagonal_with(h=Subspace.span(6, [(0, 0, 1, 0, 0, 0),
+                                              (0, 0, 0, 1, 0, 0)]))
+    checks = verify.run_all(inst, samples=3)
+    assert _failed(checks) == ["validate.gm_normalizes_h"]
+    assert _check(checks, "validate.gm_normalizes_h").detail \
+        == "[gm_0, h_1] leaves h"
+
+
+def test_non_symplectic_slice_action_fails_and_names_the_matrix():
+    sl = from_dict(build_example("so3xso3-diagonal")).slice_rep
+    inst = _diagonal_with(slice_rep=replace(sl, action=(Matrix.identity(2),)))
+    checks = verify.run_all(inst, samples=3)
+    assert _failed(checks) == ["validate.slice_action_symplectic"]
+    assert _check(checks, "validate.slice_action_symplectic").detail \
+        == "action matrix 0 is not in sp(omega)"
+
+
+def test_zero_M_fails_ker_split_with_M(monkeypatch):
+    expected_names = [c.name for c in _run()]
+    monkeypatch.setattr(dec, "eq_M_subspace",
+                        lambda model: Subspace.zero(model.total_dim))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["wittH.3_ker_split_with_M"]
+
+
+def test_zero_a_r_chu_pairing_fails_pairing_check(monkeypatch):
+    inst = from_dict(build_example("so3-generic"))
+    expected_names = [c.name for c in verify.run_all(inst, samples=3)]
+    exact = dec.cross_gram
+
+    def zero_chu(form, U, V):
+        G = exact(form, U, V)
+        return Matrix.zeros(G.rows, G.cols) if form is inst.chu else G
+
+    monkeypatch.setattr(dec, "cross_gram", zero_chu)
+    checks = verify.run_all(inst, samples=3)
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["wittH.6_a_r_pairing_nondegenerate"]
+
+
+def test_nonzero_chu_form_on_a_fails_lagrangian_check(monkeypatch):
+    # s = 0 here, so the only Chu Gram the decomposition checks take is a's.
+    inst = from_dict(build_example("so3-generic"))
+    expected_names = [c.name for c in verify.run_all(inst, samples=3)]
+    exact = dec.gram_on
+
+    def bumped(form, U):
+        G = exact(form, U)
+        return G + Matrix.identity(U.dim) if form is inst.chu else G
+
+    monkeypatch.setattr(dec, "gram_on", bumped)
+    checks = verify.run_all(inst, samples=3)
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["wittH.7_a_orbit_lagrangian_in_Zm"]
+
+
+def test_lost_h_alpha_orbit_fails_s_complement_check(monkeypatch):
+    # h_alpha = a here, so without its orbit only s is left of the kernel.
+    expected_names = [c.name for c in _run()]
+    exact = dec.coadjoint_slice_check
+    monkeypatch.setattr(
+        dec, "coadjoint_slice_check",
+        lambda chain, inst: exact(
+            replace(chain, h_alpha=Subspace.zero(inst.dim)), inst))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["coadjoint.s_complements_halpha_orbit"]
 
 
 def test_full_center_fails_center_check(monkeypatch):
