@@ -36,6 +36,7 @@ from .pointmodel import (
     dphi_G,
     dphi_H,
     inf_action,
+    isotropy_action,
 )
 from .decomposition import (
     WittDecompositionG,

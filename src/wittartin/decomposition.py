@@ -14,7 +14,8 @@ every identity they rely on is a named check defined here
 momentum_formula_check, momentum_forms_check), which verify reports and
 report.build_report requires.  The decomposition checks build each block
 again from its definition (images under the action, coordinate blocks of
-m* and N1) and prove the index tuples equal to it.
+m* and N1), prove the index tuples equal to it, and hold both sides'
+definitions to one set of Witt-Artin axioms (_witt_artin_axioms).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .exactlin import (
     sum_spaces,
     unit_vec,
 )
-from .pointmodel import TangentModel, inf_action
+from .pointmodel import TangentModel, inf_action, isotropy_action
 from .splitting import Check
 
 
@@ -115,14 +116,61 @@ def _unlike_definition(decomp, definitions: dict[str, Subspace],
                  if model.unit_span(getattr(decomp, name)) != space), None)
 
 
+def _witt_artin_axioms(model: TangentModel, ker: Subspace, ker_name: str,
+                       blocks: dict[str, Subspace]) -> dict[str, str | None]:
+    """The Witt-Artin axioms of a split X0 + X1 + Y0 + Y1 of the model.
+
+    blocks maps the four names to their definition subspaces, in that
+    order: the isotropic and symplectic parts of the orbit directions, the
+    Lagrangian complement of X0 and the symplectic slice.  For each group
+    ("sum", "kernel", "orthogonality", "lagrangian") the result holds the
+    first statement that fails, or None.
+    """
+    (x0, X0), (x1, X1), (y0, Y0), (y1, Y1) = blocks.items()
+    omega = model.omega
+    whole = direct_sum(X0, X1, Y0, Y1)
+    X0Y0 = sum_spaces(X0, Y0)
+    split = " + ".join(blocks)
+    groups = {
+        "sum": (
+            (f"{split} is direct", lambda: whole is not None),
+            (f"{split} is the whole model",
+             lambda: whole == Subspace.full(model.total_dim))),
+        "kernel": (
+            (f"{x0} + {y1} is {ker_name}", lambda: sum_spaces(X0, Y1) == ker),),
+        "orthogonality": (
+            (f"{x1} is omega-orthogonal to {y1}",
+             lambda: cross_gram(omega, X1, Y1).is_zero()),
+            (f"{x1} is omega-orthogonal to {x0} + {y0}",
+             lambda: cross_gram(omega, X1, X0Y0).is_zero()),
+            (f"{y1} is omega-orthogonal to {x0} + {y0}",
+             lambda: cross_gram(omega, Y1, X0Y0).is_zero())),
+        "lagrangian": (
+            (f"{x0} is isotropic", lambda: gram_on(omega, X0).is_zero()),
+            (f"{y0} is isotropic", lambda: gram_on(omega, Y0).is_zero()),
+            (f"dim {x0} equals dim {y0}", lambda: X0.dim == Y0.dim),
+            (f"{x0} + {y0} is symplectic",
+             lambda: gram_on(omega, X0Y0).rank() == X0Y0.dim)),
+    }
+    return {group: next((text for text, holds in statements if not holds()),
+                        None)
+            for group, statements in groups.items()}
+
+
+def _check(name: str, failure: str | None) -> Check:
+    return Check(name, failure is None,
+                 "" if failure is None else f"fails: {failure}")
+
+
 def g_decomposition_check(decomp: WittDecompositionG,
                           model: TangentModel) -> Check:
-    """wittG.all_assertions: each block is its definition, and the twelve
-    identities of the G-side split hold for the defined blocks.
+    """wittG.all_assertions: each block is its definition, the Witt-Artin
+    axioms hold for the defined blocks, and T1 and N1 carry the Chu form
+    and omega_N1.
 
     T0 and T1 are defined as the images of m and n under the action, N0 and
     N1 as the R and V coordinate blocks.  The detail names the first
-    identity that fails.
+    statement that fails.
     """
     chain = model.chain
     d = {"T0": _image_under_action(model, chain.m_space),
@@ -130,38 +178,18 @@ def g_decomposition_check(decomp: WittDecompositionG,
          "N0": model.unit_span(model.indices("pstar", "bstar")),
          "N1": model.unit_span(model.indices("N1"))}
     unlike = _unlike_definition(decomp, d, model)
-    T0, T1, N0, N1 = d.values()
-    omega = model.omega
-    T0N0 = sum_spaces(T0, N0)
-    whole = direct_sum(T0, T1, N0, N1)
-    identities = (
-        (f"{unlike or 'each block'} is its definition",
-         lambda: unlike is None),
-        ("T0 + T1 + N0 + N1 is direct",
-         lambda: whole is not None),
-        ("T0 + T1 + N0 + N1 is the whole model",
-         lambda: whole == Subspace.full(model.total_dim)),
-        ("T0 + N1 is ker dphi_G",
-         lambda: sum_spaces(T0, N1) == model.ker_dphi_G),
-        ("T1 is omega-orthogonal to N1",
-         lambda: cross_gram(omega, T1, N1).is_zero()),
-        ("T1 is omega-orthogonal to T0 + N0",
-         lambda: cross_gram(omega, T1, T0N0).is_zero()),
-        ("N1 is omega-orthogonal to T0 + N0",
-         lambda: cross_gram(omega, N1, T0N0).is_zero()),
-        ("T0 is isotropic", lambda: gram_on(omega, T0).is_zero()),
-        ("N0 is isotropic", lambda: gram_on(omega, N0).is_zero()),
-        ("dim T0 equals dim N0", lambda: T0.dim == N0.dim),
-        ("T0 + N0 is symplectic",
-         lambda: gram_on(omega, T0N0).rank() == T0N0.dim),
+    axioms = _witt_artin_axioms(model, model.ker_dphi_G, "ker dphi_G", d)
+    forms = (
         ("the form on T1 is the Chu pairing of the n basis",
-         lambda: gram_on(omega, T1) == _chu_on_n(model)),
+         lambda: gram_on(model.omega, d["T1"]) == _chu_on_n(model)),
         ("the form on N1 is omega_N1",
-         lambda: gram_on(omega, N1) == model.inst.slice_rep.omega.gram),
+         lambda: gram_on(model.omega, d["N1"])
+         == model.inst.slice_rep.omega.gram),
     )
-    broken = next((name for name, holds in identities if not holds()), None)
-    return Check("wittG.all_assertions", broken is None,
-                 "" if broken is None else f"fails: {broken}")
+    failure = (None if unlike is None else f"{unlike} is its definition") \
+        or next(filter(None, axioms.values()), None) \
+        or next((text for text, holds in forms if not holds()), None)
+    return _check("wittG.all_assertions", failure)
 
 
 def _chu_on_n(model: TangentModel) -> Matrix:
@@ -214,11 +242,12 @@ def h_decomposition_checks(decomp: WittDecompositionH,
 
     wittH.1 also proves each block equal to its definition: images of
     h_alpha, ntilde, s, b, a and r under the action, and the R_p*, R_b* and
-    V coordinate blocks.  wittH.2-7 run on the defined blocks.
+    V coordinate blocks.  wittH.2-7 run on the defined blocks; wittH.1, 2
+    and 4 are the Witt-Artin axioms of TH0 + TH1 + NH0 + NH1, and their
+    details name the first statement that fails.
     """
     chain = model.chain
     chu = model.inst.chu
-    full = Subspace.full(model.total_dim)
     out: list[Check] = []
 
     def record(name, passed, detail=""):
@@ -236,14 +265,16 @@ def h_decomposition_checks(decomp: WittDecompositionH,
          "NH1": sum_spaces(s_block, Xm, N1_block),
          "s_block": s_block, "Xm_block": Xm, "N1_block": N1_block,
          "Ym": Ym, "Zm": sum_spaces(a_block, r_block)}
-    TH0, TH1, NH0, NH1 = d["TH0"], d["TH1"], d["NH0"], d["NH1"]
 
     unlike = _unlike_definition(decomp, d, model)
-    record("wittH.1_direct_sum",
-           unlike is None and direct_sum(TH0, TH1, NH0, NH1) == full,
-           "" if unlike is None else f"{unlike} is not its definition")
-    record("wittH.2_TH0_NH1_is_ker_dphiH",
-           sum_spaces(TH0, NH1) == model.ker_dphi_H)
+    axioms = _witt_artin_axioms(
+        model, model.ker_dphi_H, "ker dphi_H",
+        {name: d[name] for name in ("TH0", "TH1", "NH0", "NH1")})
+    if unlike is None:
+        out.append(_check("wittH.1_direct_sum", axioms["sum"]))
+    else:
+        record("wittH.1_direct_sum", False, f"{unlike} is not its definition")
+    out.append(_check("wittH.2_TH0_NH1_is_ker_dphiH", axioms["kernel"]))
 
     M = eq_M_subspace(model)
     kerG = model.ker_dphi_G
@@ -252,24 +283,12 @@ def h_decomposition_checks(decomp: WittDecompositionH,
            direct_sum(kerG, M) == model.ker_dphi_H
            and M == sum_spaces(qm, Ym))
 
-    omega = model.omega
-    TH0NH0 = sum_spaces(TH0, NH0)
-    ortho = (
-        cross_gram(omega, TH1, NH1).is_zero()
-        and cross_gram(omega, TH1, TH0NH0).is_zero()
-        and cross_gram(omega, NH1, TH0NH0).is_zero()
-    )
-    lagrangian = (
-        gram_on(omega, TH0).is_zero()
-        and gram_on(omega, NH0).is_zero()
-        and TH0.dim == NH0.dim
-        and gram_on(omega, TH0NH0).rank() == TH0NH0.dim
-    )
-    record("wittH.4_orthogonality_and_lagrangian", ortho and lagrangian)
+    out.append(_check("wittH.4_orthogonality_and_lagrangian",
+                      axioms["orthogonality"] or axioms["lagrangian"]))
 
     nondeg = all(
-        gram_on(omega, space).rank() == space.dim
-        for space in (s_block, Xm, NH1, d["Zm"])
+        gram_on(model.omega, space).rank() == space.dim
+        for space in (s_block, Xm, d["NH1"], d["Zm"])
     )
     record("wittH.5_symplectic_blocks", nondeg)
 
@@ -311,43 +330,12 @@ def slice_form_check(decomp: WittDecompositionH, model: TangentModel) -> Check:
 
 
 def _eta_action_on_nh1(model: TangentModel, eta: Vec) -> Matrix:
-    """Matrix of the h_m-action on NH1 in the block coordinates.
-
-    eta acts by the bracket on the s and b blocks (both are ad(g_m)-stable),
-    by the negative coadjoint action on Y_m inside m*, and by the slice
-    representation on N1.  Raises NotContained when a block is not stable,
-    which the chain check chain.ad_gm_invariance rules out.
-    """
-    L = model.inst.algebra
-    chain = model.chain
-    ds, db, dn1 = chain.s.dim, chain.b.dim, model.slice_dim
-    size = ds + 2 * db + dn1
-    cols: list[list[Fraction]] = []
-
-    for name, offset in (("s", 0), ("b", ds)):
-        block = model.blocks[name]
-        for i in block:
-            coords = _basis_coords(
-                model, L.bracket(eta, model.mn_basis.col(i)),
-                range(model.gm_dim + block.start, model.gm_dim + block.stop),
-                "block is not ad(gm)-stable")
-            cols.append([ZERO] * offset + list(coords)
-                        + [ZERO] * (size - offset - len(coords)))
-
-    # -ad*_eta on m*, restricted to the b* coordinates.
-    ad_on_m = [_m_coords(model, L.bracket(eta, model.mn_basis.col(j)))
-               for j in range(model.dim_m)]
-    for j in range(chain.p.dim, model.dim_m):
-        # (eta . rho_j)_k = -<rho_j, [eta, m_k]> for the dual basis rho_j.
-        new = [-ad_on_m[k][j] for k in range(model.dim_m)]
-        if any(new[t] != 0 for t in range(chain.p.dim)):
-            raise NotContained("coadjoint action leaves the b* block")
-        cols.append([ZERO] * (ds + db) + new[chain.p.dim:] + [ZERO] * dn1)
-
-    A_eta = _combine_slice_action(model, eta)
-    cols.extend([ZERO] * (ds + 2 * db) + list(col) for col in A_eta.columns())
-
-    return Matrix.from_cols(cols, rows=size)
+    """Matrix of the h_m-action on NH1 in the block coordinates (s, b, Y_m,
+    N1): the isotropy action's submatrix on the NH1 indices, the way
+    slice_form is omega's.  NH1 is stable under the action because s, b and
+    m are ad(g_m)-stable (chain.ad_gm_invariance)."""
+    nh1 = model.indices(*NH1_ORDER)
+    return isotropy_action(model, eta).submatrix(nh1, nh1)
 
 
 def _basis_coords(model: TangentModel, x: Vec, cols: range,
@@ -456,16 +444,19 @@ def momentum_forms_check(model: TangentModel, forms: tuple[Matrix, ...],
     return Check("momentum.quadratic_forms_symmetric", ok)
 
 
-def coadjoint_slice_check(chain, inst) -> list[Check]:
+def coadjoint_slice_check(model: TangentModel) -> list[Check]:
     """Checks on the orbit tangent model g/g_mu (coordinates on n).
 
     The kernel of x -> -(ad*_x mu)|_h on the quotient must be the image of
     a + s, and the image of s must complement the h_alpha orbit inside it.
+    Because g = g_mu + n, the quotient coordinates of a vector are its n
+    coordinates in the (g_m, m, n) basis.
     """
-    n_vectors = (chain.a.basis_vectors() + chain.s.basis_vectors()
-                 + chain.ntilde.basis_vectors() + chain.r.basis_vectors())
-    dim_n = len(n_vectors)
-    constraint = Matrix.from_rows(_h_constraint_rows(inst, n_vectors),
+    chain = model.chain
+    n_first = model.gm_dim + model.dim_m
+    n_vectors = model.mn_basis.columns()[model.dim_m:]
+    dim_n = model.dim_n
+    constraint = Matrix.from_rows(_h_constraint_rows(model.inst, n_vectors),
                                   cols=dim_n)
     ker = kernel(constraint)
 
@@ -473,21 +464,11 @@ def coadjoint_slice_check(chain, inst) -> list[Check]:
     expected = Subspace.span(dim_n, [unit_vec(dim_n, i) for i in range(da + ds)])
     s_image = Subspace.span(dim_n, [unit_vec(dim_n, i)
                                     for i in range(da, da + ds)])
-
-    out = [Check("coadjoint.kernel_is_a_plus_s_orbit", ker == expected)]
-
-    # h_alpha orbit in the quotient: n-components of the h_alpha basis.
-    B2 = chain.g_mu.basis.hstack(Matrix.from_cols(n_vectors, rows=inst.dim)) \
-        if dim_n else chain.g_mu.basis
-    images = []
-    for v in chain.h_alpha.basis_vectors():
-        coords = B2.solve(v)
-        if coords is None:
-            raise NotContained("h_alpha vector is outside g_mu + n")
-        images.append(tuple(coords[chain.g_mu.dim:]))
-    halpha_orbit = Subspace.span(dim_n, images)
-    out.append(Check(
-        "coadjoint.s_complements_halpha_orbit",
-        direct_sum(halpha_orbit, s_image) == ker,
-    ))
-    return out
+    halpha_orbit = Subspace.span(
+        dim_n, [model.g_coords(v)[n_first:]
+                for v in chain.h_alpha.basis_vectors()])
+    return [
+        Check("coadjoint.kernel_is_a_plus_s_orbit", ker == expected),
+        Check("coadjoint.s_complements_halpha_orbit",
+              direct_sum(halpha_orbit, s_image) == ker),
+    ]

@@ -129,6 +129,11 @@ class Matrix:
     def columns(self) -> list[Vec]:
         return [self.col(j) for j in range(self.cols)]
 
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
+        """The entries at the given rows and columns, in the given orders."""
+        return Matrix(len(rows), len(cols),
+                      tuple(tuple(self.entries[i][j] for j in cols) for i in rows))
+
     def transpose(self) -> "Matrix":
         return Matrix(
             self.cols,
@@ -270,11 +275,8 @@ class Matrix:
     def leading_principal_minors(self) -> list[Fraction]:
         if self.rows != self.cols:
             raise ValueError("minors of a non-square matrix")
-        out = []
-        for k in range(1, self.rows + 1):
-            sub = Matrix(k, k, tuple(row[:k] for row in self.entries[:k]))
-            out.append(sub.det())
-        return out
+        return [self.submatrix(range(k), range(k)).det()
+                for k in range(1, self.rows + 1)]
 
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:

@@ -180,7 +180,7 @@ def h_perp_mu(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
     """{x : <mu, [x, eta]> = 0 for every eta in h}.
 
     Equivalently ad*_x mu annihilates h; these are the algebra elements whose
-    generator at the point is omega-orthogonal to the H-orbit.
+    generator at the point pairs to zero with the H-orbit under omega.
     """
     w = subalgebra_witness(L, h)
     if w is not None:

@@ -132,9 +132,7 @@ class TangentModel:
     def omega_on(self, indices: Sequence[int]) -> Matrix:
         """The point form on the unit vectors at indices, in that order: the
         omega submatrix on those rows and columns."""
-        g = self.omega.gram.entries
-        return Matrix(len(indices), len(indices),
-                      tuple(tuple(g[i][j] for j in indices) for i in indices))
+        return self.omega.gram.submatrix(indices, indices)
 
 
 def build_model(chain: SplittingChain, inst: ProblemInstance) -> TangentModel:
@@ -202,6 +200,28 @@ def inf_action(model: TangentModel, x: Vec) -> Vec:
             + zero_vec(model.dim_m + model.slice_dim))
 
 
+def isotropy_action(model: TangentModel, eta: Vec) -> Matrix:
+    """The linearised action of eta in g_m on the model coordinates.
+
+    It is block diagonal: ad_eta on g/g_m in the U block, the coadjoint
+    action -(ad_eta on m)^T on m* in the R block (m is ad(g_m)-stable,
+    which chain.ad_gm_invariance checks), and the slice representation on
+    N1 in the V block.
+    """
+    gm, un = model.gm_dim, model.dim_m + model.dim_n
+    U = (model.g_basis_inv.submatrix(range(gm, model.inst.dim),
+                                     range(model.inst.dim))
+         @ model.inst.algebra.ad_matrix(eta) @ model.mn_basis)
+    R = -U.submatrix(range(model.dim_m), range(model.dim_m)).transpose()
+    V = model.inst.slice_rep.combine(model.g_coords(eta)[:gm])
+    rows = ([row + zero_vec(model.total_dim - un) for row in U.entries]
+            + [zero_vec(un) + row + zero_vec(model.slice_dim)
+               for row in R.entries]
+            + [zero_vec(model.total_dim - model.slice_dim) + row
+               for row in V.entries])
+    return Matrix(model.total_dim, model.total_dim, tuple(rows))
+
+
 def f_contract_check(model: TangentModel) -> Check:
     """model.f_contract: omega(U_j, R_k) = delta_jk on the m part of U.
 
@@ -210,9 +230,8 @@ def f_contract_check(model: TangentModel) -> Check:
     w in N0.
     """
     un, dim_m = model.dim_m + model.dim_n, model.dim_m
-    block = [row[un:un + dim_m] for row in model.omega.gram.entries[:dim_m]]
-    return Check("model.f_contract",
-                 Matrix(dim_m, dim_m, tuple(block)) == Matrix.identity(dim_m))
+    block = model.omega.gram.submatrix(range(dim_m), range(un, un + dim_m))
+    return Check("model.f_contract", block == Matrix.identity(dim_m))
 
 
 def dphi_G(model: TangentModel) -> Matrix:

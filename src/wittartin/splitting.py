@@ -224,22 +224,17 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     record("slice_action_symplectic", witness is None,
            "" if witness is None else f"action matrix {witness} is not in sp(omega)")
 
+    # A pair whose bracket leaves g_m is reported by gm_subalgebra, and
+    # action matrices of the wrong count or shape by the checks above.
     witness = None
-    if len(sl.action) == inst.gm.dim:
-        gv = inst.gm.basis_vectors()
-        for i in range(len(gv)):
-            for j in range(len(gv)):
-                br = L.bracket(gv[i], gv[j])
-                coords = inst.gm.coords_of(br)
-                if coords is None:
-                    continue  # reported by gm_subalgebra
-                lhs = sl.combine(coords)
-                rhs = sl.action[i] @ sl.action[j] - sl.action[j] @ sl.action[i]
-                if lhs != rhs:
-                    witness = (i, j)
-                    break
-            if witness:
-                break
+    if len(sl.action) == inst.gm.dim and all(
+            A.rows == A.cols == sl.dim for A in sl.action):
+        gv, A = inst.gm.basis_vectors(), sl.action
+        brackets = (((i, j), inst.gm.coords_of(L.bracket(gv[i], gv[j])))
+                    for i in range(len(gv)) for j in range(len(gv)))
+        witness = next(((i, j) for (i, j), coords in brackets
+                        if coords is not None and sl.combine(coords)
+                        != A[i] @ A[j] - A[j] @ A[i]), None)
     record("slice_action_homomorphism", witness is None,
            "" if witness is None else f"homomorphism fails on gm pair {witness}")
 

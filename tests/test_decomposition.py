@@ -246,22 +246,19 @@ class TestSliceMomentum:
 
 class TestCoadjointSlice:
     def test_collinear_kernel_is_s_orbit(self):
-        inst = so3_case("collinear", slice_dim=0)
-        chain = build_chain(inst)
-        for check in coadjoint_slice_check(chain, inst):
+        chain, model = setup(so3_case("collinear", slice_dim=0))
+        for check in coadjoint_slice_check(model):
             assert check.passed, check.name
         assert chain.s.dim == 2 and chain.h_alpha.dim == 1
         assert chain.h_mu == chain.h_alpha  # h_alpha*mu orbit is trivial
 
     def test_abelian_orbit_is_a_point(self):
-        inst = torus_instance(4, 1, slice_dim=0)
-        chain = build_chain(inst)
-        checks = coadjoint_slice_check(chain, inst)
+        chain, model = setup(torus_instance(4, 1, slice_dim=0))
+        checks = coadjoint_slice_check(model)
         assert all(c.passed for c in checks)
         assert chain.n_space.dim == 0
 
     def test_diagonal_instance(self):
-        inst = so3xso3_diag(with_gm=False)
-        chain = build_chain(inst)
-        for check in coadjoint_slice_check(chain, inst):
+        _, model = setup(so3xso3_diag(with_gm=False))
+        for check in coadjoint_slice_check(model):
             assert check.passed, check.name

@@ -133,6 +133,18 @@ class TestPredicates:
         assert not preserves(Matrix.identity(2), J)
 
 
+class TestSubmatrix:
+    def test_rows_and_columns_in_the_given_order(self):
+        A = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert A.submatrix((1, 0), (2, 0)) == Matrix.from_rows([[6, 4], [3, 1]])
+        assert A.submatrix(range(2), range(3)) == A
+
+    def test_empty_selection(self):
+        A = Matrix.identity(3)
+        assert A.submatrix((), (0, 1)) == Matrix.zeros(0, 2)
+        assert A.submatrix((0, 2), ()) == Matrix.zeros(2, 0)
+
+
 class TestGramOn:
     def test_zero_dim_gives_empty(self):
         form = identity_form(3)

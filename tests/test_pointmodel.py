@@ -10,8 +10,14 @@ from instances import (
     torus_instance,
     vec,
 )
-from wittartin.exactlin import Matrix, Subspace, dot, unit_vec, zero_vec
-from wittartin.pointmodel import build_model, dphi_G, dphi_H, inf_action
+from wittartin.exactlin import Matrix, Subspace, dot, preserves, unit_vec, zero_vec
+from wittartin.pointmodel import (
+    build_model,
+    dphi_G,
+    dphi_H,
+    inf_action,
+    isotropy_action,
+)
 from wittartin.splitting import build_chain
 
 F = Fraction
@@ -83,6 +89,45 @@ class TestInfAction:
 def n0_vector(m, rho):
     """The model coordinates of the N0 vector with R block rho."""
     return zero_vec(m.dim_m + m.dim_n) + tuple(rho) + zero_vec(m.slice_dim)
+
+
+class TestIsotropyAction:
+    """The linearised g_m-action on the model, against properties it must
+    have: it is infinitesimally symplectic, the generators are equivariant,
+    and the bracket of g_m goes to the commutator."""
+
+    @staticmethod
+    def models():
+        from corpus import build_corpus
+        insts = [inst for inst in build_corpus() if inst.gm.dim > 0]
+        return [model_for(inst) for inst in insts[::3]] + [
+            model_for(so3xso3_diag(with_gm=True)),
+            model_for(full_stabilizer_instance())]
+
+    def test_symplectic_equivariant_and_a_representation(self):
+        models = self.models()
+        assert len(models) > 10
+        for m in models:
+            L, etas = m.inst.algebra, m.inst.gm.basis_vectors()
+            actions = [isotropy_action(m, eta) for eta in etas]
+            for eta, A in zip(etas, actions):
+                assert preserves(A, m.omega.gram)
+                for i in range(m.inst.dim):
+                    x = unit_vec(m.inst.dim, i)
+                    assert A.apply(inf_action(m, x)) \
+                        == inf_action(m, L.bracket(eta, x))
+            for i, A in enumerate(actions):
+                for j, B in enumerate(actions):
+                    assert isotropy_action(m, L.bracket(etas[i], etas[j])) \
+                        == A @ B - B @ A
+
+    def test_slice_block_is_the_slice_representation(self):
+        m = model_for(full_stabilizer_instance())
+        v = m.indices("N1")
+        for t, eta in enumerate(m.inst.gm.basis_vectors()):
+            A = isotropy_action(m, eta)
+            assert A.submatrix(v, v) == m.inst.slice_rep.action[t]
+            assert A.submatrix(v, range(v[0])).is_zero()
 
 
 class TestFMap:

@@ -292,8 +292,8 @@ def test_lost_h_alpha_orbit_fails_s_complement_check(monkeypatch):
     exact = dec.coadjoint_slice_check
     monkeypatch.setattr(
         dec, "coadjoint_slice_check",
-        lambda chain, inst: exact(
-            replace(chain, h_alpha=Subspace.zero(inst.dim)), inst))
+        lambda model: exact(replace(model, chain=replace(
+            model.chain, h_alpha=Subspace.zero(model.inst.dim)))))
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["coadjoint.s_complements_halpha_orbit"]
@@ -363,3 +363,88 @@ def test_shifted_momentum_off_identity_fails_equivariance(monkeypatch):
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["tube.equivariance"]
+
+
+def test_action_killing_a_non_unit_vector_fails_kernel_check(monkeypatch):
+    # The wrapped action kills e0 + e1 (and no unit vector): x is moved to
+    # x - x_0 (e0 + e1) first.  g_m = 0 on this instance.
+    expected_names = [c.name for c in _run()]
+    exact = pm.inf_action
+
+    def killing_e0_plus_e1(model, x):
+        return exact(model, (0 * x[0], x[1] - x[0]) + tuple(x[2:]))
+
+    monkeypatch.setattr(pm, "inf_action", killing_e0_plus_e1)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["model.ker_dphiG_is_orbit_perp",
+                               "model.ker_dphiH_is_h_orbit_perp",
+                               "model.inf_action_kernel_is_gm"]
+
+
+def test_doubled_quaternion_action_fails_homomorphism_and_names_the_pair():
+    # g_m = so(3) acts on the quaternions; 2 * action[0] is still in
+    # sp(omega), but [gm_0, gm_1] = gm_2 now acts by half the commutator.
+    from corpus import QUAT_ACTIONS, build_corpus
+    inst = next(inst for inst in build_corpus()
+                if inst.slice_rep.action == QUAT_ACTIONS)
+    assert verify.run_all(inst, samples=3)[-1].passed
+    doubled = (QUAT_ACTIONS[0].scale(2),) + QUAT_ACTIONS[1:]
+    broken = replace(inst, slice_rep=replace(inst.slice_rep, action=doubled))
+    checks = verify.run_all(broken, samples=3)
+    assert _failed(checks) == ["validate.slice_action_homomorphism"]
+    assert _check(checks, "validate.slice_action_homomorphism").detail \
+        == "homomorphism fails on gm pair (0, 1)"
+
+
+def test_slice_action_of_the_wrong_shape_is_a_named_fail():
+    # The file format rejects such a matrix; a ProblemInstance built in
+    # Python reaches validate with it.
+    sl = from_dict(build_example("so3xso3-diagonal")).slice_rep
+    wide = Matrix.from_rows([[0, 1, 0], [1, 0, 0]])
+    inst = _diagonal_with(slice_rep=replace(sl, action=(wide,)))
+    checks = verify.run_all(inst, samples=3)
+    assert _failed(checks) == ["validate.slice_action_symplectic"]
+
+
+def test_kernel_other_than_TH0_plus_NH1_fails_witt_h_kernel_check(
+        monkeypatch):
+    # The H-side checks see ker dphi_G = 0 and ker dphi_H = M, so
+    # wittH.3 still holds (0 + M is M) while TH0 + NH1 is larger than M.
+    expected_names = [c.name for c in _run()]
+    exact = dec.h_decomposition_checks
+
+    def wrong_kernels(decomp, model):
+        broken = replace(model)
+        broken.__dict__["ker_dphi_G"] = Subspace.zero(model.total_dim)
+        broken.__dict__["ker_dphi_H"] = dec.eq_M_subspace(model)
+        return exact(decomp, broken)
+
+    monkeypatch.setattr(dec, "h_decomposition_checks", wrong_kernels)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["wittH.2_TH0_NH1_is_ker_dphiH"]
+    assert _check(checks, "wittH.2_TH0_NH1_is_ker_dphiH").detail \
+        == "fails: TH0 + NH1 is ker dphi_H"
+
+
+def test_omega_pairing_TH1_with_NH1_fails_witt_h_orthogonality(monkeypatch):
+    # Only the H-side checks see the changed form, and no Gram of s, X_m,
+    # NH1 or Z_m involves the U_ntilde coordinate it changes.
+    expected_names = [c.name for c in _run("so3xso3-diagonal")]
+    exact = dec.h_decomposition_checks
+
+    def coupled(decomp, model):
+        i, j = decomp.TH1[0], decomp.NH1[0]
+        rows = [list(row) for row in model.omega.gram.entries]
+        rows[i][j] += 1
+        rows[j][i] -= 1
+        omega = BilinearForm(Matrix.from_rows(rows, cols=model.total_dim))
+        return exact(decomp, replace(model, omega=omega))
+
+    monkeypatch.setattr(dec, "h_decomposition_checks", coupled)
+    checks = _run("so3xso3-diagonal")
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["wittH.4_orthogonality_and_lagrangian"]
+    assert _check(checks, "wittH.4_orthogonality_and_lagrangian").detail \
+        == "fails: TH1 is omega-orthogonal to NH1"

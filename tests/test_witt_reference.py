@@ -1,0 +1,202 @@
+"""The Witt-Artin axioms and the h_m-action on NH1 against the formulations
+they replaced.
+
+decomposition._witt_artin_axioms states the axioms of both decompositions
+once; the reference below is the per-statement identity list that
+wittG.all_assertions held, written with plain Gram entries and stacked
+ranks, and it is compared on Hypothesis-drawn block subspaces of the
+catalog models.  decomposition._eta_action_on_nh1 reads the h_m-action off
+the model's isotropy action; the reference builds it block by block from
+brackets, as the package used to, and the two are compared on every corpus
+instance with h_m != 0.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus import build_corpus
+from wittartin.catalog import build_example
+from wittartin.decomposition import (
+    NH1_ORDER,
+    _eta_action_on_nh1,
+    _witt_artin_axioms,
+)
+from wittartin.exactlin import (
+    Matrix,
+    Subspace,
+    ZERO,
+    dot,
+    intersect,
+    is_zero_vec,
+    unit_vec,
+)
+from wittartin.instancefile import from_dict
+from wittartin.pointmodel import build_model
+from wittartin.splitting import build_chain
+
+F = Fraction
+
+
+def _model(inst):
+    return build_model(build_chain(inst), inst)
+
+
+# ---------------------------------------------------------------------------
+# The h_m-action on NH1, block by block.
+
+def _basis_coords(model, x, cols):
+    coords = model.g_coords(x)
+    assert is_zero_vec(coords[:cols.start]) and is_zero_vec(coords[cols.stop:])
+    return coords[cols.start:cols.stop]
+
+
+def ref_eta_action_on_nh1(model, eta):
+    """eta acts by the bracket on the s and b blocks, by the negative
+    coadjoint action on Y_m inside m*, and by the slice representation on
+    N1."""
+    L = model.inst.algebra
+    chain = model.chain
+    ds, db, dn1 = chain.s.dim, chain.b.dim, model.slice_dim
+    size = ds + 2 * db + dn1
+    gm, dim_m = model.gm_dim, model.dim_m
+    cols = []
+    for name, offset in (("s", 0), ("b", ds)):
+        block = model.blocks[name]
+        for i in block:
+            coords = _basis_coords(
+                model, L.bracket(eta, model.mn_basis.col(i)),
+                range(gm + block.start, gm + block.stop))
+            cols.append([ZERO] * offset + list(coords)
+                        + [ZERO] * (size - offset - len(coords)))
+    ad_on_m = [_basis_coords(model, L.bracket(eta, model.mn_basis.col(j)),
+                             range(gm, gm + dim_m))
+               for j in range(dim_m)]
+    for j in range(chain.p.dim, dim_m):
+        # (eta . rho_j)_k = -<rho_j, [eta, m_k]> for the dual basis rho_j.
+        new = [-ad_on_m[k][j] for k in range(dim_m)]
+        assert not any(new[:chain.p.dim])
+        cols.append([ZERO] * (ds + db) + new[chain.p.dim:] + [ZERO] * dn1)
+    A = model.inst.slice_rep.combine(_basis_coords(model, eta, range(gm)))
+    cols.extend([ZERO] * (ds + 2 * db) + list(col) for col in A.columns())
+    return Matrix.from_cols(cols, rows=size)
+
+
+def test_eta_action_is_the_block_by_block_action():
+    insts = [inst for inst in build_corpus()
+             if intersect(inst.h, inst.gm).dim > 0]
+    insts.append(from_dict(build_example("so3xso3-diagonal")))
+    assert len(insts) > 20
+    for inst in insts:
+        model = _model(inst)
+        etas = model.chain.h_m.basis_vectors()
+        assert etas
+        for eta in etas:
+            assert _eta_action_on_nh1(model, eta) \
+                == ref_eta_action_on_nh1(model, eta)
+
+
+# ---------------------------------------------------------------------------
+# The Witt-Artin axioms, one statement at a time.
+
+GROUPS = ("sum", "kernel", "orthogonality", "lagrangian")
+
+
+def ref_axioms(model, ker, ker_name, names, spaces):
+    """The first failing statement of each group, from the identity list
+    of wittG.all_assertions with T0, T1, N0, N1 renamed."""
+    t0, t1, n0, n1 = names
+    T0, T1, N0, N1 = (s.basis_vectors() for s in spaces)
+    G, n = model.omega.gram, model.total_dim
+
+    def orthogonal(U, V):
+        return all(dot(u, G.apply(v)) == 0 for u in U for v in V)
+
+    def symplectic(U):
+        gram = [[dot(u, G.apply(v)) for v in U] for u in U]
+        return Matrix.from_rows(gram, cols=len(U)).rank() == len(U)
+
+    rank_all = Matrix.from_cols(T0 + T1 + N0 + N1, rows=n).rank()
+    split = f"{t0} + {t1} + {n0} + {n1}"
+    identities = (
+        ("sum", f"{split} is direct",
+         lambda: rank_all == len(T0 + T1 + N0 + N1)),
+        ("sum", f"{split} is the whole model",
+         lambda: rank_all == len(T0 + T1 + N0 + N1) == n),
+        ("kernel", f"{t0} + {n1} is {ker_name}",
+         lambda: Subspace.span(n, T0 + N1) == ker),
+        ("orthogonality", f"{t1} is omega-orthogonal to {n1}",
+         lambda: orthogonal(T1, N1)),
+        ("orthogonality", f"{t1} is omega-orthogonal to {t0} + {n0}",
+         lambda: orthogonal(T1, T0 + N0)),
+        ("orthogonality", f"{n1} is omega-orthogonal to {t0} + {n0}",
+         lambda: orthogonal(N1, T0 + N0)),
+        ("lagrangian", f"{t0} is isotropic", lambda: orthogonal(T0, T0)),
+        ("lagrangian", f"{n0} is isotropic", lambda: orthogonal(N0, N0)),
+        ("lagrangian", f"dim {t0} equals dim {n0}",
+         lambda: len(T0) == len(N0)),
+        ("lagrangian", f"{t0} + {n0} is symplectic",
+         lambda: symplectic(Subspace.span(n, T0 + N0).basis_vectors())),
+    )
+    first = dict.fromkeys(GROUPS)
+    for group, text, holds in identities:
+        if first[group] is None and not holds():
+            first[group] = text
+    return first
+
+
+CATALOG = ("so3-zero", "so3-generic", "so3-collinear", "so3xso3-diagonal",
+           "torus")
+MODELS = {name: _model(from_dict(build_example(name))) for name in CATALOG}
+MODEL_BLOCKS = ("p", "b", "a", "s", "ntilde", "r", "pstar", "bstar", "N1")
+SPLITS = {
+    "G": (("T0", "T1", "N0", "N1"),
+          (("p", "b"), ("a", "s", "ntilde", "r"), ("pstar", "bstar"),
+           ("N1",))),
+    "H": (("TH0", "TH1", "NH0", "NH1"),
+          (("p", "a"), ("ntilde",), ("r", "pstar"), NH1_ORDER)),
+}
+
+
+@st.composite
+def drawn_split(draw):
+    """A catalog model, a side, and four block subspaces: each the span of
+    some of the model's coordinate blocks (the side's true split with
+    probability about one half) plus up to one drawn vector."""
+    model = MODELS[draw(st.sampled_from(CATALOG))]
+    side = draw(st.sampled_from(sorted(SPLITS)))
+    names, true_blocks = SPLITS[side]
+    n = model.total_dim
+    spaces = []
+    for k in range(4):
+        if draw(st.booleans()):
+            blocks = true_blocks[k]
+        else:
+            blocks = draw(st.lists(st.sampled_from(MODEL_BLOCKS),
+                                   max_size=3, unique=True))
+        vectors = [unit_vec(n, i) for i in model.indices(*blocks)]
+        vectors += draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+            .map(lambda v: tuple(map(F, v))), max_size=1))
+        spaces.append(Subspace.span(n, vectors))
+    ker = model.ker_dphi_G if side == "G" else model.ker_dphi_H
+    return model, ker, f"ker dphi_{side}", names, spaces
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_split())
+def test_axioms_name_the_first_failing_statement_of_each_group(case):
+    model, ker, ker_name, names, spaces = case
+    got = _witt_artin_axioms(model, ker, ker_name, dict(zip(names, spaces)))
+    assert got == ref_axioms(model, ker, ker_name, names, spaces)
+
+
+def test_true_splits_satisfy_every_axiom():
+    for model in MODELS.values():
+        for side, (names, blocks) in SPLITS.items():
+            spaces = [model.unit_span(model.indices(*b)) for b in blocks]
+            ker = model.ker_dphi_G if side == "G" else model.ker_dphi_H
+            got = _witt_artin_axioms(model, ker, f"ker dphi_{side}",
+                                     dict(zip(names, spaces)))
+            assert got == dict.fromkeys(GROUPS)
