@@ -181,10 +181,12 @@ class Matrix:
         return Matrix(self.rows, other.cols, data)
 
     def apply(self, v: Vec) -> Vec:
-        """Matrix-vector product."""
+        """Matrix-vector product, summed over the nonzero entries of v."""
         if len(v) != self.cols:
             raise AmbientMismatch("vector length does not match column count")
-        return tuple(dot(row, v) for row in self.entries)
+        nz = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum((row[j] * x for j, x in nz), ZERO)
+                     for row in self.entries)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -196,15 +198,26 @@ class Matrix:
         return all(is_zero_vec(row) for row in self.entries)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self == self.transpose()
+        e = self.entries
+        return self.rows == self.cols and all(
+            e[i][j] == e[j][i] for i in range(self.rows) for j in range(i))
 
     def is_antisymmetric(self) -> bool:
-        return self.rows == self.cols and self == -self.transpose()
+        return self.rows == self.cols and self.antisymmetry_witness() is None
+
+    def antisymmetry_witness(self) -> tuple[int, int] | None:
+        """The first (i, j), j >= i, of a square matrix with entry (i, j)
+        other than minus entry (j, i), or None."""
+        e = self.entries
+        return next(((i, j) for i in range(self.rows) for j in range(i, self.rows)
+                     if e[i][j] != -e[j][i]), None)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form with smallest-index pivoting.
 
         Returns the reduced matrix and the tuple of pivot column indices.
+        Row updates touch only the columns where the pivot row is nonzero,
+        since x - f*0 == x.
         """
         m = [list(row) for row in self.entries]
         pivots: list[int] = []
@@ -218,10 +231,12 @@ class Matrix:
             m[r], m[pivot_row] = m[pivot_row], m[r]
             pv = m[r][c]
             m[r] = [x / pv for x in m[r]]
+            nz = [(j, y) for j, y in enumerate(m[r]) if y]
             for i in range(self.rows):
                 if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                    row, f = m[i], m[i][c]
+                    for j, y in nz:
+                        row[j] -= f * y
             pivots.append(c)
             r += 1
         return Matrix(self.rows, self.cols, tuple(tuple(row) for row in m)), tuple(pivots)
@@ -244,10 +259,12 @@ class Matrix:
                 det = -det
             det *= m[c][c]
             inv = ONE / m[c][c]
+            nz = [(j, y) for j, y in enumerate(m[c]) if y]
             for i in range(c + 1, n):
                 if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+                    row, f = m[i], m[i][c] * inv
+                    for j, y in nz:
+                        row[j] -= f * y
         return det
 
     def inverse(self) -> "Matrix":
@@ -488,6 +505,7 @@ def perp_under_form(form: BilinearForm, U: Subspace) -> Subspace:
     """All vectors pairing to zero (on the right) with every vector of U."""
     if form.ambient_dim != U.ambient_dim:
         raise AmbientMismatch("form and subspace live in different spaces")
-    # Rows: v -> form(u_i, v) for each basis vector u_i of U.
-    rows = U.basis.transpose() @ form.gram
-    return kernel(rows)
+    # Rows: v -> form(u_i, v) = (G^T u_i) . v for each basis vector u_i of U.
+    gt = form.gram.transpose()
+    rows = tuple(gt.apply(u) for u in U.basis_vectors())
+    return kernel(Matrix(U.dim, U.ambient_dim, rows))

@@ -66,10 +66,15 @@ class TangentModel:
     def slice_dim(self) -> int:
         return self.inst.slice_rep.dim
 
-    # The kernels of the momentum differentials, computed once, on first use.
+    # The momentum differential (defined by the module function dphi_G) and
+    # the kernels of both differentials, computed once, on first use.
+    @cached_property
+    def dphi_G(self) -> Matrix:
+        return dphi_G(self)
+
     @cached_property
     def ker_dphi_G(self) -> Subspace:
-        return kernel(dphi_G(self))
+        return kernel(self.dphi_G)
 
     @cached_property
     def ker_dphi_H(self) -> Subspace:
@@ -255,4 +260,4 @@ def dphi_G(model: TangentModel) -> Matrix:
 
 def dphi_H(model: TangentModel) -> Matrix:
     """Momentum differential for the subalgebra: restrict covectors to h."""
-    return model.inst.h.basis.transpose() @ dphi_G(model)
+    return model.inst.h.basis.transpose() @ model.dphi_G

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import Matrix, Vec, add_vec, dot, is_zero_vec, scale_vec, unit_vec, zero_vec
-from .pointmodel import TangentModel, dphi_G
+from .pointmodel import TangentModel
 from .splitting import Check, ProblemInstance
 
 # Relative tolerance of the exponential series and of the equivariance
@@ -121,15 +121,26 @@ def _to_float_rows(M: Matrix) -> list[list[float]]:
     return [[float(x) for x in row] for row in M.entries]
 
 
-def _mat_mul(A: list[list[float]], B: list[list[float]]) -> list[list[float]]:
-    # Sums the nonzero a*b in increasing k: == the dense sums but for a 0's sign.
-    nzB = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-    out = [[0.0] * (len(B[0]) if B else 0) for _ in A]
-    for acc, row in zip(out, A):
+def _nonzeros(B: list[list[float]]) -> list[list[tuple[int, float]]]:
+    return [[(j, b) for j, b in enumerate(row) if b] for row in B]
+
+
+def _product(A: list[list[float]], nzB: list[list[tuple[int, float]]],
+             cols: int, c: float | None = None) -> list[list[float]]:
+    # Sums the nonzero a*b in increasing k: == the dense sums but for a 0's
+    # sign.  With c, each row of the product is then scaled by c.
+    out = []
+    for row in A:
+        acc = [0.0] * cols
         for a, nz in zip(row, nzB):
             for j, b in nz if a else ():
                 acc[j] += a * b
+        out.append(acc if c is None else [c * x for x in acc])
     return out
+
+
+def _mat_mul(A: list[list[float]], B: list[list[float]]) -> list[list[float]]:
+    return _product(A, _nonzeros(B), len(B[0]) if B else 0)
 
 
 def _mat_add(A, B):
@@ -142,7 +153,11 @@ def _mat_scale(c: float, A):
 
 def _mat_norm(A) -> float:
     # Max absolute row sum (induced infinity norm).
-    return max((sum(abs(x) for x in row) for row in A), default=0.0)
+    return max((sum(map(abs, row)) for row in A), default=0.0)
+
+
+# Relative slack of the running bound on ||result|| against float rounding.
+_NORM_MARGIN = 1.0 + 1e-6
 
 
 def _identity(n: int) -> list[list[float]]:
@@ -154,7 +169,9 @@ def expm(A: list[list[float]], rel_tol: float = REL_TOL) -> list[list[float]]:
 
     After scaling so the norm is at most 1/2, the Taylor series is summed
     until the rigorous remainder bound  ||term|| / (1 - q)  with
-    q = ||A|| / (k + 2) drops below the tolerance.
+    q = ||A|| / (k + 2) drops below the tolerance.  ||result|| is at most
+    1 + the sum of the term norms, so it is only computed once that bound
+    (with a margin far above rounding) lets the tail test pass.
     """
     n = len(A)
     if n == 0:
@@ -168,14 +185,18 @@ def expm(A: list[list[float]], rel_tol: float = REL_TOL) -> list[list[float]]:
 
     result = _identity(n)
     term = _identity(n)
+    nzS = _nonzeros(S)
     s_norm = _mat_norm(S)
+    bound = 1.0
     converged = False
     for k in range(1, 60):
-        term = _mat_scale(1.0 / k, _mat_mul(term, S))
+        term = _product(term, nzS, n, 1.0 / k)
         result = _mat_add(result, term)
         tail = _mat_norm(term)
+        bound += tail
         q = s_norm / (k + 2)
-        if q < 1 and tail / (1 - q) <= rel_tol * max(1.0, _mat_norm(result)):
+        if (q < 1 and tail / (1 - q) <= rel_tol * bound * _NORM_MARGIN
+                and tail / (1 - q) <= rel_tol * max(1.0, _mat_norm(result))):
             converged = True
             break
     if not converged:
@@ -206,7 +227,7 @@ def phi_tilde(model: TangentModel, p: TubePoint) -> tuple[float, ...]:
 def check_dphi_consistency(model: TangentModel) -> list[Check]:
     """Central differences of phi_tilde at the base against dphi_G."""
     step = Fraction(1, 10_000)
-    dG = dphi_G(model)
+    dG = model.dphi_G
 
     worst = 0.0
     worst_dir = -1

@@ -98,10 +98,12 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
         model.total_dim,
         [pm.inf_action(model, v) for v in inst.h.basis_vectors()],
     )
-    out.append(Check("model.ker_dphiG_is_orbit_perp",
-                     kerG == perp_under_form(model.omega, g_orbit)))
-    out.append(Check("model.ker_dphiH_is_h_orbit_perp",
-                     kerH == perp_under_form(model.omega, h_orbit)))
+    out.append(_equality_check(
+        "model.ker_dphiG_is_orbit_perp", kerG, "ker dphi_G",
+        perp_under_form(model.omega, g_orbit), "the omega-perp of the g-orbit"))
+    out.append(_equality_check(
+        "model.ker_dphiH_is_h_orbit_perp", kerH, "ker dphi_H",
+        perp_under_form(model.omega, h_orbit), "the omega-perp of the h-orbit"))
 
     d = dim_formulas(model.chain)
     out.append(Check("dims.kernel_gap_formula",
@@ -113,6 +115,19 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
     out.append(Check("model.inf_action_kernel_is_gm",
                      kernel(action) == inst.gm))
     return out
+
+
+def _equality_check(name: str, A: Subspace, a_name: str,
+                    B: Subspace, b_name: str) -> Check:
+    """A == B; a failure names the first basis vector of one side that is
+    not in the other."""
+    if A == B:
+        return Check(name, True)
+    i, x, y = next((i, x, y) for X, x, Y, y in ((A, a_name, B, b_name),
+                                                (B, b_name, A, a_name))
+                   for i, v in enumerate(X.basis_vectors())
+                   if not Y.contains(v))
+    return Check(name, False, f"basis vector {i} of {x} is not in {y}")
 
 
 def decomposition_checks(model: pm.TangentModel,
@@ -198,20 +213,21 @@ def tube_checks(model: pm.TangentModel, samples: int,
     def rand_small() -> Fraction:
         return Fraction(rng.randint(-1, 1), 10)
 
-    ok_anti = True
-    ok_nondeg = True
-    for _ in range(min(samples, 5)):
+    # The first failing sample of each check, as its detail.
+    anti = nondeg = ""
+    for t in range(min(samples, 5)):
         p = tube.TubePoint(
             zero_vec(n),
             tuple(rand_small() for _ in range(model.dim_m)),
             tuple(rand_small() for _ in range(model.slice_dim)))
         G = tube.omega_tube_gram(model, p)
-        if not G.is_antisymmetric():
-            ok_anti = False
-        if model.total_dim and G.det() == 0:
-            ok_nondeg = False
-    out.append(Check("tube.antisymmetric_at_slice_points", ok_anti))
-    out.append(Check("tube.nondegenerate_near_origin", ok_nondeg))
+        if not anti and not G.is_antisymmetric():
+            i, j = G.antisymmetry_witness()
+            anti = f"sample {t}: entry ({i}, {j}) is not minus entry ({j}, {i})"
+        if not nondeg and model.total_dim and G.det() == 0:
+            nondeg = f"sample {t}: the form is degenerate"
+    out.append(Check("tube.antisymmetric_at_slice_points", not anti, anti))
+    out.append(Check("tube.nondegenerate_near_origin", not nondeg, nondeg))
 
     out.extend(tube.check_dphi_consistency(model))
     out.extend(tube.phi_equivariance_check(model, samples, seed=seed))

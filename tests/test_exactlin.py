@@ -23,6 +23,7 @@ from wittartin.exactlin import (
     intersect,
     kernel,
     orth_complement,
+    perp_under_form,
     preserves,
     sum_spaces,
 )
@@ -332,3 +333,140 @@ def test_preserves_matches_pairing_definition(A, G):
     pair = [[dot(A.apply(u), G.apply(v)) + dot(u, G.apply(A.apply(v)))
              for v in units] for u in units]
     assert preserves(A, G) == all(x == 0 for row in pair for x in row)
+
+
+# The zero-skipping kernels against the dense code they replaced, on
+# Fraction matrices of drawn sparsity: empty shapes, all-zero rows and
+# columns, and repeated rows are all drawn.
+
+def dense_apply(A, v):
+    return tuple(dot(row, v) for row in A.entries)
+
+
+def dense_rref(A):
+    m = [list(row) for row in A.entries]
+    pivots = []
+    r = 0
+    for c in range(A.cols):
+        if r == A.rows:
+            break
+        pivot_row = next((i for i in range(r, A.rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(A.rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(A.rows, A.cols, tuple(tuple(row) for row in m)), tuple(pivots)
+
+
+def dense_det(A):
+    n = A.rows
+    m = [list(row) for row in A.entries]
+    det = F(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot_row is None:
+            return F(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def dense_perp_under_form(form, U):
+    return kernel(U.basis.transpose() @ form.gram)
+
+
+def dense_is_symmetric(A):
+    return A.rows == A.cols and A == A.transpose()
+
+
+def dense_is_antisymmetric(A):
+    return A.rows == A.cols and A == -A.transpose()
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None):
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    zeros = draw(st.integers(0, 4))
+    entry = st.one_of(*[st.just(F(0))] * zeros, small_fracs)
+    m = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    if r:
+        for i in draw(st.lists(st.integers(0, r - 1), max_size=2)):
+            m[i] = [F(0)] * c
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        if draw(st.booleans()):
+            m[j] = list(m[i])
+    if c:
+        for j in draw(st.lists(st.integers(0, c - 1), max_size=2)):
+            for row in m:
+                row[j] = F(0)
+    return Matrix(r, c, tuple(map(tuple, m)))
+
+
+def square_sparse_matrices():
+    return st.integers(0, 5).flatmap(lambda n: sparse_matrices(n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda d: st.tuples(sparse_matrices(*d), sparse_matrices(1, d[1]))))
+def test_apply_matches_dense_apply(Av):
+    A, v = Av
+    assert A.apply(v.row(0)) == dense_apply(A, v.row(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_rref_matches_dense_elimination(A):
+    assert A.rref() == dense_rref(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_sparse_matrices())
+def test_det_matches_dense_elimination(A):
+    assert A.det() == dense_det(A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    sparse_matrices(n, n), sparse_matrices(cols=n))))
+def test_perp_under_form_matches_dense_product(GV):
+    G, V = GV
+    U = Subspace.span(G.rows, V.entries)
+    assert perp_under_form(BilinearForm(G), U) \
+        == dense_perp_under_form(BilinearForm(G), U)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(square_sparse_matrices(), sparse_matrices()),
+       st.sampled_from(["as drawn", "symmetric part", "antisymmetric part"]),
+       st.none() | st.tuples(st.integers(0, 4), st.integers(0, 4)))
+def test_symmetry_predicates_match_dense_comparison(A, part, bump):
+    if A.rows == A.cols and part != "as drawn":
+        A = A + A.transpose() if part == "symmetric part" else A - A.transpose()
+    if bump and A.rows and A.cols:
+        rows = [list(row) for row in A.entries]
+        rows[bump[0] % A.rows][bump[1] % A.cols] += 1
+        A = Matrix(A.rows, A.cols, tuple(map(tuple, rows)))
+    assert A.is_symmetric() == dense_is_symmetric(A)
+    assert A.is_antisymmetric() == dense_is_antisymmetric(A)
+    if A.rows == A.cols:
+        w = A.antisymmetry_witness()
+        assert (w is None) == dense_is_antisymmetric(A)
+        if w is not None:
+            i, j = w
+            assert i <= j and A.entries[i][j] != -A.entries[j][i]

@@ -349,6 +349,68 @@ class TestZeroSkippingProduct:
             assert expm(A) == _expm_with(ref_mat_mul, A)
 
 
+def expm_reference(A, rel_tol=tube.REL_TOL):
+    """The exponential as it was before the series step read S's nonzeros
+    once, folded in the 1/k and skipped the norm of the partial sum: every
+    step scaled, added and took both norms, on the dense product."""
+    def scale(c, M):
+        return [[c * x for x in row] for row in M]
+
+    def norm(M):
+        return max((sum(abs(x) for x in row) for row in M), default=0.0)
+
+    n = len(A)
+    if n == 0:
+        return []
+    a_norm = norm(A)
+    squarings = 0
+    while a_norm > 0.5:
+        squarings += 1
+        a_norm /= 2.0
+    S = scale(0.5 ** squarings, A)
+    result = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    term = [row[:] for row in result]
+    s_norm = norm(S)
+    for k in range(1, 60):
+        term = scale(1.0 / k, ref_mat_mul(term, S))
+        result = [[x + y for x, y in zip(ra, rb)]
+                  for ra, rb in zip(result, term)]
+        tail = norm(term)
+        q = s_norm / (k + 2)
+        if q < 1 and tail / (1 - q) <= rel_tol * max(1.0, norm(result)):
+            break
+    else:
+        raise tube.SeriesNotConverged("exponential series tail bound not met")
+    for _ in range(squarings):
+        result = ref_mat_mul(result, result)
+    return result
+
+
+class TestExpmAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(st.integers(0, 7), st.sampled_from([0.3, 4.0, 40.0]))
+           .flatmap(lambda d: float_matrices(d[0], d[0], d[1])),
+           st.sampled_from([tube.REL_TOL, 1e-14, 1e-3]))
+    def test_equals_reference_on_drawn_matrices(self, A, rel_tol):
+        assert expm(A, rel_tol) == expm_reference(A, rel_tol)
+
+    def test_equals_reference_on_corpus_ad_and_coad_matrices(self):
+        # xi as drawn by phi_equivariance_check: entries up to 8 in size,
+        # so the exponential scales and squares.
+        rng = random.Random(23)
+        squared = False
+        for L in sorted({inst.algebra for inst in build_corpus()},
+                        key=lambda L: (L.dim, str(L.c))):
+            for _ in range(4):
+                xi = tuple(F(rng.randint(-8, 8), rng.randint(1, 8))
+                           for _ in range(L.dim))
+                for M in (L.ad_matrix(xi), L.coad_matrix(xi)):
+                    A = [[float(x) for x in row] for row in M.entries]
+                    squared |= tube._mat_norm(A) > 0.5
+                    assert expm(A) == expm_reference(A)
+        assert squared
+
+
 def _expm_with(mat_mul, A):
     """expm with tube._mat_mul swapped for mat_mul for one call."""
     fast = tube._mat_mul

@@ -341,9 +341,100 @@ def test_zero_form_off_origin_fails_nondegeneracy_check(monkeypatch):
     assert _failed(checks) == ["tube.nondegenerate_near_origin"]
 
 
+def _at_sample(t, change):
+    """omega_tube_gram with `change` applied at the t-th sampled slice point
+    of tube_checks only; its first call is the base point."""
+    exact = tube.omega_tube_gram
+    calls = []
+
+    def broken(model, p):
+        calls.append(p)
+        G = exact(model, p)
+        return change(G) if len(calls) == t + 2 else G
+    return broken
+
+
+def test_asymmetric_entry_at_one_sample_is_named_by_the_antisymmetry_check(
+        monkeypatch):
+    expected_names = [c.name for c in _run()]
+
+    def bumped(G):
+        rows = [list(row) for row in G.entries]
+        rows[0][1] += 1
+        return Matrix.from_rows(rows, cols=G.cols)
+
+    monkeypatch.setattr(tube, "omega_tube_gram", _at_sample(2, bumped))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.antisymmetric_at_slice_points"]
+    assert _check(checks, "tube.antisymmetric_at_slice_points").detail \
+        == "sample 2: entry (0, 1) is not minus entry (1, 0)"
+
+
+def test_degenerate_form_at_one_sample_is_named_by_the_nondegeneracy_check(
+        monkeypatch):
+    expected_names = [c.name for c in _run()]
+
+    def first_unit_in_radical(G):
+        rows = [[0 if 0 in (i, j) else x for j, x in enumerate(row)]
+                for i, row in enumerate(G.entries)]
+        return Matrix.from_rows(rows, cols=G.cols)
+
+    monkeypatch.setattr(tube, "omega_tube_gram",
+                        _at_sample(1, first_unit_in_radical))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.nondegenerate_near_origin"]
+    assert _check(checks, "tube.nondegenerate_near_origin").detail \
+        == "sample 1: the form is degenerate"
+
+
+def _orbit_without_first_generator(monkeypatch, call):
+    """verify.perp_under_form drops the first basis vector of the orbit on
+    its call-th call: 0 is the g-orbit, 1 the h-orbit."""
+    exact = verify.perp_under_form
+    calls = []
+
+    def broken(form, U):
+        calls.append(U)
+        if len(calls) == call + 1:
+            U = Subspace.span(U.ambient_dim, U.basis_vectors()[1:])
+        return exact(form, U)
+
+    monkeypatch.setattr(verify, "perp_under_form", broken)
+
+
+def test_smaller_g_orbit_fails_orbit_perp_check_and_names_a_vector(
+        monkeypatch):
+    expected_names = [c.name for c in _run()]
+    _orbit_without_first_generator(monkeypatch, 0)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["model.ker_dphiG_is_orbit_perp"]
+    detail = _check(checks, "model.ker_dphiG_is_orbit_perp").detail
+    assert detail.startswith("basis vector ")
+    assert detail.endswith(" of the omega-perp of the g-orbit is not in "
+                           "ker dphi_G")
+
+
+def test_smaller_h_orbit_fails_h_orbit_perp_check_and_names_a_vector(
+        monkeypatch):
+    expected_names = [c.name for c in _run()]
+    _orbit_without_first_generator(monkeypatch, 1)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["model.ker_dphiH_is_h_orbit_perp"]
+    detail = _check(checks, "model.ker_dphiH_is_h_orbit_perp").detail
+    assert detail.startswith("basis vector ")
+    assert detail.endswith(" of the omega-perp of the h-orbit is not in "
+                           "ker dphi_H")
+
+
 def test_doubled_momentum_differential_fails_fd_check(monkeypatch):
     expected_names = [c.name for c in _run()]
-    monkeypatch.setattr(tube, "dphi_G", lambda model: pm.dphi_G(model).scale(2))
+    # Doubling keeps both kernels, so only the finite differences see it.
+    exact = pm.dphi_G
+    monkeypatch.setattr(pm, "dphi_G", lambda model: exact(model).scale(2))
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["tube.dphi_fd_consistency"]
