@@ -38,6 +38,7 @@ from .exactlin import (
     gram_on,
     is_zero_vec,
     kernel,
+    pairing_witness,
     sum_spaces,
     unit_vec,
 )
@@ -140,14 +141,16 @@ def _witt_artin_axioms(model: TangentModel, ker: Subspace, ker_name: str,
             (f"{x0} + {y1} is {ker_name}", lambda: sum_spaces(X0, Y1) == ker),),
         "orthogonality": (
             (f"{x1} is omega-orthogonal to {y1}",
-             lambda: cross_gram(omega, X1, Y1).is_zero()),
+             lambda: pairing_witness(omega, X1, Y1) is None),
             (f"{x1} is omega-orthogonal to {x0} + {y0}",
-             lambda: cross_gram(omega, X1, X0Y0).is_zero()),
+             lambda: pairing_witness(omega, X1, X0Y0) is None),
             (f"{y1} is omega-orthogonal to {x0} + {y0}",
-             lambda: cross_gram(omega, Y1, X0Y0).is_zero())),
+             lambda: pairing_witness(omega, Y1, X0Y0) is None)),
         "lagrangian": (
-            (f"{x0} is isotropic", lambda: gram_on(omega, X0).is_zero()),
-            (f"{y0} is isotropic", lambda: gram_on(omega, Y0).is_zero()),
+            (f"{x0} is isotropic",
+             lambda: pairing_witness(omega, X0, X0) is None),
+            (f"{y0} is isotropic",
+             lambda: pairing_witness(omega, Y0, Y0) is None),
             (f"dim {x0} equals dim {y0}", lambda: X0.dim == Y0.dim),
             (f"{x0} + {y0} is symplectic",
              lambda: gram_on(omega, X0Y0).rank() == X0Y0.dim)),
@@ -295,8 +298,10 @@ def h_decomposition_checks(decomp: WittDecompositionH,
     record("wittH.6_a_r_pairing_nondegenerate",
            chain.a.dim == chain.r.dim
            and cross_gram(chu, chain.a, chain.r).rank() == chain.a.dim)
-    record("wittH.7_a_orbit_lagrangian_in_Zm",
-           gram_on(chu, chain.a).is_zero())
+    w = pairing_witness(chu, chain.a, chain.a)
+    record("wittH.7_a_orbit_lagrangian_in_Zm", w is None,
+           "" if w is None else f"a basis vector {w[0]} pairs with a basis "
+           f"vector {w[1]} under the Chu form")
     return out
 
 

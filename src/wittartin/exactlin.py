@@ -289,11 +289,27 @@ class Matrix:
             x[c] = red.entries[r][self.cols]
         return tuple(x)
 
-    def leading_principal_minors(self) -> list[Fraction]:
+    def leading_minors_positive(self) -> bool:
+        """Every leading principal minor is positive (Sylvester's criterion).
+
+        Without row exchanges, the k-th leading minor is the product of the
+        first k pivots of the elimination, so they are all positive exactly
+        when every pivot is; the elimination stops at the first pivot <= 0.
+        """
         if self.rows != self.cols:
             raise ValueError("minors of a non-square matrix")
-        return [self.submatrix(range(k), range(k)).det()
-                for k in range(1, self.rows + 1)]
+        m = [list(row) for row in self.entries]
+        for c, pivot_row in enumerate(m):
+            pv = pivot_row[c]
+            if pv <= 0:
+                return False
+            nz = [(j, y) for j, y in enumerate(pivot_row) if j > c and y]
+            for row in m[c + 1:]:
+                if row[c] != 0:
+                    f = row[c] / pv
+                    for j, y in nz:
+                        row[j] -= f * y
+        return True
 
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -470,7 +486,7 @@ def preserves(A: Matrix, G: Matrix) -> bool:
 def check_positive_definite(ip: BilinearForm):
     if not ip.is_symmetric():
         raise NotPositiveDefinite("inner product Gram matrix is not symmetric")
-    if any(m <= 0 for m in ip.gram.leading_principal_minors()):
+    if not ip.gram.leading_minors_positive():
         raise NotPositiveDefinite("a leading principal minor is not positive")
 
 
@@ -494,6 +510,26 @@ def cross_gram(form: BilinearForm, U: Subspace, V: Subspace) -> Matrix:
     if not form.ambient_dim == U.ambient_dim == V.ambient_dim:
         raise AmbientMismatch("form and subspaces live in different spaces")
     return U.basis.transpose() @ form.gram @ V.basis
+
+
+def pairing_witness(form: BilinearForm, U: Subspace,
+                    V: Subspace) -> tuple[int, int] | None:
+    """The first (i, j), in row-major order, with form(u_i, v_j) != 0 for
+    the canonical bases of U and V, or None when U and V pair to zero.
+
+    Row i is G^T u_i, so form(u_i, v) = (G^T u_i) . v, summed over the
+    nonzero entries of v; the search stops at the first nonzero pairing.
+    """
+    if not form.ambient_dim == U.ambient_dim == V.ambient_dim:
+        raise AmbientMismatch("form and subspaces live in different spaces")
+    gt = form.gram.transpose()
+    vs = [[(k, x) for k, x in enumerate(v) if x] for v in V.basis_vectors()]
+    for i, u in enumerate(U.basis_vectors()):
+        row = gt.apply(u)
+        for j, nz in enumerate(vs):
+            if sum(row[k] * x for k, x in nz):
+                return i, j
+    return None
 
 
 def gram_on(form: BilinearForm, U: Subspace) -> Matrix:

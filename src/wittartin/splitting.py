@@ -29,6 +29,7 @@ from .exactlin import (
     gram_on,
     intersect,
     orth_complement,
+    pairing_witness,
     perp_under_form,
     preserves,
     sum_spaces,
@@ -195,8 +196,8 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     ip_fits = inst.ip.ambient_dim == n
     record("ip_dimension", ip_fits, "")
     record("ip_symmetric", inst.ip.gram.is_symmetric(), "")
-    minors = inst.ip.gram.leading_principal_minors() if ip_fits else []
-    record("ip_positive_definite", bool(minors) and all(m > 0 for m in minors), "")
+    record("ip_positive_definite",
+           ip_fits and n > 0 and inst.ip.gram.leading_minors_positive(), "")
 
     # A form of another dimension is not a form on g: it fails ad
     # invariance, and multiplying it by the ad matrices would raise.
@@ -379,9 +380,12 @@ def chain_checks(inst: ProblemInstance, chain: SplittingChain) -> list[Check]:
 
     # r must pair to zero under the Chu form with ntilde, s and itself;
     # this is what makes r*m land in the H-side Lagrangian complement.
-    record("chain.r_chu_orthogonality",
-           all(cross_gram(chu, chain.r, other).is_zero()
-               for other in (chain.ntilde, chain.s, chain.r)))
+    pairs = ((name, pairing_witness(chu, chain.r, other)) for name, other
+             in (("ntilde", chain.ntilde), ("s", chain.s), ("r", chain.r)))
+    name, w = next(((name, w) for name, w in pairs if w), (None, None))
+    record("chain.r_chu_orthogonality", w is None,
+           "" if w is None else f"r basis vector {w[0]} pairs with {name} "
+           f"basis vector {w[1]} under the Chu form")
     record("chain.r_dim_matches_a", chain.r.dim == chain.a.dim)
 
     named = {

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittartin.exactlin import (
+    AmbientMismatch,
     BilinearForm,
     Matrix,
     NotContained,
@@ -22,10 +23,13 @@ from wittartin.exactlin import (
     image,
     intersect,
     kernel,
+    check_positive_definite,
     orth_complement,
+    pairing_witness,
     perp_under_form,
     preserves,
     sum_spaces,
+    unit_vec,
 )
 
 F = Fraction
@@ -470,3 +474,97 @@ def test_symmetry_predicates_match_dense_comparison(A, part, bump):
         if w is not None:
             i, j = w
             assert i <= j and A.entries[i][j] != -A.entries[j][i]
+
+
+# pairing_witness against the dense cross Gram it replaced in the checks:
+# the witness is the first nonzero entry of cross_gram(form, U, V), in
+# row-major order, and there is none exactly when that Gram is zero.
+
+def dense_pairing_witness(form, U, V):
+    g = cross_gram(form, U, V)
+    return next(((i, j) for i, row in enumerate(g.entries)
+                 for j, x in enumerate(row) if x != 0), None)
+
+
+@st.composite
+def pairing_cases(draw):
+    n = draw(st.integers(0, 5))
+    if n and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        x = draw(small_fracs.filter(bool))
+        G = Matrix(n, n, tuple(tuple(x if (r, c) == (i, j) else F(0)
+                                     for c in range(n)) for r in range(n)))
+    else:
+        G = draw(sparse_matrices(n, n))
+
+    def space():
+        kind = draw(st.sampled_from(["zero", "coordinate", "spanned"]))
+        if kind == "zero":
+            return Subspace.zero(n)
+        if kind == "coordinate":
+            picked = draw(st.sets(st.sampled_from(range(n)))) if n else ()
+            return Subspace.span(n, [unit_vec(n, k) for k in sorted(picked)])
+        return Subspace.span(n, draw(sparse_matrices(cols=n)).entries)
+
+    U = space()
+    V = U if draw(st.booleans()) else space()
+    return BilinearForm(G), U, V
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairing_cases())
+def test_pairing_witness_is_first_nonzero_entry_of_dense_cross_gram(case):
+    form, U, V = case
+    w = pairing_witness(form, U, V)
+    assert w == dense_pairing_witness(form, U, V)
+    assert (w is None) == cross_gram(form, U, V).is_zero()
+
+
+def test_pairing_witness_rejects_a_form_of_another_dimension():
+    with pytest.raises(AmbientMismatch):
+        pairing_witness(identity_form(2), Subspace.full(3), Subspace.full(3))
+    with pytest.raises(AmbientMismatch):
+        pairing_witness(identity_form(3), Subspace.full(3), Subspace.zero(2))
+
+
+def test_pairing_witness_names_the_pair():
+    # e0 spans the radical, and e1 pairs only with e2.
+    J = BilinearForm(Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, -1, 0]]))
+    assert pairing_witness(J, span(3, (0, 1, 0)), span(3, (0, 1, 0))) is None
+    assert pairing_witness(J, Subspace.full(3), Subspace.full(3)) == (1, 2)
+    assert pairing_witness(J, Subspace.full(3), span(3, (0, 1, 0))) == (2, 0)
+
+
+# Sylvester's criterion from one elimination against the k determinants
+# it replaced.
+
+def leading_principal_minors(A):
+    return [A.submatrix(range(k), range(k)).det()
+            for k in range(1, A.rows + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_sparse_matrices(),
+       st.sampled_from(["as drawn", "A^T A", "A^T A + I", "A + A^T"]))
+def test_leading_minors_positive_matches_k_determinants(A, variant):
+    if variant == "A^T A":
+        A = A.transpose() @ A
+    elif variant == "A^T A + I":
+        A = A.transpose() @ A + Matrix.identity(A.rows)
+    elif variant == "A + A^T":
+        A = A + A.transpose()
+    assert A.leading_minors_positive() == all(
+        m > 0 for m in leading_principal_minors(A))
+
+
+def test_leading_minors_of_a_non_square_matrix_raise():
+    with pytest.raises(ValueError, match="non-square"):
+        Matrix.zeros(2, 3).leading_minors_positive()
+
+
+def test_empty_gram_is_positive_definite_for_check_positive_definite():
+    assert Matrix.zeros(0, 0).leading_minors_positive()
+    check_positive_definite(BilinearForm(Matrix.zeros(0, 0)))
+    with pytest.raises(NotPositiveDefinite):
+        check_positive_definite(BilinearForm(Matrix.from_rows(
+            [[1, 2], [2, 1]])))

@@ -90,6 +90,15 @@ class TestValidate:
         with pytest.raises(ValidationFailed):
             build_chain(inst)
 
+    def test_zero_dimensional_inner_product_is_not_positive_definite(self):
+        # InnerProduct accepts the 0x0 Gram (no minor is <= 0), but validate
+        # asks for at least one positive minor.
+        inst = ProblemInstance(
+            abelian(0), Subspace.zero(0), Subspace.zero(0), (),
+            InnerProduct(Matrix.zeros(0, 0)), SliceRep.trivial())
+        assert [c.name for c in validate(inst).failures()] == [
+            "ip_positive_definite"]
+
 
 class TestSo3Cases:
     def test_generic_dims(self):

@@ -271,6 +271,18 @@ class TestExpm:
         assert abs(E[0][0] - math.cos(t)) < 1e-12
         assert abs(E[1][0] - math.sin(t)) < 1e-12
 
+    @pytest.mark.parametrize("c", [0.0, 0.3, 8.0, 100.0])
+    def test_ode_residual_of_expm_is_within_fd_tol_at_any_scale(self, c):
+        # A rotation generator of norm 1.5 c: with a step that did not
+        # shrink with the norm, c = 100 would miss by about 2e-5.
+        A = [[0.0, -c, 0.0], [c, 0.0, 0.5 * c], [0.0, -0.5 * c, 0.0]]
+        assert tube._expm_ode_residual(A, expm(A)) <= tube.FD_TOL
+
+    def test_ode_residual_sees_a_halved_exponential(self):
+        A = [[0.0, -2.0], [2.0, 0.0]]
+        half = expm([[0.0, -1.0], [1.0, 0.0]])
+        assert tube._expm_ode_residual(A, half) > 0.1
+
 
 class TestConsistencyChecks:
     def test_abelian_fd_is_essentially_exact(self):

@@ -201,6 +201,8 @@ def test_unsheared_r_fails_r_chu_orthogonality(monkeypatch):
     monkeypatch.setattr(splitting, "_lagrangian_shear", lambda chu, a, C: C)
     checks = verify.run_all(_sheared_r_instance(), samples=3)
     _assert_chain_fail(checks, "chain.r_chu_orthogonality")
+    assert _check(checks, "chain.r_chu_orthogonality").detail \
+        == "r basis vector 0 pairs with r basis vector 1 under the Chu form"
 
 
 def test_s_tilted_into_b_fails_ad_gm_invariance_and_names_it(monkeypatch):
@@ -271,19 +273,24 @@ def test_zero_a_r_chu_pairing_fails_pairing_check(monkeypatch):
 
 
 def test_nonzero_chu_form_on_a_fails_lagrangian_check(monkeypatch):
-    # s = 0 here, so the only Chu Gram the decomposition checks take is a's.
+    # The decomposition checks read the Chu form through pairing_witness for
+    # a with a only; the bump A A^T on a's coordinates makes a_0 pair with
+    # itself.
     inst = from_dict(build_example("so3-generic"))
     expected_names = [c.name for c in verify.run_all(inst, samples=3)]
-    exact = dec.gram_on
+    exact = dec.pairing_witness
 
-    def bumped(form, U):
-        G = exact(form, U)
-        return G + Matrix.identity(U.dim) if form is inst.chu else G
+    def bumped(form, U, V):
+        if form is inst.chu:
+            form = BilinearForm(form.gram + U.basis @ U.basis.transpose())
+        return exact(form, U, V)
 
-    monkeypatch.setattr(dec, "gram_on", bumped)
+    monkeypatch.setattr(dec, "pairing_witness", bumped)
     checks = verify.run_all(inst, samples=3)
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["wittH.7_a_orbit_lagrangian_in_Zm"]
+    assert _check(checks, "wittH.7_a_orbit_lagrangian_in_Zm").detail \
+        == "a basis vector 0 pairs with a basis vector 0 under the Chu form"
 
 
 def test_lost_h_alpha_orbit_fails_s_complement_check(monkeypatch):
@@ -519,23 +526,95 @@ def test_kernel_other_than_TH0_plus_NH1_fails_witt_h_kernel_check(
         == "fails: TH0 + NH1 is ker dphi_H"
 
 
-def test_omega_pairing_TH1_with_NH1_fails_witt_h_orthogonality(monkeypatch):
-    # Only the H-side checks see the changed form, and no Gram of s, X_m,
-    # NH1 or Z_m involves the U_ntilde coordinate it changes.
-    expected_names = [c.name for c in _run("so3xso3-diagonal")]
-    exact = dec.h_decomposition_checks
+def _with_omega_coupled(monkeypatch, check, pick):
+    """dec.<check> sees omega with entry (i, j) raised by 1 and entry (j, i)
+    lowered by 1, for the model coordinates (i, j) = pick(decomp)."""
+    exact = getattr(dec, check)
 
     def coupled(decomp, model):
-        i, j = decomp.TH1[0], decomp.NH1[0]
+        i, j = pick(decomp)
         rows = [list(row) for row in model.omega.gram.entries]
         rows[i][j] += 1
         rows[j][i] -= 1
         omega = BilinearForm(Matrix.from_rows(rows, cols=model.total_dim))
         return exact(decomp, replace(model, omega=omega))
 
-    monkeypatch.setattr(dec, "h_decomposition_checks", coupled)
+    monkeypatch.setattr(dec, check, coupled)
+
+
+def test_omega_pairing_TH1_with_NH1_fails_witt_h_orthogonality(monkeypatch):
+    # Only the H-side checks see the changed form, and no Gram of s, X_m,
+    # NH1 or Z_m involves the U_ntilde coordinate it changes.
+    expected_names = [c.name for c in _run("so3xso3-diagonal")]
+    _with_omega_coupled(monkeypatch, "h_decomposition_checks",
+                        lambda d: (d.TH1[0], d.NH1[0]))
     checks = _run("so3xso3-diagonal")
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["wittH.4_orthogonality_and_lagrangian"]
     assert _check(checks, "wittH.4_orthogonality_and_lagrangian").detail \
         == "fails: TH1 is omega-orthogonal to NH1"
+
+
+def test_omega_pairing_T1_with_N1_fails_witt_g_orthogonality(monkeypatch):
+    # Only the G-side check sees the changed form; the forms on T1 and on
+    # N1 alone are unchanged.
+    expected_names = [c.name for c in _run("so3xso3-diagonal")]
+    _with_omega_coupled(monkeypatch, "g_decomposition_check",
+                        lambda d: (d.T1[0], d.N1[0]))
+    checks = _run("so3xso3-diagonal")
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["wittG.all_assertions"]
+    assert _check(checks, "wittG.all_assertions").detail \
+        == "fails: T1 is omega-orthogonal to N1"
+
+
+def test_omega_pairing_two_T0_coordinates_fails_witt_g_isotropy(monkeypatch):
+    # T0 = U_p + U_b is three-dimensional here (T1 = 0), and no
+    # orthogonality statement reads a T0 x T0 entry.
+    expected_names = [c.name for c in _run("so3-zero")]
+    _with_omega_coupled(monkeypatch, "g_decomposition_check",
+                        lambda d: (d.T0[0], d.T0[1]))
+    checks = _run("so3-zero")
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["wittG.all_assertions"]
+    assert _check(checks, "wittG.all_assertions").detail \
+        == "fails: T0 is isotropic"
+
+
+def test_expm_one_squaring_short_fails_equivariance_and_names_a_sample(
+        monkeypatch):
+    # Without its last squaring expm returns exp(A/2) once ||A|| > 1/2.
+    # Both sides of the equivariance comparison then use it on matrices
+    # with equal entries, and the finite differences of phi_tilde step
+    # below 1/2, so only the ODE condition sees it.
+    expected_names = [c.name for c in _run()]
+    exact = tube.expm
+
+    def one_squaring_short(A, rel_tol=tube.REL_TOL):
+        if tube._mat_norm(A) > 0.5:
+            A = tube._mat_scale(0.5, A)
+        return exact(A, rel_tol)
+
+    monkeypatch.setattr(tube, "expm", one_squaring_short)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.equivariance"]
+    detail = _check(checks, "tube.equivariance").detail
+    assert detail.startswith("max relative deviation 0.000e+00 over 3 "
+                             "samples; sample 0: d/dt expm(tA) at t = 1 "
+                             "misses A expm(A) by ")
+
+
+def test_transposed_expm_fails_equivariance_and_names_a_sample(monkeypatch):
+    expected_names = [c.name for c in _run()]
+    exact = tube.expm
+
+    def transposed(A, rel_tol=tube.REL_TOL):
+        return [list(col) for col in zip(*exact(A, rel_tol))]
+
+    monkeypatch.setattr(tube, "expm", transposed)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert "tube.equivariance" in _failed(checks)
+    assert "; sample 0: d/dt expm(tA) at t = 1 misses A expm(A) by " \
+        in _check(checks, "tube.equivariance").detail
