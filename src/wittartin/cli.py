@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     except instancefile.InstanceFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

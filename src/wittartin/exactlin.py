@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -276,19 +277,6 @@ class Matrix:
         data = tuple(row[self.rows:] for row in aug.entries)
         return Matrix(self.rows, self.cols, data)
 
-    def solve(self, b: Vec) -> Vec | None:
-        """One particular solution of Ax = b, or None if inconsistent."""
-        if len(b) != self.rows:
-            raise AmbientMismatch("right-hand side length mismatch")
-        aug = self.hstack(Matrix.from_cols([b], rows=self.rows))
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [ZERO] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = red.entries[r][self.cols]
-        return tuple(x)
-
     def leading_minors_positive(self) -> bool:
         """Every leading principal minor is positive (Sylvester's criterion).
 
@@ -336,7 +324,8 @@ class Subspace:
     """A linear subspace of Q^n held by its canonical basis matrix.
 
     The basis columns are the unique reduced-column-echelon basis, so two
-    Subspace values are equal exactly when they describe the same subspace.
+    Subspace values are equal exactly when they describe the same subspace,
+    and column k is 1 at its pivot row p_k and 0 at every other pivot row.
     """
 
     ambient_dim: int
@@ -362,21 +351,25 @@ class Subspace:
     def basis_vectors(self) -> list[Vec]:
         return self.basis.columns()
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot row of each basis column: the row of its leading 1."""
+        return tuple(next(i for i, x in enumerate(col) if x)
+                     for col in self.basis_vectors())
+
     def coords_of(self, v: Vec) -> Vec | None:
-        """Coordinates of v in the canonical basis, or None if v is outside."""
+        """Coordinates of v in the canonical basis, or None if v is outside:
+        they can only be v[p_0], ..., v[p_{d-1}], so check they rebuild v."""
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length mismatch")
-        if self.dim == 0:
-            return () if is_zero_vec(v) else None
-        return self.basis.solve(v)
+        coords = tuple(v[p] for p in self.pivots)
+        return coords if self.basis.apply(coords) == tuple(v) else None
 
     def contains(self, v: Vec) -> bool:
         return self.coords_of(v) is not None
 
     def leq(self, other: "Subspace") -> bool:
-        """self <= other: adding self's basis to other's keeps the rank."""
-        self._check_ambient(other)
-        return other.basis.hstack(self.basis).rank() == other.dim
+        return first_outside(self, other) is None
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -464,17 +457,20 @@ def image(A: Matrix, U: Subspace) -> Subspace:
     return Subspace.span(A.rows, (A @ U.basis).columns())
 
 
+def first_outside(U: Subspace, V: Subspace) -> int | None:
+    """Index of the first basis vector of U outside V, or None if U <= V."""
+    U._check_ambient(V)
+    return next((i for i, u in enumerate(U.basis_vectors())
+                 if not V.contains(u)), None)
+
+
 def first_escape(S: Subspace, A: Matrix) -> int | None:
     """Index of the first basis vector s of S with A s outside S, or None
-    when A maps S into itself.
-
-    In the echelon form of [S | A S] the first pivot past the columns of S
-    is that index: every column of A S before it lies in S.
-    """
+    when A maps S into itself."""
     if A.rows != S.ambient_dim or A.cols != S.ambient_dim:
         raise AmbientMismatch("matrix and subspace live in different spaces")
-    pivots = S.basis.hstack(A @ S.basis).rref()[1]
-    return next((p - S.dim for p in pivots if p >= S.dim), None)
+    return next((i for i, s in enumerate(S.basis_vectors())
+                 if not S.contains(A.apply(s))), None)
 
 
 def preserves(A: Matrix, G: Matrix) -> bool:

@@ -74,7 +74,11 @@ def loads(text: str) -> ProblemInstance:
 
 def load(path: str) -> ProblemInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise InstanceFormatError(f"not UTF-8 text: {e}")
+    return loads(text)
 
 
 def from_dict(doc: Any) -> ProblemInstance:
@@ -177,17 +181,11 @@ def _parse_slice(raw: Any, gm: Subspace, gm_given: list[Vec]) -> SliceRep:
         for t, a in enumerate(actions_raw)))
     # Actions are supplied for the file's gm basis; re-express them for the
     # canonical basis so everything downstream keys off canonical columns.
-    if not gm.dim:
-        return SliceRep(omega, ())
-    given_basis = Matrix.from_cols(gm_given, rows=gm.ambient_dim)
-    actions = []
-    for w in gm.basis_vectors():
-        coords = given_basis.solve(w)
-        if coords is None:
-            raise InstanceDataError("gm_basis_independent",
-                                    "cannot rebase slice actions")
-        actions.append(given.combine(coords))
-    return SliceRep(omega, tuple(actions))
+    # Column k of the inverse holds the given-basis coordinates of the k-th
+    # canonical vector.
+    rebase = Matrix.from_cols([gm.coords_of(v) for v in gm_given],
+                              rows=gm.dim).inverse()
+    return SliceRep(omega, tuple(given.combine(c) for c in rebase.columns()))
 
 
 def to_dict(doc_or_inst) -> dict:

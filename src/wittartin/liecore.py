@@ -159,11 +159,8 @@ class InnerProduct:
 def subalgebra_witness(L: LieAlgebra, S: Subspace) -> tuple[int, int] | None:
     """Index pair of basis vectors whose bracket escapes S, or None."""
     vs = S.basis_vectors()
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if not S.contains(L.bracket(vs[i], vs[j])):
-                return (i, j)
-    return None
+    return next(((i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))
+                 if not S.contains(L.bracket(vs[i], vs[j]))), None)
 
 
 def is_subalgebra(L: LieAlgebra, S: Subspace) -> bool:

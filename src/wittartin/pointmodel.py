@@ -80,12 +80,6 @@ class TangentModel:
     def ker_dphi_H(self) -> Subspace:
         return kernel(dphi_H(self))
 
-    def embed_u(self, u: Vec) -> Vec:
-        """The g-vector with the given (m, n) coordinates."""
-        if len(u) != self.dim_m + self.dim_n:
-            raise ValueError("wrong U-block length")
-        return self.mn_basis.apply(u)
-
     def g_coords(self, x: Vec) -> Vec:
         """Coordinates of x in the (gm, m, n) basis of g."""
         return self.g_basis_inv.apply(x)

@@ -26,6 +26,7 @@ from .exactlin import (
     cross_gram,
     direct_sum,
     first_escape,
+    first_outside,
     gram_on,
     intersect,
     orth_complement,
@@ -58,6 +59,19 @@ class Check:
     name: str
     passed: bool
     detail: str = ""
+
+
+def outside_detail(A: Subspace, a_name: str, B: Subspace, b_name: str) -> str:
+    """"" when A <= B; otherwise names the first basis vector of A not in B."""
+    i = first_outside(A, B)
+    return "" if i is None else f"basis vector {i} of {a_name} is not in {b_name}"
+
+
+def inclusion_check(name: str, A: Subspace, a_name: str,
+                    B: Subspace, b_name: str) -> Check:
+    """A <= B; a failure names the first basis vector of A that is not in B."""
+    detail = outside_detail(A, a_name, B, b_name)
+    return Check(name, not detail, detail)
 
 
 class CheckFailed(Exception):
@@ -182,8 +196,7 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     record("gm_subalgebra", w is None,
            "" if w is None else f"bracket of gm basis pair {w} leaves gm")
 
-    bad = next((i for i, v in enumerate(inst.gm.basis_vectors())
-                if not inst.g_mu.contains(v)), None)
+    bad = first_outside(inst.gm, inst.g_mu)
     record("gm_in_g_mu", bad is None,
            "" if bad is None else f"gm basis vector {bad} does not stabilize mu")
 
@@ -197,7 +210,7 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     record("ip_dimension", ip_fits, "")
     record("ip_symmetric", inst.ip.gram.is_symmetric(), "")
     record("ip_positive_definite",
-           ip_fits and n > 0 and inst.ip.gram.leading_minors_positive(), "")
+           ip_fits and inst.ip.gram.leading_minors_positive(), "")
 
     # A form of another dimension is not a form on g: it fails ad
     # invariance, and multiplying it by the ad matrices would raise.
@@ -371,9 +384,10 @@ def chain_checks(inst: ProblemInstance, chain: SplittingChain) -> list[Check]:
            direct_sum(inst.gm, chain.m_space, chain.n_space) == g
            and sum_spaces(chain.p, chain.b) == chain.m_space
            and sum_spaces(chain.q, chain.ntilde, chain.r) == chain.n_space)
-    record("chain.gmu_halpha_in_hperpmu",
-           chain.g_mu.leq(chain.h_perp_mu_space)
-           and chain.h_alpha.leq(chain.h_perp_mu_space))
+    hperp = chain.h_perp_mu_space
+    detail = (outside_detail(chain.g_mu, "g_mu", hperp, "h_perp_mu")
+              or outside_detail(chain.h_alpha, "h_alpha", hperp, "h_perp_mu"))
+    record("chain.gmu_halpha_in_hperpmu", not detail, detail)
     record("chain.s_dim_formula",
            chain.s.dim == chain.h_perp_mu_space.dim - chain.g_mu.dim
            - chain.h_alpha.dim + chain.h_mu.dim)

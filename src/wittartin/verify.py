@@ -34,6 +34,8 @@ from .splitting import (
     build_chain,
     chain_checks,
     dim_formulas,
+    inclusion_check,
+    outside_detail,
 )
 
 
@@ -56,7 +58,8 @@ def h_alpha_check(inst: ProblemInstance, halpha: Subspace) -> Check:
 
 def h_perp_mu_check(g_mu: Subspace, hperp: Subspace) -> Check:
     """liecore.g_mu_in_h_perp_mu."""
-    return Check("liecore.g_mu_in_h_perp_mu", g_mu.leq(hperp))
+    return inclusion_check("liecore.g_mu_in_h_perp_mu",
+                           g_mu, "g_mu", hperp, "h_perp_mu")
 
 
 def liecore_checks(inst: ProblemInstance) -> list[Check]:
@@ -66,7 +69,8 @@ def liecore_checks(inst: ProblemInstance) -> list[Check]:
               all(is_zero_vec(L.coad_apply(v, inst.mu))
                   for v in g_mu.basis_vectors())),
         chu_radical_check(inst.chu, g_mu),
-        Check("liecore.center_in_stabilizer", center(L).leq(g_mu)),
+        inclusion_check("liecore.center_in_stabilizer",
+                        center(L), "the center", g_mu, "g_mu"),
         h_alpha_check(inst, inst.h_alpha),
         # B(ad_z x, y) + B(x, ad_z y) = 0 for all x, y is ad_z^T B + B ad_z = 0.
         Check("liecore.killing_ad_invariant",
@@ -86,7 +90,8 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
     kerG, kerH = model.ker_dphi_G, model.ker_dphi_H
     expected = model.unit_span(model.indices("p", "b", "N1"))
     out.append(Check("model.ker_dphiG_is_T0_plus_N1", kerG == expected))
-    out.append(Check("model.ker_dphiG_inside_ker_dphiH", kerG.leq(kerH)))
+    out.append(inclusion_check("model.ker_dphiG_inside_ker_dphiH",
+                               kerG, "ker dphi_G", kerH, "ker dphi_H"))
 
     # Momentum property at the linear level: the kernels are the symplectic
     # orthogonals of the orbit directions.
@@ -121,13 +126,9 @@ def _equality_check(name: str, A: Subspace, a_name: str,
                     B: Subspace, b_name: str) -> Check:
     """A == B; a failure names the first basis vector of one side that is
     not in the other."""
-    if A == B:
-        return Check(name, True)
-    i, x, y = next((i, x, y) for X, x, Y, y in ((A, a_name, B, b_name),
-                                                (B, b_name, A, a_name))
-                   for i, v in enumerate(X.basis_vectors())
-                   if not Y.contains(v))
-    return Check(name, False, f"basis vector {i} of {x} is not in {y}")
+    detail = "" if A == B else (outside_detail(A, a_name, B, b_name)
+                                or outside_detail(B, b_name, A, a_name))
+    return Check(name, not detail, detail)
 
 
 def decomposition_checks(model: pm.TangentModel,
@@ -235,7 +236,7 @@ def tube_checks(model: pm.TangentModel, samples: int,
 
 
 def run_all(inst: ProblemInstance, samples: int = 10,
-            seed: int = 0, include_tube: bool = True) -> list[Check]:
+            seed: int = 0) -> list[Check]:
     """Every named check for one instance, in a stable order.
 
     The list ends early, with the failures named, when validation fails,
@@ -272,6 +273,5 @@ def run_all(inst: ProblemInstance, samples: int = 10,
 
     checks.extend(model_checks(model))
     checks.extend(decomposition_checks(model, samples, seed))
-    if include_tube:
-        checks.extend(tube_checks(model, samples, seed))
+    checks.extend(tube_checks(model, samples, seed))
     return checks

@@ -105,15 +105,15 @@ def test_criterion_2_torus_family():
 
 
 def test_criterion_3_property_suite_full_corpus():
-    """>= 100 randomized instances; every named exact invariant; < 60 s."""
+    """>= 100 randomized instances; every named check, tube included; < 60 s."""
     corpus = build_corpus()
     start = time.monotonic()
     failures = []
     for idx, inst in enumerate(corpus):
-        checks = verify.run_all(inst, samples=10, include_tube=False)
+        checks = verify.run_all(inst, samples=10)
         failures.extend((idx, c) for c in checks if not c.passed)
     elapsed = time.monotonic() - start
-    _report("criterion 3: exact property suite on randomized corpus",
+    _report("criterion 3: property suite, tube included, on randomized corpus",
             len(corpus) >= 100 and not failures and elapsed < 60.0,
             f"{len(corpus)} instances in {elapsed:.1f}s, "
             f"{len(failures)} failures")

@@ -98,6 +98,38 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", "/nonexistent/file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_malformed_path_exit_2_with_error_line(self, capsys, tmp_path,
+                                                   case):
+        path = tmp_path / "instance.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(b'{"format": "\xff"}')
+        for command in ("check", "decompose", "verify"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2, command
+            assert out == "" and err.startswith("error: "), (command, err)
+
+    def test_zero_dimensional_instance_passes_everywhere(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "format": "wittartin-instance/1", "dim": 0,
+            "structure_constants": [], "h_basis": [], "gm_basis": [],
+            "mu": []}))
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert code == 0 and json.loads(out)["passed"] is True
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0
+        assert out.splitlines()[-1] == "69/69 checks passed"
+        code, out, _ = run_cli(capsys, "decompose", str(path),
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc["dims"].values()) == {0}
+        assert all(c["passed"] for c in doc["checks"])
+
 
 class TestDecompose:
     def test_generic_dims_match_worked_case(self, capsys, tmp_path):

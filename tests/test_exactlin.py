@@ -18,6 +18,7 @@ from wittartin.exactlin import (
     direct_sum,
     dot,
     first_escape,
+    first_outside,
     gram_on,
     identity_form,
     image,
@@ -30,7 +31,10 @@ from wittartin.exactlin import (
     preserves,
     sum_spaces,
     unit_vec,
+    vec,
 )
+from wittartin.instancefile import from_dict
+from wittartin.splitting import SliceRep
 
 F = Fraction
 
@@ -272,8 +276,38 @@ def old_is_direct_sum(parts):
     return sum(p.dim for p in parts) == total.dim
 
 
+def old_solve(A, b):
+    """One solution of Ax = b by eliminating [A | b], or None."""
+    red, pivots = A.hstack(Matrix.from_cols([b], rows=A.rows)).rref()
+    if A.cols in pivots:
+        return None
+    x = [F(0)] * A.cols
+    for r, c in enumerate(pivots):
+        x[c] = red.entries[r][A.cols]
+    return tuple(x)
+
+
+def old_coords_of(S, v):
+    if S.dim == 0:
+        return () if all(x == 0 for x in v) else None
+    return old_solve(S.basis, v)
+
+
+def old_contains(S, v):
+    return old_coords_of(S, v) is not None
+
+
 def old_leq(U, W):
-    return all(W.contains(v) for v in U.basis_vectors())
+    return all(old_contains(W, v) for v in U.basis_vectors())
+
+
+def rank_leq(U, W):
+    return W.basis.hstack(U.basis).rank() == W.dim
+
+
+def old_first_outside(U, W):
+    return next((i for i, v in enumerate(U.basis_vectors())
+                 if not old_contains(W, v)), None)
 
 
 def old_cross_gram(form, U, V):
@@ -283,7 +317,13 @@ def old_cross_gram(form, U, V):
 
 def old_first_escape(S, A):
     return next((i for i, v in enumerate(S.basis_vectors())
-                 if not S.contains(A.apply(v))), None)
+                 if not old_contains(S, A.apply(v))), None)
+
+
+def pivot_first_escape(S, A):
+    """The first pivot of [S | A S] past the columns of S."""
+    pivots = S.basis.hstack(A @ S.basis).rref()[1]
+    return next((p - S.dim for p in pivots if p >= S.dim), None)
 
 
 def old_image(A, U):
@@ -304,8 +344,10 @@ def test_direct_sum_matches_is_direct_sum_and_sum(parts, other, use_sum):
 @given(subspaces(), subspaces(), st.booleans())
 def test_leq_matches_per_vector_containment(U, X, contain):
     W = sum_spaces(U, X) if contain else X
-    assert U.leq(W) == old_leq(U, W)
-    assert W.leq(U) == old_leq(W, U)
+    assert U.leq(W) == old_leq(U, W) == rank_leq(U, W)
+    assert W.leq(U) == old_leq(W, U) == rank_leq(W, U)
+    assert first_outside(U, W) == old_first_outside(U, W)
+    assert first_outside(W, U) == old_first_outside(W, U)
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,7 +363,88 @@ def test_cross_gram_matches_entry_by_entry_pairing(G, U, V):
 @settings(max_examples=80, deadline=None)
 @given(subspaces(), square_matrices())
 def test_first_escape_matches_per_vector_containment(S, A):
-    assert first_escape(S, A) == old_first_escape(S, A)
+    assert first_escape(S, A) == old_first_escape(S, A) \
+        == pivot_first_escape(S, A)
+
+
+@st.composite
+def subspace_and_vector(draw):
+    """A subspace of Q^n, n = 0..5 (the zero space, the whole space or a
+    drawn span), and a vector that is a drawn combination of its basis,
+    moved off it by a drawn vector half of the time."""
+    n = draw(st.integers(0, 5))
+    row = st.lists(sparse_fracs, min_size=n, max_size=n)
+    S = draw(st.one_of(
+        st.just(Subspace.zero(n)), st.just(Subspace.full(n)),
+        st.lists(row, max_size=n + 1).map(lambda vs: Subspace.span(n, vs))))
+    coeffs = draw(st.lists(small_fracs, min_size=S.dim, max_size=S.dim))
+    v = S.basis.apply(tuple(coeffs))
+    if draw(st.booleans()):
+        v = tuple(a + b for a, b in zip(v, draw(row)))
+    return S, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_and_vector())
+def test_membership_matches_elimination(case):
+    S, v = case
+    coords = S.coords_of(v)
+    assert coords == old_coords_of(S, v)
+    assert S.contains(v) == old_contains(S, v)
+    if coords is not None:
+        assert S.basis.apply(coords) == v
+
+
+def test_membership_queries_do_not_eliminate(monkeypatch):
+    plane, line = span(3, (1, 0, 2), (0, 1, -1)), span(3, (1, 1, 1))
+    full, zero, empty = Subspace.full(3), Subspace.zero(3), Subspace.zero(0)
+    half_in = span(3, (1, 0, 2), (0, 1, 0))
+    A = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 2]])
+
+    def no_rref(self):
+        raise AssertionError("a membership query eliminated")
+
+    monkeypatch.setattr(Matrix, "rref", no_rref)
+    assert plane.coords_of((2, 3, 1)) == (2, 3)
+    assert plane.coords_of((0, 0, 1)) is None
+    assert empty.coords_of(()) == () and zero.coords_of((0, 0, 0)) == ()
+    assert plane.contains((1, 1, 1)) and not line.contains((1, 0, 0))
+    assert line.leq(plane) and not plane.leq(line) and plane.leq(full)
+    assert first_outside(full, plane) == 0
+    assert first_outside(half_in, plane) == 1
+    assert first_outside(zero, line) is None
+    assert first_escape(plane, A) == 0
+    assert first_escape(line, Matrix.identity(3)) is None
+
+
+def test_slice_actions_are_rebased_like_the_eliminating_solve():
+    # g_m of dimension 3 inside the abelian Q^4, given by sums and
+    # differences of its canonical basis vectors c0, c1, c2.
+    c0, c1, c2 = (1, 0, 2, 0), (0, 1, -1, 0), (0, 0, 0, 1)
+    given = [tuple(a + b for a, b in zip(c0, c1)),
+             tuple(a - b for a, b in zip(c0, c1)),
+             tuple(a + b for a, b in zip(c1, c2))]
+    actions = [[["1", "2"], ["3", "5"]], [["7", "0"], ["-1", "1/2"]],
+               [["0", "3"], ["2", "-4"]]]
+    doc = {
+        "format": "wittartin-instance/1", "dim": 4,
+        "structure_constants": [[["0"] * 4] * 4] * 4,
+        "h_basis": [], "gm_basis": [[str(x) for x in g] for g in given],
+        "mu": ["0"] * 4,
+        "slice": {"dim": 2, "omega": [["0", "1"], ["-1", "0"]],
+                  "action": actions},
+    }
+    inst = from_dict(doc)
+    assert inst.gm.basis_vectors() == [vec(c) for c in (c0, c1, c2)]
+    given_rep = SliceRep(inst.slice_rep.omega, tuple(
+        Matrix.from_rows(a) for a in actions))
+    given_basis = Matrix.from_cols([vec(g) for g in given])
+    expected = tuple(given_rep.combine(old_solve(given_basis, w))
+                     for w in inst.gm.basis_vectors())
+    assert inst.slice_rep.action == expected
+    # c0 = (g0 + g1) / 2.
+    assert inst.slice_rep.action[0] == Matrix.from_rows(
+        [[4, 1], [1, F(11, 4)]])
 
 
 @settings(max_examples=60, deadline=None)

@@ -73,7 +73,7 @@ class TestInfAction:
         un = m.dim_m + m.dim_n
         for x in chain.n_space.basis_vectors():
             v = inf_action(m, x)
-            assert m.embed_u(v[:un]) == x
+            assert m.mn_basis.apply(v[:un]) == x
             assert v[un:] == zero_vec(m.total_dim - un)
 
     def test_mixed_vector_projects(self):
@@ -83,7 +83,7 @@ class TestInfAction:
         x = m.chain.n_space.basis_vectors()[0]
         mixed = tuple(a + b for a, b in zip(eta, x))
         v = inf_action(m, mixed)
-        assert m.embed_u(v[:m.dim_m + m.dim_n]) == x
+        assert m.mn_basis.apply(v[:m.dim_m + m.dim_n]) == x
 
 
 def n0_vector(m, rho):

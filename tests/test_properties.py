@@ -23,7 +23,7 @@ def _label(inst):
 @pytest.mark.parametrize(
     "inst", SUBSET, ids=[f"{i}_{_label(x)}" for i, x in enumerate(SUBSET)])
 def test_all_exact_invariants(inst):
-    checks = verify.run_all(inst, samples=4, include_tube=False)
+    checks = verify.run_all(inst, samples=4)
     failed = [c for c in checks if not c.passed]
     assert not failed, [f"{c.name}: {c.detail}" for c in failed]
 

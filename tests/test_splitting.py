@@ -91,13 +91,15 @@ class TestValidate:
             build_chain(inst)
 
     def test_zero_dimensional_inner_product_is_not_positive_definite(self):
-        # InnerProduct accepts the 0x0 Gram (no minor is <= 0), but validate
-        # asks for at least one positive minor.
+        # The 0x0 Gram has no leading minor, so none is <= 0: it is
+        # positive definite, and validate agrees with InnerProduct on it.
         inst = ProblemInstance(
             abelian(0), Subspace.zero(0), Subspace.zero(0), (),
             InnerProduct(Matrix.zeros(0, 0)), SliceRep.trivial())
-        assert [c.name for c in validate(inst).failures()] == [
-            "ip_positive_definite"]
+        report = validate(inst)
+        assert report.passed, report.failures()
+        assert ("ip_positive_definite", True) in [
+            (c.name, c.passed) for c in report.checks]
 
 
 class TestSo3Cases:

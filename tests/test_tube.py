@@ -49,8 +49,8 @@ def omega_tube_reference(inst, model, p, v1, v2):
     formula the Gram matrix of omega_tube_gram must reproduce exactly.
     """
     (u1, rho1, nu1), (u2, rho2, nu2) = split(model, v1), split(model, v2)
-    xi1 = model.embed_u(u1)
-    xi2 = model.embed_u(u2)
+    xi1 = model.mn_basis.apply(u1)
+    xi2 = model.mn_basis.apply(u2)
 
     def paired(rhodot, nudot, xi):
         lam = model.iota_mstar(rhodot)

@@ -312,6 +312,71 @@ def test_full_center_fails_center_check(monkeypatch):
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["liecore.center_in_stabilizer"]
+    # g_mu is the line through e3 here, so e1 is the first to leave it.
+    assert _check(checks, "liecore.center_in_stabilizer").detail \
+        == "basis vector 0 of the center is not in g_mu"
+
+
+def _without_last_vector(S):
+    return Subspace.span(S.ambient_dim, S.basis_vectors()[:-1])
+
+
+def _containment_in_smaller_space(monkeypatch, a_name):
+    """splitting.outside_detail, which the containment checks call, tests
+    the space named a_name against the other space without its last basis
+    vector.  Returns the (A, B) pairs it was called with, unchanged."""
+    exact = splitting.outside_detail
+    seen = []
+
+    def broken(A, name, B, b_name):
+        if name == a_name:
+            seen.append((A, B))
+            B = _without_last_vector(B)
+        return exact(A, name, B, b_name)
+
+    monkeypatch.setattr(splitting, "outside_detail", broken)
+    return seen
+
+
+def test_g_mu_outside_smaller_h_perp_mu_fails_and_names_a_vector(
+        monkeypatch):
+    # g_mu = h_perp_mu = Q^3 here, so only e3 is left out.
+    expected_names = [c.name for c in _run("so3-zero")]
+    exact = verify.h_perp_mu_check
+    monkeypatch.setattr(verify, "h_perp_mu_check", lambda g_mu, hperp:
+                        exact(g_mu, _without_last_vector(hperp)))
+    checks = _run("so3-zero")
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["liecore.g_mu_in_h_perp_mu"]
+    assert _check(checks, "liecore.g_mu_in_h_perp_mu").detail \
+        == "basis vector 2 of g_mu is not in h_perp_mu"
+
+
+def test_h_alpha_outside_smaller_h_perp_mu_fails_chain_check_and_names_it(
+        monkeypatch):
+    # Only the h_alpha statement sees the smaller space, and h_alpha is the
+    # line through e3 here, which that space leaves out.
+    seen = _containment_in_smaller_space(monkeypatch, "h_alpha")
+    checks = _run("so3-zero")
+    chain = splitting.build_chain(from_dict(build_example("so3-zero")))
+    assert seen == [(chain.h_alpha, chain.h_perp_mu_space)]
+    _assert_chain_fail(checks, "chain.gmu_halpha_in_hperpmu")
+    assert _check(checks, "chain.gmu_halpha_in_hperpmu").detail \
+        == "basis vector 0 of h_alpha is not in h_perp_mu"
+
+
+def test_ker_dphiG_outside_smaller_ker_dphiH_fails_and_names_a_vector(
+        monkeypatch):
+    expected_names = [c.name for c in _run()]
+    seen = _containment_in_smaller_space(monkeypatch, "ker dphi_G")
+    checks = _run()
+    inst = from_dict(build_example("so3-generic"))
+    model = pm.build_model(splitting.build_chain(inst), inst)
+    assert seen == [(model.ker_dphi_G, model.ker_dphi_H)]
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["model.ker_dphiG_inside_ker_dphiH"]
+    assert _check(checks, "model.ker_dphiG_inside_ker_dphiH").detail \
+        == "basis vector 2 of ker dphi_G is not in ker dphi_H"
 
 
 def _off_origin(change):
