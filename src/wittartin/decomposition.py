@@ -126,6 +126,12 @@ def _witt_artin_axioms(model: TangentModel, ker: Subspace, ker_name: str,
     Lagrangian complement of X0 and the symplectic slice.  For each group
     ("sum", "kernel", "orthogonality", "lagrangian") the result holds the
     first statement that fails, or None.
+
+    "X0 + Y0 is symplectic" is read off the k x k pairing C of X0 with Y0:
+    it is only reached once X0 and Y0 are isotropic of equal dimension k.
+    When X0 + Y0 is direct its Gram is then [[0, C], [-C^T, 0]], which is
+    nondegenerate exactly when C is; a nonzero vector of X0 & Y0 lies in
+    the radical of X0 + Y0 and in the kernel of C, so both are degenerate.
     """
     (x0, X0), (x1, X1), (y0, Y0), (y1, Y1) = blocks.items()
     omega = model.omega
@@ -153,7 +159,7 @@ def _witt_artin_axioms(model: TangentModel, ker: Subspace, ker_name: str,
              lambda: pairing_witness(omega, Y0, Y0) is None),
             (f"dim {x0} equals dim {y0}", lambda: X0.dim == Y0.dim),
             (f"{x0} + {y0} is symplectic",
-             lambda: gram_on(omega, X0Y0).rank() == X0Y0.dim)),
+             lambda: cross_gram(omega, X0, Y0).rank() == X0.dim)),
     }
     return {group: next((text for text, holds in statements if not holds()),
                         None)
@@ -247,7 +253,9 @@ def h_decomposition_checks(decomp: WittDecompositionH,
     h_alpha, ntilde, s, b, a and r under the action, and the R_p*, R_b* and
     V coordinate blocks.  wittH.2-7 run on the defined blocks; wittH.1, 2
     and 4 are the Witt-Artin axioms of TH0 + TH1 + NH0 + NH1, and their
-    details name the first statement that fails.
+    details name the first statement that fails.  A failing wittH.5 names
+    the first degenerate space, and a failing wittH.6 whether the
+    dimensions or the pairing of a and r are at fault.
     """
     chain = model.chain
     chu = model.inst.chu
@@ -289,15 +297,27 @@ def h_decomposition_checks(decomp: WittDecompositionH,
     out.append(_check("wittH.4_orthogonality_and_lagrangian",
                       axioms["orthogonality"] or axioms["lagrangian"]))
 
-    nondeg = all(
-        gram_on(model.omega, space).rank() == space.dim
-        for space in (s_block, Xm, d["NH1"], d["Zm"])
-    )
-    record("wittH.5_symplectic_blocks", nondeg)
+    # One Gram for s, X_m and NH1: its leading diagonal blocks are the
+    # Grams on s and X_m, and its rank is the rank of omega on NH1.
+    nh1 = gram_on(model.omega, s_block, Xm, N1_block)
+    ds, dx = s_block.dim, Xm.dim
+    spaces = (
+        ("s_block", nh1.submatrix(range(ds), range(ds)), ds),
+        ("Xm", nh1.submatrix(range(ds, ds + dx), range(ds, ds + dx)), dx),
+        ("NH1", nh1, d["NH1"].dim),
+        ("Zm", gram_on(model.omega, d["Zm"]), d["Zm"].dim))
+    degenerate = next((f"{name} is degenerate under omega"
+                       for name, gram, dim in spaces if gram.rank() != dim),
+                      "")
+    record("wittH.5_symplectic_blocks", not degenerate, degenerate)
 
-    record("wittH.6_a_r_pairing_nondegenerate",
-           chain.a.dim == chain.r.dim
-           and cross_gram(chu, chain.a, chain.r).rank() == chain.a.dim)
+    if chain.a.dim != chain.r.dim:
+        pairing = "dim a != dim r"
+    elif cross_gram(chu, chain.a, chain.r).rank() != chain.a.dim:
+        pairing = "the Chu pairing of a with r is degenerate"
+    else:
+        pairing = ""
+    record("wittH.6_a_r_pairing_nondegenerate", not pairing, pairing)
     w = pairing_witness(chu, chain.a, chain.a)
     record("wittH.7_a_orbit_lagrangian_in_Zm", w is None,
            "" if w is None else f"a basis vector {w[0]} pairs with a basis "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -528,9 +528,19 @@ def pairing_witness(form: BilinearForm, U: Subspace,
     return None
 
 
-def gram_on(form: BilinearForm, U: Subspace) -> Matrix:
-    """Gram matrix of the form restricted to the canonical basis of U."""
-    return cross_gram(form, U, U)
+def gram_on(form: BilinearForm, U: Subspace, *more: Subspace) -> Matrix:
+    """Gram matrix of the form restricted to the canonical basis of U.
+
+    Given more subspaces, it is the Gram B^T G B of the canonical bases of
+    U and of each of them side by side: its leading diagonal block is the
+    Gram on U, and its rank is the rank of the form on the sum of the
+    spaces even when B's columns are dependent (B = W C for a basis W of
+    the sum and C of full row rank, so B^T G B = C^T (W^T G W) C).
+    """
+    if any(V.ambient_dim != form.ambient_dim for V in (U, *more)):
+        raise AmbientMismatch("form and subspaces live in different spaces")
+    B = reduce(Matrix.hstack, (V.basis for V in more), U.basis)
+    return B.transpose() @ form.gram @ B
 
 
 def perp_under_form(form: BilinearForm, U: Subspace) -> Subspace:

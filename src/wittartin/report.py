@@ -15,7 +15,9 @@ from .exactlin import Matrix, unit_vec
 from .instancefile import to_dict
 from .splitting import (
     Check,
+    CheckFailed,
     ProblemInstance,
+    ValidationFailed,
     build_chain,
     chain_checks,
     dim_formulas,
@@ -48,16 +50,26 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
     This is the strict path: it raises ValidationFailed on an invalid
     instance and CheckFailed for the first failed named check among those
     the constructors rely on (chain, liecore, f contract, wittG, wittH 1-7,
-    slice form and momentum-form symmetry).  Each of them runs once.
+    slice form and momentum-form symmetry).  Each of them runs once.  A
+    chain or model that cannot be built raises CheckFailed too, named
+    chain.builds or model.builds as in verify.run_all.
     """
-    chain = build_chain(inst)
+    try:
+        chain = build_chain(inst)
+    except ValidationFailed:
+        raise
+    except ValueError as e:
+        raise CheckFailed("chain.builds", str(e)) from e
     require(chain_checks(inst, chain))
     require([
         chu_radical_check(inst.chu, chain.g_mu),
         h_alpha_check(inst, chain.h_alpha),
         h_perp_mu_check(chain.g_mu, chain.h_perp_mu_space),
     ])
-    model = pm.build_model(chain, inst)
+    try:
+        model = pm.build_model(chain, inst)
+    except pm.DegenerateModel as e:
+        raise CheckFailed("model.builds", str(e)) from e
     require([pm.f_contract_check(model)])
     g_dec = dec.decompose_G(model)
     require([dec.g_decomposition_check(g_dec, model)])

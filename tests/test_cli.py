@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from wittartin import decomposition as dec
+from wittartin import pointmodel as pm
+from wittartin import splitting
 from wittartin.catalog import EXAMPLE_NAMES
 from wittartin.cli import main
-from wittartin.exactlin import BilinearForm
+from wittartin.exactlin import BilinearForm, Subspace
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_VERIFY = ROOT / "tests" / "golden" / "verify-all-examples.json"
@@ -177,6 +179,30 @@ class TestDecompose:
         assert code == 1
         assert out == ""
         assert err.startswith("FAIL sliceform.block_diagonal:")
+
+    def test_chain_that_cannot_be_built_exit_1_with_named_fail(
+            self, capsys, tmp_path, monkeypatch):
+        # g_mu + a is then outside the Chu-orthogonal of ntilde + s.
+        path = write_example(capsys, tmp_path, "so3-generic")
+        monkeypatch.setattr(splitting, "perp_under_form",
+                            lambda form, U: Subspace.zero(U.ambient_dim))
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("FAIL chain.builds: ")
+        assert "Traceback" not in err
+
+    def test_model_that_cannot_be_built_exit_1_with_named_fail(
+            self, capsys, tmp_path, monkeypatch):
+        def degenerate(chain, inst):
+            raise pm.DegenerateModel("point form is singular")
+
+        path = write_example(capsys, tmp_path, "so3-generic")
+        monkeypatch.setattr(pm, "build_model", degenerate)
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "FAIL model.builds: point form is singular\n"
 
 
 class TestVerify:

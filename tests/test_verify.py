@@ -168,6 +168,17 @@ def test_chain_that_cannot_be_built_is_a_named_fail(monkeypatch):
     assert _failed(checks) == ["chain.builds"]
 
 
+def test_model_that_cannot_be_built_is_a_named_fail(monkeypatch):
+    def degenerate(chain, inst):
+        raise pm.DegenerateModel("point form is singular")
+
+    monkeypatch.setattr(pm, "build_model", degenerate)
+    checks = _run()
+    assert checks[-1].name == "model.builds"
+    assert _failed(checks) == ["model.builds"]
+    assert checks[-1].detail == "point form is singular"
+
+
 def test_failed_chain_check_ends_the_run_with_a_named_fail(monkeypatch):
     monkeypatch.setattr(splitting, "_lagrangian_shear",
                         lambda chu, a, C: Subspace.zero(a.ambient_dim))
@@ -270,6 +281,28 @@ def test_zero_a_r_chu_pairing_fails_pairing_check(monkeypatch):
     checks = verify.run_all(inst, samples=3)
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["wittH.6_a_r_pairing_nondegenerate"]
+    assert _check(checks, "wittH.6_a_r_pairing_nondegenerate").detail \
+        == "the Chu pairing of a with r is degenerate"
+
+
+def test_r_grown_by_g_m_fails_pairing_check_and_names_the_dimensions(
+        monkeypatch):
+    # g_m acts trivially on the model, so r + g_m has the orbit of r (zero
+    # here) and every H-side block keeps its definition; only the dimension
+    # count of wittH.6 reads r itself.
+    expected_names = [c.name for c in _run("so3xso3-diagonal")]
+    exact = dec.h_decomposition_checks
+
+    def grown_r(decomp, model):
+        r = sum_spaces(model.chain.r, model.inst.gm)
+        return exact(decomp, replace(model, chain=replace(model.chain, r=r)))
+
+    monkeypatch.setattr(dec, "h_decomposition_checks", grown_r)
+    checks = _run("so3xso3-diagonal")
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["wittH.6_a_r_pairing_nondegenerate"]
+    assert _check(checks, "wittH.6_a_r_pairing_nondegenerate").detail \
+        == "dim a != dim r"
 
 
 def test_nonzero_chu_form_on_a_fails_lagrangian_check(monkeypatch):
@@ -644,6 +677,51 @@ def test_omega_pairing_two_T0_coordinates_fails_witt_g_isotropy(monkeypatch):
     assert _failed(checks) == ["wittG.all_assertions"]
     assert _check(checks, "wittG.all_assertions").detail \
         == "fails: T0 is isotropic"
+
+
+@pytest.mark.parametrize("example, pick, space", [
+    # omega on U_s is [[0, 1], [-1, 0]] here.
+    ("so3-collinear", lambda d: (d.s_block[1], d.s_block[0]), "s_block"),
+    # omega pairs U_b with R_b* by 1; the coupling cancels it.
+    ("so3-generic", lambda d: (d.Ym[0], d.Xm_block[0]), "Xm"),
+    # omega on V is omega_N1 = [[0, 1], [-1, 0]]; s and X_m keep theirs.
+    ("so3-generic", lambda d: (d.N1_block[1], d.N1_block[0]), "NH1"),
+], ids=["s_block", "Xm", "NH1"])
+def test_degenerate_nh1_part_fails_witt_h5_and_names_the_space(
+        monkeypatch, example, pick, space):
+    # No Witt-Artin axiom reads an entry of NH1 x NH1.
+    expected_names = [c.name for c in _run(example)]
+    assert len(expected_names) == 69
+    _with_omega_coupled(monkeypatch, "h_decomposition_checks", pick)
+    checks = _run(example)
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["wittH.5_symplectic_blocks"]
+    assert _check(checks, "wittH.5_symplectic_blocks").detail \
+        == f"{space} is degenerate under omega"
+
+
+def test_zero_Zm_gram_fails_witt_h5_and_names_Zm(monkeypatch):
+    # Inside h_decomposition_checks the only Gram of a single space is the
+    # one on Z_m; a zero Gram there leaves every other statement true.
+    expected_names = [c.name for c in _run()]
+    exact_checks, exact_gram = dec.h_decomposition_checks, dec.gram_on
+
+    def zero_single_space_gram(form, U, *more):
+        return exact_gram(form, U, *more) if more else Matrix.zeros(U.dim,
+                                                                    U.dim)
+
+    def checks_with_zero_zm_gram(decomp, model):
+        with monkeypatch.context() as m:
+            m.setattr(dec, "gram_on", zero_single_space_gram)
+            return exact_checks(decomp, model)
+
+    monkeypatch.setattr(dec, "h_decomposition_checks",
+                        checks_with_zero_zm_gram)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["wittH.5_symplectic_blocks"]
+    assert _check(checks, "wittH.5_symplectic_blocks").detail \
+        == "Zm is degenerate under omega"
 
 
 def test_expm_one_squaring_short_fails_equivariance_and_names_a_sample(

@@ -5,15 +5,20 @@ decomposition._witt_artin_axioms states the axioms of both decompositions
 once; the reference below is the per-statement identity list that
 wittG.all_assertions held, written with plain Gram entries and stacked
 ranks, and it is compared on Hypothesis-drawn block subspaces of the
-catalog models.  decomposition._eta_action_on_nh1 reads the h_m-action off
+catalog models.  The axioms decide "X0 + Y0 is symplectic" on the pairing
+of X0 with Y0, and wittH.5 reads s, X_m and NH1 off one Gram of their
+bases side by side; both are compared with the full Grams they replaced.
+decomposition._eta_action_on_nh1 reads the h_m-action off
 the model's isotropy action; the reference builds it block by block from
 brackets, as the package used to, and the two are compared on every corpus
 instance with h_m != 0.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus
@@ -21,15 +26,20 @@ from wittartin.catalog import build_example
 from wittartin.decomposition import (
     NH1_ORDER,
     _eta_action_on_nh1,
+    _image_under_action,
     _witt_artin_axioms,
+    decompose_H,
+    h_decomposition_checks,
 )
 from wittartin.exactlin import (
+    BilinearForm,
     Matrix,
     Subspace,
     ZERO,
     dot,
     intersect,
     is_zero_vec,
+    sum_spaces,
     unit_vec,
 )
 from wittartin.instancefile import from_dict
@@ -103,6 +113,13 @@ def test_eta_action_is_the_block_by_block_action():
 GROUPS = ("sum", "kernel", "orthogonality", "lagrangian")
 
 
+def nondegenerate(G, U):
+    """The form with Gram matrix G is nondegenerate on the span of the
+    independent vectors U: their plain Gram has full rank."""
+    gram = [[dot(u, G.apply(v)) for v in U] for u in U]
+    return Matrix.from_rows(gram, cols=len(U)).rank() == len(U)
+
+
 def ref_axioms(model, ker, ker_name, names, spaces):
     """The first failing statement of each group, from the identity list
     of wittG.all_assertions with T0, T1, N0, N1 renamed."""
@@ -114,8 +131,7 @@ def ref_axioms(model, ker, ker_name, names, spaces):
         return all(dot(u, G.apply(v)) == 0 for u in U for v in V)
 
     def symplectic(U):
-        gram = [[dot(u, G.apply(v)) for v in U] for u in U]
-        return Matrix.from_rows(gram, cols=len(U)).rank() == len(U)
+        return nondegenerate(G, U)
 
     rank_all = Matrix.from_cols(T0 + T1 + N0 + N1, rows=n).rank()
     split = f"{t0} + {t1} + {n0} + {n1}"
@@ -200,3 +216,121 @@ def test_true_splits_satisfy_every_axiom():
             got = _witt_artin_axioms(model, ker, f"ker dphi_{side}",
                                      dict(zip(names, spaces)))
             assert got == dict.fromkeys(GROUPS)
+
+
+# ---------------------------------------------------------------------------
+# "X0 + Y0 is symplectic" on the pairing of X0 with Y0.
+
+# Isotropic blocks of every catalog model: T0, N0, TH0 and NH0.
+ISOTROPIC = (("p", "b"), ("pstar", "bstar"), ("p", "a"), ("r", "pstar"))
+LAGRANGIAN_NAMES = ("X0", "X1", "Y0", "Y1")
+
+
+def _lagrangian_group(model, X0, Y0):
+    zero = Subspace.zero(model.total_dim)
+    blocks = dict(zip(LAGRANGIAN_NAMES, (X0, zero, Y0, zero)))
+    return _witt_artin_axioms(model, model.ker_dphi_G, "ker dphi_G",
+                              blocks)["lagrangian"]
+
+
+@st.composite
+def isotropic_pair(draw):
+    """A catalog model and two isotropic subspaces, each spanned by k drawn
+    combinations (coefficients -1, 0, 1) of the unit vectors of one
+    isotropic block.  Both may come from the same block, so X0 & Y0 can be
+    nonzero, and the small coefficients often make the pairing
+    degenerate."""
+    model = MODELS[draw(st.sampled_from(CATALOG))]
+    n = model.total_dim
+    k = draw(st.integers(0, 3))
+
+    def drawn_space():
+        units = [unit_vec(n, i)
+                 for i in model.indices(*draw(st.sampled_from(ISOTROPIC)))]
+        row = st.lists(st.integers(-1, 1), min_size=len(units),
+                       max_size=len(units))
+        coeffs = draw(st.lists(row, min_size=k, max_size=k))
+        return Subspace.span(n, [
+            tuple(sum((F(c) * u[i] for c, u in zip(row, units)), F(0))
+                  for i in range(n))
+            for row in coeffs])
+
+    return model, drawn_space(), drawn_space()
+
+
+@settings(max_examples=200, deadline=None)
+@given(isotropic_pair())
+def test_pairing_criterion_agrees_with_the_gram_of_the_sum(case):
+    model, X0, Y0 = case
+    S = sum_spaces(X0, Y0)
+    if X0.dim != Y0.dim:
+        expected = "dim X0 equals dim Y0"
+    elif nondegenerate(model.omega.gram, S.basis_vectors()):
+        expected = None
+    else:
+        expected = "X0 + Y0 is symplectic"
+    event(f"{expected}, X0 & Y0 {'= 0' if S.dim == 2 * X0.dim else '!= 0'}")
+    assert _lagrangian_group(model, X0, Y0) == expected
+
+
+@pytest.mark.parametrize("y0_block", ["bstar", "p"],
+                         ids=["degenerate_pairing", "X0_is_Y0"])
+def test_isotropic_equal_dimension_pair_that_is_not_symplectic(y0_block):
+    # On the catalog torus omega pairs U_p only with R_p*; Y0 is the first
+    # coordinate of R_b*, or U_p itself.
+    model = MODELS["torus"]
+    X0 = model.unit_span(model.indices("p"))
+    Y0 = model.unit_span(model.indices(y0_block)[:1])
+    zero = Subspace.zero(model.total_dim)
+    spaces = (X0, zero, Y0, zero)
+    first = ref_axioms(model, model.ker_dphi_G, "ker dphi_G",
+                       LAGRANGIAN_NAMES, spaces)["lagrangian"]
+    assert first == "X0 + Y0 is symplectic"
+    assert _lagrangian_group(model, X0, Y0) == first
+
+
+# ---------------------------------------------------------------------------
+# wittH.5 against its four Grams.
+
+def ref_witt_h5(model):
+    """s, X_m, NH1 and Z_m, built from their definitions, are each
+    nondegenerate under omega, by one plain Gram each."""
+    chain = model.chain
+
+    def image(space):
+        return _image_under_action(model, space)
+
+    s_block = image(chain.s)
+    Xm = sum_spaces(image(chain.b), model.unit_span(model.indices("bstar")))
+    NH1 = sum_spaces(s_block, Xm, model.unit_span(model.indices("N1")))
+    Zm = sum_spaces(image(chain.a), image(chain.r))
+    return all(nondegenerate(model.omega.gram, S.basis_vectors())
+               for S in (s_block, Xm, NH1, Zm))
+
+
+def _coupled(model, i, j):
+    """The model with omega's entry (i, j) raised by 1 and (j, i) lowered
+    by 1."""
+    rows = [list(row) for row in model.omega.gram.entries]
+    rows[i][j] += 1
+    rows[j][i] -= 1
+    return replace(model, omega=BilinearForm(
+        Matrix.from_rows(rows, cols=model.total_dim)))
+
+
+def test_witt_h5_verdict_is_the_four_gram_verdict_on_the_corpus():
+    """On every corpus model, and on each with omega coupled inside NH1 or
+    inside Z_m, so that both verdicts occur."""
+    verdicts = set()
+    for inst in build_corpus():
+        model = _model(inst)
+        decomp = decompose_H(model)
+        variants = [model] + [_coupled(model, block[0], block[-1])
+                              for block in (decomp.NH1, decomp.Zm)
+                              if len(block) > 1]
+        for variant in variants:
+            got = next(c for c in h_decomposition_checks(decomp, variant)
+                       if c.name == "wittH.5_symplectic_blocks").passed
+            assert got == ref_witt_h5(variant)
+            verdicts.add(got)
+    assert verdicts == {True, False}
