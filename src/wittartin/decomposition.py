@@ -336,7 +336,8 @@ def slice_form(model: TangentModel) -> BilinearForm:
 
 def slice_form_check(decomp: WittDecompositionH, model: TangentModel) -> Check:
     """sliceform.block_diagonal: the form on NH1 is the Chu form on s, the
-    canonical pairing on b + Y_m and omega_N1 on N1, with no cross terms."""
+    canonical pairing on b + Y_m and omega_N1 on N1, with no cross terms.
+    A failure names the first entry that differs from that block form."""
     chain = model.chain
     ds, db, dn1 = chain.s.dim, chain.b.dim, model.slice_dim
     size = ds + 2 * db + dn1
@@ -350,8 +351,15 @@ def slice_form_check(decomp: WittDecompositionH, model: TangentModel) -> Check:
     base = ds + 2 * db
     for i, row in enumerate(model.inst.slice_rep.omega.gram.entries):
         expected[base + i][base:] = row
-    return Check("sliceform.block_diagonal",
-                 decomp.form.gram == Matrix.from_rows(expected, cols=size))
+    got = decomp.form.gram
+    if (got.rows, got.cols) != (size, size):
+        detail = f"the slice form is {got.rows}x{got.cols}, expected {size}x{size}"
+    else:
+        detail = next((f"entry ({i}, {j}) of the slice form is {x}, expected "
+                       f"{expected[i][j]}"
+                       for i, row in enumerate(got.entries)
+                       for j, x in enumerate(row) if x != expected[i][j]), "")
+    return Check("sliceform.block_diagonal", not detail, detail)
 
 
 def _eta_action_on_nh1(model: TangentModel, eta: Vec) -> Matrix:

@@ -1,7 +1,9 @@
 """Versioned JSON instance files.
 
-Numbers are exact rational strings ("p/q" or "p"); no floating point ever
-appears in an instance file.  Structural problems (bad JSON, missing keys,
+Numbers are exact rational strings ("p/q" or "p": an optional sign, ASCII
+digits and an optional "/" with more digits) or JSON integers; no floating
+point ever appears in an instance file.  Each distinct string is parsed once
+per document.  Structural problems (bad JSON, missing keys,
 wrong shapes) raise InstanceFormatError and map to exit code 2; semantic
 problems (non-Jacobi constants, dependent bases, indefinite inner products)
 raise InstanceDataError and map to a failed named check and exit code 1.
@@ -10,10 +12,11 @@ raise InstanceDataError and map to a failed named check and exit code 1.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
-from .exactlin import BilinearForm, Matrix, NotPositiveDefinite, Subspace, Vec
+from .exactlin import ZERO, BilinearForm, Matrix, NotPositiveDefinite, Subspace, Vec
 from .liecore import InnerProduct, LieAlgebra, StructureConstantError, killing_form
 from .splitting import ProblemInstance, SliceRep
 
@@ -33,31 +36,58 @@ class InstanceDataError(ValueError):
         super().__init__(f"{check_name}: {detail}")
 
 
-def _parse_fraction(x: Any, where: str) -> Fraction:
+# The documented grammar: an optional sign, decimal digits and an optional
+# "/digits".  Fraction alone would also take decimals, exponents, underscores
+# and surrounding spaces, and "1e999999999" would make it build 10**999999999.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _at(path: tuple) -> str:
+    """The location ("name[i][j]") of the entry or vector at ``path``."""
+    return str(path[0]) + "".join(f"[{i}]" for i in path[1:])
+
+
+def _parse_fraction(x: Any, path: tuple, memo: dict[str, Fraction]) -> Fraction:
+    """One entry, read through ``memo``; ``path`` is formatted only on errors."""
+    if isinstance(x, str):
+        value = memo.get(x)
+        if value is None:
+            try:
+                if not _RATIONAL.fullmatch(x):
+                    # Fraction's own wording: strings it rejects as well
+                    # keep the message they always had.
+                    raise ValueError(f"Invalid literal for Fraction: {x!r}")
+                # Every zero is the shared ZERO, so all-zero rows compare
+                # equal to a row of ZERO by identity alone.
+                value = memo[x] = Fraction(x) or ZERO
+            except (ValueError, ZeroDivisionError) as e:
+                raise InstanceFormatError(f"{_at(path)}: bad rational {x!r} ({e})")
+        return value
     if isinstance(x, bool):
-        raise InstanceFormatError(f"{where}: booleans are not numbers")
+        raise InstanceFormatError(f"{_at(path)}: booleans are not numbers")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as e:
-            raise InstanceFormatError(f"{where}: bad rational {x!r} ({e})")
     raise InstanceFormatError(
-        f"{where}: expected a rational string or integer, got {type(x).__name__}")
+        f"{_at(path)}: expected a rational string or integer, got {type(x).__name__}")
 
 
-def _parse_vector(v: Any, length: int, where: str) -> Vec:
+def _parse_vector(v: Any, length: int, memo: dict[str, Fraction], *path) -> Vec:
     if not isinstance(v, list) or len(v) != length:
-        raise InstanceFormatError(f"{where}: expected a list of length {length}")
-    return tuple(_parse_fraction(x, f"{where}[{i}]") for i, x in enumerate(v))
+        raise InstanceFormatError(f"{_at(path)}: expected a list of length {length}")
+    try:
+        # Only strings are memo keys, and no bool, float or None equals one.
+        return tuple([memo[x] for x in v])
+    except (KeyError, TypeError):
+        return tuple([_parse_fraction(x, (*path, k), memo)
+                      for k, x in enumerate(v)])
 
 
-def _parse_matrix(m: Any, rows: int, cols: int, where: str) -> Matrix:
+def _parse_matrix(m: Any, rows: int, cols: int, memo: dict[str, Fraction],
+                  *path) -> Matrix:
     if not isinstance(m, list) or len(m) != rows:
-        raise InstanceFormatError(f"{where}: expected {rows} rows")
-    data = [_parse_vector(r, cols, f"{where}[{i}]") for i, r in enumerate(m)]
-    return Matrix.from_rows(data, cols=cols)
+        raise InstanceFormatError(f"{_at(path)}: expected {rows} rows")
+    return Matrix(rows, cols, tuple(_parse_vector(r, cols, memo, *path, i)
+                                    for i, r in enumerate(m)))
 
 
 def _fmt(x: Fraction) -> str:
@@ -94,12 +124,14 @@ def from_dict(doc: Any) -> ProblemInstance:
     sc = doc.get("structure_constants")
     if not isinstance(sc, list) or len(sc) != n:
         raise InstanceFormatError("'structure_constants' must be an n-list")
+    # One parse per distinct rational string of this document.
+    memo: dict[str, Fraction] = {}
     table = []
     for i, ci in enumerate(sc):
         if not isinstance(ci, list) or len(ci) != n:
             raise InstanceFormatError(f"'structure_constants'[{i}] must be an n-list")
         table.append(tuple(
-            _parse_vector(cij, n, f"structure_constants[{i}][{j}]")
+            _parse_vector(cij, n, memo, "structure_constants", i, j)
             for j, cij in enumerate(ci)))
     try:
         algebra = LieAlgebra(n, tuple(table))
@@ -110,7 +142,7 @@ def from_dict(doc: Any) -> ProblemInstance:
         raw = doc.get(key)
         if not isinstance(raw, list):
             raise InstanceFormatError(f"'{key}' must be a list of vectors")
-        vectors = [_parse_vector(v, n, f"{key}[{i}]") for i, v in enumerate(raw)]
+        vectors = [_parse_vector(v, n, memo, key, i) for i, v in enumerate(raw)]
         space = Subspace.span(n, vectors)
         if space.dim != len(vectors):
             raise InstanceDataError(f"{key}_independent",
@@ -119,7 +151,7 @@ def from_dict(doc: Any) -> ProblemInstance:
 
     h, _ = basis_subspace("h_basis")
     gm, gm_given = basis_subspace("gm_basis")
-    mu = _parse_vector(doc.get("mu"), n, "mu")
+    mu = _parse_vector(doc.get("mu"), n, memo, "mu")
 
     ip_raw = doc.get("inner_product", "identity")
     if ip_raw == "identity":
@@ -127,7 +159,7 @@ def from_dict(doc: Any) -> ProblemInstance:
     elif ip_raw == "neg_killing":
         gram = -killing_form(algebra).gram
     else:
-        gram = _parse_matrix(ip_raw, n, n, "inner_product")
+        gram = _parse_matrix(ip_raw, n, n, memo, "inner_product")
     try:
         ip = InnerProduct(gram)
     except NotPositiveDefinite as e:
@@ -139,7 +171,7 @@ def from_dict(doc: Any) -> ProblemInstance:
         if not isinstance(raw_reps, list):
             raise InstanceFormatError("'gm_component_reps' must be a list")
         for t, rep in enumerate(raw_reps):
-            reps.append(_parse_matrix(rep, n, n, f"gm_component_reps[{t}]"))
+            reps.append(_parse_matrix(rep, n, n, memo, "gm_component_reps", t))
         # Average the inner product over the supplied representatives so
         # complements stay invariant under the listed components as well.
         acc = ip.gram
@@ -152,7 +184,7 @@ def from_dict(doc: Any) -> ProblemInstance:
             raise InstanceDataError("inner_product_positive_definite",
                                     f"after averaging over reps: {e}")
 
-    slice_rep = _parse_slice(doc.get("slice"), gm, gm_given)
+    slice_rep = _parse_slice(doc.get("slice"), gm, gm_given, memo)
 
     return ProblemInstance(
         algebra=algebra, h=h, gm=gm, mu=mu, ip=ip,
@@ -160,7 +192,8 @@ def from_dict(doc: Any) -> ProblemInstance:
     )
 
 
-def _parse_slice(raw: Any, gm: Subspace, gm_given: list[Vec]) -> SliceRep:
+def _parse_slice(raw: Any, gm: Subspace, gm_given: list[Vec],
+                 memo: dict[str, Fraction]) -> SliceRep:
     if raw is None:
         if gm.dim == 0:
             return SliceRep.trivial()
@@ -171,13 +204,14 @@ def _parse_slice(raw: Any, gm: Subspace, gm_given: list[Vec]) -> SliceRep:
     d = raw.get("dim")
     if not isinstance(d, int) or d < 0:
         raise InstanceFormatError("'slice.dim' must be a nonnegative integer")
-    omega = BilinearForm(_parse_matrix(raw.get("omega", []), d, d, "slice.omega"))
+    omega = BilinearForm(_parse_matrix(raw.get("omega", []), d, d, memo,
+                                       "slice.omega"))
     actions_raw = raw.get("action", [])
     if not isinstance(actions_raw, list) or len(actions_raw) != len(gm_given):
         raise InstanceFormatError(
             "'slice.action' must list one matrix per gm_basis vector")
     given = SliceRep(omega, tuple(
-        _parse_matrix(a, d, d, f"slice.action[{t}]")
+        _parse_matrix(a, d, d, memo, "slice.action", t)
         for t, a in enumerate(actions_raw)))
     # Actions are supplied for the file's gm basis; re-express them for the
     # canonical basis so everything downstream keys off canonical columns.

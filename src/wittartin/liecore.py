@@ -65,9 +65,12 @@ class LieAlgebra:
 
     @cached_property
     def nonzero(self) -> tuple[tuple[int, int, int, Fraction], ...]:
-        n = self.dim
-        return tuple((i, j, k, self.c[i][j][k]) for i in range(n)
-                     for j in range(n) for k in range(n) if self.c[i][j][k])
+        # A row c[i][j] of the shared ZERO equals zero_row by identity alone,
+        # so the all-zero rows of a sparse table cost no Fraction comparison.
+        zero_row = (ZERO,) * self.dim
+        return tuple((i, j, k, x) for i, ci in enumerate(self.c)
+                     for j, cij in enumerate(ci) if cij != zero_row
+                     for k, x in enumerate(cij) if x)
 
     @staticmethod
     def from_constants(c) -> "LieAlgebra":

@@ -11,7 +11,7 @@ import pytest
 from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
 from wittartin import splitting
-from wittartin.catalog import EXAMPLE_NAMES
+from wittartin.catalog import EXAMPLE_NAMES, build_example
 from wittartin.cli import main
 from wittartin.exactlin import BilinearForm, Subspace
 
@@ -112,6 +112,25 @@ class TestCheck:
             code, out, err = run_cli(capsys, command, str(path))
             assert code == 2, command
             assert out == "" and err.startswith("error: "), (command, err)
+
+    @pytest.mark.parametrize("command", ["check", "decompose", "verify"])
+    def test_exponent_entry_exit_2_with_error_line(self, tmp_path, command):
+        # Fraction would build 10**999999999 from this entry; the documented
+        # grammar rejects it.  A subprocess with a timeout turns a hang
+        # into a failure.
+        doc = build_example("so3-generic")
+        doc["mu"] = ["0", "1e999999999", "1"]
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "wittartin", command, str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "error: mu[1]: bad rational '1e999999999' "
+            "(Invalid literal for Fraction: '1e999999999')"]
 
     def test_zero_dimensional_instance_passes_everywhere(self, capsys,
                                                          tmp_path):

@@ -1,10 +1,20 @@
 """Instance file parsing, serialization and error taxonomy."""
 
+import copy
+import importlib.util
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wittartin import instancefile
 from wittartin.catalog import all_examples, build_example, so3xso3_diagonal
+from wittartin.exactlin import Matrix
 from wittartin.instancefile import (
     InstanceDataError,
     InstanceFormatError,
@@ -140,3 +150,198 @@ class TestPresetsAndRebasing:
         doc["slice"] = None
         inst = from_dict(doc)
         assert inst.slice_rep.dim == 0
+
+
+# The parser before entries were read through a per-document memo: every
+# entry parsed on its own by Fraction, every location formatted eagerly.
+# Kept as the reference for the differential below.
+
+def ref_parse_fraction(x, where):
+    if isinstance(x, bool):
+        raise InstanceFormatError(f"{where}: booleans are not numbers")
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as e:
+            raise InstanceFormatError(f"{where}: bad rational {x!r} ({e})")
+    raise InstanceFormatError(
+        f"{where}: expected a rational string or integer, got {type(x).__name__}")
+
+
+def ref_parse_vector(v, length, where):
+    if not isinstance(v, list) or len(v) != length:
+        raise InstanceFormatError(f"{where}: expected a list of length {length}")
+    return tuple(ref_parse_fraction(x, f"{where}[{i}]") for i, x in enumerate(v))
+
+
+def ref_parse_matrix(m, rows, cols, where):
+    if not isinstance(m, list) or len(m) != rows:
+        raise InstanceFormatError(f"{where}: expected {rows} rows")
+    data = [ref_parse_vector(r, cols, f"{where}[{i}]") for i, r in enumerate(m)]
+    return Matrix.from_rows(data, cols=cols)
+
+
+def _where(path):
+    return str(path[0]) + "".join(f"[{i}]" for i in path[1:])
+
+
+def ref_from_dict(doc):
+    """from_dict with the reference parser in place of the memoized one."""
+    def vector(v, length, memo, *path):
+        return ref_parse_vector(v, length, _where(path))
+
+    def matrix(m, rows, cols, memo, *path):
+        return ref_parse_matrix(m, rows, cols, _where(path))
+
+    with patch.object(instancefile, "_parse_vector", vector), \
+            patch.object(instancefile, "_parse_matrix", matrix):
+        return from_dict(doc)
+
+
+def ref_nonzero(L):
+    """LieAlgebra.nonzero as a scan of every entry."""
+    n = L.dim
+    return tuple((i, j, k, L.c[i][j][k]) for i in range(n) for j in range(n)
+                 for k in range(n) if L.c[i][j][k])
+
+
+def outcome(parse, doc):
+    try:
+        return parse(doc)
+    except (InstanceFormatError, InstanceDataError) as e:
+        return type(e), str(e)
+
+
+def rational_slots(doc):
+    """(container, key) of every rational entry of doc, in parse order."""
+    def leaves(x):
+        if isinstance(x, list) and x and not isinstance(x[0], list):
+            yield from ((x, k) for k in range(len(x)))
+        elif isinstance(x, list):
+            for y in x:
+                yield from leaves(y)
+
+    fields = [doc.get(k) for k in ("structure_constants", "h_basis",
+                                   "gm_basis", "mu", "inner_product",
+                                   "gm_component_reps")]
+    if isinstance(doc.get("slice"), dict):
+        fields += [doc["slice"].get("omega"), doc["slice"].get("action")]
+    return [slot for f in fields for slot in leaves(f)]
+
+
+def respell(x, rng):
+    """Another spelling of the rational x inside the documented grammar."""
+    q = Fraction(x)
+    k = rng.randint(1, 3)
+    return rng.choice([
+        str(q),
+        f"{q.numerator * k}/{q.denominator * k}",
+        ("+" if q >= 0 else "-") + "0" + str(abs(q)),
+        q.numerator if q.denominator == 1 else str(q),
+        "-0" if q == 0 else str(q),
+    ])
+
+
+BASE_DOCS = [doc for _, doc in all_examples()] + [
+    {"format": "wittartin-instance/1", "dim": 0, "structure_constants": [],
+     "h_basis": [], "gm_basis": [], "mu": []},
+    dict(build_example("so3-collinear"), gm_component_reps=[
+        [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]]),
+    dict(build_example("so3-generic"),
+         inner_product=[["2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "3"]]),
+]
+BAD_ENTRIES = ["abc", "", "1/0", "-3/0", "1/-2", "/2", "2/", "--1",
+               True, False, 1.5, 0.0, None, [], {}]
+
+
+class TestMemoizedParser:
+    @settings(max_examples=150, deadline=None)
+    @given(base=st.sampled_from(range(len(BASE_DOCS))), rng=st.randoms(),
+           bad=st.none() | st.sampled_from(BAD_ENTRIES), data=st.data())
+    def test_differential_against_reference_parser(self, base, rng, bad, data):
+        doc = copy.deepcopy(BASE_DOCS[base])
+        slots = rational_slots(doc)
+        for container, key in slots:
+            container[key] = respell(container[key], rng)
+        if bad is not None and slots:
+            # A bad entry after good ones in its vector, and again later:
+            # a failed parse must not be remembered as a good one.
+            first = data.draw(st.integers(0, len(slots) - 1), label="first")
+            again = data.draw(st.integers(first, len(slots) - 1), label="again")
+            for container, key in (slots[first], slots[again]):
+                container[key] = bad
+        got, want = outcome(from_dict, doc), outcome(ref_from_dict, doc)
+        assert got == want
+        if not isinstance(got, tuple):
+            assert got.algebra.nonzero == ref_nonzero(got.algebra)
+
+    # "1e999999999" itself is left to tests/test_cli.py, which runs it in a
+    # subprocess with a timeout: here a regression would hang the suite.
+    @pytest.mark.parametrize("bad", ["1e3", "1E-2", "1.5", ".5", "1_000",
+                                     " 1", "1 ", "1 / 2", "\u0661", "0x10",
+                                     "inf", "nan"])
+    def test_only_the_documented_grammar_is_a_rational(self, bad):
+        doc = build_example("so3-generic")
+        doc["mu"] = ["0", bad, "1"]
+        with pytest.raises(InstanceFormatError) as e:
+            from_dict(doc)
+        assert str(e.value) == (f"mu[1]: bad rational {bad!r} "
+                                f"(Invalid literal for Fraction: {bad!r})")
+
+    @pytest.mark.parametrize("spelling,value", [
+        ("+2", 2), ("-2", -2), ("007", 7), ("4/6", F(2, 3)), ("-6/3", -2),
+        ("+10/05", 2), ("-0", 0), ("0/7", 0), (2, 2)])
+    def test_grammar_spellings_parse_to_their_rational(self, spelling, value):
+        doc = build_example("so3-generic")
+        doc["mu"] = ["0", "0", spelling]
+        assert from_dict(doc).mu == (0, 0, value)
+
+    def test_bool_is_rejected_where_the_memo_holds_its_integer(self):
+        doc = build_example("so3-generic")
+        doc["mu"] = ["1", True, "0"]
+        with pytest.raises(InstanceFormatError,
+                           match=r"^mu\[1\]: booleans are not numbers$"):
+            from_dict(doc)
+
+    @pytest.mark.parametrize("label", ["so3^5-gm", "torus(14,7)"])
+    def test_one_fraction_parse_per_distinct_string(self, label):
+        doc = BENCH_DOCS[label]
+        parsed = []
+
+        def counting(*args):
+            if isinstance(args[0], str):
+                parsed.append(args[0])
+            return Fraction(*args)
+
+        with patch.object(instancefile, "Fraction", counting):
+            inst = from_dict(doc)
+            from_dict(doc)
+        strings = [c[k] for c, k in rational_slots(doc)]
+        # Once per distinct string in each call: the memo lives in one call.
+        assert sorted(parsed) == sorted(2 * list(set(strings)))
+        assert len(strings) > 10 * len(parsed)
+        assert inst == ref_from_dict(doc)
+
+
+def _bench_docs():
+    """The so(3)^5 with g_m and torus(14,7) docs of the decompose-mixed
+    benchmark workload, from its own generator."""
+    saved = list(sys.path)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_instances",
+        Path(__file__).resolve().parent.parent / "perfbench" / "instances.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclass() looks its module up in sys.modules while the module runs.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+        del sys.modules[spec.name]
+    return {"so3^5-gm": module.so3k_doc(5, True, random.Random(4242)),
+            "torus(14,7)": module.torus_doc(14, random.Random(4242))}
+
+
+BENCH_DOCS = _bench_docs()

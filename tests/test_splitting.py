@@ -90,7 +90,7 @@ class TestValidate:
         with pytest.raises(ValidationFailed):
             build_chain(inst)
 
-    def test_zero_dimensional_inner_product_is_not_positive_definite(self):
+    def test_zero_dimensional_inner_product_is_positive_definite(self):
         # The 0x0 Gram has no leading minor, so none is <= 0: it is
         # positive definite, and validate agrees with InnerProduct on it.
         inst = ProblemInstance(

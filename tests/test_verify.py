@@ -6,6 +6,7 @@ guards the computation as a named FAIL.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -127,6 +128,36 @@ def test_scaled_slice_form_fails_block_diagonal_check(monkeypatch):
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert "sliceform.block_diagonal" in _failed(checks)
+
+
+def test_cross_term_in_slice_form_fails_block_diagonal_with_its_entry(
+        monkeypatch):
+    # On the torus the block basis is (b, Y_m, N1) with dim b = 2 and h_m = 0,
+    # so an antisymmetric b-N1 cross term changes only the slice form.
+    expected_names = [c.name for c in _run("torus")]
+    exact = dec.slice_form
+
+    def cross_term(model):
+        rows = [list(r) for r in exact(model).gram.entries]
+        rows[0][4], rows[4][0] = Fraction(3), Fraction(-3)
+        return BilinearForm(Matrix.from_rows(rows))
+
+    monkeypatch.setattr(dec, "slice_form", cross_term)
+    checks = _run("torus")
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["sliceform.block_diagonal"]
+    assert _check(checks, "sliceform.block_diagonal").detail \
+        == "entry (0, 4) of the slice form is 3, expected 0"
+
+
+def test_slice_form_of_the_wrong_size_is_named():
+    inst = from_dict(build_example("torus"))
+    model = pm.build_model(splitting.build_chain(inst), inst)
+    decomp = replace(dec.decompose_H(model),
+                     form=BilinearForm(Matrix.zeros(0, 0)))
+    check = dec.slice_form_check(decomp, model)
+    assert (check.passed, check.detail) == (
+        False, "the slice form is 0x0, expected 6x6")
 
 
 def test_wrong_pairing_block_fails_f_contract(monkeypatch):
