@@ -15,7 +15,10 @@ momentum_formula_check, momentum_forms_check), which verify reports and
 report.build_report requires.  The decomposition checks build each block
 again from its definition (images under the action, coordinate blocks of
 m* and N1), prove the index tuples equal to it, and hold both sides'
-definitions to one set of Witt-Artin axioms (_witt_artin_axioms).
+definitions to one set of Witt-Artin axioms (_witt_artin_axioms).  A block
+proven equal to its definition has its unit vectors as canonical basis, so
+the statements about the form on a block (wittH.5 and the wittG forms on
+T1 and N1) read the omega submatrix on its indices instead of a Gram.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .exactlin import (
     unit_vec,
 )
 from .pointmodel import TangentModel, inf_action, isotropy_action
-from .splitting import Check
+from .splitting import Check, entry_detail, equality_detail
 
 
 # A Witt block is the span of the model unit vectors at these indices.
@@ -178,7 +181,9 @@ def g_decomposition_check(decomp: WittDecompositionG,
     and omega_N1.
 
     T0 and T1 are defined as the images of m and n under the action, N0 and
-    N1 as the R and V coordinate blocks.  The detail names the first
+    N1 as the R and V coordinate blocks.  The two forms are only reached
+    once every block is its definition, so they are the omega submatrices
+    on the T1 and N1 indices (both ascending).  The detail names the first
     statement that fails.
     """
     chain = model.chain
@@ -190,10 +195,9 @@ def g_decomposition_check(decomp: WittDecompositionG,
     axioms = _witt_artin_axioms(model, model.ker_dphi_G, "ker dphi_G", d)
     forms = (
         ("the form on T1 is the Chu pairing of the n basis",
-         lambda: gram_on(model.omega, d["T1"]) == _chu_on_n(model)),
+         lambda: model.omega_on(decomp.T1) == _chu_on_n(model)),
         ("the form on N1 is omega_N1",
-         lambda: gram_on(model.omega, d["N1"])
-         == model.inst.slice_rep.omega.gram),
+         lambda: model.omega_on(decomp.N1) == model.inst.slice_rep.omega.gram),
     )
     failure = (None if unlike is None else f"{unlike} is its definition") \
         or next(filter(None, axioms.values()), None) \
@@ -251,11 +255,15 @@ def h_decomposition_checks(decomp: WittDecompositionH,
 
     wittH.1 also proves each block equal to its definition: images of
     h_alpha, ntilde, s, b, a and r under the action, and the R_p*, R_b* and
-    V coordinate blocks.  wittH.2-7 run on the defined blocks; wittH.1, 2
-    and 4 are the Witt-Artin axioms of TH0 + TH1 + NH0 + NH1, and their
-    details name the first statement that fails.  A failing wittH.5 names
-    the first degenerate space, and a failing wittH.6 whether the
-    dimensions or the pairing of a and r are at fault.
+    V coordinate blocks.  wittH.1, 2 and 4 are the Witt-Artin axioms of the
+    defined TH0 + TH1 + NH0 + NH1, and their details name the first
+    statement that fails.  wittH.3 splits ker dphi_H with M, built from its
+    definition, and names the failing part.  wittH.5 reads the form on the
+    s, X_m, NH1 and Z_m index tuples off omega, which needs no Gram once
+    wittH.1 has proven them equal to their definitions, and names the first
+    degenerate space.  wittH.6 and 7 pair the chain's a and r under the Chu
+    form; a failing wittH.6 says whether the dimensions or the pairing are
+    at fault.
     """
     chain = model.chain
     chu = model.inst.chu
@@ -288,24 +296,26 @@ def h_decomposition_checks(decomp: WittDecompositionH,
     out.append(_check("wittH.2_TH0_NH1_is_ker_dphiH", axioms["kernel"]))
 
     M = eq_M_subspace(model)
-    kerG = model.ker_dphi_G
-    qm = sum_spaces(a_block, s_block)
-    record("wittH.3_ker_split_with_M",
-           direct_sum(kerG, M) == model.ker_dphi_H
-           and M == sum_spaces(qm, Ym))
+    split = direct_sum(model.ker_dphi_G, M)
+    ker_split = "ker dphi_G + M is not direct" if split is None else (
+        equality_detail(model.ker_dphi_H, "ker dphi_H", split, "ker dphi_G + M")
+        or equality_detail(M, "M", sum_spaces(a_block, s_block, Ym),
+                           "a + s + Y_m"))
+    record("wittH.3_ker_split_with_M", not ker_split, ker_split)
 
     out.append(_check("wittH.4_orthogonality_and_lagrangian",
                       axioms["orthogonality"] or axioms["lagrangian"]))
 
-    # One Gram for s, X_m and NH1: its leading diagonal blocks are the
-    # Grams on s and X_m, and its rank is the rank of omega on NH1.
-    nh1 = gram_on(model.omega, s_block, Xm, N1_block)
-    ds, dx = s_block.dim, Xm.dim
+    # The omega submatrix on the s, X_m and N1 indices: its leading
+    # diagonal blocks are the forms on s and X_m, and the whole is the form
+    # on NH1.
+    nh1 = model.omega_on(decomp.s_block + decomp.Xm_block + decomp.N1_block)
+    ds, dx = len(decomp.s_block), len(decomp.Xm_block)
     spaces = (
         ("s_block", nh1.submatrix(range(ds), range(ds)), ds),
         ("Xm", nh1.submatrix(range(ds, ds + dx), range(ds, ds + dx)), dx),
-        ("NH1", nh1, d["NH1"].dim),
-        ("Zm", gram_on(model.omega, d["Zm"]), d["Zm"].dim))
+        ("NH1", nh1, nh1.rows),
+        ("Zm", model.omega_on(decomp.Zm), len(decomp.Zm)))
     degenerate = next((f"{name} is degenerate under omega"
                        for name, gram, dim in spaces if gram.rank() != dim),
                       "")
@@ -351,14 +361,9 @@ def slice_form_check(decomp: WittDecompositionH, model: TangentModel) -> Check:
     base = ds + 2 * db
     for i, row in enumerate(model.inst.slice_rep.omega.gram.entries):
         expected[base + i][base:] = row
-    got = decomp.form.gram
-    if (got.rows, got.cols) != (size, size):
-        detail = f"the slice form is {got.rows}x{got.cols}, expected {size}x{size}"
-    else:
-        detail = next((f"entry ({i}, {j}) of the slice form is {x}, expected "
-                       f"{expected[i][j]}"
-                       for i, row in enumerate(got.entries)
-                       for j, x in enumerate(row) if x != expected[i][j]), "")
+    detail = entry_detail(decomp.form.gram,
+                          Matrix(size, size, tuple(map(tuple, expected))),
+                          "the slice form")
     return Check("sliceform.block_diagonal", not detail, detail)
 
 

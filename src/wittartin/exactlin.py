@@ -182,11 +182,12 @@ class Matrix:
         return Matrix(self.rows, other.cols, data)
 
     def apply(self, v: Vec) -> Vec:
-        """Matrix-vector product, summed over the nonzero entries of v."""
+        """Matrix-vector product, summed over the products whose matrix
+        entry and coordinate are both nonzero."""
         if len(v) != self.cols:
             raise AmbientMismatch("vector length does not match column count")
         nz = [(j, x) for j, x in enumerate(v) if x]
-        return tuple(sum((row[j] * x for j, x in nz), ZERO)
+        return tuple(sum([a * x for j, x in nz if (a := row[j])], ZERO)
                      for row in self.entries)
 
     def hstack(self, other: "Matrix") -> "Matrix":

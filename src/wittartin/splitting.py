@@ -67,6 +67,25 @@ def outside_detail(A: Subspace, a_name: str, B: Subspace, b_name: str) -> str:
     return "" if i is None else f"basis vector {i} of {a_name} is not in {b_name}"
 
 
+def equality_detail(A: Subspace, a_name: str, B: Subspace, b_name: str) -> str:
+    """"" when A == B; otherwise names the first basis vector of one side
+    that is not in the other."""
+    return "" if A == B else (outside_detail(A, a_name, B, b_name)
+                              or outside_detail(B, b_name, A, a_name))
+
+
+def entry_detail(got: Matrix, expected: Matrix, what: str) -> str:
+    """"" when got == expected; otherwise names the shape mismatch or the
+    first differing entry, in row-major order, with both values."""
+    if (got.rows, got.cols) != (expected.rows, expected.cols):
+        return (f"{what} is {got.rows}x{got.cols}, expected "
+                f"{expected.rows}x{expected.cols}")
+    return next((f"entry ({i}, {j}) of {what} is {x}, expected {y}"
+                 for i, (row, want) in enumerate(zip(got.entries,
+                                                     expected.entries))
+                 for j, (x, y) in enumerate(zip(row, want)) if x != y), "")
+
+
 def inclusion_check(name: str, A: Subspace, a_name: str,
                     B: Subspace, b_name: str) -> Check:
     """A <= B; a failure names the first basis vector of A that is not in B."""

@@ -15,11 +15,12 @@ tolerances are the module constants REL_TOL and FD_TOL.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import Matrix, Vec, add_vec, dot, is_zero_vec, scale_vec, unit_vec, zero_vec
+from .exactlin import ZERO, Matrix, Vec, add_vec, dot, is_zero_vec, unit_vec, zero_vec
 from .pointmodel import TangentModel
 from .splitting import Check, ProblemInstance
 
@@ -35,6 +36,10 @@ class OffSlice(ValueError):
 
 class SeriesNotConverged(ArithmeticError):
     """The exponential series remainder bound exceeded the tolerance."""
+
+
+class OutOfFloatRange(ArithmeticError):
+    """An exact value is too large in magnitude to become a float."""
 
 
 @dataclass(frozen=True)
@@ -117,8 +122,36 @@ def omega_tube(model: TangentModel, p: TubePoint, v1: Vec, v2: Vec) -> Fraction:
     return dot(v1, G.apply(v2))
 
 
+def _brief(x: Fraction) -> str:
+    text = str(x)
+    return text if len(text) <= 40 else \
+        f"{text[:16]}...{text[-8:]} ({len(text)} characters)"
+
+
+def _to_floats(values: Vec) -> list[float]:
+    """The floats nearest to exact values; raises OutOfFloatRange, naming
+    the value, for one too large for a float."""
+    out = []
+    for x in values:
+        try:
+            out.append(float(x))
+        except OverflowError:
+            raise OutOfFloatRange(f"the exact value {_brief(x)} is out of "
+                                  "float range") from None
+    return out
+
+
+def _worst(errors) -> float:
+    """The largest error, 0.0 for none, or nan when one is nan (max alone
+    keeps what it holds when it meets a nan, so it can hide one)."""
+    errors = list(errors)
+    if any(map(math.isnan, errors)):
+        return math.nan
+    return max(errors, default=0.0)
+
+
 def _to_float_rows(M: Matrix) -> list[list[float]]:
-    return [[float(x) for x in row] for row in M.entries]
+    return [_to_floats(row) for row in M.entries]
 
 
 def _nonzeros(B: list[list[float]]) -> list[list[tuple[int, float]]]:
@@ -214,32 +247,48 @@ def phi_tilde(model: TangentModel, p: TubePoint) -> tuple[float, ...]:
     """
     lam = _shifted_momentum(model, p)
     if is_zero_vec(p.xi):
-        return tuple(float(x) for x in lam)
+        return tuple(_to_floats(lam))
+    return _coadjoint_exp(model, p.xi, lam)
 
+
+def _coadjoint_exp(model: TangentModel, xi: Vec,
+                   lam: Vec) -> tuple[float, ...]:
+    """Ad*_{exp(-xi)} lam, as floats."""
     L = model.inst.algebra
-    E = expm(_to_float_rows(L.ad_matrix(tuple(-x for x in p.xi))))
-    lamf = [float(x) for x in lam]
+    E = expm(_to_float_rows(L.ad_matrix(tuple(-x for x in xi))))
+    lamf = _to_floats(lam)
     # <Ad*_{exp(-xi)} lam, y> = <lam, exp(-ad_xi) y>: apply the transpose.
     n = L.dim
     return tuple(sum(E[i][j] * lamf[i] for i in range(n)) for j in range(n))
 
 
 def check_dphi_consistency(model: TangentModel) -> list[Check]:
-    """Central differences of phi_tilde at the base against dphi_G."""
+    """Central differences of phi_tilde at the base against dphi_G.
+
+    A value out of float range makes the check fail and names the value;
+    an overflow inside the float path (a nan error) makes it fail at the
+    first direction where it occurs.
+    """
     step = Fraction(1, 10_000)
     dG = model.dphi_G
 
     worst = 0.0
     worst_dir = -1
-    for d in range(model.total_dim):
-        fp = phi_tilde(model, _point_along(model, d, step))
-        fm = phi_tilde(model, _point_along(model, d, -step))
-        fd = [(a - b) / (2.0 * float(step)) for a, b in zip(fp, fm)]
-        col = [float(x) for x in dG.col(d)]
-        scale = max(1.0, max((abs(c) for c in col), default=0.0))
-        err = max((abs(a - b) for a, b in zip(fd, col)), default=0.0) / scale
-        if err > worst:
-            worst, worst_dir = err, d
+    try:
+        for d in range(model.total_dim):
+            fp = phi_tilde(model, _point_along(model, d, step))
+            fm = phi_tilde(model, _point_along(model, d, -step))
+            fd = [(a - b) / (2.0 * float(step)) for a, b in zip(fp, fm)]
+            col = _to_floats(dG.col(d))
+            scale = max(1.0, max((abs(c) for c in col), default=0.0))
+            err = _worst(abs(a - b) for a, b in zip(fd, col)) / scale
+            if math.isnan(err):  # the float path overflowed
+                worst, worst_dir = err, d
+                break
+            if err > worst:
+                worst, worst_dir = err, d
+    except OutOfFloatRange as e:
+        return [Check("tube.dphi_fd_consistency", False, str(e))]
     return [Check(
         "tube.dphi_fd_consistency",
         worst <= FD_TOL,
@@ -249,11 +298,12 @@ def check_dphi_consistency(model: TangentModel) -> list[Check]:
 
 def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:
     """The point t times the model unit vector at index.  A U direction is
-    column index of the (m, n) basis, so xi is t times that column."""
-    v = scale_vec(t, unit_vec(model.total_dim, index))
+    column index of the (m, n) basis, so xi is t times that column; only
+    the nonzero coordinates are multiplied."""
+    v = tuple(t if j == index else ZERO for j in range(model.total_dim))
     un = model.dim_m + model.dim_n
-    xi = (scale_vec(t, model.mn_basis.col(index)) if index < un
-          else zero_vec(model.inst.dim))
+    xi = (tuple(t * x if x else ZERO for x in model.mn_basis.col(index))
+          if index < un else zero_vec(model.inst.dim))
     return TubePoint(xi=xi, rho=v[un:un + model.dim_m], nu=v[un + model.dim_m:])
 
 
@@ -291,7 +341,10 @@ def phi_equivariance_check(model: TangentModel, samples: int,
     Both sides use expm on matrices with equal entries on the catalog
     algebras, so each sample also ties the coadjoint exponential to its
     defining ODE d/dt expm(tA) = A expm(tA) at t = 1, to FD_TOL; the detail
-    names the first sample that misses it.
+    names the first sample that misses it.  The exact momentum of a sample
+    does not depend on xi, so it is computed once for both sides.  A value
+    out of float range makes the check fail and names the value, and a nan
+    deviation (an overflow inside the float path) makes it fail too.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -304,22 +357,26 @@ def phi_equivariance_check(model: TangentModel, samples: int,
     off_ode = ""
     L = model.inst.algebra
     n = L.dim
-    for t in range(samples):
-        xi = tuple(rand_frac() for _ in range(n))
-        rho = tuple(rand_frac() for _ in range(model.dim_m))
-        nu = tuple(rand_frac() for _ in range(model.slice_dim))
-        lhs = phi_tilde(model, TubePoint(xi, rho, nu))
-        base = phi_tilde(model, TubePoint(zero_vec(n), rho, nu))
-        A = _to_float_rows(L.coad_matrix(tuple(-x for x in xi)))
-        M = expm(A)
-        rhs = [sum(M[i][j] * base[j] for j in range(n)) for i in range(n)]
-        scale = max(1.0, max((abs(x) for x in rhs), default=0.0))
-        dev = max((abs(a - b) for a, b in zip(lhs, rhs)), default=0.0) / scale
-        worst = max(worst, dev)
-        miss = _expm_ode_residual(A, M)
-        if not off_ode and not miss <= FD_TOL:
-            off_ode = (f"; sample {t}: d/dt expm(tA) at t = 1 misses "
-                       f"A expm(A) by {miss:.3e}")
+    try:
+        for t in range(samples):
+            xi = tuple(rand_frac() for _ in range(n))
+            rho = tuple(rand_frac() for _ in range(model.dim_m))
+            nu = tuple(rand_frac() for _ in range(model.slice_dim))
+            lam = _shifted_momentum(model, TubePoint(xi, rho, nu))
+            lhs = _coadjoint_exp(model, xi, lam)
+            base = _to_floats(lam)
+            A = _to_float_rows(L.coad_matrix(tuple(-x for x in xi)))
+            M = expm(A)
+            rhs = [sum(M[i][j] * base[j] for j in range(n)) for i in range(n)]
+            scale = max(1.0, max((abs(x) for x in rhs), default=0.0))
+            dev = _worst(abs(a - b) for a, b in zip(lhs, rhs)) / scale
+            worst = _worst((worst, dev))
+            miss = _expm_ode_residual(A, M)
+            if not off_ode and not miss <= FD_TOL:
+                off_ode = (f"; sample {t}: d/dt expm(tA) at t = 1 misses "
+                           f"A expm(A) by {miss:.3e}")
+    except OutOfFloatRange as e:
+        return [Check("tube.equivariance", False, str(e))]
     return [Check(
         "tube.equivariance",
         worst <= REL_TOL and not off_ode,

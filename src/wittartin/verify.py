@@ -34,8 +34,9 @@ from .splitting import (
     build_chain,
     chain_checks,
     dim_formulas,
+    entry_detail,
+    equality_detail,
     inclusion_check,
-    outside_detail,
 )
 
 
@@ -126,8 +127,7 @@ def _equality_check(name: str, A: Subspace, a_name: str,
                     B: Subspace, b_name: str) -> Check:
     """A == B; a failure names the first basis vector of one side that is
     not in the other."""
-    detail = "" if A == B else (outside_detail(A, a_name, B, b_name)
-                                or outside_detail(B, b_name, A, a_name))
+    detail = equality_detail(A, a_name, B, b_name)
     return Check(name, not detail, detail)
 
 
@@ -206,8 +206,9 @@ def tube_checks(model: pm.TangentModel, samples: int,
     origin = tube.TubePoint(zero_vec(n), zero_vec(model.dim_m),
                             zero_vec(model.slice_dim))
 
-    out.append(Check("tube.base_point_matches_model",
-                     tube.omega_tube_gram(model, origin) == model.omega.gram))
+    base = entry_detail(tube.omega_tube_gram(model, origin), model.omega.gram,
+                        "the tube form at the base point")
+    out.append(Check("tube.base_point_matches_model", not base, base))
 
     rng = random.Random(seed)
 

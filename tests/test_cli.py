@@ -301,6 +301,36 @@ class TestVerify:
         assert code == 0
         assert out.encode() == GOLDEN_VERIFY.read_bytes()
 
+    @pytest.mark.parametrize("where", ["mu", "structure_constants"])
+    def test_rational_beyond_float_range_fails_the_float_checks(
+            self, capsys, tmp_path, where):
+        # A valid instance that check and decompose accept; the float tube
+        # checks cannot convert 10**400 and name the value instead of
+        # raising OverflowError.
+        path = write_example(capsys, tmp_path, "so3-generic")
+        doc = json.loads(path.read_text())
+        huge = "1" + "0" * 400
+        if where == "mu":
+            doc["mu"][2] = huge
+        else:
+            doc["structure_constants"] = [
+                [[{"1": huge, "-1": "-" + huge}.get(x, x) for x in row]
+                 for row in plane] for plane in doc["structure_constants"]]
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "check", str(path))[0] == 0
+        assert run_cli(capsys, "decompose", str(path))[0] == 0
+        code, out, _ = run_cli(capsys, "verify", str(path), "--samples", "3",
+                               "--format", "json")
+        assert code == 1
+        failed = {c["name"].split(":")[-1]: c["detail"]
+                  for c in json.loads(out)["checks"] if not c["passed"]}
+        assert sorted(failed) == ["tube.dphi_fd_consistency",
+                                  "tube.equivariance"]
+        for detail in failed.values():
+            assert detail.startswith("the exact value ")
+            assert detail.endswith(" is out of float range")
+            assert "0" * 8 in detail and len(detail) < 100
+
     def test_negative_samples_is_usage_error(self, capsys, tmp_path):
         # Zero samples would pass the sampled checks without testing a point.
         path = write_example(capsys, tmp_path, "so3-generic")

@@ -4,7 +4,7 @@ predicates against their entry-by-entry and vector-by-vector definitions."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wittartin.exactlin import (
@@ -554,6 +554,35 @@ def square_sparse_matrices():
 def test_apply_matches_dense_apply(Av):
     A, v = Av
     assert A.apply(v.row(0)) == dense_apply(A, v.row(0))
+
+
+@st.composite
+def masked_apply_cases(draw):
+    """A matrix and a vector with drawn zero patterns: each entry is a
+    nonzero rational where its drawn mask is set and 0 elsewhere, so rows,
+    columns and coordinates that are zero and products whose matrix entry
+    or coordinate (or both) is zero all occur."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    nonzero = small_fracs.filter(bool)
+
+    def masked(n):
+        return tuple(draw(nonzero) if keep else F(0)
+                     for keep in draw(st.lists(st.booleans(), min_size=n,
+                                               max_size=n)))
+
+    return Matrix(r, c, tuple(masked(c) for _ in range(r))), masked(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_apply_cases())
+@example((Matrix.zeros(0, 3), (F(1), F(0), F(-2))))
+@example((Matrix.zeros(3, 0), ()))
+@example((Matrix.zeros(0, 0), ()))
+def test_apply_over_nonzero_products_matches_dense_apply(case):
+    A, v = case
+    got = A.apply(v)
+    assert got == dense_apply(A, v)
+    assert len(got) == A.rows and all(type(x) is F for x in got)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,9 +1,11 @@
 """Which Grams the decomposition checks build, on torus(8, 4).
 
 The Witt-Artin axioms decide "X0 + Y0 is symplectic" on the k x k pairing
-of X0 with Y0, not on a 2k x 2k Gram of their sum, and wittH.5 reads s, X_m
-and NH1 off one Gram of the three blocks' bases side by side.  These tests
-wrap the Gram builders that decomposition imports and pin both, so that a
+of X0 with Y0, not on a 2k x 2k Gram of their sum.  wittH.5 and the wittG
+forms on T1 and N1 build no Gram of omega at all: once each block is
+proven equal to its definition, they read the omega submatrices on the
+blocks' index tuples.  These tests wrap the Gram builders that
+decomposition imports, and the model's omega_on, and pin both, so that a
 refactor cannot bring the larger Grams back without a failing test.
 """
 
@@ -13,7 +15,7 @@ from wittartin import decomposition as dec
 from wittartin.catalog import build_example
 from wittartin.exactlin import sum_spaces
 from wittartin.instancefile import from_dict
-from wittartin.pointmodel import build_model
+from wittartin.pointmodel import TangentModel, build_model
 from wittartin.splitting import build_chain
 
 GRAM_BUILDERS = ("gram_on", "cross_gram")
@@ -67,16 +69,26 @@ def test_axioms_build_only_the_pairing_of_X0_with_Y0(model, grams, side):
     assert all(X0Y0 not in spaces for _, _, spaces, _ in grams["calls"])
 
 
-def test_witt_h5_builds_two_grams_of_omega(model, grams):
-    decomp = dec.decompose_H(model)
-    checks = dec.h_decomposition_checks(decomp, model)
+def test_witt_h5_and_witt_g_forms_build_no_gram_of_omega(model, grams,
+                                                        monkeypatch):
+    read = []
+    exact_omega_on = TangentModel.omega_on
+
+    def recorded_omega_on(self, indices):
+        read.append(tuple(indices))
+        return exact_omega_on(self, indices)
+
+    monkeypatch.setattr(TangentModel, "omega_on", recorded_omega_on)
+    g_decomp, h_decomp = dec.decompose_G(model), dec.decompose_H(model)
+    del read[:]  # decompose_H reads the slice form off omega
+    checks = [dec.g_decomposition_check(g_decomp, model),
+              *dec.h_decomposition_checks(h_decomp, model)]
     assert all(c.passed for c in checks)
     outside = [(name, [S.dim for S in spaces])
                for name, form, spaces, nested in grams["calls"]
                if form is model.omega and not nested]
-    # One Gram on the bases of s, X_m and N1, one on Z_m.
-    assert outside == [
-        ("gram_on", [len(decomp.s_block), len(decomp.Xm_block),
-                     len(decomp.N1_block)]),
-        ("gram_on", [len(decomp.Zm)]),
-    ]
+    assert outside == []
+    # The wittG forms on T1 and N1, then wittH.5 on s + X_m + N1 and Z_m.
+    assert read == [g_decomp.T1, g_decomp.N1,
+                    h_decomp.s_block + h_decomp.Xm_block + h_decomp.N1_block,
+                    h_decomp.Zm]

@@ -285,6 +285,16 @@ class TestExpm:
 
 
 class TestConsistencyChecks:
+    @pytest.mark.parametrize("errors", [[math.nan, 1.0], [1.0, math.nan],
+                                        [0.0, 2.0, math.nan, 3.0]])
+    def test_worst_error_is_nan_wherever_a_nan_is(self, errors):
+        # max() returns 1.0 for [1.0, nan]: it would hide the overflow.
+        assert math.isnan(tube._worst(errors))
+
+    def test_worst_error_is_the_largest_or_zero_for_none(self):
+        assert tube._worst([0.5, 2.0, 1.0]) == 2.0
+        assert tube._worst([]) == 0.0
+
     def test_abelian_fd_is_essentially_exact(self):
         inst = torus_instance(3, 1, slice_dim=2)
         checks = check_dphi_consistency(setup(inst))

@@ -61,6 +61,21 @@ def test_flipped_tube_gram_entry_fails_base_point_check(monkeypatch):
     assert "tube.base_point_matches_model" in _failed(checks)
 
 
+def test_doubled_tube_gram_fails_base_point_check_and_names_the_entry(
+        monkeypatch):
+    # Twice the tube form is still antisymmetric and nondegenerate at every
+    # point; only the comparison with the model's form at the base sees it.
+    expected_names = [c.name for c in _run()]
+    exact = tube.omega_tube_gram
+    monkeypatch.setattr(tube, "omega_tube_gram",
+                        lambda model, p: exact(model, p).scale(2))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.base_point_matches_model"]
+    assert _check(checks, "tube.base_point_matches_model").detail == \
+        "entry (0, 3) of the tube form at the base point is 2, expected 1"
+
+
 def test_non_invariant_killing_form_fails_invariance_check(monkeypatch):
     expected_names = [c.name for c in _run()]
     diag = Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
@@ -290,13 +305,44 @@ def test_non_symplectic_slice_action_fails_and_names_the_matrix():
         == "action matrix 0 is not in sp(omega)"
 
 
-def test_zero_M_fails_ker_split_with_M(monkeypatch):
+def _M_grown_by_ker_dphi_G(M, model):
+    return sum_spaces(M, model.ker_dphi_G)
+
+
+def _M_moved_along_ker_dphi_G(M, model):
+    # Each basis vector plus one of ker dphi_G: ker dphi_G + M is unchanged
+    # and still direct, but M leaves a + s + Y_m.
+    k = model.ker_dphi_G.basis_vectors()[0]
+    return Subspace.span(model.total_dim,
+                         [add_vec(m, k) for m in M.basis_vectors()])
+
+
+def _fails_only_ker_split_with_M(monkeypatch, change):
+    """run_all with eq_M_subspace's M replaced by change(M, model) gives
+    exactly the wittH.3 FAIL; returns its detail."""
     expected_names = [c.name for c in _run()]
+    exact = dec.eq_M_subspace
     monkeypatch.setattr(dec, "eq_M_subspace",
-                        lambda model: Subspace.zero(model.total_dim))
+                        lambda model: change(exact(model), model))
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["wittH.3_ker_split_with_M"]
+    return _check(checks, "wittH.3_ker_split_with_M").detail
+
+
+def test_zero_M_fails_ker_split_with_M(monkeypatch):
+    detail = _fails_only_ker_split_with_M(
+        monkeypatch, lambda M, model: Subspace.zero(model.total_dim))
+    assert detail == "basis vector 1 of ker dphi_H is not in ker dphi_G + M"
+
+
+@pytest.mark.parametrize("change, detail", [
+    (_M_grown_by_ker_dphi_G, "ker dphi_G + M is not direct"),
+    (_M_moved_along_ker_dphi_G, "basis vector 0 of M is not in a + s + Y_m"),
+], ids=["grown_by_ker_dphi_G", "moved_along_ker_dphi_G"])
+def test_wrong_M_fails_ker_split_with_M_and_names_the_part(
+        monkeypatch, change, detail):
+    assert _fails_only_ker_split_with_M(monkeypatch, change) == detail
 
 
 def test_zero_a_r_chu_pairing_fails_pairing_check(monkeypatch):
@@ -566,6 +612,25 @@ def test_smaller_h_orbit_fails_h_orbit_perp_check_and_names_a_vector(
                            "ker dphi_H")
 
 
+def test_float_overflow_in_the_exponential_fails_fd_check():
+    # so(3) with brackets 10**160 times the usual ones is a valid instance
+    # whose exact data all fit in a float, but the exponential along a
+    # group direction overflows: the finite difference there and the
+    # equivariance deviation are nan.
+    doc = build_example("so3-generic")
+    big = "1" + "0" * 160
+    doc["structure_constants"] = [
+        [[{"1": big, "-1": "-" + big}.get(x, x) for x in row]
+         for row in plane] for plane in doc["structure_constants"]]
+    checks = verify.run_all(from_dict(doc), samples=2)
+    assert _failed(checks) == ["tube.dphi_fd_consistency",
+                               "tube.equivariance"]
+    assert _check(checks, "tube.dphi_fd_consistency").detail \
+        == "max relative error nan at direction 0"
+    assert _check(checks, "tube.equivariance").detail.startswith(
+        "max relative deviation nan over 2 samples; sample 0: ")
+
+
 def test_doubled_momentum_differential_fails_fd_check(monkeypatch):
     expected_names = [c.name for c in _run()]
     # Doubling keeps both kernels, so only the finite differences see it.
@@ -577,19 +642,23 @@ def test_doubled_momentum_differential_fails_fd_check(monkeypatch):
 
 
 def test_shifted_momentum_off_identity_fails_equivariance(monkeypatch):
+    # The coadjoint exponential is what phi_tilde applies off the identity.
     # The shift is the same on both sides of every central difference along
     # the group, so only the equivariance comparison sees it.
     expected_names = [c.name for c in _run()]
-    exact = tube.phi_tilde
+    exact = tube._coadjoint_exp
 
-    def shifted(model, p):
-        out = exact(model, p)
-        return out if is_zero_vec(p.xi) else (out[0] + 1e-3,) + out[1:]
+    def shifted(model, xi, lam):
+        out = exact(model, xi, lam)
+        return (out[0] + 1e-3,) + out[1:]
 
-    monkeypatch.setattr(tube, "phi_tilde", shifted)
+    monkeypatch.setattr(tube, "_coadjoint_exp", shifted)
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["tube.equivariance"]
+    detail = _check(checks, "tube.equivariance").detail
+    assert detail.startswith("max relative deviation ")
+    assert detail.endswith(" over 3 samples")
 
 
 def test_action_killing_a_non_unit_vector_fails_kernel_check(monkeypatch):
@@ -732,18 +801,21 @@ def test_degenerate_nh1_part_fails_witt_h5_and_names_the_space(
 
 
 def test_zero_Zm_gram_fails_witt_h5_and_names_Zm(monkeypatch):
-    # Inside h_decomposition_checks the only Gram of a single space is the
-    # one on Z_m; a zero Gram there leaves every other statement true.
+    # Inside h_decomposition_checks wittH.5 reads the Gram on Z_m as the
+    # omega submatrix on its indices; a zero submatrix there leaves every
+    # other statement true.
     expected_names = [c.name for c in _run()]
-    exact_checks, exact_gram = dec.h_decomposition_checks, dec.gram_on
-
-    def zero_single_space_gram(form, U, *more):
-        return exact_gram(form, U, *more) if more else Matrix.zeros(U.dim,
-                                                                    U.dim)
+    exact_checks, exact_omega_on = (dec.h_decomposition_checks,
+                                    pm.TangentModel.omega_on)
 
     def checks_with_zero_zm_gram(decomp, model):
+        def omega_on(self, indices):
+            if tuple(indices) == decomp.Zm:
+                return Matrix.zeros(len(indices), len(indices))
+            return exact_omega_on(self, indices)
+
         with monkeypatch.context() as m:
-            m.setattr(dec, "gram_on", zero_single_space_gram)
+            m.setattr(pm.TangentModel, "omega_on", omega_on)
             return exact_checks(decomp, model)
 
     monkeypatch.setattr(dec, "h_decomposition_checks",

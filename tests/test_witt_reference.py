@@ -6,8 +6,10 @@ once; the reference below is the per-statement identity list that
 wittG.all_assertions held, written with plain Gram entries and stacked
 ranks, and it is compared on Hypothesis-drawn block subspaces of the
 catalog models.  The axioms decide "X0 + Y0 is symplectic" on the pairing
-of X0 with Y0, and wittH.5 reads s, X_m and NH1 off one Gram of their
-bases side by side; both are compared with the full Grams they replaced.
+of X0 with Y0, which is compared with the full Gram it replaced.  wittH.5
+and the wittG forms on T1 and N1 read omega submatrices on the blocks'
+index tuples; their verdicts and details are compared on the corpus with
+the Grams of the definition bases that they replaced.
 decomposition._eta_action_on_nh1 reads the h_m-action off
 the model's isotropy action; the reference builds it block by block from
 brackets, as the package used to, and the two are compared on every corpus
@@ -25,10 +27,13 @@ from corpus import build_corpus
 from wittartin.catalog import build_example
 from wittartin.decomposition import (
     NH1_ORDER,
+    _chu_on_n,
     _eta_action_on_nh1,
     _image_under_action,
     _witt_artin_axioms,
+    decompose_G,
     decompose_H,
+    g_decomposition_check,
     h_decomposition_checks,
 )
 from wittartin.exactlin import (
@@ -37,6 +42,7 @@ from wittartin.exactlin import (
     Subspace,
     ZERO,
     dot,
+    gram_on,
     intersect,
     is_zero_vec,
     sum_spaces,
@@ -290,7 +296,7 @@ def test_isotropic_equal_dimension_pair_that_is_not_symplectic(y0_block):
 
 
 # ---------------------------------------------------------------------------
-# wittH.5 against its four Grams.
+# wittH.5 and the wittG forms against Grams of the definition bases.
 
 def ref_witt_h5(model):
     """s, X_m, NH1 and Z_m, built from their definitions, are each
@@ -308,6 +314,43 @@ def ref_witt_h5(model):
                for S in (s_block, Xm, NH1, Zm))
 
 
+def gram_witt_h5_detail(model):
+    """wittH.5's detail by the Gram route it took before it read omega
+    submatrices: one Gram of the s, X_m and N1 definition bases side by
+    side, whose diagonal blocks are the Grams on s and X_m, and one of
+    Z_m."""
+    chain = model.chain
+
+    def image(space):
+        return _image_under_action(model, space)
+
+    s_block = image(chain.s)
+    Xm = sum_spaces(image(chain.b), model.unit_span(model.indices("bstar")))
+    N1 = model.unit_span(model.indices("N1"))
+    Zm = sum_spaces(image(chain.a), image(chain.r))
+    nh1 = gram_on(model.omega, s_block, Xm, N1)
+    ds, dx = s_block.dim, Xm.dim
+    spaces = (
+        ("s_block", nh1.submatrix(range(ds), range(ds)), ds),
+        ("Xm", nh1.submatrix(range(ds, ds + dx), range(ds, ds + dx)), dx),
+        ("NH1", nh1, sum_spaces(s_block, Xm, N1).dim),
+        ("Zm", gram_on(model.omega, Zm), Zm.dim))
+    return next((f"{name} is degenerate under omega"
+                 for name, gram, dim in spaces if gram.rank() != dim), "")
+
+
+def gram_witt_g_forms(model):
+    """The first wittG form statement that fails on the Grams of the T1
+    and N1 definition bases, or None."""
+    T1 = _image_under_action(model, model.chain.n_space)
+    N1 = model.unit_span(model.indices("N1"))
+    if gram_on(model.omega, T1) != _chu_on_n(model):
+        return "the form on T1 is the Chu pairing of the n basis"
+    if gram_on(model.omega, N1) != model.inst.slice_rep.omega.gram:
+        return "the form on N1 is omega_N1"
+    return None
+
+
 def _coupled(model, i, j):
     """The model with omega's entry (i, j) raised by 1 and (j, i) lowered
     by 1."""
@@ -318,19 +361,46 @@ def _coupled(model, i, j):
         Matrix.from_rows(rows, cols=model.total_dim)))
 
 
-def test_witt_h5_verdict_is_the_four_gram_verdict_on_the_corpus():
+@pytest.fixture(scope="module")
+def corpus_models():
+    return [_model(inst) for inst in build_corpus()]
+
+
+def _variants(model, blocks):
+    """The model, and the model with omega coupled between the first and
+    the last index of each block of more than one index."""
+    return [model] + [_coupled(model, block[0], block[-1])
+                      for block in blocks if len(block) > 1]
+
+
+def test_witt_h5_verdict_is_the_four_gram_verdict_on_the_corpus(
+        corpus_models):
     """On every corpus model, and on each with omega coupled inside NH1 or
-    inside Z_m, so that both verdicts occur."""
+    inside Z_m, so that both verdicts occur.  The detail is the one the
+    Gram of the s, X_m and N1 bases and the Gram of Z_m give."""
     verdicts = set()
-    for inst in build_corpus():
-        model = _model(inst)
+    for model in corpus_models:
         decomp = decompose_H(model)
-        variants = [model] + [_coupled(model, block[0], block[-1])
-                              for block in (decomp.NH1, decomp.Zm)
-                              if len(block) > 1]
-        for variant in variants:
+        for variant in _variants(model, (decomp.NH1, decomp.Zm)):
             got = next(c for c in h_decomposition_checks(decomp, variant)
-                       if c.name == "wittH.5_symplectic_blocks").passed
-            assert got == ref_witt_h5(variant)
-            verdicts.add(got)
+                       if c.name == "wittH.5_symplectic_blocks")
+            assert got.passed == ref_witt_h5(variant)
+            assert got.detail == gram_witt_h5_detail(variant)
+            verdicts.add(got.passed)
     assert verdicts == {True, False}
+
+
+def test_witt_g_forms_are_the_gram_verdicts_on_the_corpus(corpus_models):
+    """On every corpus model, and on each with omega coupled inside T1 or
+    inside N1, so that each form statement fails somewhere."""
+    details = set()
+    for model in corpus_models:
+        decomp = decompose_G(model)
+        for variant in _variants(model, (decomp.T1, decomp.N1)):
+            expected = gram_witt_g_forms(variant)
+            got = g_decomposition_check(decomp, variant)
+            assert got.detail == ("" if expected is None
+                                  else f"fails: {expected}")
+            details.add(got.detail)
+    assert details == {"", "fails: the form on T1 is the Chu pairing of the "
+                       "n basis", "fails: the form on N1 is omega_N1"}
