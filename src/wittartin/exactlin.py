@@ -1,10 +1,17 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on dense storage.
 
 Everything here is built on :class:`fractions.Fraction`, so all results are
 exact: no tolerances, no rounding, ever.  Subspaces carry a canonical basis
 (reduced column echelon form with smallest-index pivoting), which makes
 subspace equality a plain ``==`` on basis matrices and keeps every
 computation bit-reproducible.
+
+Matrices and vectors are stored densely, but outside ``dot`` and
+``Matrix.__matmul__`` no arithmetic takes a zero entry as an operand: a
+sum with a zero term is the other term, a product with a zero factor is
+ZERO, and elimination divides and updates only nonzero entries.  Exact
+sums do not depend on the order of their terms, so every result is the
+one the dense loops give, and every entry is a Fraction.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from operator import add
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -56,15 +64,39 @@ def unit_vec(n: int, i: int) -> Vec:
 
 
 def add_vec(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    """u + v; where one entry is zero the sum is the other entry."""
+    return tuple((a + b if b else a) if a else b
+                 for a, b in zip(u, v, strict=True))
 
 
 def sub_vec(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    """u - v; where one entry is zero the difference is the other entry,
+    negated when it is v's."""
+    return tuple((a - b if a else -b) if b else a
+                 for a, b in zip(u, v, strict=True))
 
 
 def scale_vec(c: Fraction, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
+    """c v; a zero factor gives ZERO without a multiplication."""
+    if not c:
+        return zero_vec(len(v))
+    return tuple(c * a if a else ZERO for a in v)
+
+
+def _total(terms: list[Fraction]) -> Fraction:
+    """The sum of the terms, ZERO for none, with no addition of a zero
+    start value."""
+    return reduce(add, terms) if terms else ZERO
+
+
+def _eliminate(row: list[Fraction], f: Fraction,
+               nz: list[tuple[int, Fraction]]) -> None:
+    """row -= f * pivot row, where nz holds the pivot row's nonzero
+    entries (j, y); a zero entry of row becomes -(f y) without a
+    subtraction."""
+    for j, y in nz:
+        x = row[j]
+        row[j] = x - f * y if x else -(f * y)
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
@@ -187,7 +219,7 @@ class Matrix:
         if len(v) != self.cols:
             raise AmbientMismatch("vector length does not match column count")
         nz = [(j, x) for j, x in enumerate(v) if x]
-        return tuple(sum([a * x for j, x in nz if (a := row[j])], ZERO)
+        return tuple(_total([a * x for j, x in nz if (a := row[j])])
                      for row in self.entries)
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -209,17 +241,24 @@ class Matrix:
 
     def antisymmetry_witness(self) -> tuple[int, int] | None:
         """The first (i, j), j >= i, of a square matrix with entry (i, j)
-        other than minus entry (j, i), or None."""
-        e = self.entries
-        return next(((i, j) for i in range(self.rows) for j in range(i, self.rows)
-                     if e[i][j] != -e[j][i]), None)
+        other than minus entry (j, i), or None.  Only a pair of nonzero
+        entries is compared through a negation: a pair of zeros is
+        skipped, and a pair with one zero is a witness."""
+        e, n = self.entries, self.rows
+        for i in range(n):
+            for j in range(i, n):
+                a, b = e[i][j], e[j][i]
+                if (a or b) and not (a and b and a == -b):
+                    return i, j
+        return None
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form with smallest-index pivoting.
 
         Returns the reduced matrix and the tuple of pivot column indices.
-        Row updates touch only the columns where the pivot row is nonzero,
-        since x - f*0 == x.
+        Only the nonzero entries of a pivot row are divided, none when the
+        pivot is 1, and row updates touch only the columns where the pivot
+        row is nonzero, since x - f*0 == x; the pivot column becomes ZERO.
         """
         m = [list(row) for row in self.entries]
         pivots: list[int] = []
@@ -232,13 +271,13 @@ class Matrix:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
             pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            nz = [(j, y) for j, y in enumerate(m[r]) if y]
+            if pv != 1:
+                m[r] = [x / pv if x else ZERO for x in m[r]]
+            nz = [(j, y) for j, y in enumerate(m[r]) if y and j != c]
             for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    row, f = m[i], m[i][c]
-                    for j, y in nz:
-                        row[j] -= f * y
+                if i != r and (f := m[i][c]):
+                    _eliminate(m[i], f, nz)
+                    m[i][c] = ZERO
             pivots.append(c)
             r += 1
         return Matrix(self.rows, self.cols, tuple(tuple(row) for row in m)), tuple(pivots)
@@ -261,12 +300,10 @@ class Matrix:
                 det = -det
             det *= m[c][c]
             inv = ONE / m[c][c]
-            nz = [(j, y) for j, y in enumerate(m[c]) if y]
+            nz = [(j, y) for j, y in enumerate(m[c]) if j > c and y]
             for i in range(c + 1, n):
                 if m[i][c] != 0:
-                    row, f = m[i], m[i][c] * inv
-                    for j, y in nz:
-                        row[j] -= f * y
+                    _eliminate(m[i], m[i][c] * inv, nz)
         return det
 
     def inverse(self) -> "Matrix":
@@ -295,9 +332,7 @@ class Matrix:
             nz = [(j, y) for j, y in enumerate(pivot_row) if j > c and y]
             for row in m[c + 1:]:
                 if row[c] != 0:
-                    f = row[c] / pv
-                    for j, y in nz:
-                        row[j] -= f * y
+                    _eliminate(row, row[c] / pv, nz)
         return True
 
     def _same_shape(self, other: "Matrix"):
@@ -418,7 +453,8 @@ def kernel(A: Matrix) -> Subspace:
         v = [ZERO] * A.cols
         v[f] = ONE
         for r, c in enumerate(pivots):
-            v[c] = -red.entries[r][f]
+            if x := red.entries[r][f]:
+                v[c] = -x
         vectors.append(tuple(v))
     return Subspace.span(A.cols, vectors)
 
@@ -514,8 +550,9 @@ def pairing_witness(form: BilinearForm, U: Subspace,
     """The first (i, j), in row-major order, with form(u_i, v_j) != 0 for
     the canonical bases of U and V, or None when U and V pair to zero.
 
-    Row i is G^T u_i, so form(u_i, v) = (G^T u_i) . v, summed over the
-    nonzero entries of v; the search stops at the first nonzero pairing.
+    Row i is G^T u_i, so form(u_i, v) = (G^T u_i) . v, summed where both
+    the row and v are nonzero; the search stops at the first nonzero
+    pairing.
     """
     if not form.ambient_dim == U.ambient_dim == V.ambient_dim:
         raise AmbientMismatch("form and subspaces live in different spaces")
@@ -524,7 +561,7 @@ def pairing_witness(form: BilinearForm, U: Subspace,
     for i, u in enumerate(U.basis_vectors()):
         row = gt.apply(u)
         for j, nz in enumerate(vs):
-            if sum(row[k] * x for k, x in nz):
+            if _total([a * x for k, x in nz if (a := row[k])]):
                 return i, j
     return None
 

@@ -99,13 +99,21 @@ class TangentModel:
     def dual_gm(self) -> Matrix:
         return Matrix.from_cols(self.g_basis_inv.entries[:self.gm_dim], self.inst.dim)
 
+    # Mn^T D_m^T and Mn^T D_gm^T: row a pairs (m, n) column a with the dual
+    # rows, which reads its m and g_m coordinates off g_coords.
     @cached_property
     def mn_dual_m(self) -> Matrix:
-        return self.mn_basis.transpose() @ self.dual_m
+        return self._mn_coords(self.gm_dim, self.gm_dim + self.dim_m)
 
     @cached_property
     def mn_dual_gm(self) -> Matrix:
-        return self.mn_basis.transpose() @ self.dual_gm
+        return self._mn_coords(0, self.gm_dim)
+
+    def _mn_coords(self, lo: int, hi: int) -> Matrix:
+        """Coordinates lo..hi-1 in the (gm, m, n) basis of each (m, n)
+        column, one row per column."""
+        rows = tuple(self.g_coords(col)[lo:hi] for col in self.mn_basis.columns())
+        return Matrix(len(rows), hi - lo, rows)
 
     def iota_mstar(self, rho: Vec) -> Vec:
         """Zero-extension of an m* covector to g* (kills gm and n)."""

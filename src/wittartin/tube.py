@@ -129,12 +129,13 @@ def _brief(x: Fraction) -> str:
 
 
 def _to_floats(values: Vec) -> list[float]:
-    """The floats nearest to exact values; raises OutOfFloatRange, naming
-    the value, for one too large for a float."""
+    """The floats nearest to exact values, 0.0 for a zero without a
+    division; raises OutOfFloatRange, naming the value, for one too large
+    for a float."""
     out = []
     for x in values:
         try:
-            out.append(float(x))
+            out.append(float(x) if x else 0.0)
         except OverflowError:
             raise OutOfFloatRange(f"the exact value {_brief(x)} is out of "
                                   "float range") from None
@@ -160,15 +161,16 @@ def _nonzeros(B: list[list[float]]) -> list[list[tuple[int, float]]]:
 
 def _product(A: list[list[float]], nzB: list[list[tuple[int, float]]],
              cols: int, c: float | None = None) -> list[list[float]]:
-    # Sums the nonzero a*b in increasing k: == the dense sums but for a 0's
-    # sign.  With c, each row of the product is then scaled by c.
+    # Sums a*b over the nonzero a of each row of A and the nonzero b in
+    # increasing k: == the dense sums but for a 0's sign.  With c, the
+    # nonzero entries of each row of the product are then scaled by c.
     out = []
     for row in A:
         acc = [0.0] * cols
-        for a, nz in zip(row, nzB):
-            for j, b in nz if a else ():
+        for k, a in [(k, a) for k, a in enumerate(row) if a]:
+            for j, b in nzB[k]:
                 acc[j] += a * b
-        out.append(acc if c is None else [c * x for x in acc])
+        out.append(acc if c is None else [c * x if x else x for x in acc])
     return out
 
 
@@ -263,19 +265,20 @@ def _coadjoint_exp(model: TangentModel, xi: Vec,
 
 
 def check_dphi_consistency(model: TangentModel) -> list[Check]:
-    """Central differences of phi_tilde at the base against dphi_G.
+    """Central differences of phi_tilde at the base against dphi_G, with
+    the step of _fd_step along each direction.
 
     A value out of float range makes the check fail and names the value;
     an overflow inside the float path (a nan error) makes it fail at the
     first direction where it occurs.
     """
-    step = Fraction(1, 10_000)
     dG = model.dphi_G
 
     worst = 0.0
     worst_dir = -1
     try:
         for d in range(model.total_dim):
+            step = _fd_step(model, d)
             fp = phi_tilde(model, _point_along(model, d, step))
             fm = phi_tilde(model, _point_along(model, d, -step))
             fd = [(a - b) / (2.0 * float(step)) for a, b in zip(fp, fm)]
@@ -294,6 +297,29 @@ def check_dphi_consistency(model: TangentModel) -> list[Check]:
         worst <= FD_TOL,
         f"max relative error {worst:.3e} at direction {worst_dir}",
     )]
+
+
+# Central-difference step of tube.dphi_fd_consistency, and the largest
+# ||ad(xi_d)|| at which a U direction keeps it.
+_FD_STEP = Fraction(1, 10_000)
+_FD_AD_NORM = 10
+
+
+def _fd_step(model: TangentModel, d: int) -> Fraction:
+    """The central-difference step along model direction d: _FD_STEP,
+    divided along a U direction xi_d (column d of the (m, n) basis) by
+    max(1, ||ad(xi_d)||_inf / _FD_AD_NORM).  The truncation error grows
+    with (step ||ad||)^2, so this keeps it at its size for ||ad|| <= 10
+    whatever the scale of the brackets.  A norm beyond float range, whose
+    step would underflow to 0.0, raises OutOfFloatRange naming it."""
+    if d >= model.dim_m + model.dim_n:
+        return _FD_STEP
+    ad = model.inst.algebra.ad_matrix(model.mn_basis.col(d))
+    norm = max((sum(abs(x) for x in row if x) for row in ad.entries), default=0)
+    if norm <= _FD_AD_NORM:
+        return _FD_STEP
+    _to_floats([norm])
+    return _FD_STEP * _FD_AD_NORM / norm
 
 
 def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:

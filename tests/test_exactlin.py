@@ -1,10 +1,11 @@
 """Exact linear algebra: frozen examples, algebraic laws, and the subspace
 predicates against their entry-by-entry and vector-by-vector definitions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wittartin.exactlin import (
@@ -14,6 +15,7 @@ from wittartin.exactlin import (
     NotContained,
     NotPositiveDefinite,
     Subspace,
+    add_vec,
     cross_gram,
     direct_sum,
     dot,
@@ -29,6 +31,8 @@ from wittartin.exactlin import (
     pairing_witness,
     perp_under_form,
     preserves,
+    scale_vec,
+    sub_vec,
     sum_spaces,
     unit_vec,
     vec,
@@ -524,6 +528,12 @@ def dense_is_antisymmetric(A):
     return A.rows == A.cols and A == -A.transpose()
 
 
+def dense_antisymmetry_witness(A):
+    e = A.entries
+    return next(((i, j) for i in range(A.rows) for j in range(i, A.rows)
+                 if e[i][j] != -e[j][i]), None)
+
+
 @st.composite
 def sparse_matrices(draw, rows=None, cols=None):
     r = draw(st.integers(0, 5)) if rows is None else rows
@@ -623,9 +633,7 @@ def test_symmetry_predicates_match_dense_comparison(A, part, bump):
     if A.rows == A.cols:
         w = A.antisymmetry_witness()
         assert (w is None) == dense_is_antisymmetric(A)
-        if w is not None:
-            i, j = w
-            assert i <= j and A.entries[i][j] != -A.entries[j][i]
+        assert w == dense_antisymmetry_witness(A)
 
 
 # pairing_witness against the dense cross Gram it replaced in the checks:
@@ -720,3 +728,116 @@ def test_empty_gram_is_positive_definite_for_check_positive_definite():
     with pytest.raises(NotPositiveDefinite):
         check_positive_definite(BilinearForm(Matrix.from_rows(
             [[1, 2], [2, 1]])))
+
+
+# The vector kernels against the dense loops they replaced: where one
+# operand is zero they return the other one, with no arithmetic, and every
+# entry stays a Fraction.
+
+@st.composite
+def sparse_vector_pairs(draw):
+    n = draw(st.integers(0, 6))
+    u, v = draw(sparse_matrices(2, n)).entries if n else ((), ())
+    return u, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_vector_pairs(), st.one_of(st.just(F(0)), small_fracs))
+@example(((F(0), F(2), F(-1), F(0)), (F(0), F(-2), F(0), F(3))), F(0))
+def test_vector_kernels_match_dense_loops(uv, c):
+    u, v = uv
+    for got, dense in ((add_vec(u, v), tuple(a + b for a, b in zip(u, v))),
+                       (sub_vec(u, v), tuple(a - b for a, b in zip(u, v))),
+                       (scale_vec(c, v), tuple(c * a for a in v))):
+        assert got == dense
+        assert all(type(x) is F for x in got)
+
+
+def test_vector_kernels_reject_lengths_that_differ():
+    with pytest.raises(ValueError):
+        add_vec((F(1),), (F(1), F(0)))
+    with pytest.raises(ValueError):
+        sub_vec((F(0), F(0)), (F(1),))
+
+
+# Operation counts: outside dot and Matrix.__matmul__, no Fraction
+# arithmetic takes a zero operand.
+
+COUNTED_OPS = tuple(name for op in ("add", "sub", "mul", "truediv")
+                    for name in (f"__{op}__", f"__r{op}__")) + ("__neg__",)
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """Records (operation, whether an operand was zero) for every Fraction
+    + - * / (the reflected forms and negation too) while the test runs."""
+    log = []
+    for name in COUNTED_OPS:
+        original = getattr(F, name)
+
+        def counted(*operands, _name=name, _original=original):
+            log.append((_name, not all(operands)))
+            return _original(*operands)
+
+        monkeypatch.setattr(F, name, counted)
+    return log
+
+
+def test_fraction_ops_fixture_counts_and_sees_zeros(fraction_ops):
+    x = F(1, 2)
+    x + F(0), 1 - x, x * x, 2 / x, -x
+    assert fraction_ops == [("__add__", True), ("__rsub__", False),
+                            ("__mul__", False), ("__rtruediv__", False),
+                            ("__neg__", False)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4])
+def test_rref_of_a_permutation_matrix_does_no_arithmetic(fraction_ops, n):
+    for perm in itertools.permutations(range(n)):
+        P = Matrix(n, n, tuple(unit_vec(n, p) for p in perm))
+        del fraction_ops[:]
+        red, pivots = P.rref()
+        assert fraction_ops == []
+        assert red == Matrix.identity(n) and pivots == tuple(range(n))
+
+
+def test_rref_of_a_scaled_permutation_divides_only_its_pivots(fraction_ops):
+    for perm in itertools.permutations(range(4)):
+        P = Matrix(4, 4, tuple(scale_vec(F(2 * p + 3, 2), unit_vec(4, p))
+                               for p in perm))
+        del fraction_ops[:]
+        assert P.rref()[0] == Matrix.identity(4)
+        assert fraction_ops == [("__truediv__", False)] * 4
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sparse_vector_pairs(), st.one_of(st.just(F(0)), small_fracs))
+def test_vector_kernels_operate_only_on_nonzero_positions(fraction_ops, uv, c):
+    u, v = uv
+    del fraction_ops[:]
+    add_vec(u, v)
+    assert fraction_ops == [("__add__", False)] * sum(
+        1 for a, b in zip(u, v) if a and b)
+    del fraction_ops[:]
+    sub_vec(u, v)
+    assert not any(zero for _, zero in fraction_ops)
+    assert len(fraction_ops) == sum(1 for b in v if b)
+    del fraction_ops[:]
+    scale_vec(c, v)
+    assert fraction_ops == [("__mul__", False)] * (
+        sum(1 for b in v if b) if c else 0)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(square_sparse_matrices(),
+                 square_sparse_matrices().map(lambda A: A - A.transpose())))
+def test_antisymmetry_witness_negates_only_nonzero_pairs(fraction_ops, A):
+    del fraction_ops[:]
+    w = A.antisymmetry_witness()
+    e = A.entries
+    pairs = [(i, j) for i in range(A.rows) for j in range(i, A.rows)]
+    checked = pairs[:pairs.index(w) + 1] if w else pairs
+    assert fraction_ops == [("__neg__", False)] * sum(
+        1 for i, j in checked if e[i][j] and e[j][i])

@@ -222,3 +222,16 @@ class TestDphiH:
         gap = m.ker_dphi_H.dim - m.ker_dphi_G.dim
         d = m.chain.dims()
         assert gap == d["q"] + d["b"]
+
+
+def test_mn_dual_blocks_match_the_dense_products():
+    # The tube's constant blocks read off g_coords of the (m, n) columns,
+    # against the dense products Mn^T D_m^T and Mn^T D_gm^T they replaced.
+    from corpus import build_corpus
+    models = [model_for(inst) for inst in build_corpus()]
+    assert len(models) > 150
+    for m in models:
+        for got, dual in ((m.mn_dual_m, m.dual_m), (m.mn_dual_gm, m.dual_gm)):
+            assert got == m.mn_basis.transpose() @ dual
+            assert (got.rows, got.cols) == (m.mn_basis.cols, dual.cols)
+            assert all(type(x) is F for row in got.entries for x in row)

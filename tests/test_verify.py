@@ -612,23 +612,56 @@ def test_smaller_h_orbit_fails_h_orbit_perp_check_and_names_a_vector(
                            "ker dphi_H")
 
 
-def test_float_overflow_in_the_exponential_fails_fd_check():
+def test_float_overflow_in_the_exponential_fails_fd_check(monkeypatch):
     # so(3) with brackets 10**160 times the usual ones is a valid instance
-    # whose exact data all fit in a float, but the exponential along a
-    # group direction overflows: the finite difference there and the
-    # equivariance deviation are nan.
+    # whose exact data all fit in a float.  The finite-difference step
+    # shrinks with ||ad||, so the differences stay accurate, but the
+    # exponential at an equivariance sample overflows: its deviation is nan.
     doc = build_example("so3-generic")
     big = "1" + "0" * 160
     doc["structure_constants"] = [
         [[{"1": big, "-1": "-" + big}.get(x, x) for x in row]
          for row in plane] for plane in doc["structure_constants"]]
-    checks = verify.run_all(from_dict(doc), samples=2)
+    inst = from_dict(doc)
+    checks = verify.run_all(inst, samples=2)
+    assert _failed(checks) == ["tube.equivariance"]
+    assert _check(checks, "tube.equivariance").detail.startswith(
+        "max relative deviation nan over 2 samples; sample 0: ")
+    # With the unscaled step 1e-4 the exponential along a group direction
+    # overflows too: the finite difference there is nan.
+    monkeypatch.setattr(tube, "_fd_step", lambda model, d: Fraction(1, 10_000))
+    checks = verify.run_all(inst, samples=2)
     assert _failed(checks) == ["tube.dphi_fd_consistency",
                                "tube.equivariance"]
     assert _check(checks, "tube.dphi_fd_consistency").detail \
         == "max relative error nan at direction 0"
-    assert _check(checks, "tube.equivariance").detail.startswith(
-        "max relative deviation nan over 2 samples; sample 0: ")
+
+
+def _scaled_brackets(doc, c):
+    """The instance with every structure constant, and every slice action
+    so that it stays a representation, multiplied by c: the algebra is
+    isomorphic to the original one."""
+    def scaled(rows):
+        return [[str(Fraction(x) * c) for x in row] for row in rows]
+    doc = dict(doc, structure_constants=[
+        scaled(plane) for plane in doc["structure_constants"]])
+    if doc["slice"]:
+        doc["slice"] = dict(doc["slice"], action=[
+            scaled(A) for A in doc["slice"]["action"]])
+    return doc
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 1000), Fraction(1, 10), 10, 100,
+                               1000])
+@pytest.mark.parametrize("example", ["so3-generic", "so3-collinear",
+                                     "so3xso3-diagonal"])
+def test_scaled_brackets_pass_every_check(example, c):
+    # The finite-difference step shrinks with ||ad||; with the fixed step
+    # 1e-4, tube.dphi_fd_consistency failed from c = 100 on.
+    checks = verify.run_all(from_dict(
+        _scaled_brackets(build_example(example), c)))
+    assert len(checks) == 69
+    assert _failed(checks) == []
 
 
 def test_doubled_momentum_differential_fails_fd_check(monkeypatch):
