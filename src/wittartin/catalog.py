@@ -117,11 +117,10 @@ def build_example(name: str, dim: int | None = None,
         raise KeyError(name)
     if name == "torus":
         n, k = DEFAULT_TORUS
-        if dim is not None:
-            n = dim
-        if subdim is not None:
-            k = subdim
-        return torus(n, k)
+        return torus(n if dim is None else dim, k if subdim is None else subdim)
+    if dim is not None or subdim is not None:
+        raise ValueError(f"example {name!r} has a fixed size; "
+                         "--dim and --subdim apply only to torus")
     return _BUILDERS[name]()
 
 

@@ -164,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="emit a built-in instance file")
     p.add_argument("name")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--subdim", type=int, default=None)
+    p.add_argument("--dim", type=int, default=None, help="torus only")
+    p.add_argument("--subdim", type=int, default=None, help="torus only")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_example)
 

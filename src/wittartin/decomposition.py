@@ -18,7 +18,8 @@ m* and N1), prove the index tuples equal to it, and hold both sides'
 definitions to one set of Witt-Artin axioms (_witt_artin_axioms).  A block
 proven equal to its definition has its unit vectors as canonical basis, so
 the statements about the form on a block (wittH.5 and the wittG forms on
-T1 and N1) read the omega submatrix on its indices instead of a Gram.
+T1 and N1) read the omega submatrix on its indices instead of a Gram, and
+"X0 + Y0 is symplectic" and wittH.6 test W & W^perp = 0 without one.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ from .exactlin import (
     Subspace,
     Vec,
     ZERO,
-    cross_gram,
     direct_sum,
     dot,
     gram_on,
     is_zero_vec,
     kernel,
     pairing_witness,
+    perp_under_form,
     sum_spaces,
     unit_vec,
 )
@@ -130,11 +131,9 @@ def _witt_artin_axioms(model: TangentModel, ker: Subspace, ker_name: str,
     ("sum", "kernel", "orthogonality", "lagrangian") the result holds the
     first statement that fails, or None.
 
-    "X0 + Y0 is symplectic" is read off the k x k pairing C of X0 with Y0:
-    it is only reached once X0 and Y0 are isotropic of equal dimension k.
-    When X0 + Y0 is direct its Gram is then [[0, C], [-C^T, 0]], which is
-    nondegenerate exactly when C is; a nonzero vector of X0 & Y0 lies in
-    the radical of X0 + Y0 and in the kernel of C, so both are degenerate.
+    "X0 + Y0 is symplectic" is W & W^omega = 0 for W = X0 + Y0, since
+    that intersection is the radical of the form on W.  The perp's rows
+    are G^T w products over the nonzero entries, so no Gram is formed.
     """
     (x0, X0), (x1, X1), (y0, Y0), (y1, Y1) = blocks.items()
     omega = model.omega
@@ -162,7 +161,8 @@ def _witt_artin_axioms(model: TangentModel, ker: Subspace, ker_name: str,
              lambda: pairing_witness(omega, Y0, Y0) is None),
             (f"dim {x0} equals dim {y0}", lambda: X0.dim == Y0.dim),
             (f"{x0} + {y0} is symplectic",
-             lambda: cross_gram(omega, X0, Y0).rank() == X0.dim)),
+             lambda: direct_sum(X0Y0, perp_under_form(omega, X0Y0))
+             is not None)),
     }
     return {group: next((text for text, holds in statements if not holds()),
                         None)
@@ -262,8 +262,8 @@ def h_decomposition_checks(decomp: WittDecompositionH,
     s, X_m, NH1 and Z_m index tuples off omega, which needs no Gram once
     wittH.1 has proven them equal to their definitions, and names the first
     degenerate space.  wittH.6 and 7 pair the chain's a and r under the Chu
-    form; a failing wittH.6 says whether the dimensions or the pairing are
-    at fault.
+    form; wittH.6 tests r & a^perp = 0, the square pairing's right kernel,
+    and says whether the dimensions or the pairing are at fault.
     """
     chain = model.chain
     chu = model.inst.chu
@@ -323,7 +323,7 @@ def h_decomposition_checks(decomp: WittDecompositionH,
 
     if chain.a.dim != chain.r.dim:
         pairing = "dim a != dim r"
-    elif cross_gram(chu, chain.a, chain.r).rank() != chain.a.dim:
+    elif direct_sum(chain.r, perp_under_form(chu, chain.a)) is None:
         pairing = "the Chu pairing of a with r is degenerate"
     else:
         pairing = ""

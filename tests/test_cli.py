@@ -58,6 +58,15 @@ class TestExample:
                                "--dim", "2", "--subdim", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("option", ["--dim", "--subdim"])
+    def test_size_of_a_fixed_size_example_is_usage_error(self, capsys,
+                                                          option):
+        code, out, err = run_cli(capsys, "example", "so3-generic",
+                                 option, "4")
+        assert code == 2
+        assert out == ""
+        assert "'so3-generic' has a fixed size" in err
+
 
 class TestCheck:
     def test_good_file(self, capsys, tmp_path):

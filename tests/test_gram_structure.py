@@ -1,19 +1,21 @@
 """Which Grams the decomposition checks build, on torus(8, 4).
 
-The Witt-Artin axioms decide "X0 + Y0 is symplectic" on the k x k pairing
-of X0 with Y0, not on a 2k x 2k Gram of their sum.  wittH.5 and the wittG
-forms on T1 and N1 build no Gram of omega at all: once each block is
-proven equal to its definition, they read the omega submatrices on the
-blocks' index tuples.  These tests wrap the Gram builders that
-decomposition imports, and the model's omega_on, and pin both, so that a
-refactor cannot bring the larger Grams back without a failing test.
+The Witt-Artin axioms decide "X0 + Y0 is symplectic" as W & W^omega = 0
+on the perp of W = X0 + Y0 under omega, and wittH.6 decides the a x r Chu
+pairing as r & a^perp = 0, so neither builds a Gram.  wittH.5 and the
+wittG forms on T1 and N1 read the omega submatrices on the blocks' index
+tuples, which once each block is proven equal to its definition is the
+form on it.  These tests wrap the Gram builders in exactlin and in every
+module that imports them by name, and the model's omega_on, and pin that
+the decomposition checks build no Gram at all, so that a refactor cannot
+bring one back without a failing test.
 """
 
 import pytest
 
 from wittartin import decomposition as dec
+from wittartin import exactlin, splitting, verify
 from wittartin.catalog import build_example
-from wittartin.exactlin import sum_spaces
 from wittartin.instancefile import from_dict
 from wittartin.pointmodel import TangentModel, build_model
 from wittartin.splitting import build_chain
@@ -29,44 +31,47 @@ def model():
 
 @pytest.fixture
 def grams(monkeypatch):
-    """Every Gram built through decomposition's builders, as (builder,
-    form, spaces, inside the axioms); the axioms' blocks go to "blocks"."""
-    calls, blocks, depth = [], [], [0]
+    """Every Gram built through exactlin's builders, as (builder, form,
+    spaces); the blocks each run of the axioms receives go to "blocks"."""
+    calls, blocks = [], []
     for name in GRAM_BUILDERS:
-        exact = getattr(dec, name)
+        exact = getattr(exactlin, name)
 
         def recorded(form, *spaces, _name=name, _exact=exact):
-            calls.append((_name, form, spaces, depth[0] > 0))
+            calls.append((_name, form, spaces))
             return _exact(form, *spaces)
 
-        monkeypatch.setattr(dec, name, recorded)
+        for module in (exactlin, dec, splitting, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorded)
     axioms = dec._witt_artin_axioms
 
     def recorded_axioms(model, ker, ker_name, named_blocks):
         blocks.append(list(named_blocks.values()))
-        depth[0] += 1
-        try:
-            return axioms(model, ker, ker_name, named_blocks)
-        finally:
-            depth[0] -= 1
+        return axioms(model, ker, ker_name, named_blocks)
 
     monkeypatch.setattr(dec, "_witt_artin_axioms", recorded_axioms)
     return {"calls": calls, "blocks": blocks}
 
 
 @pytest.mark.parametrize("side", ["G", "H"])
-def test_axioms_build_only_the_pairing_of_X0_with_Y0(model, grams, side):
+def test_axioms_and_witt_h6_build_no_gram(model, grams, side):
     if side == "G":
         checks = [dec.g_decomposition_check(dec.decompose_G(model), model)]
     else:
         checks = dec.h_decomposition_checks(dec.decompose_H(model), model)
+        assert "wittH.6_a_r_pairing_nondegenerate" in [c.name for c in checks]
     assert all(c.passed for c in checks)
-    (X0, _, Y0, _), = grams["blocks"]
-    inside = [(name, form is model.omega, spaces)
-              for name, form, spaces, nested in grams["calls"] if nested]
-    assert inside == [("cross_gram", True, (X0, Y0))]
-    X0Y0 = sum_spaces(X0, Y0)
-    assert all(X0Y0 not in spaces for _, _, spaces, _ in grams["calls"])
+    assert len(grams["blocks"]) == 1
+    assert grams["calls"] == []
+
+
+def test_the_wrapped_builders_see_a_gram_built_in_decomposition(model, grams):
+    # slice_form_check needs the value of the Chu Gram on s, so it is the
+    # one Gram left in decomposition; seeing it shows the wrapping works.
+    check = dec.slice_form_check(dec.decompose_H(model), model)
+    assert check.passed
+    assert grams["calls"] == [("gram_on", model.inst.chu, (model.chain.s,))]
 
 
 def test_witt_h5_and_witt_g_forms_build_no_gram_of_omega(model, grams,
@@ -84,10 +89,8 @@ def test_witt_h5_and_witt_g_forms_build_no_gram_of_omega(model, grams,
     checks = [dec.g_decomposition_check(g_decomp, model),
               *dec.h_decomposition_checks(h_decomp, model)]
     assert all(c.passed for c in checks)
-    outside = [(name, [S.dim for S in spaces])
-               for name, form, spaces, nested in grams["calls"]
-               if form is model.omega and not nested]
-    assert outside == []
+    assert [name for name, form, _ in grams["calls"]
+            if form is model.omega] == []
     # The wittG forms on T1 and N1, then wittH.5 on s + X_m + N1 and Z_m.
     assert read == [g_decomp.T1, g_decomp.N1,
                     h_decomp.s_block + h_decomp.Xm_block + h_decomp.N1_block,

@@ -348,13 +348,16 @@ def test_wrong_M_fails_ker_split_with_M_and_names_the_part(
 def test_zero_a_r_chu_pairing_fails_pairing_check(monkeypatch):
     inst = from_dict(build_example("so3-generic"))
     expected_names = [c.name for c in verify.run_all(inst, samples=3)]
-    exact = dec.cross_gram
+    exact = dec.perp_under_form
 
-    def zero_chu(form, U, V):
-        G = exact(form, U, V)
-        return Matrix.zeros(G.rows, G.cols) if form is inst.chu else G
+    def perp_under_zero_chu(form, U):
+        # Everything is perpendicular to U once the Chu form is zero.
+        if form is inst.chu:
+            form = BilinearForm(Matrix.zeros(form.ambient_dim,
+                                             form.ambient_dim))
+        return exact(form, U)
 
-    monkeypatch.setattr(dec, "cross_gram", zero_chu)
+    monkeypatch.setattr(dec, "perp_under_form", perp_under_zero_chu)
     checks = verify.run_all(inst, samples=3)
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["wittH.6_a_r_pairing_nondegenerate"]

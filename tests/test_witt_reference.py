@@ -5,8 +5,11 @@ decomposition._witt_artin_axioms states the axioms of both decompositions
 once; the reference below is the per-statement identity list that
 wittG.all_assertions held, written with plain Gram entries and stacked
 ranks, and it is compared on Hypothesis-drawn block subspaces of the
-catalog models.  The axioms decide "X0 + Y0 is symplectic" on the pairing
-of X0 with Y0, which is compared with the full Gram it replaced.  wittH.5
+catalog models.  The axioms decide "X0 + Y0 is symplectic" as
+W & W^omega = 0 for W = X0 + Y0, which is compared with the full Gram of W
+on the catalog models and the corpus models with nonzero a and r.  wittH.6
+decides the a x r Chu pairing as r & a^perp = 0, which is compared with the
+rank of the pairing matrix on drawn subspaces of the corpus algebras.  wittH.5
 and the wittG forms on T1 and N1 read omega submatrices on the blocks'
 index tuples; their verdicts and details are compared on the corpus with
 the Grams of the definition bases that they replaced.
@@ -41,6 +44,7 @@ from wittartin.exactlin import (
     Matrix,
     Subspace,
     ZERO,
+    cross_gram,
     dot,
     gram_on,
     intersect,
@@ -171,6 +175,9 @@ def ref_axioms(model, ker, ker_name, names, spaces):
 CATALOG = ("so3-zero", "so3-generic", "so3-collinear", "so3xso3-diagonal",
            "torus")
 MODELS = {name: _model(from_dict(build_example(name))) for name in CATALOG}
+CORPUS_MODELS = [_model(inst) for inst in build_corpus()]
+# The corpus models whose TH0 and NH0 carry nonzero a and r blocks.
+AR_MODELS = [m for m in CORPUS_MODELS if m.chain.a.dim and m.chain.r.dim]
 MODEL_BLOCKS = ("p", "b", "a", "s", "ntilde", "r", "pstar", "bstar", "N1")
 SPLITS = {
     "G": (("T0", "T1", "N0", "N1"),
@@ -225,7 +232,7 @@ def test_true_splits_satisfy_every_axiom():
 
 
 # ---------------------------------------------------------------------------
-# "X0 + Y0 is symplectic" on the pairing of X0 with Y0.
+# "X0 + Y0 is symplectic" as W & W^omega = 0.
 
 # Isotropic blocks of every catalog model: T0, N0, TH0 and NH0.
 ISOTROPIC = (("p", "b"), ("pstar", "bstar"), ("p", "a"), ("r", "pstar"))
@@ -241,12 +248,13 @@ def _lagrangian_group(model, X0, Y0):
 
 @st.composite
 def isotropic_pair(draw):
-    """A catalog model and two isotropic subspaces, each spanned by k drawn
-    combinations (coefficients -1, 0, 1) of the unit vectors of one
-    isotropic block.  Both may come from the same block, so X0 & Y0 can be
-    nonzero, and the small coefficients often make the pairing
-    degenerate."""
-    model = MODELS[draw(st.sampled_from(CATALOG))]
+    """A catalog model or a corpus model with nonzero a and r, and two
+    isotropic subspaces, each spanned by k drawn combinations (coefficients
+    -1, 0, 1) of the unit vectors of one isotropic block.  Both may come
+    from the same block, so X0 & Y0 can be nonzero, and the small
+    coefficients often make the pairing degenerate."""
+    models = [*MODELS.values(), *AR_MODELS]
+    model = models[draw(st.integers(0, len(models) - 1))]
     n = model.total_dim
     k = draw(st.integers(0, 3))
 
@@ -279,6 +287,11 @@ def test_pairing_criterion_agrees_with_the_gram_of_the_sum(case):
     assert _lagrangian_group(model, X0, Y0) == expected
 
 
+def test_corpus_models_with_nonzero_a_and_r_are_drawn():
+    assert len(AR_MODELS) > 20
+    assert {m.chain.a.dim for m in AR_MODELS} >= {1, 2}
+
+
 @pytest.mark.parametrize("y0_block", ["bstar", "p"],
                          ids=["degenerate_pairing", "X0_is_Y0"])
 def test_isotropic_equal_dimension_pair_that_is_not_symplectic(y0_block):
@@ -293,6 +306,50 @@ def test_isotropic_equal_dimension_pair_that_is_not_symplectic(y0_block):
                        LAGRANGIAN_NAMES, spaces)["lagrangian"]
     assert first == "X0 + Y0 is symplectic"
     assert _lagrangian_group(model, X0, Y0) == first
+
+
+# ---------------------------------------------------------------------------
+# wittH.6 as r & a^perp = 0 against the rank of the a x r Chu pairing.
+
+def _rref_subspace(draw, n, k):
+    """A k-dimensional subspace of Q^n by its reduced basis: k drawn pivot
+    columns, a 1 at each vector's pivot, zeros at the other pivots and
+    before it, and coefficients -1, 0, 1 after it.  Every k-dimensional
+    subspace whose reduced basis has entries -1, 0 and 1 can be drawn."""
+    pivots = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k,
+                                  max_size=k, unique=True)))
+    return Subspace.span(n, [
+        tuple(F(1) if j == p else
+              F(draw(st.integers(-1, 1))) if j > p and j not in pivots
+              else F(0) for j in range(n))
+        for p in pivots])
+
+
+@st.composite
+def chu_pair(draw):
+    """A corpus model and subspaces a and r of its algebra of one drawn
+    dimension.  The Chu form vanishes on g_mu, so degenerate pairings are
+    frequent, and on the abelian instances it is zero."""
+    model = CORPUS_MODELS[draw(st.integers(0, len(CORPUS_MODELS) - 1))]
+    n = model.inst.dim
+    k = draw(st.integers(0, min(3, n)))
+    return model, _rref_subspace(draw, n, k), _rref_subspace(draw, n, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chu_pair())
+def test_witt_h6_criterion_agrees_with_the_rank_of_the_chu_pairing(case):
+    model, a, r = case
+    assert a.dim == r.dim
+    chain = replace(model.chain, a=a, r=r)
+    got = next(c for c in h_decomposition_checks(decompose_H(model),
+                                                 replace(model, chain=chain))
+               if c.name == "wittH.6_a_r_pairing_nondegenerate")
+    nondegenerate = cross_gram(model.inst.chu, a, r).rank() == a.dim
+    event(f"nondegenerate {nondegenerate}, dim {a.dim}")
+    assert got.passed == nondegenerate
+    assert got.detail == ("" if nondegenerate
+                          else "the Chu pairing of a with r is degenerate")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +420,7 @@ def _coupled(model, i, j):
 
 @pytest.fixture(scope="module")
 def corpus_models():
-    return [_model(inst) for inst in build_corpus()]
+    return CORPUS_MODELS
 
 
 def _variants(model, blocks):
