@@ -4,7 +4,6 @@ from .exactlin import (
     BilinearForm,
     Matrix,
     Subspace,
-    cross_gram,
     direct_sum,
     gram_on,
     image,

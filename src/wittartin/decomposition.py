@@ -47,7 +47,7 @@ from .exactlin import (
     unit_vec,
 )
 from .pointmodel import TangentModel, inf_action, isotropy_action
-from .splitting import Check, entry_detail, equality_detail
+from .splitting import Check, entry_detail, equality_check, equality_detail
 
 
 # A Witt block is the span of the model unit vectors at these indices.
@@ -236,9 +236,9 @@ def eq_M_subspace(model: TangentModel) -> Subspace:
     local = n_indices + model.indices("pstar", "bstar")
 
     n_cols = [model.mn_basis.col(i) for i in n_indices]  # U index == mn column
+    gm = model.gm_dim
     rows = [
-        n_row + tuple(dot(model.dual_row(model.gm_dim + j), eta)
-                      for j in range(model.dim_m))
+        n_row + model.g_coords(eta)[gm:gm + model.dim_m]
         for n_row, eta in zip(_h_constraint_rows(model.inst, n_cols),
                               model.inst.h.basis_vectors())]
     constraint = Matrix.from_rows(rows, cols=len(local))
@@ -505,8 +505,12 @@ def coadjoint_slice_check(model: TangentModel) -> list[Check]:
     halpha_orbit = Subspace.span(
         dim_n, [model.g_coords(v)[n_first:]
                 for v in chain.h_alpha.basis_vectors()])
+    total = direct_sum(halpha_orbit, s_image)
+    detail = ("the h_alpha orbit and the s orbit do not sum directly"
+              if total is None else equality_detail(
+                  total, "h_alpha orbit + s orbit", ker, "the kernel"))
     return [
-        Check("coadjoint.kernel_is_a_plus_s_orbit", ker == expected),
-        Check("coadjoint.s_complements_halpha_orbit",
-              direct_sum(halpha_orbit, s_image) == ker),
+        equality_check("coadjoint.kernel_is_a_plus_s_orbit", ker, "the kernel",
+                       expected, "the a + s orbit"),
+        Check("coadjoint.s_complements_halpha_orbit", not detail, detail),
     ]

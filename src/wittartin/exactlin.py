@@ -524,25 +524,15 @@ def check_positive_definite(ip: BilinearForm):
 
 
 def orth_complement(U: Subspace, W: Subspace, ip: BilinearForm) -> Subspace:
-    """ip-orthogonal complement of U inside W (requires U <= W, ip SPD)."""
+    """ip-orthogonal complement of U inside W, W & U^perp (requires U <= W,
+    ip SPD)."""
     U._check_ambient(W)
     if ip.ambient_dim != U.ambient_dim:
         raise AmbientMismatch("form and subspaces live in different spaces")
     check_positive_definite(ip)
     if not U.leq(W):
         raise NotContained("first subspace is not contained in the second")
-    if W.dim == 0:
-        return Subspace.zero(U.ambient_dim)
-    # Solve <u_i, W c>_ip = 0 inside W-coordinates.
-    return image(W.basis, kernel(cross_gram(ip, U, W)))
-
-
-def cross_gram(form: BilinearForm, U: Subspace, V: Subspace) -> Matrix:
-    """Pairings form(u_i, v_j) of the canonical bases of U (rows) and V
-    (columns)."""
-    if not form.ambient_dim == U.ambient_dim == V.ambient_dim:
-        raise AmbientMismatch("form and subspaces live in different spaces")
-    return U.basis.transpose() @ form.gram @ V.basis
+    return intersect(W, perp_under_form(ip, U))
 
 
 def pairing_witness(form: BilinearForm, U: Subspace,

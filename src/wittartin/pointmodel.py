@@ -84,12 +84,7 @@ class TangentModel:
         """Coordinates of x in the (gm, m, n) basis of g."""
         return self.g_basis_inv.apply(x)
 
-    def dual_row(self, index: int) -> Vec:
-        """Covector (in g* coordinates) dual to column `index` of g_basis."""
-        return self.g_basis_inv.row(index)
-
-    # D_m^T, D_gm^T zero-extend m* and g_m* covectors to g*; with their
-    # pairings against the mn columns they are the tube's constant blocks.
+    # D_m^T, D_gm^T zero-extend m* and g_m* covectors to g*.
     @cached_property
     def dual_m(self) -> Matrix:
         gm, inv = self.gm_dim, self.g_basis_inv.entries
@@ -98,22 +93,6 @@ class TangentModel:
     @cached_property
     def dual_gm(self) -> Matrix:
         return Matrix.from_cols(self.g_basis_inv.entries[:self.gm_dim], self.inst.dim)
-
-    # Mn^T D_m^T and Mn^T D_gm^T: row a pairs (m, n) column a with the dual
-    # rows, which reads its m and g_m coordinates off g_coords.
-    @cached_property
-    def mn_dual_m(self) -> Matrix:
-        return self._mn_coords(self.gm_dim, self.gm_dim + self.dim_m)
-
-    @cached_property
-    def mn_dual_gm(self) -> Matrix:
-        return self._mn_coords(0, self.gm_dim)
-
-    def _mn_coords(self, lo: int, hi: int) -> Matrix:
-        """Coordinates lo..hi-1 in the (gm, m, n) basis of each (m, n)
-        column, one row per column."""
-        rows = tuple(self.g_coords(col)[lo:hi] for col in self.mn_basis.columns())
-        return Matrix(len(rows), hi - lo, rows)
 
     def iota_mstar(self, rho: Vec) -> Vec:
         """Zero-extension of an m* covector to g* (kills gm and n)."""
@@ -253,8 +232,7 @@ def dphi_G(model: TangentModel) -> Matrix:
     for j in range(model.dim_m + model.dim_n):
         v = model.mn_basis.col(j)
         cols.append(tuple(-x for x in L.coad_apply(v, model.inst.mu)))
-    for j in range(model.dim_m):
-        cols.append(model.dual_row(model.gm_dim + j))
+    cols.extend(model.dual_m.columns())
     for _ in range(model.slice_dim):
         cols.append(zero_vec(model.inst.dim))
     return Matrix.from_cols(cols, rows=model.inst.dim)

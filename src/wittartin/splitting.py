@@ -23,7 +23,6 @@ from .exactlin import (
     Matrix,
     Subspace,
     Vec,
-    cross_gram,
     direct_sum,
     first_escape,
     first_outside,
@@ -90,6 +89,14 @@ def inclusion_check(name: str, A: Subspace, a_name: str,
                     B: Subspace, b_name: str) -> Check:
     """A <= B; a failure names the first basis vector of A that is not in B."""
     detail = outside_detail(A, a_name, B, b_name)
+    return Check(name, not detail, detail)
+
+
+def equality_check(name: str, A: Subspace, a_name: str,
+                   B: Subspace, b_name: str) -> Check:
+    """A == B; a failure names the first basis vector of one side that is
+    not in the other."""
+    detail = equality_detail(A, a_name, B, b_name)
     return Check(name, not detail, detail)
 
 
@@ -321,12 +328,14 @@ def _lagrangian_shear(chu: BilinearForm, a: Subspace, C: Subspace) -> Subspace:
 
     tau: C -> a is the unique map with chu(tau(c), c') = -1/2 chu(c, c');
     the corrected complement pairs to zero with itself, which is what the
-    H-side Lagrangian axioms need from r.
+    H-side Lagrangian axioms need from r.  P = chu(a, C) and K = chu(C, C)
+    are the upper-right and lower-right blocks of the Chu Gram on [a | C].
     """
     if C.dim == 0:
         return C
-    K = gram_on(chu, C)
-    P = cross_gram(chu, a, C)
+    G, da = gram_on(chu, a, C), a.dim
+    P = G.submatrix(range(da), range(da, G.cols))
+    K = G.submatrix(range(da, G.cols), range(da, G.cols))
     T = P.transpose().inverse() @ K.scale(Fraction(1, 2))
     return Subspace.span(a.ambient_dim, (C.basis + a.basis @ T).columns())
 

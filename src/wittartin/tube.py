@@ -2,10 +2,9 @@
 
 omega_tube_gram evaluates the tube 2-form at a slice point (group coordinate
 at the identity) in exact arithmetic, as one Gram matrix in the model's
-(U, R, V) coordinates.  The form is bilinear, so every block is a product of
-matrices the model already holds: the bracket pairing against the shifted
-momentum mu + rho + Phi_N1(nu) on U x U, the m-dual rows of the g basis on
-U x R, the derivative of the slice momentum on U x V, and omega_N1 on V x V.
+(U, R, V) coordinates.  Only its U x U block, the bracket pairing against
+the shifted momentum mu + rho + Phi_N1(nu), depends on the point; the other
+blocks are those of the point form (see omega_tube_gram).
 omega_tube pairs two model coordinate vectors through that Gram matrix.
 phi_tilde evaluates the normal-form momentum map, which needs a matrix
 exponential and is therefore the one floating-point corner of the package.
@@ -20,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import ZERO, Matrix, Vec, add_vec, dot, is_zero_vec, unit_vec, zero_vec
+from .exactlin import ZERO, Matrix, Vec, add_vec, dot, is_zero_vec, zero_vec
 from .pointmodel import TangentModel
 from .splitting import Check, ProblemInstance
 
@@ -80,14 +79,18 @@ def _shifted_momentum(model: TangentModel, p: TubePoint) -> Vec:
 def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:
     """Gram matrix of the tube 2-form at a slice point, exactly.
 
-    With Mn the (m, n) basis of g, D_m and D_gm the m- and g_m-dual rows of
-    g_basis_inv, J the Jacobian of dphi_n1 at nu, and
-    K[a][b] = <lam, [e_a, e_b]> for lam = mu + rho + Phi_N1(nu), the blocks
-    in (U, R, V) order (UU summed over nonzero K and Mn entries only) are
+    With Mn the (m, n) basis of g and K[a][b] = <lam, [e_a, e_b]> for
+    lam = mu + rho + Phi_N1(nu), the blocks in (U, R, V) order (UU summed
+    over nonzero K and Mn entries only) are
 
-        UU = Mn^T K Mn     UR = Mn^T D_m^T    UV = Mn^T D_gm^T J
+        UU = Mn^T K Mn     UR = [I; 0]        UV = 0
         RU = -UR^T         RR = 0             RV = 0
-        VU = -UV^T         VR = 0             VV = omega_N1
+        VU = 0             VR = 0             VV = omega_N1
+
+    UR and UV pair the (m, n) columns with the m- and g_m-dual rows of the
+    inverse g basis.  Column a of Mn is column gm + a of the g basis, whose
+    g coordinates are the unit vector e_{gm+a}, so these pairings are
+    delta_ab and 0 at every point.
 
     Only points with group coordinate at the identity are accepted; by
     invariance nothing is lost, and the evaluation stays rational.
@@ -95,9 +98,7 @@ def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:
     if not is_zero_vec(p.xi):
         raise OffSlice("omega_tube only evaluates at group coordinate zero")
     inst = model.inst
-    gm, dm, sd, un = model.gm_dim, model.dim_m, model.slice_dim, model.mn_basis.cols
-    J = Matrix.from_cols([dphi_n1(inst, p.nu, unit_vec(sd, j))
-                          for j in range(sd)], rows=gm)
+    dm, sd, un = model.dim_m, model.slice_dim, model.mn_basis.cols
     K = inst.algebra.bracket_pairing(_shifted_momentum(model, p)).entries
     mn = [[(a, x) for a, x in enumerate(row) if x] for row in model.mn_basis.entries]
     uu = [[Fraction(0)] * un for _ in range(un)]
@@ -106,10 +107,10 @@ def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:
             for b, y in mn[j]:
                 uu[a][b] += x * w * y
     UU = Matrix(un, un, tuple(map(tuple, uu)))
-    UR, UV = model.mn_dual_m, model.mn_dual_gm @ J
-    bands = ((UU, UR, UV),
-             (-UR.transpose(), Matrix.zeros(dm, dm), Matrix.zeros(dm, sd)),
-             (-UV.transpose(), Matrix.zeros(sd, dm), inst.slice_rep.omega.gram))
+    UR = Matrix.identity(un).submatrix(range(un), range(dm))
+    bands = ((UU, UR, Matrix.zeros(un, sd)),
+             (-UR.transpose(), Matrix.zeros(dm, dm + sd)),
+             (Matrix.zeros(sd, un + dm), inst.slice_rep.omega.gram))
     rows = tuple(sum((B.entries[r] for B in band), ())
                  for band in bands for r in range(band[0].rows))
     return Matrix(model.total_dim, model.total_dim, rows)

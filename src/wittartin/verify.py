@@ -35,7 +35,7 @@ from .splitting import (
     chain_checks,
     dim_formulas,
     entry_detail,
-    equality_detail,
+    equality_check,
     inclusion_check,
 )
 
@@ -90,7 +90,8 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
 
     kerG, kerH = model.ker_dphi_G, model.ker_dphi_H
     expected = model.unit_span(model.indices("p", "b", "N1"))
-    out.append(Check("model.ker_dphiG_is_T0_plus_N1", kerG == expected))
+    out.append(equality_check("model.ker_dphiG_is_T0_plus_N1", kerG,
+                              "ker dphi_G", expected, "T0 + N1"))
     out.append(inclusion_check("model.ker_dphiG_inside_ker_dphiH",
                                kerG, "ker dphi_G", kerH, "ker dphi_H"))
 
@@ -104,10 +105,10 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
         model.total_dim,
         [pm.inf_action(model, v) for v in inst.h.basis_vectors()],
     )
-    out.append(_equality_check(
+    out.append(equality_check(
         "model.ker_dphiG_is_orbit_perp", kerG, "ker dphi_G",
         perp_under_form(model.omega, g_orbit), "the omega-perp of the g-orbit"))
-    out.append(_equality_check(
+    out.append(equality_check(
         "model.ker_dphiH_is_h_orbit_perp", kerH, "ker dphi_H",
         perp_under_form(model.omega, h_orbit), "the omega-perp of the h-orbit"))
 
@@ -121,14 +122,6 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
     out.append(Check("model.inf_action_kernel_is_gm",
                      kernel(action) == inst.gm))
     return out
-
-
-def _equality_check(name: str, A: Subspace, a_name: str,
-                    B: Subspace, b_name: str) -> Check:
-    """A == B; a failure names the first basis vector of one side that is
-    not in the other."""
-    detail = equality_detail(A, a_name, B, b_name)
-    return Check(name, not detail, detail)
 
 
 def decomposition_checks(model: pm.TangentModel,

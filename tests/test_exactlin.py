@@ -16,7 +16,6 @@ from wittartin.exactlin import (
     NotPositiveDefinite,
     Subspace,
     add_vec,
-    cross_gram,
     direct_sum,
     dot,
     first_escape,
@@ -121,11 +120,11 @@ class TestPredicates:
         assert line.leq(plane) and not plane.leq(line)
         assert Subspace.zero(3).leq(line) and not line.leq(Subspace.zero(3))
 
-    def test_cross_gram_is_rectangular(self):
+    def test_gram_on_cross_block_is_rectangular(self):
         J = BilinearForm(Matrix.from_rows([[0, 1], [-1, 0]]))
-        g = cross_gram(J, span(2, (1, 0)), Subspace.full(2))
+        g = cross_block(J, span(2, (1, 0)), Subspace.full(2))
         assert g == Matrix.from_rows([[0, 1]])
-        assert cross_gram(J, Subspace.zero(2), Subspace.full(2)).rows == 0
+        assert cross_block(J, Subspace.zero(2), Subspace.full(2)).rows == 0
 
     def test_image_of_a_plane_under_a_projection(self):
         P = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
@@ -237,16 +236,44 @@ def test_modular_law(us, vs, extra):
     assert intersect(sum_spaces(U, V), W) == sum_spaces(U, intersect(V, W))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.lists(small_fracs, min_size=4, max_size=4),
-                min_size=1, max_size=3),
-       st.lists(st.lists(small_fracs, min_size=4, max_size=4),
-                min_size=1, max_size=3))
-def test_orth_complement_splits(us, extra):
-    U = Subspace.span(4, us)
-    W = Subspace.span(4, us + extra)
-    C = orth_complement(U, W, identity_form(4))
+# orth_complement, W & U^perp, against the route it replaced: the kernel
+# of the U x W Gram, in W coordinates, mapped back by W's basis.
+
+def old_orth_complement(U, W, ip):
+    pairing = Matrix.from_rows(old_cross_gram(ip, U, W), cols=W.dim)
+    return image(W.basis, kernel(pairing))
+
+
+@st.composite
+def spd_forms(draw):
+    """A^T A + D on Q^4 for a drawn A and a positive diagonal D; the
+    identity when A = 0 and D = I."""
+    A = draw(square_matrices())
+    d = draw(st.lists(st.sampled_from([F(1), F(1), F(2), F(1, 3)]),
+                      min_size=N, max_size=N))
+    D = Matrix.from_rows([[d[i] if i == j else 0 for j in range(N)]
+                          for i in range(N)])
+    return BilinearForm(A.transpose() @ A + D)
+
+
+@st.composite
+def complement_cases(draw):
+    """U <= W in Q^4, with U = 0, W = 0 and U = W drawn on purpose."""
+    kind = draw(st.sampled_from(["U < W", "U = 0", "W = 0", "U = W"]))
+    U = Subspace.zero(N) if kind in ("U = 0", "W = 0") else draw(subspaces())
+    if kind == "W = 0":
+        return U, Subspace.zero(N)
+    return U, U if kind == "U = W" else sum_spaces(U, draw(subspaces()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(spd_forms(), complement_cases())
+def test_orth_complement_splits(ip, case):
+    U, W = case
+    C = orth_complement(U, W, ip)
+    assert C == old_orth_complement(U, W, ip)
     assert direct_sum(U, C) == W
+    assert pairing_witness(ip, U, C) is None
 
 
 # The predicates against the formulations they replace, on drawn subspaces
@@ -319,6 +346,12 @@ def old_cross_gram(form, U, V):
             for u in U.basis_vectors()]
 
 
+def cross_block(form, U, V):
+    """The U x V block of the Gram of form on U and V side by side."""
+    G = gram_on(form, U, V)
+    return G.submatrix(range(U.dim), range(U.dim, G.cols))
+
+
 def old_first_escape(S, A):
     return next((i for i, v in enumerate(S.basis_vectors())
                  if not old_contains(S, A.apply(v))), None)
@@ -356,12 +389,16 @@ def test_leq_matches_per_vector_containment(U, X, contain):
 
 @settings(max_examples=60, deadline=None)
 @given(square_matrices(), subspaces(), subspaces())
-def test_cross_gram_matches_entry_by_entry_pairing(G, U, V):
+def test_gram_on_cross_block_matches_entry_by_entry_pairing(G, U, V):
     form = BilinearForm(G)
-    g = cross_gram(form, U, V)
+    g = cross_block(form, U, V)
     assert (g.rows, g.cols) == (U.dim, V.dim)
     assert [list(row) for row in g.entries] == old_cross_gram(form, U, V)
-    assert gram_on(form, U) == cross_gram(form, U, U)
+    assert gram_on(form, U) == cross_block(form, U, U)
+    both = gram_on(form, U, V)
+    assert both.submatrix(range(U.dim), range(U.dim)) == gram_on(form, U)
+    assert both.submatrix(range(U.dim, both.rows),
+                          range(U.dim, both.cols)) == gram_on(form, V)
 
 
 @settings(max_examples=80, deadline=None)
@@ -637,11 +674,13 @@ def test_symmetry_predicates_match_dense_comparison(A, part, bump):
 
 
 # pairing_witness against the dense cross Gram it replaced in the checks:
-# the witness is the first nonzero entry of cross_gram(form, U, V), in
-# row-major order, and there is none exactly when that Gram is zero.
+# the witness is the first nonzero entry of the U x V block of
+# gram_on(form, U, V), in row-major order, and there is none exactly when
+# that block is zero.
 
 def dense_pairing_witness(form, U, V):
-    g = cross_gram(form, U, V)
+    g = cross_block(form, U, V)
+    assert [list(row) for row in g.entries] == old_cross_gram(form, U, V)
     return next(((i, j) for i, row in enumerate(g.entries)
                  for j, x in enumerate(row) if x != 0), None)
 
@@ -677,7 +716,7 @@ def test_pairing_witness_is_first_nonzero_entry_of_dense_cross_gram(case):
     form, U, V = case
     w = pairing_witness(form, U, V)
     assert w == dense_pairing_witness(form, U, V)
-    assert (w is None) == cross_gram(form, U, V).is_zero()
+    assert (w is None) == cross_block(form, U, V).is_zero()
 
 
 def test_pairing_witness_rejects_a_form_of_another_dimension():

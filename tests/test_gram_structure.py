@@ -1,4 +1,4 @@
-"""Which Grams the decomposition checks build, on torus(8, 4).
+"""Which Grams build_chain and the decomposition checks build.
 
 The Witt-Artin axioms decide "X0 + Y0 is symplectic" as W & W^omega = 0
 on the perp of W = X0 + Y0 under omega, and wittH.6 decides the a x r Chu
@@ -8,8 +8,13 @@ tuples, which once each block is proven equal to its definition is the
 form on it.  These tests wrap the Gram builders in exactlin and in every
 module that imports them by name, and the model's omega_on, and pin that
 the decomposition checks build no Gram at all, so that a refactor cannot
-bring one back without a failing test.
+bring one back without a failing test.  build_chain takes every complement
+as W & U^perp on the sparse form-perp, so the one Gram it builds is the Chu
+Gram on [a | C] that shears the pre-complement C into r, and none when
+C = 0.
 """
+
+import dataclasses
 
 import pytest
 
@@ -20,7 +25,7 @@ from wittartin.instancefile import from_dict
 from wittartin.pointmodel import TangentModel, build_model
 from wittartin.splitting import build_chain
 
-GRAM_BUILDERS = ("gram_on", "cross_gram")
+GRAM_BUILDERS = ("gram_on",)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +57,24 @@ def grams(monkeypatch):
 
     monkeypatch.setattr(dec, "_witt_artin_axioms", recorded_axioms)
     return {"calls": calls, "blocks": blocks}
+
+
+def test_build_chain_builds_no_gram_when_r_is_zero(grams):
+    inst = from_dict(build_example("torus", dim=8, subdim=4))
+    assert build_chain(inst).r.dim == 0
+    assert grams["calls"] == []
+
+
+def test_build_chain_builds_only_the_shear_gram(grams):
+    from corpus import build_corpus
+    found = next(inst for inst in build_corpus() if build_chain(inst).r.dim)
+    inst = dataclasses.replace(found)  # nothing derived from mu is cached
+    del grams["calls"][:]
+    chain = build_chain(inst)
+    [(name, form, spaces)] = grams["calls"]
+    assert (name, form) == ("gram_on", inst.chu)
+    assert len(spaces) == 2 and spaces[0] == chain.a
+    assert spaces[1].dim == chain.r.dim == chain.a.dim > 0
 
 
 @pytest.mark.parametrize("side", ["G", "H"])

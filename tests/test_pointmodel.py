@@ -1,5 +1,6 @@
 """The tangent model: form assembly, generators, momentum differentials."""
 
+import random
 from fractions import Fraction
 
 from instances import (
@@ -19,6 +20,7 @@ from wittartin.pointmodel import (
     isotropy_action,
 )
 from wittartin.splitting import build_chain
+from wittartin.tube import TubePoint, omega_tube_gram
 
 F = Fraction
 
@@ -224,14 +226,25 @@ class TestDphiH:
         assert gap == d["q"] + d["b"]
 
 
-def test_mn_dual_blocks_match_the_dense_products():
-    # The tube's constant blocks read off g_coords of the (m, n) columns,
-    # against the dense products Mn^T D_m^T and Mn^T D_gm^T they replaced.
+def test_tube_form_is_the_point_form_outside_uu():
+    # Column a of the (m, n) basis is column gm + a of the g basis, so its g
+    # coordinates are a unit vector; that makes the tube's U x R block [I; 0]
+    # and its U x V block 0 at every slice point, the point form's blocks.
     from corpus import build_corpus
     models = [model_for(inst) for inst in build_corpus()]
     assert len(models) > 150
+    rng = random.Random(0)
+
+    def draw(k):
+        return tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k))
+
     for m in models:
-        for got, dual in ((m.mn_dual_m, m.dual_m), (m.mn_dual_gm, m.dual_gm)):
-            assert got == m.mn_basis.transpose() @ dual
-            assert (got.rows, got.cols) == (m.mn_basis.cols, dual.cols)
-            assert all(type(x) is F for row in got.entries for x in row)
+        n, gm, un = m.inst.dim, m.gm_dim, m.mn_basis.cols
+        for a in range(un):
+            assert m.g_coords(m.mn_basis.col(a)) == unit_vec(n, gm + a)
+        for _ in range(2):
+            p = TubePoint(zero_vec(n), draw(m.dim_m), draw(m.slice_dim))
+            G = omega_tube_gram(m, p).entries
+            assert all(G[i][j] == m.omega.gram.entries[i][j]
+                       for i in range(m.total_dim) for j in range(m.total_dim)
+                       if i >= un or j >= un)

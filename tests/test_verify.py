@@ -194,6 +194,26 @@ def test_wrong_pairing_block_fails_f_contract(monkeypatch):
     assert "model.f_contract" in _failed(checks)
 
 
+def test_lost_dual_column_fails_t0_plus_n1_check_and_names_a_vector(
+        monkeypatch):
+    # Without its m-dual column, dphi_G also kills the first R direction.
+    expected_names = [c.name for c in _run()]
+    exact = pm.dphi_G
+
+    def without_first_dual(model):
+        D, un = exact(model), model.dim_m + model.dim_n
+        cols = D.columns()
+        cols[un] = (Fraction(0),) * D.rows
+        return Matrix.from_cols(cols, rows=D.rows)
+
+    monkeypatch.setattr(pm, "dphi_G", without_first_dual)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert "model.ker_dphiG_is_T0_plus_N1" in _failed(checks)
+    assert _check(checks, "model.ker_dphiG_is_T0_plus_N1").detail \
+        == "basis vector 1 of ker dphi_G is not in T0 + N1"
+
+
 def test_doubled_momentum_formula_fails_formula_check(monkeypatch):
     expected_names = [c.name for c in _run("so3xso3-diagonal")]
     exact = dec.slice_momentum
@@ -417,6 +437,41 @@ def test_lost_h_alpha_orbit_fails_s_complement_check(monkeypatch):
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["coadjoint.s_complements_halpha_orbit"]
+    assert _check(checks, "coadjoint.s_complements_halpha_orbit").detail \
+        == "basis vector 0 of the kernel is not in h_alpha orbit + s orbit"
+
+
+def test_h_alpha_grown_by_s_fails_s_complement_check_as_not_direct(
+        monkeypatch):
+    # The h_alpha orbit then holds the s orbit, so their sum is not direct.
+    expected_names = [c.name for c in _run("so3-collinear")]
+    exact = dec.coadjoint_slice_check
+    monkeypatch.setattr(
+        dec, "coadjoint_slice_check",
+        lambda model: exact(replace(model, chain=replace(
+            model.chain, h_alpha=sum_spaces(model.chain.h_alpha,
+                                            model.chain.s)))))
+    checks = _run("so3-collinear")
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["coadjoint.s_complements_halpha_orbit"]
+    assert _check(checks, "coadjoint.s_complements_halpha_orbit").detail \
+        == "the h_alpha orbit and the s orbit do not sum directly"
+
+
+def test_lost_a_fails_coadjoint_kernel_check_and_names_a_vector(monkeypatch):
+    # a is a line and s = 0 here, so the a + s orbit becomes 0 while the
+    # kernel keeps its first n coordinate.
+    expected_names = [c.name for c in _run()]
+    exact = dec.coadjoint_slice_check
+    monkeypatch.setattr(
+        dec, "coadjoint_slice_check",
+        lambda model: exact(replace(model, chain=replace(
+            model.chain, a=Subspace.zero(model.inst.dim)))))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["coadjoint.kernel_is_a_plus_s_orbit"]
+    assert _check(checks, "coadjoint.kernel_is_a_plus_s_orbit").detail \
+        == "basis vector 0 of the kernel is not in the a + s orbit"
 
 
 def test_full_center_fails_center_check(monkeypatch):
