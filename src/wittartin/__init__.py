@@ -16,7 +16,6 @@ from .liecore import (
     InnerProduct,
     LieAlgebra,
     chu_form,
-    h_alpha,
     h_perp_mu,
     killing_form,
     stabilizer_of_momentum,

@@ -18,7 +18,7 @@ import time
 
 from . import catalog, instancefile, verify
 from .report import build_report, render_text, report_to_dict
-from .splitting import Check, CheckFailed, ValidationFailed, validate
+from .splitting import Check, CheckFailed, ValidationFailed
 
 
 def _check_payload(checks: list[Check]) -> dict:
@@ -51,7 +51,7 @@ def cmd_check(args) -> int:
     if failures is not None:
         _emit_json(_check_payload(failures), sys.stdout)
         return 1
-    report = validate(inst)
+    report = inst.validation
     checks = list(report.checks)
     _emit_json(_check_payload(checks), sys.stdout)
     return 0 if report.passed else 1

@@ -31,7 +31,6 @@ from typing import Sequence
 from .exactlin import (
     BilinearForm,
     Matrix,
-    NotContained,
     ONE,
     Subspace,
     Vec,
@@ -39,7 +38,6 @@ from .exactlin import (
     direct_sum,
     dot,
     gram_on,
-    is_zero_vec,
     kernel,
     pairing_witness,
     perp_under_form,
@@ -279,7 +277,7 @@ def h_decomposition_checks(decomp: WittDecompositionH,
     Ym = model.unit_span(model.indices("bstar"))
     Xm = sum_spaces(image(chain.b), Ym)
     N1_block = model.unit_span(model.indices("N1"))
-    d = {"TH0": image(chain.h_alpha), "TH1": image(chain.ntilde),
+    d = {"TH0": image(model.inst.h_alpha), "TH1": image(chain.ntilde),
          "NH0": sum_spaces(model.unit_span(model.indices("pstar")), r_block),
          "NH1": sum_spaces(s_block, Xm, N1_block),
          "s_block": s_block, "Xm_block": Xm, "N1_block": N1_block,
@@ -376,30 +374,6 @@ def _eta_action_on_nh1(model: TangentModel, eta: Vec) -> Matrix:
     return isotropy_action(model, eta).submatrix(nh1, nh1)
 
 
-def _basis_coords(model: TangentModel, x: Vec, cols: range,
-                  outside: str) -> Vec:
-    """Coordinates of x on the columns cols of the (g_m, m, n) basis of g;
-    raises NotContained(outside) when x has a component on another column."""
-    coords = model.g_coords(x)
-    if not (is_zero_vec(coords[:cols.start])
-            and is_zero_vec(coords[cols.stop:])):
-        raise NotContained(outside)
-    return coords[cols.start:cols.stop]
-
-
-def _m_coords(model: TangentModel, x: Vec) -> Vec:
-    """Coordinates of x in the (p, b) basis of m."""
-    return _basis_coords(model, x, range(model.gm_dim,
-                                         model.gm_dim + model.dim_m),
-                         "vector is outside the m block")
-
-
-def _combine_slice_action(model: TangentModel, eta: Vec) -> Matrix:
-    coords = _basis_coords(model, eta, range(model.gm_dim),
-                           "eta must lie in g_m")
-    return model.inst.slice_rep.combine(coords)
-
-
 def slice_momentum(model: TangentModel, nu_tilde: Vec) -> Vec:
     """Momentum of the h_m-action on NH1 at nu_tilde, in h_m* coordinates.
 
@@ -430,14 +404,17 @@ def slice_momentum(model: TangentModel, nu_tilde: Vec) -> Vec:
     bvec = chain.b.basis.apply(c_b)
     fw = tuple([ZERO] * chain.p.dim) + tuple(w)  # f(w) in m* coordinates
     quad = L.coad_apply(x, L.coad_apply(x, model.inst.mu))
+    gm, m_end = model.gm_dim, model.gm_dim + model.dim_m
 
     values = []
     for eta in hm_vectors:
         term1 = Fraction(1, 2) * dot(quad, eta)
 
-        term2 = -dot(fw, _m_coords(model, L.bracket(bvec, eta)))
+        # [b, eta] lies in m (chain.ad_gm_invariance) and eta in g_m, so
+        # their m and g_m coordinates are all of them.
+        term2 = -dot(fw, model.g_coords(L.bracket(bvec, eta))[gm:m_end])
 
-        A_eta = _combine_slice_action(model, eta)
+        A_eta = model.inst.slice_rep.combine(model.g_coords(eta)[:gm])
         # omega(Av, v) with our Gram convention is (Av)^T G v.
         term3 = Fraction(1, 2) * dot(A_eta.apply(nu),
                                      model.inst.slice_rep.omega.gram.apply(nu))
@@ -504,7 +481,7 @@ def coadjoint_slice_check(model: TangentModel) -> list[Check]:
                                     for i in range(da, da + ds)])
     halpha_orbit = Subspace.span(
         dim_n, [model.g_coords(v)[n_first:]
-                for v in chain.h_alpha.basis_vectors()])
+                for v in model.inst.h_alpha.basis_vectors()])
     total = direct_sum(halpha_orbit, s_image)
     detail = ("the h_alpha orbit and the s orbit do not sum directly"
               if total is None else equality_detail(

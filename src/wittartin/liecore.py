@@ -18,7 +18,6 @@ from .exactlin import (
     ZERO,
     check_positive_definite,
     frac,
-    intersect,
     kernel,
     zero_vec,
 )
@@ -187,15 +186,6 @@ def h_perp_mu(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
         raise NotSubalgebra(f"basis pair {w} of h has bracket outside h")
     # Row t is x -> <mu, [x, eta_t]>, i.e. K eta_t.
     return kernel((L.bracket_pairing(mu) @ h.basis).transpose())
-
-
-def h_alpha(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
-    """Stabilizer of alpha = mu|_h inside h, computed as h with h_perp_mu.
-
-    The two descriptions (intersection with h_perp_mu; kernel of the pairing
-    restricted to h) agree because the pairing only sees brackets inside h.
-    """
-    return intersect(h, h_perp_mu(L, h, mu))
 
 
 def chu_form(L: LieAlgebra, mu: Covector) -> BilinearForm:

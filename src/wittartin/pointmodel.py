@@ -45,18 +45,20 @@ U_BLOCK_ORDER = ("p", "b", "a", "s", "ntilde", "r")
 
 @dataclass(frozen=True)
 class TangentModel:
-    inst: ProblemInstance
     chain: SplittingChain
     total_dim: int
     dim_m: int
     dim_n: int
     # Columns: chain bases of (p, b, a, s, ntilde, r), as vectors in g.
     mn_basis: Matrix
-    # Full basis of g: gm basis followed by the mn columns.
-    g_basis: Matrix
+    # Inverse of the basis of g formed by the gm basis and the mn columns.
     g_basis_inv: Matrix
     omega: BilinearForm
     blocks: dict[str, range]
+
+    @property
+    def inst(self) -> ProblemInstance:
+        return self.chain.inst
 
     @property
     def gm_dim(self) -> int:
@@ -121,9 +123,10 @@ class TangentModel:
         return self.omega.gram.submatrix(indices, indices)
 
 
-def build_model(chain: SplittingChain, inst: ProblemInstance) -> TangentModel:
+def build_model(chain: SplittingChain) -> TangentModel:
     """Assemble the model and its point form; raises DegenerateModel if the
     form is singular."""
+    inst = chain.inst
     n = inst.dim
 
     block_spaces = {
@@ -140,10 +143,10 @@ def build_model(chain: SplittingChain, inst: ProblemInstance) -> TangentModel:
     dim_n = len(cols) - dim_m
     mn_basis = Matrix.from_cols(cols, rows=n)
 
-    g_basis = inst.gm.basis.hstack(mn_basis)
-    if g_basis.cols != n or g_basis.rank() != n:
-        raise DegenerateModel("gm + m + n do not form a basis of g")
-    g_basis_inv = g_basis.inverse()
+    try:
+        g_basis_inv = inst.gm.basis.hstack(mn_basis).inverse()
+    except ValueError as e:  # the basis is not square, or singular
+        raise DegenerateModel("gm + m + n do not form a basis of g") from e
 
     slice_dim = inst.slice_rep.dim
     total = (dim_m + dim_n) + dim_m + slice_dim
@@ -170,9 +173,8 @@ def build_model(chain: SplittingChain, inst: ProblemInstance) -> TangentModel:
         raise DegenerateModel("point form is singular")
 
     return TangentModel(
-        inst=inst, chain=chain, total_dim=total,
-        dim_m=dim_m, dim_n=dim_n,
-        mn_basis=mn_basis, g_basis=g_basis, g_basis_inv=g_basis_inv,
+        chain=chain, total_dim=total, dim_m=dim_m, dim_n=dim_n,
+        mn_basis=mn_basis, g_basis_inv=g_basis_inv,
         omega=omega, blocks=blocks,
     )
 

@@ -60,14 +60,11 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
         raise
     except ValueError as e:
         raise CheckFailed("chain.builds", str(e)) from e
-    require(chain_checks(inst, chain))
-    require([
-        chu_radical_check(inst.chu, chain.g_mu),
-        h_alpha_check(inst, chain.h_alpha),
-        h_perp_mu_check(chain.g_mu, chain.h_perp_mu_space),
-    ])
+    require(chain_checks(chain))
+    require([chu_radical_check(inst), h_alpha_check(inst),
+             h_perp_mu_check(inst)])
     try:
-        model = pm.build_model(chain, inst)
+        model = pm.build_model(chain)
     except pm.DegenerateModel as e:
         raise CheckFailed("model.builds", str(e)) from e
     require([pm.f_contract_check(model)])

@@ -196,6 +196,8 @@ class ProblemInstance:
 
     @cached_property
     def h_alpha(self) -> Subspace:
+        """The stabilizer of alpha = mu|_h in h: h intersected with
+        h_perp_mu, since the pairing only sees brackets inside h there."""
         return intersect(self.h, self.h_perp_mu)
 
 
@@ -283,13 +285,12 @@ def validate(inst: ProblemInstance) -> ValidationReport:
 
 @dataclass(frozen=True)
 class SplittingChain:
-    """All named subspaces of the chain, in ambient g coordinates."""
+    """All named subspaces of the chain, in ambient g coordinates, and the
+    instance they are built from, which holds g_mu, h_alpha and h_perp_mu."""
 
-    g_mu: Subspace
+    inst: ProblemInstance
     h_mu: Subspace
     h_m: Subspace
-    h_alpha: Subspace
-    h_perp_mu_space: Subspace
     hm_perp_in_gm: Subspace
     p: Subspace
     b: Subspace
@@ -300,16 +301,16 @@ class SplittingChain:
     r: Subspace
     m_space: Subspace
     n_space: Subspace
-    slice_dim: int
 
     def dims(self) -> dict[str, int]:
+        inst = self.inst
         return {
-            "g": self.g_mu.ambient_dim,
-            "g_mu": self.g_mu.dim,
+            "g": inst.dim,
+            "g_mu": inst.g_mu.dim,
             "h_mu": self.h_mu.dim,
             "h_m": self.h_m.dim,
-            "h_alpha": self.h_alpha.dim,
-            "h_perp_mu": self.h_perp_mu_space.dim,
+            "h_alpha": inst.h_alpha.dim,
+            "h_perp_mu": inst.h_perp_mu.dim,
             "p": self.p.dim,
             "b": self.b.dim,
             "a": self.a.dim,
@@ -319,7 +320,7 @@ class SplittingChain:
             "r": self.r.dim,
             "m": self.m_space.dim,
             "n": self.n_space.dim,
-            "N1": self.slice_dim,
+            "N1": inst.slice_rep.dim,
         }
 
 
@@ -372,19 +373,19 @@ def build_chain(inst: ProblemInstance) -> SplittingChain:
     n_space = sum_spaces(q, ntilde, r)
 
     return SplittingChain(
-        g_mu=g_mu, h_mu=h_mu, h_m=h_m, h_alpha=halpha,
-        h_perp_mu_space=hperp, hm_perp_in_gm=hm_perp,
+        inst=inst, h_mu=h_mu, h_m=h_m, hm_perp_in_gm=hm_perp,
         p=p, b=b, a=a, s=s, q=q, ntilde=ntilde, r=r,
         m_space=m_space, n_space=n_space,
-        slice_dim=inst.slice_rep.dim,
     )
 
 
-def chain_checks(inst: ProblemInstance, chain: SplittingChain) -> list[Check]:
+def chain_checks(chain: SplittingChain) -> list[Check]:
     """The defining identities of the chain, as named pass/fail checks."""
+    inst = chain.inst
     L = inst.algebra
     g = Subspace.full(L.dim)
     chu = inst.chu
+    g_mu, halpha, hperp = inst.g_mu, inst.h_alpha, inst.h_perp_mu
     out: list[Check] = []
 
     def record(name, passed, detail=""):
@@ -396,29 +397,27 @@ def chain_checks(inst: ProblemInstance, chain: SplittingChain) -> list[Check]:
            direct_sum(chain.h_m, chain.p) == chain.h_mu)
     record("chain.gmu_decomposition",
            direct_sum(chain.h_m, chain.p, chain.hm_perp_in_gm, chain.b)
-           == chain.g_mu)
+           == g_mu)
     record("chain.halpha_decomposition",
-           direct_sum(chain.h_mu, chain.a) == chain.h_alpha)
+           direct_sum(chain.h_mu, chain.a) == halpha)
     record("chain.hperpmu_decomposition",
-           direct_sum(chain.g_mu, chain.a, chain.s) == chain.h_perp_mu_space)
+           direct_sum(g_mu, chain.a, chain.s) == hperp)
     record("chain.q_decomposition", direct_sum(chain.a, chain.s) == chain.q)
     record("chain.h_decomposition",
-           direct_sum(chain.h_alpha, chain.ntilde) == inst.h)
+           direct_sum(halpha, chain.ntilde) == inst.h)
     record("chain.ntilde_avoids_hperpmu",
-           intersect(chain.ntilde, chain.h_perp_mu_space).dim == 0)
+           intersect(chain.ntilde, hperp).dim == 0)
     record("chain.g_decomposition_hperp",
-           direct_sum(chain.h_perp_mu_space, chain.ntilde, chain.r) == g)
+           direct_sum(hperp, chain.ntilde, chain.r) == g)
     record("chain.g_decomposition_gm_m_n",
            direct_sum(inst.gm, chain.m_space, chain.n_space) == g
            and sum_spaces(chain.p, chain.b) == chain.m_space
            and sum_spaces(chain.q, chain.ntilde, chain.r) == chain.n_space)
-    hperp = chain.h_perp_mu_space
-    detail = (outside_detail(chain.g_mu, "g_mu", hperp, "h_perp_mu")
-              or outside_detail(chain.h_alpha, "h_alpha", hperp, "h_perp_mu"))
+    detail = (outside_detail(g_mu, "g_mu", hperp, "h_perp_mu")
+              or outside_detail(halpha, "h_alpha", hperp, "h_perp_mu"))
     record("chain.gmu_halpha_in_hperpmu", not detail, detail)
     record("chain.s_dim_formula",
-           chain.s.dim == chain.h_perp_mu_space.dim - chain.g_mu.dim
-           - chain.h_alpha.dim + chain.h_mu.dim)
+           chain.s.dim == hperp.dim - g_mu.dim - halpha.dim + chain.h_mu.dim)
 
     # r must pair to zero under the Chu form with ntilde, s and itself;
     # this is what makes r*m land in the H-side Lagrangian complement.
@@ -435,8 +434,8 @@ def chain_checks(inst: ProblemInstance, chain: SplittingChain) -> list[Check]:
         "p": chain.p, "b": chain.b, "a": chain.a, "s": chain.s,
         "q": chain.q, "ntilde": chain.ntilde, "r": chain.r,
         "m": chain.m_space, "n": chain.n_space,
-        "g_mu": chain.g_mu, "h_mu": chain.h_mu, "h_alpha": chain.h_alpha,
-        "h_perp_mu": chain.h_perp_mu_space,
+        "g_mu": g_mu, "h_mu": chain.h_mu, "h_alpha": halpha,
+        "h_perp_mu": hperp,
     }
     ads = [L.ad_matrix(eta) for eta in inst.gm.basis_vectors()]
     bad = [name for name, space in named.items()

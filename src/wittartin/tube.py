@@ -337,6 +337,18 @@ def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:
 # Step of the central difference of t -> expm(tA) at t = 1, before it is
 # divided by max(1, ||A||).
 _ODE_STEP = 1e-4
+# The largest ||A|| at which the ODE residual of expm(A) is held to FD_TOL.
+_ODE_NORM = 1e3
+
+
+def _ode_tol(A: list[list[float]]) -> float:
+    """The bound on the ODE residual of expm(A): FD_TOL up to ||A|| =
+    _ODE_NORM, then FD_TOL ||A|| / _ODE_NORM.  Each of the about
+    log2(||A||) squarings doubles the relative error of the scaled
+    exponential, so the float exponential itself is only that accurate:
+    on a rotation generator of norm 2.6e4 it is 1.7e-6 from the closed
+    form."""
+    return FD_TOL * max(1.0, _mat_norm(A) / _ODE_NORM)
 
 
 def _expm_ode_residual(A: list[list[float]], E: list[list[float]]) -> float:
@@ -367,8 +379,9 @@ def phi_equivariance_check(model: TangentModel, samples: int,
     momentum of [e, rho, nu]; the two float paths must agree to REL_TOL.
     Both sides use expm on matrices with equal entries on the catalog
     algebras, so each sample also ties the coadjoint exponential to its
-    defining ODE d/dt expm(tA) = A expm(tA) at t = 1, to FD_TOL; the detail
-    names the first sample that misses it.  The exact momentum of a sample
+    defining ODE d/dt expm(tA) = A expm(tA) at t = 1, to FD_TOL (to
+    _ode_tol(A) beyond ||A|| = _ODE_NORM); the detail names the first
+    sample that misses it.  The exact momentum of a sample
     does not depend on xi, so it is computed once for both sides.  A value
     out of float range makes the check fail and names the value, and a nan
     deviation (an overflow inside the float path) makes it fail too.
@@ -399,7 +412,7 @@ def phi_equivariance_check(model: TangentModel, samples: int,
             dev = _worst(abs(a - b) for a, b in zip(lhs, rhs)) / scale
             worst = _worst((worst, dev))
             miss = _expm_ode_residual(A, M)
-            if not off_ode and not miss <= FD_TOL:
+            if not off_ode and not miss <= _ode_tol(A):
                 off_ode = (f"; sample {t}: d/dt expm(tA) at t = 1 misses "
                            f"A expm(A) by {miss:.3e}")
     except OutOfFloatRange as e:

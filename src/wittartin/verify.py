@@ -14,7 +14,6 @@ from . import decomposition as dec
 from . import pointmodel as pm
 from . import tube
 from .exactlin import (
-    BilinearForm,
     Matrix,
     Subspace,
     Vec,
@@ -40,27 +39,28 @@ from .splitting import (
 )
 
 
-def chu_radical_check(chu: BilinearForm, g_mu: Subspace) -> Check:
+def chu_radical_check(inst: ProblemInstance) -> Check:
     """liecore.chu_radical_is_g_mu: the Chu form is antisymmetric and its
     radical is the stabilizer g_mu."""
+    chu = inst.chu
     return Check("liecore.chu_radical_is_g_mu",
-                 chu.is_antisymmetric() and chu.radical() == g_mu)
+                 chu.is_antisymmetric() and chu.radical() == inst.g_mu)
 
 
-def h_alpha_check(inst: ProblemInstance, halpha: Subspace) -> Check:
+def h_alpha_check(inst: ProblemInstance) -> Check:
     """liecore.h_alpha_two_descriptions: h_alpha is also the kernel of the
     pairing restricted to h, and it is a subalgebra."""
     # Row t is x -> <mu, [x, eta_t]> on h coordinates.
     inside = kernel(gram_on(inst.chu, inst.h).transpose())
     return Check("liecore.h_alpha_two_descriptions",
-                 image(inst.h.basis, inside) == halpha
-                 and is_subalgebra(inst.algebra, halpha))
+                 image(inst.h.basis, inside) == inst.h_alpha
+                 and is_subalgebra(inst.algebra, inst.h_alpha))
 
 
-def h_perp_mu_check(g_mu: Subspace, hperp: Subspace) -> Check:
+def h_perp_mu_check(inst: ProblemInstance) -> Check:
     """liecore.g_mu_in_h_perp_mu."""
     return inclusion_check("liecore.g_mu_in_h_perp_mu",
-                           g_mu, "g_mu", hperp, "h_perp_mu")
+                           inst.g_mu, "g_mu", inst.h_perp_mu, "h_perp_mu")
 
 
 def liecore_checks(inst: ProblemInstance) -> list[Check]:
@@ -69,14 +69,14 @@ def liecore_checks(inst: ProblemInstance) -> list[Check]:
         Check("liecore.stabilizer_annihilates_mu",
               all(is_zero_vec(L.coad_apply(v, inst.mu))
                   for v in g_mu.basis_vectors())),
-        chu_radical_check(inst.chu, g_mu),
+        chu_radical_check(inst),
         inclusion_check("liecore.center_in_stabilizer",
                         center(L), "the center", g_mu, "g_mu"),
-        h_alpha_check(inst, inst.h_alpha),
+        h_alpha_check(inst),
         # B(ad_z x, y) + B(x, ad_z y) = 0 for all x, y is ad_z^T B + B ad_z = 0.
         Check("liecore.killing_ad_invariant",
               not ad_invariance_defect(L, killing_form(L).gram)),
-        h_perp_mu_check(g_mu, inst.h_perp_mu),
+        h_perp_mu_check(inst),
     ]
 
 
@@ -253,13 +253,13 @@ def run_all(inst: ProblemInstance, samples: int = 10,
     except ValueError as e:
         checks.append(Check("chain.builds", False, str(e)))
         return checks
-    chain_results = chain_checks(inst, chain)
+    chain_results = chain_checks(chain)
     checks.extend(chain_results)
     if not all(c.passed for c in chain_results):
         return checks
 
     try:
-        model = pm.build_model(chain, inst)
+        model = pm.build_model(chain)
     except pm.DegenerateModel as e:
         checks.append(Check("model.builds", False, str(e)))
         return checks

@@ -81,7 +81,7 @@ def test_criterion_2_torus_family():
                          for _ in range(n)]
             inst = from_dict(doc)
             chain = build_chain(inst)
-            model = build_model(chain, inst)
+            model = build_model(chain)
             dec = decompose_H(model)
             form = slice_form(model).gram
 
@@ -126,7 +126,7 @@ def test_criterion_4_oracle_equivalence():
     ok = True
     for inst in corpus:
         chain = build_chain(inst)
-        model = build_model(chain, inst)
+        model = build_model(chain)
         if model.total_dim > 10:
             continue
         decomp = decompose_H(model)
@@ -150,7 +150,7 @@ def test_criterion_5_tube_consistency():
                  "so3xso3-diagonal"):
         inst = from_dict(build_example(name))
         chain = build_chain(inst)
-        model = build_model(chain, inst)
+        model = build_model(chain)
 
         origin = TubePoint(zero_vec(inst.dim), zero_vec(model.dim_m),
                            zero_vec(model.slice_dim))

@@ -222,7 +222,7 @@ class TestDecompose:
 
     def test_model_that_cannot_be_built_exit_1_with_named_fail(
             self, capsys, tmp_path, monkeypatch):
-        def degenerate(chain, inst):
+        def degenerate(chain):
             raise pm.DegenerateModel("point form is singular")
 
         path = write_example(capsys, tmp_path, "so3-generic")

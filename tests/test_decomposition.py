@@ -31,7 +31,7 @@ F = Fraction
 
 def setup(inst):
     chain = build_chain(inst)
-    model = build_model(chain, inst)
+    model = build_model(chain)
     return chain, model
 
 
@@ -249,8 +249,8 @@ class TestCoadjointSlice:
         chain, model = setup(so3_case("collinear", slice_dim=0))
         for check in coadjoint_slice_check(model):
             assert check.passed, check.name
-        assert chain.s.dim == 2 and chain.h_alpha.dim == 1
-        assert chain.h_mu == chain.h_alpha  # h_alpha*mu orbit is trivial
+        assert chain.s.dim == 2 and chain.inst.h_alpha.dim == 1
+        assert chain.h_mu == chain.inst.h_alpha  # h_alpha*mu orbit is trivial
 
     def test_abelian_orbit_is_a_point(self):
         chain, model = setup(torus_instance(4, 1, slice_dim=0))

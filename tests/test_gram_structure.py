@@ -31,7 +31,7 @@ GRAM_BUILDERS = ("gram_on",)
 @pytest.fixture(scope="module")
 def model():
     inst = from_dict(build_example("torus", dim=8, subdim=4))
-    return build_model(build_chain(inst), inst)
+    return build_model(build_chain(inst))
 
 
 @pytest.fixture

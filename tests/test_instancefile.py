@@ -141,7 +141,7 @@ class TestPresetsAndRebasing:
         assert report.passed
         from wittartin.splitting import build_chain, chain_checks
         chain = build_chain(inst)
-        rep_checks = [c for c in chain_checks(inst, chain)
+        rep_checks = [c for c in chain_checks(chain)
                       if "component_rep" in c.name]
         assert rep_checks and all(c.passed for c in rep_checks)
 

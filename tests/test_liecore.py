@@ -6,18 +6,19 @@ import pytest
 
 from wittartin.exactlin import Matrix, Subspace, dot, intersect, unit_vec
 from wittartin.liecore import (
+    InnerProduct,
     LieAlgebra,
     NotSubalgebra,
     StructureConstantError,
     abelian,
     chu_form,
     direct_sum,
-    h_alpha,
     h_perp_mu,
     killing_form,
     so3,
     stabilizer_of_momentum,
 )
+from wittartin.splitting import ProblemInstance, SliceRep
 
 F = Fraction
 
@@ -108,6 +109,14 @@ class TestHPerpMu:
         # span(e1, e2) in so(3) is not bracket-closed: [e1,e2] = e3.
         with pytest.raises(NotSubalgebra):
             h_perp_mu(so3(), span(3, (1, 0, 0), (0, 1, 0)), vec(0, 0, 1))
+
+
+def h_alpha(L, h, mu):
+    """ProblemInstance.h_alpha at momentum mu; g_m, the inner product and
+    the slice do not enter it."""
+    return ProblemInstance(L, h, Subspace.zero(L.dim), mu,
+                           InnerProduct(Matrix.identity(L.dim)),
+                           SliceRep.trivial()).h_alpha
 
 
 class TestHAlpha:

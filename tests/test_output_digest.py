@@ -21,3 +21,13 @@ CATALOG_WORKLOADS_SEED_7 = (
 def test_catalog_and_workloads_digest_is_pinned():
     assert digest(parts=("catalog", "workloads"), seeds=(7,)) \
         == CATALOG_WORKLOADS_SEED_7
+
+
+# The digest of the seeded corpus (tests/corpus.py), including its
+# instances with nonzero a and r and its zero-dimensional ones; the same
+# rule as above holds for a change of it.
+CORPUS = "38da259b1e7e3809873da8a708794be28cfafc90ff98698a22cc9afda8ff3ed9"
+
+
+def test_corpus_digest_is_pinned():
+    assert digest(parts=("corpus",)) == CORPUS

@@ -1,7 +1,10 @@
 """The tangent model: form assembly, generators, momentum differentials."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from instances import (
     full_stabilizer_instance,
@@ -13,6 +16,7 @@ from instances import (
 )
 from wittartin.exactlin import Matrix, Subspace, dot, preserves, unit_vec, zero_vec
 from wittartin.pointmodel import (
+    DegenerateModel,
     build_model,
     dphi_G,
     dphi_H,
@@ -26,10 +30,24 @@ F = Fraction
 
 
 def model_for(inst):
-    return build_model(build_chain(inst), inst)
+    return build_model(build_chain(inst))
 
 
 class TestBuildModel:
+    def test_model_reads_its_instance_off_its_chain(self):
+        chain = build_chain(so3_case("generic"))
+        assert build_model(chain).inst is chain.inst
+
+    @pytest.mark.parametrize("r", ["zero", "a"])
+    def test_chain_that_is_no_basis_of_g_raises_degenerate_model(self, r):
+        # so3-generic has a = r = a line: without r the (gm, m, n) columns
+        # are 2 for dim g = 3, and with r = a they are 3 but dependent.
+        chain = build_chain(so3_case("generic"))
+        r = Subspace.zero(3) if r == "zero" else chain.a
+        with pytest.raises(DegenerateModel,
+                           match="gm \\+ m \\+ n do not form a basis of g"):
+            build_model(replace(chain, r=r))
+
     def test_so3_generic_dims_and_rank(self):
         # total = (3 - 0) + dim m + dim N1 with dim m = 1.
         m0 = model_for(so3_case("generic", slice_dim=0))

@@ -208,7 +208,7 @@ class TestShearedComplement:
         assert chain.a.dim == 2 and chain.r.dim == 2
 
         V = perp_under_form(inst.chu, sum_spaces(chain.ntilde, chain.s))
-        pre = orth_complement(sum_spaces(chain.g_mu, chain.a), V,
+        pre = orth_complement(sum_spaces(inst.g_mu, chain.a), V,
                               inst.ip.form())
         pre_vs = pre.basis_vectors()
         assert any(chu(x, y) != 0 for x in pre_vs for y in pre_vs)
@@ -226,9 +226,9 @@ class TestChainIdentities:
         chain = build_chain(inst)
         g = Subspace.full(6)
         assert sum_spaces(chain.h_m, chain.p) == chain.h_mu
-        assert sum_spaces(chain.h_mu, chain.a) == chain.h_alpha
-        assert sum_spaces(chain.g_mu, chain.a, chain.s) == chain.h_perp_mu_space
-        assert sum_spaces(chain.h_alpha, chain.ntilde) == inst.h
+        assert sum_spaces(chain.h_mu, chain.a) == inst.h_alpha
+        assert sum_spaces(inst.g_mu, chain.a, chain.s) == inst.h_perp_mu
+        assert sum_spaces(inst.h_alpha, chain.ntilde) == inst.h
         assert direct_sum(inst.gm, chain.m_space, chain.n_space) == g
         assert sum_spaces(inst.gm, chain.m_space, chain.n_space) == g
 

@@ -16,6 +16,7 @@ from wittartin import (  # noqa: F401
     catalog,
     decomposition,
     instancefile,
+    liecore,
     pointmodel,
     report,
     tube,
@@ -72,13 +73,14 @@ def _count_calls(monkeypatch, module, name) -> list:
                          ids=["run_all", "build_report"])
 def test_mu_data_is_derived_once_per_instance(monkeypatch, run):
     """One pass over so3xso3-diagonal validates the instance and computes
-    its Chu form, g_mu, slice form, h_m-action on NH1 (h_m has
+    its Chu form, g_mu, h_perp_mu, slice form, h_m-action on NH1 (h_m has
     dimension 1) and momentum differential dphi_G exactly once, counted the
     way the benchmark's calls_per_instance metrics count them."""
     spans = _load_spans()
     inst = instancefile.from_dict(catalog.build_example("so3xso3-diagonal"))
     dphi_G = _count_calls(monkeypatch, pointmodel, "dphi_G")
     eta_actions = _count_calls(monkeypatch, decomposition, "_eta_action_on_nh1")
+    h_perp_mu = _count_calls(monkeypatch, liecore, "h_perp_mu")
     with spans.Recorder() as recorder:
         run(inst)
     totals = recorder.totals()
@@ -87,3 +89,4 @@ def test_mu_data_is_derived_once_per_instance(monkeypatch, run):
         assert totals.get(name, {"calls": 0})["calls"] == 1, name
     assert len(eta_actions) == 1
     assert len(dphi_G) == 1
+    assert len(h_perp_mu) == 1

@@ -77,7 +77,7 @@ def _differential_instances():
 
 
 def setup(inst):
-    return build_model(build_chain(inst), inst)
+    return build_model(build_chain(inst))
 
 
 def unit(model, i):
@@ -277,6 +277,21 @@ class TestExpm:
         # shrink with the norm, c = 100 would miss by about 2e-5.
         A = [[0.0, -c, 0.0], [c, 0.0, 0.5 * c], [0.0, -0.5 * c, 0.0]]
         assert tube._expm_ode_residual(A, expm(A)) <= tube.FD_TOL
+
+    def test_ode_residual_of_expm_is_within_its_bound_beyond_norm_1e3(self):
+        # expm of this rotation generator is 1.7e-6 from the closed form,
+        # and its residual is above FD_TOL.
+        c = 2.6e4
+        A = [[0.0, -c, 0.0], [c, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        assert tube._expm_ode_residual(A, expm(A)) <= tube._ode_tol(A)
+
+    @pytest.mark.parametrize("c, tol", [(0.0, 1e-6), (1e3, 1e-6),
+                                        (2e3, 2e-6), (1e5, 1e-4)])
+    def test_ode_bound_is_fd_tol_up_to_norm_1e3(self, c, tol):
+        A = [[0.0, -c], [c, 0.0]]
+        assert tube._ode_tol(A) == pytest.approx(tol, rel=1e-12)
+        if c <= 1e3:
+            assert tube._ode_tol(A) == tube.FD_TOL
 
     def test_ode_residual_sees_a_halved_exponential(self):
         A = [[0.0, -2.0], [2.0, 0.0]]

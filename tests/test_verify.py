@@ -167,7 +167,7 @@ def test_cross_term_in_slice_form_fails_block_diagonal_with_its_entry(
 
 def test_slice_form_of_the_wrong_size_is_named():
     inst = from_dict(build_example("torus"))
-    model = pm.build_model(splitting.build_chain(inst), inst)
+    model = pm.build_model(splitting.build_chain(inst))
     decomp = replace(dec.decompose_H(model),
                      form=BilinearForm(Matrix.zeros(0, 0)))
     check = dec.slice_form_check(decomp, model)
@@ -179,8 +179,8 @@ def test_wrong_pairing_block_fails_f_contract(monkeypatch):
     expected_names = [c.name for c in _run()]
     exact = pm.build_model
 
-    def doubled_pairing(chain, inst):
-        model = exact(chain, inst)
+    def doubled_pairing(chain):
+        model = exact(chain)
         un = model.dim_m + model.dim_n
         rows = [list(row) for row in model.omega.gram.entries]
         rows[0][un] *= 2
@@ -235,7 +235,7 @@ def test_chain_that_cannot_be_built_is_a_named_fail(monkeypatch):
 
 
 def test_model_that_cannot_be_built_is_a_named_fail(monkeypatch):
-    def degenerate(chain, inst):
+    def degenerate(chain):
         raise pm.DegenerateModel("point form is singular")
 
     monkeypatch.setattr(pm, "build_model", degenerate)
@@ -426,14 +426,29 @@ def test_nonzero_chu_form_on_a_fails_lagrangian_check(monkeypatch):
         == "a basis vector 0 pairs with a basis vector 0 under the Chu form"
 
 
+def _with_cached(inst, **values):
+    """A copy of inst whose derived data (the cached properties) holds
+    values in place of what it would compute."""
+    broken = replace(inst)
+    broken.__dict__.update(values)
+    return broken
+
+
+def _model_with_cached(model, **values):
+    """The model on a chain whose instance is _with_cached(model.inst,
+    **values)."""
+    return replace(model, chain=replace(
+        model.chain, inst=_with_cached(model.inst, **values)))
+
+
 def test_lost_h_alpha_orbit_fails_s_complement_check(monkeypatch):
     # h_alpha = a here, so without its orbit only s is left of the kernel.
     expected_names = [c.name for c in _run()]
     exact = dec.coadjoint_slice_check
     monkeypatch.setattr(
         dec, "coadjoint_slice_check",
-        lambda model: exact(replace(model, chain=replace(
-            model.chain, h_alpha=Subspace.zero(model.inst.dim)))))
+        lambda model: exact(_model_with_cached(
+            model, h_alpha=Subspace.zero(model.inst.dim))))
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["coadjoint.s_complements_halpha_orbit"]
@@ -448,9 +463,8 @@ def test_h_alpha_grown_by_s_fails_s_complement_check_as_not_direct(
     exact = dec.coadjoint_slice_check
     monkeypatch.setattr(
         dec, "coadjoint_slice_check",
-        lambda model: exact(replace(model, chain=replace(
-            model.chain, h_alpha=sum_spaces(model.chain.h_alpha,
-                                            model.chain.s)))))
+        lambda model: exact(_model_with_cached(
+            model, h_alpha=sum_spaces(model.inst.h_alpha, model.chain.s))))
     checks = _run("so3-collinear")
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["coadjoint.s_complements_halpha_orbit"]
@@ -511,8 +525,8 @@ def test_g_mu_outside_smaller_h_perp_mu_fails_and_names_a_vector(
     # g_mu = h_perp_mu = Q^3 here, so only e3 is left out.
     expected_names = [c.name for c in _run("so3-zero")]
     exact = verify.h_perp_mu_check
-    monkeypatch.setattr(verify, "h_perp_mu_check", lambda g_mu, hperp:
-                        exact(g_mu, _without_last_vector(hperp)))
+    monkeypatch.setattr(verify, "h_perp_mu_check", lambda inst: exact(
+        _with_cached(inst, h_perp_mu=_without_last_vector(inst.h_perp_mu))))
     checks = _run("so3-zero")
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["liecore.g_mu_in_h_perp_mu"]
@@ -526,8 +540,8 @@ def test_h_alpha_outside_smaller_h_perp_mu_fails_chain_check_and_names_it(
     # line through e3 here, which that space leaves out.
     seen = _containment_in_smaller_space(monkeypatch, "h_alpha")
     checks = _run("so3-zero")
-    chain = splitting.build_chain(from_dict(build_example("so3-zero")))
-    assert seen == [(chain.h_alpha, chain.h_perp_mu_space)]
+    inst = from_dict(build_example("so3-zero"))
+    assert seen == [(inst.h_alpha, inst.h_perp_mu)]
     _assert_chain_fail(checks, "chain.gmu_halpha_in_hperpmu")
     assert _check(checks, "chain.gmu_halpha_in_hperpmu").detail \
         == "basis vector 0 of h_alpha is not in h_perp_mu"
@@ -539,7 +553,7 @@ def test_ker_dphiG_outside_smaller_ker_dphiH_fails_and_names_a_vector(
     seen = _containment_in_smaller_space(monkeypatch, "ker dphi_G")
     checks = _run()
     inst = from_dict(build_example("so3-generic"))
-    model = pm.build_model(splitting.build_chain(inst), inst)
+    model = pm.build_model(splitting.build_chain(inst))
     assert seen == [(model.ker_dphi_G, model.ker_dphi_H)]
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["model.ker_dphiG_inside_ker_dphiH"]
@@ -710,12 +724,14 @@ def _scaled_brackets(doc, c):
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 1000), Fraction(1, 10), 10, 100,
-                               1000])
+                               1000, 10**4])
 @pytest.mark.parametrize("example", ["so3-generic", "so3-collinear",
                                      "so3xso3-diagonal"])
 def test_scaled_brackets_pass_every_check(example, c):
     # The finite-difference step shrinks with ||ad||; with the fixed step
-    # 1e-4, tube.dphi_fd_consistency failed from c = 100 on.
+    # 1e-4, tube.dphi_fd_consistency failed from c = 100 on.  At c = 10^4
+    # the ODE residual of expm, 1.491e-06 at sample 0, is above FD_TOL but
+    # within tube._ode_tol.
     checks = verify.run_all(from_dict(
         _scaled_brackets(build_example(example), c)))
     assert len(checks) == 69
@@ -918,13 +934,8 @@ def test_zero_Zm_gram_fails_witt_h5_and_names_Zm(monkeypatch):
         == "Zm is degenerate under omega"
 
 
-def test_expm_one_squaring_short_fails_equivariance_and_names_a_sample(
-        monkeypatch):
-    # Without its last squaring expm returns exp(A/2) once ||A|| > 1/2.
-    # Both sides of the equivariance comparison then use it on matrices
-    # with equal entries, and the finite differences of phi_tilde step
-    # below 1/2, so only the ODE condition sees it.
-    expected_names = [c.name for c in _run()]
+def _skip_last_squaring(monkeypatch):
+    """tube.expm without its last squaring: exp(A/2) once ||A|| > 1/2."""
     exact = tube.expm
 
     def one_squaring_short(A, rel_tol=tube.REL_TOL):
@@ -933,6 +944,15 @@ def test_expm_one_squaring_short_fails_equivariance_and_names_a_sample(
         return exact(A, rel_tol)
 
     monkeypatch.setattr(tube, "expm", one_squaring_short)
+
+
+def test_expm_one_squaring_short_fails_equivariance_and_names_a_sample(
+        monkeypatch):
+    # Both sides of the equivariance comparison use the broken expm on
+    # matrices with equal entries, and the finite differences of phi_tilde
+    # step below 1/2, so only the ODE condition sees it.
+    expected_names = [c.name for c in _run()]
+    _skip_last_squaring(monkeypatch)
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["tube.equivariance"]
@@ -940,6 +960,20 @@ def test_expm_one_squaring_short_fails_equivariance_and_names_a_sample(
     assert detail.startswith("max relative deviation 0.000e+00 over 3 "
                              "samples; sample 0: d/dt expm(tA) at t = 1 "
                              "misses A expm(A) by ")
+
+
+def test_expm_one_squaring_short_fails_equivariance_at_scale_10_4(
+        monkeypatch):
+    # The ODE bound grows with ||A|| beyond 10^3, but a halved exponent
+    # still misses it by far.
+    inst = from_dict(_scaled_brackets(build_example("so3-generic"), 10**4))
+    expected_names = [c.name for c in verify.run_all(inst, samples=3)]
+    _skip_last_squaring(monkeypatch)
+    checks = verify.run_all(inst, samples=3)
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.equivariance"]
+    assert "; sample 0: d/dt expm(tA) at t = 1 misses A expm(A) by " \
+        in _check(checks, "tube.equivariance").detail
 
 
 def test_transposed_expm_fails_equivariance_and_names_a_sample(monkeypatch):

@@ -59,7 +59,7 @@ F = Fraction
 
 
 def _model(inst):
-    return build_model(build_chain(inst), inst)
+    return build_model(build_chain(inst))
 
 
 # ---------------------------------------------------------------------------
