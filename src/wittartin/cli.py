@@ -15,9 +15,10 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import catalog, instancefile, verify
-from .report import build_report, render_text, report_to_dict
+from .report import build_report, check_line, render_text, report_to_dict
 from .splitting import Check, CheckFailed, ValidationFailed
 
 
@@ -25,10 +26,7 @@ def _check_payload(checks: list[Check]) -> dict:
     return {
         "format": "wittartin-checks/1",
         "passed": all(c.passed for c in checks),
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in checks
-        ],
+        "checks": [asdict(c) for c in checks],
     }
 
 
@@ -111,9 +109,7 @@ def cmd_verify(args) -> int:
         _emit_json(_check_payload(all_checks), sys.stdout)
     else:
         for c in all_checks:
-            status = "PASS" if c.passed else "FAIL"
-            suffix = f"  ({c.detail})" if c.detail else ""
-            print(f"{status} {c.name}{suffix}")
+            print(check_line(c))
         failed = [c for c in all_checks if not c.passed]
         print(f"{len(all_checks) - len(failed)}/{len(all_checks)} checks passed")
     return 0 if all(c.passed for c in all_checks) else 1

@@ -118,7 +118,8 @@ def from_dict(doc: Any) -> ProblemInstance:
         raise InstanceFormatError(
             f"field 'format' must be {FORMAT!r}, got {doc.get('format')!r}")
     n = doc.get("dim")
-    if not isinstance(n, int) or n < 0:
+    # type(), not isinstance(): a JSON boolean loads as a bool, an int.
+    if type(n) is not int or n < 0:
         raise InstanceFormatError("field 'dim' must be a nonnegative integer")
 
     sc = doc.get("structure_constants")
@@ -202,7 +203,7 @@ def _parse_slice(raw: Any, gm: Subspace, gm_given: list[Vec],
     if not isinstance(raw, dict):
         raise InstanceFormatError("'slice' must be null or an object")
     d = raw.get("dim")
-    if not isinstance(d, int) or d < 0:
+    if type(d) is not int or d < 0:
         raise InstanceFormatError("'slice.dim' must be a nonnegative integer")
     omega = BilinearForm(_parse_matrix(raw.get("omega", []), d, d, memo,
                                        "slice.omega"))

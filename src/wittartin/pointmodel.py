@@ -86,27 +86,12 @@ class TangentModel:
         """Coordinates of x in the (gm, m, n) basis of g."""
         return self.g_basis_inv.apply(x)
 
-    # D_m^T, D_gm^T zero-extend m* and g_m* covectors to g*.
     @cached_property
-    def dual_m(self) -> Matrix:
-        gm, inv = self.gm_dim, self.g_basis_inv.entries
-        return Matrix.from_cols(inv[gm:gm + self.dim_m], self.inst.dim)
-
-    @cached_property
-    def dual_gm(self) -> Matrix:
-        return Matrix.from_cols(self.g_basis_inv.entries[:self.gm_dim], self.inst.dim)
-
-    def iota_mstar(self, rho: Vec) -> Vec:
-        """Zero-extension of an m* covector to g* (kills gm and n)."""
-        if len(rho) != self.dim_m:
-            raise ValueError("wrong m* length")
-        return self.dual_m.apply(rho)
-
-    def iota_gmstar(self, lam: Vec) -> Vec:
-        """Zero-extension of a g_m* covector to g* (kills m and n)."""
-        if len(lam) != self.gm_dim:
-            raise ValueError("wrong g_m* length")
-        return self.dual_gm.apply(lam)
+    def coframe(self) -> Matrix:
+        """g_basis_inv transposed: it sends a covector's coordinates in the
+        dual of the (gm, m, n) basis to g*, so its columns gm .. gm + dim_m
+        zero-extend m* and its first gm columns g_m*."""
+        return self.g_basis_inv.transpose()
 
     def indices(self, *names: str) -> tuple[int, ...]:
         """Model coordinate indices of the named blocks, in the given order."""
@@ -234,7 +219,8 @@ def dphi_G(model: TangentModel) -> Matrix:
     for j in range(model.dim_m + model.dim_n):
         v = model.mn_basis.col(j)
         cols.append(tuple(-x for x in L.coad_apply(v, model.inst.mu)))
-    cols.extend(model.dual_m.columns())
+    gm = model.gm_dim
+    cols.extend(model.coframe.columns()[gm:gm + model.dim_m])
     for _ in range(model.slice_dim):
         cols.append(zero_vec(model.inst.dim))
     return Matrix.from_cols(cols, rows=model.inst.dim)

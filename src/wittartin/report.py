@@ -7,7 +7,7 @@ serialized report and surfaced separately on stderr by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import decomposition as dec
 from . import pointmodel as pm
@@ -15,15 +15,12 @@ from .exactlin import Matrix, unit_vec
 from .instancefile import to_dict
 from .splitting import (
     Check,
-    CheckFailed,
     ProblemInstance,
     ValidationFailed,
-    build_chain,
-    chain_checks,
     dim_formulas,
     require,
 )
-from .verify import chu_radical_check, h_alpha_check, h_perp_mu_check
+from .verify import checked_model
 
 
 @dataclass(frozen=True)
@@ -49,24 +46,15 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
 
     This is the strict path: it raises ValidationFailed on an invalid
     instance and CheckFailed for the first failed named check among those
-    the constructors rely on (chain, liecore, f contract, wittG, wittH 1-7,
-    slice form and momentum-form symmetry).  Each of them runs once.  A
-    chain or model that cannot be built raises CheckFailed too, named
-    chain.builds or model.builds as in verify.run_all.
+    the constructors rely on: verify.checked_model's (liecore, chain.builds,
+    chain, model.builds), then the f contract, wittG, wittH 1-7, slice form
+    and momentum-form symmetry.  Each of them runs once.
     """
-    try:
-        chain = build_chain(inst)
-    except ValidationFailed:
-        raise
-    except ValueError as e:
-        raise CheckFailed("chain.builds", str(e)) from e
-    require(chain_checks(chain))
-    require([chu_radical_check(inst), h_alpha_check(inst),
-             h_perp_mu_check(inst)])
-    try:
-        model = pm.build_model(chain)
-    except pm.DegenerateModel as e:
-        raise CheckFailed("model.builds", str(e)) from e
+    if not inst.validation.passed:
+        raise ValidationFailed(inst.validation)
+    checks, model = checked_model(inst)
+    require(checks)
+    chain = model.chain
     require([pm.f_contract_check(model)])
     g_dec = dec.decompose_G(model)
     require([dec.g_decomposition_check(g_dec, model)])
@@ -137,10 +125,7 @@ def report_to_dict(report: Report) -> dict:
         "dim_N1_tilde": report.slice_dim_H,
         "witt_G": report.witt_g,
         "witt_H": report.witt_h,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
     }
 
 
@@ -186,8 +171,11 @@ def render_text(report: Report) -> str:
         lines.append(" slice momentum: zero covector (h_m is trivial)")
     lines.append("")
     lines.append("checks:")
-    for c in report.checks:
-        status = "PASS" if c.passed else "FAIL"
-        suffix = f"  ({c.detail})" if c.detail else ""
-        lines.append(f"  {status} {c.name}{suffix}")
+    lines.extend("  " + check_line(c) for c in report.checks)
     return "\n".join(lines) + "\n"
+
+
+def check_line(c: Check) -> str:
+    """PASS|FAIL name, then the detail in parentheses when there is one."""
+    suffix = f"  ({c.detail})" if c.detail else ""
+    return f"{'PASS' if c.passed else 'FAIL'} {c.name}{suffix}"

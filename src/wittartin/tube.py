@@ -72,8 +72,8 @@ def dphi_n1(inst: ProblemInstance, nu: Vec, nudot: Vec) -> Vec:
 
 def _shifted_momentum(model: TangentModel, p: TubePoint) -> Vec:
     """mu + rho + Phi_N1(nu), exactly, in g* coordinates."""
-    return add_vec(add_vec(model.inst.mu, model.iota_mstar(p.rho)),
-                   model.iota_gmstar(phi_n1(model.inst, p.nu)))
+    return add_vec(model.inst.mu, model.coframe.apply(
+        phi_n1(model.inst, p.nu) + p.rho + zero_vec(model.dim_n)))
 
 
 def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:

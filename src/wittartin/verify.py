@@ -39,44 +39,27 @@ from .splitting import (
 )
 
 
-def chu_radical_check(inst: ProblemInstance) -> Check:
-    """liecore.chu_radical_is_g_mu: the Chu form is antisymmetric and its
-    radical is the stabilizer g_mu."""
-    chu = inst.chu
-    return Check("liecore.chu_radical_is_g_mu",
-                 chu.is_antisymmetric() and chu.radical() == inst.g_mu)
-
-
-def h_alpha_check(inst: ProblemInstance) -> Check:
-    """liecore.h_alpha_two_descriptions: h_alpha is also the kernel of the
-    pairing restricted to h, and it is a subalgebra."""
-    # Row t is x -> <mu, [x, eta_t]> on h coordinates.
-    inside = kernel(gram_on(inst.chu, inst.h).transpose())
-    return Check("liecore.h_alpha_two_descriptions",
-                 image(inst.h.basis, inside) == inst.h_alpha
-                 and is_subalgebra(inst.algebra, inst.h_alpha))
-
-
-def h_perp_mu_check(inst: ProblemInstance) -> Check:
-    """liecore.g_mu_in_h_perp_mu."""
-    return inclusion_check("liecore.g_mu_in_h_perp_mu",
-                           inst.g_mu, "g_mu", inst.h_perp_mu, "h_perp_mu")
-
-
 def liecore_checks(inst: ProblemInstance) -> list[Check]:
     L, g_mu = inst.algebra, inst.g_mu
     return [
         Check("liecore.stabilizer_annihilates_mu",
               all(is_zero_vec(L.coad_apply(v, inst.mu))
                   for v in g_mu.basis_vectors())),
-        chu_radical_check(inst),
+        Check("liecore.chu_radical_is_g_mu",
+              inst.chu.is_antisymmetric() and inst.chu.radical() == g_mu),
         inclusion_check("liecore.center_in_stabilizer",
                         center(L), "the center", g_mu, "g_mu"),
-        h_alpha_check(inst),
+        # h_alpha is also the kernel of the pairing restricted to h, whose
+        # row t is x -> <mu, [x, eta_t]> on h coordinates; and a subalgebra.
+        Check("liecore.h_alpha_two_descriptions",
+              image(inst.h.basis,
+                    kernel(gram_on(inst.chu, inst.h).transpose()))
+              == inst.h_alpha and is_subalgebra(L, inst.h_alpha)),
         # B(ad_z x, y) + B(x, ad_z y) = 0 for all x, y is ad_z^T B + B ad_z = 0.
         Check("liecore.killing_ad_invariant",
               not ad_invariance_defect(L, killing_form(L).gram)),
-        h_perp_mu_check(inst),
+        inclusion_check("liecore.g_mu_in_h_perp_mu",
+                        g_mu, "g_mu", inst.h_perp_mu, "h_perp_mu"),
     ]
 
 
@@ -229,43 +212,54 @@ def tube_checks(model: pm.TangentModel, samples: int,
     return out
 
 
-def run_all(inst: ProblemInstance, samples: int = 10,
-            seed: int = 0) -> list[Check]:
-    """Every named check for one instance, in a stable order.
+def checked_model(inst: ProblemInstance
+                  ) -> tuple[list[Check], pm.TangentModel | None]:
+    """The checks up to the tangent model, and the model.
 
-    The list ends early, with the failures named, when validation fails,
-    when the chain cannot be built (chain.builds) or fails a chain check,
-    or when the model cannot be built (model.builds).  The sampled checks
-    need at least one sample, so samples < 1 raises ValueError.
+    The list holds the validate.* records, the liecore checks, the chain
+    checks and model.builds.  It ends early, with the failures named, when
+    validation fails, when the chain cannot be built (chain.builds) or
+    fails a chain check, or when the model cannot be built (model.builds);
+    the model is None then.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    checks: list[Check] = []
     report = inst.validation
-    checks.extend(Check(f"validate.{c.name}", c.passed, c.detail)
-                  for c in report.checks)
+    checks = [Check(f"validate.{c.name}", c.passed, c.detail)
+              for c in report.checks]
     if not report.passed:
-        return checks
+        return checks, None
 
     checks.extend(liecore_checks(inst))
     try:
         chain = build_chain(inst)
     except ValueError as e:
         checks.append(Check("chain.builds", False, str(e)))
-        return checks
+        return checks, None
     chain_results = chain_checks(chain)
     checks.extend(chain_results)
     if not all(c.passed for c in chain_results):
-        return checks
+        return checks, None
 
     try:
         model = pm.build_model(chain)
     except pm.DegenerateModel as e:
         checks.append(Check("model.builds", False, str(e)))
-        return checks
+        return checks, None
     checks.append(Check("model.builds", True))
+    return checks, model
 
-    checks.extend(model_checks(model))
-    checks.extend(decomposition_checks(model, samples, seed))
-    checks.extend(tube_checks(model, samples, seed))
+
+def run_all(inst: ProblemInstance, samples: int = 10,
+            seed: int = 0) -> list[Check]:
+    """Every named check for one instance, in a stable order.
+
+    The list ends early where checked_model's does.  The sampled checks
+    need at least one sample, so samples < 1 raises ValueError.
+    """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    checks, model = checked_model(inst)
+    if model is not None:
+        checks.extend(model_checks(model))
+        checks.extend(decomposition_checks(model, samples, seed))
+        checks.extend(tube_checks(model, samples, seed))
     return checks

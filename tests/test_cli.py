@@ -122,6 +122,25 @@ class TestCheck:
             assert code == 2, command
             assert out == "" and err.startswith("error: "), (command, err)
 
+    @pytest.mark.parametrize("where", ["dim", "slice.dim"])
+    def test_boolean_dim_exit_2_with_error_line(self, capsys, tmp_path,
+                                                where):
+        # Each document loads when the boolean is the integer 1.
+        if where == "dim":
+            doc = {"format": "wittartin-instance/1", "dim": True,
+                   "structure_constants": [[["0"]]], "h_basis": [],
+                   "gm_basis": [], "mu": ["1"], "inner_product": "identity",
+                   "slice": None}
+        else:
+            doc = build_example("so3-generic")
+            doc["slice"] = {"dim": True, "omega": [["0"]], "action": []}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must be a nonnegative integer" in err
+
     @pytest.mark.parametrize("command", ["check", "decompose", "verify"])
     def test_exponent_entry_exit_2_with_error_line(self, tmp_path, command):
         # Fraction would build 10**999999999 from this entry; the documented

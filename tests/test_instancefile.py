@@ -73,6 +73,31 @@ class TestFormatErrors:
             from_dict(doc)
 
 
+def line_doc(dim=1):
+    """The abelian line with mu = 1 and no slice: a valid instance."""
+    return {"format": "wittartin-instance/1", "dim": dim,
+            "structure_constants": [[["0"]]], "h_basis": [], "gm_basis": [],
+            "mu": ["1"], "inner_product": "identity", "slice": None}
+
+
+class TestBooleanDims:
+    # JSON true loads as a Python bool, which is an int equal to 1.
+    def test_boolean_dim_is_rejected(self):
+        assert validate(from_dict(line_doc())).passed
+        with pytest.raises(InstanceFormatError,
+                           match="^field 'dim' must be a nonnegative integer$"):
+            from_dict(line_doc(dim=True))
+
+    def test_boolean_slice_dim_is_rejected(self):
+        doc = build_example("so3-generic")
+        doc["slice"] = {"dim": 1, "omega": [["0"]], "action": []}
+        assert from_dict(doc).slice_rep.dim == 1
+        doc["slice"]["dim"] = True
+        with pytest.raises(InstanceFormatError,
+                           match=r"^'slice\.dim' must be a nonnegative integer$"):
+            from_dict(doc)
+
+
 class TestDataErrors:
     def test_non_jacobi_constants_name_the_triple(self):
         doc = build_example("so3-generic")

@@ -6,13 +6,19 @@ serialization shows up as a diff here.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from wittartin.catalog import all_examples
+from wittartin import decomposition as dec
+from wittartin import pointmodel as pm
+from wittartin import splitting, verify
+from wittartin.catalog import all_examples, build_example
+from wittartin.exactlin import BilinearForm, Subspace, sum_spaces
 from wittartin.instancefile import from_dict
 from wittartin.report import build_report, render_text, report_to_dict
+from wittartin.splitting import CheckFailed, build_chain
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -55,3 +61,56 @@ def test_golden_dims_match_worked_cases():
     zero = json.loads((GOLDEN_DIR / "so3-zero.report.json").read_text())
     assert zero["dims"]["s"] == 0 and zero["dims"]["b"] == 2
     assert zero["witt_H"]["dim_X_m"] == 4
+
+
+def _grown_h_alpha(monkeypatch):
+    # so3-collinear with its cached h_alpha grown by the chain's s.
+    inst = from_dict(build_example("so3-collinear"))
+    grown = replace(inst)
+    grown.__dict__["h_alpha"] = sum_spaces(inst.h_alpha, build_chain(inst).s)
+    return grown
+
+
+def _zero_perp(monkeypatch):
+    monkeypatch.setattr(splitting, "perp_under_form",
+                        lambda form, U: Subspace.zero(U.ambient_dim))
+    return from_dict(build_example("so3-generic"))
+
+
+def _zero_shear(monkeypatch):
+    monkeypatch.setattr(splitting, "_lagrangian_shear",
+                        lambda chu, a, C: Subspace.zero(a.ambient_dim))
+    return from_dict(build_example("so3-generic"))
+
+
+def _degenerate_model(monkeypatch):
+    def degenerate(chain):
+        raise pm.DegenerateModel("point form is singular")
+
+    monkeypatch.setattr(pm, "build_model", degenerate)
+    return from_dict(build_example("so3-generic"))
+
+
+def _scaled_slice_form(monkeypatch):
+    exact = dec.slice_form
+    monkeypatch.setattr(dec, "slice_form",
+                        lambda model: BilinearForm(exact(model).gram.scale(2)))
+    return from_dict(build_example("so3-generic"))
+
+
+@pytest.mark.parametrize("broken,first", [
+    (_grown_h_alpha, "liecore.h_alpha_two_descriptions"),
+    (_zero_perp, "chain.builds"),
+    (_zero_shear, "chain.g_decomposition_hperp"),
+    (_degenerate_model, "model.builds"),
+    (_scaled_slice_form, "sliceform.block_diagonal"),
+], ids=["liecore", "chain-builds", "chain-check", "model-builds",
+        "slice-form"])
+def test_decompose_names_the_first_failure_of_verify(monkeypatch, broken,
+                                                     first):
+    inst = broken(monkeypatch)
+    failed = [c for c in verify.run_all(inst, samples=3) if not c.passed]
+    assert failed[0].name == first
+    with pytest.raises(CheckFailed) as e:
+        build_report(inst)
+    assert (e.value.name, e.value.detail) == (failed[0].name, failed[0].detail)

@@ -39,6 +39,14 @@ def split(model, v):
     return v[:un], v[un:un + model.dim_m], v[un + model.dim_m:]
 
 
+def zero_extend(model, start, cov):
+    """The g* covector sum_k cov[k] * (row start + k of g_basis_inv): the
+    zero-extension of an m* (start gm) or g_m* (start 0) covector."""
+    rows = model.g_basis_inv.entries[start:start + len(cov)]
+    return tuple(sum((c * r[i] for c, r in zip(cov, rows)), F(0))
+                 for i in range(model.inst.dim))
+
+
 def omega_tube_reference(inst, model, p, v1, v2):
     """The tube 2-form evaluated one pair of vectors at a time:
 
@@ -53,14 +61,14 @@ def omega_tube_reference(inst, model, p, v1, v2):
     xi2 = model.mn_basis.apply(u2)
 
     def paired(rhodot, nudot, xi):
-        lam = model.iota_mstar(rhodot)
-        dphi = model.iota_gmstar(dphi_n1(inst, p.nu, nudot))
+        lam = zero_extend(model, model.gm_dim, rhodot)
+        dphi = zero_extend(model, 0, dphi_n1(inst, p.nu, nudot))
         return dot(lam, xi) + dot(dphi, xi)
 
     term12 = paired(rho2, nu2, xi1) - paired(rho1, nu1, xi2)
     br = inst.algebra.bracket(xi1, xi2)
-    lam_point = model.iota_mstar(p.rho)
-    lam_slice = model.iota_gmstar(phi_n1(inst, p.nu))
+    lam_point = zero_extend(model, model.gm_dim, p.rho)
+    lam_slice = zero_extend(model, 0, phi_n1(inst, p.nu))
     term3 = dot(lam_point, br) + dot(lam_slice, br) + dot(inst.mu, br)
     term5 = dot(nu1, inst.slice_rep.omega.gram.apply(nu2))
     return term12 + term3 + term5
@@ -243,7 +251,7 @@ class TestPhiTilde:
                       (F(1), F(1, 4)))
         res = phi_tilde(model, p)
         lam = list(inst.mu)
-        for i, x in enumerate(model.iota_mstar(p.rho)):
+        for i, x in enumerate(zero_extend(model, model.gm_dim, p.rho)):
             lam[i] += x
         # Trivial slice action: the quadratic momentum vanishes.
         assert res == tuple(float(x) for x in lam)
