@@ -165,10 +165,6 @@ def subalgebra_witness(L: LieAlgebra, S: Subspace) -> tuple[int, int] | None:
                  if not S.contains(L.bracket(vs[i], vs[j]))), None)
 
 
-def is_subalgebra(L: LieAlgebra, S: Subspace) -> bool:
-    return subalgebra_witness(L, S) is None
-
-
 def stabilizer_of_momentum(L: LieAlgebra, mu: Covector) -> Subspace:
     """g_mu = {x : ad*_x mu = 0}, the coadjoint stabilizer of mu."""
     # Row j of the constraint matrix is x -> <mu, [x, e_j]>: column j of K.

@@ -156,31 +156,23 @@ def _to_float_rows(M: Matrix) -> list[list[float]]:
     return [_to_floats(row) for row in M.entries]
 
 
-def _nonzeros(B: list[list[float]]) -> list[list[tuple[int, float]]]:
-    return [[(j, b) for j, b in enumerate(row) if b] for row in B]
-
-
-def _product(A: list[list[float]], nzB: list[list[tuple[int, float]]],
-             cols: int, c: float | None = None) -> list[list[float]]:
-    # Sums a*b over the nonzero a of each row of A and the nonzero b in
-    # increasing k: == the dense sums but for a 0's sign.  With c, the
-    # nonzero entries of each row of the product are then scaled by c.
-    out = []
-    for row in A:
-        acc = [0.0] * cols
-        for k, a in [(k, a) for k, a in enumerate(row) if a]:
+def _row_times(row: list[float], nzB: list[list[tuple[int, float]]],
+               cols: int) -> list[float]:
+    # row times B, from the nonzero (j, b) of each row k of B: sums a*b over
+    # the nonzero a of row and the nonzero b in increasing k, == the dense
+    # sums but for a 0's sign.
+    acc = [0.0] * cols
+    for k, a in enumerate(row):
+        if a:
             for j, b in nzB[k]:
                 acc[j] += a * b
-        out.append(acc if c is None else [c * x if x else x for x in acc])
-    return out
+    return acc
 
 
 def _mat_mul(A: list[list[float]], B: list[list[float]]) -> list[list[float]]:
-    return _product(A, _nonzeros(B), len(B[0]) if B else 0)
-
-
-def _mat_add(A, B):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+    nzB = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    cols = len(B[0]) if B else 0
+    return [_row_times(row, nzB, cols) for row in A]
 
 
 def _mat_scale(c: float, A):
@@ -200,6 +192,35 @@ def _identity(n: int) -> list[list[float]]:
     return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
 
 
+def _blocks(S: list[list[float]]) -> list[list[int]]:
+    """The connected components of S's nonzero pattern, i ~ j when S[i][j]
+    or S[j][i] is nonzero, each in ascending order.  An index whose row
+    and column are zero, a zero 1x1 block, is left out."""
+    n = len(S)
+    near: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(S):
+        for j, x in enumerate(row):
+            if x:
+                near[i].append(j)
+                near[j].append(i)
+    seen = [False] * n
+    out = []
+    for i in range(n):
+        if seen[i] or not near[i]:
+            continue
+        seen[i] = True
+        stack, block = [i], []
+        while stack:
+            v = stack.pop()
+            block.append(v)
+            for w in near[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        out.append(sorted(block))
+    return out
+
+
 def expm(A: list[list[float]], rel_tol: float = REL_TOL) -> list[list[float]]:
     """Matrix exponential by scaling and squaring with a bounded series tail.
 
@@ -208,38 +229,78 @@ def expm(A: list[list[float]], rel_tol: float = REL_TOL) -> list[list[float]]:
     q = ||A|| / (k + 2) drops below the tolerance.  ||result|| is at most
     1 + the sum of the term norms, so it is only computed once that bound
     (with a margin far above rounding) lets the tail test pass.
+
+    The exponential of a block-diagonal matrix is made of its blocks'
+    exponentials, so the series and the squarings run on each block of
+    the scaled matrix S (see _blocks), with its indices in ascending order,
+    and the blocks step in lockstep: the tail test reads the largest row
+    sum over all of them.  Every sum then runs in the order of the dense
+    computation, and on finite input each float equals its value there.
+    An index in no block, with a zero row and column, is an identity row
+    of the result; a block of every index is the result itself.
+
+    A norm of A that is not finite, a row sum beyond float range, raises
+    OutOfFloatRange: halving it would never reach 1/2.  A nan in any row of
+    a term makes the tail nan, which never passes the tail test, so the
+    series raises SeriesNotConverged.
     """
     n = len(A)
     if n == 0:
         return []
     norm = _mat_norm(A)
+    if not math.isfinite(norm):
+        raise OutOfFloatRange(f"the norm of a {n}x{n} matrix to exponentiate "
+                              f"is {norm}, out of float range")
     squarings = 0
     while norm > 0.5:
         squarings += 1
         norm /= 2.0
     S = _mat_scale(0.5 ** squarings, A)
-
-    result = _identity(n)
-    term = _identity(n)
-    nzS = _nonzeros(S)
     s_norm = _mat_norm(S)
+
+    blocks = _blocks(S)
+    # Per block: S's nonzeros by row, in block coordinates; the partial
+    # sum; and the last term of the series.
+    nz = [[[(c, S[i][j]) for c, j in enumerate(idx) if S[i][j]] for i in idx]
+          for idx in blocks]
+    results = [_identity(len(idx)) for idx in blocks]
+    terms = [_identity(len(idx)) for idx in blocks]
     bound = 1.0
-    converged = False
     for k in range(1, 60):
-        term = _product(term, nzS, n, 1.0 / k)
-        result = _mat_add(result, term)
-        tail = _mat_norm(term)
+        inv_k = 1.0 / k
+        tail = 0.0
+        for nzS, term, result in zip(nz, terms, results):
+            m = len(term)
+            for r, row in enumerate(term):
+                acc = [inv_k * x if x else x for x in _row_times(row, nzS, m)]
+                term[r] = acc
+                result[r] = [x + y for x, y in zip(result[r], acc)]
+                row_sum = sum(map(abs, acc))
+                # The largest row sum, or nan once one is nan (as _worst).
+                if row_sum > tail or row_sum != row_sum:
+                    tail = row_sum
         bound += tail
         q = s_norm / (k + 2)
         if (q < 1 and tail / (1 - q) <= rel_tol * bound * _NORM_MARGIN
-                and tail / (1 - q) <= rel_tol * max(1.0, _mat_norm(result))):
-            converged = True
+                and tail / (1 - q) <= rel_tol * max(
+                    1.0, max(map(_mat_norm, results), default=0.0))):
             break
-    if not converged:
+    else:
         raise SeriesNotConverged("exponential series tail bound not met")
-    for _ in range(squarings):
-        result = _mat_mul(result, result)
-    return result
+
+    for b, result in enumerate(results):
+        for _ in range(squarings):
+            result = _mat_mul(result, result)
+        results[b] = result
+    if len(blocks) == 1 and len(blocks[0]) == n:  # one block of every index
+        return results[0]
+    E = _identity(n)
+    for idx, result in zip(blocks, results):
+        for i, row in zip(idx, result):
+            E[i] = [0.0] * n
+            for j, x in zip(idx, row):
+                E[i][j] = x
+    return E
 
 
 def phi_tilde(model: TangentModel, p: TubePoint) -> tuple[float, ...]:
@@ -269,9 +330,11 @@ def check_dphi_consistency(model: TangentModel) -> list[Check]:
     """Central differences of phi_tilde at the base against dphi_G, with
     the step of _fd_step along each direction.
 
-    A value out of float range makes the check fail and names the value;
-    an overflow inside the float path (a nan error) makes it fail at the
-    first direction where it occurs.
+    A value out of float range, an exact one or the norm of a matrix to
+    exponentiate, makes the check fail and names the value, and so does an
+    exponential series that does not converge; an overflow inside the
+    float path (a nan error) makes it fail at the first direction where it
+    occurs.
     """
     dG = model.dphi_G
 
@@ -291,7 +354,7 @@ def check_dphi_consistency(model: TangentModel) -> list[Check]:
                 break
             if err > worst:
                 worst, worst_dir = err, d
-    except OutOfFloatRange as e:
+    except (OutOfFloatRange, SeriesNotConverged) as e:
         return [Check("tube.dphi_fd_consistency", False, str(e))]
     return [Check(
         "tube.dphi_fd_consistency",
@@ -383,8 +446,10 @@ def phi_equivariance_check(model: TangentModel, samples: int,
     _ode_tol(A) beyond ||A|| = _ODE_NORM); the detail names the first
     sample that misses it.  The exact momentum of a sample
     does not depend on xi, so it is computed once for both sides.  A value
-    out of float range makes the check fail and names the value, and a nan
-    deviation (an overflow inside the float path) makes it fail too.
+    out of float range, an exact one or the norm of a matrix to
+    exponentiate, makes the check fail and names the value, and so does an
+    exponential series that does not converge; a nan deviation (an
+    overflow inside the float path) makes it fail too.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -415,7 +480,7 @@ def phi_equivariance_check(model: TangentModel, samples: int,
             if not off_ode and not miss <= _ode_tol(A):
                 off_ode = (f"; sample {t}: d/dt expm(tA) at t = 1 misses "
                            f"A expm(A) by {miss:.3e}")
-    except OutOfFloatRange as e:
+    except (OutOfFloatRange, SeriesNotConverged) as e:
         return [Check("tube.equivariance", False, str(e))]
     return [Check(
         "tube.equivariance",

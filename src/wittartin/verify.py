@@ -26,7 +26,13 @@ from .exactlin import (
     unit_vec,
     zero_vec,
 )
-from .liecore import ad_invariance_defect, center, is_subalgebra, killing_form
+from .liecore import (
+    LieAlgebra,
+    ad_invariance_defect,
+    center,
+    killing_form,
+    subalgebra_witness,
+)
 from .splitting import (
     Check,
     ProblemInstance,
@@ -35,32 +41,69 @@ from .splitting import (
     dim_formulas,
     entry_detail,
     equality_check,
+    equality_detail,
     inclusion_check,
 )
 
 
 def liecore_checks(inst: ProblemInstance) -> list[Check]:
     L, g_mu = inst.algebra, inst.g_mu
+    annihilates = all(is_zero_vec(L.coad_apply(v, inst.mu))
+                      for v in g_mu.basis_vectors())
+    chu = _chu_radical_detail(inst)
+    in_stabilizer = inclusion_check("liecore.center_in_stabilizer",
+                                    center(L), "the center", g_mu, "g_mu")
+    h_alpha = _h_alpha_detail(inst)
+    killing = _killing_detail(L)
     return [
-        Check("liecore.stabilizer_annihilates_mu",
-              all(is_zero_vec(L.coad_apply(v, inst.mu))
-                  for v in g_mu.basis_vectors())),
-        Check("liecore.chu_radical_is_g_mu",
-              inst.chu.is_antisymmetric() and inst.chu.radical() == g_mu),
-        inclusion_check("liecore.center_in_stabilizer",
-                        center(L), "the center", g_mu, "g_mu"),
-        # h_alpha is also the kernel of the pairing restricted to h, whose
-        # row t is x -> <mu, [x, eta_t]> on h coordinates; and a subalgebra.
-        Check("liecore.h_alpha_two_descriptions",
-              image(inst.h.basis,
-                    kernel(gram_on(inst.chu, inst.h).transpose()))
-              == inst.h_alpha and is_subalgebra(L, inst.h_alpha)),
-        # B(ad_z x, y) + B(x, ad_z y) = 0 for all x, y is ad_z^T B + B ad_z = 0.
-        Check("liecore.killing_ad_invariant",
-              not ad_invariance_defect(L, killing_form(L).gram)),
+        Check("liecore.stabilizer_annihilates_mu", annihilates),
+        Check("liecore.chu_radical_is_g_mu", not chu, chu),
+        in_stabilizer,
+        Check("liecore.h_alpha_two_descriptions", not h_alpha, h_alpha),
+        Check("liecore.killing_ad_invariant", not killing, killing),
         inclusion_check("liecore.g_mu_in_h_perp_mu",
                         g_mu, "g_mu", inst.h_perp_mu, "h_perp_mu"),
     ]
+
+
+def _chu_radical_detail(inst: ProblemInstance) -> str:
+    """"" when the Chu form is antisymmetric with radical g_mu; otherwise
+    the first entry pair that breaks antisymmetry, or the first basis
+    vector of one space that is not in the other."""
+    pair = inst.chu.gram.antisymmetry_witness()
+    if pair is not None:
+        i, j = pair
+        return (f"entry ({i}, {j}) of the Chu form is not minus "
+                f"entry ({j}, {i})")
+    return equality_detail(inst.chu.radical(), "the Chu radical",
+                           inst.g_mu, "g_mu")
+
+
+def _h_alpha_detail(inst: ProblemInstance) -> str:
+    """"" when h_alpha is the kernel of the pairing restricted to h (row t
+    is x -> <mu, [x, eta_t]> on h coordinates) and a subalgebra; otherwise
+    the first basis vector of one side outside the other, or the first
+    basis pair whose bracket leaves h_alpha."""
+    on_h = image(inst.h.basis, kernel(gram_on(inst.chu, inst.h).transpose()))
+    detail = equality_detail(on_h, "the kernel of the pairing on h",
+                             inst.h_alpha, "h_alpha")
+    if detail:
+        return detail
+    pair = subalgebra_witness(inst.algebra, inst.h_alpha)
+    return "" if pair is None else \
+        f"bracket of h_alpha basis pair {pair} leaves h_alpha"
+
+
+def _killing_detail(L: LieAlgebra) -> str:
+    """"" when B(ad_z x, y) + B(x, ad_z y) = 0 for all x, y, that is
+    ad_z^T B + B ad_z = 0, for the Killing form B; otherwise the entry of
+    smallest key (i, a, b) of the defect."""
+    defect = ad_invariance_defect(L, killing_form(L).gram)
+    if not defect:
+        return ""
+    i, a, b = key = min(defect)
+    return (f"B([e_{i}, e_{a}], e_{b}) + B(e_{a}, [e_{i}, e_{b}]) is "
+            f"{defect[key]}, not 0")
 
 
 def model_checks(model: pm.TangentModel) -> list[Check]:

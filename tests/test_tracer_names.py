@@ -8,9 +8,11 @@ run.  The recorder is loaded by path, installed and uninstalled here.
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from instances import standard_slice, vec
 
 from wittartin import (  # noqa: F401
     catalog,
@@ -22,6 +24,9 @@ from wittartin import (  # noqa: F401
     tube,
     verify,
 )
+from wittartin.exactlin import Matrix, Subspace
+from wittartin.liecore import InnerProduct
+from wittartin.splitting import ProblemInstance
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -90,3 +95,28 @@ def test_mu_data_is_derived_once_per_instance(monkeypatch, run):
     assert len(eta_actions) == 1
     assert len(dphi_G) == 1
     assert len(h_perp_mu) == 1
+
+
+def _so3_cubed():
+    """so(3)^3, h the diagonal so(3), g_m = 0 and a Cartan momentum with
+    unequal parts, as in the benchmark's so3^3."""
+    L = liecore.direct_sum(liecore.direct_sum(liecore.so3(), liecore.so3()),
+                           liecore.so3())
+    diag = [tuple(Fraction(int(j % 3 == i)) for j in range(9))
+            for i in range(3)]
+    mu = vec(0, 0, 1, 0, 0, 2, 0, 0, 3)
+    return ProblemInstance(L, Subspace.span(9, diag), Subspace.zero(9), mu,
+                           InnerProduct(Matrix.identity(9)), standard_slice(0))
+
+
+@pytest.mark.parametrize("samples, expected", [(10, 58), (3, 30)])
+def test_exponentials_per_run_all_are_pinned(monkeypatch, samples, expected):
+    """run_all exponentiates twice along each of the dim m + dim n = 9 group
+    directions of the finite differences, and four times per equivariance
+    sample (its two sides and the two shifted ones of the ODE residual):
+    2 * 9 + 4 * samples."""
+    inst = _so3_cubed()
+    calls = _count_calls(monkeypatch, tube, "expm")
+    checks = verify.run_all(inst, samples=samples)
+    assert all(c.passed for c in checks)
+    assert len(calls) == expected == 2 * 9 + 4 * samples

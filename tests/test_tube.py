@@ -301,6 +301,24 @@ class TestExpm:
         if c <= 1e3:
             assert tube._ode_tol(A) == tube.FD_TOL
 
+    @pytest.mark.parametrize("A", [[[1e308, 1e308], [0.0, 0.0]],
+                                   [[math.inf]]])
+    def test_norm_beyond_float_range_raises(self, A):
+        # Halving an infinite norm toward 1/2 never ended.
+        with pytest.raises(tube.OutOfFloatRange,
+                           match=r"is inf, out of float range$"):
+            expm(A)
+
+    @pytest.mark.parametrize("A", [[[1.0, 0.0], [0.0, math.nan]],
+                                   [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                                    [0.0, math.nan, 0.0]]])
+    def test_nan_outside_the_first_row_fails_the_tail_test(self, A):
+        # The norm of A skips a nan after row 0; the tail of the series
+        # keeps it, so no tail test passes.
+        assert math.isfinite(tube._mat_norm(A))
+        with pytest.raises(tube.SeriesNotConverged):
+            expm(A)
+
     def test_ode_residual_sees_a_halved_exponential(self):
         A = [[0.0, -2.0], [2.0, 0.0]]
         half = expm([[0.0, -1.0], [1.0, 0.0]])
@@ -454,6 +472,51 @@ class TestExpmAgainstReference:
                     squared |= tube._mat_norm(A) > 0.5
                     assert expm(A) == expm_reference(A)
         assert squared
+
+
+@st.composite
+def permuted_block_diagonal(draw, bound):
+    """A matrix whose rows and columns, permuted, are block diagonal: blocks
+    of drawn sizes (1x1 zeros and 1x1 nonzeros among them) drawn as
+    float_matrices, and a signed zero off the blocks."""
+    sizes = draw(st.lists(st.integers(1, 4), max_size=4))
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)))
+    off = draw(st.sampled_from([0.0, -0.0]))
+    A = [[off] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        block = draw(float_matrices(size, size, bound))
+        idx = order[start:start + size]
+        for i, row in zip(idx, block):
+            for j, x in zip(idx, row):
+                A[i][j] = x
+        start += size
+    return A
+
+
+class TestBlockExpmAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0.3, 4.0, 40.0]).flatmap(permuted_block_diagonal),
+           st.sampled_from([tube.REL_TOL, 1e-14, 1e-3]))
+    def test_equals_reference_on_permuted_block_diagonal_matrices(
+            self, A, rel_tol):
+        assert expm(A, rel_tol) == expm_reference(A, rel_tol)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_zero_matrix_with_signed_zeros_is_the_identity(self, n):
+        A = [[-0.0 if (i + j) % 2 else 0.0 for j in range(n)]
+             for i in range(n)]
+        identity = [[float(i == j) for j in range(n)] for i in range(n)]
+        assert expm(A) == expm_reference(A) == identity
+
+    def test_blocks_are_the_components_in_ascending_order(self):
+        # 0 ~ 3 through S[3][0] only, 2 ~ 4 ~ 1 through a chain, 5 alone
+        # with a nonzero diagonal; 6 is a zero row and column.
+        A = [[0.0] * 7 for _ in range(7)]
+        A[3][0] = A[4][2] = A[1][4] = A[5][5] = 1.0
+        A[6][6] = -0.0
+        assert tube._blocks(A) == [[0, 3], [1, 2, 4], [5]]
 
 
 def _expm_with(mat_mul, A):

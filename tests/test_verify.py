@@ -5,8 +5,13 @@ with the same check names as an unbroken run, and to report the check that
 guards the computation as a named FAIL.
 """
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +27,9 @@ from wittartin.exactlin import (
     is_zero_vec,
     sum_spaces,
 )
-from wittartin.instancefile import from_dict
+from wittartin.instancefile import from_dict, to_dict
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(example="so3-generic"):
@@ -83,6 +90,54 @@ def test_non_invariant_killing_form_fails_invariance_check(monkeypatch):
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["liecore.killing_ad_invariant"]
+    # [e0, e1] = e2 and [e0, e2] = -e1: 3 - 2 at the smallest key (0, 1, 2).
+    assert _check(checks, "liecore.killing_ad_invariant").detail == \
+        "B([e_0, e_1], e_2) + B(e_1, [e_0, e_2]) is 1, not 0"
+
+
+def _liecore_failures(inst):
+    return [(c.name, c.detail) for c in verify.liecore_checks(inst)
+            if not c.passed]
+
+
+def test_non_antisymmetric_chu_form_names_the_entry_pair():
+    inst = from_dict(build_example("so3-generic"))
+    rows = [list(row) for row in inst.chu.gram.entries]
+    rows[0][2] += 1
+    broken = replace(inst)
+    broken.__dict__["chu"] = BilinearForm(Matrix.from_rows(rows))
+    assert _liecore_failures(broken) == [(
+        "liecore.chu_radical_is_g_mu",
+        "entry (0, 2) of the Chu form is not minus entry (2, 0)")]
+
+
+def test_chu_radical_other_than_g_mu_names_the_basis_vector():
+    inst = from_dict(build_example("so3-generic"))
+    broken = replace(inst)
+    broken.__dict__["g_mu"] = Subspace.zero(inst.dim)
+    assert _liecore_failures(broken) == [(
+        "liecore.chu_radical_is_g_mu",
+        "basis vector 0 of the Chu radical is not in g_mu")]
+
+
+def test_h_alpha_off_the_pairing_kernel_names_the_basis_vector():
+    # so3-collinear with its cached h_alpha grown to all of g: e_0 pairs
+    # nontrivially with h.
+    inst = from_dict(build_example("so3-collinear"))
+    broken = replace(inst)
+    broken.__dict__["h_alpha"] = Subspace.full(inst.dim)
+    assert _liecore_failures(broken) == [(
+        "liecore.h_alpha_two_descriptions",
+        "basis vector 0 of h_alpha is not in the kernel of the pairing on h")]
+
+
+def test_h_alpha_not_a_subalgebra_names_the_basis_pair(monkeypatch):
+    # h_alpha stays the pairing kernel; only the subalgebra test is broken.
+    inst = from_dict(build_example("so3-collinear"))
+    monkeypatch.setattr(verify, "subalgebra_witness", lambda L, S: (0, 1))
+    assert _liecore_failures(inst) == [(
+        "liecore.h_alpha_two_descriptions",
+        "bracket of h_alpha basis pair (0, 1) leaves h_alpha")]
 
 
 def test_wrong_T1_gram_fails_witt_g_check_and_names_the_identity(monkeypatch):
@@ -739,6 +794,68 @@ def test_scaled_brackets_pass_every_check(example, c):
         _scaled_brackets(build_example(example), c)))
     assert len(checks) == 69
     assert _failed(checks) == []
+
+
+def _scaled_corpus_instances():
+    """One corpus instance for each (dim g, dim g_m, dim N1) among the
+    non-abelian algebras: the first one the corpus holds."""
+    from corpus import build_corpus
+    by_shape = {}
+    for inst in build_corpus():
+        if inst.algebra.nonzero:
+            by_shape.setdefault(
+                (inst.dim, inst.gm.dim, inst.slice_rep.dim), inst)
+    return by_shape
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 1000), Fraction(1, 10), 10, 100,
+                               1000, 10**4])
+def test_scaled_corpus_instances_pass_every_check(c):
+    instances = _scaled_corpus_instances()
+    assert len(instances) == 12
+    for shape, inst in instances.items():
+        checks = verify.run_all(from_dict(_scaled_brackets(to_dict(inst), c)))
+        assert len(checks) == 69, shape
+        assert _failed(checks) == [], shape
+
+
+def test_norm_beyond_float_range_is_a_named_tube_fail(tmp_path):
+    # At 10^308 the structure constants still fit a float, but a row sum of
+    # ad(xi) at an equivariance sample does not: halving an infinite norm
+    # never ended.  A subprocess with a timeout turns a hang into a failure.
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(
+        _scaled_brackets(build_example("so3-generic"), 10**308)))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "wittartin", "verify", str(path),
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1, done.stderr
+    checks = json.loads(done.stdout)["checks"]
+    assert len(checks) == 69
+    failed = [c for c in checks if not c["passed"]]
+    assert failed
+    for c in failed:
+        assert c["name"].startswith(f"{path}:tube."), c["name"]
+        assert c["detail"], c["name"]
+    assert any("out of float range" in c["detail"] for c in failed)
+
+
+def test_unconverged_exponential_series_is_a_named_fail(monkeypatch):
+    expected_names = [c.name for c in _run()]
+
+    def unconverged(A, rel_tol=tube.REL_TOL):
+        raise tube.SeriesNotConverged("exponential series tail bound not met")
+
+    monkeypatch.setattr(tube, "expm", unconverged)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.dphi_fd_consistency",
+                               "tube.equivariance"]
+    for name in _failed(checks):
+        assert _check(checks, name).detail == \
+            "exponential series tail bound not met"
 
 
 def test_doubled_momentum_differential_fails_fd_check(monkeypatch):
