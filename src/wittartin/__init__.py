@@ -1,7 +1,7 @@
 """Compatible Witt-Artin decompositions in exact rational arithmetic."""
 
 from .exactlin import (
-    BilinearForm,
+    InnerProduct,
     Matrix,
     Subspace,
     direct_sum,
@@ -13,7 +13,6 @@ from .exactlin import (
     sum_spaces,
 )
 from .liecore import (
-    InnerProduct,
     LieAlgebra,
     chu_form,
     h_perp_mu,

@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlin import (
-    BilinearForm,
     Matrix,
     ONE,
     Subspace,
@@ -73,9 +72,9 @@ class WittDecompositionH:
     N1_block: Indices
     Ym: Indices
     Zm: Indices
-    # The form on NH1 and the action of each h_m basis vector on NH1, both
-    # in the block coordinates (s, b, Y_m, N1).
-    form: BilinearForm
+    # The Gram matrix of the form on NH1 and the action of each h_m basis
+    # vector on NH1, both in the block coordinates (s, b, Y_m, N1).
+    form: Matrix
     eta_actions: tuple[Matrix, ...]
 
 
@@ -195,7 +194,7 @@ def g_decomposition_check(decomp: WittDecompositionG,
         ("the form on T1 is the Chu pairing of the n basis",
          lambda: model.omega_on(decomp.T1) == _chu_on_n(model)),
         ("the form on N1 is omega_N1",
-         lambda: model.omega_on(decomp.N1) == model.inst.slice_rep.omega.gram),
+         lambda: model.omega_on(decomp.N1) == model.inst.slice_rep.omega),
     )
     failure = (None if unlike is None else f"{unlike} is its definition") \
         or next(filter(None, axioms.values()), None) \
@@ -209,7 +208,7 @@ def _chu_on_n(model: TangentModel) -> Matrix:
     N = Matrix.from_cols(
         [model.mn_basis.col(i) for i in model.indices("a", "s", "ntilde", "r")],
         rows=model.inst.dim)
-    return N.transpose() @ model.inst.chu.gram @ N
+    return N.transpose() @ model.inst.chu @ N
 
 
 def _h_constraint_rows(inst, n_vectors: Sequence[Vec]) -> list[Vec]:
@@ -217,7 +216,7 @@ def _h_constraint_rows(inst, n_vectors: Sequence[Vec]) -> list[Vec]:
     the n vectors, with K the Chu Gram matrix."""
     rows = []
     for eta in inst.h.basis_vectors():
-        k_eta = inst.chu.gram.apply(eta)
+        k_eta = inst.chu.apply(eta)
         rows.append(tuple(-dot(z, k_eta) for z in n_vectors))
     return rows
 
@@ -333,13 +332,13 @@ def h_decomposition_checks(decomp: WittDecompositionH,
     return out
 
 
-def slice_form(model: TangentModel) -> BilinearForm:
-    """Form on NH1 in the block basis (s, b, Y_m, N1): the omega submatrix on
-    the NH1 indices, in that order.
+def slice_form(model: TangentModel) -> Matrix:
+    """Gram matrix of the form on NH1 in the block basis (s, b, Y_m, N1):
+    the omega submatrix on the NH1 indices, in that order.
 
     slice_form_check proves it block diagonal with the expected blocks.
     """
-    return BilinearForm(model.omega_on(model.indices(*NH1_ORDER)))
+    return model.omega_on(model.indices(*NH1_ORDER))
 
 
 def slice_form_check(decomp: WittDecompositionH, model: TangentModel) -> Check:
@@ -357,9 +356,9 @@ def slice_form_check(decomp: WittDecompositionH, model: TangentModel) -> Check:
         expected[ds + i][ds + db + i] = ONE
         expected[ds + db + i][ds + i] = -ONE
     base = ds + 2 * db
-    for i, row in enumerate(model.inst.slice_rep.omega.gram.entries):
+    for i, row in enumerate(model.inst.slice_rep.omega.entries):
         expected[base + i][base:] = row
-    detail = entry_detail(decomp.form.gram,
+    detail = entry_detail(decomp.form,
                           Matrix(size, size, tuple(map(tuple, expected))),
                           "the slice form")
     return Check("sliceform.block_diagonal", not detail, detail)
@@ -417,7 +416,7 @@ def slice_momentum(model: TangentModel, nu_tilde: Vec) -> Vec:
         A_eta = model.inst.slice_rep.combine(model.g_coords(eta)[:gm])
         # omega(Av, v) with our Gram convention is (Av)^T G v.
         term3 = Fraction(1, 2) * dot(A_eta.apply(nu),
-                                     model.inst.slice_rep.omega.gram.apply(nu))
+                                     model.inst.slice_rep.omega.apply(nu))
         values.append(term1 + term2 + term3)
     return tuple(values)
 
@@ -427,7 +426,7 @@ def momentum_formula_check(decomp: WittDecompositionH, model: TangentModel,
     """momentum.formula_equals_direct: on every sample nu_tilde, the closed
     formula of slice_momentum equals the definition
     1/2 omega_NH1(eta . nu_tilde, nu_tilde) for each h_m basis vector eta."""
-    gram = decomp.form.gram
+    gram = decomp.form
     ok = all(slice_momentum(model, v)
              == tuple(Fraction(1, 2) * dot(A.apply(v), gram.apply(v))
                       for A in decomp.eta_actions)
@@ -443,7 +442,7 @@ def slice_momentum_forms(decomp: WittDecompositionH) -> tuple[Matrix, ...]:
     outright, because the block action is infinitesimally symplectic for
     the form on NH1 (momentum_forms_check).
     """
-    gram = decomp.form.gram
+    gram = decomp.form
     return tuple((A.transpose() @ gram).scale(Fraction(1, 2))
                  for A in decomp.eta_actions)
 

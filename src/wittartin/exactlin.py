@@ -413,35 +413,19 @@ class Subspace:
 
 
 @dataclass(frozen=True)
-class BilinearForm:
-    """A bilinear form on Q^n given by its Gram matrix."""
+class InnerProduct:
+    """A symmetric positive-definite Gram matrix; building one raises
+    NotPositiveDefinite otherwise, so orth_complement tests nothing about
+    it again.  Every other bilinear form is a plain square Matrix G, with
+    G[i][j] = form(e_i, e_j)."""
 
     gram: Matrix
 
     def __post_init__(self):
-        if self.gram.rows != self.gram.cols:
-            raise ValueError("Gram matrix must be square")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.gram.rows
-
-    def is_symmetric(self) -> bool:
-        return self.gram.is_symmetric()
-
-    def is_antisymmetric(self) -> bool:
-        return self.gram.is_antisymmetric()
-
-    def radical(self) -> Subspace:
-        """Vectors pairing to zero with everything."""
-        return kernel(self.gram)
-
-    def is_nondegenerate(self) -> bool:
-        return self.gram.rank() == self.ambient_dim
-
-
-def identity_form(n: int) -> BilinearForm:
-    return BilinearForm(Matrix.identity(n))
+        if not self.gram.is_symmetric():
+            raise NotPositiveDefinite("inner product Gram matrix is not symmetric")
+        if not self.gram.leading_minors_positive():
+            raise NotPositiveDefinite("a leading principal minor is not positive")
 
 
 def kernel(A: Matrix) -> Subspace:
@@ -516,37 +500,32 @@ def preserves(A: Matrix, G: Matrix) -> bool:
     return (A.transpose() @ G + G @ A).is_zero()
 
 
-def check_positive_definite(ip: BilinearForm):
-    if not ip.is_symmetric():
-        raise NotPositiveDefinite("inner product Gram matrix is not symmetric")
-    if not ip.gram.leading_minors_positive():
-        raise NotPositiveDefinite("a leading principal minor is not positive")
-
-
-def orth_complement(U: Subspace, W: Subspace, ip: BilinearForm) -> Subspace:
-    """ip-orthogonal complement of U inside W, W & U^perp (requires U <= W,
-    ip SPD)."""
-    U._check_ambient(W)
-    if ip.ambient_dim != U.ambient_dim:
+def _check_form(G: Matrix, *spaces: Subspace) -> None:
+    """A Gram matrix must be square, of the spaces' ambient dimension."""
+    if any(not G.rows == G.cols == V.ambient_dim for V in spaces):
         raise AmbientMismatch("form and subspaces live in different spaces")
-    check_positive_definite(ip)
+
+
+def orth_complement(U: Subspace, W: Subspace, ip: InnerProduct) -> Subspace:
+    """ip-orthogonal complement of U inside W, W & U^perp (requires U <= W)."""
+    U._check_ambient(W)
+    _check_form(ip.gram, U)
     if not U.leq(W):
         raise NotContained("first subspace is not contained in the second")
-    return intersect(W, perp_under_form(ip, U))
+    return intersect(W, perp_under_form(ip.gram, U))
 
 
-def pairing_witness(form: BilinearForm, U: Subspace,
+def pairing_witness(G: Matrix, U: Subspace,
                     V: Subspace) -> tuple[int, int] | None:
-    """The first (i, j), in row-major order, with form(u_i, v_j) != 0 for
-    the canonical bases of U and V, or None when U and V pair to zero.
+    """The first (i, j), in row-major order, with u_i^T G v_j != 0 for the
+    canonical bases of U and V, or None when U and V pair to zero under the
+    form with Gram matrix G.
 
-    Row i is G^T u_i, so form(u_i, v) = (G^T u_i) . v, summed where both
-    the row and v are nonzero; the search stops at the first nonzero
-    pairing.
+    Row i is G^T u_i, so u_i^T G v = (G^T u_i) . v, summed where both the
+    row and v are nonzero; the search stops at the first nonzero pairing.
     """
-    if not form.ambient_dim == U.ambient_dim == V.ambient_dim:
-        raise AmbientMismatch("form and subspaces live in different spaces")
-    gt = form.gram.transpose()
+    _check_form(G, U, V)
+    gt = G.transpose()
     vs = [[(k, x) for k, x in enumerate(v) if x] for v in V.basis_vectors()]
     for i, u in enumerate(U.basis_vectors()):
         row = gt.apply(u)
@@ -556,8 +535,9 @@ def pairing_witness(form: BilinearForm, U: Subspace,
     return None
 
 
-def gram_on(form: BilinearForm, U: Subspace, *more: Subspace) -> Matrix:
-    """Gram matrix of the form restricted to the canonical basis of U.
+def gram_on(G: Matrix, U: Subspace, *more: Subspace) -> Matrix:
+    """Gram matrix of the form with Gram G restricted to the canonical
+    basis of U.
 
     Given more subspaces, it is the Gram B^T G B of the canonical bases of
     U and of each of them side by side: its leading diagonal block is the
@@ -565,17 +545,16 @@ def gram_on(form: BilinearForm, U: Subspace, *more: Subspace) -> Matrix:
     spaces even when B's columns are dependent (B = W C for a basis W of
     the sum and C of full row rank, so B^T G B = C^T (W^T G W) C).
     """
-    if any(V.ambient_dim != form.ambient_dim for V in (U, *more)):
-        raise AmbientMismatch("form and subspaces live in different spaces")
+    _check_form(G, U, *more)
     B = reduce(Matrix.hstack, (V.basis for V in more), U.basis)
-    return B.transpose() @ form.gram @ B
+    return B.transpose() @ G @ B
 
 
-def perp_under_form(form: BilinearForm, U: Subspace) -> Subspace:
-    """All vectors pairing to zero (on the right) with every vector of U."""
-    if form.ambient_dim != U.ambient_dim:
-        raise AmbientMismatch("form and subspace live in different spaces")
-    # Rows: v -> form(u_i, v) = (G^T u_i) . v for each basis vector u_i of U.
-    gt = form.gram.transpose()
+def perp_under_form(G: Matrix, U: Subspace) -> Subspace:
+    """All vectors pairing to zero (on the right) with every vector of U
+    under the form with Gram matrix G."""
+    _check_form(G, U)
+    # Rows: v -> u_i^T G v = (G^T u_i) . v for each basis vector u_i of U.
+    gt = G.transpose()
     rows = tuple(gt.apply(u) for u in U.basis_vectors())
     return kernel(Matrix(U.dim, U.ambient_dim, rows))

@@ -16,8 +16,8 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .exactlin import ZERO, BilinearForm, Matrix, NotPositiveDefinite, Subspace, Vec
-from .liecore import InnerProduct, LieAlgebra, StructureConstantError, killing_form
+from .exactlin import ZERO, InnerProduct, Matrix, NotPositiveDefinite, Subspace, Vec
+from .liecore import LieAlgebra, StructureConstantError, killing_form
 from .splitting import ProblemInstance, SliceRep
 
 FORMAT = "wittartin-instance/1"
@@ -158,7 +158,7 @@ def from_dict(doc: Any) -> ProblemInstance:
     if ip_raw == "identity":
         gram = Matrix.identity(n)
     elif ip_raw == "neg_killing":
-        gram = -killing_form(algebra).gram
+        gram = -killing_form(algebra)
     else:
         gram = _parse_matrix(ip_raw, n, n, memo, "inner_product")
     try:
@@ -198,15 +198,14 @@ def _parse_slice(raw: Any, gm: Subspace, gm_given: list[Vec],
     if raw is None:
         if gm.dim == 0:
             return SliceRep.trivial()
-        return SliceRep(BilinearForm(Matrix.zeros(0, 0)),
+        return SliceRep(Matrix.zeros(0, 0),
                         tuple(Matrix.zeros(0, 0) for _ in range(gm.dim)))
     if not isinstance(raw, dict):
         raise InstanceFormatError("'slice' must be null or an object")
     d = raw.get("dim")
     if type(d) is not int or d < 0:
         raise InstanceFormatError("'slice.dim' must be a nonnegative integer")
-    omega = BilinearForm(_parse_matrix(raw.get("omega", []), d, d, memo,
-                                       "slice.omega"))
+    omega = _parse_matrix(raw.get("omega", []), d, d, memo, "slice.omega")
     actions_raw = raw.get("action", [])
     if not isinstance(actions_raw, list) or len(actions_raw) != len(gm_given):
         raise InstanceFormatError(
@@ -229,7 +228,7 @@ def to_dict(doc_or_inst) -> dict:
         return doc_or_inst
     inst = doc_or_inst
     n = inst.dim
-    return {
+    doc = {
         "format": FORMAT,
         "dim": n,
         "structure_constants": [
@@ -242,11 +241,15 @@ def to_dict(doc_or_inst) -> dict:
         "slice": {
             "dim": inst.slice_rep.dim,
             "omega": [[_fmt(x) for x in row]
-                      for row in inst.slice_rep.omega.gram.entries],
+                      for row in inst.slice_rep.omega.entries],
             "action": [[[_fmt(x) for x in row] for row in A.entries]
                        for A in inst.slice_rep.action],
         },
     }
+    if inst.gm_component_reps:
+        doc["gm_component_reps"] = [[[_fmt(x) for x in row] for row in R.entries]
+                                    for R in inst.gm_component_reps]
+    return doc
 
 
 def dumps(doc_or_inst) -> str:

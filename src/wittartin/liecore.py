@@ -11,12 +11,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactlin import (
-    BilinearForm,
     Matrix,
     Subspace,
     Vec,
     ZERO,
-    check_positive_definite,
     frac,
     kernel,
     zero_vec,
@@ -25,10 +23,6 @@ from .exactlin import (
 
 class StructureConstantError(ValueError):
     """Structure constants violate antisymmetry or the Jacobi identity."""
-
-
-class NotSubalgebra(ValueError):
-    """A subspace required to be bracket-closed is not."""
 
 
 @dataclass(frozen=True)
@@ -141,23 +135,6 @@ class LieAlgebra:
 Covector = Vec
 
 
-@dataclass(frozen=True)
-class InnerProduct:
-    """Symmetric positive-definite Gram matrix on the algebra."""
-
-    gram: Matrix
-
-    def __post_init__(self):
-        check_positive_definite(BilinearForm(self.gram))
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.gram.rows
-
-    def form(self) -> BilinearForm:
-        return BilinearForm(self.gram)
-
-
 def subalgebra_witness(L: LieAlgebra, S: Subspace) -> tuple[int, int] | None:
     """Index pair of basis vectors whose bracket escapes S, or None."""
     vs = S.basis_vectors()
@@ -176,24 +153,24 @@ def h_perp_mu(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
 
     Equivalently ad*_x mu annihilates h; these are the algebra elements whose
     generator at the point pairs to zero with the H-orbit under omega.
+    The formula holds for any subspace h; that the instance's h is a
+    subalgebra is validate's h_subalgebra check.
     """
-    w = subalgebra_witness(L, h)
-    if w is not None:
-        raise NotSubalgebra(f"basis pair {w} of h has bracket outside h")
     # Row t is x -> <mu, [x, eta_t]>, i.e. K eta_t.
     return kernel((L.bracket_pairing(mu) @ h.basis).transpose())
 
 
-def chu_form(L: LieAlgebra, mu: Covector) -> BilinearForm:
-    """The form (x, y) -> <mu, [x, y]>.
+def chu_form(L: LieAlgebra, mu: Covector) -> Matrix:
+    """The Gram matrix of the form (x, y) -> <mu, [x, y]>.
 
     Its radical is g_mu; verify proves that as liecore.chu_radical_is_g_mu.
     """
-    return BilinearForm(L.bracket_pairing(mu))
+    return L.bracket_pairing(mu)
 
 
-def killing_form(L: LieAlgebra) -> BilinearForm:
-    """B(x, y) = trace(ad_x ad_y), read off the structure constants.
+def killing_form(L: LieAlgebra) -> Matrix:
+    """The Gram matrix of B(x, y) = trace(ad_x ad_y), read off the
+    structure constants.
 
     (ad_i)[k][l] = c[i][l][k], so B_ij = sum_{k,l} c[i][l][k] c[j][k][l];
     the sum runs over the nonzero constants only.
@@ -204,7 +181,7 @@ def killing_form(L: LieAlgebra) -> BilinearForm:
         for j in range(n):
             if c[j][k][l]:
                 gram[i][j] += x * c[j][k][l]
-    return BilinearForm(Matrix(n, n, tuple(map(tuple, gram))))
+    return Matrix(n, n, tuple(map(tuple, gram)))
 
 
 def center(L: LieAlgebra) -> Subspace:

@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Sequence
 
 from .exactlin import (
-    BilinearForm,
     Matrix,
     Subspace,
     Vec,
@@ -53,7 +52,8 @@ class TangentModel:
     mn_basis: Matrix
     # Inverse of the basis of g formed by the gm basis and the mn columns.
     g_basis_inv: Matrix
-    omega: BilinearForm
+    # Gram matrix of the point form in (U, R, V) coordinates.
+    omega: Matrix
     blocks: dict[str, range]
 
     @property
@@ -105,7 +105,7 @@ class TangentModel:
     def omega_on(self, indices: Sequence[int]) -> Matrix:
         """The point form on the unit vectors at indices, in that order: the
         omega submatrix on those rows and columns."""
-        return self.omega.gram.submatrix(indices, indices)
+        return self.omega.submatrix(indices, indices)
 
 
 def build_model(chain: SplittingChain) -> TangentModel:
@@ -142,19 +142,18 @@ def build_model(chain: SplittingChain) -> TangentModel:
 
     # Gram of the point form in (U, R, V) coordinates.
     gram = [[ZERO] * total for _ in range(total)]
-    chu_on_cols = (mn_basis.transpose() @ inst.chu.gram @ mn_basis).entries
+    chu_on_cols = (mn_basis.transpose() @ inst.chu @ mn_basis).entries
     for i in range(un):
         gram[i][:un] = chu_on_cols[i]
     for i in range(dim_m):
         gram[i][un + i] = Fraction(1)
         gram[un + i][i] = Fraction(-1)
-    og = inst.slice_rep.omega.gram
+    og = inst.slice_rep.omega
     for i in range(slice_dim):
         for j in range(slice_dim):
             gram[un + dim_m + i][un + dim_m + j] = og.entries[i][j]
-    omega = BilinearForm(Matrix(total, total,
-                                tuple(tuple(row) for row in gram)))
-    if omega.gram.rank() != total:
+    omega = Matrix(total, total, tuple(tuple(row) for row in gram))
+    if omega.rank() != total:
         raise DegenerateModel("point form is singular")
 
     return TangentModel(
@@ -203,7 +202,7 @@ def f_contract_check(model: TangentModel) -> Check:
     w in N0.
     """
     un, dim_m = model.dim_m + model.dim_n, model.dim_m
-    block = model.omega.gram.submatrix(range(dim_m), range(un, un + dim_m))
+    block = model.omega.submatrix(range(dim_m), range(un, un + dim_m))
     return Check("model.f_contract", block == Matrix.identity(dim_m))
 
 

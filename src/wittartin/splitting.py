@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactlin import (
-    BilinearForm,
+    InnerProduct,
     Matrix,
     Subspace,
     Vec,
@@ -35,7 +35,6 @@ from .exactlin import (
     sum_spaces,
 )
 from .liecore import (
-    InnerProduct,
     LieAlgebra,
     chu_form,
     h_perp_mu,
@@ -85,6 +84,14 @@ def entry_detail(got: Matrix, expected: Matrix, what: str) -> str:
                  for j, (x, y) in enumerate(zip(row, want)) if x != y), "")
 
 
+def antisymmetry_detail(G: Matrix, what: str) -> str:
+    """"" when the square matrix G is antisymmetric; otherwise names the
+    first entry pair (i, j) that breaks it."""
+    pair = G.antisymmetry_witness()
+    return "" if pair is None else (f"entry {pair} of {what} is not minus "
+                                    f"entry {pair[::-1]}")
+
+
 def inclusion_check(name: str, A: Subspace, a_name: str,
                     B: Subspace, b_name: str) -> Check:
     """A <= B; a failure names the first basis vector of A that is not in B."""
@@ -130,19 +137,24 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class SliceRep:
-    """Symplectic slice data: a form on Q^d and one action matrix per g_m
-    basis vector (the linearised action, keyed to the canonical g_m basis)."""
+    """Symplectic slice data: the Gram matrix of a form on Q^d and one
+    action matrix per g_m basis vector (the linearised action, keyed to the
+    canonical g_m basis)."""
 
-    omega: BilinearForm
+    omega: Matrix
     action: tuple[Matrix, ...]
+
+    def __post_init__(self):
+        if self.omega.rows != self.omega.cols:
+            raise ValueError("slice form Gram matrix must be square")
 
     @property
     def dim(self) -> int:
-        return self.omega.ambient_dim
+        return self.omega.rows
 
     @staticmethod
     def trivial() -> "SliceRep":
-        return SliceRep(BilinearForm(Matrix.zeros(0, 0)), ())
+        return SliceRep(Matrix.zeros(0, 0), ())
 
     def combine(self, coords: Vec) -> Matrix:
         """sum_t coords[t] action[t]: the action of a g_m element given by
@@ -180,8 +192,8 @@ class ProblemInstance:
         return validate(self)
 
     @cached_property
-    def chu(self) -> BilinearForm:
-        """The Chu form (x, y) -> <mu, [x, y]>."""
+    def chu(self) -> Matrix:
+        """The Gram matrix of the Chu form (x, y) -> <mu, [x, y]>."""
         return chu_form(self.algebra, self.mu)
 
     @cached_property
@@ -234,7 +246,7 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     record("gm_normalizes_h", witness is None,
            "" if witness is None else f"[gm_{witness[0]}, h_{witness[1]}] leaves h")
 
-    ip_fits = inst.ip.ambient_dim == n
+    ip_fits = inst.ip.gram.rows == n
     record("ip_dimension", ip_fits, "")
     record("ip_symmetric", inst.ip.gram.is_symmetric(), "")
     record("ip_positive_definite",
@@ -243,7 +255,7 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     # A form of another dimension is not a form on g: it fails ad
     # invariance, and multiplying it by the ad matrices would raise.
     if not ip_fits:
-        detail = f"inner product has dimension {inst.ip.ambient_dim}, g has {n}"
+        detail = f"inner product has dimension {inst.ip.gram.rows}, g has {n}"
     else:
         t = next((t for t, eta in enumerate(inst.gm.basis_vectors())
                   if not preserves(L.ad_matrix(eta), inst.ip.gram)), None)
@@ -257,12 +269,12 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     sl = inst.slice_rep
     record("slice_action_count", len(sl.action) == inst.gm.dim,
            f"{len(sl.action)} action matrices for gm of dim {inst.gm.dim}")
-    record("slice_omega_antisymmetric", sl.omega.is_antisymmetric(), "")
-    record("slice_omega_nondegenerate",
-           sl.dim == 0 or sl.omega.is_nondegenerate(), "")
+    detail = antisymmetry_detail(sl.omega, "the slice omega")
+    record("slice_omega_antisymmetric", not detail, detail)
+    record("slice_omega_nondegenerate", sl.omega.rank() == sl.dim, "")
     witness = next((t for t, A in enumerate(sl.action)
                     if A.rows != sl.dim or A.cols != sl.dim
-                    or not preserves(A, sl.omega.gram)), None)
+                    or not preserves(A, sl.omega)), None)
     record("slice_action_symplectic", witness is None,
            "" if witness is None else f"action matrix {witness} is not in sp(omega)")
 
@@ -324,7 +336,7 @@ class SplittingChain:
         }
 
 
-def _lagrangian_shear(chu: BilinearForm, a: Subspace, C: Subspace) -> Subspace:
+def _lagrangian_shear(chu: Matrix, a: Subspace, C: Subspace) -> Subspace:
     """Shear the complement C into the Chu-isotropic graph {c + tau(c)}.
 
     tau: C -> a is the unique map with chu(tau(c), c') = -1/2 chu(c, c');
@@ -350,23 +362,22 @@ def build_chain(inst: ProblemInstance) -> SplittingChain:
     if not inst.validation.passed:
         raise ValidationFailed(inst.validation)
 
-    ip = inst.ip.form()
     g_mu, hperp, halpha = inst.g_mu, inst.h_perp_mu, inst.h_alpha
     h_mu = intersect(inst.h, g_mu)
     h_m = intersect(inst.h, inst.gm)
 
-    hm_perp = orth_complement(h_m, inst.gm, ip)
-    p = orth_complement(h_m, h_mu, ip)
-    b = orth_complement(sum_spaces(inst.gm, h_mu), g_mu, ip)
-    a = orth_complement(h_mu, halpha, ip)
-    s = orth_complement(sum_spaces(g_mu, halpha), hperp, ip)
+    hm_perp = orth_complement(h_m, inst.gm, inst.ip)
+    p = orth_complement(h_m, h_mu, inst.ip)
+    b = orth_complement(sum_spaces(inst.gm, h_mu), g_mu, inst.ip)
+    a = orth_complement(h_mu, halpha, inst.ip)
+    s = orth_complement(sum_spaces(g_mu, halpha), hperp, inst.ip)
     q = sum_spaces(a, s)
-    ntilde = orth_complement(halpha, inst.h, ip)
+    ntilde = orth_complement(halpha, inst.h, inst.ip)
 
     chu = inst.chu
     V = perp_under_form(chu, sum_spaces(ntilde, s))
     # Raises NotContained unless g_mu + a is Chu-orthogonal to ntilde + s.
-    C = orth_complement(sum_spaces(g_mu, a), V, ip)
+    C = orth_complement(sum_spaces(g_mu, a), V, inst.ip)
     r = _lagrangian_shear(chu, a, C)
 
     m_space = sum_spaces(p, b)

@@ -52,7 +52,7 @@ class TubePoint:
 
 def phi_n1(inst: ProblemInstance, nu: Vec) -> Vec:
     """Slice momentum in g_m* coordinates: <., x> = 1/2 omega(x.nu, nu)."""
-    og = inst.slice_rep.omega.gram
+    og = inst.slice_rep.omega
     out = []
     for A in inst.slice_rep.action:
         out.append(Fraction(1, 2) * dot(A.apply(nu), og.apply(nu)))
@@ -61,7 +61,7 @@ def phi_n1(inst: ProblemInstance, nu: Vec) -> Vec:
 
 def dphi_n1(inst: ProblemInstance, nu: Vec, nudot: Vec) -> Vec:
     """Exact derivative of the quadratic slice momentum at nu, applied to nudot."""
-    og = inst.slice_rep.omega.gram
+    og = inst.slice_rep.omega
     half = Fraction(1, 2)
     out = []
     for A in inst.slice_rep.action:
@@ -110,7 +110,7 @@ def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:
     UR = Matrix.identity(un).submatrix(range(un), range(dm))
     bands = ((UU, UR, Matrix.zeros(un, sd)),
              (-UR.transpose(), Matrix.zeros(dm, dm + sd)),
-             (Matrix.zeros(sd, un + dm), inst.slice_rep.omega.gram))
+             (Matrix.zeros(sd, un + dm), inst.slice_rep.omega))
     rows = tuple(sum((B.entries[r] for B in band), ())
                  for band in bands for r in range(band[0].rows))
     return Matrix(model.total_dim, model.total_dim, rows)

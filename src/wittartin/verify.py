@@ -36,6 +36,7 @@ from .liecore import (
 from .splitting import (
     Check,
     ProblemInstance,
+    antisymmetry_detail,
     build_chain,
     chain_checks,
     dim_formulas,
@@ -70,13 +71,9 @@ def _chu_radical_detail(inst: ProblemInstance) -> str:
     """"" when the Chu form is antisymmetric with radical g_mu; otherwise
     the first entry pair that breaks antisymmetry, or the first basis
     vector of one space that is not in the other."""
-    pair = inst.chu.gram.antisymmetry_witness()
-    if pair is not None:
-        i, j = pair
-        return (f"entry ({i}, {j}) of the Chu form is not minus "
-                f"entry ({j}, {i})")
-    return equality_detail(inst.chu.radical(), "the Chu radical",
-                           inst.g_mu, "g_mu")
+    return (antisymmetry_detail(inst.chu, "the Chu form")
+            or equality_detail(kernel(inst.chu), "the Chu radical",
+                               inst.g_mu, "g_mu"))
 
 
 def _h_alpha_detail(inst: ProblemInstance) -> str:
@@ -98,7 +95,7 @@ def _killing_detail(L: LieAlgebra) -> str:
     """"" when B(ad_z x, y) + B(x, ad_z y) = 0 for all x, y, that is
     ad_z^T B + B ad_z = 0, for the Killing form B; otherwise the entry of
     smallest key (i, a, b) of the defect."""
-    defect = ad_invariance_defect(L, killing_form(L).gram)
+    defect = ad_invariance_defect(L, killing_form(L))
     if not defect:
         return ""
     i, a, b = key = min(defect)
@@ -109,10 +106,10 @@ def _killing_detail(L: LieAlgebra) -> str:
 def model_checks(model: pm.TangentModel) -> list[Check]:
     inst = model.inst
     out = []
-    out.append(Check("model.omega_antisymmetric",
-                     model.omega.is_antisymmetric()))
+    anti = antisymmetry_detail(model.omega, "the point form")
+    out.append(Check("model.omega_antisymmetric", not anti, anti))
     out.append(Check("model.omega_nondegenerate",
-                     model.omega.gram.rank() == model.total_dim))
+                     model.omega.rank() == model.total_dim))
 
     kerG, kerH = model.ker_dphi_G, model.ker_dphi_H
     expected = model.unit_span(model.indices("p", "b", "N1"))
@@ -168,7 +165,7 @@ def decomposition_checks(model: pm.TangentModel,
     nh1_dim = chain.s.dim + 2 * chain.b.dim + model.slice_dim
     out.append(dec.slice_form_check(decomp, model))
     out.append(Check("sliceform.dim_formula",
-                     decomp.form.ambient_dim == nh1_dim
+                     decomp.form.rows == nh1_dim
                      and len(decomp.NH1) == nh1_dim))
     out.append(Check("dims.slice_dim_formula",
                      len(decomp.NH1) == dim_formulas(chain).slice_dim_H))
@@ -225,7 +222,7 @@ def tube_checks(model: pm.TangentModel, samples: int,
     origin = tube.TubePoint(zero_vec(n), zero_vec(model.dim_m),
                             zero_vec(model.slice_dim))
 
-    base = entry_detail(tube.omega_tube_gram(model, origin), model.omega.gram,
+    base = entry_detail(tube.omega_tube_gram(model, origin), model.omega,
                         "the tube form at the base point")
     out.append(Check("tube.base_point_matches_model", not base, base))
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from wittartin.exactlin import BilinearForm, Matrix, Subspace
-from wittartin.liecore import InnerProduct, abelian, direct_sum, killing_form, so3
+from wittartin.exactlin import InnerProduct, Matrix, Subspace
+from wittartin.liecore import abelian, direct_sum, killing_form, so3
 from wittartin.splitting import ProblemInstance, SliceRep, validate
 
 J2 = Matrix.from_rows([[0, 1], [-1, 0]])
@@ -52,7 +52,7 @@ def random_symplectic_slice(rng: random.Random, dim: int,
     can be arbitrary elements Omega^-1 S with S symmetric.
     """
     if dim == 0:
-        return SliceRep(BilinearForm(Matrix.zeros(0, 0)),
+        return SliceRep(Matrix.zeros(0, 0),
                         tuple(Matrix.zeros(0, 0) for _ in range(gm_dim)))
     while True:
         rows = [[Fraction(0)] * dim for _ in range(dim)]
@@ -74,11 +74,11 @@ def random_symplectic_slice(rng: random.Random, dim: int,
                 s_rows[i][j] = x
                 s_rows[j][i] = x
         actions.append(om_inv @ Matrix.from_rows(s_rows))
-    return SliceRep(BilinearForm(omega), tuple(actions))
+    return SliceRep(omega, tuple(actions))
 
 
 def zero_slice(gm_dim: int) -> SliceRep:
-    return SliceRep(BilinearForm(Matrix.zeros(0, 0)),
+    return SliceRep(Matrix.zeros(0, 0),
                     tuple(Matrix.zeros(0, 0) for _ in range(gm_dim)))
 
 
@@ -89,7 +89,7 @@ def trivial_slice(dim: int, gm_dim: int) -> SliceRep:
     for i in range(0, dim - 1, 2):
         rows[i][i + 1] = Fraction(1)
         rows[i + 1][i] = Fraction(-1)
-    return SliceRep(BilinearForm(Matrix.from_rows(rows)),
+    return SliceRep(Matrix.from_rows(rows),
                     tuple(Matrix.zeros(dim, dim) for _ in range(gm_dim)))
 
 
@@ -137,14 +137,13 @@ def _so3_candidates(rng: random.Random) -> list[ProblemInstance]:
             else:
                 gm_choices.append(Subspace.full(n))
             for gm in gm_choices:
-                ips = [Matrix.identity(n), -killing_form(L).gram]
+                ips = [Matrix.identity(n), -killing_form(L)]
                 if gm.dim == 0:
                     ips.append(Matrix.from_rows(
                         [[1, 0, 0], [0, 2, 0], [0, 0, 3]]))
                 for ip in ips:
                     if gm == Subspace.full(n) and rng.random() < 0.5:
-                        slice_rep = SliceRep(BilinearForm(QUAT_OMEGA),
-                                             QUAT_ACTIONS)
+                        slice_rep = SliceRep(QUAT_OMEGA, QUAT_ACTIONS)
                     elif gm.dim <= 1:
                         slice_rep = random_symplectic_slice(
                             rng, rng.choice((0, 2, 4)), gm.dim)

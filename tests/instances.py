@@ -2,8 +2,8 @@
 
 from fractions import Fraction
 
-from wittartin.exactlin import BilinearForm, Matrix, Subspace
-from wittartin.liecore import InnerProduct, abelian, direct_sum, so3
+from wittartin.exactlin import InnerProduct, Matrix, Subspace
+from wittartin.liecore import abelian, direct_sum, so3
 from wittartin.splitting import ProblemInstance, SliceRep
 
 F = Fraction
@@ -20,8 +20,7 @@ def standard_slice(dim: int, gm_dim: int = 0) -> SliceRep:
     for i in range(0, dim - 1, 2):
         rows[i][i + 1] = F(1)
         rows[i + 1][i] = F(-1)
-    return SliceRep(BilinearForm(Matrix.from_rows(rows) if dim else
-                                 Matrix.zeros(0, 0)),
+    return SliceRep(Matrix.from_rows(rows) if dim else Matrix.zeros(0, 0),
                     tuple(Matrix.zeros(dim, dim) for _ in range(gm_dim)))
 
 
@@ -67,7 +66,7 @@ def so3xso3_diag(mu=None, with_gm: bool = True,
     if with_gm:
         gm = Subspace.span(6, [vec(0, 0, 1, 0, 0, 1)])
         rot = Matrix.from_rows([[0, -1], [1, 0]])
-        slice_rep = SliceRep(BilinearForm(J2), (rot,)) if slice_dim == 2 \
+        slice_rep = SliceRep(J2, (rot,)) if slice_dim == 2 \
             else standard_slice(slice_dim, 1)
     else:
         gm = Subspace.zero(6)
@@ -83,7 +82,7 @@ def full_stabilizer_instance() -> ProblemInstance:
     return ProblemInstance(
         L, Subspace.full(3), Subspace.full(3), vec(0, 0, 0),
         InnerProduct(Matrix.identity(3)),
-        SliceRep(BilinearForm(QUAT_OMEGA), QUAT_ACTIONS))
+        SliceRep(QUAT_OMEGA, QUAT_ACTIONS))
 
 
 def middle_term_instance() -> ProblemInstance:
@@ -96,4 +95,4 @@ def middle_term_instance() -> ProblemInstance:
     return ProblemInstance(
         L, line, line, vec(0, 0, 0, 0, 0, 1),
         InnerProduct(Matrix.identity(6)),
-        SliceRep(BilinearForm(J2), (rot,)))
+        SliceRep(J2, (rot,)))

@@ -83,7 +83,7 @@ def test_criterion_2_torus_family():
             chain = build_chain(inst)
             model = build_model(chain)
             dec = decompose_H(model)
-            form = slice_form(model).gram
+            form = slice_form(model)
 
             ok &= chain.s.dim == 0
             ok &= len(dec.Xm_block) == 2 * (n - k)
@@ -157,7 +157,7 @@ def test_criterion_5_tube_consistency():
         exact = all(
             omega_tube(model, origin, unit_vec(model.total_dim, i),
                        unit_vec(model.total_dim, j))
-            == model.omega.gram.entries[i][j]
+            == model.omega.entries[i][j]
             for i in range(model.total_dim) for j in range(model.total_dim))
 
         fd = check_dphi_consistency(model)

@@ -11,8 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from wittartin import verify
-from wittartin.exactlin import BilinearForm, Matrix, Subspace
-from wittartin.liecore import InnerProduct, abelian, direct_sum, so3
+from wittartin.exactlin import InnerProduct, Matrix, Subspace
+from wittartin.liecore import abelian, direct_sum, so3
 from wittartin.splitting import ProblemInstance, SliceRep
 
 GOLDEN = Path(__file__).parent / "golden" / "run-all-benchmarked-sizes.json"
@@ -33,7 +33,7 @@ def so3_cubed() -> ProblemInstance:
     mu = (F(0), F(0), F(3, 2), F(0), F(0), F(1), F(0), F(0), F(2, 3))
     return ProblemInstance(L, h, Subspace.zero(9), mu,
                            InnerProduct(Matrix.identity(9)),
-                           SliceRep(BilinearForm(J2), ()))
+                           SliceRep(J2, ()))
 
 
 def torus_8_4() -> ProblemInstance:
@@ -43,7 +43,7 @@ def torus_8_4() -> ProblemInstance:
     mu = (F(1, 3), F(-1), F(1, 8), F(-1, 2), F(1, 5), F(-1, 7), F(1, 4), F(1, 6))
     return ProblemInstance(L, h, Subspace.zero(8), mu,
                            InnerProduct(Matrix.identity(8)),
-                           SliceRep(BilinearForm(J2), ()))
+                           SliceRep(J2, ()))
 
 
 def records_text() -> str:

@@ -13,7 +13,7 @@ from wittartin import pointmodel as pm
 from wittartin import splitting
 from wittartin.catalog import EXAMPLE_NAMES, build_example
 from wittartin.cli import main
-from wittartin.exactlin import BilinearForm, Subspace
+from wittartin.exactlin import Subspace
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_VERIFY = ROOT / "tests" / "golden" / "verify-all-examples.json"
@@ -205,6 +205,18 @@ class TestDecompose:
         _, out2, _ = run_cli(capsys, "decompose", str(path), "--format", "json")
         assert out1.encode() == out2.encode()
 
+    def test_json_instance_carries_component_reps(self, capsys, tmp_path):
+        path = write_example(capsys, tmp_path, "so3-collinear")
+        doc = json.loads(path.read_text())
+        doc["gm_component_reps"] = [[["0", "-1", "0"], ["1", "0", "0"],
+                                     ["0", "0", "1"]]]
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "decompose", str(path),
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["instance"]["gm_component_reps"] \
+            == doc["gm_component_reps"]
+
     def test_invalid_instance_exit_1(self, capsys, tmp_path):
         path = write_example(capsys, tmp_path, "so3-generic")
         doc = json.loads(path.read_text())
@@ -219,9 +231,8 @@ class TestDecompose:
                                                  monkeypatch):
         path = write_example(capsys, tmp_path, "so3-generic")
         exact = dec.slice_form
-        monkeypatch.setattr(
-            dec, "slice_form",
-            lambda model: BilinearForm(exact(model).gram.scale(2)))
+        monkeypatch.setattr(dec, "slice_form",
+                            lambda model: exact(model).scale(2))
         code, out, err = run_cli(capsys, "decompose", str(path))
         assert code == 1
         assert out == ""

@@ -21,8 +21,15 @@ from wittartin.decomposition import (
     slice_form,
     slice_momentum,
 )
-from wittartin.exactlin import Matrix, Subspace, dot, gram_on, zero_vec
-from wittartin.liecore import InnerProduct, chu_form, so3
+from wittartin.exactlin import (
+    InnerProduct,
+    Matrix,
+    Subspace,
+    dot,
+    gram_on,
+    zero_vec,
+)
+from wittartin.liecore import chu_form, so3
 from wittartin.pointmodel import build_model
 from wittartin.splitting import ProblemInstance, build_chain
 
@@ -58,7 +65,7 @@ class TestDecomposeG:
     def test_gram_T1_is_kks(self):
         chain, model = setup(so3_case("collinear", slice_dim=2))
         d = decompose_G(model)
-        K = chu_form(model.inst.algebra, model.inst.mu).gram
+        K = chu_form(model.inst.algebra, model.inst.mu)
         nvecs = [model.mn_basis.col(i)
                  for name in ("a", "s", "ntilde", "r")
                  for i in model.blocks[name]]
@@ -120,7 +127,7 @@ class TestDecomposeH:
         # NH1 keeps the block order of its form: s, b, Y_m, N1.
         assert d.NH1 == d.s_block + ix("b") + d.Ym + d.N1_block
         assert (d.Xm_block, d.Zm) == (ix("b", "bstar"), ix("a", "r"))
-        assert d.form.gram == model.omega_on(d.NH1)
+        assert d.form == model.omega_on(d.NH1)
 
     def test_kernel_identity(self):
         _, model = setup(so3xso3_diag(with_gm=False))
@@ -149,24 +156,24 @@ class TestSliceForm:
         d = decompose_H(model)
         form = slice_form(model)
         chain = model.chain
-        K = chu_form(model.inst.algebra, model.inst.mu).gram
+        K = chu_form(model.inst.algebra, model.inst.mu)
         svecs = chain.s.basis_vectors()
         for i in range(2):
             for j in range(2):
-                assert form.gram.entries[i][j] == dot(svecs[i],
+                assert form.entries[i][j] == dot(svecs[i],
                                                       K.apply(svecs[j]))
         # s block is genuinely symplectic here.
-        sub = Matrix.from_rows([[form.gram.entries[i][j] for j in range(2)]
+        sub = Matrix.from_rows([[form.entries[i][j] for j in range(2)]
                                 for i in range(2)])
         assert sub.rank() == 2
-        assert form.gram.entries[2][3] == F(1)
-        assert form.gram.entries[3][2] == F(-1)
+        assert form.entries[2][3] == F(1)
+        assert form.entries[3][2] == F(-1)
 
     def test_abelian_is_canonical_pairing_plus_slice(self):
         _, model = setup(torus_instance(3, 1, slice_dim=2))
         d = decompose_H(model)
         form = slice_form(model)
-        n = form.ambient_dim
+        n = form.rows
         assert n == 6
         expected = [[F(0)] * n for _ in range(n)]
         for i in range(2):              # dim b = 2 canonical pairs
@@ -174,7 +181,7 @@ class TestSliceForm:
             expected[2 + i][i] = F(-1)
         expected[4][5] = F(1)
         expected[5][4] = F(-1)
-        assert form.gram == Matrix.from_rows(expected)
+        assert form == Matrix.from_rows(expected)
 
     def test_h_equals_g_gives_slice_form_only(self):
         inst = ProblemInstance(
@@ -183,7 +190,7 @@ class TestSliceForm:
         _, model = setup(inst)
         d = decompose_H(model)
         form = slice_form(model)
-        assert form.gram == inst.slice_rep.omega.gram
+        assert form == inst.slice_rep.omega
 
 
 class TestSliceMomentum:
@@ -223,7 +230,7 @@ class TestSliceMomentum:
             _, model = setup(inst)
             d = decompose_H(model)
             # Direct route: 1/2 omega_NH1(eta . nu_tilde, nu_tilde).
-            gram = slice_form(model).gram
+            gram = slice_form(model)
             (eta,) = model.chain.h_m.basis_vectors()
             act = _eta_action_on_nh1(model, eta)
             for _ in range(10):

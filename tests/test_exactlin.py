@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from wittartin.exactlin import (
     AmbientMismatch,
-    BilinearForm,
     Matrix,
     NotContained,
     NotPositiveDefinite,
+    InnerProduct,
     Subspace,
     add_vec,
     direct_sum,
@@ -21,11 +21,9 @@ from wittartin.exactlin import (
     first_escape,
     first_outside,
     gram_on,
-    identity_form,
     image,
     intersect,
     kernel,
-    check_positive_definite,
     orth_complement,
     pairing_witness,
     perp_under_form,
@@ -67,28 +65,30 @@ class TestOrthComplement:
     def test_standard_orthogonality(self):
         U = span(2, (1, 0))
         W = Subspace.full(2)
-        assert orth_complement(U, W, identity_form(2)) == span(2, (0, 1))
+        ip = InnerProduct(Matrix.identity(2))
+        assert orth_complement(U, W, ip) == span(2, (0, 1))
 
     def test_u_equals_w(self):
         U = span(2, (1, 1))
-        assert orth_complement(U, U, identity_form(2)).dim == 0
+        assert orth_complement(U, U, InnerProduct(Matrix.identity(2))).dim == 0
 
     def test_weighted_complement(self):
         # <u, v>_ip = 0 with ip = diag(1,2): v1 + 2 v2 = 0, so v = (2, -1).
         U = span(2, (1, 1))
-        ip = BilinearForm(Matrix.from_rows([[1, 0], [0, 2]]))
+        ip = InnerProduct(Matrix.from_rows([[1, 0], [0, 2]]))
         result = orth_complement(U, Subspace.full(2), ip)
         assert result == span(2, (2, -1))
 
     def test_not_contained(self):
         with pytest.raises(NotContained):
             orth_complement(span(2, (1, 0)), span(2, (0, 1)),
-                            identity_form(2))
+                            InnerProduct(Matrix.identity(2)))
 
     def test_not_positive_definite(self):
-        bad = BilinearForm(Matrix.from_rows([[1, 0], [0, -1]]))
+        bad = Matrix.from_rows([[1, 0], [0, -1]])
         with pytest.raises(NotPositiveDefinite):
-            orth_complement(span(2, (1, 0)), Subspace.full(2), bad)
+            orth_complement(span(2, (1, 0)), Subspace.full(2),
+                            InnerProduct(bad))
 
 
 class TestSumIntersect:
@@ -121,7 +121,7 @@ class TestPredicates:
         assert Subspace.zero(3).leq(line) and not line.leq(Subspace.zero(3))
 
     def test_gram_on_cross_block_is_rectangular(self):
-        J = BilinearForm(Matrix.from_rows([[0, 1], [-1, 0]]))
+        J = Matrix.from_rows([[0, 1], [-1, 0]])
         g = cross_block(J, span(2, (1, 0)), Subspace.full(2))
         assert g == Matrix.from_rows([[0, 1]])
         assert cross_block(J, Subspace.zero(2), Subspace.full(2)).rows == 0
@@ -159,20 +159,18 @@ class TestSubmatrix:
 
 class TestGramOn:
     def test_zero_dim_gives_empty(self):
-        form = identity_form(3)
-        g = gram_on(form, Subspace.zero(3))
+        g = gram_on(Matrix.identity(3), Subspace.zero(3))
         assert g.rows == 0 and g.cols == 0
 
     def test_symplectic_restriction(self):
         # "Standard" form pairing q_i with p_i in (q1, q2, p1, p2) order.
         J = Matrix.from_rows([
             [0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
-        form = BilinearForm(J)
-        g = gram_on(form, span(4, (1, 0, 0, 0), (0, 0, 1, 0)))
+        g = gram_on(J, span(4, (1, 0, 0, 0), (0, 0, 1, 0)))
         assert g == Matrix.from_rows([[0, 1], [-1, 0]])
 
     def test_identity_on_unit_vectors(self):
-        g = gram_on(identity_form(3), Subspace.full(3))
+        g = gram_on(Matrix.identity(3), Subspace.full(3))
         assert g == Matrix.identity(3)
 
 
@@ -253,7 +251,7 @@ def spd_forms(draw):
                       min_size=N, max_size=N))
     D = Matrix.from_rows([[d[i] if i == j else 0 for j in range(N)]
                           for i in range(N)])
-    return BilinearForm(A.transpose() @ A + D)
+    return InnerProduct(A.transpose() @ A + D)
 
 
 @st.composite
@@ -271,9 +269,9 @@ def complement_cases(draw):
 def test_orth_complement_splits(ip, case):
     U, W = case
     C = orth_complement(U, W, ip)
-    assert C == old_orth_complement(U, W, ip)
+    assert C == old_orth_complement(U, W, ip.gram)
     assert direct_sum(U, C) == W
-    assert pairing_witness(ip, U, C) is None
+    assert pairing_witness(ip.gram, U, C) is None
 
 
 # The predicates against the formulations they replace, on drawn subspaces
@@ -342,7 +340,7 @@ def old_first_outside(U, W):
 
 
 def old_cross_gram(form, U, V):
-    return [[dot(u, form.gram.apply(v)) for v in V.basis_vectors()]
+    return [[dot(u, form.apply(v)) for v in V.basis_vectors()]
             for u in U.basis_vectors()]
 
 
@@ -390,15 +388,14 @@ def test_leq_matches_per_vector_containment(U, X, contain):
 @settings(max_examples=60, deadline=None)
 @given(square_matrices(), subspaces(), subspaces())
 def test_gram_on_cross_block_matches_entry_by_entry_pairing(G, U, V):
-    form = BilinearForm(G)
-    g = cross_block(form, U, V)
+    g = cross_block(G, U, V)
     assert (g.rows, g.cols) == (U.dim, V.dim)
-    assert [list(row) for row in g.entries] == old_cross_gram(form, U, V)
-    assert gram_on(form, U) == cross_block(form, U, U)
-    both = gram_on(form, U, V)
-    assert both.submatrix(range(U.dim), range(U.dim)) == gram_on(form, U)
+    assert [list(row) for row in g.entries] == old_cross_gram(G, U, V)
+    assert gram_on(G, U) == cross_block(G, U, U)
+    both = gram_on(G, U, V)
+    assert both.submatrix(range(U.dim), range(U.dim)) == gram_on(G, U)
     assert both.submatrix(range(U.dim, both.rows),
-                          range(U.dim, both.cols)) == gram_on(form, V)
+                          range(U.dim, both.cols)) == gram_on(G, V)
 
 
 @settings(max_examples=80, deadline=None)
@@ -554,7 +551,7 @@ def dense_det(A):
 
 
 def dense_perp_under_form(form, U):
-    return kernel(U.basis.transpose() @ form.gram)
+    return kernel(U.basis.transpose() @ form)
 
 
 def dense_is_symmetric(A):
@@ -650,8 +647,7 @@ def test_det_matches_dense_elimination(A):
 def test_perp_under_form_matches_dense_product(GV):
     G, V = GV
     U = Subspace.span(G.rows, V.entries)
-    assert perp_under_form(BilinearForm(G), U) \
-        == dense_perp_under_form(BilinearForm(G), U)
+    assert perp_under_form(G, U) == dense_perp_under_form(G, U)
 
 
 @settings(max_examples=200, deadline=None)
@@ -707,7 +703,7 @@ def pairing_cases(draw):
 
     U = space()
     V = U if draw(st.booleans()) else space()
-    return BilinearForm(G), U, V
+    return G, U, V
 
 
 @settings(max_examples=300, deadline=None)
@@ -721,14 +717,14 @@ def test_pairing_witness_is_first_nonzero_entry_of_dense_cross_gram(case):
 
 def test_pairing_witness_rejects_a_form_of_another_dimension():
     with pytest.raises(AmbientMismatch):
-        pairing_witness(identity_form(2), Subspace.full(3), Subspace.full(3))
+        pairing_witness(Matrix.identity(2), Subspace.full(3), Subspace.full(3))
     with pytest.raises(AmbientMismatch):
-        pairing_witness(identity_form(3), Subspace.full(3), Subspace.zero(2))
+        pairing_witness(Matrix.identity(3), Subspace.full(3), Subspace.zero(2))
 
 
 def test_pairing_witness_names_the_pair():
     # e0 spans the radical, and e1 pairs only with e2.
-    J = BilinearForm(Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, -1, 0]]))
+    J = Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
     assert pairing_witness(J, span(3, (0, 1, 0)), span(3, (0, 1, 0))) is None
     assert pairing_witness(J, Subspace.full(3), Subspace.full(3)) == (1, 2)
     assert pairing_witness(J, Subspace.full(3), span(3, (0, 1, 0))) == (2, 0)
@@ -761,12 +757,11 @@ def test_leading_minors_of_a_non_square_matrix_raise():
         Matrix.zeros(2, 3).leading_minors_positive()
 
 
-def test_empty_gram_is_positive_definite_for_check_positive_definite():
+def test_empty_gram_is_an_inner_product():
     assert Matrix.zeros(0, 0).leading_minors_positive()
-    check_positive_definite(BilinearForm(Matrix.zeros(0, 0)))
+    InnerProduct(Matrix.zeros(0, 0))
     with pytest.raises(NotPositiveDefinite):
-        check_positive_definite(BilinearForm(Matrix.from_rows(
-            [[1, 2], [2, 1]])))
+        InnerProduct(Matrix.from_rows([[1, 2], [2, 1]]))
 
 
 # The vector kernels against the dense loops they replaced: where one

@@ -24,6 +24,7 @@ from wittartin.instancefile import (
     to_dict,
 )
 from wittartin.splitting import validate
+from wittartin.verify import run_all
 
 F = Fraction
 
@@ -33,6 +34,16 @@ class TestRoundTrip:
     def test_catalog_parses_and_validates(self, name, doc):
         inst = from_dict(doc)
         assert validate(inst).passed
+
+    def test_component_reps_survive_a_round_trip(self):
+        # The README's example: so3-collinear with a quarter turn about e3.
+        doc = dict(build_example("so3-collinear"), gm_component_reps=[
+            [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]])
+        inst = from_dict(doc)
+        again = from_dict(to_dict(inst))
+        assert again == inst
+        checks = run_all(inst)
+        assert len(checks) == 71 and run_all(again) == checks
 
     def test_dump_load_dump_is_stable(self):
         doc = so3xso3_diagonal()

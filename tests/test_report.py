@@ -15,7 +15,7 @@ from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
 from wittartin import splitting, verify
 from wittartin.catalog import all_examples, build_example
-from wittartin.exactlin import BilinearForm, Subspace, sum_spaces
+from wittartin.exactlin import Subspace, sum_spaces
 from wittartin.instancefile import from_dict
 from wittartin.report import build_report, render_text, report_to_dict
 from wittartin.splitting import CheckFailed, build_chain
@@ -94,7 +94,7 @@ def _degenerate_model(monkeypatch):
 def _scaled_slice_form(monkeypatch):
     exact = dec.slice_form
     monkeypatch.setattr(dec, "slice_form",
-                        lambda model: BilinearForm(exact(model).gram.scale(2)))
+                        lambda model: exact(model).scale(2))
     return from_dict(build_example("so3-generic"))
 
 

@@ -8,7 +8,7 @@ import pytest
 from instances import so3_case, so3xso3_diag, torus_instance, vec
 from wittartin.catalog import build_example
 from wittartin.exactlin import (
-    BilinearForm,
+    InnerProduct,
     Matrix,
     Subspace,
     direct_sum,
@@ -18,7 +18,7 @@ from wittartin.exactlin import (
     unit_vec,
 )
 from wittartin.instancefile import from_dict
-from wittartin.liecore import InnerProduct, abelian, so3
+from wittartin.liecore import abelian, so3
 from wittartin.splitting import (
     ProblemInstance,
     SliceRep,
@@ -27,6 +27,7 @@ from wittartin.splitting import (
     dim_formulas,
     validate,
 )
+from wittartin.report import build_report
 from wittartin.verify import run_all
 
 F = Fraction
@@ -57,7 +58,7 @@ class TestValidate:
             so3(), Subspace.span(3, [vec(0, 0, 1)]),
             Subspace.span(3, [vec(0, 0, 1)]), vec(0, 0, 1),
             InnerProduct(Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])),
-            SliceRep(BilinearForm(Matrix.zeros(0, 0)), (Matrix.zeros(0, 0),)))
+            SliceRep(Matrix.zeros(0, 0), (Matrix.zeros(0, 0),)))
         report = validate(inst)
         failed = {c.name for c in report.failures()}
         assert "ip_ad_gm_invariant" in failed
@@ -100,6 +101,27 @@ class TestValidate:
         assert report.passed, report.failures()
         assert ("ip_positive_definite", True) in [
             (c.name, c.passed) for c in report.checks]
+
+    @pytest.mark.parametrize("example", ["so3xso3-diagonal", "torus"])
+    @pytest.mark.parametrize("run", [run_all, build_report],
+                             ids=["run_all", "build_report"])
+    def test_positive_definiteness_is_proven_once(self, monkeypatch, example,
+                                                  run):
+        """Loading builds the InnerProduct, which proves it positive
+        definite; a pass adds validate.ip_positive_definite and nothing
+        else, since orth_complement takes the proof from the type."""
+        calls = []
+        exact = Matrix.leading_minors_positive
+
+        def counted(self):
+            calls.append(self)
+            return exact(self)
+
+        monkeypatch.setattr(Matrix, "leading_minors_positive", counted)
+        inst = from_dict(build_example(example))
+        assert len(calls) == 1
+        run(inst)
+        assert len(calls) == 2
 
 
 class TestSo3Cases:
@@ -200,7 +222,7 @@ class TestShearedComplement:
 
         inst = _sheared_r_instance()
         chain = build_chain(inst)
-        K = chu_form(inst.algebra, inst.mu).gram
+        K = chu_form(inst.algebra, inst.mu)
 
         def chu(x, y):
             return dot(x, K.apply(y))
@@ -208,8 +230,7 @@ class TestShearedComplement:
         assert chain.a.dim == 2 and chain.r.dim == 2
 
         V = perp_under_form(inst.chu, sum_spaces(chain.ntilde, chain.s))
-        pre = orth_complement(sum_spaces(inst.g_mu, chain.a), V,
-                              inst.ip.form())
+        pre = orth_complement(sum_spaces(inst.g_mu, chain.a), V, inst.ip)
         pre_vs = pre.basis_vectors()
         assert any(chu(x, y) != 0 for x in pre_vs for y in pre_vs)
 

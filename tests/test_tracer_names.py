@@ -24,8 +24,7 @@ from wittartin import (  # noqa: F401
     tube,
     verify,
 )
-from wittartin.exactlin import Matrix, Subspace
-from wittartin.liecore import InnerProduct
+from wittartin.exactlin import InnerProduct, Matrix, Subspace
 from wittartin.splitting import ProblemInstance
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"

@@ -12,9 +12,16 @@ from corpus import build_corpus
 from instances import so3_case, so3xso3_diag, standard_slice, torus_instance, vec
 from wittartin import tube
 from wittartin.catalog import all_examples, build_example
-from wittartin.exactlin import Matrix, Subspace, dot, unit_vec, zero_vec
+from wittartin.exactlin import (
+    InnerProduct,
+    Matrix,
+    Subspace,
+    dot,
+    unit_vec,
+    zero_vec,
+)
 from wittartin.instancefile import from_dict
-from wittartin.liecore import InnerProduct, so3
+from wittartin.liecore import so3
 from wittartin.pointmodel import build_model
 from wittartin.splitting import ProblemInstance, build_chain, validate
 from wittartin.tube import (
@@ -70,7 +77,7 @@ def omega_tube_reference(inst, model, p, v1, v2):
     lam_point = zero_extend(model, model.gm_dim, p.rho)
     lam_slice = zero_extend(model, 0, phi_n1(inst, p.nu))
     term3 = dot(lam_point, br) + dot(lam_slice, br) + dot(inst.mu, br)
-    term5 = dot(nu1, inst.slice_rep.omega.gram.apply(nu2))
+    term5 = dot(nu1, inst.slice_rep.omega.apply(nu2))
     return term12 + term3 + term5
 
 
@@ -108,7 +115,7 @@ class TestOmegaTube:
                 for j in range(model.total_dim):
                     vj = unit(model, j)
                     assert omega_tube(model, p, vi, vj) \
-                        == model.omega.gram.entries[i][j]
+                        == model.omega.entries[i][j]
 
     def test_abelian_rho_independence(self):
         inst = torus_instance(3, 1, slice_dim=2)
@@ -175,7 +182,7 @@ class TestGramAgainstReference:
                 for j, vj in enumerate(units):
                     assert G.entries[i][j] == \
                         omega_tube_reference(inst, model, p, vi, vj), (i, j)
-        assert omega_tube_gram(model, points[0]) == model.omega.gram
+        assert omega_tube_gram(model, points[0]) == model.omega
 
     def test_omega_tube_pairs_through_the_gram(self):
         inst = so3xso3_diag(mu=vec(0, 0, 1, 0, 0, 2), with_gm=True)

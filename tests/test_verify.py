@@ -20,7 +20,6 @@ from wittartin import pointmodel as pm
 from wittartin import splitting, tube, verify
 from wittartin.catalog import build_example
 from wittartin.exactlin import (
-    BilinearForm,
     Matrix,
     Subspace,
     add_vec,
@@ -86,7 +85,7 @@ def test_doubled_tube_gram_fails_base_point_check_and_names_the_entry(
 def test_non_invariant_killing_form_fails_invariance_check(monkeypatch):
     expected_names = [c.name for c in _run()]
     diag = Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    monkeypatch.setattr(verify, "killing_form", lambda L: BilinearForm(diag))
+    monkeypatch.setattr(verify, "killing_form", lambda L: diag)
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["liecore.killing_ad_invariant"]
@@ -102,13 +101,32 @@ def _liecore_failures(inst):
 
 def test_non_antisymmetric_chu_form_names_the_entry_pair():
     inst = from_dict(build_example("so3-generic"))
-    rows = [list(row) for row in inst.chu.gram.entries]
+    rows = [list(row) for row in inst.chu.entries]
     rows[0][2] += 1
     broken = replace(inst)
-    broken.__dict__["chu"] = BilinearForm(Matrix.from_rows(rows))
+    broken.__dict__["chu"] = Matrix.from_rows(rows)
     assert _liecore_failures(broken) == [(
         "liecore.chu_radical_is_g_mu",
         "entry (0, 2) of the Chu form is not minus entry (2, 0)")]
+
+
+def test_symmetric_slice_omega_names_the_entry_pair():
+    doc = build_example("so3-generic")
+    doc["slice"]["omega"] = [["0", "1"], ["1", "0"]]
+    checks = verify.run_all(from_dict(doc), samples=3)
+    assert _failed(checks) == ["validate.slice_omega_antisymmetric"]
+    assert _check(checks, "validate.slice_omega_antisymmetric").detail == \
+        "entry (0, 1) of the slice omega is not minus entry (1, 0)"
+
+
+def test_non_antisymmetric_point_form_names_the_entry_pair():
+    _, model = verify.checked_model(from_dict(build_example("so3-generic")))
+    rows = [list(row) for row in model.omega.entries]
+    rows[0][1] += 1
+    broken = replace(model, omega=Matrix.from_rows(rows))
+    check = _check(verify.model_checks(broken), "model.omega_antisymmetric")
+    assert (check.passed, check.detail) == (
+        False, "entry (0, 1) of the point form is not minus entry (1, 0)")
 
 
 def test_chu_radical_other_than_g_mu_names_the_basis_vector():
@@ -192,9 +210,7 @@ def test_run_all_rejects_zero_samples():
 def test_scaled_slice_form_fails_block_diagonal_check(monkeypatch):
     expected_names = [c.name for c in _run()]
     exact = dec.slice_form
-    monkeypatch.setattr(
-        dec, "slice_form",
-        lambda model: BilinearForm(exact(model).gram.scale(2)))
+    monkeypatch.setattr(dec, "slice_form", lambda model: exact(model).scale(2))
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert "sliceform.block_diagonal" in _failed(checks)
@@ -208,9 +224,9 @@ def test_cross_term_in_slice_form_fails_block_diagonal_with_its_entry(
     exact = dec.slice_form
 
     def cross_term(model):
-        rows = [list(r) for r in exact(model).gram.entries]
+        rows = [list(r) for r in exact(model).entries]
         rows[0][4], rows[4][0] = Fraction(3), Fraction(-3)
-        return BilinearForm(Matrix.from_rows(rows))
+        return Matrix.from_rows(rows)
 
     monkeypatch.setattr(dec, "slice_form", cross_term)
     checks = _run("torus")
@@ -224,7 +240,7 @@ def test_slice_form_of_the_wrong_size_is_named():
     inst = from_dict(build_example("torus"))
     model = pm.build_model(splitting.build_chain(inst))
     decomp = replace(dec.decompose_H(model),
-                     form=BilinearForm(Matrix.zeros(0, 0)))
+                     form=Matrix.zeros(0, 0))
     check = dec.slice_form_check(decomp, model)
     assert (check.passed, check.detail) == (
         False, "the slice form is 0x0, expected 6x6")
@@ -237,11 +253,11 @@ def test_wrong_pairing_block_fails_f_contract(monkeypatch):
     def doubled_pairing(chain):
         model = exact(chain)
         un = model.dim_m + model.dim_n
-        rows = [list(row) for row in model.omega.gram.entries]
+        rows = [list(row) for row in model.omega.entries]
         rows[0][un] *= 2
         rows[un][0] *= 2
         gram = Matrix.from_rows(rows, cols=model.total_dim)
-        return replace(model, omega=BilinearForm(gram))
+        return replace(model, omega=gram)
 
     monkeypatch.setattr(pm, "build_model", doubled_pairing)
     checks = _run()
@@ -428,8 +444,7 @@ def test_zero_a_r_chu_pairing_fails_pairing_check(monkeypatch):
     def perp_under_zero_chu(form, U):
         # Everything is perpendicular to U once the Chu form is zero.
         if form is inst.chu:
-            form = BilinearForm(Matrix.zeros(form.ambient_dim,
-                                             form.ambient_dim))
+            form = Matrix.zeros(form.rows, form.rows)
         return exact(form, U)
 
     monkeypatch.setattr(dec, "perp_under_form", perp_under_zero_chu)
@@ -470,7 +485,7 @@ def test_nonzero_chu_form_on_a_fails_lagrangian_check(monkeypatch):
 
     def bumped(form, U, V):
         if form is inst.chu:
-            form = BilinearForm(form.gram + U.basis @ U.basis.transpose())
+            form = form + U.basis @ U.basis.transpose()
         return exact(form, U, V)
 
     monkeypatch.setattr(dec, "pairing_witness", bumped)
@@ -958,10 +973,10 @@ def _with_omega_coupled(monkeypatch, check, pick):
 
     def coupled(decomp, model):
         i, j = pick(decomp)
-        rows = [list(row) for row in model.omega.gram.entries]
+        rows = [list(row) for row in model.omega.entries]
         rows[i][j] += 1
         rows[j][i] -= 1
-        omega = BilinearForm(Matrix.from_rows(rows, cols=model.total_dim))
+        omega = Matrix.from_rows(rows, cols=model.total_dim)
         return exact(decomp, replace(model, omega=omega))
 
     monkeypatch.setattr(dec, check, coupled)

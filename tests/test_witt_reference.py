@@ -40,7 +40,6 @@ from wittartin.decomposition import (
     h_decomposition_checks,
 )
 from wittartin.exactlin import (
-    BilinearForm,
     Matrix,
     Subspace,
     ZERO,
@@ -134,7 +133,7 @@ def ref_axioms(model, ker, ker_name, names, spaces):
     of wittG.all_assertions with T0, T1, N0, N1 renamed."""
     t0, t1, n0, n1 = names
     T0, T1, N0, N1 = (s.basis_vectors() for s in spaces)
-    G, n = model.omega.gram, model.total_dim
+    G, n = model.omega, model.total_dim
 
     def orthogonal(U, V):
         return all(dot(u, G.apply(v)) == 0 for u in U for v in V)
@@ -278,7 +277,7 @@ def test_pairing_criterion_agrees_with_the_gram_of_the_sum(case):
     S = sum_spaces(X0, Y0)
     if X0.dim != Y0.dim:
         expected = "dim X0 equals dim Y0"
-    elif nondegenerate(model.omega.gram, S.basis_vectors()):
+    elif nondegenerate(model.omega, S.basis_vectors()):
         expected = None
     else:
         expected = "X0 + Y0 is symplectic"
@@ -348,7 +347,7 @@ def test_witt_h6_criterion_agrees_with_the_rank_of_the_chu_pairing(case):
     chu, G = model.inst.chu, gram_on(model.inst.chu, a, r)
     pairing = G.submatrix(range(a.dim), range(a.dim, G.cols))
     assert pairing.entries == tuple(
-        tuple(dot(u, chu.gram.apply(v)) for v in r.basis_vectors())
+        tuple(dot(u, chu.apply(v)) for v in r.basis_vectors())
         for u in a.basis_vectors())
     nondegenerate = pairing.rank() == a.dim
     event(f"nondegenerate {nondegenerate}, dim {a.dim}")
@@ -372,7 +371,7 @@ def ref_witt_h5(model):
     Xm = sum_spaces(image(chain.b), model.unit_span(model.indices("bstar")))
     NH1 = sum_spaces(s_block, Xm, model.unit_span(model.indices("N1")))
     Zm = sum_spaces(image(chain.a), image(chain.r))
-    return all(nondegenerate(model.omega.gram, S.basis_vectors())
+    return all(nondegenerate(model.omega, S.basis_vectors())
                for S in (s_block, Xm, NH1, Zm))
 
 
@@ -408,7 +407,7 @@ def gram_witt_g_forms(model):
     N1 = model.unit_span(model.indices("N1"))
     if gram_on(model.omega, T1) != _chu_on_n(model):
         return "the form on T1 is the Chu pairing of the n basis"
-    if gram_on(model.omega, N1) != model.inst.slice_rep.omega.gram:
+    if gram_on(model.omega, N1) != model.inst.slice_rep.omega:
         return "the form on N1 is omega_N1"
     return None
 
@@ -416,11 +415,10 @@ def gram_witt_g_forms(model):
 def _coupled(model, i, j):
     """The model with omega's entry (i, j) raised by 1 and (j, i) lowered
     by 1."""
-    rows = [list(row) for row in model.omega.gram.entries]
+    rows = [list(row) for row in model.omega.entries]
     rows[i][j] += 1
     rows[j][i] -= 1
-    return replace(model, omega=BilinearForm(
-        Matrix.from_rows(rows, cols=model.total_dim)))
+    return replace(model, omega=Matrix.from_rows(rows, cols=model.total_dim))
 
 
 @pytest.fixture(scope="module")
