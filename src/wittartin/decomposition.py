@@ -5,12 +5,13 @@ decompose_H produces the subalgebra counterpart whose slice block is
 
     NH1 = s*m  +  (b*m + Y_m)  +  N1,
 
-together with the block form on it, the action of h_m on it, and the
-quadratic momentum map of that action.  Every block is a span of model
-unit vectors, so the constructors return it as a tuple of model coordinate
-indices and read its form off the omega submatrix.  They only compute;
-every identity they rely on is a named check defined here
-(g_decomposition_check, h_decomposition_checks, slice_form_check,
+together with NH1 as a symplectic representation of h_m, a SliceRep like
+N1: the block form on it and the action of h_m on it.  The quadratic
+momentum of either slice is SliceRep.momentum, defined once.  Every block
+is a span of model unit vectors, so the constructors return it as a tuple
+of model coordinate indices and read its form off the omega submatrix.
+They only compute; every identity they rely on is a named check defined
+here (g_decomposition_check, h_decomposition_checks, slice_form_check,
 momentum_formula_check, momentum_forms_check), which verify reports and
 report.build_report requires.  The decomposition checks build each block
 again from its definition (images under the action, coordinate blocks of
@@ -44,7 +45,8 @@ from .exactlin import (
     unit_vec,
 )
 from .pointmodel import TangentModel, inf_action, isotropy_action
-from .splitting import Check, entry_detail, equality_check, equality_detail
+from .splitting import (Check, SliceRep, direct_sum_detail, entry_detail,
+                        equality_check, equality_detail)
 
 
 # A Witt block is the span of the model unit vectors at these indices.
@@ -72,10 +74,10 @@ class WittDecompositionH:
     N1_block: Indices
     Ym: Indices
     Zm: Indices
-    # The Gram matrix of the form on NH1 and the action of each h_m basis
-    # vector on NH1, both in the block coordinates (s, b, Y_m, N1).
-    form: Matrix
-    eta_actions: tuple[Matrix, ...]
+    # NH1 as a symplectic representation of h_m: the form on NH1 and the
+    # action of each h_m basis vector, in the block coordinates (s, b, Y_m,
+    # N1); its momentum is the slice momentum (nh1.momentum_forms).
+    nh1: SliceRep
 
 
 def decompose_G(model: TangentModel) -> WittDecompositionG:
@@ -91,7 +93,7 @@ def decompose_G(model: TangentModel) -> WittDecompositionG:
 def decompose_H(model: TangentModel) -> WittDecompositionH:
     """TH0 = U_p + U_a, TH1 = U_ntilde, NH0 = U_r + R_p*,
     NH1 = U_s + U_b + R_b* + V, X_m = U_b + R_b*, Y_m = R_b* and
-    Z_m = U_a + U_r, with the form and the h_m-action on NH1.
+    Z_m = U_a + U_r, with NH1 as a symplectic representation of h_m.
 
     h_decomposition_checks proves each block equal to its definition.
     """
@@ -100,9 +102,9 @@ def decompose_H(model: TangentModel) -> WittDecompositionH:
         TH0=ix("p", "a"), TH1=ix("ntilde"), NH0=ix("r", "pstar"),
         NH1=ix(*NH1_ORDER), s_block=ix("s"), Xm_block=ix("b", "bstar"),
         N1_block=ix("N1"), Ym=ix("bstar"), Zm=ix("a", "r"),
-        form=slice_form(model),
-        eta_actions=tuple(_eta_action_on_nh1(model, eta)
-                          for eta in model.chain.h_m.basis_vectors()),
+        nh1=SliceRep(slice_form(model), tuple(
+            _eta_action_on_nh1(model, eta)
+            for eta in model.chain.h_m.basis_vectors())),
     )
 
 
@@ -293,11 +295,10 @@ def h_decomposition_checks(decomp: WittDecompositionH,
     out.append(_check("wittH.2_TH0_NH1_is_ker_dphiH", axioms["kernel"]))
 
     M = eq_M_subspace(model)
-    split = direct_sum(model.ker_dphi_G, M)
-    ker_split = "ker dphi_G + M is not direct" if split is None else (
-        equality_detail(model.ker_dphi_H, "ker dphi_H", split, "ker dphi_G + M")
-        or equality_detail(M, "M", sum_spaces(a_block, s_block, Ym),
-                           "a + s + Y_m"))
+    ker_split = (direct_sum_detail(model.ker_dphi_H, "ker dphi_H",
+                                   {"ker dphi_G": model.ker_dphi_G, "M": M})
+                 or equality_detail(M, "M", sum_spaces(a_block, s_block, Ym),
+                                    "a + s + Y_m"))
     record("wittH.3_ker_split_with_M", not ker_split, ker_split)
 
     out.append(_check("wittH.4_orthogonality_and_lagrangian",
@@ -358,7 +359,7 @@ def slice_form_check(decomp: WittDecompositionH, model: TangentModel) -> Check:
     base = ds + 2 * db
     for i, row in enumerate(model.inst.slice_rep.omega.entries):
         expected[base + i][base:] = row
-    detail = entry_detail(decomp.form,
+    detail = entry_detail(decomp.nh1.omega,
                           Matrix(size, size, tuple(map(tuple, expected))),
                           "the slice form")
     return Check("sliceform.block_diagonal", not detail, detail)
@@ -378,11 +379,11 @@ def slice_momentum(model: TangentModel, nu_tilde: Vec) -> Vec:
 
     Evaluates the three-term closed formula
 
-        1/2 <(ad*_x)^2 mu, eta> + <-ad*_b f(w), eta>
-            + 1/2 omega_N1(eta.nu, nu)
+        1/2 <(ad*_x)^2 mu, eta> + <-ad*_b f(w), eta> + <Phi_N1(nu), eta>
 
-    for every h_m basis vector; momentum_formula_check compares it with the
-    direct definition.  With h_m = 0 the result is the zero covector in a
+    for every h_m basis vector, with Phi_N1 the momentum of N1 and eta in
+    g_m coordinates; momentum_formula_check compares it with the direct
+    definition.  With h_m = 0 the result is the zero covector in a
     zero-dimensional dual.
     """
     chain = model.chain
@@ -403,6 +404,7 @@ def slice_momentum(model: TangentModel, nu_tilde: Vec) -> Vec:
     bvec = chain.b.basis.apply(c_b)
     fw = tuple([ZERO] * chain.p.dim) + tuple(w)  # f(w) in m* coordinates
     quad = L.coad_apply(x, L.coad_apply(x, model.inst.mu))
+    phi = model.inst.slice_rep.momentum(nu)
     gm, m_end = model.gm_dim, model.gm_dim + model.dim_m
 
     values = []
@@ -412,12 +414,7 @@ def slice_momentum(model: TangentModel, nu_tilde: Vec) -> Vec:
         # [b, eta] lies in m (chain.ad_gm_invariance) and eta in g_m, so
         # their m and g_m coordinates are all of them.
         term2 = -dot(fw, model.g_coords(L.bracket(bvec, eta))[gm:m_end])
-
-        A_eta = model.inst.slice_rep.combine(model.g_coords(eta)[:gm])
-        # omega(Av, v) with our Gram convention is (Av)^T G v.
-        term3 = Fraction(1, 2) * dot(A_eta.apply(nu),
-                                     model.inst.slice_rep.omega.apply(nu))
-        values.append(term1 + term2 + term3)
+        values.append(term1 + term2 + dot(phi, model.g_coords(eta)[:gm]))
     return tuple(values)
 
 
@@ -425,26 +422,21 @@ def momentum_formula_check(decomp: WittDecompositionH, model: TangentModel,
                            samples: Sequence[Vec]) -> Check:
     """momentum.formula_equals_direct: on every sample nu_tilde, the closed
     formula of slice_momentum equals the definition
-    1/2 omega_NH1(eta . nu_tilde, nu_tilde) for each h_m basis vector eta."""
-    gram = decomp.form
-    ok = all(slice_momentum(model, v)
-             == tuple(Fraction(1, 2) * dot(A.apply(v), gram.apply(v))
-                      for A in decomp.eta_actions)
+    1/2 omega_NH1(eta . nu_tilde, nu_tilde), decomp.nh1's momentum."""
+    ok = all(slice_momentum(model, v) == decomp.nh1.momentum(v)
              for v in samples)
     return Check("momentum.formula_equals_direct", ok,
                  f"{len(samples)} samples")
 
 
 def slice_momentum_forms(decomp: WittDecompositionH) -> tuple[Matrix, ...]:
-    """The momentum as quadratic forms: one Gram matrix per h_m basis vector.
+    """The momentum forms of decomp.nh1, one per h_m basis vector.
 
     Each matrix S satisfies <momentum(v), eta> = v^T S v and is symmetric
     outright, because the block action is infinitesimally symplectic for
     the form on NH1 (momentum_forms_check).
     """
-    gram = decomp.form
-    return tuple((A.transpose() @ gram).scale(Fraction(1, 2))
-                 for A in decomp.eta_actions)
+    return decomp.nh1.momentum_forms
 
 
 def momentum_forms_check(model: TangentModel, forms: tuple[Matrix, ...],

@@ -99,6 +99,8 @@ def loads(text: str) -> ProblemInstance:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InstanceFormatError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise InstanceFormatError("JSON nested too deeply") from None
     return from_dict(doc)
 
 

@@ -91,7 +91,7 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
         },
         "Y_m": block(h_dec.Ym),
         "Z_m": block(h_dec.Zm),
-        "slice_form_gram": _matrix_strings(h_dec.form),
+        "slice_form_gram": _matrix_strings(h_dec.nh1.omega),
         "dim_X_m": len(h_dec.Xm_block),
         "dim_N1_tilde": len(h_dec.NH1),
         # One quadratic form per h_m basis vector; an empty list states

@@ -24,6 +24,7 @@ from .exactlin import (
     Subspace,
     Vec,
     direct_sum,
+    dot,
     first_escape,
     first_outside,
     gram_on,
@@ -70,6 +71,15 @@ def equality_detail(A: Subspace, a_name: str, B: Subspace, b_name: str) -> str:
     that is not in the other."""
     return "" if A == B else (outside_detail(A, a_name, B, b_name)
                               or outside_detail(B, b_name, A, a_name))
+
+
+def direct_sum_detail(W: Subspace, w_name: str,
+                      parts: dict[str, Subspace]) -> str:
+    """"" when W is the direct sum of the named parts; otherwise says that
+    their sum is not direct, or gives the equality_detail of W and it."""
+    total, names = direct_sum(*parts.values()), " + ".join(parts)
+    return (f"{names} is not direct" if total is None
+            else equality_detail(W, w_name, total, names))
 
 
 def entry_detail(got: Matrix, expected: Matrix, what: str) -> str:
@@ -138,8 +148,9 @@ class ValidationReport:
 @dataclass(frozen=True)
 class SliceRep:
     """Symplectic slice data: the Gram matrix of a form on Q^d and one
-    action matrix per g_m basis vector (the linearised action, keyed to the
-    canonical g_m basis)."""
+    action matrix per basis vector of the acting algebra (the linearised
+    action, keyed to its canonical basis).  N1 is one for g_m, and the
+    H-side slice NH1 one for h_m (decomposition.WittDecompositionH.nh1)."""
 
     omega: Matrix
     action: tuple[Matrix, ...]
@@ -157,13 +168,23 @@ class SliceRep:
         return SliceRep(Matrix.zeros(0, 0), ())
 
     def combine(self, coords: Vec) -> Matrix:
-        """sum_t coords[t] action[t]: the action of a g_m element given by
-        its coordinates in the g_m basis the actions are keyed to."""
-        A = Matrix.zeros(self.dim, self.dim)
-        for t, c in enumerate(coords):
-            if c != 0:
-                A = A + self.action[t].scale(c)
-        return A
+        """sum_t coords[t] action[t]: the action of the element with these
+        coordinates in the basis the actions are keyed to."""
+        return sum((A.scale(c) for A, c in zip(self.action, coords) if c),
+                   Matrix.zeros(self.dim, self.dim))
+
+    def momentum_form(self, A: Matrix) -> Matrix:
+        """1/2 A^T omega, the Gram of the MGS quadratic momentum
+        v -> 1/2 omega(Av, v) of the element acting by A."""
+        return (A.transpose() @ self.omega).scale(Fraction(1, 2))
+
+    @cached_property
+    def momentum_forms(self) -> tuple[Matrix, ...]:
+        return tuple(map(self.momentum_form, self.action))
+
+    def momentum(self, v: Vec) -> Vec:
+        """The momentum at v, in the dual of the action basis."""
+        return tuple(dot(v, S.apply(v)) for S in self.momentum_forms)
 
 
 @dataclass(frozen=True)
@@ -397,33 +418,41 @@ def chain_checks(chain: SplittingChain) -> list[Check]:
     g = Subspace.full(L.dim)
     chu = inst.chu
     g_mu, halpha, hperp = inst.g_mu, inst.h_alpha, inst.h_perp_mu
+    named = {
+        "h_m": chain.h_m, "hm_perp_in_gm": chain.hm_perp_in_gm,
+        "p": chain.p, "b": chain.b, "a": chain.a, "s": chain.s,
+        "q": chain.q, "ntilde": chain.ntilde, "r": chain.r,
+        "m": chain.m_space, "n": chain.n_space,
+        "g_mu": g_mu, "h_mu": chain.h_mu, "h_alpha": halpha,
+        "h_perp_mu": hperp,
+    }
+    spaces = dict(named, g=g, gm=inst.gm, h=inst.h)
     out: list[Check] = []
 
     def record(name, passed, detail=""):
         out.append(Check(name, passed, detail))
 
-    record("chain.gm_decomposition",
-           direct_sum(chain.h_m, chain.hm_perp_in_gm) == inst.gm)
-    record("chain.hmu_decomposition",
-           direct_sum(chain.h_m, chain.p) == chain.h_mu)
-    record("chain.gmu_decomposition",
-           direct_sum(chain.h_m, chain.p, chain.hm_perp_in_gm, chain.b)
-           == g_mu)
-    record("chain.halpha_decomposition",
-           direct_sum(chain.h_mu, chain.a) == halpha)
-    record("chain.hperpmu_decomposition",
-           direct_sum(g_mu, chain.a, chain.s) == hperp)
-    record("chain.q_decomposition", direct_sum(chain.a, chain.s) == chain.q)
-    record("chain.h_decomposition",
-           direct_sum(halpha, chain.ntilde) == inst.h)
+    def direct(name, whole, *parts, more=""):
+        # whole is the direct sum of the parts; more is a further detail.
+        detail = direct_sum_detail(spaces[whole], whole,
+                                   {p: spaces[p] for p in parts}) or more
+        record(name, not detail, detail)
+
+    direct("chain.gm_decomposition", "gm", "h_m", "hm_perp_in_gm")
+    direct("chain.hmu_decomposition", "h_mu", "h_m", "p")
+    direct("chain.gmu_decomposition", "g_mu", "h_m", "p", "hm_perp_in_gm", "b")
+    direct("chain.halpha_decomposition", "h_alpha", "h_mu", "a")
+    direct("chain.hperpmu_decomposition", "h_perp_mu", "g_mu", "a", "s")
+    direct("chain.q_decomposition", "q", "a", "s")
+    direct("chain.h_decomposition", "h", "h_alpha", "ntilde")
     record("chain.ntilde_avoids_hperpmu",
            intersect(chain.ntilde, hperp).dim == 0)
-    record("chain.g_decomposition_hperp",
-           direct_sum(hperp, chain.ntilde, chain.r) == g)
-    record("chain.g_decomposition_gm_m_n",
-           direct_sum(inst.gm, chain.m_space, chain.n_space) == g
-           and sum_spaces(chain.p, chain.b) == chain.m_space
-           and sum_spaces(chain.q, chain.ntilde, chain.r) == chain.n_space)
+    direct("chain.g_decomposition_hperp", "g", "h_perp_mu", "ntilde", "r")
+    direct("chain.g_decomposition_gm_m_n", "g", "gm", "m", "n", more=(
+        equality_detail(sum_spaces(chain.p, chain.b), "p + b", chain.m_space,
+                        "m")
+        or equality_detail(sum_spaces(chain.q, chain.ntilde, chain.r),
+                           "q + ntilde + r", chain.n_space, "n")))
     detail = (outside_detail(g_mu, "g_mu", hperp, "h_perp_mu")
               or outside_detail(halpha, "h_alpha", hperp, "h_perp_mu"))
     record("chain.gmu_halpha_in_hperpmu", not detail, detail)
@@ -440,14 +469,6 @@ def chain_checks(chain: SplittingChain) -> list[Check]:
            f"basis vector {w[1]} under the Chu form")
     record("chain.r_dim_matches_a", chain.r.dim == chain.a.dim)
 
-    named = {
-        "h_m": chain.h_m, "hm_perp_in_gm": chain.hm_perp_in_gm,
-        "p": chain.p, "b": chain.b, "a": chain.a, "s": chain.s,
-        "q": chain.q, "ntilde": chain.ntilde, "r": chain.r,
-        "m": chain.m_space, "n": chain.n_space,
-        "g_mu": g_mu, "h_mu": chain.h_mu, "h_alpha": halpha,
-        "h_perp_mu": hperp,
-    }
     ads = [L.ad_matrix(eta) for eta in inst.gm.basis_vectors()]
     bad = [name for name, space in named.items()
            if any(first_escape(space, A) is not None for A in ads)]

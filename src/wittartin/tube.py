@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .exactlin import ZERO, Matrix, Vec, add_vec, dot, is_zero_vec, zero_vec
 from .pointmodel import TangentModel
-from .splitting import Check, ProblemInstance
+from .splitting import Check
 
 # Relative tolerance of the exponential series and of the equivariance
 # comparison, and the bound on the finite-difference error of phi_tilde.
@@ -50,30 +50,10 @@ class TubePoint:
     nu: Vec
 
 
-def phi_n1(inst: ProblemInstance, nu: Vec) -> Vec:
-    """Slice momentum in g_m* coordinates: <., x> = 1/2 omega(x.nu, nu)."""
-    og = inst.slice_rep.omega
-    out = []
-    for A in inst.slice_rep.action:
-        out.append(Fraction(1, 2) * dot(A.apply(nu), og.apply(nu)))
-    return tuple(out)
-
-
-def dphi_n1(inst: ProblemInstance, nu: Vec, nudot: Vec) -> Vec:
-    """Exact derivative of the quadratic slice momentum at nu, applied to nudot."""
-    og = inst.slice_rep.omega
-    half = Fraction(1, 2)
-    out = []
-    for A in inst.slice_rep.action:
-        out.append(half * dot(A.apply(nudot), og.apply(nu))
-                   + half * dot(A.apply(nu), og.apply(nudot)))
-    return tuple(out)
-
-
 def _shifted_momentum(model: TangentModel, p: TubePoint) -> Vec:
     """mu + rho + Phi_N1(nu), exactly, in g* coordinates."""
     return add_vec(model.inst.mu, model.coframe.apply(
-        phi_n1(model.inst, p.nu) + p.rho + zero_vec(model.dim_n)))
+        model.inst.slice_rep.momentum(p.nu) + p.rho + zero_vec(model.dim_n)))
 
 
 def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:

@@ -122,6 +122,16 @@ class TestCheck:
             assert code == 2, command
             assert out == "" and err.startswith("error: "), (command, err)
 
+    @pytest.mark.parametrize("command", ["check", "decompose", "verify"])
+    def test_deeply_nested_json_exit_2_with_error_line(self, capsys, tmp_path,
+                                                       command):
+        # json raises RecursionError on nesting this deep, not a decode error.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: JSON nested too deeply"]
+
     @pytest.mark.parametrize("where", ["dim", "slice.dim"])
     def test_boolean_dim_exit_2_with_error_line(self, capsys, tmp_path,
                                                 where):

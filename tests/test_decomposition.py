@@ -127,7 +127,7 @@ class TestDecomposeH:
         # NH1 keeps the block order of its form: s, b, Y_m, N1.
         assert d.NH1 == d.s_block + ix("b") + d.Ym + d.N1_block
         assert (d.Xm_block, d.Zm) == (ix("b", "bstar"), ix("a", "r"))
-        assert d.form == model.omega_on(d.NH1)
+        assert d.nh1.omega == model.omega_on(d.NH1)
 
     def test_kernel_identity(self):
         _, model = setup(so3xso3_diag(with_gm=False))

@@ -9,6 +9,8 @@ import pytest
 from corpus import build_corpus
 from instances import so3xso3_diag
 from wittartin import verify
+from wittartin.decomposition import decompose_H
+from wittartin.exactlin import preserves
 from wittartin.pointmodel import build_model
 from wittartin.splitting import build_chain
 
@@ -26,6 +28,27 @@ def test_all_exact_invariants(inst):
     checks = verify.run_all(inst, samples=4)
     failed = [c for c in checks if not c.passed]
     assert not failed, [f"{c.name}: {c.detail}" for c in failed]
+
+
+def test_nh1_is_a_symplectic_representation_of_h_m():
+    """On every corpus instance, the H-side slice NH1 carries a
+    nondegenerate antisymmetric form, and h_m acts on it by elements of
+    sp(form) that bracket as h_m does."""
+    brackets = 0
+    for inst in CORPUS:
+        model = build_model(build_chain(inst))
+        nh1, h_m = decompose_H(model).nh1, model.chain.h_m
+        assert nh1.omega.is_antisymmetric()
+        assert nh1.omega.rank() == nh1.dim
+        assert len(nh1.action) == h_m.dim
+        assert all(preserves(A, nh1.omega) for A in nh1.action)
+        hv, A = h_m.basis_vectors(), nh1.action
+        for i in range(len(hv)):
+            for j in range(len(hv)):
+                c = h_m.coords_of(inst.algebra.bracket(hv[i], hv[j]))
+                assert nh1.combine(c) == A[i] @ A[j] - A[j] @ A[i]
+                brackets += any(c)
+    assert brackets > 0
 
 
 def test_corpus_is_large_and_varied():

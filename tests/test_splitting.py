@@ -24,6 +24,7 @@ from wittartin.splitting import (
     SliceRep,
     ValidationFailed,
     build_chain,
+    chain_checks,
     dim_formulas,
     validate,
 )
@@ -257,6 +258,48 @@ class TestChainIdentities:
         a = build_chain(so3xso3_diag(with_gm=True))
         b = build_chain(so3xso3_diag(with_gm=True))
         assert a == b
+
+
+# (example, chain field, its replacement (another field, or None for the
+# zero space), check, witness of that check on the changed chain).
+DIRECT_SUM_FAULTS = [
+    ("so3xso3-diagonal", "hm_perp_in_gm", "h_m", "chain.gm_decomposition",
+     "h_m + hm_perp_in_gm is not direct"),
+    ("so3-zero", "p", None, "chain.hmu_decomposition",
+     "basis vector 0 of h_mu is not in h_m + p"),
+    ("so3-zero", "b", None, "chain.gmu_decomposition",
+     "basis vector 0 of g_mu is not in h_m + p + hm_perp_in_gm + b"),
+    ("so3-generic", "a", None, "chain.halpha_decomposition",
+     "basis vector 0 of h_alpha is not in h_mu + a"),
+    ("so3xso3-diagonal", "s", None, "chain.hperpmu_decomposition",
+     "basis vector 0 of h_perp_mu is not in g_mu + a + s"),
+    ("so3xso3-diagonal", "q", None, "chain.q_decomposition",
+     "basis vector 0 of a + s is not in q"),
+    ("so3xso3-diagonal", "ntilde", None, "chain.h_decomposition",
+     "basis vector 0 of h is not in h_alpha + ntilde"),
+    ("so3-generic", "r", None, "chain.g_decomposition_hperp",
+     "basis vector 1 of g is not in h_perp_mu + ntilde + r"),
+    ("so3-zero", "m_space", None, "chain.g_decomposition_gm_m_n",
+     "basis vector 0 of g is not in gm + m + n"),
+    ("so3-zero", "p", None, "chain.g_decomposition_gm_m_n",
+     "basis vector 2 of m is not in p + b"),
+    ("so3-generic", "q", None, "chain.g_decomposition_gm_m_n",
+     "basis vector 0 of n is not in q + ntilde + r"),
+]
+
+
+@pytest.mark.parametrize("example, field, other, name, witness",
+                         DIRECT_SUM_FAULTS,
+                         ids=[f"{f[3]}-{f[1]}" for f in DIRECT_SUM_FAULTS])
+def test_direct_sum_check_names_its_witness(example, field, other, name,
+                                            witness):
+    chain = build_chain(from_dict(build_example(example)))
+    new = (Subspace.zero(chain.inst.dim) if other is None
+           else getattr(chain, other))
+    before = {c.name: c for c in chain_checks(chain)}
+    after = {c.name: c for c in chain_checks(replace(chain, **{field: new}))}
+    assert (before[name].passed, before[name].detail) == (True, "")
+    assert (after[name].passed, after[name].detail) == (False, witness)
 
 
 class TestDimFormulas:

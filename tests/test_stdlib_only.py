@@ -1,8 +1,10 @@
 """The package has no runtime dependency: every module imports only the
-standard library and the package itself, and uses every name it imports."""
+standard library and the package itself, and uses every name it imports.
+Every private helper it defines is also used."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -70,3 +72,54 @@ def test_an_unused_import_is_caught():
     tree = ast.parse("from __future__ import annotations\nimport os.path\n"
                      "from .exactlin import Matrix, kernel as k\nk(os)\n")
     assert unused_imports(tree) == [(3, "Matrix")]
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def private_definitions(tree):
+    """(name, node) of each _-prefixed module-level function or class and
+    of each _-prefixed method of a module-level class.  Dunder names are
+    the language's hooks, not helpers."""
+    nodes = []
+    for node in tree.body:
+        nodes.append(node)
+        if isinstance(node, ast.ClassDef):
+            nodes.extend(node.body)
+    return [(node.name, node) for node in nodes
+            if isinstance(node, DEFS) and node.name.startswith("_")
+            and not node.name.endswith("__")]
+
+
+def references(node):
+    """The names read under node, as plain names and as attributes."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def dead_helpers(trees):
+    """(module, name) of each private definition in trees, a dict from
+    module name to tree, that nothing outside its own body reads."""
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    return [(module, name) for module, tree in trees.items()
+            for name, node in private_definitions(tree)
+            if everywhere[name] == references(node)[name]]
+
+
+def test_every_private_helper_is_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_helpers(trees) == []
+
+
+def test_a_dead_helper_is_caught():
+    tree = ast.parse("def _used():\n    return 1\n\n"
+                     "def _dead(n):\n    return _dead(n - 1)\n\n"
+                     "class C:\n"
+                     "    def _method(self):\n        return _used()\n\n"
+                     "    def _unread(self):\n        return 0\n\n"
+                     "    def __eq__(self, other):\n"
+                     "        return self._method()\n")
+    assert dead_helpers({"m.py": tree}) == [("m.py", "_dead"),
+                                            ("m.py", "_unread")]

@@ -28,12 +28,10 @@ from wittartin.tube import (
     OffSlice,
     TubePoint,
     check_dphi_consistency,
-    dphi_n1,
     expm,
     omega_tube,
     omega_tube_gram,
     phi_equivariance_check,
-    phi_n1,
     phi_tilde,
 )
 
@@ -67,17 +65,28 @@ def omega_tube_reference(inst, model, p, v1, v2):
     xi1 = model.mn_basis.apply(u1)
     xi2 = model.mn_basis.apply(u2)
 
+    def omega_n1(x, y):
+        return dot(x, inst.slice_rep.omega.apply(y))
+
+    # Phi_N1(nu) = 1/2 omega(A nu, nu) per action matrix A, and its
+    # derivative along nudot, written out here apart from the package.
+    phi = tuple(F(1, 2) * omega_n1(A.apply(p.nu), p.nu)
+                for A in inst.slice_rep.action)
+
     def paired(rhodot, nudot, xi):
         lam = zero_extend(model, model.gm_dim, rhodot)
-        dphi = zero_extend(model, 0, dphi_n1(inst, p.nu, nudot))
+        dphi = zero_extend(model, 0, tuple(
+            F(1, 2) * (omega_n1(A.apply(nudot), p.nu)
+                       + omega_n1(A.apply(p.nu), nudot))
+            for A in inst.slice_rep.action))
         return dot(lam, xi) + dot(dphi, xi)
 
     term12 = paired(rho2, nu2, xi1) - paired(rho1, nu1, xi2)
     br = inst.algebra.bracket(xi1, xi2)
     lam_point = zero_extend(model, model.gm_dim, p.rho)
-    lam_slice = zero_extend(model, 0, phi_n1(inst, p.nu))
+    lam_slice = zero_extend(model, 0, phi)
     term3 = dot(lam_point, br) + dot(lam_slice, br) + dot(inst.mu, br)
-    term5 = dot(nu1, inst.slice_rep.omega.apply(nu2))
+    term5 = omega_n1(nu1, nu2)
     return term12 + term3 + term5
 
 

@@ -240,7 +240,7 @@ def test_slice_form_of_the_wrong_size_is_named():
     inst = from_dict(build_example("torus"))
     model = pm.build_model(splitting.build_chain(inst))
     decomp = replace(dec.decompose_H(model),
-                     form=Matrix.zeros(0, 0))
+                     nh1=splitting.SliceRep.trivial())
     check = dec.slice_form_check(decomp, model)
     assert (check.passed, check.detail) == (
         False, "the slice form is 0x0, expected 6x6")
@@ -294,6 +294,20 @@ def test_doubled_momentum_formula_fails_formula_check(monkeypatch):
     checks = _run("so3xso3-diagonal")
     assert [c.name for c in checks] == expected_names
     assert "momentum.formula_equals_direct" in _failed(checks)
+
+
+def test_momentum_form_off_the_action_fails_phi_n1_equivariance():
+    # diag(1, 0) added to S_0, the cached momentum form of the first g_m
+    # basis vector, is not preserved by the slice action.  The tube and the
+    # slice momentum read the same cached forms, so they may fail too.
+    expected_names = [c.name for c in _run("so3xso3-diagonal")]
+    inst = from_dict(build_example("so3xso3-diagonal"))
+    S = inst.slice_rep.momentum_forms
+    inst.slice_rep.__dict__["momentum_forms"] = (
+        S[0] + Matrix.from_rows([[1, 0], [0, 0]]),) + S[1:]
+    checks = verify.run_all(inst, samples=3)
+    assert [c.name for c in checks] == expected_names
+    assert "momentum.phiN1_equivariance" in _failed(checks)
 
 
 def test_chain_that_cannot_be_built_is_a_named_fail(monkeypatch):
