@@ -80,11 +80,6 @@ def cmd_decompose(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _verify_one(label: str, inst, samples: int) -> list[Check]:
-    checks = verify.run_all(inst, samples=samples)
-    return [Check(f"{label}:{c.name}", c.passed, c.detail) for c in checks]
-
-
 def cmd_verify(args) -> int:
     jobs = []
     if args.all_examples:
@@ -103,7 +98,8 @@ def cmd_verify(args) -> int:
 
     all_checks: list[Check] = []
     for label, inst in jobs:
-        all_checks.extend(_verify_one(label, inst, args.samples))
+        all_checks.extend(Check(f"{label}:{c.name}", c.passed, c.detail)
+                          for c in verify.run_all(inst, samples=args.samples))
 
     if args.format == "json":
         _emit_json(_check_payload(all_checks), sys.stdout)
@@ -177,10 +173,7 @@ def main(argv=None) -> int:
         parser.error("--samples must be at least 1")
     try:
         return args.fn(args)
-    except instancefile.InstanceFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (instancefile.InstanceFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

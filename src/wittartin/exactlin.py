@@ -153,6 +153,14 @@ class Matrix:
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
 
+    @staticmethod
+    def from_blocks(bands: Sequence[Sequence["Matrix"]]) -> "Matrix":
+        """The block matrix with these block rows, each band's blocks side
+        by side (hstack) and the bands stacked top to bottom."""
+        stacked = [reduce(Matrix.hstack, band) for band in bands]
+        return Matrix(sum(S.rows for S in stacked), stacked[0].cols,
+                      tuple(row for S in stacked for row in S.entries))
+
     def row(self, i: int) -> Vec:
         return self.entries[i]
 

@@ -18,7 +18,6 @@ with P_m the projection onto m along g_m + n.  All entries are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -26,7 +25,6 @@ from .exactlin import (
     Matrix,
     Subspace,
     Vec,
-    ZERO,
     kernel,
     unit_vec,
     zero_vec,
@@ -141,18 +139,12 @@ def build_model(chain: SplittingChain) -> TangentModel:
     blocks["N1"] = range(un + dim_m, total)
 
     # Gram of the point form in (U, R, V) coordinates.
-    gram = [[ZERO] * total for _ in range(total)]
-    chu_on_cols = (mn_basis.transpose() @ inst.chu @ mn_basis).entries
-    for i in range(un):
-        gram[i][:un] = chu_on_cols[i]
-    for i in range(dim_m):
-        gram[i][un + i] = Fraction(1)
-        gram[un + i][i] = Fraction(-1)
-    og = inst.slice_rep.omega
-    for i in range(slice_dim):
-        for j in range(slice_dim):
-            gram[un + dim_m + i][un + dim_m + j] = og.entries[i][j]
-    omega = Matrix(total, total, tuple(tuple(row) for row in gram))
+    UR = Matrix.identity(un).submatrix(range(un), range(dim_m))
+    omega = Matrix.from_blocks((
+        (mn_basis.transpose() @ inst.chu @ mn_basis, UR,
+         Matrix.zeros(un, slice_dim)),
+        (-UR.transpose(), Matrix.zeros(dim_m, dim_m + slice_dim)),
+        (Matrix.zeros(slice_dim, un + dim_m), inst.slice_rep.omega)))
     if omega.rank() != total:
         raise DegenerateModel("point form is singular")
 
@@ -186,12 +178,9 @@ def isotropy_action(model: TangentModel, eta: Vec) -> Matrix:
          @ model.inst.algebra.ad_matrix(eta) @ model.mn_basis)
     R = -U.submatrix(range(model.dim_m), range(model.dim_m)).transpose()
     V = model.inst.slice_rep.combine(model.g_coords(eta)[:gm])
-    rows = ([row + zero_vec(model.total_dim - un) for row in U.entries]
-            + [zero_vec(un) + row + zero_vec(model.slice_dim)
-               for row in R.entries]
-            + [zero_vec(model.total_dim - model.slice_dim) + row
-               for row in V.entries])
-    return Matrix(model.total_dim, model.total_dim, tuple(rows))
+    Z, dm, sd = Matrix.zeros, model.dim_m, model.slice_dim
+    return Matrix.from_blocks(((U, Z(un, dm + sd)), (Z(dm, un), R, Z(dm, sd)),
+                               (Z(sd, un + dm), V)))
 
 
 def f_contract_check(model: TangentModel) -> Check:

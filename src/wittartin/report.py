@@ -62,7 +62,7 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
     require(dec.h_decomposition_checks(h_dec, model))
     require([dec.slice_form_check(h_dec, model)])
     forms = dec.slice_momentum_forms(h_dec)
-    require([dec.momentum_forms_check(model, forms, ())])
+    require([dec.momentum_forms_check(model, forms)])
     dims = dim_formulas(chain)
 
     def block(indices):
@@ -138,18 +138,18 @@ def render_text(report: Report) -> str:
     lines.append(f"  {'N1_tilde':<10} {report.slice_dim_H}")
     lines.append("")
 
+    def matrix(rows, indent="  "):
+        lines.extend(f"{indent}[{', '.join(row)}]" for row in rows)
+
     def block(title: str, data: dict):
-        rows = data["basis"]
-        lines.append(f"{title}  (dim {len(rows)})")
-        for v in rows:
-            lines.append("  [" + ", ".join(v) + "]")
+        lines.append(f"{title}  (dim {len(data['basis'])})")
+        matrix(data["basis"])
 
     lines.append("Witt-Artin decomposition for G:")
     for name in ("T0", "T1", "N0", "N1"):
         block(f" {name}", report.witt_g[name])
     lines.append(" gram on T1 (KKS block):")
-    for row in report.witt_g["gram_T1"]:
-        lines.append("  [" + ", ".join(row) + "]")
+    matrix(report.witt_g["gram_T1"])
     lines.append("")
     lines.append("Witt-Artin decomposition for H:")
     for name in ("TH0", "TH1", "NH0", "N1_tilde"):
@@ -158,15 +158,13 @@ def render_text(report: Report) -> str:
     for name in ("s_m", "X_m", "N1"):
         block(f"  {name}", report.witt_h["N1_tilde_blocks"][name])
     lines.append(" form on N1_tilde (blocks s | b | Y_m | N1):")
-    for row in report.witt_h["slice_form_gram"]:
-        lines.append("  [" + ", ".join(row) + "]")
+    matrix(report.witt_h["slice_form_gram"])
     momentum = report.witt_h["slice_momentum"]
     if momentum["quadratic_forms"]:
         lines.append(" slice momentum quadratic forms (one per h_m basis vector):")
         for t, S in enumerate(momentum["quadratic_forms"]):
             lines.append(f"  eta_{t}:")
-            for row in S:
-                lines.append("   [" + ", ".join(row) + "]")
+            matrix(S, "   ")
     else:
         lines.append(" slice momentum: zero covector (h_m is trivial)")
     lines.append("")

@@ -59,6 +59,11 @@ class Check:
     passed: bool
     detail: str = ""
 
+    @staticmethod
+    def of(name: str, failure: str) -> "Check":
+        """The check that passes exactly when its failure detail is ""."""
+        return Check(name, not failure, failure)
+
 
 def outside_detail(A: Subspace, a_name: str, B: Subspace, b_name: str) -> str:
     """"" when A <= B; otherwise names the first basis vector of A not in B."""
@@ -94,6 +99,11 @@ def entry_detail(got: Matrix, expected: Matrix, what: str) -> str:
                  for j, (x, y) in enumerate(zip(row, want)) if x != y), "")
 
 
+def dim_detail(a_name: str, a: int, b_name: str, b: int) -> str:
+    """"" when a == b; otherwise "<a_name> is a, <b_name> is b"."""
+    return "" if a == b else f"{a_name} is {a}, {b_name} is {b}"
+
+
 def antisymmetry_detail(G: Matrix, what: str) -> str:
     """"" when the square matrix G is antisymmetric; otherwise names the
     first entry pair (i, j) that breaks it."""
@@ -105,16 +115,14 @@ def antisymmetry_detail(G: Matrix, what: str) -> str:
 def inclusion_check(name: str, A: Subspace, a_name: str,
                     B: Subspace, b_name: str) -> Check:
     """A <= B; a failure names the first basis vector of A that is not in B."""
-    detail = outside_detail(A, a_name, B, b_name)
-    return Check(name, not detail, detail)
+    return Check.of(name, outside_detail(A, a_name, B, b_name))
 
 
 def equality_check(name: str, A: Subspace, a_name: str,
                    B: Subspace, b_name: str) -> Check:
     """A == B; a failure names the first basis vector of one side that is
     not in the other."""
-    detail = equality_detail(A, a_name, B, b_name)
-    return Check(name, not detail, detail)
+    return Check.of(name, equality_detail(A, a_name, B, b_name))
 
 
 class CheckFailed(Exception):
@@ -290,8 +298,8 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     sl = inst.slice_rep
     record("slice_action_count", len(sl.action) == inst.gm.dim,
            f"{len(sl.action)} action matrices for gm of dim {inst.gm.dim}")
-    detail = antisymmetry_detail(sl.omega, "the slice omega")
-    record("slice_omega_antisymmetric", not detail, detail)
+    checks.append(Check.of("slice_omega_antisymmetric",
+                           antisymmetry_detail(sl.omega, "the slice omega")))
     record("slice_omega_nondegenerate", sl.omega.rank() == sl.dim, "")
     witness = next((t for t, A in enumerate(sl.action)
                     if A.rows != sl.dim or A.cols != sl.dim
@@ -429,14 +437,13 @@ def chain_checks(chain: SplittingChain) -> list[Check]:
     spaces = dict(named, g=g, gm=inst.gm, h=inst.h)
     out: list[Check] = []
 
-    def record(name, passed, detail=""):
-        out.append(Check(name, passed, detail))
+    def record(name, failure):
+        out.append(Check.of(name, failure))
 
     def direct(name, whole, *parts, more=""):
         # whole is the direct sum of the parts; more is a further detail.
-        detail = direct_sum_detail(spaces[whole], whole,
-                                   {p: spaces[p] for p in parts}) or more
-        record(name, not detail, detail)
+        record(name, direct_sum_detail(spaces[whole], whole,
+                                       {p: spaces[p] for p in parts}) or more)
 
     direct("chain.gm_decomposition", "gm", "h_m", "hm_perp_in_gm")
     direct("chain.hmu_decomposition", "h_mu", "h_m", "p")
@@ -445,40 +452,44 @@ def chain_checks(chain: SplittingChain) -> list[Check]:
     direct("chain.hperpmu_decomposition", "h_perp_mu", "g_mu", "a", "s")
     direct("chain.q_decomposition", "q", "a", "s")
     direct("chain.h_decomposition", "h", "h_alpha", "ntilde")
+    meet = intersect(chain.ntilde, hperp).dim
     record("chain.ntilde_avoids_hperpmu",
-           intersect(chain.ntilde, hperp).dim == 0)
+           "" if not meet else f"ntilde & h_perp_mu is {meet}-dimensional")
     direct("chain.g_decomposition_hperp", "g", "h_perp_mu", "ntilde", "r")
     direct("chain.g_decomposition_gm_m_n", "g", "gm", "m", "n", more=(
         equality_detail(sum_spaces(chain.p, chain.b), "p + b", chain.m_space,
                         "m")
         or equality_detail(sum_spaces(chain.q, chain.ntilde, chain.r),
                            "q + ntilde + r", chain.n_space, "n")))
-    detail = (outside_detail(g_mu, "g_mu", hperp, "h_perp_mu")
-              or outside_detail(halpha, "h_alpha", hperp, "h_perp_mu"))
-    record("chain.gmu_halpha_in_hperpmu", not detail, detail)
-    record("chain.s_dim_formula",
-           chain.s.dim == hperp.dim - g_mu.dim - halpha.dim + chain.h_mu.dim)
+    record("chain.gmu_halpha_in_hperpmu",
+           outside_detail(g_mu, "g_mu", hperp, "h_perp_mu")
+           or outside_detail(halpha, "h_alpha", hperp, "h_perp_mu"))
+    record("chain.s_dim_formula", dim_detail(
+        "dim s", chain.s.dim,
+        "dim h_perp_mu - dim g_mu - dim h_alpha + dim h_mu",
+        hperp.dim - g_mu.dim - halpha.dim + chain.h_mu.dim))
 
     # r must pair to zero under the Chu form with ntilde, s and itself;
     # this is what makes r*m land in the H-side Lagrangian complement.
     pairs = ((name, pairing_witness(chu, chain.r, other)) for name, other
              in (("ntilde", chain.ntilde), ("s", chain.s), ("r", chain.r)))
     name, w = next(((name, w) for name, w in pairs if w), (None, None))
-    record("chain.r_chu_orthogonality", w is None,
+    record("chain.r_chu_orthogonality",
            "" if w is None else f"r basis vector {w[0]} pairs with {name} "
            f"basis vector {w[1]} under the Chu form")
-    record("chain.r_dim_matches_a", chain.r.dim == chain.a.dim)
+    record("chain.r_dim_matches_a",
+           dim_detail("dim r", chain.r.dim, "dim a", chain.a.dim))
 
     ads = [L.ad_matrix(eta) for eta in inst.gm.basis_vectors()]
     bad = [name for name, space in named.items()
            if any(first_escape(space, A) is not None for A in ads)]
-    record("chain.ad_gm_invariance", not bad,
+    record("chain.ad_gm_invariance",
            "" if not bad else f"not ad(gm)-invariant: {sorted(bad)}")
 
     for t, rep in enumerate(inst.gm_component_reps):
         bad = [name for name, space in named.items()
                if first_escape(space, rep) is not None]
-        record(f"chain.gm_component_rep_{t}_invariance", not bad,
+        record(f"chain.gm_component_rep_{t}_invariance",
                "" if not bad else f"not invariant under rep {t}: {sorted(bad)}")
 
     return out

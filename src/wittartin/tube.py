@@ -88,12 +88,10 @@ def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:
                 uu[a][b] += x * w * y
     UU = Matrix(un, un, tuple(map(tuple, uu)))
     UR = Matrix.identity(un).submatrix(range(un), range(dm))
-    bands = ((UU, UR, Matrix.zeros(un, sd)),
-             (-UR.transpose(), Matrix.zeros(dm, dm + sd)),
-             (Matrix.zeros(sd, un + dm), inst.slice_rep.omega))
-    rows = tuple(sum((B.entries[r] for B in band), ())
-                 for band in bands for r in range(band[0].rows))
-    return Matrix(model.total_dim, model.total_dim, rows)
+    Z = Matrix.zeros
+    return Matrix.from_blocks(((UU, UR, Z(un, sd)),
+                               (-UR.transpose(), Z(dm, dm + sd)),
+                               (Z(sd, un + dm), inst.slice_rep.omega)))
 
 
 def omega_tube(model: TangentModel, p: TubePoint, v1: Vec, v2: Vec) -> Fraction:

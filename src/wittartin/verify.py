@@ -1,8 +1,10 @@
 """The full named-check suite.
 
 run_all executes every invariant the package claims, on one instance, and
-returns a flat list of named checks.  All core checks are exact; only the
-tube consistency checks carry floating-point tolerances.
+returns a flat list of named checks.  All core checks are exact and draw
+no samples: the slice momentum's identities compare quadratic forms entry
+by entry.  Only the tube.* checks draw sample points (samples and seed),
+and only the tube consistency checks carry floating-point tolerances.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from . import tube
 from .exactlin import (
     Matrix,
     Subspace,
-    Vec,
     gram_on,
     image,
     is_zero_vec,
@@ -38,6 +39,7 @@ from .splitting import (
     antisymmetry_detail,
     build_chain,
     chain_checks,
+    dim_detail,
     dim_formulas,
     entry_detail,
     equality_check,
@@ -50,17 +52,13 @@ def liecore_checks(inst: ProblemInstance) -> list[Check]:
     L, g_mu = inst.algebra, inst.g_mu
     annihilates = all(is_zero_vec(L.coad_apply(v, inst.mu))
                       for v in g_mu.basis_vectors())
-    chu = _chu_radical_detail(inst)
-    in_stabilizer = inclusion_check("liecore.center_in_stabilizer",
-                                    center(L), "the center", g_mu, "g_mu")
-    h_alpha = _h_alpha_detail(inst)
-    killing = _killing_detail(L)
     return [
         Check("liecore.stabilizer_annihilates_mu", annihilates),
-        Check("liecore.chu_radical_is_g_mu", not chu, chu),
-        in_stabilizer,
-        Check("liecore.h_alpha_two_descriptions", not h_alpha, h_alpha),
-        Check("liecore.killing_ad_invariant", not killing, killing),
+        Check.of("liecore.chu_radical_is_g_mu", _chu_radical_detail(inst)),
+        inclusion_check("liecore.center_in_stabilizer",
+                        center(L), "the center", g_mu, "g_mu"),
+        Check.of("liecore.h_alpha_two_descriptions", _h_alpha_detail(inst)),
+        Check.of("liecore.killing_ad_invariant", _killing_detail(L)),
         inclusion_check("liecore.g_mu_in_h_perp_mu",
                         g_mu, "g_mu", inst.h_perp_mu, "h_perp_mu"),
     ]
@@ -105,8 +103,8 @@ def _killing_detail(L: LieAlgebra) -> str:
 def model_checks(model: pm.TangentModel) -> list[Check]:
     inst = model.inst
     out = []
-    anti = antisymmetry_detail(model.omega, "the point form")
-    out.append(Check("model.omega_antisymmetric", not anti, anti))
+    out.append(Check.of("model.omega_antisymmetric",
+                        antisymmetry_detail(model.omega, "the point form")))
     out.append(Check("model.omega_nondegenerate",
                      model.omega.rank() == model.total_dim))
 
@@ -146,8 +144,7 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
     return out
 
 
-def decomposition_checks(model: pm.TangentModel,
-                         samples: int, seed: int) -> list[Check]:
+def decomposition_checks(model: pm.TangentModel) -> list[Check]:
     inst, chain = model.inst, model.chain
     out = [dec.g_decomposition_check(dec.decompose_G(model), model)]
 
@@ -161,24 +158,19 @@ def decomposition_checks(model: pm.TangentModel,
         model.ker_dphi_H == model.unit_span(decomp.TH0 + decomp.NH1),
     ))
 
+    formula = "dim s + 2 dim b + dim N1"
     nh1_dim = chain.s.dim + 2 * chain.b.dim + model.slice_dim
     out.append(dec.slice_form_check(decomp, model))
-    out.append(Check("sliceform.dim_formula",
-                     decomp.nh1.dim == nh1_dim
-                     and len(decomp.NH1) == nh1_dim))
-    out.append(Check("dims.slice_dim_formula",
-                     len(decomp.NH1) == dim_formulas(chain).slice_dim_H))
+    out.append(Check.of("sliceform.dim_formula", dim_detail(
+        "dim of the slice form", decomp.nh1.dim, formula, nh1_dim)
+        or dim_detail("dim NH1", len(decomp.NH1), formula, nh1_dim)))
+    out.append(Check.of("dims.slice_dim_formula", dim_detail(
+        "dim NH1", len(decomp.NH1), "dim N1 + 2 dim b + dim s",
+        dim_formulas(chain).slice_dim_H)))
 
-    rng = random.Random(seed)
-
-    def draw(count: int, top: int, den: int) -> list[Vec]:
-        return [tuple(Fraction(rng.randint(-top, top), rng.randint(1, den))
-                      for _ in range(nh1_dim))
-                for _ in range(count)]
-
-    out.append(dec.momentum_formula_check(decomp, model, draw(samples, 6, 4)))
-    out.append(dec.momentum_forms_check(
-        model, dec.slice_momentum_forms(decomp), draw(min(samples, 3), 4, 3)))
+    out.append(dec.momentum_formula_check(decomp, model))
+    out.append(dec.momentum_forms_check(model,
+                                        dec.slice_momentum_forms(decomp)))
 
     out.append(Check("momentum.phiN1_equivariance",
                      _phi_n1_equivariance(inst)))
@@ -212,9 +204,9 @@ def tube_checks(model: pm.TangentModel, samples: int,
     origin = tube.TubePoint(zero_vec(n), zero_vec(model.dim_m),
                             zero_vec(model.slice_dim))
 
-    base = entry_detail(tube.omega_tube_gram(model, origin), model.omega,
-                        "the tube form at the base point")
-    out.append(Check("tube.base_point_matches_model", not base, base))
+    out.append(Check.of("tube.base_point_matches_model", entry_detail(
+        tube.omega_tube_gram(model, origin), model.omega,
+        "the tube form at the base point")))
 
     rng = random.Random(seed)
 
@@ -282,14 +274,15 @@ def run_all(inst: ProblemInstance, samples: int = 10,
             seed: int = 0) -> list[Check]:
     """Every named check for one instance, in a stable order.
 
-    The list ends early where checked_model's does.  The sampled checks
-    need at least one sample, so samples < 1 raises ValueError.
+    The list ends early where checked_model's does.  samples and seed
+    drive only the tube.* checks, which need at least one sample, so
+    samples < 1 raises ValueError.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     checks, model = checked_model(inst)
     if model is not None:
         checks.extend(model_checks(model))
-        checks.extend(decomposition_checks(model, samples, seed))
+        checks.extend(decomposition_checks(model))
         checks.extend(tube_checks(model, samples, seed))
     return checks

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from instances import (
     full_stabilizer_instance,
     middle_term_instance,
@@ -18,8 +20,10 @@ from wittartin.decomposition import (
     decompose_H,
     eq_M_subspace,
     h_decomposition_checks,
+    momentum_formula_forms,
     slice_form,
     slice_momentum,
+    slice_momentum_forms,
 )
 from wittartin.exactlin import (
     InnerProduct,
@@ -238,6 +242,21 @@ class TestSliceMomentum:
                           for _ in range(len(d.NH1)))
                 direct = F(1, 2) * dot(act.apply(v), gram.apply(v))
                 assert slice_momentum(model, v) == (direct,)
+
+    def test_wrong_length_raises(self):
+        _, model = setup(so3xso3_diag(with_gm=True))
+        with pytest.raises(ValueError, match="NH1 block coordinates"):
+            slice_momentum(model, (F(0),))
+
+    def test_formula_form_has_its_b_term_and_equals_the_direct_form(self):
+        # [b, eta] != 0 here, so the b x Y_m block of the formula is not 0.
+        _, model = setup(middle_term_instance())
+        (Q,) = momentum_formula_forms(model)
+        ds, db = model.chain.s.dim, model.chain.b.dim
+        assert Q.is_symmetric()
+        assert not Q.submatrix(range(ds, ds + db),
+                               range(ds + db, ds + 2 * db)).is_zero()
+        assert (Q,) == slice_momentum_forms(decompose_H(model))
 
     def test_quadratic_form_representation(self):
         from wittartin.decomposition import slice_momentum_forms

@@ -157,6 +157,26 @@ class TestSubmatrix:
         assert A.submatrix((0, 2), ()) == Matrix.zeros(2, 0)
 
 
+class TestFromBlocks:
+    def test_bands_side_by_side_and_stacked(self):
+        A = Matrix.from_rows([[1, 2], [3, 4]])
+        B = Matrix.from_rows([[5], [6]])
+        C = Matrix.from_rows([[7, 8, 9]])
+        assert Matrix.from_blocks(((A, B), (C,))) == Matrix.from_rows(
+            [[1, 2, 5], [3, 4, 6], [7, 8, 9]])
+
+    def test_empty_blocks_leave_no_rows_or_columns(self):
+        A = Matrix.from_rows([[1, 2]])
+        Z = Matrix.zeros
+        assert Matrix.from_blocks(((Z(0, 1), Z(0, 2)), (Z(1, 1), A))) \
+            == Matrix.from_rows([[0, 1, 2]])
+        assert Matrix.from_blocks(((A, Z(1, 0)),)) == A
+
+    def test_unequal_row_counts_in_a_band_raise(self):
+        with pytest.raises(AmbientMismatch):
+            Matrix.from_blocks(((Matrix.identity(2), Matrix.identity(1)),))
+
+
 class TestGramOn:
     def test_zero_dim_gives_empty(self):
         g = gram_on(Matrix.identity(3), Subspace.zero(3))

@@ -7,6 +7,7 @@ guards the computation as a named FAIL.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,12 +19,14 @@ import pytest
 from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
 from wittartin import splitting, tube, verify
-from wittartin.catalog import build_example
+from wittartin.catalog import all_examples, build_example
 from wittartin.exactlin import (
     Matrix,
     Subspace,
     add_vec,
+    dot,
     is_zero_vec,
+    kernel,
     sum_spaces,
 )
 from wittartin.instancefile import from_dict, to_dict
@@ -287,13 +290,62 @@ def test_lost_dual_column_fails_t0_plus_n1_check_and_names_a_vector(
 
 def test_doubled_momentum_formula_fails_formula_check(monkeypatch):
     expected_names = [c.name for c in _run("so3xso3-diagonal")]
-    exact = dec.slice_momentum
-    monkeypatch.setattr(
-        dec, "slice_momentum",
-        lambda model, v: tuple(2 * x for x in exact(model, v)))
+    exact = dec.momentum_formula_forms
+    monkeypatch.setattr(dec, "momentum_formula_forms",
+                        lambda model: tuple(Q.scale(2) for Q in exact(model)))
     checks = _run("so3xso3-diagonal")
     assert [c.name for c in checks] == expected_names
     assert "momentum.formula_equals_direct" in _failed(checks)
+
+
+def _seeded_draws() -> list[tuple]:
+    """The 13 vectors on which the momentum formula used to be compared
+    with its definition (so3xso3-diagonal, dim NH1 = 6): seed 0, ten with
+    entries p/q for |p| <= 6 and 1 <= q <= 4, then three with |p| <= 4 and
+    1 <= q <= 3."""
+    rng = random.Random(0)
+
+    def draw(count, top, den):
+        return [tuple(Fraction(rng.randint(-top, top), rng.randint(1, den))
+                      for _ in range(6)) for _ in range(count)]
+
+    return draw(10, 6, 4) + draw(3, 4, 3)
+
+
+def test_form_that_vanishes_on_seeded_draws_fails_formula_check(monkeypatch):
+    # A symmetric 6x6 F has 21 unknowns and v^T F v = 0 on 13 vectors is 13
+    # linear equations, so a nonzero F vanishes on every draw.  Added to the
+    # formula it escapes any sampled comparison; the Gram comparison names
+    # its first entry.
+    draws = _seeded_draws()
+    pairs = [(i, j) for i in range(6) for j in range(i, 6)]
+    equations = Matrix.from_rows([[v[i] * v[j] * (1 if i == j else 2)
+                                   for i, j in pairs] for v in draws])
+    f = dict(zip(pairs, kernel(equations).basis_vectors()[0]))
+    F = Matrix.from_rows([[f[min(i, j), max(i, j)] for j in range(6)]
+                          for i in range(6)])
+    assert not F.is_zero()
+    assert all(dot(v, F.apply(v)) == 0 for v in draws)
+
+    expected_names = [c.name for c in _run("so3xso3-diagonal")]
+    exact = dec.momentum_formula_forms
+    monkeypatch.setattr(dec, "momentum_formula_forms",
+                        lambda model: tuple(Q + F for Q in exact(model)))
+    checks = _run("so3xso3-diagonal")
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["momentum.formula_equals_direct",
+                               "momentum.quadratic_forms_symmetric"]
+    # F's (0, 0) entry is 1, and the formula's is -1.
+    assert _check(checks, "momentum.formula_equals_direct").detail \
+        == "entry (0, 0) of formula form 0 is 0, expected -1"
+
+
+def test_samples_drive_only_the_tube_checks():
+    for _, doc in all_examples():
+        inst = from_dict(doc)
+        one, ten = ([c for c in verify.run_all(inst, samples=samples)
+                     if not c.name.startswith("tube.")] for samples in (1, 10))
+        assert one == ten
 
 
 def test_momentum_form_off_the_action_fails_phi_n1_equivariance():
@@ -336,8 +388,52 @@ def test_failed_chain_check_ends_the_run_with_a_named_fail(monkeypatch):
     checks = _run()
     names = [c.name for c in checks]
     assert "chain.r_dim_matches_a" in _failed(checks)
+    assert _check(checks, "chain.r_dim_matches_a").detail \
+        == "dim r is 0, dim a is 1"
     assert names[-1] == "chain.ad_gm_invariance"
     assert "model.builds" not in names
+
+
+def test_ntilde_meeting_hperpmu_fails_ntilde_avoids_hperpmu(monkeypatch):
+    # h_alpha lies in h_perp_mu, so ntilde = h meets it.
+    exact = verify.build_chain
+    monkeypatch.setattr(verify, "build_chain",
+                        lambda inst: replace(exact(inst), ntilde=inst.h))
+    checks = _run()
+    assert "chain.ntilde_avoids_hperpmu" in _failed(checks)
+    assert _check(checks, "chain.ntilde_avoids_hperpmu").detail \
+        == "ntilde & h_perp_mu is 1-dimensional"
+
+
+def test_empty_s_fails_s_dim_formula(monkeypatch):
+    exact = verify.build_chain
+    monkeypatch.setattr(verify, "build_chain", lambda inst: replace(
+        exact(inst), s=Subspace.zero(inst.dim)))
+    checks = _run("so3-collinear")
+    assert "chain.s_dim_formula" in _failed(checks)
+    assert _check(checks, "chain.s_dim_formula").detail == (
+        "dim s is 0, dim h_perp_mu - dim g_mu - dim h_alpha + dim h_mu is 2")
+
+
+def test_short_nh1_fails_slice_dim_formulas(monkeypatch):
+    exact = dec.decompose_H
+    monkeypatch.setattr(dec, "decompose_H", lambda model: replace(
+        exact(model), NH1=exact(model).NH1[:-1]))
+    checks = _run()
+    assert _check(checks, "sliceform.dim_formula").detail \
+        == "dim NH1 is 3, dim s + 2 dim b + dim N1 is 4"
+    assert _check(checks, "dims.slice_dim_formula").detail \
+        == "dim NH1 is 3, dim N1 + 2 dim b + dim s is 4"
+
+
+def test_wrong_slice_dim_prediction_fails_slice_dim_formula(monkeypatch):
+    exact = verify.dim_formulas
+    monkeypatch.setattr(verify, "dim_formulas", lambda chain: replace(
+        exact(chain), slice_dim_H=exact(chain).slice_dim_H + 1))
+    checks = _run()
+    assert _failed(checks) == ["dims.slice_dim_formula"]
+    assert _check(checks, "dims.slice_dim_formula").detail \
+        == "dim NH1 is 4, dim N1 + 2 dim b + dim s is 5"
 
 
 def _assert_chain_fail(checks, name):
