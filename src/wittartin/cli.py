@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 from . import catalog, instancefile, verify
 from .report import build_report, check_line, render_text, report_to_dict
-from .splitting import Check, CheckFailed, ValidationFailed
+from .splitting import Check, CheckFailed, require
 
 
 def _check_payload(checks: list[Check]) -> dict:
@@ -57,19 +57,13 @@ def cmd_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     inst, failures = _load_instance(args.path)
-    if failures is not None:
-        for c in failures:
-            print(f"FAIL {c.name}: {c.detail}", file=sys.stderr)
-        return 1
     start = time.monotonic()
     try:
+        require(failures or ())
         rep = build_report(inst)
-    except ValidationFailed as e:
-        for c in e.report.failures():
-            print(f"FAIL validate.{c.name}: {c.detail}", file=sys.stderr)
-        return 1
     except CheckFailed as e:
-        print(f"FAIL {e.name}: {e.detail}", file=sys.stderr)
+        # "FAIL <name>", then ": <detail>" when there is one.
+        print(f"FAIL {e}", file=sys.stderr)
         return 1
     elapsed = time.monotonic() - start
     if args.format == "json":

@@ -433,13 +433,13 @@ def _forms_check(name: str, got: Sequence[Matrix],
 
 
 def momentum_formula_check(decomp: WittDecompositionH,
-                           model: TangentModel) -> Check:
+                           closed: Sequence[Matrix]) -> Check:
     """momentum.formula_equals_direct: the closed formula equals the
     definition 1/2 omega_NH1(eta . nu_tilde, nu_tilde) as a quadratic form,
-    that is, each form of momentum_formula_forms is the symmetric part of
-    decomp.nh1's momentum form for the same eta."""
+    that is, each form of closed (momentum_formula_forms) is the symmetric
+    part of decomp.nh1's momentum form for the same eta."""
     return _forms_check(
-        "momentum.formula_equals_direct", momentum_formula_forms(model),
+        "momentum.formula_equals_direct", closed,
         tuple(map(_symmetric_part, decomp.nh1.momentum_forms)), "formula form")
 
 
@@ -448,14 +448,14 @@ def slice_momentum_forms(decomp: WittDecompositionH) -> tuple[Matrix, ...]:
     return decomp.nh1.momentum_forms
 
 
-def momentum_forms_check(model: TangentModel,
+def momentum_forms_check(closed: Sequence[Matrix],
                          forms: tuple[Matrix, ...]) -> Check:
     """momentum.quadratic_forms_symmetric: every form is the symmetric Gram
-    of the closed formula (momentum_formula_forms), entry by entry.  It
-    holds because the block action is infinitesimally symplectic for the
-    form on NH1."""
+    of the closed formula (closed, from momentum_formula_forms), entry by
+    entry.  It holds because the block action is infinitesimally
+    symplectic for the form on NH1."""
     return _forms_check("momentum.quadratic_forms_symmetric", forms,
-                        momentum_formula_forms(model), "slice momentum form")
+                        closed, "slice momentum form")
 
 
 def coadjoint_slice_check(model: TangentModel) -> list[Check]:

@@ -175,17 +175,6 @@ def from_dict(doc: Any) -> ProblemInstance:
             raise InstanceFormatError("'gm_component_reps' must be a list")
         for t, rep in enumerate(raw_reps):
             reps.append(_parse_matrix(rep, n, n, memo, "gm_component_reps", t))
-        # Average the inner product over the supplied representatives so
-        # complements stay invariant under the listed components as well.
-        acc = ip.gram
-        for rep in reps:
-            acc = acc + rep.transpose() @ ip.gram @ rep
-        averaged = acc.scale(Fraction(1, len(reps) + 1))
-        try:
-            ip = InnerProduct(averaged)
-        except NotPositiveDefinite as e:
-            raise InstanceDataError("inner_product_positive_definite",
-                                    f"after averaging over reps: {e}")
 
     slice_rep = _parse_slice(doc.get("slice"), gm, gm_given, memo)
 

@@ -29,11 +29,11 @@ from .exactlin import (
     unit_vec,
     zero_vec,
 )
-from .splitting import Check, ProblemInstance, SplittingChain
+from .splitting import Check, ProblemInstance, SplittingChain, entry_detail
 
 
 class DegenerateModel(ValueError):
-    """The assembled point form is singular (inconsistent slice data)."""
+    """The chain's (gm, m, n) columns do not form a basis of g."""
 
 
 # Order of the chain blocks inside the U coordinates.
@@ -107,8 +107,9 @@ class TangentModel:
 
 
 def build_model(chain: SplittingChain) -> TangentModel:
-    """Assemble the model and its point form; raises DegenerateModel if the
-    form is singular."""
+    """Assemble the model and its point form; raises DegenerateModel if gm
+    + m + n is no basis of g.  It only computes: verify.point_form_checks
+    proves the form antisymmetric and nondegenerate."""
     inst = chain.inst
     n = inst.dim
 
@@ -145,8 +146,6 @@ def build_model(chain: SplittingChain) -> TangentModel:
          Matrix.zeros(un, slice_dim)),
         (-UR.transpose(), Matrix.zeros(dim_m, dim_m + slice_dim)),
         (Matrix.zeros(slice_dim, un + dim_m), inst.slice_rep.omega)))
-    if omega.rank() != total:
-        raise DegenerateModel("point form is singular")
 
     return TangentModel(
         chain=chain, total_dim=total, dim_m=dim_m, dim_n=dim_n,
@@ -192,7 +191,8 @@ def f_contract_check(model: TangentModel) -> Check:
     """
     un, dim_m = model.dim_m + model.dim_n, model.dim_m
     block = model.omega.submatrix(range(dim_m), range(un, un + dim_m))
-    return Check("model.f_contract", block == Matrix.identity(dim_m))
+    return Check.of("model.f_contract", entry_detail(
+        block, Matrix.identity(dim_m), "the m x m* block of the point form"))
 
 
 def dphi_G(model: TangentModel) -> Matrix:

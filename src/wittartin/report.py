@@ -16,7 +16,6 @@ from .instancefile import to_dict
 from .splitting import (
     Check,
     ProblemInstance,
-    ValidationFailed,
     dim_formulas,
     require,
 )
@@ -44,14 +43,13 @@ def _matrix_strings(M: Matrix) -> list[list[str]]:
 def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Report:
     """Decompose one instance and collect the block data.
 
-    This is the strict path: it raises ValidationFailed on an invalid
-    instance and CheckFailed for the first failed named check among those
-    the constructors rely on: verify.checked_model's (liecore, chain.builds,
-    chain, model.builds), then the f contract, wittG, wittH 1-7, slice form
-    and momentum-form symmetry.  Each of them runs once.
+    This is the strict path: it raises CheckFailed for the first failed
+    named check among those the constructors rely on: verify.checked_model's
+    (validate.*, liecore, chain.builds, chain, model.builds, the point
+    form), then the f contract, wittG, wittH 1-7, slice form and
+    momentum-form symmetry.  Each of them runs once, and none is tested
+    here again.
     """
-    if not inst.validation.passed:
-        raise ValidationFailed(inst.validation)
     checks, model = checked_model(inst)
     require(checks)
     chain = model.chain
@@ -62,7 +60,8 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
     require(dec.h_decomposition_checks(h_dec, model))
     require([dec.slice_form_check(h_dec, model)])
     forms = dec.slice_momentum_forms(h_dec)
-    require([dec.momentum_forms_check(model, forms)])
+    require([dec.momentum_forms_check(dec.momentum_formula_forms(model),
+                                      forms)])
     dims = dim_formulas(chain)
 
     def block(indices):

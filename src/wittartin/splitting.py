@@ -282,18 +282,22 @@ def validate(inst: ProblemInstance) -> ValidationReport:
            ip_fits and inst.ip.gram.leading_minors_positive(), "")
 
     # A form of another dimension is not a form on g: it fails ad
-    # invariance, and multiplying it by the ad matrices would raise.
-    if not ip_fits:
-        detail = f"inner product has dimension {inst.ip.gram.rows}, g has {n}"
-    else:
-        t = next((t for t, eta in enumerate(inst.gm.basis_vectors())
-                  if not preserves(L.ad_matrix(eta), inst.ip.gram)), None)
-        detail = "" if t is None else f"ad invariance fails for gm basis vector {t}"
-    record("ip_ad_gm_invariant", not detail, detail)
+    # invariance and every isometry check, and multiplying it by the ad
+    # matrices or the reps would raise.
+    G = inst.ip.gram
+    misfit = "" if ip_fits else f"inner product has dimension {G.rows}, g has {n}"
+    t = next((t for t, eta in enumerate(inst.gm.basis_vectors())
+              if not misfit and not preserves(L.ad_matrix(eta), G)), None)
+    checks.append(Check.of("ip_ad_gm_invariant", misfit or (
+        "" if t is None else f"ad invariance fails for gm basis vector {t}")))
 
-    for t, rep in enumerate(inst.gm_component_reps):
-        ok = rep.rows == n and rep.cols == n and rep.rank() == n
-        record(f"gm_component_rep_{t}_invertible", ok, "")
+    # Every listed component of G_m acts by isometries, R^T G R = G, which
+    # for a positive-definite G makes R invertible too.
+    for t, R in enumerate(inst.gm_component_reps):
+        checks.append(Check.of(f"gm_component_rep_{t}_isometry", misfit or (
+            f"rep {t} is {R.rows}x{R.cols}, g has dimension {n}"
+            if (R.rows, R.cols) != (n, n)
+            else entry_detail(R.transpose() @ G @ R, G, f"R^T G R for rep {t}"))))
 
     sl = inst.slice_rep
     record("slice_action_count", len(sl.action) == inst.gm.dim,

@@ -50,10 +50,11 @@ from .splitting import (
 
 def liecore_checks(inst: ProblemInstance) -> list[Check]:
     L, g_mu = inst.algebra, inst.g_mu
-    annihilates = all(is_zero_vec(L.coad_apply(v, inst.mu))
-                      for v in g_mu.basis_vectors())
+    moving = next((i for i, v in enumerate(g_mu.basis_vectors())
+                   if not is_zero_vec(L.coad_apply(v, inst.mu))), None)
     return [
-        Check("liecore.stabilizer_annihilates_mu", annihilates),
+        Check.of("liecore.stabilizer_annihilates_mu", "" if moving is None
+                 else f"ad* of g_mu basis vector {moving} moves mu"),
         Check.of("liecore.chu_radical_is_g_mu", _chu_radical_detail(inst)),
         inclusion_check("liecore.center_in_stabilizer",
                         center(L), "the center", g_mu, "g_mu"),
@@ -100,14 +101,19 @@ def _killing_detail(L: LieAlgebra) -> str:
             f"{defect[key]}, not 0")
 
 
+def point_form_checks(model: pm.TangentModel) -> list[Check]:
+    """The point form is antisymmetric and nondegenerate; a failure names
+    the first bad entry pair, or the dimension of the radical."""
+    radical = model.total_dim - model.omega.rank()
+    return [Check.of("model.omega_antisymmetric",
+                     antisymmetry_detail(model.omega, "the point form")),
+            Check.of("model.omega_nondegenerate", "" if not radical else
+                     f"the point form has a {radical}-dimensional radical")]
+
+
 def model_checks(model: pm.TangentModel) -> list[Check]:
     inst = model.inst
     out = []
-    out.append(Check.of("model.omega_antisymmetric",
-                        antisymmetry_detail(model.omega, "the point form")))
-    out.append(Check("model.omega_nondegenerate",
-                     model.omega.rank() == model.total_dim))
-
     kerG, kerH = model.ker_dphi_G, model.ker_dphi_H
     expected = model.unit_span(model.indices("p", "b", "N1"))
     out.append(equality_check("model.ker_dphiG_is_T0_plus_N1", kerG,
@@ -139,8 +145,8 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
 
     out.append(pm.f_contract_check(model))
 
-    out.append(Check("model.inf_action_kernel_is_gm",
-                     kernel(action) == inst.gm))
+    out.append(equality_check("model.inf_action_kernel_is_gm", kernel(action),
+                              "the action's kernel", inst.gm, "g_m"))
     return out
 
 
@@ -153,10 +159,9 @@ def decomposition_checks(model: pm.TangentModel) -> list[Check]:
 
     # Oracle route: generic rank reduction of the momentum differential
     # against the constructed TH0 + NH1.
-    out.append(Check(
-        "wittH.oracle_kernel_equality",
-        model.ker_dphi_H == model.unit_span(decomp.TH0 + decomp.NH1),
-    ))
+    out.append(equality_check(
+        "wittH.oracle_kernel_equality", model.ker_dphi_H, "ker dphi_H",
+        model.unit_span(decomp.TH0 + decomp.NH1), "TH0 + NH1"))
 
     formula = "dim s + 2 dim b + dim N1"
     nh1_dim = chain.s.dim + 2 * chain.b.dim + model.slice_dim
@@ -168,8 +173,9 @@ def decomposition_checks(model: pm.TangentModel) -> list[Check]:
         "dim NH1", len(decomp.NH1), "dim N1 + 2 dim b + dim s",
         dim_formulas(chain).slice_dim_H)))
 
-    out.append(dec.momentum_formula_check(decomp, model))
-    out.append(dec.momentum_forms_check(model,
+    closed = dec.momentum_formula_forms(model)
+    out.append(dec.momentum_formula_check(decomp, closed))
+    out.append(dec.momentum_forms_check(closed,
                                         dec.slice_momentum_forms(decomp)))
 
     out.append(Check("momentum.phiN1_equivariance",
@@ -238,11 +244,13 @@ def checked_model(inst: ProblemInstance
                   ) -> tuple[list[Check], pm.TangentModel | None]:
     """The checks up to the tangent model, and the model.
 
-    The list holds the validate.* records, the liecore checks, the chain
-    checks and model.builds.  It ends early, with the failures named, when
-    validation fails, when the chain cannot be built (chain.builds) or
-    fails a chain check, or when the model cannot be built (model.builds);
-    the model is None then.
+    This is the one gate between an instance and its model, for verify and
+    decompose alike.  The list holds the validate.* records, the liecore
+    checks, the chain checks, model.builds and the point form checks.  It
+    ends early, with the failures named, when validation fails, when the
+    chain cannot be built (chain.builds) or fails a chain check, when the
+    model cannot be built (model.builds), or when its point form is not
+    symplectic; the model is None then.
     """
     report = inst.validation
     checks = [Check(f"validate.{c.name}", c.passed, c.detail)
@@ -267,7 +275,9 @@ def checked_model(inst: ProblemInstance
         checks.append(Check("model.builds", False, str(e)))
         return checks, None
     checks.append(Check("model.builds", True))
-    return checks, model
+    form = point_form_checks(model)
+    checks.extend(form)
+    return checks, (model if all(c.passed for c in form) else None)
 
 
 def run_all(inst: ProblemInstance, samples: int = 10,

@@ -1,5 +1,6 @@
 """Named instances used across the test modules."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 from wittartin.exactlin import InnerProduct, Matrix, Subspace
@@ -96,3 +97,16 @@ def middle_term_instance() -> ProblemInstance:
         L, line, line, vec(0, 0, 0, 0, 0, 1),
         InnerProduct(Matrix.identity(6)),
         SliceRep(J2, (rot,)))
+
+
+def zero_slice_block(build):
+    """build_model, then the slice block of the point form set to zero: the
+    form stays antisymmetric, with a radical of dimension dim N1."""
+    def wrapped(chain):
+        model = build(chain)
+        v = model.blocks["N1"]
+        rows = [[0 if i in v and j in v else x for j, x in enumerate(row)]
+                for i, row in enumerate(model.omega.entries)]
+        return replace(model, omega=Matrix.from_rows(rows,
+                                                     cols=model.total_dim))
+    return wrapped

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from instances import zero_slice_block
 
 from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
@@ -14,6 +15,8 @@ from wittartin import splitting
 from wittartin.catalog import EXAMPLE_NAMES, build_example
 from wittartin.cli import main
 from wittartin.exactlin import Subspace
+from wittartin.report import check_line
+from wittartin.splitting import Check
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_VERIFY = ROOT / "tests" / "golden" / "verify-all-examples.json"
@@ -190,6 +193,41 @@ class TestCheck:
         assert all(c["passed"] for c in doc["checks"])
 
 
+def _gm_off_the_stabilizer(doc):
+    doc["gm_basis"] = [["0", "1", "0"]]  # does not stabilize mu = e3*
+    doc["slice"]["action"] = [[["0", "0"], ["0", "0"]]]
+
+
+def _rep(*diagonal):
+    return lambda doc: doc.update(gm_component_reps=[[
+        [str(x) if i == j else "0" for j in range(3)]
+        for i, x in enumerate(diagonal)]])
+
+
+def _zero_slice_omega(doc):
+    doc["slice"]["omega"] = [["0", "0"], ["0", "0"]]
+
+
+# (example, edit of its doc, a point form with a radical injected,
+#  the first failure's name and detail).
+FAULTY_DOCS = {
+    "gm-in-g-mu": ("so3-generic", _gm_off_the_stabilizer, False,
+                   "validate.gm_in_g_mu",
+                   "gm basis vector 0 does not stabilize mu"),
+    "zero-rep": ("so3-collinear", _rep(0, 0, 0), False,
+                 "validate.gm_component_rep_0_isometry",
+                 "entry (0, 0) of R^T G R for rep 0 is 0, expected 1"),
+    "degenerate-slice-omega": ("so3-generic", _zero_slice_omega, False,
+                               "validate.slice_omega_nondegenerate", ""),
+    "non-isometric-rep": ("so3-collinear", _rep(1, 1, 2), False,
+                          "validate.gm_component_rep_0_isometry",
+                          "entry (2, 2) of R^T G R for rep 0 is 4, expected 1"),
+    "point-form-radical": ("so3-generic", lambda doc: None, True,
+                           "model.omega_nondegenerate",
+                           "the point form has a 2-dimensional radical"),
+}
+
+
 class TestDecompose:
     def test_generic_dims_match_worked_case(self, capsys, tmp_path):
         path = write_example(capsys, tmp_path, "so3-generic")
@@ -237,6 +275,26 @@ class TestDecompose:
         assert code == 1
         assert "gm_in_g_mu" in err
 
+    @pytest.mark.parametrize("case", FAULTY_DOCS)
+    def test_faulty_doc_fails_once_where_verify_fails_first(
+            self, capsys, tmp_path, monkeypatch, case):
+        example, edit, radical, name, detail = FAULTY_DOCS[case]
+        path = write_example(capsys, tmp_path, example)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        if radical:
+            monkeypatch.setattr(pm, "build_model",
+                                zero_slice_block(pm.build_model))
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        # "FAIL <name>", and ": <detail>" only when there is a detail.
+        line = f"FAIL {name}: {detail}" if detail else f"FAIL {name}"
+        assert (code, out, err) == (1, "", line + "\n")
+        code, out, _ = run_cli(capsys, "verify", str(path), "--samples", "1")
+        assert code == 1
+        first = next(x for x in out.splitlines() if x.startswith("FAIL "))
+        assert first == check_line(Check(f"{path}:{name}", False, detail))
+
     def test_failed_check_exit_1_with_named_fail(self, capsys, tmp_path,
                                                  monkeypatch):
         path = write_example(capsys, tmp_path, "so3-generic")
@@ -263,14 +321,14 @@ class TestDecompose:
     def test_model_that_cannot_be_built_exit_1_with_named_fail(
             self, capsys, tmp_path, monkeypatch):
         def degenerate(chain):
-            raise pm.DegenerateModel("point form is singular")
+            raise pm.DegenerateModel("gm + m + n do not form a basis of g")
 
         path = write_example(capsys, tmp_path, "so3-generic")
         monkeypatch.setattr(pm, "build_model", degenerate)
         code, out, err = run_cli(capsys, "decompose", str(path))
         assert code == 1
         assert out == ""
-        assert err == "FAIL model.builds: point form is singular\n"
+        assert err == "FAIL model.builds: gm + m + n do not form a basis of g\n"
 
 
 class TestVerify:

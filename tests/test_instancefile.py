@@ -28,6 +28,10 @@ from wittartin.verify import run_all
 
 F = Fraction
 
+# The README's example: so3-collinear with a quarter turn about e3.
+QUARTER_TURN_DOC = dict(build_example("so3-collinear"), gm_component_reps=[
+    [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]])
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name,doc", all_examples())
@@ -36,14 +40,32 @@ class TestRoundTrip:
         assert validate(inst).passed
 
     def test_component_reps_survive_a_round_trip(self):
-        # The README's example: so3-collinear with a quarter turn about e3.
-        doc = dict(build_example("so3-collinear"), gm_component_reps=[
-            [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]])
-        inst = from_dict(doc)
+        inst = from_dict(QUARTER_TURN_DOC)
         again = from_dict(to_dict(inst))
         assert again == inst
         checks = run_all(inst)
         assert len(checks) == 71 and run_all(again) == checks
+
+    def test_every_corpus_and_catalog_instance_round_trips(self):
+        from corpus import build_corpus
+        insts = ([from_dict(doc) for _, doc in all_examples()]
+                 + [from_dict(QUARTER_TURN_DOC)] + build_corpus())
+        for inst in insts:
+            again = from_dict(to_dict(inst))
+            assert again == inst
+            assert run_all(again, samples=1) == run_all(inst, samples=1)
+
+    def test_non_isometric_rep_loads_unchanged_and_fails_validation(self):
+        # diag(1, 1, 2) is invertible but scales e3: R^T R = diag(1, 1, 4).
+        reps = [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]]]
+        inst = from_dict(dict(build_example("so3-collinear"),
+                              gm_component_reps=reps))
+        assert inst.ip.gram == Matrix.identity(3)
+        assert to_dict(inst)["gm_component_reps"] == reps
+        assert from_dict(to_dict(inst)) == inst
+        failed = [(c.name, c.detail) for c in run_all(inst) if not c.passed]
+        assert failed == [("validate.gm_component_rep_0_isometry",
+                           "entry (2, 2) of R^T G R for rep 0 is 4, expected 1")]
 
     def test_dump_load_dump_is_stable(self):
         doc = so3xso3_diagonal()
@@ -172,7 +194,7 @@ class TestPresetsAndRebasing:
                                      ["0", "0", "1"]]]
         inst = from_dict(doc)
         assert len(inst.gm_component_reps) == 1
-        assert inst.ip.gram == inst.ip.gram.transpose()
+        assert inst.ip.gram == Matrix.identity(3)  # as written, not averaged
         report = validate(inst)
         assert report.passed
         from wittartin.splitting import build_chain, chain_checks
@@ -283,8 +305,7 @@ def respell(x, rng):
 BASE_DOCS = [doc for _, doc in all_examples()] + [
     {"format": "wittartin-instance/1", "dim": 0, "structure_constants": [],
      "h_basis": [], "gm_basis": [], "mu": []},
-    dict(build_example("so3-collinear"), gm_component_reps=[
-        [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]]),
+    QUARTER_TURN_DOC,
     dict(build_example("so3-generic"),
          inner_product=[["2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "3"]]),
 ]

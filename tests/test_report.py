@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from instances import zero_slice_block
 
 from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
@@ -85,9 +86,21 @@ def _zero_shear(monkeypatch):
 
 def _degenerate_model(monkeypatch):
     def degenerate(chain):
-        raise pm.DegenerateModel("point form is singular")
+        raise pm.DegenerateModel("gm + m + n do not form a basis of g")
 
     monkeypatch.setattr(pm, "build_model", degenerate)
+    return from_dict(build_example("so3-generic"))
+
+
+def _gm_off_the_stabilizer(monkeypatch):
+    doc = build_example("so3-generic")
+    doc["gm_basis"] = [["0", "1", "0"]]  # does not stabilize mu = e3*
+    doc["slice"]["action"] = [[["0", "0"], ["0", "0"]]]
+    return from_dict(doc)
+
+
+def _point_form_radical(monkeypatch):
+    monkeypatch.setattr(pm, "build_model", zero_slice_block(pm.build_model))
     return from_dict(build_example("so3-generic"))
 
 
@@ -99,13 +112,15 @@ def _scaled_slice_form(monkeypatch):
 
 
 @pytest.mark.parametrize("broken,first", [
+    (_gm_off_the_stabilizer, "validate.gm_in_g_mu"),
     (_grown_h_alpha, "liecore.h_alpha_two_descriptions"),
     (_zero_perp, "chain.builds"),
     (_zero_shear, "chain.g_decomposition_hperp"),
     (_degenerate_model, "model.builds"),
+    (_point_form_radical, "model.omega_nondegenerate"),
     (_scaled_slice_form, "sliceform.block_diagonal"),
-], ids=["liecore", "chain-builds", "chain-check", "model-builds",
-        "slice-form"])
+], ids=["validate", "liecore", "chain-builds", "chain-check", "model-builds",
+        "point-form", "slice-form"])
 def test_decompose_names_the_first_failure_of_verify(monkeypatch, broken,
                                                      first):
     inst = broken(monkeypatch)

@@ -84,6 +84,33 @@ class TestValidate:
         assert [c.name for c in checks if not c.passed] == [
             f"validate.{name}" for name in failed]
 
+    def test_component_rep_isometry_is_never_vacuous(self):
+        # An instance built in code is checked as a loaded one: a quarter
+        # turn in the (e_0, e_1) plane is an isometry of the identity form,
+        # diag(1, 1, 1, 1, 1, 2) is not, and no rep passes at the wrong size
+        # or against a form of the wrong size.
+        good = from_dict(build_example("so3xso3-diagonal"))
+        assert good.ip.gram == Matrix.identity(6)
+
+        def matrix(entries):
+            return Matrix.from_rows([[entries.get((i, j), 0) for j in range(6)]
+                                     for i in range(6)])
+
+        turn = matrix({(0, 1): -1, (1, 0): 1, **{(i, i): 1 for i in range(2, 6)}})
+        scale = matrix({**{(i, i): 1 for i in range(5)}, (5, 5): 2})
+        reps = (turn, scale, Matrix.identity(5))
+        inst = replace(good, gm_component_reps=reps)
+        failed = {c.name: c.detail for c in validate(inst).failures()}
+        assert failed == {
+            "gm_component_rep_1_isometry":
+                "entry (5, 5) of R^T G R for rep 1 is 4, expected 1",
+            "gm_component_rep_2_isometry": "rep 2 is 5x5, g has dimension 6"}
+        misfit = replace(inst, ip=InnerProduct(Matrix.identity(7)))
+        failed = {c.name: c.detail for c in validate(misfit).failures()}
+        assert all(failed[f"gm_component_rep_{t}_isometry"]
+                   == "inner product has dimension 7, g has 6"
+                   for t in range(3))
+
     def test_build_chain_rejects_invalid(self):
         inst = ProblemInstance(
             so3(), Subspace.span(3, [vec(1, 0, 0)]),

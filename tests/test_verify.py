@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from instances import zero_slice_block
 
 from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
@@ -30,6 +31,7 @@ from wittartin.exactlin import (
     sum_spaces,
 )
 from wittartin.instancefile import from_dict, to_dict
+from wittartin.report import build_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -127,9 +129,70 @@ def test_non_antisymmetric_point_form_names_the_entry_pair():
     rows = [list(row) for row in model.omega.entries]
     rows[0][1] += 1
     broken = replace(model, omega=Matrix.from_rows(rows))
-    check = _check(verify.model_checks(broken), "model.omega_antisymmetric")
+    check = _check(verify.point_form_checks(broken),
+                   "model.omega_antisymmetric")
     assert (check.passed, check.detail) == (
         False, "entry (0, 1) of the point form is not minus entry (1, 0)")
+
+
+def test_point_form_with_a_radical_ends_the_run_and_names_its_dimension(
+        monkeypatch):
+    expected_names = [c.name for c in _run()]
+    monkeypatch.setattr(pm, "build_model", zero_slice_block(pm.build_model))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names[:len(checks)]
+    assert checks[-1].name == "model.omega_nondegenerate"
+    assert _failed(checks) == ["model.omega_nondegenerate"]
+    assert checks[-1].detail == "the point form has a 2-dimensional radical"
+    assert verify.checked_model(from_dict(build_example("so3-generic")))[1] \
+        is None
+
+
+@pytest.mark.parametrize("run", [verify.run_all, build_report],
+                         ids=["run_all", "build_report"])
+def test_point_form_is_eliminated_once_per_run(monkeypatch, run):
+    # rref (under rank, kernel and inverse) and det are the eliminations.
+    eliminated, models = [], []
+    for name in ("rref", "det"):
+        def counted(self, exact=getattr(Matrix, name)):
+            eliminated.append(self)
+            return exact(self)
+
+        monkeypatch.setattr(Matrix, name, counted)
+    build = pm.build_model
+    monkeypatch.setattr(pm, "build_model",
+                        lambda chain: models.append(build(chain)) or models[-1])
+    run(from_dict(build_example("so3xso3-diagonal")))
+    (model,) = models
+    assert sum(M is model.omega for M in eliminated) == 1
+
+
+@pytest.mark.parametrize("run", [verify.run_all, build_report],
+                         ids=["run_all", "build_report"])
+def test_momentum_formula_is_built_once_per_run(monkeypatch, run):
+    inst = from_dict(build_example("so3xso3-diagonal"))
+    calls = []
+    exact = dec.momentum_formula_forms
+
+    def counted(model):
+        calls.append(model)
+        return exact(model)
+
+    monkeypatch.setattr(dec, "momentum_formula_forms", counted)
+    run(inst)
+    assert len(calls) == 1
+
+
+def test_stabilizer_moving_mu_names_the_basis_vector():
+    # so3-generic (mu = e_2*) with its cached g_mu grown to all of g:
+    # ad*_{e_0} mu is not 0.
+    inst = from_dict(build_example("so3-generic"))
+    broken = replace(inst)
+    broken.__dict__["g_mu"] = Subspace.full(inst.dim)
+    check = _check(verify.liecore_checks(broken),
+                   "liecore.stabilizer_annihilates_mu")
+    assert (check.passed, check.detail) == (
+        False, "ad* of g_mu basis vector 0 moves mu")
 
 
 def test_chu_radical_other_than_g_mu_names_the_basis_vector():
@@ -266,6 +329,8 @@ def test_wrong_pairing_block_fails_f_contract(monkeypatch):
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert "model.f_contract" in _failed(checks)
+    assert _check(checks, "model.f_contract").detail == \
+        "entry (0, 0) of the m x m* block of the point form is 2, expected 1"
 
 
 def test_lost_dual_column_fails_t0_plus_n1_check_and_names_a_vector(
@@ -296,6 +361,18 @@ def test_doubled_momentum_formula_fails_formula_check(monkeypatch):
     checks = _run("so3xso3-diagonal")
     assert [c.name for c in checks] == expected_names
     assert "momentum.formula_equals_direct" in _failed(checks)
+
+
+def test_unconstrained_h_momentum_fails_oracle_and_names_the_vector(
+        monkeypatch):
+    # With no rows, dphi_H kills every model direction.
+    expected_names = [c.name for c in _run()]
+    monkeypatch.setattr(pm, "dphi_H",
+                        lambda model: Matrix.zeros(0, model.total_dim))
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _check(checks, "wittH.oracle_kernel_equality").detail == \
+        "basis vector 2 of ker dphi_H is not in TH0 + NH1"
 
 
 def _seeded_draws() -> list[tuple]:
@@ -373,13 +450,13 @@ def test_chain_that_cannot_be_built_is_a_named_fail(monkeypatch):
 
 def test_model_that_cannot_be_built_is_a_named_fail(monkeypatch):
     def degenerate(chain):
-        raise pm.DegenerateModel("point form is singular")
+        raise pm.DegenerateModel("gm + m + n do not form a basis of g")
 
     monkeypatch.setattr(pm, "build_model", degenerate)
     checks = _run()
     assert checks[-1].name == "model.builds"
     assert _failed(checks) == ["model.builds"]
-    assert checks[-1].detail == "point form is singular"
+    assert checks[-1].detail == "gm + m + n do not form a basis of g"
 
 
 def test_failed_chain_check_ends_the_run_with_a_named_fail(monkeypatch):
@@ -1028,6 +1105,8 @@ def test_action_killing_a_non_unit_vector_fails_kernel_check(monkeypatch):
     assert _failed(checks) == ["model.ker_dphiG_is_orbit_perp",
                                "model.ker_dphiH_is_h_orbit_perp",
                                "model.inf_action_kernel_is_gm"]
+    assert _check(checks, "model.inf_action_kernel_is_gm").detail == \
+        "basis vector 0 of the action's kernel is not in g_m"
 
 
 def test_doubled_quaternion_action_fails_homomorphism_and_names_the_pair():
