@@ -304,7 +304,9 @@ def validate(inst: ProblemInstance) -> ValidationReport:
            f"{len(sl.action)} action matrices for gm of dim {inst.gm.dim}")
     checks.append(Check.of("slice_omega_antisymmetric",
                            antisymmetry_detail(sl.omega, "the slice omega")))
-    record("slice_omega_nondegenerate", sl.omega.rank() == sl.dim, "")
+    radical = sl.dim - sl.omega.rank()
+    checks.append(Check.of("slice_omega_nondegenerate", "" if not radical else
+                           f"the slice omega has a {radical}-dimensional radical"))
     witness = next((t for t, A in enumerate(sl.action)
                     if A.rows != sl.dim or A.cols != sl.dim
                     or not preserves(A, sl.omega)), None)

@@ -221,6 +221,12 @@ def expm(A: list[list[float]], rel_tol: float = REL_TOL) -> list[list[float]]:
     OutOfFloatRange: halving it would never reach 1/2.  A nan in any row of
     a term makes the tail nan, which never passes the tail test, so the
     series raises SeriesNotConverged.
+
+    The entries may be complex, as in the complex step of
+    _expm_ode_residual: the code only multiplies, adds, takes abs (the
+    modulus) and tests entries for zero, so it runs unchanged on them.
+    Real input takes the same path as before; a real matrix given with
+    zero imaginary parts gives its float result as the real parts.
     """
     n = len(A)
     if n == 0:
@@ -290,23 +296,27 @@ def phi_tilde(model: TangentModel, p: TubePoint) -> tuple[float, ...]:
     lam = _shifted_momentum(model, p)
     if is_zero_vec(p.xi):
         return tuple(_to_floats(lam))
-    return _coadjoint_exp(model, p.xi, lam)
+    ad = model.inst.algebra.ad_matrix(tuple(-x for x in p.xi))
+    return _coadjoint_exp(_to_float_rows(ad), _to_floats(lam))
 
 
-def _coadjoint_exp(model: TangentModel, xi: Vec,
-                   lam: Vec) -> tuple[float, ...]:
-    """Ad*_{exp(-xi)} lam, as floats."""
-    L = model.inst.algebra
-    E = expm(_to_float_rows(L.ad_matrix(tuple(-x for x in xi))))
-    lamf = _to_floats(lam)
+def _coadjoint_exp(ad: list[list[float]],
+                   lam: list[float]) -> tuple[float, ...]:
+    """Ad*_{exp(-xi)} lam, as floats, from the floats of ad(-xi) and lam."""
+    E = expm(ad)
     # <Ad*_{exp(-xi)} lam, y> = <lam, exp(-ad_xi) y>: apply the transpose.
-    n = L.dim
-    return tuple(sum(E[i][j] * lamf[i] for i in range(n)) for j in range(n))
+    n = len(lam)
+    return tuple(sum(E[i][j] * lam[i] for i in range(n)) for j in range(n))
 
 
 def check_dphi_consistency(model: TangentModel) -> list[Check]:
     """Central differences of phi_tilde at the base against dphi_G, with
     the step of _fd_step along each direction.
+
+    Along a U direction xi_d (column d of the (m, n) basis) rho = nu = 0,
+    so the momentum is mu, and ad is linear, so the exponents at +-step
+    are the exact -+step ad(xi_d): ad(xi_d) is built once, and the floats
+    of the one exponent are the negated floats of the other.
 
     A value out of float range, an exact one or the norm of a matrix to
     exponentiate, makes the check fail and names the value, and so does an
@@ -315,14 +325,26 @@ def check_dphi_consistency(model: TangentModel) -> list[Check]:
     occurs.
     """
     dG = model.dphi_G
+    L = model.inst.algebra
+    un = model.dim_m + model.dim_n
 
     worst = 0.0
     worst_dir = -1
     try:
+        muf = _to_floats(model.inst.mu)
         for d in range(model.total_dim):
-            step = _fd_step(model, d)
-            fp = phi_tilde(model, _point_along(model, d, step))
-            fm = phi_tilde(model, _point_along(model, d, -step))
+            if d < un:
+                ad = L.ad_matrix(model.mn_basis.col(d))
+                step = _fd_step(ad)
+                at_plus = _to_float_rows(ad.scale(-step))
+                fp = _coadjoint_exp(at_plus, muf)
+                # An exact zero is 0.0, never -0.0.
+                fm = _coadjoint_exp([[-x if x else x for x in row]
+                                     for row in at_plus], muf)
+            else:
+                step = _FD_STEP
+                fp = phi_tilde(model, _point_along(model, d, step))
+                fm = phi_tilde(model, _point_along(model, d, -step))
             fd = [(a - b) / (2.0 * float(step)) for a, b in zip(fp, fm)]
             col = _to_floats(dG.col(d))
             scale = max(1.0, max((abs(c) for c in col), default=0.0))
@@ -347,16 +369,13 @@ _FD_STEP = Fraction(1, 10_000)
 _FD_AD_NORM = 10
 
 
-def _fd_step(model: TangentModel, d: int) -> Fraction:
-    """The central-difference step along model direction d: _FD_STEP,
-    divided along a U direction xi_d (column d of the (m, n) basis) by
-    max(1, ||ad(xi_d)||_inf / _FD_AD_NORM).  The truncation error grows
-    with (step ||ad||)^2, so this keeps it at its size for ||ad|| <= 10
-    whatever the scale of the brackets.  A norm beyond float range, whose
-    step would underflow to 0.0, raises OutOfFloatRange naming it."""
-    if d >= model.dim_m + model.dim_n:
-        return _FD_STEP
-    ad = model.inst.algebra.ad_matrix(model.mn_basis.col(d))
+def _fd_step(ad: Matrix) -> Fraction:
+    """The central-difference step along a U direction xi_d, from ad =
+    ad(xi_d): _FD_STEP divided by max(1, ||ad||_inf / _FD_AD_NORM).  The
+    truncation error grows with (step ||ad||)^2, so this keeps it at its
+    size for ||ad|| <= 10 whatever the scale of the brackets.  A norm
+    beyond float range, whose step would underflow to 0.0, raises
+    OutOfFloatRange naming it."""
     norm = max((sum(abs(x) for x in row if x) for row in ad.entries), default=0)
     if norm <= _FD_AD_NORM:
         return _FD_STEP
@@ -365,18 +384,16 @@ def _fd_step(model: TangentModel, d: int) -> Fraction:
 
 
 def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:
-    """The point t times the model unit vector at index.  A U direction is
-    column index of the (m, n) basis, so xi is t times that column; only
-    the nonzero coordinates are multiplied."""
-    v = tuple(t if j == index else ZERO for j in range(model.total_dim))
+    """The point t times the model unit vector at an R or V index, whose
+    group coordinate is the identity."""
     un = model.dim_m + model.dim_n
-    xi = (tuple(t * x if x else ZERO for x in model.mn_basis.col(index))
-          if index < un else zero_vec(model.inst.dim))
-    return TubePoint(xi=xi, rho=v[un:un + model.dim_m], nu=v[un + model.dim_m:])
+    v = tuple(t if j == index else ZERO for j in range(un, model.total_dim))
+    return TubePoint(xi=zero_vec(model.inst.dim), rho=v[:model.dim_m],
+                     nu=v[model.dim_m:])
 
 
-# Step of the central difference of t -> expm(tA) at t = 1, before it is
-# divided by max(1, ||A||).
+# Step of the complex-step derivative of t -> expm(tA) at t = 1, before it
+# is divided by max(1, ||A||).
 _ODE_STEP = 1e-4
 # The largest ||A|| at which the ODE residual of expm(A) is held to FD_TOL.
 _ODE_NORM = 1e3
@@ -393,22 +410,23 @@ def _ode_tol(A: list[list[float]]) -> float:
 
 
 def _expm_ode_residual(A: list[list[float]], E: list[list[float]]) -> float:
-    """How far the central difference of t -> expm(tA) at t = 1 is from
-    A expm(A) = A E, relative to max(1, |A E|) in the max entry norm.
+    """How far the complex-step derivative of t -> expm(tA) at t = 1,
+    Im expm((1 + ih) A) / h, is from A expm(A) = A E, relative to
+    max(1, |A E|) in the max entry norm.
 
     The step h = _ODE_STEP / max(1, ||A||) keeps the truncation error,
-    about (h ||A||)^2 / 6, under 2e-9 for any A.  The difference divides
-    the series error by 2h, so both shifted exponentials are summed to
-    REL_TOL * _ODE_STEP.
+    about (h ||A||)^2 / 6, under 2e-9 for any A.  No difference of two
+    nearby values is taken, so nothing cancels and the one exponential
+    is summed to the default REL_TOL (Squire and Trapp, SIAM Review
+    40(1), 1998).
     """
     h = _ODE_STEP / max(1.0, _mat_norm(A))
-    plus = expm(_mat_scale(1.0 + h, A), REL_TOL * _ODE_STEP)
-    minus = expm(_mat_scale(1.0 - h, A), REL_TOL * _ODE_STEP)
+    Z = expm([[complex(x, h * x) for x in row] for row in A])
     AE = _mat_mul(A, E)
     scale = max(1.0, max((abs(x) for row in AE for x in row), default=0.0))
-    return max((abs((p - m) / (2.0 * h) - x)
-                for rp, rm, rx in zip(plus, minus, AE)
-                for p, m, x in zip(rp, rm, rx)), default=0.0) / scale
+    return max((abs(z.imag / h - x)
+                for rz, rx in zip(Z, AE)
+                for z, x in zip(rz, rx)), default=0.0) / scale
 
 
 def phi_equivariance_check(model: TangentModel, samples: int,
@@ -420,10 +438,13 @@ def phi_equivariance_check(model: TangentModel, samples: int,
     momentum of [e, rho, nu]; the two float paths must agree to REL_TOL.
     Both sides use expm on matrices with equal entries on the catalog
     algebras, so each sample also ties the coadjoint exponential to its
-    defining ODE d/dt expm(tA) = A expm(tA) at t = 1, to FD_TOL (to
+    defining ODE d/dt expm(tA) = A expm(tA) at t = 1, through one
+    complex-step exponential (_expm_ode_residual), to FD_TOL (to
     _ode_tol(A) beyond ||A|| = _ODE_NORM); the detail names the first
-    sample that misses it.  The exact momentum of a sample
-    does not depend on xi, so it is computed once for both sides.  A value
+    sample that misses it.  A sample takes three exponentials.  Its exact
+    momentum does not depend on xi, and coad(-xi) is the transpose of
+    ad(-xi), so the momentum and ad(-xi) are each built and converted to
+    floats once for both sides.  A value
     out of float range, an exact one or the norm of a matrix to
     exponentiate, makes the check fail and names the value, and so does an
     exponential series that does not converge; a nan deviation (an
@@ -446,9 +467,12 @@ def phi_equivariance_check(model: TangentModel, samples: int,
             rho = tuple(rand_frac() for _ in range(model.dim_m))
             nu = tuple(rand_frac() for _ in range(model.slice_dim))
             lam = _shifted_momentum(model, TubePoint(xi, rho, nu))
-            lhs = _coadjoint_exp(model, xi, lam)
+            ad = _to_float_rows(L.ad_matrix(tuple(-x for x in xi)))
             base = _to_floats(lam)
-            A = _to_float_rows(L.coad_matrix(tuple(-x for x in xi)))
+            lhs = _coadjoint_exp(ad, base)
+            # coad(-xi) = ad(-xi)^T, and the floats are converted entry by
+            # entry, so this is the float matrix of coad(-xi).
+            A = [list(col) for col in zip(*ad)]
             M = expm(A)
             rhs = [sum(M[i][j] * base[j] for j in range(n)) for i in range(n)]
             scale = max(1.0, max((abs(x) for x in rhs), default=0.0))

@@ -178,29 +178,30 @@ def decomposition_checks(model: pm.TangentModel) -> list[Check]:
     out.append(dec.momentum_forms_check(closed,
                                         dec.slice_momentum_forms(decomp)))
 
-    out.append(Check("momentum.phiN1_equivariance",
-                     _phi_n1_equivariance(inst)))
+    out.append(Check.of("momentum.phiN1_equivariance",
+                        _phi_n1_equivariance_detail(inst)))
 
     out.extend(dec.coadjoint_slice_check(model))
     return out
 
 
-def _phi_n1_equivariance(inst: ProblemInstance) -> bool:
-    """DPhi_N1(nu)(eta_t.nu) = -ad*_{eta_t}|_{g_m*} Phi_N1(nu) for all nu.
+def _phi_n1_equivariance_detail(inst: ProblemInstance) -> str:
+    """"" when DPhi_N1(nu)(eta_t.nu) = -ad*_{eta_t}|_{g_m*} Phi_N1(nu) for
+    all nu; otherwise names the first g_m basis pair (t, s) where it fails.
 
     Component s of each side is a quadratic form in nu, with Gram
     A_t^T S_s + S_s A_t on the left and -momentum_form(combine(c)) on the
     right, c the g_m coordinates of [eta_t, eta_s]: the sum of the two
     Grams must be antisymmetric."""
     sl, gv = inst.slice_rep, inst.gm.basis_vectors()
-    for A, eta in zip(sl.action, gv):
-        for S, gs in zip(sl.momentum_forms, gv):
+    for t, (A, eta) in enumerate(zip(sl.action, gv)):
+        for s, (S, gs) in enumerate(zip(sl.momentum_forms, gv)):
             coords = inst.gm.coords_of(inst.algebra.bracket(eta, gs))
             if coords is None or not (
                     A.transpose() @ S + S @ A
                     + sl.momentum_form(sl.combine(coords))).is_antisymmetric():
-                return False
-    return True
+                return f"equivariance fails on gm pair ({t}, {s})"
+    return ""
 
 
 def tube_checks(model: pm.TangentModel, samples: int,

@@ -218,7 +218,8 @@ FAULTY_DOCS = {
                  "validate.gm_component_rep_0_isometry",
                  "entry (0, 0) of R^T G R for rep 0 is 0, expected 1"),
     "degenerate-slice-omega": ("so3-generic", _zero_slice_omega, False,
-                               "validate.slice_omega_nondegenerate", ""),
+                               "validate.slice_omega_nondegenerate",
+                               "the slice omega has a 2-dimensional radical"),
     "non-isometric-rep": ("so3-collinear", _rep(1, 1, 2), False,
                           "validate.gm_component_rep_0_isometry",
                           "entry (2, 2) of R^T G R for rep 0 is 4, expected 1"),

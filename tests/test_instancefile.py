@@ -2,6 +2,7 @@
 
 import copy
 import importlib.util
+import json
 import random
 import sys
 from fractions import Fraction
@@ -31,6 +32,24 @@ F = Fraction
 # The README's example: so3-collinear with a quarter turn about e3.
 QUARTER_TURN_DOC = dict(build_example("so3-collinear"), gm_component_reps=[
     [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]])
+
+
+def test_readme_instance_snippet_is_the_quarter_turn_doc():
+    # The README's snippet elides the structure constants with "..."; every
+    # other field, one per line, must be the doc the tests run.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("\n```", 1)[0]
+    lines = block.splitlines()
+    assert (lines[0], lines[-1]) == ("{", "}")
+    fields = {}
+    for line in lines[1:-1]:
+        key, value = line.split(":", 1)
+        fields[json.loads(key)] = value.strip().rstrip(",")
+    assert fields.keys() == QUARTER_TURN_DOC.keys()
+    elided = {key for key, value in fields.items() if "..." in value}
+    assert elided == {"structure_constants"}
+    for key in fields.keys() - elided:
+        assert json.loads(fields[key]) == QUARTER_TURN_DOC[key], key
 
 
 class TestRoundTrip:

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 from instances import zero_slice_block
+from output_digest import _workload_items
 
 from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
-from wittartin import splitting, verify
+from wittartin import splitting, tube, verify
 from wittartin.catalog import all_examples, build_example
 from wittartin.exactlin import Subspace, sum_spaces
 from wittartin.instancefile import from_dict
@@ -51,6 +52,21 @@ def test_text_rendering_is_deterministic():
     a = render_text(build_report(inst, instance_doc=doc))
     b = render_text(build_report(inst, instance_doc=doc))
     assert a == b
+
+
+def test_reports_never_reach_the_tube(monkeypatch):
+    # decompose builds no tube form and takes no exponential, so a change to
+    # the tube cannot move the decompose-mixed benchmark workload.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_report reached the tube")
+
+    monkeypatch.setattr(tube, "expm", unreachable)
+    monkeypatch.setattr(tube, "omega_tube_gram", unreachable)
+    docs = [doc for label, doc in _workload_items(1)
+            if label.startswith("decompose-mixed@")]
+    assert len(docs) == len(all_examples()) + 2
+    for doc in docs:
+        report_to_dict(build_report(from_dict(doc), instance_doc=doc))
 
 
 def test_golden_dims_match_worked_cases():

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from instances import so3_case, so3xso3_diag, torus_instance, vec
+from instances import (
+    J2,
+    so3_case,
+    so3xso3_diag,
+    standard_slice,
+    torus_instance,
+    vec,
+)
 from wittartin.catalog import build_example
 from wittartin.exactlin import (
     InnerProduct,
@@ -110,6 +117,18 @@ class TestValidate:
         assert all(failed[f"gm_component_rep_{t}_isometry"]
                    == "inner product has dimension 7, g has 6"
                    for t in range(3))
+
+    @pytest.mark.parametrize("omega, radical", [
+        (standard_slice(3).omega, 1),
+        (Matrix.zeros(2, 2), 2),
+        (Matrix.from_blocks(((J2, Matrix.zeros(2, 2)),
+                             (Matrix.zeros(2, 4),))), 2)])
+    def test_degenerate_slice_omega_names_its_radical(self, omega, radical):
+        inst = replace(so3_case("generic"), slice_rep=SliceRep(omega, ()))
+        failed = [(c.name, c.detail) for c in validate(inst).failures()]
+        assert failed == [("slice_omega_nondegenerate",
+                           f"the slice omega has a {radical}-dimensional "
+                           "radical")]
 
     def test_build_chain_rejects_invalid(self):
         inst = ProblemInstance(

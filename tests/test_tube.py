@@ -303,8 +303,8 @@ class TestExpm:
         assert tube._expm_ode_residual(A, expm(A)) <= tube.FD_TOL
 
     def test_ode_residual_of_expm_is_within_its_bound_beyond_norm_1e3(self):
-        # expm of this rotation generator is 1.7e-6 from the closed form,
-        # and its residual is above FD_TOL.
+        # expm of this rotation generator is 1.7e-6 from the closed form;
+        # its complex-step residual is 1.5e-9.
         c = 2.6e4
         A = [[0.0, -c, 0.0], [c, 0.0, 0.0], [0.0, 0.0, 0.0]]
         assert tube._expm_ode_residual(A, expm(A)) <= tube._ode_tol(A)
@@ -533,6 +533,44 @@ class TestBlockExpmAgainstReference:
         A[3][0] = A[4][2] = A[1][4] = A[5][5] = 1.0
         A[6][6] = -0.0
         assert tube._blocks(A) == [[0, 3], [1, 2, 4], [5]]
+
+
+def _hex_rows(M):
+    """Each entry's bits: the sign of a zero shows, as it does not in ==."""
+    return [[float(x).hex() for x in row] for row in M]
+
+
+class TestComplexExpm:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.integers(0, 6), st.sampled_from([0.3, 4.0, 40.0]))
+        .flatmap(lambda d: float_matrices(d[0], d[0], d[1])),
+        st.sampled_from([0.3, 4.0, 40.0]).flatmap(permuted_block_diagonal)),
+        st.sampled_from([tube.REL_TOL, 1e-14, 1e-3]))
+    def test_real_matrix_as_complex_keeps_the_float_path(self, A, rel_tol):
+        Z = expm([[complex(x, 0.0) for x in row] for row in A], rel_tol)
+        assert _hex_rows([[z.real for z in row] for row in Z]) \
+            == _hex_rows(expm(A, rel_tol))
+        assert all(z.imag == 0.0 for row in Z for z in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(
+        st.integers(-100, 100),
+        min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+        .map(lambda xs: (n, xs))), st.floats(0.0, 150.0))
+    def test_complex_step_residual_of_rotation_generators_is_within_fd_tol(
+            self, shape, norm):
+        # An antisymmetric matrix scaled to a norm in [0, 150].
+        n, xs = shape
+        A = [[0.0] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for (i, j), x in zip(pairs, xs):
+            A[i][j], A[j][i] = float(x), float(-x)
+        size = tube._mat_norm(A)
+        if size:
+            A = tube._mat_scale(norm / size, A)
+        assert tube._mat_norm(A) <= 150.0 * (1 + 1e-12)
+        assert tube._expm_ode_residual(A, expm(A)) <= tube.FD_TOL
 
 
 def _expm_with(mat_mul, A):

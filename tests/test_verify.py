@@ -439,6 +439,28 @@ def test_momentum_form_off_the_action_fails_phi_n1_equivariance():
     assert "momentum.phiN1_equivariance" in _failed(checks)
 
 
+def test_momentum_form_off_the_action_names_the_phi_n1_pair():
+    # torus(4, 1) with g_m = span(e2, e3) acting by 0 and by a rotation:
+    # h_m = 0, so no formula form reads the slice momentum forms, and
+    # equivariance and the finite differences see the same momentum.
+    # diag(1, 0) added to S_0 breaks pair (1, 0) and no check but the
+    # phi_N1 equivariance.  Pair (0, 0) holds, as A_0 = 0.
+    doc = build_example("torus", 4, 1)
+    doc = dict(doc, gm_basis=[["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+               slice=dict(doc["slice"], action=[
+                   [["0", "0"], ["0", "0"]], [["0", "-1"], ["1", "0"]]]))
+    expected_names = [c.name for c in verify.run_all(from_dict(doc),
+                                                     samples=3)]
+    inst = from_dict(doc)
+    S = inst.slice_rep.momentum_forms
+    inst.slice_rep.__dict__["momentum_forms"] = (
+        S[0] + Matrix.from_rows([[1, 0], [0, 0]]),) + S[1:]
+    checks = verify.run_all(inst, samples=3)
+    assert [c.name for c in checks] == expected_names
+    assert [(c.name, c.detail) for c in checks if not c.passed] == [
+        ("momentum.phiN1_equivariance", "equivariance fails on gm pair (1, 0)")]
+
+
 def test_chain_that_cannot_be_built_is_a_named_fail(monkeypatch):
     # g_mu + a is then outside the Chu-orthogonal of ntilde + s.
     monkeypatch.setattr(splitting, "perp_under_form",
@@ -961,7 +983,7 @@ def test_float_overflow_in_the_exponential_fails_fd_check(monkeypatch):
         "max relative deviation nan over 2 samples; sample 0: ")
     # With the unscaled step 1e-4 the exponential along a group direction
     # overflows too: the finite difference there is nan.
-    monkeypatch.setattr(tube, "_fd_step", lambda model, d: Fraction(1, 10_000))
+    monkeypatch.setattr(tube, "_fd_step", lambda ad: Fraction(1, 10_000))
     checks = verify.run_all(inst, samples=2)
     assert _failed(checks) == ["tube.dphi_fd_consistency",
                                "tube.equivariance"]
@@ -990,8 +1012,8 @@ def _scaled_brackets(doc, c):
 def test_scaled_brackets_pass_every_check(example, c):
     # The finite-difference step shrinks with ||ad||; with the fixed step
     # 1e-4, tube.dphi_fd_consistency failed from c = 100 on.  At c = 10^4
-    # the ODE residual of expm, 1.491e-06 at sample 0, is above FD_TOL but
-    # within tube._ode_tol.
+    # the ODE residual of expm is 2.4e-10 at sample 0 on so3-generic,
+    # within FD_TOL and far within tube._ode_tol.
     checks = verify.run_all(from_dict(
         _scaled_brackets(build_example(example), c)))
     assert len(checks) == 69
@@ -1077,8 +1099,8 @@ def test_shifted_momentum_off_identity_fails_equivariance(monkeypatch):
     expected_names = [c.name for c in _run()]
     exact = tube._coadjoint_exp
 
-    def shifted(model, xi, lam):
-        out = exact(model, xi, lam)
+    def shifted(ad, lam):
+        out = exact(ad, lam)
         return (out[0] + 1e-3,) + out[1:]
 
     monkeypatch.setattr(tube, "_coadjoint_exp", shifted)
@@ -1298,6 +1320,26 @@ def test_expm_one_squaring_short_fails_equivariance_at_scale_10_4(
     assert _failed(checks) == ["tube.equivariance"]
     assert "; sample 0: d/dt expm(tA) at t = 1 misses A expm(A) by " \
         in _check(checks, "tube.equivariance").detail
+
+
+def test_expm_dropping_imaginary_parts_fails_equivariance_by_its_ode(
+        monkeypatch):
+    # The complex step reads the imaginary part of one exponential: without
+    # it the derivative is 0, a miss of all of A expm(A).  Every other
+    # exponential is real, so both sides still agree.
+    expected_names = [c.name for c in _run()]
+    exact = tube.expm
+
+    def real_only(A, rel_tol=tube.REL_TOL):
+        return [[x.real for x in row] for row in exact(A, rel_tol)]
+
+    monkeypatch.setattr(tube, "expm", real_only)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.equivariance"]
+    assert _check(checks, "tube.equivariance").detail == (
+        "max relative deviation 0.000e+00 over 3 samples; sample 0: "
+        "d/dt expm(tA) at t = 1 misses A expm(A) by 1.000e+00")
 
 
 def test_transposed_expm_fails_equivariance_and_names_a_sample(monkeypatch):
