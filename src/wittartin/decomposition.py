@@ -126,7 +126,9 @@ def _witt_artin_axioms(model: TangentModel, ker: Subspace, ker_name: str,
     order: the isotropic and symplectic parts of the orbit directions, the
     Lagrangian complement of X0 and the symplectic slice.  For each group
     ("sum", "kernel", "orthogonality", "lagrangian") the result holds the
-    first statement that fails, or None.
+    first statement that fails, with its witness in parentheses where there
+    is one (the basis vector, or the pair of basis vectors that omega does
+    not pair to zero), or None.
 
     "X0 + Y0 is symplectic" is W & W^omega = 0 for W = X0 + Y0, since
     that intersection is the radical of the form on W.  The perp's rows
@@ -137,31 +139,40 @@ def _witt_artin_axioms(model: TangentModel, ker: Subspace, ker_name: str,
     whole = direct_sum(X0, X1, Y0, Y1)
     X0Y0 = sum_spaces(X0, Y0)
     split = " + ".join(blocks)
+
+    def unless(holds: bool, text: str) -> str:
+        return "" if holds else text
+
+    def witnessed(text: str, witness: str) -> str:
+        return witness and f"{text} ({witness})"
+
+    def orthogonal(a: str, A: Subspace, b: str, B: Subspace) -> str:
+        w = pairing_witness(omega, A, B)
+        return "" if w is None else witnessed(
+            f"{a} is isotropic" if a == b else f"{a} is omega-orthogonal to {b}",
+            f"{a} basis vector {w[0]} pairs with {b} basis vector {w[1]}")
+
+    x0y0, x0y1 = f"{x0} + {y0}", f"{x0} + {y1}"
     groups = {
         "sum": (
-            (f"{split} is direct", lambda: whole is not None),
-            (f"{split} is the whole model",
-             lambda: whole == Subspace.full(model.total_dim))),
+            lambda: unless(whole is not None, f"{split} is direct"),
+            lambda: unless(whole == Subspace.full(model.total_dim),
+                           f"{split} is the whole model")),
         "kernel": (
-            (f"{x0} + {y1} is {ker_name}", lambda: sum_spaces(X0, Y1) == ker),),
+            lambda: witnessed(f"{x0y1} is {ker_name}", equality_detail(
+                ker, ker_name, sum_spaces(X0, Y1), x0y1)),),
         "orthogonality": (
-            (f"{x1} is omega-orthogonal to {y1}",
-             lambda: pairing_witness(omega, X1, Y1) is None),
-            (f"{x1} is omega-orthogonal to {x0} + {y0}",
-             lambda: pairing_witness(omega, X1, X0Y0) is None),
-            (f"{y1} is omega-orthogonal to {x0} + {y0}",
-             lambda: pairing_witness(omega, Y1, X0Y0) is None)),
+            lambda: orthogonal(x1, X1, y1, Y1),
+            lambda: orthogonal(x1, X1, x0y0, X0Y0),
+            lambda: orthogonal(y1, Y1, x0y0, X0Y0)),
         "lagrangian": (
-            (f"{x0} is isotropic",
-             lambda: pairing_witness(omega, X0, X0) is None),
-            (f"{y0} is isotropic",
-             lambda: pairing_witness(omega, Y0, Y0) is None),
-            (f"dim {x0} equals dim {y0}", lambda: X0.dim == Y0.dim),
-            (f"{x0} + {y0} is symplectic",
-             lambda: direct_sum(X0Y0, perp_under_form(omega, X0Y0))
-             is not None)),
+            lambda: orthogonal(x0, X0, x0, X0),
+            lambda: orthogonal(y0, Y0, y0, Y0),
+            lambda: unless(X0.dim == Y0.dim, f"dim {x0} equals dim {y0}"),
+            lambda: unless(direct_sum(X0Y0, perp_under_form(omega, X0Y0))
+                           is not None, f"{x0y0} is symplectic")),
     }
-    return {group: next((text for text, holds in statements if not holds()),
+    return {group: next(filter(None, (failure() for failure in statements)),
                         None)
             for group, statements in groups.items()}
 

@@ -109,10 +109,6 @@ class LieAlgebra:
                 m[k][j] += x[i] * c
         return Matrix(n, n, tuple(map(tuple, m)))
 
-    def coad_matrix(self, x: Vec) -> Matrix:
-        """Matrix of ad*_x on covector coordinates: the transpose of ad_x."""
-        return self.ad_matrix(x).transpose()
-
     def coad_apply(self, x: Vec, lam: Vec) -> Vec:
         """ad*_x lam, i.e. the covector y -> <lam, [x, y]>."""
         out = [ZERO] * self.dim

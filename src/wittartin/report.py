@@ -16,6 +16,7 @@ from .instancefile import to_dict
 from .splitting import (
     Check,
     ProblemInstance,
+    dim_detail,
     dim_formulas,
     require,
 )
@@ -103,8 +104,9 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
     }
     checks = (
         Check("report.decompositions_built", True),
-        Check("report.slice_dim_matches_formula",
-              len(h_dec.NH1) == dims.slice_dim_H),
+        Check.of("report.slice_dim_matches_formula", dim_detail(
+            "dim NH1", len(h_dec.NH1),
+            "dim N1 + 2 dim b + dim s", dims.slice_dim_H)),
     )
     return Report(
         instance=to_dict(instance_doc if instance_doc is not None else inst),

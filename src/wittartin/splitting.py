@@ -253,8 +253,9 @@ def validate(inst: ProblemInstance) -> ValidationReport:
 
     record("mu_length", len(inst.mu) == n,
            f"len(mu)={len(inst.mu)}, dim g={n}")
-    record("h_ambient", inst.h.ambient_dim == n, "")
-    record("gm_ambient", inst.gm.ambient_dim == n, "")
+    for name, space in (("h", inst.h), ("gm", inst.gm)):
+        checks.append(Check.of(f"{name}_ambient", dim_detail(
+            f"the ambient dimension of {name}", space.ambient_dim, "dim g", n)))
     if not all(c.passed for c in checks):
         return ValidationReport(tuple(checks))
 
@@ -276,7 +277,8 @@ def validate(inst: ProblemInstance) -> ValidationReport:
            "" if witness is None else f"[gm_{witness[0]}, h_{witness[1]}] leaves h")
 
     ip_fits = inst.ip.gram.rows == n
-    record("ip_dimension", ip_fits, "")
+    checks.append(Check.of("ip_dimension", dim_detail(
+        "the dimension of the inner product", inst.ip.gram.rows, "dim g", n)))
     record("ip_symmetric", inst.ip.gram.is_symmetric(), "")
     record("ip_positive_definite",
            ip_fits and inst.ip.gram.leading_minors_positive(), "")

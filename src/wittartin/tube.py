@@ -2,14 +2,14 @@
 
 omega_tube_gram evaluates the tube 2-form at a slice point (group coordinate
 at the identity) in exact arithmetic, as one Gram matrix in the model's
-(U, R, V) coordinates.  Only its U x U block, the bracket pairing against
-the shifted momentum mu + rho + Phi_N1(nu), depends on the point; the other
-blocks are those of the point form (see omega_tube_gram).
-omega_tube pairs two model coordinate vectors through that Gram matrix.
+(U, R, V) coordinates: the point form model.omega with its U x U block, the
+bracket pairing against the shifted momentum mu + rho + Phi_N1(nu),
+replaced.  omega_tube pairs two model coordinate vectors through it.
 phi_tilde evaluates the normal-form momentum map, which needs a matrix
 exponential and is therefore the one floating-point corner of the package.
-Consistency checks tie both back to the exact linear model; their two
-tolerances are the module constants REL_TOL and FD_TOL.
+Consistency checks tie both back to the exact linear model; they measure
+every float error with _relative_error, and their two tolerances are the
+module constants REL_TOL and FD_TOL.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .exactlin import ZERO, Matrix, Vec, add_vec, dot, is_zero_vec, zero_vec
 from .pointmodel import TangentModel
@@ -59,39 +60,29 @@ def _shifted_momentum(model: TangentModel, p: TubePoint) -> Vec:
 def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:
     """Gram matrix of the tube 2-form at a slice point, exactly.
 
-    With Mn the (m, n) basis of g and K[a][b] = <lam, [e_a, e_b]> for
-    lam = mu + rho + Phi_N1(nu), the blocks in (U, R, V) order (UU summed
-    over nonzero K and Mn entries only) are
-
-        UU = Mn^T K Mn     UR = [I; 0]        UV = 0
-        RU = -UR^T         RR = 0             RV = 0
-        VU = 0             VR = 0             VV = omega_N1
-
-    UR and UV pair the (m, n) columns with the m- and g_m-dual rows of the
-    inverse g basis.  Column a of Mn is column gm + a of the g basis, whose
-    g coordinates are the unit vector e_{gm+a}, so these pairings are
-    delta_ab and 0 at every point.
+    It is the point form model.omega with its U x U block replaced by
+    UU = Mn^T K Mn, where Mn is the (m, n) basis of g and K[a][b] =
+    <lam, [e_a, e_b]> for lam = mu + rho + Phi_N1(nu), summed over the
+    nonzero K and Mn entries only.  Moving along the slice changes no other
+    block: they pair the (m, n) directions with m* and give omega_N1 on N1.
 
     Only points with group coordinate at the identity are accepted; by
     invariance nothing is lost, and the evaluation stays rational.
     """
     if not is_zero_vec(p.xi):
         raise OffSlice("omega_tube only evaluates at group coordinate zero")
-    inst = model.inst
-    dm, sd, un = model.dim_m, model.slice_dim, model.mn_basis.cols
-    K = inst.algebra.bracket_pairing(_shifted_momentum(model, p)).entries
+    un = model.mn_basis.cols
+    K = model.inst.algebra.bracket_pairing(_shifted_momentum(model, p)).entries
     mn = [[(a, x) for a, x in enumerate(row) if x] for row in model.mn_basis.entries]
     uu = [[Fraction(0)] * un for _ in range(un)]
     for i, j, w in ((i, j, w) for i, r in enumerate(K) for j, w in enumerate(r) if w):
         for a, x in mn[i]:
             for b, y in mn[j]:
                 uu[a][b] += x * w * y
-    UU = Matrix(un, un, tuple(map(tuple, uu)))
-    UR = Matrix.identity(un).submatrix(range(un), range(dm))
-    Z = Matrix.zeros
-    return Matrix.from_blocks(((UU, UR, Z(un, sd)),
-                               (-UR.transpose(), Z(dm, dm + sd)),
-                               (Z(sd, un + dm), inst.slice_rep.omega)))
+    om = model.omega
+    return Matrix(om.rows, om.cols, tuple(
+        tuple(row) + fixed[un:] for row, fixed in zip(uu, om.entries))
+        + om.entries[un:])
 
 
 def omega_tube(model: TangentModel, p: TubePoint, v1: Vec, v2: Vec) -> Fraction:
@@ -128,6 +119,13 @@ def _worst(errors) -> float:
     if any(map(math.isnan, errors)):
         return math.nan
     return max(errors, default=0.0)
+
+
+def _relative_error(got: Sequence[float], want: Sequence[float]) -> float:
+    """max |got - want| over max(1, max |want|), entry by entry, or nan when
+    a difference or an entry of want is nan."""
+    return (_worst(abs(a - b) for a, b in zip(got, want))
+            / _worst([1.0, *map(abs, want)]))
 
 
 def _to_float_rows(M: Matrix) -> list[list[float]]:
@@ -346,9 +344,7 @@ def check_dphi_consistency(model: TangentModel) -> list[Check]:
                 fp = phi_tilde(model, _point_along(model, d, step))
                 fm = phi_tilde(model, _point_along(model, d, -step))
             fd = [(a - b) / (2.0 * float(step)) for a, b in zip(fp, fm)]
-            col = _to_floats(dG.col(d))
-            scale = max(1.0, max((abs(c) for c in col), default=0.0))
-            err = _worst(abs(a - b) for a, b in zip(fd, col)) / scale
+            err = _relative_error(fd, _to_floats(dG.col(d)))
             if math.isnan(err):  # the float path overflowed
                 worst, worst_dir = err, d
                 break
@@ -395,38 +391,24 @@ def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:
 # Step of the complex-step derivative of t -> expm(tA) at t = 1, before it
 # is divided by max(1, ||A||).
 _ODE_STEP = 1e-4
-# The largest ||A|| at which the ODE residual of expm(A) is held to FD_TOL.
-_ODE_NORM = 1e3
-
-
-def _ode_tol(A: list[list[float]]) -> float:
-    """The bound on the ODE residual of expm(A): FD_TOL up to ||A|| =
-    _ODE_NORM, then FD_TOL ||A|| / _ODE_NORM.  Each of the about
-    log2(||A||) squarings doubles the relative error of the scaled
-    exponential, so the float exponential itself is only that accurate:
-    on a rotation generator of norm 2.6e4 it is 1.7e-6 from the closed
-    form."""
-    return FD_TOL * max(1.0, _mat_norm(A) / _ODE_NORM)
 
 
 def _expm_ode_residual(A: list[list[float]], E: list[list[float]]) -> float:
     """How far the complex-step derivative of t -> expm(tA) at t = 1,
-    Im expm((1 + ih) A) / h, is from A expm(A) = A E, relative to
-    max(1, |A E|) in the max entry norm.
+    Im expm((1 + ih) A) / h, is from A expm(A) = A E, as the
+    _relative_error of its entries; a nan in either matrix makes it nan.
 
     The step h = _ODE_STEP / max(1, ||A||) keeps the truncation error,
     about (h ||A||)^2 / 6, under 2e-9 for any A.  No difference of two
     nearby values is taken, so nothing cancels and the one exponential
     is summed to the default REL_TOL (Squire and Trapp, SIAM Review
-    40(1), 1998).
+    40(1), 1998).  The residual does not grow with the norm (1.5e-9 on a
+    rotation generator of norm 1e5), so FD_TOL bounds it at every norm.
     """
     h = _ODE_STEP / max(1.0, _mat_norm(A))
     Z = expm([[complex(x, h * x) for x in row] for row in A])
-    AE = _mat_mul(A, E)
-    scale = max(1.0, max((abs(x) for row in AE for x in row), default=0.0))
-    return max((abs(z.imag / h - x)
-                for rz, rx in zip(Z, AE)
-                for z, x in zip(rz, rx)), default=0.0) / scale
+    return _relative_error([z.imag / h for row in Z for z in row],
+                           [x for row in _mat_mul(A, E) for x in row])
 
 
 def phi_equivariance_check(model: TangentModel, samples: int,
@@ -435,20 +417,18 @@ def phi_equivariance_check(model: TangentModel, samples: int,
 
     Compares phi_tilde at [exp(xi), rho, nu] (exponential applied inside the
     evaluation) against the coadjoint matrix exponential applied to the
-    momentum of [e, rho, nu]; the two float paths must agree to REL_TOL.
-    Both sides use expm on matrices with equal entries on the catalog
-    algebras, so each sample also ties the coadjoint exponential to its
+    momentum of [e, rho, nu]: their _relative_error must be at most
+    REL_TOL.  Each sample also ties the coadjoint exponential to its
     defining ODE d/dt expm(tA) = A expm(tA) at t = 1, through one
-    complex-step exponential (_expm_ode_residual), to FD_TOL (to
-    _ode_tol(A) beyond ||A|| = _ODE_NORM); the detail names the first
-    sample that misses it.  A sample takes three exponentials.  Its exact
-    momentum does not depend on xi, and coad(-xi) is the transpose of
-    ad(-xi), so the momentum and ad(-xi) are each built and converted to
-    floats once for both sides.  A value
+    complex-step exponential (_expm_ode_residual), to FD_TOL at every
+    norm; the detail names the first sample that misses it.  A sample
+    takes three exponentials.  Its exact momentum does not depend on xi,
+    and coad(-xi) is the transpose of ad(-xi), so the momentum and ad(-xi)
+    are each built and converted to floats once for both sides.  A value
     out of float range, an exact one or the norm of a matrix to
     exponentiate, makes the check fail and names the value, and so does an
-    exponential series that does not converge; a nan deviation (an
-    overflow inside the float path) makes it fail too.
+    exponential series that does not converge; a nan deviation or ODE
+    residual (an overflow inside the float path) makes it fail too.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -475,11 +455,9 @@ def phi_equivariance_check(model: TangentModel, samples: int,
             A = [list(col) for col in zip(*ad)]
             M = expm(A)
             rhs = [sum(M[i][j] * base[j] for j in range(n)) for i in range(n)]
-            scale = max(1.0, max((abs(x) for x in rhs), default=0.0))
-            dev = _worst(abs(a - b) for a, b in zip(lhs, rhs)) / scale
-            worst = _worst((worst, dev))
+            worst = _worst((worst, _relative_error(lhs, rhs)))
             miss = _expm_ode_residual(A, M)
-            if not off_ode and not miss <= _ode_tol(A):
+            if not off_ode and not miss <= FD_TOL:
                 off_ode = (f"; sample {t}: d/dt expm(tA) at t = 1 misses "
                            f"A expm(A) by {miss:.3e}")
     except (OutOfFloatRange, SeriesNotConverged) as e:

@@ -78,7 +78,7 @@ class TestAdCoad:
         L = so3()
         x = vec(1, -2, F(1, 2))
         lam = vec(F(2, 3), 1, -1)
-        coad = L.coad_matrix(x).apply(lam)
+        coad = L.ad_matrix(x).transpose().apply(lam)
         for j in range(3):
             pairing = sum(l * b for l, b in
                           zip(lam, L.bracket(x, unit_vec(3, j))))

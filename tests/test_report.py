@@ -15,7 +15,7 @@ from output_digest import _workload_items
 
 from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
-from wittartin import splitting, tube, verify
+from wittartin import report, splitting, tube, verify
 from wittartin.catalog import all_examples, build_example
 from wittartin.exactlin import Subspace, sum_spaces
 from wittartin.instancefile import from_dict
@@ -67,6 +67,16 @@ def test_reports_never_reach_the_tube(monkeypatch):
     assert len(docs) == len(all_examples()) + 2
     for doc in docs:
         report_to_dict(build_report(from_dict(doc), instance_doc=doc))
+
+
+def test_wrong_slice_dim_prediction_fails_the_report_check(monkeypatch):
+    exact = report.dim_formulas
+    monkeypatch.setattr(report, "dim_formulas", lambda chain: replace(
+        exact(chain), slice_dim_H=exact(chain).slice_dim_H + 1))
+    rep = build_report(from_dict(build_example("so3-generic")))
+    assert [(c.name, c.detail) for c in rep.checks if not c.passed] == [
+        ("report.slice_dim_matches_formula",
+         "dim NH1 is 4, dim N1 + 2 dim b + dim s is 5")]
 
 
 def test_golden_dims_match_worked_cases():

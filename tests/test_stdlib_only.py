@@ -78,17 +78,23 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def private_definitions(tree):
-    """(name, node) of each _-prefixed module-level function or class and
-    of each _-prefixed method of a module-level class.  Dunder names are
-    the language's hooks, not helpers."""
+    """(name, node) of each _-prefixed module-level function, class or
+    assigned name (a constant) and of each _-prefixed method of a
+    module-level class.  Dunder names are the language's hooks, not
+    helpers."""
     nodes = []
     for node in tree.body:
         nodes.append(node)
         if isinstance(node, ast.ClassDef):
             nodes.extend(node.body)
-    return [(node.name, node) for node in nodes
-            if isinstance(node, DEFS) and node.name.startswith("_")
-            and not node.name.endswith("__")]
+    named = [(node.name, node) for node in nodes if isinstance(node, DEFS)]
+    named += [(target.id, node) for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign)
+                             else [node.target])
+              if isinstance(target, ast.Name)]
+    return [(name, node) for name, node in named
+            if name.startswith("_") and not name.endswith("__")]
 
 
 def references(node):
@@ -114,7 +120,8 @@ def test_every_private_helper_is_used():
 
 
 def test_a_dead_helper_is_caught():
-    tree = ast.parse("def _used():\n    return 1\n\n"
+    tree = ast.parse("_READ = 2\n_UNREAD: int = 3\n\n"
+                     "def _used():\n    return _READ\n\n"
                      "def _dead(n):\n    return _dead(n - 1)\n\n"
                      "class C:\n"
                      "    def _method(self):\n        return _used()\n\n"
@@ -122,4 +129,5 @@ def test_a_dead_helper_is_caught():
                      "    def __eq__(self, other):\n"
                      "        return self._method()\n")
     assert dead_helpers({"m.py": tree}) == [("m.py", "_dead"),
-                                            ("m.py", "_unread")]
+                                            ("m.py", "_unread"),
+                                            ("m.py", "_UNREAD")]

@@ -22,6 +22,7 @@ from wittartin import pointmodel as pm
 from wittartin import splitting, tube, verify
 from wittartin.catalog import all_examples, build_example
 from wittartin.exactlin import (
+    InnerProduct,
     Matrix,
     Subspace,
     add_vec,
@@ -586,6 +587,28 @@ def _diagonal_with(**changes):
     return replace(from_dict(build_example("so3xso3-diagonal")), **changes)
 
 
+@pytest.mark.parametrize("field", ["h", "gm"])
+def test_subspace_in_the_wrong_ambient_dimension_names_both_dimensions(
+        field):
+    # The file format rejects such a basis; an instance built in Python
+    # reaches validate with it, which stops after its first three checks.
+    space = getattr(_diagonal_with(), field)
+    wide = Subspace.span(7, [v + (0,) for v in space.basis_vectors()])
+    checks = verify.run_all(_diagonal_with(**{field: wide}), samples=3)
+    assert [c.name for c in checks] == [
+        "validate.mu_length", "validate.h_ambient", "validate.gm_ambient"]
+    assert [(c.name, c.detail) for c in checks if not c.passed] == [
+        (f"validate.{field}_ambient",
+         f"the ambient dimension of {field} is 7, dim g is 6")]
+
+
+def test_inner_product_of_the_wrong_size_names_both_dimensions():
+    inst = _diagonal_with(ip=InnerProduct(Matrix.identity(5)))
+    checks = verify.run_all(inst, samples=3)
+    assert _check(checks, "validate.ip_dimension").detail == \
+        "the dimension of the inner product is 5, dim g is 6"
+
+
 def test_h_not_normalized_by_gm_fails_and_names_the_pair():
     # h = span(e3, e1') is abelian; the diagonal e3 fixes e3 and moves e1'.
     inst = _diagonal_with(h=Subspace.span(6, [(0, 0, 1, 0, 0, 0),
@@ -991,6 +1014,28 @@ def test_float_overflow_in_the_exponential_fails_fd_check(monkeypatch):
         == "max relative error nan at direction 0"
 
 
+def test_nan_in_the_ode_derivative_fails_equivariance(monkeypatch):
+    # A nan at entry (1, 1) of the complex-step exponential: a plain max
+    # over the residual's entries keeps the finite value it holds from
+    # entry (0, 0) when it meets the nan, so only a nan-aware one sees it.
+    expected_names = [c.name for c in _run()]
+    exact = tube.expm
+
+    def nan_imaginary(A, *args):
+        E = exact(A, *args)
+        if isinstance(E[1][1], complex):
+            E[1][1] = complex(E[1][1].real, float("nan"))
+        return E
+
+    monkeypatch.setattr(tube, "expm", nan_imaginary)
+    checks = _run()
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.equivariance"]
+    assert _check(checks, "tube.equivariance").detail == (
+        "max relative deviation 0.000e+00 over 3 samples; sample 0: "
+        "d/dt expm(tA) at t = 1 misses A expm(A) by nan")
+
+
 def _scaled_brackets(doc, c):
     """The instance with every structure constant, and every slice action
     so that it stays a representation, multiplied by c: the algebra is
@@ -1013,7 +1058,7 @@ def test_scaled_brackets_pass_every_check(example, c):
     # The finite-difference step shrinks with ||ad||; with the fixed step
     # 1e-4, tube.dphi_fd_consistency failed from c = 100 on.  At c = 10^4
     # the ODE residual of expm is 2.4e-10 at sample 0 on so3-generic,
-    # within FD_TOL and far within tube._ode_tol.
+    # within FD_TOL, which bounds it at every norm.
     checks = verify.run_all(from_dict(
         _scaled_brackets(build_example(example), c)))
     assert len(checks) == 69
@@ -1174,7 +1219,8 @@ def test_kernel_other_than_TH0_plus_NH1_fails_witt_h_kernel_check(
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["wittH.2_TH0_NH1_is_ker_dphiH"]
     assert _check(checks, "wittH.2_TH0_NH1_is_ker_dphiH").detail \
-        == "fails: TH0 + NH1 is ker dphi_H"
+        == ("fails: TH0 + NH1 is ker dphi_H (basis vector 0 of TH0 + NH1 is "
+            "not in ker dphi_H)")
 
 
 def _with_omega_coupled(monkeypatch, check, pick):
@@ -1203,7 +1249,8 @@ def test_omega_pairing_TH1_with_NH1_fails_witt_h_orthogonality(monkeypatch):
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["wittH.4_orthogonality_and_lagrangian"]
     assert _check(checks, "wittH.4_orthogonality_and_lagrangian").detail \
-        == "fails: TH1 is omega-orthogonal to NH1"
+        == ("fails: TH1 is omega-orthogonal to NH1 (TH1 basis vector 0 pairs "
+            "with NH1 basis vector 1)")
 
 
 def test_omega_pairing_T1_with_N1_fails_witt_g_orthogonality(monkeypatch):
@@ -1216,7 +1263,8 @@ def test_omega_pairing_T1_with_N1_fails_witt_g_orthogonality(monkeypatch):
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["wittG.all_assertions"]
     assert _check(checks, "wittG.all_assertions").detail \
-        == "fails: T1 is omega-orthogonal to N1"
+        == ("fails: T1 is omega-orthogonal to N1 (T1 basis vector 0 pairs "
+            "with N1 basis vector 0)")
 
 
 def test_omega_pairing_two_T0_coordinates_fails_witt_g_isotropy(monkeypatch):
@@ -1229,7 +1277,8 @@ def test_omega_pairing_two_T0_coordinates_fails_witt_g_isotropy(monkeypatch):
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["wittG.all_assertions"]
     assert _check(checks, "wittG.all_assertions").detail \
-        == "fails: T0 is isotropic"
+        == ("fails: T0 is isotropic (T0 basis vector 0 pairs with T0 basis "
+            "vector 1)")
 
 
 @pytest.mark.parametrize("example, pick, space", [

@@ -4,10 +4,11 @@ they replaced.
 decomposition._witt_artin_axioms states the axioms of both decompositions
 once; the reference below is the per-statement identity list that
 wittG.all_assertions held, written with plain Gram entries and stacked
-ranks, and it is compared on Hypothesis-drawn block subspaces of the
-catalog models.  The axioms decide "X0 + Y0 is symplectic" as
-W & W^omega = 0 for W = X0 + Y0, which is compared with the full Gram of W
-on the catalog models and the corpus models with nonzero a and r.  wittH.6
+ranks, and it is compared, each failing statement with its witness, on
+Hypothesis-drawn block subspaces of the catalog models.  The axioms decide
+"X0 + Y0 is symplectic" as W & W^omega = 0 for W = X0 + Y0, which is
+compared with the full Gram of W on the catalog models and the corpus
+models with nonzero a and r.  wittH.6
 decides the a x r Chu pairing as r & a^perp = 0, which is compared with the
 rank of the pairing matrix on drawn subspaces of the corpus algebras.  wittH.5
 and the wittG forms on T1 and N1 read omega submatrices on the blocks'
@@ -130,43 +131,62 @@ def nondegenerate(G, U):
 
 def ref_axioms(model, ker, ker_name, names, spaces):
     """The first failing statement of each group, from the identity list
-    of wittG.all_assertions with T0, T1, N0, N1 renamed."""
+    of wittG.all_assertions with T0, T1, N0, N1 renamed, and its witness
+    where it has one: the first pair of canonical basis vectors with a
+    nonzero omega entry, or the first basis vector of one side of the
+    kernel statement that the other side does not contain."""
     t0, t1, n0, n1 = names
     T0, T1, N0, N1 = (s.basis_vectors() for s in spaces)
     G, n = model.omega, model.total_dim
 
-    def orthogonal(U, V):
-        return all(dot(u, G.apply(v)) == 0 for u in U for v in V)
+    def pairing(a, U, b, V):
+        U, V = (Subspace.span(n, W).basis_vectors() for W in (U, V))
+        return next((f"{a} basis vector {i} pairs with {b} basis vector {j}"
+                     for i, u in enumerate(U) for j, v in enumerate(V)
+                     if dot(u, G.apply(v)) != 0), None)
+
+    def outside(a, A, b, B):
+        return next((f"basis vector {i} of {a} is not in {b}"
+                     for i, v in enumerate(A.basis_vectors())
+                     if not B.contains(v)), None)
+
+    def unless(holds):
+        return None if holds else ""
 
     def symplectic(U):
         return nondegenerate(G, U)
 
     rank_all = Matrix.from_cols(T0 + T1 + N0 + N1, rows=n).rank()
     split = f"{t0} + {t1} + {n0} + {n1}"
+    t0n0, t0n1 = f"{t0} + {n0}", f"{t0} + {n1}"
+    X = Subspace.span(n, T0 + N1)
+    # Each identity gives None when it holds, else its witness ("" for
+    # none).
     identities = (
         ("sum", f"{split} is direct",
-         lambda: rank_all == len(T0 + T1 + N0 + N1)),
+         lambda: unless(rank_all == len(T0 + T1 + N0 + N1))),
         ("sum", f"{split} is the whole model",
-         lambda: rank_all == len(T0 + T1 + N0 + N1) == n),
-        ("kernel", f"{t0} + {n1} is {ker_name}",
-         lambda: Subspace.span(n, T0 + N1) == ker),
+         lambda: unless(rank_all == len(T0 + T1 + N0 + N1) == n)),
+        ("kernel", f"{t0n1} is {ker_name}",
+         lambda: outside(ker_name, ker, t0n1, X)
+         or outside(t0n1, X, ker_name, ker)),
         ("orthogonality", f"{t1} is omega-orthogonal to {n1}",
-         lambda: orthogonal(T1, N1)),
-        ("orthogonality", f"{t1} is omega-orthogonal to {t0} + {n0}",
-         lambda: orthogonal(T1, T0 + N0)),
-        ("orthogonality", f"{n1} is omega-orthogonal to {t0} + {n0}",
-         lambda: orthogonal(N1, T0 + N0)),
-        ("lagrangian", f"{t0} is isotropic", lambda: orthogonal(T0, T0)),
-        ("lagrangian", f"{n0} is isotropic", lambda: orthogonal(N0, N0)),
+         lambda: pairing(t1, T1, n1, N1)),
+        ("orthogonality", f"{t1} is omega-orthogonal to {t0n0}",
+         lambda: pairing(t1, T1, t0n0, T0 + N0)),
+        ("orthogonality", f"{n1} is omega-orthogonal to {t0n0}",
+         lambda: pairing(n1, N1, t0n0, T0 + N0)),
+        ("lagrangian", f"{t0} is isotropic", lambda: pairing(t0, T0, t0, T0)),
+        ("lagrangian", f"{n0} is isotropic", lambda: pairing(n0, N0, n0, N0)),
         ("lagrangian", f"dim {t0} equals dim {n0}",
-         lambda: len(T0) == len(N0)),
-        ("lagrangian", f"{t0} + {n0} is symplectic",
-         lambda: symplectic(Subspace.span(n, T0 + N0).basis_vectors())),
+         lambda: unless(len(T0) == len(N0))),
+        ("lagrangian", f"{t0n0} is symplectic",
+         lambda: unless(symplectic(Subspace.span(n, T0 + N0).basis_vectors()))),
     )
     first = dict.fromkeys(GROUPS)
-    for group, text, holds in identities:
-        if first[group] is None and not holds():
-            first[group] = text
+    for group, text, witness in identities:
+        if first[group] is None and (w := witness()) is not None:
+            first[group] = f"{text} ({w})" if w else text
     return first
 
 
