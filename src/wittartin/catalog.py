@@ -8,99 +8,58 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .instancefile import FORMAT
+from .instancefile import FORMAT, strings
 from .liecore import LieAlgebra, abelian, direct_sum, so3
 
-J2 = [["0", "1"], ["-1", "0"]]
-ROT2 = [["0", "-1"], ["1", "0"]]
+J2 = ((0, 1), (-1, 0))
+ROT2 = ((0, -1), (1, 0))
 
 
-def _constants(L: LieAlgebra) -> list:
-    return [[[str(x) for x in cij] for cij in ci] for ci in L.c]
-
-
-def _base(L: LieAlgebra, h_basis, gm_basis, mu, slice_=None) -> dict:
+def _base(L: LieAlgebra, h_basis, gm_basis, mu, action=()) -> dict:
+    """A fresh document, on a 2-dimensional slice with omega J2: every list
+    is built anew by strings, so no two documents share one."""
     return {
         "format": FORMAT,
         "dim": L.dim,
-        "structure_constants": _constants(L),
-        "h_basis": h_basis,
-        "gm_basis": gm_basis,
-        "mu": mu,
+        "structure_constants": strings(L.c),
+        "h_basis": strings(h_basis),
+        "gm_basis": strings(gm_basis),
+        "mu": strings(mu),
         "inner_product": "identity",
-        "slice": slice_,
+        "slice": {"dim": 2, "omega": strings(J2), "action": strings(action)},
     }
 
 
-def so3_generic() -> dict:
-    """Rotations with a one-parameter subgroup whose axis misses mu."""
-    return _base(
-        so3(),
-        h_basis=[["1", "0", "0"]],
-        gm_basis=[],
-        mu=["0", "0", "1"],
-        slice_={"dim": 2, "omega": J2, "action": []},
-    )
-
-
-def so3_collinear() -> dict:
-    """Subgroup axis collinear with mu."""
-    return _base(
-        so3(),
-        h_basis=[["0", "0", "1"]],
-        gm_basis=[],
-        mu=["0", "0", "1"],
-        slice_={"dim": 2, "omega": J2, "action": []},
-    )
-
-
-def so3_zero() -> dict:
-    """Zero momentum."""
-    return _base(
-        so3(),
-        h_basis=[["0", "0", "1"]],
-        gm_basis=[],
-        mu=["0", "0", "0"],
-        slice_={"dim": 2, "omega": J2, "action": []},
-    )
+# so3-generic: rotations with a one-parameter subgroup whose axis misses mu.
+# so3-collinear: subgroup axis collinear with mu.
+# so3-zero: zero momentum.
+def _so3(h_axis: int, mu: tuple) -> dict:
+    return _base(so3(), [[int(i == h_axis) for i in range(3)]], [], mu)
 
 
 def torus(dim: int, subdim: int) -> dict:
     """Free abelian example: dim-torus with a subdim-subtorus."""
     if not (1 <= subdim < dim):
         raise ValueError("torus needs 1 <= subdim < dim")
-    h_basis = [[str(1 if j == i else 0) for j in range(dim)]
-               for i in range(subdim)]
-    mu = [str(Fraction(1, i + 1)) for i in range(dim)]
-    return _base(
-        abelian(dim),
-        h_basis=h_basis,
-        gm_basis=[],
-        mu=mu,
-        slice_={"dim": 2, "omega": J2, "action": []},
-    )
+    h_basis = [[int(j == i) for j in range(dim)] for i in range(subdim)]
+    mu = [Fraction(1, i + 1) for i in range(dim)]
+    return _base(abelian(dim), h_basis, [], mu)
 
 
 def so3xso3_diagonal() -> dict:
     """Two copies of the rotation algebra with the diagonal subalgebra and a
     one-dimensional diagonal stabilizer acting on a 2-dimensional slice."""
     L = direct_sum(so3(), so3())
-    diag = [["1", "0", "0", "1", "0", "0"],
-            ["0", "1", "0", "0", "1", "0"],
-            ["0", "0", "1", "0", "0", "1"]]
-    return _base(
-        L,
-        h_basis=diag,
-        gm_basis=[["0", "0", "1", "0", "0", "1"]],
-        mu=["0", "0", "1", "0", "0", "1"],
-        slice_={"dim": 2, "omega": J2, "action": [ROT2]},
-    )
+    diag = [[1, 0, 0, 1, 0, 0],
+            [0, 1, 0, 0, 1, 0],
+            [0, 0, 1, 0, 0, 1]]
+    return _base(L, diag, [diag[2]], diag[2], [ROT2])
 
 
 _BUILDERS = {
-    "so3-generic": so3_generic,
-    "so3-collinear": so3_collinear,
-    "so3-zero": so3_zero,
+    "so3-generic": lambda: _so3(0, (0, 0, 1)),
+    "so3-collinear": lambda: _so3(2, (0, 0, 1)),
+    "so3-zero": lambda: _so3(2, (0, 0, 0)),
     "torus": torus,
     "so3xso3-diagonal": so3xso3_diagonal,
 }
@@ -125,7 +84,4 @@ def build_example(name: str, dim: int | None = None,
 
 
 def all_examples() -> list[tuple[str, dict]]:
-    out = []
-    for name in EXAMPLE_NAMES:
-        out.append((name, build_example(name)))
-    return out
+    return [(name, build_example(name)) for name in EXAMPLE_NAMES]

@@ -43,8 +43,8 @@ from .exactlin import (
     unit_vec,
 )
 from .pointmodel import TangentModel, inf_action, isotropy_action
-from .splitting import (Check, SliceRep, direct_sum_detail, entry_detail,
-                        equality_check, equality_detail)
+from .splitting import (Check, SliceRep, dim_detail, direct_sum_detail,
+                        entry_detail, equality_detail)
 
 
 # A Witt block is the span of the model unit vectors at these indices.
@@ -126,22 +126,21 @@ def _witt_artin_axioms(model: TangentModel, ker: Subspace, ker_name: str,
     order: the isotropic and symplectic parts of the orbit directions, the
     Lagrangian complement of X0 and the symplectic slice.  For each group
     ("sum", "kernel", "orthogonality", "lagrangian") the result holds the
-    first statement that fails, with its witness in parentheses where there
-    is one (the basis vector, or the pair of basis vectors that omega does
-    not pair to zero), or None.
+    first statement that fails, with its witness in parentheses (the basis
+    vector, the pair of basis vectors that omega does not pair to zero, or
+    the dimensions that disagree), or None.
 
-    "X0 + Y0 is symplectic" is W & W^omega = 0 for W = X0 + Y0, since
-    that intersection is the radical of the form on W.  The perp's rows
-    are G^T w products over the nonzero entries, so no Gram is formed.
+    The radical of the form on W = X0 + Y0 is W & W^omega, of dimension
+    dim W + dim W^omega - dim(W + W^omega); "X0 + Y0 is symplectic" holds
+    when it is 0.  The perp's rows are G^T w products over the nonzero
+    entries, so no Gram is formed.
     """
     (x0, X0), (x1, X1), (y0, Y0), (y1, Y1) = blocks.items()
-    omega = model.omega
-    whole = direct_sum(X0, X1, Y0, Y1)
+    omega, n = model.omega, model.total_dim
+    total = sum_spaces(X0, X1, Y0, Y1)
+    added = X0.dim + X1.dim + Y0.dim + Y1.dim
     X0Y0 = sum_spaces(X0, Y0)
     split = " + ".join(blocks)
-
-    def unless(holds: bool, text: str) -> str:
-        return "" if holds else text
 
     def witnessed(text: str, witness: str) -> str:
         return witness and f"{text} ({witness})"
@@ -152,12 +151,20 @@ def _witt_artin_axioms(model: TangentModel, ker: Subspace, ker_name: str,
             f"{a} is isotropic" if a == b else f"{a} is omega-orthogonal to {b}",
             f"{a} basis vector {w[0]} pairs with {b} basis vector {w[1]}")
 
+    def radical(W: Subspace) -> str:
+        perp = perp_under_form(omega, W)
+        r = W.dim + perp.dim - sum_spaces(W, perp).dim
+        return "" if not r else f"the form on it has a {r}-dimensional radical"
+
     x0y0, x0y1 = f"{x0} + {y0}", f"{x0} + {y1}"
     groups = {
         "sum": (
-            lambda: unless(whole is not None, f"{split} is direct"),
-            lambda: unless(whole == Subspace.full(model.total_dim),
-                           f"{split} is the whole model")),
+            lambda: witnessed(f"{split} is direct", "" if total.dim == added
+                              else f"the dimensions add to {added}, the sum "
+                              f"has dimension {total.dim}"),
+            lambda: witnessed(f"{split} is the whole model", "" if total.dim == n
+                              else f"the sum has dimension {total.dim}, the "
+                              f"model {n}")),
         "kernel": (
             lambda: witnessed(f"{x0y1} is {ker_name}", equality_detail(
                 ker, ker_name, sum_spaces(X0, Y1), x0y1)),),
@@ -168,9 +175,9 @@ def _witt_artin_axioms(model: TangentModel, ker: Subspace, ker_name: str,
         "lagrangian": (
             lambda: orthogonal(x0, X0, x0, X0),
             lambda: orthogonal(y0, Y0, y0, Y0),
-            lambda: unless(X0.dim == Y0.dim, f"dim {x0} equals dim {y0}"),
-            lambda: unless(direct_sum(X0Y0, perp_under_form(omega, X0Y0))
-                           is not None, f"{x0y0} is symplectic")),
+            lambda: witnessed(f"dim {x0} equals dim {y0}", dim_detail(
+                f"dim {x0}", X0.dim, f"dim {y0}", Y0.dim)),
+            lambda: witnessed(f"{x0y0} is symplectic", radical(X0Y0))),
     }
     return {group: next(filter(None, (failure() for failure in statements)),
                         None)
@@ -497,7 +504,7 @@ def coadjoint_slice_check(model: TangentModel) -> list[Check]:
               if total is None else equality_detail(
                   total, "h_alpha orbit + s orbit", ker, "the kernel"))
     return [
-        equality_check("coadjoint.kernel_is_a_plus_s_orbit", ker, "the kernel",
-                       expected, "the a + s orbit"),
+        Check.of("coadjoint.kernel_is_a_plus_s_orbit", equality_detail(
+            ker, "the kernel", expected, "the a + s orbit")),
         Check("coadjoint.s_complements_halpha_orbit", not detail, detail),
     ]

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import add
-from typing import Iterable, Sequence
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -293,26 +293,35 @@ class Matrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
+    def _pivots(self, exchange: bool) -> Iterator[Fraction]:
+        """The pivots of forward elimination on the square matrix, in order,
+        through the first zero one.  With exchange, a zero diagonal entry
+        is swapped for the first nonzero one below it, and the pivot a row
+        exchange brings in is negated, so that the product of the pivots is
+        the determinant.  Row updates touch only the nonzero entries of the
+        pivot row right of the pivot."""
+        n = self.rows
+        m = [list(row) for row in self.entries]
+        for c in range(n):
+            pv = m[c][c]
+            if exchange and not pv:
+                r = next((i for i in range(c + 1, n) if m[i][c]), c)
+                m[c], m[r] = m[r], m[c]
+                pv = m[c][c]
+                yield -pv
+            else:
+                yield pv
+            if not pv:
+                return
+            nz = [(j, y) for j, y in enumerate(m[c]) if j > c and y]
+            for row in m[c + 1:]:
+                if row[c]:
+                    _eliminate(row, row[c] / pv, nz)
+
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        det = ONE
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pivot_row is None:
-                return ZERO
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = ONE / m[c][c]
-            nz = [(j, y) for j, y in enumerate(m[c]) if j > c and y]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    _eliminate(m[i], m[i][c] * inv, nz)
-        return det
+        return reduce(mul, self._pivots(exchange=True), ONE)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -332,16 +341,7 @@ class Matrix:
         """
         if self.rows != self.cols:
             raise ValueError("minors of a non-square matrix")
-        m = [list(row) for row in self.entries]
-        for c, pivot_row in enumerate(m):
-            pv = pivot_row[c]
-            if pv <= 0:
-                return False
-            nz = [(j, y) for j, y in enumerate(pivot_row) if j > c and y]
-            for row in m[c + 1:]:
-                if row[c] != 0:
-                    _eliminate(row, row[c] / pv, nz)
-        return True
+        return all(pv > 0 for pv in self._pivots(exchange=False))
 
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:

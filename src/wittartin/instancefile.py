@@ -90,8 +90,12 @@ def _parse_matrix(m: Any, rows: int, cols: int, memo: dict[str, Fraction],
                                     for i, r in enumerate(m)))
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x)
+def strings(data):
+    """A rational (Fraction or int) as its str, and a nested sequence of
+    them as nested lists of str: how files and reports write rationals."""
+    if isinstance(data, (Fraction, int)):
+        return str(data)
+    return [strings(x) for x in data]
 
 
 def loads(text: str) -> ProblemInstance:
@@ -218,28 +222,23 @@ def to_dict(doc_or_inst) -> dict:
     if isinstance(doc_or_inst, dict):
         return doc_or_inst
     inst = doc_or_inst
-    n = inst.dim
     doc = {
         "format": FORMAT,
-        "dim": n,
-        "structure_constants": [
-            [[_fmt(x) for x in cij] for cij in ci] for ci in inst.algebra.c
-        ],
-        "h_basis": [[_fmt(x) for x in v] for v in inst.h.basis_vectors()],
-        "gm_basis": [[_fmt(x) for x in v] for v in inst.gm.basis_vectors()],
-        "mu": [_fmt(x) for x in inst.mu],
-        "inner_product": [[_fmt(x) for x in row] for row in inst.ip.gram.entries],
+        "dim": inst.dim,
+        "structure_constants": strings(inst.algebra.c),
+        "h_basis": strings(inst.h.basis_vectors()),
+        "gm_basis": strings(inst.gm.basis_vectors()),
+        "mu": strings(inst.mu),
+        "inner_product": strings(inst.ip.gram.entries),
         "slice": {
             "dim": inst.slice_rep.dim,
-            "omega": [[_fmt(x) for x in row]
-                      for row in inst.slice_rep.omega.entries],
-            "action": [[[_fmt(x) for x in row] for row in A.entries]
-                       for A in inst.slice_rep.action],
+            "omega": strings(inst.slice_rep.omega.entries),
+            "action": strings(A.entries for A in inst.slice_rep.action),
         },
     }
     if inst.gm_component_reps:
-        doc["gm_component_reps"] = [[[_fmt(x) for x in row] for row in R.entries]
-                                    for R in inst.gm_component_reps]
+        doc["gm_component_reps"] = strings(
+            R.entries for R in inst.gm_component_reps)
     return doc
 
 

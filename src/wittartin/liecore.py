@@ -215,15 +215,11 @@ def abelian(n: int) -> LieAlgebra:
 
 
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
-    n1, n2 = L1.dim, L2.dim
-    n = n1 + n2
+    """L1 on the first L1.dim coordinates and L2 on the rest: each summand's
+    nonzero constants, shifted by its offset."""
+    n = L1.dim + L2.dim
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n1):
-        for j in range(n1):
-            for k in range(n1):
-                c[i][j][k] = L1.c[i][j][k]
-    for i in range(n2):
-        for j in range(n2):
-            for k in range(n2):
-                c[n1 + i][n1 + j][n1 + k] = L2.c[i][j][k]
+    for offset, L in ((0, L1), (L1.dim, L2)):
+        for i, j, k, x in L.nonzero:
+            c[offset + i][offset + j][offset + k] = x
     return LieAlgebra(n, tuple(tuple(tuple(r) for r in ci) for ci in c))

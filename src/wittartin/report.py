@@ -11,8 +11,8 @@ from dataclasses import asdict, dataclass
 
 from . import decomposition as dec
 from . import pointmodel as pm
-from .exactlin import Matrix, unit_vec
-from .instancefile import to_dict
+from .exactlin import unit_vec
+from .instancefile import strings, to_dict
 from .splitting import (
     Check,
     ProblemInstance,
@@ -35,10 +35,6 @@ class Report:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _matrix_strings(M: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in M.entries]
 
 
 def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Report:
@@ -70,9 +66,8 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
         # ascending index order, and its Gram the omega submatrix there.
         ordered = sorted(indices)
         return {
-            "basis": [[str(x) for x in unit_vec(model.total_dim, i)]
-                      for i in ordered],
-            "gram": _matrix_strings(model.omega_on(ordered)),
+            "basis": strings(unit_vec(model.total_dim, i) for i in ordered),
+            "gram": strings(model.omega_on(ordered).entries),
         }
 
     witt_g = {name: block(getattr(g_dec, name))
@@ -91,7 +86,7 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
         },
         "Y_m": block(h_dec.Ym),
         "Z_m": block(h_dec.Zm),
-        "slice_form_gram": _matrix_strings(h_dec.nh1.omega),
+        "slice_form_gram": strings(h_dec.nh1.omega.entries),
         "dim_X_m": len(h_dec.Xm_block),
         "dim_N1_tilde": len(h_dec.NH1),
         # One quadratic form per h_m basis vector; an empty list states
@@ -99,7 +94,7 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
         # covector in a zero-dimensional dual.
         "slice_momentum": {
             "h_m_dim": chain.h_m.dim,
-            "quadratic_forms": [_matrix_strings(S) for S in forms],
+            "quadratic_forms": strings(S.entries for S in forms),
         },
     }
     checks = (

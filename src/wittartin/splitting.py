@@ -112,19 +112,6 @@ def antisymmetry_detail(G: Matrix, what: str) -> str:
                                     f"entry {pair[::-1]}")
 
 
-def inclusion_check(name: str, A: Subspace, a_name: str,
-                    B: Subspace, b_name: str) -> Check:
-    """A <= B; a failure names the first basis vector of A that is not in B."""
-    return Check.of(name, outside_detail(A, a_name, B, b_name))
-
-
-def equality_check(name: str, A: Subspace, a_name: str,
-                   B: Subspace, b_name: str) -> Check:
-    """A == B; a failure names the first basis vector of one side that is
-    not in the other."""
-    return Check.of(name, equality_detail(A, a_name, B, b_name))
-
-
 class CheckFailed(Exception):
     """A named check failed on a strict build path."""
 
@@ -294,12 +281,29 @@ def validate(inst: ProblemInstance) -> ValidationReport:
         "" if t is None else f"ad invariance fails for gm basis vector {t}")))
 
     # Every listed component of G_m acts by isometries, R^T G R = G, which
-    # for a positive-definite G makes R invertible too.
+    # for a positive-definite G makes R invertible too.  As Ad of an element
+    # of G_m, R is also an automorphism of g, R [e_i, e_j] = [R e_i, R e_j],
+    # that fixes mu, R^T mu = mu.
     for t, R in enumerate(inst.gm_component_reps):
-        checks.append(Check.of(f"gm_component_rep_{t}_isometry", misfit or (
+        shape = "" if (R.rows, R.cols) == (n, n) else \
             f"rep {t} is {R.rows}x{R.cols}, g has dimension {n}"
-            if (R.rows, R.cols) != (n, n)
-            else entry_detail(R.transpose() @ G @ R, G, f"R^T G R for rep {t}"))))
+        checks.append(Check.of(f"gm_component_rep_{t}_isometry", misfit or shape
+                               or entry_detail(R.transpose() @ G @ R, G,
+                                               f"R^T G R for rep {t}")))
+        # L.c[i][j] is [e_i, e_j], and column i of R is R e_i.
+        cols = [] if shape else R.columns()
+        pair = next(((i, j) for i in range(len(cols)) for j in range(i + 1, n)
+                     if R.apply(L.c[i][j]) != L.bracket(cols[i], cols[j])),
+                    None)
+        checks.append(Check.of(f"gm_component_rep_{t}_automorphism", shape or (
+            "" if pair is None else f"R [e_{pair[0]}, e_{pair[1]}] is not "
+            f"[R e_{pair[0]}, R e_{pair[1]}] for rep {t}")))
+        moved = () if shape else R.transpose().apply(inst.mu)
+        k = next((k for k, (x, y) in enumerate(zip(moved, inst.mu)) if x != y),
+                 None)
+        checks.append(Check.of(f"gm_component_rep_{t}_fixes_mu", shape or (
+            "" if k is None else f"coordinate {k} of R^T mu for rep {t} is "
+            f"{moved[k]}, expected {inst.mu[k]}")))
 
     sl = inst.slice_rep
     record("slice_action_count", len(sl.action) == inst.gm.dim,

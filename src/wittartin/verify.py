@@ -42,9 +42,8 @@ from .splitting import (
     dim_detail,
     dim_formulas,
     entry_detail,
-    equality_check,
     equality_detail,
-    inclusion_check,
+    outside_detail,
 )
 
 
@@ -56,12 +55,12 @@ def liecore_checks(inst: ProblemInstance) -> list[Check]:
         Check.of("liecore.stabilizer_annihilates_mu", "" if moving is None
                  else f"ad* of g_mu basis vector {moving} moves mu"),
         Check.of("liecore.chu_radical_is_g_mu", _chu_radical_detail(inst)),
-        inclusion_check("liecore.center_in_stabilizer",
-                        center(L), "the center", g_mu, "g_mu"),
+        Check.of("liecore.center_in_stabilizer", outside_detail(
+            center(L), "the center", g_mu, "g_mu")),
         Check.of("liecore.h_alpha_two_descriptions", _h_alpha_detail(inst)),
         Check.of("liecore.killing_ad_invariant", _killing_detail(L)),
-        inclusion_check("liecore.g_mu_in_h_perp_mu",
-                        g_mu, "g_mu", inst.h_perp_mu, "h_perp_mu"),
+        Check.of("liecore.g_mu_in_h_perp_mu", outside_detail(
+            g_mu, "g_mu", inst.h_perp_mu, "h_perp_mu")),
     ]
 
 
@@ -116,10 +115,10 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
     out = []
     kerG, kerH = model.ker_dphi_G, model.ker_dphi_H
     expected = model.unit_span(model.indices("p", "b", "N1"))
-    out.append(equality_check("model.ker_dphiG_is_T0_plus_N1", kerG,
-                              "ker dphi_G", expected, "T0 + N1"))
-    out.append(inclusion_check("model.ker_dphiG_inside_ker_dphiH",
-                               kerG, "ker dphi_G", kerH, "ker dphi_H"))
+    out.append(Check.of("model.ker_dphiG_is_T0_plus_N1", equality_detail(
+        kerG, "ker dphi_G", expected, "T0 + N1")))
+    out.append(Check.of("model.ker_dphiG_inside_ker_dphiH", outside_detail(
+        kerG, "ker dphi_G", kerH, "ker dphi_H")))
 
     # Momentum property at the linear level: the kernels are the symplectic
     # orthogonals of the orbit directions.
@@ -131,12 +130,12 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
         model.total_dim,
         [pm.inf_action(model, v) for v in inst.h.basis_vectors()],
     )
-    out.append(equality_check(
-        "model.ker_dphiG_is_orbit_perp", kerG, "ker dphi_G",
-        perp_under_form(model.omega, g_orbit), "the omega-perp of the g-orbit"))
-    out.append(equality_check(
-        "model.ker_dphiH_is_h_orbit_perp", kerH, "ker dphi_H",
-        perp_under_form(model.omega, h_orbit), "the omega-perp of the h-orbit"))
+    out.append(Check.of("model.ker_dphiG_is_orbit_perp", equality_detail(
+        kerG, "ker dphi_G",
+        perp_under_form(model.omega, g_orbit), "the omega-perp of the g-orbit")))
+    out.append(Check.of("model.ker_dphiH_is_h_orbit_perp", equality_detail(
+        kerH, "ker dphi_H",
+        perp_under_form(model.omega, h_orbit), "the omega-perp of the h-orbit")))
 
     d = dim_formulas(model.chain)
     out.append(Check("dims.kernel_gap_formula",
@@ -145,8 +144,8 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
 
     out.append(pm.f_contract_check(model))
 
-    out.append(equality_check("model.inf_action_kernel_is_gm", kernel(action),
-                              "the action's kernel", inst.gm, "g_m"))
+    out.append(Check.of("model.inf_action_kernel_is_gm", equality_detail(
+        kernel(action), "the action's kernel", inst.gm, "g_m")))
     return out
 
 
@@ -159,9 +158,9 @@ def decomposition_checks(model: pm.TangentModel) -> list[Check]:
 
     # Oracle route: generic rank reduction of the momentum differential
     # against the constructed TH0 + NH1.
-    out.append(equality_check(
-        "wittH.oracle_kernel_equality", model.ker_dphi_H, "ker dphi_H",
-        model.unit_span(decomp.TH0 + decomp.NH1), "TH0 + NH1"))
+    out.append(Check.of("wittH.oracle_kernel_equality", equality_detail(
+        model.ker_dphi_H, "ker dphi_H",
+        model.unit_span(decomp.TH0 + decomp.NH1), "TH0 + NH1")))
 
     formula = "dim s + 2 dim b + dim N1"
     nh1_dim = chain.s.dim + 2 * chain.b.dim + model.slice_dim

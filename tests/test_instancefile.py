@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittartin import instancefile
-from wittartin.catalog import all_examples, build_example, so3xso3_diagonal
+from wittartin.catalog import (
+    EXAMPLE_NAMES,
+    all_examples,
+    build_example,
+    so3xso3_diagonal,
+)
 from wittartin.exactlin import Matrix
 from wittartin.instancefile import (
     InstanceDataError,
@@ -63,7 +68,7 @@ class TestRoundTrip:
         again = from_dict(to_dict(inst))
         assert again == inst
         checks = run_all(inst)
-        assert len(checks) == 71 and run_all(again) == checks
+        assert len(checks) == 73 and run_all(again) == checks
 
     def test_every_corpus_and_catalog_instance_round_trips(self):
         from corpus import build_corpus
@@ -83,8 +88,46 @@ class TestRoundTrip:
         assert to_dict(inst)["gm_component_reps"] == reps
         assert from_dict(to_dict(inst)) == inst
         failed = [(c.name, c.detail) for c in run_all(inst) if not c.passed]
-        assert failed == [("validate.gm_component_rep_0_isometry",
-                           "entry (2, 2) of R^T G R for rep 0 is 4, expected 1")]
+        assert failed == [
+            ("validate.gm_component_rep_0_isometry",
+             "entry (2, 2) of R^T G R for rep 0 is 4, expected 1"),
+            ("validate.gm_component_rep_0_automorphism",
+             "R [e_0, e_1] is not [R e_0, R e_1] for rep 0"),
+            ("validate.gm_component_rep_0_fixes_mu",
+             "coordinate 2 of R^T mu for rep 0 is 2, expected 1")]
+
+    @pytest.mark.parametrize("diagonal", [("1", "1", "-1"), ("-1", "-1", "-1")],
+                             ids=["reflection", "minus_identity"])
+    def test_isometric_rep_that_is_not_ad_of_g_m_fails_validation(
+            self, diagonal):
+        # diag(1, 1, -1) and -I are isometries of so(3), but neither is an
+        # automorphism (both send [e_0, e_1] = e_2 to -e_2, while
+        # [R e_0, R e_1] = e_2), and neither fixes mu = e_3*.
+        reps = [[[x if i == j else "0" for j in range(3)]
+                 for i, x in enumerate(diagonal)]]
+        inst = from_dict(dict(build_example("so3-collinear"),
+                              gm_component_reps=reps))
+        failed = [(c.name, c.detail) for c in run_all(inst) if not c.passed]
+        assert failed == [
+            ("validate.gm_component_rep_0_automorphism",
+             "R [e_0, e_1] is not [R e_0, R e_1] for rep 0"),
+            ("validate.gm_component_rep_0_fixes_mu",
+             "coordinate 2 of R^T mu for rep 0 is -1, expected 1")]
+
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_each_build_is_a_fresh_document(self, name):
+        # Editing every list of one build in place changes no later build.
+        expected = {n: copy.deepcopy(build_example(n)) for n in EXAMPLE_NAMES}
+
+        def edit(data):
+            for x in data.values() if isinstance(data, dict) else data:
+                if isinstance(x, (dict, list)):
+                    edit(x)
+            if isinstance(data, list):
+                data.append("7")
+
+        edit(build_example(name))
+        assert {n: build_example(n) for n in EXAMPLE_NAMES} == expected
 
     def test_dump_load_dump_is_stable(self):
         doc = so3xso3_diagonal()

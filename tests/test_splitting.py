@@ -93,9 +93,10 @@ class TestValidate:
 
     def test_component_rep_isometry_is_never_vacuous(self):
         # An instance built in code is checked as a loaded one: a quarter
-        # turn in the (e_0, e_1) plane is an isometry of the identity form,
-        # diag(1, 1, 1, 1, 1, 2) is not, and no rep passes at the wrong size
-        # or against a form of the wrong size.
+        # turn in the (e_0, e_1) plane is an isometry of the identity form
+        # and an automorphism that fixes mu, diag(1, 1, 1, 1, 1, 2) is none
+        # of these, and no rep passes at the wrong size or against a form of
+        # the wrong size.
         good = from_dict(build_example("so3xso3-diagonal"))
         assert good.ip.gram == Matrix.identity(6)
 
@@ -111,7 +112,13 @@ class TestValidate:
         assert failed == {
             "gm_component_rep_1_isometry":
                 "entry (5, 5) of R^T G R for rep 1 is 4, expected 1",
-            "gm_component_rep_2_isometry": "rep 2 is 5x5, g has dimension 6"}
+            "gm_component_rep_1_automorphism":
+                "R [e_3, e_4] is not [R e_3, R e_4] for rep 1",
+            "gm_component_rep_1_fixes_mu":
+                "coordinate 5 of R^T mu for rep 1 is 2, expected 1",
+            "gm_component_rep_2_isometry": "rep 2 is 5x5, g has dimension 6",
+            "gm_component_rep_2_automorphism": "rep 2 is 5x5, g has dimension 6",
+            "gm_component_rep_2_fixes_mu": "rep 2 is 5x5, g has dimension 6"}
         misfit = replace(inst, ip=InnerProduct(Matrix.identity(7)))
         failed = {c.name: c.detail for c in validate(misfit).failures()}
         assert all(failed[f"gm_component_rep_{t}_isometry"]

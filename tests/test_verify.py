@@ -808,8 +808,9 @@ def _without_last_vector(S):
 def _containment_in_smaller_space(monkeypatch, a_name, first_only=False):
     """splitting.outside_detail, which the containment checks call, tests
     the space named a_name against the other space without its last basis
-    vector: on every such call, or with first_only on the first alone.
-    Returns the (A, B) pairs it was called with, unchanged."""
+    vector: on every such call, or with first_only on the first alone.  It
+    is replaced in every wittartin module that holds it.  Returns the
+    (A, B) pairs it was called with, unchanged."""
     exact = splitting.outside_detail
     seen = []
 
@@ -820,7 +821,10 @@ def _containment_in_smaller_space(monkeypatch, a_name, first_only=False):
                 B = _without_last_vector(B)
         return exact(A, name, B, b_name)
 
-    monkeypatch.setattr(splitting, "outside_detail", broken)
+    for mod_name, mod in list(sys.modules.items()):
+        if ((mod_name == "wittartin" or mod_name.startswith("wittartin."))
+                and getattr(mod, "outside_detail", None) is exact):
+            monkeypatch.setattr(mod, "outside_detail", broken)
     return seen
 
 

@@ -122,19 +122,27 @@ def test_eta_action_is_the_block_by_block_action():
 GROUPS = ("sum", "kernel", "orthogonality", "lagrangian")
 
 
+def radical_dim(G, U):
+    """The dimension of the radical of the form with Gram matrix G on the
+    span of the independent vectors U: their number less the rank of their
+    plain Gram."""
+    gram = [[dot(u, G.apply(v)) for v in U] for u in U]
+    return len(U) - Matrix.from_rows(gram, cols=len(U)).rank()
+
+
 def nondegenerate(G, U):
     """The form with Gram matrix G is nondegenerate on the span of the
     independent vectors U: their plain Gram has full rank."""
-    gram = [[dot(u, G.apply(v)) for v in U] for u in U]
-    return Matrix.from_rows(gram, cols=len(U)).rank() == len(U)
+    return radical_dim(G, U) == 0
 
 
 def ref_axioms(model, ker, ker_name, names, spaces):
     """The first failing statement of each group, from the identity list
     of wittG.all_assertions with T0, T1, N0, N1 renamed, and its witness
     where it has one: the first pair of canonical basis vectors with a
-    nonzero omega entry, or the first basis vector of one side of the
-    kernel statement that the other side does not contain."""
+    nonzero omega entry, the first basis vector of one side of the kernel
+    statement that the other side does not contain, or the dimensions, from
+    ranks, that disagree."""
     t0, t1, n0, n1 = names
     T0, T1, N0, N1 = (s.basis_vectors() for s in spaces)
     G, n = model.omega, model.total_dim
@@ -150,13 +158,15 @@ def ref_axioms(model, ker, ker_name, names, spaces):
                      for i, v in enumerate(A.basis_vectors())
                      if not B.contains(v)), None)
 
-    def unless(holds):
-        return None if holds else ""
+    def unless(holds, witness):
+        return None if holds else witness
 
     def symplectic(U):
-        return nondegenerate(G, U)
+        r = radical_dim(G, U)
+        return unless(r == 0, f"the form on it has a {r}-dimensional radical")
 
     rank_all = Matrix.from_cols(T0 + T1 + N0 + N1, rows=n).rank()
+    added = len(T0 + T1 + N0 + N1)
     split = f"{t0} + {t1} + {n0} + {n1}"
     t0n0, t0n1 = f"{t0} + {n0}", f"{t0} + {n1}"
     X = Subspace.span(n, T0 + N1)
@@ -164,9 +174,11 @@ def ref_axioms(model, ker, ker_name, names, spaces):
     # none).
     identities = (
         ("sum", f"{split} is direct",
-         lambda: unless(rank_all == len(T0 + T1 + N0 + N1))),
+         lambda: unless(rank_all == added, f"the dimensions add to {added}, "
+                        f"the sum has dimension {rank_all}")),
         ("sum", f"{split} is the whole model",
-         lambda: unless(rank_all == len(T0 + T1 + N0 + N1) == n)),
+         lambda: unless(rank_all == added == n, f"the sum has dimension "
+                        f"{rank_all}, the model {n}")),
         ("kernel", f"{t0n1} is {ker_name}",
          lambda: outside(ker_name, ker, t0n1, X)
          or outside(t0n1, X, ker_name, ker)),
@@ -179,9 +191,10 @@ def ref_axioms(model, ker, ker_name, names, spaces):
         ("lagrangian", f"{t0} is isotropic", lambda: pairing(t0, T0, t0, T0)),
         ("lagrangian", f"{n0} is isotropic", lambda: pairing(n0, N0, n0, N0)),
         ("lagrangian", f"dim {t0} equals dim {n0}",
-         lambda: unless(len(T0) == len(N0))),
+         lambda: unless(len(T0) == len(N0),
+                        f"dim {t0} is {len(T0)}, dim {n0} is {len(N0)}")),
         ("lagrangian", f"{t0n0} is symplectic",
-         lambda: unless(symplectic(Subspace.span(n, T0 + N0).basis_vectors()))),
+         lambda: symplectic(Subspace.span(n, T0 + N0).basis_vectors())),
     )
     first = dict.fromkeys(GROUPS)
     for group, text, witness in identities:
@@ -295,12 +308,15 @@ def isotropic_pair(draw):
 def test_pairing_criterion_agrees_with_the_gram_of_the_sum(case):
     model, X0, Y0 = case
     S = sum_spaces(X0, Y0)
+    radical = radical_dim(model.omega, S.basis_vectors())
     if X0.dim != Y0.dim:
-        expected = "dim X0 equals dim Y0"
-    elif nondegenerate(model.omega, S.basis_vectors()):
+        expected = (f"dim X0 equals dim Y0 (dim X0 is {X0.dim}, "
+                    f"dim Y0 is {Y0.dim})")
+    elif not radical:
         expected = None
     else:
-        expected = "X0 + Y0 is symplectic"
+        expected = ("X0 + Y0 is symplectic (the form on it has a "
+                    f"{radical}-dimensional radical)")
     event(f"{expected}, X0 & Y0 {'= 0' if S.dim == 2 * X0.dim else '!= 0'}")
     assert _lagrangian_group(model, X0, Y0) == expected
 
@@ -310,11 +326,12 @@ def test_corpus_models_with_nonzero_a_and_r_are_drawn():
     assert {m.chain.a.dim for m in AR_MODELS} >= {1, 2}
 
 
-@pytest.mark.parametrize("y0_block", ["bstar", "p"],
+@pytest.mark.parametrize("y0_block, radical", [("bstar", 2), ("p", 1)],
                          ids=["degenerate_pairing", "X0_is_Y0"])
-def test_isotropic_equal_dimension_pair_that_is_not_symplectic(y0_block):
+def test_isotropic_equal_dimension_pair_that_is_not_symplectic(y0_block,
+                                                                radical):
     # On the catalog torus omega pairs U_p only with R_p*; Y0 is the first
-    # coordinate of R_b*, or U_p itself.
+    # coordinate of R_b*, or U_p itself.  The radical is X0 + Y0.
     model = MODELS["torus"]
     X0 = model.unit_span(model.indices("p"))
     Y0 = model.unit_span(model.indices(y0_block)[:1])
@@ -322,7 +339,8 @@ def test_isotropic_equal_dimension_pair_that_is_not_symplectic(y0_block):
     spaces = (X0, zero, Y0, zero)
     first = ref_axioms(model, model.ker_dphi_G, "ker dphi_G",
                        LAGRANGIAN_NAMES, spaces)["lagrangian"]
-    assert first == "X0 + Y0 is symplectic"
+    assert first == ("X0 + Y0 is symplectic (the form on it has a "
+                     f"{radical}-dimensional radical)")
     assert _lagrangian_group(model, X0, Y0) == first
 
 
