@@ -333,15 +333,18 @@ class Matrix:
         return Matrix(self.rows, self.cols, data)
 
     def leading_minors_positive(self) -> bool:
-        """Every leading principal minor is positive (Sylvester's criterion).
+        """Every leading principal minor is positive (Sylvester's criterion)."""
+        return self.first_nonpositive_pivot() is None
 
-        Without row exchanges, the k-th leading minor is the product of the
-        first k pivots of the elimination, so they are all positive exactly
-        when every pivot is; the elimination stops at the first pivot <= 0.
-        """
+    def first_nonpositive_pivot(self) -> tuple[int, Fraction] | None:
+        """(k, pivot) of the first pivot <= 0 of elimination without row
+        exchanges, or None: the leading minor of order k + 1 is the product
+        of the first k + 1 pivots, so all are positive exactly when no pivot
+        is <= 0.  The elimination stops at the first one."""
         if self.rows != self.cols:
             raise ValueError("minors of a non-square matrix")
-        return all(pv > 0 for pv in self._pivots(exchange=False))
+        return next(((k, pv) for k, pv in
+                     enumerate(self._pivots(exchange=False)) if pv <= 0), None)
 
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:

@@ -263,18 +263,26 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     record("gm_normalizes_h", witness is None,
            "" if witness is None else f"[gm_{witness[0]}, h_{witness[1]}] leaves h")
 
-    ip_fits = inst.ip.gram.rows == n
-    checks.append(Check.of("ip_dimension", dim_detail(
-        "the dimension of the inner product", inst.ip.gram.rows, "dim g", n)))
-    record("ip_symmetric", inst.ip.gram.is_symmetric(), "")
-    record("ip_positive_definite",
-           ip_fits and inst.ip.gram.leading_minors_positive(), "")
+    # InnerProduct proves the last two when built; validate restates them.
+    G = inst.ip.gram
+    size = dim_detail("the dimension of the inner product", G.rows, "dim g", n)
+    checks.append(Check.of("ip_dimension", size))
+    square = dim_detail("the rows of the inner product", G.rows,
+                        "its columns", G.cols)
+    pair = None if square else next(((i, j) for i in range(G.rows) for j in
+        range(i + 1, G.rows) if G.entries[i][j] != G.entries[j][i]), None)
+    checks.append(Check.of("ip_symmetric", square or ("" if pair is None else
+        f"entry {pair} of the inner product is {G.entries[pair[0]][pair[1]]}, "
+        f"entry {pair[::-1]} is {G.entries[pair[1]][pair[0]]}")))
+    pivot = None if size or square else G.first_nonpositive_pivot()
+    checks.append(Check.of("ip_positive_definite", size or square or (
+        "" if pivot is None else f"leading minor {pivot[0] + 1} of the inner "
+        f"product is not positive: pivot {pivot[0]} is {pivot[1]}")))
 
     # A form of another dimension is not a form on g: it fails ad
     # invariance and every isometry check, and multiplying it by the ad
     # matrices or the reps would raise.
-    G = inst.ip.gram
-    misfit = "" if ip_fits else f"inner product has dimension {G.rows}, g has {n}"
+    misfit = "" if G.rows == n else f"inner product has dimension {G.rows}, g has {n}"
     t = next((t for t, eta in enumerate(inst.gm.basis_vectors())
               if not misfit and not preserves(L.ad_matrix(eta), G)), None)
     checks.append(Check.of("ip_ad_gm_invariant", misfit or (
@@ -283,7 +291,7 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     # Every listed component of G_m acts by isometries, R^T G R = G, which
     # for a positive-definite G makes R invertible too.  As Ad of an element
     # of G_m, R is also an automorphism of g, R [e_i, e_j] = [R e_i, R e_j],
-    # that fixes mu, R^T mu = mu.
+    # that fixes mu, R^T mu = mu, and maps h and g_m into (so onto) themselves.
     for t, R in enumerate(inst.gm_component_reps):
         shape = "" if (R.rows, R.cols) == (n, n) else \
             f"rep {t} is {R.rows}x{R.cols}, g has dimension {n}"
@@ -304,6 +312,11 @@ def validate(inst: ProblemInstance) -> ValidationReport:
         checks.append(Check.of(f"gm_component_rep_{t}_fixes_mu", shape or (
             "" if k is None else f"coordinate {k} of R^T mu for rep {t} is "
             f"{moved[k]}, expected {inst.mu[k]}")))
+        for check, name, space in (("normalizes_h", "h", inst.h),
+                                   ("preserves_gm", "gm", inst.gm)):
+            j = None if shape else first_escape(space, R)
+            checks.append(Check.of(f"gm_component_rep_{t}_{check}", shape or (
+                "" if j is None else f"R {name}_{j} leaves {name} for rep {t}")))
 
     sl = inst.slice_rep
     record("slice_action_count", len(sl.action) == inst.gm.dim,

@@ -5,11 +5,19 @@ at the identity) in exact arithmetic, as one Gram matrix in the model's
 (U, R, V) coordinates: the point form model.omega with its U x U block, the
 bracket pairing against the shifted momentum mu + rho + Phi_N1(nu),
 replaced.  omega_tube pairs two model coordinate vectors through it.
-phi_tilde evaluates the normal-form momentum map, which needs a matrix
-exponential and is therefore the one floating-point corner of the package.
-Consistency checks tie both back to the exact linear model; they measure
-every float error with _relative_error, and their two tolerances are the
-module constants REL_TOL and FD_TOL.
+phi_tilde evaluates the normal-form momentum J([g, rho, nu]) =
+Ad*_{g^-1}(mu + rho + Phi_N1(nu)), which needs a matrix exponential and is
+the one floating-point corner of the package.
+
+Two checks tie it to the exact model: check_dphi_consistency's central
+differences, and phi_equivariance_check's identity J([g k, k^-1 (rho, nu)])
+= J([g, rho, nu]) for k = exp(zeta), zeta in g_m, with the ODE of the
+exponential of A = coad(-xi).  Its sample takes one n x n exponential,
+Z = expm((1 + ih) A), when g_m = 0, and two small ones more otherwise;
+Re Z is within cosh(h ||A||) - 1 <= 5.1e-9 of expm(A), and both sides of
+the identity apply it, so the offset cancels from their difference.  Float
+errors are _relative_error, against REL_TOL or FD_TOL.  A value out of float
+range, a series that does not converge and a nan fail a check by name.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlin import ZERO, Matrix, Vec, add_vec, dot, is_zero_vec, zero_vec
-from .pointmodel import TangentModel
+from .pointmodel import TangentModel, isotropy_action
 from .splitting import Check
 
 # Relative tolerance of the exponential series and of the equivariance
@@ -220,11 +228,10 @@ def expm(A: list[list[float]], rel_tol: float = REL_TOL) -> list[list[float]]:
     a term makes the tail nan, which never passes the tail test, so the
     series raises SeriesNotConverged.
 
-    The entries may be complex, as in the complex step of
-    _expm_ode_residual: the code only multiplies, adds, takes abs (the
-    modulus) and tests entries for zero, so it runs unchanged on them.
-    Real input takes the same path as before; a real matrix given with
-    zero imaginary parts gives its float result as the real parts.
+    The entries may be complex, as in _expm_by_complex_step: the code only
+    multiplies, adds, takes abs (the modulus) and tests entries for zero.
+    A real matrix given with zero imaginary parts gives its float result
+    as the real parts.
     """
     n = len(A)
     if n == 0:
@@ -301,10 +308,8 @@ def phi_tilde(model: TangentModel, p: TubePoint) -> tuple[float, ...]:
 def _coadjoint_exp(ad: list[list[float]],
                    lam: list[float]) -> tuple[float, ...]:
     """Ad*_{exp(-xi)} lam, as floats, from the floats of ad(-xi) and lam."""
-    E = expm(ad)
     # <Ad*_{exp(-xi)} lam, y> = <lam, exp(-ad_xi) y>: apply the transpose.
-    n = len(lam)
-    return tuple(sum(E[i][j] * lam[i] for i in range(n)) for j in range(n))
+    return tuple(_mat_vec(list(zip(*expm(ad))), lam))
 
 
 def check_dphi_consistency(model: TangentModel) -> list[Check]:
@@ -314,13 +319,8 @@ def check_dphi_consistency(model: TangentModel) -> list[Check]:
     Along a U direction xi_d (column d of the (m, n) basis) rho = nu = 0,
     so the momentum is mu, and ad is linear, so the exponents at +-step
     are the exact -+step ad(xi_d): ad(xi_d) is built once, and the floats
-    of the one exponent are the negated floats of the other.
-
-    A value out of float range, an exact one or the norm of a matrix to
-    exponentiate, makes the check fail and names the value, and so does an
-    exponential series that does not converge; an overflow inside the
-    float path (a nan error) makes it fail at the first direction where it
-    occurs.
+    of the one exponent are the negated floats of the other.  A nan error
+    fails it at the first direction where it occurs.
     """
     dG = model.dphi_G
     L = model.inst.algebra
@@ -388,47 +388,56 @@ def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:
                      nu=v[model.dim_m:])
 
 
-# Step of the complex-step derivative of t -> expm(tA) at t = 1, before it
-# is divided by max(1, ||A||).
+# Complex step of t -> expm(tA) at t = 1, before division by max(1, ||A||).
 _ODE_STEP = 1e-4
 
 
-def _expm_ode_residual(A: list[list[float]], E: list[list[float]]) -> float:
-    """How far the complex-step derivative of t -> expm(tA) at t = 1,
-    Im expm((1 + ih) A) / h, is from A expm(A) = A E, as the
-    _relative_error of its entries; a nan in either matrix makes it nan.
-
-    The step h = _ODE_STEP / max(1, ||A||) keeps the truncation error,
-    about (h ||A||)^2 / 6, under 2e-9 for any A.  No difference of two
-    nearby values is taken, so nothing cancels and the one exponential
-    is summed to the default REL_TOL (Squire and Trapp, SIAM Review
-    40(1), 1998).  The residual does not grow with the norm (1.5e-9 on a
-    rotation generator of norm 1e5), so FD_TOL bounds it at every norm.
-    """
+def _expm_by_complex_step(A: list[list[float]]
+                          ) -> tuple[list[list[float]], float]:
+    """expm(A), as Re Z for Z = expm((1 + ih) A), and the _relative_error
+    of Im Z / h against A Re Z: how far Z is from the ODE d/dt expm(tA) =
+    A expm(tA) at t = 1.  h = _ODE_STEP / max(1, ||A||), so h ||A|| <= 1e-4:
+    Re Z = expm(A) cos(hA) is within cosh(h ||A||) - 1 <= 5.1e-9 of expm(A),
+    and Im Z / h = expm(A) sin(hA) / h about (h ||A||)^2 / 3 <= 3.4e-9 from
+    A Re Z, with nothing cancelling (Squire and Trapp, SIAM Rev. 1998)."""
     h = _ODE_STEP / max(1.0, _mat_norm(A))
     Z = expm([[complex(x, h * x) for x in row] for row in A])
-    return _relative_error([z.imag / h for row in Z for z in row],
-                           [x for row in _mat_mul(A, E) for x in row])
+    E = [[z.real for z in row] for row in Z]
+    return E, _relative_error([z.imag / h for row in Z for z in row],
+                              [x for row in _mat_mul(A, E) for x in row])
+
+
+# The largest norm of an exponent of k^-1: no squaring multiplies errors.
+_GM_NORM = 0.5
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _mat_vec(M: list[list[float]], v: Sequence[float]) -> list[float]:
+    return [_dot(row, v) for row in M]
 
 
 def phi_equivariance_check(model: TangentModel, samples: int,
                            seed: int = 0) -> list[Check]:
-    """Equivariance of the normal-form momentum on random points.
+    """On random points, the identity that makes the normal form
+    Y = G x_{G_m} (m* x N1) well defined (Marle 1985; Guillemin and
+    Sternberg 1984): for k = exp(zeta), zeta in g_m,
 
-    Compares phi_tilde at [exp(xi), rho, nu] (exponential applied inside the
-    evaluation) against the coadjoint matrix exponential applied to the
-    momentum of [e, rho, nu]: their _relative_error must be at most
-    REL_TOL.  Each sample also ties the coadjoint exponential to its
-    defining ODE d/dt expm(tA) = A expm(tA) at t = 1, through one
-    complex-step exponential (_expm_ode_residual), to FD_TOL at every
-    norm; the detail names the first sample that misses it.  A sample
-    takes three exponentials.  Its exact momentum does not depend on xi,
-    and coad(-xi) is the transpose of ad(-xi), so the momentum and ad(-xi)
-    are each built and converted to floats once for both sides.  A value
-    out of float range, an exact one or the norm of a matrix to
-    exponentiate, makes the check fail and names the value, and so does an
-    exponential series that does not converge; a nan deviation or ODE
-    residual (an overflow inside the float path) makes it fail too.
+        J([g k, k^-1 (rho, nu)]) = J([g, rho, nu]),
+
+    to REL_TOL, and the ODE residual of _expm_by_complex_step for A =
+    coad(-xi), g = exp(xi), to FD_TOL; the detail names the first sample
+    that misses either.  k^-1 acts on (rho, nu) by the exponential of minus
+    pointmodel.isotropy_action there (the coadjoint action on m*, from the
+    (p, b) block of ad(zeta) in the (g_m, m, n) basis, and the slice action
+    on N1), and on the momentum by the coadjoint exponential of ad(-zeta),
+    with zeta scaled so that neither exponent has a norm above _GM_NORM.
+    Both sides apply Ad*_{g^-1} as the one matrix Re Z, so its offset from
+    expm(A), at most 5.1e-9, cancels from their difference.  A sample takes
+    one n x n exponential, Z, when g_m = 0 (no zeta is drawn, and the
+    deviation is exactly 0), and three otherwise: Z, k^-1 and ad(-zeta).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -437,33 +446,52 @@ def phi_equivariance_check(model: TangentModel, samples: int,
     def rand_frac() -> Fraction:
         return Fraction(rng.randint(-8, 8), rng.randint(1, 8))
 
-    worst = 0.0
-    off_ode = ""
-    L = model.inst.algebra
-    n = L.dim
+    worst, off_gm, off_ode = 0.0, "", ""
+    L, gm, dm = model.inst.algebra, model.gm_dim, model.dim_m
+    rv = range(dm + model.dim_n, model.total_dim)
     try:
+        # Per g_m basis vector eta: ad(-eta), and -(its action on rho, nu).
+        gens = [[_to_float_rows(X) for X in (
+            L.ad_matrix(tuple(-x for x in eta)),
+            isotropy_action(model, eta).submatrix(rv, rv).scale(-1))]
+            for eta in model.inst.gm.basis_vectors()]
+        forms = [_to_float_rows(S) for S in model.inst.slice_rep.momentum_forms]
+        coframe, muf = ((_to_float_rows(model.coframe),
+                         _to_floats(model.inst.mu)) if gm else ([], []))
         for t in range(samples):
-            xi = tuple(rand_frac() for _ in range(n))
-            rho = tuple(rand_frac() for _ in range(model.dim_m))
+            xi = tuple(rand_frac() for _ in range(L.dim))
+            rho = tuple(rand_frac() for _ in range(dm))
             nu = tuple(rand_frac() for _ in range(model.slice_dim))
-            lam = _shifted_momentum(model, TubePoint(xi, rho, nu))
-            ad = _to_float_rows(L.ad_matrix(tuple(-x for x in xi)))
-            base = _to_floats(lam)
-            lhs = _coadjoint_exp(ad, base)
-            # coad(-xi) = ad(-xi)^T, and the floats are converted entry by
-            # entry, so this is the float matrix of coad(-xi).
-            A = [list(col) for col in zip(*ad)]
-            M = expm(A)
-            rhs = [sum(M[i][j] * base[j] for j in range(n)) for i in range(n)]
-            worst = _worst((worst, _relative_error(lhs, rhs)))
-            miss = _expm_ode_residual(A, M)
+            # coad(-xi) = ad(-xi)^T, as floats entry by entry.
+            A = [list(col) for col in
+                 zip(*_to_float_rows(L.ad_matrix(tuple(-x for x in xi))))]
+            E, miss = _expm_by_complex_step(A)
             if not off_ode and not miss <= FD_TOL:
                 off_ode = (f"; sample {t}: d/dt expm(tA) at t = 1 misses "
                            f"A expm(A) by {miss:.3e}")
+            if not gm:
+                continue
+            c = _to_floats([rand_frac() for _ in range(gm)])
+            ad_k, act_k = ([[_dot(c, xs) for xs in zip(*rows)]
+                            for rows in zip(*mats)] for mats in zip(*gens))
+            scale = _GM_NORM / max(_GM_NORM, _mat_norm(ad_k), _mat_norm(act_k))
+            moved = _mat_vec(expm(_mat_scale(scale, act_k)), _to_floats(rho + nu))
+            nu_k = moved[dm:]
+            # The shifted momentum at k^-1 (rho, nu), from its coordinates in
+            # the dual of the (g_m, m, n) basis: Phi_N1 on g_m, rho on m.
+            dual = [_dot(nu_k, _mat_vec(S, nu_k)) for S in forms] + moved[:dm]
+            lam_k = [m + _dot(row, dual) for m, row in zip(muf, coframe)]
+            base = _to_floats(_shifted_momentum(model, TubePoint(xi, rho, nu)))
+            dev = _relative_error(
+                _mat_vec(E, _coadjoint_exp(_mat_scale(scale, ad_k), lam_k)),
+                _mat_vec(E, base))
+            worst = _worst((worst, dev))
+            if not off_gm and not dev <= REL_TOL:
+                off_gm = (f"; sample {t}: J([g k, k^-1 (rho, nu)]) misses "
+                          f"J([g, rho, nu]) by {dev:.3e}")
     except (OutOfFloatRange, SeriesNotConverged) as e:
         return [Check("tube.equivariance", False, str(e))]
     return [Check(
-        "tube.equivariance",
-        worst <= REL_TOL and not off_ode,
-        f"max relative deviation {worst:.3e} over {samples} samples{off_ode}",
-    )]
+        "tube.equivariance", worst <= REL_TOL and not off_gm and not off_ode,
+        f"max relative deviation {worst:.3e} over {samples} samples"
+        f"{off_gm}{off_ode}")]

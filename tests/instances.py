@@ -86,6 +86,20 @@ def full_stabilizer_instance() -> ProblemInstance:
         SliceRep(QUAT_OMEGA, QUAT_ACTIONS))
 
 
+def diagonal_quaternion_instance() -> ProblemInstance:
+    """so(3)+so(3) at mu = 0 with h = gm = the diagonal so(3), acting on a
+    quaternion slice: gm is not abelian and acts on m = b, the
+    antidiagonal, by rotations, so the G_m identity of the normal form sees
+    each of the k^-1 actions on m* and N1 and the coadjoint one on g."""
+    from corpus import QUAT_ACTIONS, QUAT_OMEGA
+    L = direct_sum(so3(), so3())
+    diag = Subspace.span(6, [vec(1, 0, 0, 1, 0, 0), vec(0, 1, 0, 0, 1, 0),
+                             vec(0, 0, 1, 0, 0, 1)])
+    return ProblemInstance(L, diag, diag, vec(0, 0, 0, 0, 0, 0),
+                           InnerProduct(Matrix.identity(6)),
+                           SliceRep(QUAT_OMEGA, QUAT_ACTIONS))
+
+
 def middle_term_instance() -> ProblemInstance:
     """so(3)+so(3) with h = gm = span((e3,0)) and mu = (0, e3*): here b is
     3-dimensional and does not commute with h_m, so the -ad*_b f(w) term of

@@ -414,12 +414,15 @@ class TestVerify:
             self, capsys, tmp_path, where):
         # A valid instance that check and decompose accept; the float tube
         # checks cannot convert 10**400 and name the value instead of
-        # raising OverflowError.
-        path = write_example(capsys, tmp_path, "so3-generic")
+        # raising OverflowError.  The equivariance check reads mu only
+        # through the G_m identity, so mu is scaled on an instance with
+        # g_m != 0, where k = exp(zeta) still fixes it.
+        example = "so3xso3-diagonal" if where == "mu" else "so3-generic"
+        path = write_example(capsys, tmp_path, example)
         doc = json.loads(path.read_text())
         huge = "1" + "0" * 400
         if where == "mu":
-            doc["mu"][2] = huge
+            doc["mu"][2] = doc["mu"][5] = huge
         else:
             doc["structure_constants"] = [
                 [[{"1": huge, "-1": "-" + huge}.get(x, x) for x in row]
@@ -438,6 +441,21 @@ class TestVerify:
             assert detail.startswith("the exact value ")
             assert detail.endswith(" is out of float range")
             assert "0" * 8 in detail and len(detail) < 100
+
+    def test_mu_beyond_float_range_with_gm_zero_fails_only_the_fd_check(
+            self, capsys, tmp_path):
+        # With g_m = 0 the equivariance check is the ODE test of the
+        # exponential of coad(-xi), which does not read mu.
+        path = write_example(capsys, tmp_path, "so3-generic")
+        doc = json.loads(path.read_text())
+        doc["mu"][2] = "1" + "0" * 400
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(path), "--samples", "3",
+                               "--format", "json")
+        assert code == 1
+        failed = [c["name"].split(":")[-1]
+                  for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failed == ["tube.dphi_fd_consistency"]
 
     def test_negative_samples_is_usage_error(self, capsys, tmp_path):
         # Zero samples would pass the sampled checks without testing a point.

@@ -68,7 +68,7 @@ class TestRoundTrip:
         again = from_dict(to_dict(inst))
         assert again == inst
         checks = run_all(inst)
-        assert len(checks) == 73 and run_all(again) == checks
+        assert len(checks) == 75 and run_all(again) == checks
 
     def test_every_corpus_and_catalog_instance_round_trips(self):
         from corpus import build_corpus

@@ -1,5 +1,8 @@
 """tests/output_digest.py: its digest is a pure function of the outputs."""
 
+import hashlib
+import json
+
 from output_digest import digest, main
 
 
@@ -10,12 +13,31 @@ def test_catalog_digest_is_the_same_on_a_second_run(capsys):
     assert len(first) == 64 and int(first, 16) >= 0
 
 
+def test_records_hash_to_the_printed_digest(capsys, tmp_path):
+    path = tmp_path / "records.jsonl"
+    assert main(["--parts", "catalog", "--records", str(path)]) == 0
+    printed = capsys.readouterr().out
+    data = path.read_bytes()
+    assert printed == hashlib.sha256(data).hexdigest() + "\n"
+    lines = [json.loads(line) for line in data.decode().splitlines()]
+    # One line per check record and one per report, for each example.
+    reports = [r for r in lines if "report_sha256" in r]
+    assert [r["label"] for r in reports] == [
+        "catalog:so3-collinear", "catalog:so3-generic", "catalog:so3-zero",
+        "catalog:so3xso3-diagonal", "catalog:torus"]
+    checks = [r for r in lines if "check" in r]
+    assert len(checks) == 5 * 69 and len(lines) == len(checks) + 5
+    assert checks[0] == {"label": "catalog:so3-collinear",
+                         "check": "validate.mu_length", "passed": True,
+                         "detail": "len(mu)=3, dim g=3"}
+
+
 # The digest of the catalog and of every benchmark workload at seed 7.  It
 # changes only with an intended change of the reported output, and any
 # such change states the new value and the reason in CHANGES.md; a change
 # meant to keep every byte must leave it as it is.
 CATALOG_WORKLOADS_SEED_7 = (
-    "aa29f441a2cb2679fd9aec6903c2e948ad123add4b4e8dd921e559315e95dc07")
+    "31076c99feace16cd9f38565ed734b83de24e02873933efd4e0feaa7c2815b1f")
 
 
 def test_catalog_and_workloads_digest_is_pinned():
@@ -26,7 +48,7 @@ def test_catalog_and_workloads_digest_is_pinned():
 # The digest of the seeded corpus (tests/corpus.py), including its
 # instances with nonzero a and r and its zero-dimensional ones; the same
 # rule as above holds for a change of it.
-CORPUS = "edd5323eb7ca9e9bac3b6b993ad2a9ed81e90f4d0c5d0ebb7b67142dd922764b"
+CORPUS = "18bb57426cd86ce05dfc9fe4341aefd70a6e812a8266e9c53b7d29e6ee0eb0b1"
 
 
 def test_corpus_digest_is_pinned():

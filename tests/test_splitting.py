@@ -91,12 +91,55 @@ class TestValidate:
         assert [c.name for c in checks if not c.passed] == [
             f"validate.{name}" for name in failed]
 
+    @pytest.mark.parametrize("rows, name, detail", [
+        ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], "ip_symmetric",
+         "entry (0, 1) of the inner product is 1, entry (1, 0) is 0"),
+        ([[1, 0, 0], [0, -1, 0], [0, 0, 1]], "ip_positive_definite",
+         "leading minor 2 of the inner product is not positive: pivot 1 "
+         "is -1"),
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], "ip_positive_definite",
+         "leading minor 2 of the inner product is not positive: pivot 1 "
+         "is 0")],
+        ids=["asymmetric", "negative_pivot", "zero_pivot"])
+    def test_inner_product_off_its_type_names_a_witness(self, rows, name,
+                                                        detail):
+        # InnerProduct refuses these Grams when it is built, so the instance
+        # holds one that bypassed its constructor: validate restates both
+        # properties and names the first pair or pivot that breaks one.
+        ip = object.__new__(InnerProduct)
+        object.__setattr__(ip, "gram", Matrix.from_rows(rows))
+        inst = replace(so3_case("generic"), ip=ip)
+        failed = {c.name: c.detail for c in validate(inst).failures()}
+        assert failed == {name: detail}
+
+    @pytest.mark.parametrize("doc, failure", [
+        # so3-generic, h = span(e_0), with a quarter turn about the mu axis
+        # e_2: an isometry and an automorphism that fixes mu, but R e_0 =
+        # e_1 is outside h.
+        (dict(build_example("so3-generic"), gm_component_reps=[
+            [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]]),
+         ("gm_component_rep_0_normalizes_h", "R h_0 leaves h for rep 0")),
+        # An abelian algebra with g_m = span(e_1) and mu = (1, 1, 1): the
+        # swap of e_1 and e_2 is an isometry and an automorphism that fixes
+        # mu and h = span(e_0), but it moves g_m.
+        (dict(build_example("torus", 3, 1), mu=["1", "1", "1"],
+              gm_basis=[["0", "1", "0"]],
+              slice=dict(build_example("torus", 3, 1)["slice"],
+                         action=[[["0", "0"], ["0", "0"]]]),
+              gm_component_reps=[[["1", "0", "0"], ["0", "0", "1"],
+                                  ["0", "1", "0"]]]),
+         ("gm_component_rep_0_preserves_gm", "R gm_0 leaves gm for rep 0")),
+    ], ids=["normalizes_h", "preserves_gm"])
+    def test_rep_moving_h_or_gm_names_the_basis_vector(self, doc, failure):
+        failed = [(c.name, c.detail) for c in validate(from_dict(doc)).failures()]
+        assert failed == [failure]
+
     def test_component_rep_isometry_is_never_vacuous(self):
         # An instance built in code is checked as a loaded one: a quarter
         # turn in the (e_0, e_1) plane is an isometry of the identity form
-        # and an automorphism that fixes mu, diag(1, 1, 1, 1, 1, 2) is none
-        # of these, and no rep passes at the wrong size or against a form of
-        # the wrong size.
+        # and an automorphism that fixes mu, but it moves the diagonal h;
+        # diag(1, 1, 1, 1, 1, 2) is none of these and moves g_m too, and no
+        # rep passes at the wrong size or against a form of the wrong size.
         good = from_dict(build_example("so3xso3-diagonal"))
         assert good.ip.gram == Matrix.identity(6)
 
@@ -110,15 +153,21 @@ class TestValidate:
         inst = replace(good, gm_component_reps=reps)
         failed = {c.name: c.detail for c in validate(inst).failures()}
         assert failed == {
+            "gm_component_rep_0_normalizes_h": "R h_0 leaves h for rep 0",
             "gm_component_rep_1_isometry":
                 "entry (5, 5) of R^T G R for rep 1 is 4, expected 1",
             "gm_component_rep_1_automorphism":
                 "R [e_3, e_4] is not [R e_3, R e_4] for rep 1",
             "gm_component_rep_1_fixes_mu":
                 "coordinate 5 of R^T mu for rep 1 is 2, expected 1",
+            "gm_component_rep_1_normalizes_h": "R h_2 leaves h for rep 1",
+            "gm_component_rep_1_preserves_gm": "R gm_0 leaves gm for rep 1",
             "gm_component_rep_2_isometry": "rep 2 is 5x5, g has dimension 6",
             "gm_component_rep_2_automorphism": "rep 2 is 5x5, g has dimension 6",
-            "gm_component_rep_2_fixes_mu": "rep 2 is 5x5, g has dimension 6"}
+            "gm_component_rep_2_fixes_mu": "rep 2 is 5x5, g has dimension 6",
+            "gm_component_rep_2_normalizes_h": "rep 2 is 5x5, g has dimension 6",
+            "gm_component_rep_2_preserves_gm":
+                "rep 2 is 5x5, g has dimension 6"}
         misfit = replace(inst, ip=InnerProduct(Matrix.identity(7)))
         failed = {c.name: c.detail for c in validate(misfit).failures()}
         assert all(failed[f"gm_component_rep_{t}_isometry"]
@@ -163,15 +212,16 @@ class TestValidate:
                                                   run):
         """Loading builds the InnerProduct, which proves it positive
         definite; a pass adds validate.ip_positive_definite and nothing
-        else, since orth_complement takes the proof from the type."""
+        else, since orth_complement takes the proof from the type.  Both
+        read the pivots through first_nonpositive_pivot."""
         calls = []
-        exact = Matrix.leading_minors_positive
+        exact = Matrix.first_nonpositive_pivot
 
         def counted(self):
             calls.append(self)
             return exact(self)
 
-        monkeypatch.setattr(Matrix, "leading_minors_positive", counted)
+        monkeypatch.setattr(Matrix, "first_nonpositive_pivot", counted)
         inst = from_dict(build_example(example))
         assert len(calls) == 1
         run(inst)

@@ -300,23 +300,23 @@ class TestExpm:
         # A rotation generator of norm 1.5 c: with a step that did not
         # shrink with the norm, c = 100 would miss by about 2e-5.
         A = [[0.0, -c, 0.0], [c, 0.0, 0.5 * c], [0.0, -0.5 * c, 0.0]]
-        assert tube._expm_ode_residual(A, expm(A)) <= tube.FD_TOL
+        assert tube._expm_by_complex_step(A)[1] <= tube.FD_TOL
 
     def test_ode_residual_of_expm_is_within_its_bound_beyond_norm_1e3(self):
         # expm of this rotation generator is 1.7e-6 from the closed form;
-        # its complex-step residual is 1.5e-9.
+        # its complex-step residual is 3.5e-9.
         c = 2.6e4
         A = [[0.0, -c, 0.0], [c, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        assert tube._expm_ode_residual(A, expm(A)) <= tube.FD_TOL
+        assert tube._expm_by_complex_step(A)[1] <= tube.FD_TOL
 
     @pytest.mark.parametrize("c, widened", [(0.0, 1e-6), (1e3, 1e-6),
                                             (2e3, 2e-6), (1e5, 1e-4)])
     def test_ode_bound_is_fd_tol_up_to_norm_1e3(self, c, widened):
-        # The residual does not grow with the norm (0, 1.8e-9, 1.9e-9 and
-        # 1.5e-9 here), so FD_TOL bounds it at every norm, tighter than the
+        # The residual does not grow with the norm (0, 3.2e-9, 3.1e-9 and
+        # 3.5e-9 here), so FD_TOL bounds it at every norm, tighter than the
         # bound FD_TOL max(1, ||A|| / 1e3) that once widened it.
         A = [[0.0, -c], [c, 0.0]]
-        assert tube._expm_ode_residual(A, expm(A)) <= tube.FD_TOL <= widened
+        assert tube._expm_by_complex_step(A)[1] <= tube.FD_TOL <= widened
 
     @pytest.mark.parametrize("A", [[[1e308, 1e308], [0.0, 0.0]],
                                    [[math.inf]]])
@@ -336,10 +336,24 @@ class TestExpm:
         with pytest.raises(tube.SeriesNotConverged):
             expm(A)
 
-    def test_ode_residual_sees_a_halved_exponential(self):
+    def test_ode_residual_sees_a_halved_exponential(self, monkeypatch):
+        # Z = expm((1 + ih) A / 2): Im Z / h is A/2 expm(A/2), half of
+        # A Re Z.
+        monkeypatch.setattr(tube, "expm",
+                            lambda A, exact=expm: exact(tube._mat_scale(0.5, A)))
         A = [[0.0, -2.0], [2.0, 0.0]]
-        half = expm([[0.0, -1.0], [1.0, 0.0]])
-        assert tube._expm_ode_residual(A, half) > 0.1
+        assert tube._expm_by_complex_step(A)[1] > 0.1
+
+    @pytest.mark.parametrize("c", [0.3, 8.0, 100.0])
+    def test_real_part_of_the_complex_step_is_expm_within_its_bound(self, c):
+        # Re Z = expm(A) cos(hA) with h ||A|| = 1e-4 from ||A|| = 1 on:
+        # within cosh(1e-4) - 1 = 5.0e-9 of expm(A), relatively.
+        A = [[0.0, -c, 0.0], [c, 0.0, 0.5 * c], [0.0, -0.5 * c, 0.0]]
+        E = tube._expm_by_complex_step(A)[0]
+        bound = math.cosh(tube._ODE_STEP * min(1.0, tube._mat_norm(A))) - 1
+        assert tube._relative_error([x for row in E for x in row],
+                                    [x for row in expm(A) for x in row]) \
+            <= bound * (1 + 1e-3) + 1e-15
 
 
 class TestConsistencyChecks:
@@ -571,7 +585,7 @@ class TestComplexExpm:
         if size:
             A = tube._mat_scale(norm / size, A)
         assert tube._mat_norm(A) <= 150.0 * (1 + 1e-12)
-        assert tube._expm_ode_residual(A, expm(A)) <= tube.FD_TOL
+        assert tube._expm_by_complex_step(A)[1] <= tube.FD_TOL
 
 
 def _expm_with(mat_mul, A):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from instances import zero_slice_block
+from instances import diagonal_quaternion_instance, zero_slice_block
 
 from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
@@ -428,8 +428,10 @@ def test_samples_drive_only_the_tube_checks():
 
 def test_momentum_form_off_the_action_fails_phi_n1_equivariance():
     # diag(1, 0) added to S_0, the cached momentum form of the first g_m
-    # basis vector, is not preserved by the slice action.  The tube and the
-    # slice momentum read the same cached forms, so they may fail too.
+    # basis vector, is not preserved by the slice action.  The slice
+    # momentum reads the same cached forms, so it may fail too.  The tube's
+    # G_m identity evaluates Phi_N1 at nu and at k^-1 nu, which the rotation
+    # k moves, so it fails as well.
     expected_names = [c.name for c in _run("so3xso3-diagonal")]
     inst = from_dict(build_example("so3xso3-diagonal"))
     S = inst.slice_rep.momentum_forms
@@ -438,14 +440,18 @@ def test_momentum_form_off_the_action_fails_phi_n1_equivariance():
     checks = verify.run_all(inst, samples=3)
     assert [c.name for c in checks] == expected_names
     assert "momentum.phiN1_equivariance" in _failed(checks)
+    assert "tube.equivariance" in _failed(checks)
+    assert "; sample 0: J([g k, k^-1 (rho, nu)]) misses J([g, rho, nu]) by " \
+        in _check(checks, "tube.equivariance").detail
 
 
 def test_momentum_form_off_the_action_names_the_phi_n1_pair():
     # torus(4, 1) with g_m = span(e2, e3) acting by 0 and by a rotation:
-    # h_m = 0, so no formula form reads the slice momentum forms, and
-    # equivariance and the finite differences see the same momentum.
-    # diag(1, 0) added to S_0 breaks pair (1, 0) and no check but the
-    # phi_N1 equivariance.  Pair (0, 0) holds, as A_0 = 0.
+    # h_m = 0, so no formula form reads the slice momentum forms, and the
+    # finite differences at nu = 0 see no quadratic term.  diag(1, 0) added
+    # to S_0 breaks pair (1, 0) of the phi_N1 equivariance, and the tube's
+    # G_m identity, which compares Phi_N1 at nu and at k^-1 nu, with k
+    # rotating the slice.  Pair (0, 0) holds, as A_0 = 0.
     doc = build_example("torus", 4, 1)
     doc = dict(doc, gm_basis=[["0", "0", "1", "0"], ["0", "0", "0", "1"]],
                slice=dict(doc["slice"], action=[
@@ -459,7 +465,10 @@ def test_momentum_form_off_the_action_names_the_phi_n1_pair():
     checks = verify.run_all(inst, samples=3)
     assert [c.name for c in checks] == expected_names
     assert [(c.name, c.detail) for c in checks if not c.passed] == [
-        ("momentum.phiN1_equivariance", "equivariance fails on gm pair (1, 0)")]
+        ("momentum.phiN1_equivariance", "equivariance fails on gm pair (1, 0)"),
+        ("tube.equivariance", "max relative deviation 2.238e-01 over 3 "
+         "samples; sample 0: J([g k, k^-1 (rho, nu)]) misses J([g, rho, nu]) "
+         "by 2.238e-01")]
 
 
 def test_chain_that_cannot_be_built_is_a_named_fail(monkeypatch):
@@ -607,6 +616,10 @@ def test_inner_product_of_the_wrong_size_names_both_dimensions():
     checks = verify.run_all(inst, samples=3)
     assert _check(checks, "validate.ip_dimension").detail == \
         "the dimension of the inner product is 5, dim g is 6"
+    # A form on another space is no positive-definite form on g.
+    assert _check(checks, "validate.ip_positive_definite").detail == \
+        "the dimension of the inner product is 5, dim g is 6"
+    assert _check(checks, "validate.ip_symmetric").passed
 
 
 def test_h_not_normalized_by_gm_fails_and_names_the_pair():
@@ -997,7 +1010,8 @@ def test_float_overflow_in_the_exponential_fails_fd_check(monkeypatch):
     # so(3) with brackets 10**160 times the usual ones is a valid instance
     # whose exact data all fit in a float.  The finite-difference step
     # shrinks with ||ad||, so the differences stay accurate, but the
-    # exponential at an equivariance sample overflows: its deviation is nan.
+    # exponential at an equivariance sample overflows: its ODE residual is
+    # nan.  g_m = 0, so the deviation is exactly 0.
     doc = build_example("so3-generic")
     big = "1" + "0" * 160
     doc["structure_constants"] = [
@@ -1006,8 +1020,9 @@ def test_float_overflow_in_the_exponential_fails_fd_check(monkeypatch):
     inst = from_dict(doc)
     checks = verify.run_all(inst, samples=2)
     assert _failed(checks) == ["tube.equivariance"]
-    assert _check(checks, "tube.equivariance").detail.startswith(
-        "max relative deviation nan over 2 samples; sample 0: ")
+    assert _check(checks, "tube.equivariance").detail == (
+        "max relative deviation 0.000e+00 over 2 samples; sample 0: "
+        "d/dt expm(tA) at t = 1 misses A expm(A) by nan")
     # With the unscaled step 1e-4 the exponential along a group direction
     # overflows too: the finite difference there is nan.
     monkeypatch.setattr(tube, "_fd_step", lambda ad: Fraction(1, 10_000))
@@ -1142,10 +1157,12 @@ def test_doubled_momentum_differential_fails_fd_check(monkeypatch):
 
 
 def test_shifted_momentum_off_identity_fails_equivariance(monkeypatch):
-    # The coadjoint exponential is what phi_tilde applies off the identity.
-    # The shift is the same on both sides of every central difference along
-    # the group, so only the equivariance comparison sees it.
-    expected_names = [c.name for c in _run()]
+    # The coadjoint exponential is what phi_tilde applies off the identity,
+    # and what moves the momentum by Ad*_{k^-1} on the k side of the G_m
+    # identity.  The shift is the same on both sides of every central
+    # difference along the group, so only the G_m identity sees it, on an
+    # instance with g_m != 0.
+    expected_names = [c.name for c in _run("so3xso3-diagonal")]
     exact = tube._coadjoint_exp
 
     def shifted(ad, lam):
@@ -1153,12 +1170,13 @@ def test_shifted_momentum_off_identity_fails_equivariance(monkeypatch):
         return (out[0] + 1e-3,) + out[1:]
 
     monkeypatch.setattr(tube, "_coadjoint_exp", shifted)
-    checks = _run()
+    checks = _run("so3xso3-diagonal")
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["tube.equivariance"]
     detail = _check(checks, "tube.equivariance").detail
     assert detail.startswith("max relative deviation ")
-    assert detail.endswith(" over 3 samples")
+    assert " over 3 samples; sample 0: J([g k, k^-1 (rho, nu)]) misses " \
+        "J([g, rho, nu]) by " in detail
 
 
 def test_action_killing_a_non_unit_vector_fails_kernel_check(monkeypatch):
@@ -1347,9 +1365,9 @@ def _skip_last_squaring(monkeypatch):
 
 def test_expm_one_squaring_short_fails_equivariance_and_names_a_sample(
         monkeypatch):
-    # Both sides of the equivariance comparison use the broken expm on
-    # matrices with equal entries, and the finite differences of phi_tilde
-    # step below 1/2, so only the ODE condition sees it.
+    # g_m = 0, so the G_m identity draws no k and its deviation is 0; the
+    # finite differences of phi_tilde step below 1/2, so only the ODE
+    # condition of the complex step sees it.
     expected_names = [c.name for c in _run()]
     _skip_last_squaring(monkeypatch)
     checks = _run()
@@ -1371,15 +1389,16 @@ def test_expm_one_squaring_short_fails_equivariance_at_scale_10_4(
     checks = verify.run_all(inst, samples=3)
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["tube.equivariance"]
-    assert "; sample 0: d/dt expm(tA) at t = 1 misses A expm(A) by " \
-        in _check(checks, "tube.equivariance").detail
+    assert _check(checks, "tube.equivariance").detail.startswith(
+        "max relative deviation 0.000e+00 over 3 samples; sample 0: "
+        "d/dt expm(tA) at t = 1 misses A expm(A) by ")
 
 
 def test_expm_dropping_imaginary_parts_fails_equivariance_by_its_ode(
         monkeypatch):
     # The complex step reads the imaginary part of one exponential: without
-    # it the derivative is 0, a miss of all of A expm(A).  Every other
-    # exponential is real, so both sides still agree.
+    # it the derivative is 0, a miss of all of A expm(A).  g_m = 0, so no
+    # other exponential is taken at an equivariance sample.
     expected_names = [c.name for c in _run()]
     exact = tube.expm
 
@@ -1406,5 +1425,56 @@ def test_transposed_expm_fails_equivariance_and_names_a_sample(monkeypatch):
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert "tube.equivariance" in _failed(checks)
-    assert "; sample 0: d/dt expm(tA) at t = 1 misses A expm(A) by " \
-        in _check(checks, "tube.equivariance").detail
+    assert _check(checks, "tube.equivariance").detail.startswith(
+        "max relative deviation 0.000e+00 over 3 samples; sample 0: "
+        "d/dt expm(tA) at t = 1 misses A expm(A) by ")
+
+
+def _break_gm_action(monkeypatch, blocks, broken):
+    """tube's isotropy_action with the square block at the named model
+    blocks, B, replaced by broken(model, eta, B).  Only the k^-1 action of
+    the G_m identity reads it there."""
+    exact = pm.isotropy_action
+
+    def faulty(model, eta):
+        X = exact(model, eta)
+        idx = model.indices(*blocks)
+        B = broken(model, eta, X.submatrix(idx, idx))
+        rows = [list(row) for row in X.entries]
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                rows[i][j] = B.entries[a][b]
+        return Matrix.from_rows(rows, cols=X.cols)
+
+    monkeypatch.setattr(tube, "isotropy_action", faulty)
+
+
+# On so3xso3-diagonal g_m is abelian and acts trivially on m* = b*, and the
+# momentum of every (rho, nu) lies where k acts trivially; Phi_N1 is then
+# invariant under G_m, so Phi_N1(k nu) = Phi_N1(k^-1 nu), and these three
+# faults keep the G_m identity.  On a g_m that is so(3) and rotates m
+# they break it.
+@pytest.mark.parametrize("blocks, broken", [
+    # k^-1 acts on N1 by exp(+A(zeta)), as k does.
+    (("N1",), lambda model, eta, V: V.scale(-1)),
+    # -(ad(eta) on m) in place of the coadjoint -(ad(eta) on m)^T.
+    (("pstar", "bstar"), lambda model, eta, R: R.transpose()),
+    # The g_m rows of ad(eta) on m in the (g_m, m, n) basis, in place of
+    # its m rows.
+    (("pstar", "bstar"), lambda model, eta, R: -(
+        model.g_basis_inv.submatrix(range(model.dim_m), range(model.inst.dim))
+        @ model.inst.algebra.ad_matrix(eta)
+        @ model.mn_basis.submatrix(range(model.inst.dim), range(model.dim_m))
+    ).transpose()),
+], ids=["slice_action_sign", "m_star_transpose", "m_star_block"])
+def test_wrong_k_inverse_action_fails_equivariance_and_names_a_sample(
+        monkeypatch, blocks, broken):
+    inst = diagonal_quaternion_instance()
+    checks = verify.run_all(inst, samples=3)
+    assert _failed(checks) == []
+    _break_gm_action(monkeypatch, blocks, broken)
+    broken_checks = verify.run_all(inst, samples=3)
+    assert [c.name for c in broken_checks] == [c.name for c in checks]
+    assert _failed(broken_checks) == ["tube.equivariance"]
+    assert "; sample 0: J([g k, k^-1 (rho, nu)]) misses J([g, rho, nu]) by " \
+        in _check(broken_checks, "tube.equivariance").detail
