@@ -402,8 +402,8 @@ def momentum_formula_forms(model: TangentModel) -> tuple[Matrix, ...]:
     1/4 (<ad*_{s_i} ad*_{s_j} mu, eta> + (i <-> j)).  [b_i, eta] lies in m
     (chain.ad_gm_invariance), so the second term pairs w with its
     m*-coordinates: the b x Y_m block and its transpose are -1/2 of them.
-    The N1 block is sum_t c_t S_t over the instance's slice momentum forms,
-    with c the g_m coordinates of eta.
+    The N1 block is the momentum form of the slice action combined from c,
+    the g_m coordinates of eta: sum_t c_t S_t over the instance's forms.
     """
     chain, inst = model.chain, model.inst
     L, n1 = inst.algebra, inst.slice_rep
@@ -420,10 +420,9 @@ def momentum_formula_forms(model: TangentModel) -> tuple[Matrix, ...]:
              for b in chain.b.basis_vectors()],
             cols=chain.b.dim).scale(Fraction(-1, 2))
         c = model.g_coords(eta)[:model.gm_dim]
-        phi = sum((S.scale(x) for S, x in zip(n1.momentum_forms, c) if x),
-                  Matrix.zeros(n1.dim, n1.dim))
         forms.append(_on_nh1(_symmetric_part(quad).scale(Fraction(1, 2)),
-                             pair, phi, pair.transpose()))
+                             pair, n1.momentum_form(n1.combine(c)),
+                             pair.transpose()))
     return tuple(forms)
 
 

@@ -9,15 +9,17 @@ phi_tilde evaluates the normal-form momentum J([g, rho, nu]) =
 Ad*_{g^-1}(mu + rho + Phi_N1(nu)), which needs a matrix exponential and is
 the one floating-point corner of the package.
 
-Two checks tie it to the exact model: check_dphi_consistency's central
-differences, and phi_equivariance_check's identity J([g k, k^-1 (rho, nu)])
-= J([g, rho, nu]) for k = exp(zeta), zeta in g_m, with the ODE of the
-exponential of A = coad(-xi).  Its sample takes one n x n exponential,
-Z = expm((1 + ih) A), when g_m = 0, and two small ones more otherwise;
-Re Z is within cosh(h ||A||) - 1 <= 5.1e-9 of expm(A), and both sides of
-the identity apply it, so the offset cancels from their difference.  Float
-errors are _relative_error, against REL_TOL or FD_TOL.  A value out of float
-range, a series that does not converge and a nan fail a check by name.
+Two checks tie it to the exact model, and both differentiate the
+exponential by one complex-step routine, _complex_step(A, t): Re Z and
+Im Z / h for Z = expm((t + ih) A).  check_dphi_consistency takes it at
+t = 0 along each group direction (central differences along the slice),
+and phi_equivariance_check at t = 1 for the ODE of the exponential of
+A = coad(-xi), beside the identity J([g k, k^-1 (rho, nu)]) = J([g, rho,
+nu]) for k = exp(zeta), zeta in g_m, compared before the Ad*_{g^-1} both
+sides apply.  A sample of the latter takes one n x n exponential when
+g_m = 0, and two small ones more otherwise.  Float errors are
+_relative_error, against REL_TOL or FD_TOL.  A value out of float range, a
+series that does not converge and a nan fail a check by name.
 """
 
 from __future__ import annotations
@@ -228,7 +230,7 @@ def expm(A: list[list[float]], rel_tol: float = REL_TOL) -> list[list[float]]:
     a term makes the tail nan, which never passes the tail test, so the
     series raises SeriesNotConverged.
 
-    The entries may be complex, as in _expm_by_complex_step: the code only
+    The entries may be complex, as in _complex_step: the code only
     multiplies, adds, takes abs (the modulus) and tests entries for zero.
     A real matrix given with zero imaginary parts gives its float result
     as the real parts.
@@ -313,14 +315,17 @@ def _coadjoint_exp(ad: list[list[float]],
 
 
 def check_dphi_consistency(model: TangentModel) -> list[Check]:
-    """Central differences of phi_tilde at the base against dphi_G, with
-    the step of _fd_step along each direction.
+    """The derivatives of phi_tilde at the base against dphi_G, direction
+    by direction.
 
     Along a U direction xi_d (column d of the (m, n) basis) rho = nu = 0,
-    so the momentum is mu, and ad is linear, so the exponents at +-step
-    are the exact -+step ad(xi_d): ad(xi_d) is built once, and the floats
-    of the one exponent are the negated floats of the other.  A nan error
-    fails it at the first direction where it occurs.
+    so phi_tilde at exp(s xi_d) is expm(sA)^T mu for A = ad(-xi_d), and its
+    derivative at s = 0 is D^T mu, D the complex-step derivative of
+    _complex_step at t = 0: one exponential per direction, and no
+    difference that cancels.  Along an R or V direction the group
+    coordinate is the identity, where phi_tilde is exact, and the central
+    difference with step _FD_STEP takes no exponential.  A nan error fails
+    it at the first direction where it occurs.
     """
     dG = model.dphi_G
     L = model.inst.algebra
@@ -332,19 +337,16 @@ def check_dphi_consistency(model: TangentModel) -> list[Check]:
         muf = _to_floats(model.inst.mu)
         for d in range(model.total_dim):
             if d < un:
-                ad = L.ad_matrix(model.mn_basis.col(d))
-                step = _fd_step(ad)
-                at_plus = _to_float_rows(ad.scale(-step))
-                fp = _coadjoint_exp(at_plus, muf)
-                # An exact zero is 0.0, never -0.0.
-                fm = _coadjoint_exp([[-x if x else x for x in row]
-                                     for row in at_plus], muf)
+                A = _to_float_rows(L.ad_matrix(
+                    tuple(-x for x in model.mn_basis.col(d))))
+                D = _complex_step(A, 0.0)[1]
+                deriv = _mat_vec(list(zip(*D)), muf)
             else:
-                step = _FD_STEP
-                fp = phi_tilde(model, _point_along(model, d, step))
-                fm = phi_tilde(model, _point_along(model, d, -step))
-            fd = [(a - b) / (2.0 * float(step)) for a, b in zip(fp, fm)]
-            err = _relative_error(fd, _to_floats(dG.col(d)))
+                fp = phi_tilde(model, _point_along(model, d, _FD_STEP))
+                fm = phi_tilde(model, _point_along(model, d, -_FD_STEP))
+                deriv = [(a - b) / (2.0 * float(_FD_STEP))
+                         for a, b in zip(fp, fm)]
+            err = _relative_error(deriv, _to_floats(dG.col(d)))
             if math.isnan(err):  # the float path overflowed
                 worst, worst_dir = err, d
                 break
@@ -359,24 +361,8 @@ def check_dphi_consistency(model: TangentModel) -> list[Check]:
     )]
 
 
-# Central-difference step of tube.dphi_fd_consistency, and the largest
-# ||ad(xi_d)|| at which a U direction keeps it.
+# Central-difference step of tube.dphi_fd_consistency along R and V.
 _FD_STEP = Fraction(1, 10_000)
-_FD_AD_NORM = 10
-
-
-def _fd_step(ad: Matrix) -> Fraction:
-    """The central-difference step along a U direction xi_d, from ad =
-    ad(xi_d): _FD_STEP divided by max(1, ||ad||_inf / _FD_AD_NORM).  The
-    truncation error grows with (step ||ad||)^2, so this keeps it at its
-    size for ||ad|| <= 10 whatever the scale of the brackets.  A norm
-    beyond float range, whose step would underflow to 0.0, raises
-    OutOfFloatRange naming it."""
-    norm = max((sum(abs(x) for x in row if x) for row in ad.entries), default=0)
-    if norm <= _FD_AD_NORM:
-        return _FD_STEP
-    _to_floats([norm])
-    return _FD_STEP * _FD_AD_NORM / norm
 
 
 def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:
@@ -388,23 +374,32 @@ def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:
                      nu=v[model.dim_m:])
 
 
-# Complex step of t -> expm(tA) at t = 1, before division by max(1, ||A||).
+# Complex step of s -> expm(sA), before division by max(1, ||A||).
 _ODE_STEP = 1e-4
 
 
-def _expm_by_complex_step(A: list[list[float]]
-                          ) -> tuple[list[list[float]], float]:
-    """expm(A), as Re Z for Z = expm((1 + ih) A), and the _relative_error
-    of Im Z / h against A Re Z: how far Z is from the ODE d/dt expm(tA) =
-    A expm(tA) at t = 1.  h = _ODE_STEP / max(1, ||A||), so h ||A|| <= 1e-4:
-    Re Z = expm(A) cos(hA) is within cosh(h ||A||) - 1 <= 5.1e-9 of expm(A),
-    and Im Z / h = expm(A) sin(hA) / h about (h ||A||)^2 / 3 <= 3.4e-9 from
-    A Re Z, with nothing cancelling (Squire and Trapp, SIAM Rev. 1998)."""
+def _complex_step(A: list[list[float]], t: float
+                  ) -> tuple[list[list[float]], list[list[float]]]:
+    """expm(tA) and its derivative A expm(tA), as Re Z and Im Z / h for
+    Z = expm((t + ih) A), h = _ODE_STEP / max(1, ||A||), so h ||A|| <= 1e-4
+    (Squire and Trapp, SIAM Rev. 1998; Al-Mohy and Higham, Numer.
+    Algorithms 2010).  Re Z = expm(tA) cos(hA) is within cosh(h ||A||) - 1
+    <= 5.1e-9 of expm(tA), and Im Z / h = expm(tA) sin(hA) / h is about
+    (h ||A||)^2 / 6 <= 1.7e-9 from A expm(tA), relatively, with nothing
+    cancelling."""
     h = _ODE_STEP / max(1.0, _mat_norm(A))
-    Z = expm([[complex(x, h * x) for x in row] for row in A])
-    E = [[z.real for z in row] for row in Z]
-    return E, _relative_error([z.imag / h for row in Z for z in row],
-                              [x for row in _mat_mul(A, E) for x in row])
+    Z = expm([[complex(t * x, h * x) for x in row] for row in A])
+    return ([[z.real for z in row] for row in Z],
+            [[z.imag / h for z in row] for row in Z])
+
+
+def _ode_residual(A: list[list[float]]) -> float:
+    """The _relative_error of Im Z / h against A Re Z for _complex_step at
+    t = 1: how far Z is from the ODE d/dt expm(tA) = A expm(tA) there,
+    about (h ||A||)^2 / 3 <= 3.4e-9 on an exact exponential."""
+    E, D = _complex_step(A, 1.0)
+    return _relative_error([x for row in D for x in row],
+                           [x for row in _mat_mul(A, E) for x in row])
 
 
 # The largest norm of an exponent of k^-1: no squaring multiplies errors.
@@ -427,17 +422,18 @@ def phi_equivariance_check(model: TangentModel, samples: int,
 
         J([g k, k^-1 (rho, nu)]) = J([g, rho, nu]),
 
-    to REL_TOL, and the ODE residual of _expm_by_complex_step for A =
-    coad(-xi), g = exp(xi), to FD_TOL; the detail names the first sample
-    that misses either.  k^-1 acts on (rho, nu) by the exponential of minus
-    pointmodel.isotropy_action there (the coadjoint action on m*, from the
-    (p, b) block of ad(zeta) in the (g_m, m, n) basis, and the slice action
-    on N1), and on the momentum by the coadjoint exponential of ad(-zeta),
-    with zeta scaled so that neither exponent has a norm above _GM_NORM.
-    Both sides apply Ad*_{g^-1} as the one matrix Re Z, so its offset from
-    expm(A), at most 5.1e-9, cancels from their difference.  A sample takes
-    one n x n exponential, Z, when g_m = 0 (no zeta is drawn, and the
-    deviation is exactly 0), and three otherwise: Z, k^-1 and ad(-zeta).
+    to REL_TOL, and the _ode_residual of A = coad(-xi), g = exp(xi), to
+    FD_TOL; the detail names the first sample that misses either.  Both
+    sides of the identity apply the invertible Ad*_{g^-1}, so it is
+    compared before it: Ad*_{k^-1} lam(k^-1 (rho, nu)) against lam(rho,
+    nu), lam = mu + rho + Phi_N1(nu) in floats.  k^-1 acts on (rho, nu) by
+    the exponential of minus pointmodel.isotropy_action there (the
+    coadjoint action on m*, from the (p, b) block of ad(zeta) in the
+    (g_m, m, n) basis, and the slice action on N1), and on the momentum by
+    the coadjoint exponential of ad(-zeta), with zeta scaled so that
+    neither exponent has a norm above _GM_NORM.  A sample takes one n x n
+    exponential, the ODE's, when g_m = 0 (no zeta is drawn, and the
+    deviation is exactly 0), and three otherwise: it, k^-1 and ad(-zeta).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -458,14 +454,21 @@ def phi_equivariance_check(model: TangentModel, samples: int,
         forms = [_to_float_rows(S) for S in model.inst.slice_rep.momentum_forms]
         coframe, muf = ((_to_float_rows(model.coframe),
                          _to_floats(model.inst.mu)) if gm else ([], []))
+
+        def lam(rho_nu: list[float]) -> list[float]:
+            # mu + rho + Phi_N1(nu), from its coordinates in the dual of
+            # the (g_m, m, n) basis: Phi_N1 on g_m, rho on m.
+            nu = rho_nu[dm:]
+            dual = [_dot(nu, _mat_vec(S, nu)) for S in forms] + rho_nu[:dm]
+            return [m + _dot(row, dual) for m, row in zip(muf, coframe)]
+
         for t in range(samples):
             xi = tuple(rand_frac() for _ in range(L.dim))
             rho = tuple(rand_frac() for _ in range(dm))
             nu = tuple(rand_frac() for _ in range(model.slice_dim))
             # coad(-xi) = ad(-xi)^T, as floats entry by entry.
-            A = [list(col) for col in
-                 zip(*_to_float_rows(L.ad_matrix(tuple(-x for x in xi))))]
-            E, miss = _expm_by_complex_step(A)
+            miss = _ode_residual([list(col) for col in zip(
+                *_to_float_rows(L.ad_matrix(tuple(-x for x in xi))))])
             if not off_ode and not miss <= FD_TOL:
                 off_ode = (f"; sample {t}: d/dt expm(tA) at t = 1 misses "
                            f"A expm(A) by {miss:.3e}")
@@ -475,16 +478,11 @@ def phi_equivariance_check(model: TangentModel, samples: int,
             ad_k, act_k = ([[_dot(c, xs) for xs in zip(*rows)]
                             for rows in zip(*mats)] for mats in zip(*gens))
             scale = _GM_NORM / max(_GM_NORM, _mat_norm(ad_k), _mat_norm(act_k))
-            moved = _mat_vec(expm(_mat_scale(scale, act_k)), _to_floats(rho + nu))
-            nu_k = moved[dm:]
-            # The shifted momentum at k^-1 (rho, nu), from its coordinates in
-            # the dual of the (g_m, m, n) basis: Phi_N1 on g_m, rho on m.
-            dual = [_dot(nu_k, _mat_vec(S, nu_k)) for S in forms] + moved[:dm]
-            lam_k = [m + _dot(row, dual) for m, row in zip(muf, coframe)]
-            base = _to_floats(_shifted_momentum(model, TubePoint(xi, rho, nu)))
+            rho_nu = _to_floats(rho + nu)
+            moved = _mat_vec(expm(_mat_scale(scale, act_k)), rho_nu)
             dev = _relative_error(
-                _mat_vec(E, _coadjoint_exp(_mat_scale(scale, ad_k), lam_k)),
-                _mat_vec(E, base))
+                _coadjoint_exp(_mat_scale(scale, ad_k), lam(moved)),
+                lam(rho_nu))
             worst = _worst((worst, dev))
             if not off_gm and not dev <= REL_TOL:
                 off_gm = (f"; sample {t}: J([g k, k^-1 (rho, nu)]) misses "

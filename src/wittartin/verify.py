@@ -126,10 +126,7 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
         [pm.inf_action(model, unit_vec(inst.dim, i)) for i in range(inst.dim)],
         rows=model.total_dim)
     g_orbit = Subspace.span(model.total_dim, action.columns())
-    h_orbit = Subspace.span(
-        model.total_dim,
-        [pm.inf_action(model, v) for v in inst.h.basis_vectors()],
-    )
+    h_orbit = dec._image_under_action(model, inst.h)
     out.append(Check.of("model.ker_dphiG_is_orbit_perp", equality_detail(
         kerG, "ker dphi_G",
         perp_under_form(model.omega, g_orbit), "the omega-perp of the g-orbit")))
@@ -163,14 +160,13 @@ def decomposition_checks(model: pm.TangentModel) -> list[Check]:
         model.unit_span(decomp.TH0 + decomp.NH1), "TH0 + NH1")))
 
     formula = "dim s + 2 dim b + dim N1"
-    nh1_dim = chain.s.dim + 2 * chain.b.dim + model.slice_dim
+    nh1_dim = dim_formulas(chain).slice_dim_H
     out.append(dec.slice_form_check(decomp, model))
     out.append(Check.of("sliceform.dim_formula", dim_detail(
         "dim of the slice form", decomp.nh1.dim, formula, nh1_dim)
         or dim_detail("dim NH1", len(decomp.NH1), formula, nh1_dim)))
     out.append(Check.of("dims.slice_dim_formula", dim_detail(
-        "dim NH1", len(decomp.NH1), "dim N1 + 2 dim b + dim s",
-        dim_formulas(chain).slice_dim_H)))
+        "dim NH1", len(decomp.NH1), "dim N1 + 2 dim b + dim s", nh1_dim)))
 
     closed = dec.momentum_formula_forms(model)
     out.append(dec.momentum_formula_check(decomp, closed))

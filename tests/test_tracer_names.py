@@ -108,28 +108,27 @@ def _so3_cubed():
                            InnerProduct(Matrix.identity(9)), standard_slice(0))
 
 
-@pytest.mark.parametrize("samples, expected", [(10, 28), (3, 21)])
+@pytest.mark.parametrize("samples, expected", [(10, 19), (3, 12)])
 def test_exponentials_per_run_all_are_pinned(monkeypatch, samples, expected):
-    """so(3)^3 with g_m = 0: run_all exponentiates twice along each of the
-    dim m + dim n = 9 group directions of the finite differences, and once
-    per equivariance sample, the complex step whose real part is the
-    exponential both sides apply: 2 * 9 + samples."""
+    """so(3)^3 with g_m = 0: run_all takes one complex-step exponential
+    along each of the dim m + dim n = 9 group directions of the derivative
+    check, and one per equivariance sample, the ODE's: 9 + samples."""
     inst = _so3_cubed()
     calls = _count_calls(monkeypatch, tube, "expm")
     checks = verify.run_all(inst, samples=samples)
     assert all(c.passed for c in checks)
-    assert len(calls) == expected == 2 * 9 + samples
+    assert len(calls) == expected == 9 + samples
 
 
-@pytest.mark.parametrize("samples, expected", [(10, 40), (3, 19)])
+@pytest.mark.parametrize("samples, expected", [(10, 35), (3, 14)])
 def test_exponentials_per_run_all_with_gm_are_pinned(monkeypatch, samples,
                                                      expected):
-    """so3xso3-diagonal, g_m of dimension 1: twice along each of the dim m +
+    """so3xso3-diagonal, g_m of dimension 1: once along each of the dim m +
     dim n = 5 group directions, and three times per equivariance sample:
-    the complex step, k^-1 on m* x N1 and ad(-zeta) on g: 2 * 5 + 3 *
+    the ODE's complex step, k^-1 on m* x N1 and ad(-zeta) on g: 5 + 3 *
     samples."""
     inst = instancefile.from_dict(catalog.build_example("so3xso3-diagonal"))
     calls = _count_calls(monkeypatch, tube, "expm")
     checks = verify.run_all(inst, samples=samples)
     assert all(c.passed for c in checks)
-    assert len(calls) == expected == 2 * 5 + 3 * samples
+    assert len(calls) == expected == 5 + 3 * samples

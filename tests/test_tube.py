@@ -300,14 +300,14 @@ class TestExpm:
         # A rotation generator of norm 1.5 c: with a step that did not
         # shrink with the norm, c = 100 would miss by about 2e-5.
         A = [[0.0, -c, 0.0], [c, 0.0, 0.5 * c], [0.0, -0.5 * c, 0.0]]
-        assert tube._expm_by_complex_step(A)[1] <= tube.FD_TOL
+        assert tube._ode_residual(A) <= tube.FD_TOL
 
     def test_ode_residual_of_expm_is_within_its_bound_beyond_norm_1e3(self):
         # expm of this rotation generator is 1.7e-6 from the closed form;
         # its complex-step residual is 3.5e-9.
         c = 2.6e4
         A = [[0.0, -c, 0.0], [c, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        assert tube._expm_by_complex_step(A)[1] <= tube.FD_TOL
+        assert tube._ode_residual(A) <= tube.FD_TOL
 
     @pytest.mark.parametrize("c, widened", [(0.0, 1e-6), (1e3, 1e-6),
                                             (2e3, 2e-6), (1e5, 1e-4)])
@@ -316,7 +316,7 @@ class TestExpm:
         # 3.5e-9 here), so FD_TOL bounds it at every norm, tighter than the
         # bound FD_TOL max(1, ||A|| / 1e3) that once widened it.
         A = [[0.0, -c], [c, 0.0]]
-        assert tube._expm_by_complex_step(A)[1] <= tube.FD_TOL <= widened
+        assert tube._ode_residual(A) <= tube.FD_TOL <= widened
 
     @pytest.mark.parametrize("A", [[[1e308, 1e308], [0.0, 0.0]],
                                    [[math.inf]]])
@@ -342,18 +342,31 @@ class TestExpm:
         monkeypatch.setattr(tube, "expm",
                             lambda A, exact=expm: exact(tube._mat_scale(0.5, A)))
         A = [[0.0, -2.0], [2.0, 0.0]]
-        assert tube._expm_by_complex_step(A)[1] > 0.1
+        assert tube._ode_residual(A) > 0.1
 
     @pytest.mark.parametrize("c", [0.3, 8.0, 100.0])
     def test_real_part_of_the_complex_step_is_expm_within_its_bound(self, c):
         # Re Z = expm(A) cos(hA) with h ||A|| = 1e-4 from ||A|| = 1 on:
         # within cosh(1e-4) - 1 = 5.0e-9 of expm(A), relatively.
         A = [[0.0, -c, 0.0], [c, 0.0, 0.5 * c], [0.0, -0.5 * c, 0.0]]
-        E = tube._expm_by_complex_step(A)[0]
+        E = tube._complex_step(A, 1.0)[0]
         bound = math.cosh(tube._ODE_STEP * min(1.0, tube._mat_norm(A))) - 1
         assert tube._relative_error([x for row in E for x in row],
                                     [x for row in expm(A) for x in row]) \
             <= bound * (1 + 1e-3) + 1e-15
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, 8.0, 100.0, 1e5])
+    def test_complex_step_derivative_at_zero_is_a_within_its_bound(self, c):
+        # Im expm(ihA) / h = sin(hA) / h = A - h^2 A^3 / 6 + ..., with
+        # h ||A|| = 1e-4 from ||A|| = 1 on: within about (h ||A||)^2 of A,
+        # relatively, for ||A|| from 0 to 1.5e5.
+        A = [[0.0, -c, 0.0], [c, 0.0, 0.5 * c], [0.0, -0.5 * c, 0.0]]
+        D = tube._complex_step(A, 0.0)[1]
+        norm = tube._mat_norm(A)
+        bound = (tube._ODE_STEP * min(1.0, norm)) ** 2
+        assert tube._relative_error([x for row in D for x in row],
+                                    [x for row in A for x in row]) \
+            <= bound + 1e-15
 
 
 class TestConsistencyChecks:
@@ -585,7 +598,7 @@ class TestComplexExpm:
         if size:
             A = tube._mat_scale(norm / size, A)
         assert tube._mat_norm(A) <= 150.0 * (1 + 1e-12)
-        assert tube._expm_by_complex_step(A)[1] <= tube.FD_TOL
+        assert tube._ode_residual(A) <= tube.FD_TOL
 
 
 def _expm_with(mat_mul, A):

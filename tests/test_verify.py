@@ -540,7 +540,11 @@ def test_wrong_slice_dim_prediction_fails_slice_dim_formula(monkeypatch):
     monkeypatch.setattr(verify, "dim_formulas", lambda chain: replace(
         exact(chain), slice_dim_H=exact(chain).slice_dim_H + 1))
     checks = _run()
-    assert _failed(checks) == ["dims.slice_dim_formula"]
+    # Both formula checks read the one prediction.
+    assert _failed(checks) == ["sliceform.dim_formula",
+                               "dims.slice_dim_formula"]
+    assert _check(checks, "sliceform.dim_formula").detail \
+        == "dim of the slice form is 4, dim s + 2 dim b + dim N1 is 5"
     assert _check(checks, "dims.slice_dim_formula").detail \
         == "dim NH1 is 4, dim N1 + 2 dim b + dim s is 5"
 
@@ -1008,8 +1012,8 @@ def test_smaller_h_orbit_fails_h_orbit_perp_check_and_names_a_vector(
 
 def test_float_overflow_in_the_exponential_fails_fd_check(monkeypatch):
     # so(3) with brackets 10**160 times the usual ones is a valid instance
-    # whose exact data all fit in a float.  The finite-difference step
-    # shrinks with ||ad||, so the differences stay accurate, but the
+    # whose exact data all fit in a float.  The complex step shrinks with
+    # ||A||, so the derivatives along the group stay accurate, but the
     # exponential at an equivariance sample overflows: its ODE residual is
     # nan.  g_m = 0, so the deviation is exactly 0.
     doc = build_example("so3-generic")
@@ -1023,9 +1027,10 @@ def test_float_overflow_in_the_exponential_fails_fd_check(monkeypatch):
     assert _check(checks, "tube.equivariance").detail == (
         "max relative deviation 0.000e+00 over 2 samples; sample 0: "
         "d/dt expm(tA) at t = 1 misses A expm(A) by nan")
-    # With the unscaled step 1e-4 the exponential along a group direction
-    # overflows too: the finite difference there is nan.
-    monkeypatch.setattr(tube, "_fd_step", lambda ad: Fraction(1, 10_000))
+    # With a complex step that does not shrink with the norm, h about 1e-4
+    # at ||ad|| about 1e160, the exponential at t = 0 along a group
+    # direction overflows too: the derivative there is nan.
+    monkeypatch.setattr(tube, "_ODE_STEP", 1e156)
     checks = verify.run_all(inst, samples=2)
     assert _failed(checks) == ["tube.dphi_fd_consistency",
                                "tube.equivariance"]
@@ -1033,16 +1038,22 @@ def test_float_overflow_in_the_exponential_fails_fd_check(monkeypatch):
         == "max relative error nan at direction 0"
 
 
+def _is_ode_exponent(A):
+    """Whether tube.expm is given (1 + ih) A, the ODE's exponent: complex
+    entries with a nonzero real part (at t = 0 the real parts are 0)."""
+    return any(isinstance(x, complex) and x.real for row in A for x in row)
+
+
 def test_nan_in_the_ode_derivative_fails_equivariance(monkeypatch):
-    # A nan at entry (1, 1) of the complex-step exponential: a plain max
-    # over the residual's entries keeps the finite value it holds from
+    # A nan at entry (1, 1) of the ODE's complex-step exponential: a plain
+    # max over the residual's entries keeps the finite value it holds from
     # entry (0, 0) when it meets the nan, so only a nan-aware one sees it.
     expected_names = [c.name for c in _run()]
     exact = tube.expm
 
     def nan_imaginary(A, *args):
         E = exact(A, *args)
-        if isinstance(E[1][1], complex):
+        if _is_ode_exponent(A):
             E[1][1] = complex(E[1][1].real, float("nan"))
         return E
 
@@ -1159,9 +1170,9 @@ def test_doubled_momentum_differential_fails_fd_check(monkeypatch):
 def test_shifted_momentum_off_identity_fails_equivariance(monkeypatch):
     # The coadjoint exponential is what phi_tilde applies off the identity,
     # and what moves the momentum by Ad*_{k^-1} on the k side of the G_m
-    # identity.  The shift is the same on both sides of every central
-    # difference along the group, so only the G_m identity sees it, on an
-    # instance with g_m != 0.
+    # identity.  The derivatives along the group read the complex step,
+    # not it, so only the G_m identity sees it, on an instance with
+    # g_m != 0.
     expected_names = [c.name for c in _run("so3xso3-diagonal")]
     exact = tube._coadjoint_exp
 
@@ -1181,7 +1192,9 @@ def test_shifted_momentum_off_identity_fails_equivariance(monkeypatch):
 
 def test_action_killing_a_non_unit_vector_fails_kernel_check(monkeypatch):
     # The wrapped action kills e0 + e1 (and no unit vector): x is moved to
-    # x - x_0 (e0 + e1) first.  g_m = 0 on this instance.
+    # x - x_0 (e0 + e1) first.  g_m = 0 on this instance.  The orbits of
+    # the h-orbit check and of the Witt-Artin definitions are read through
+    # decomposition's binding of the action, so both are wrapped.
     expected_names = [c.name for c in _run()]
     exact = pm.inf_action
 
@@ -1189,11 +1202,17 @@ def test_action_killing_a_non_unit_vector_fails_kernel_check(monkeypatch):
         return exact(model, (0 * x[0], x[1] - x[0]) + tuple(x[2:]))
 
     monkeypatch.setattr(pm, "inf_action", killing_e0_plus_e1)
+    monkeypatch.setattr(dec, "inf_action", killing_e0_plus_e1)
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["model.ker_dphiG_is_orbit_perp",
                                "model.ker_dphiH_is_h_orbit_perp",
-                               "model.inf_action_kernel_is_gm"]
+                               "model.inf_action_kernel_is_gm",
+                               "wittG.all_assertions",
+                               "wittH.1_direct_sum",
+                               "wittH.2_TH0_NH1_is_ker_dphiH",
+                               "wittH.3_ker_split_with_M",
+                               "wittH.4_orthogonality_and_lagrangian"]
     assert _check(checks, "model.inf_action_kernel_is_gm").detail == \
         "basis vector 0 of the action's kernel is not in g_m"
 
@@ -1403,7 +1422,9 @@ def test_expm_dropping_imaginary_parts_fails_equivariance_by_its_ode(
     exact = tube.expm
 
     def real_only(A, rel_tol=tube.REL_TOL):
-        return [[x.real for x in row] for row in exact(A, rel_tol)]
+        E = exact(A, rel_tol)
+        return [[x.real for x in row] for row in E] \
+            if _is_ode_exponent(A) else E
 
     monkeypatch.setattr(tube, "expm", real_only)
     checks = _run()
