@@ -52,7 +52,7 @@ def frac(x) -> Fraction:
 
 
 def vec(entries: Iterable) -> Vec:
-    return tuple(frac(x) for x in entries)
+    return tuple(map(frac, entries))
 
 
 def zero_vec(n: int) -> Vec:
@@ -123,27 +123,24 @@ class Matrix:
             raise ValueError("row count mismatch")
         for row in self.entries:
             if len(row) != self.cols:
-                raise ValueError("ragged matrix")
+                raise ValueError(f"row length {len(row)} != {self.cols} columns")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        data = tuple(tuple(frac(x) for x in row) for row in rows)
-        if data:
+        """An explicit column count must equal the rows' length."""
+        data = tuple(tuple(map(frac, row)) for row in rows)
+        if cols is None:
+            if not data:
+                raise ValueError("empty matrix needs an explicit column count")
             cols = len(data[0])
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
         return Matrix(len(data), cols, data)
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence], rows: int | None = None) -> "Matrix":
-        if cols:
-            rows = len(cols[0])
-        elif rows is None:
+        """An explicit row count must equal the columns' length."""
+        if rows is None and not cols:
             raise ValueError("empty matrix needs an explicit row count")
-        data = tuple(
-            tuple(frac(col[i]) for col in cols) for i in range(rows)
-        )
-        return Matrix(rows, len(cols), data)
+        return Matrix.from_rows(cols, rows).transpose()
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -168,7 +165,7 @@ class Matrix:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def columns(self) -> list[Vec]:
-        return [self.col(j) for j in range(self.cols)]
+        return list(zip(*self.entries)) if self.rows else [()] * self.cols
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """The entries at the given rows and columns, in the given orders."""
@@ -176,11 +173,7 @@ class Matrix:
                       tuple(tuple(self.entries[i][j] for j in cols) for i in rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.col(j) for j in range(self.cols)),
-        )
+        return Matrix(self.cols, self.rows, tuple(self.columns()))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -354,16 +347,16 @@ class Matrix:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
-def _canonical_basis(ambient_dim: int, vectors: Sequence[Vec]) -> Matrix:
-    """Canonical column basis of span(vectors): RREF rows, transposed."""
+def _spanned(ambient_dim: int, vectors: Sequence[Vec]) -> "Subspace":
+    """span(vectors) of Fraction entries: the nonzero RREF rows, transposed."""
     for v in vectors:
         if len(v) != ambient_dim:
             raise AmbientMismatch("spanning vector of wrong length")
     if not vectors:
-        return Matrix.zeros(ambient_dim, 0)
-    red, pivots = Matrix.from_rows(vectors).rref()
-    basis_rows = red.entries[: len(pivots)]
-    return Matrix.from_cols(basis_rows, rows=ambient_dim)
+        return Subspace.zero(ambient_dim)
+    red, pivots = Matrix(len(vectors), ambient_dim, tuple(vectors)).rref()
+    rows = red.entries[:len(pivots)]
+    return Subspace(ambient_dim, Matrix(len(rows), ambient_dim, rows).transpose())
 
 
 @dataclass(frozen=True)
@@ -380,8 +373,14 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, vectors: Sequence) -> "Subspace":
-        vs = [vec(v) for v in vectors]
-        return Subspace(ambient_dim, _canonical_basis(ambient_dim, vs))
+        return _spanned(ambient_dim, [vec(v) for v in vectors])
+
+    @staticmethod
+    def coordinate(ambient_dim: int, indices: Iterable[int]) -> "Subspace":
+        """The span of the unit vectors at indices, which sorted and without
+        repeats are already the canonical basis: nothing is eliminated."""
+        return Subspace(ambient_dim, Matrix.identity(ambient_dim).submatrix(
+            range(ambient_dim), sorted(set(indices))))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -451,7 +450,7 @@ def kernel(A: Matrix) -> Subspace:
             if x := red.entries[r][f]:
                 v[c] = -x
         vectors.append(tuple(v))
-    return Subspace.span(A.cols, vectors)
+    return _spanned(A.cols, vectors)
 
 
 def sum_spaces(*parts: Subspace) -> Subspace:
@@ -463,7 +462,7 @@ def sum_spaces(*parts: Subspace) -> Subspace:
         if p.ambient_dim != n:
             raise AmbientMismatch("subspaces live in different ambient spaces")
         vectors.extend(p.basis_vectors())
-    return Subspace.span(n, vectors)
+    return _spanned(n, vectors)
 
 
 def intersect(U: Subspace, V: Subspace) -> Subspace:
@@ -483,10 +482,11 @@ def direct_sum(*parts: Subspace) -> Subspace | None:
 
 
 def image(A: Matrix, U: Subspace) -> Subspace:
-    """The subspace A(U)."""
+    """The subspace A(U), spanned by A u over U's basis: each product
+    skips the zero entries, where a dense A @ U.basis would not."""
     if A.cols != U.ambient_dim:
         raise AmbientMismatch("matrix and subspace live in different spaces")
-    return Subspace.span(A.rows, (A @ U.basis).columns())
+    return _spanned(A.rows, [A.apply(u) for u in U.basis_vectors()])
 
 
 def first_outside(U: Subspace, V: Subspace) -> int | None:

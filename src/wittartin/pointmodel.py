@@ -26,7 +26,6 @@ from .exactlin import (
     Subspace,
     Vec,
     kernel,
-    unit_vec,
     zero_vec,
 )
 from .splitting import Check, ProblemInstance, SplittingChain, entry_detail
@@ -97,8 +96,7 @@ class TangentModel:
 
     def unit_span(self, indices: Sequence[int]) -> Subspace:
         """The coordinate subspace spanned by the unit vectors at indices."""
-        return Subspace.span(self.total_dim,
-                             [unit_vec(self.total_dim, i) for i in indices])
+        return Subspace.coordinate(self.total_dim, indices)
 
     def omega_on(self, indices: Sequence[int]) -> Matrix:
         """The point form on the unit vectors at indices, in that order: the

@@ -62,8 +62,8 @@ def build_report(inst: ProblemInstance, instance_doc: dict | None = None) -> Rep
     dims = dim_formulas(chain)
 
     def block(indices):
-        # The canonical basis of a coordinate span is its unit vectors in
-        # ascending index order, and its Gram the omega submatrix there.
+        # Subspace.coordinate: a coordinate span's canonical basis is its unit
+        # vectors in ascending index order, its Gram the omega submatrix there.
         ordered = sorted(indices)
         return {
             "basis": strings(unit_vec(model.total_dim, i) for i in ordered),

@@ -431,9 +431,11 @@ def phi_equivariance_check(model: TangentModel, samples: int,
     coadjoint action on m*, from the (p, b) block of ad(zeta) in the
     (g_m, m, n) basis, and the slice action on N1), and on the momentum by
     the coadjoint exponential of ad(-zeta), with zeta scaled so that
-    neither exponent has a norm above _GM_NORM.  A sample takes one n x n
-    exponential, the ODE's, when g_m = 0 (no zeta is drawn, and the
-    deviation is exactly 0), and three otherwise: it, k^-1 and ad(-zeta).
+    neither exponent has a norm above _GM_NORM.  A sample takes three
+    exponentials, the n x n ODE's, k^-1's and ad(-zeta)'s.  When g_m = 0 it
+    takes the ODE's alone, the deviation is 0, and the ODE test is all the
+    check holds: its residual depends on the structure constants and the
+    drawn xi, never on mu, the slice or the model.
     """
     if samples < 1:
         raise ValueError("need at least one sample")

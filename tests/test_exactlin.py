@@ -209,6 +209,35 @@ class TestCanonicalForm:
         assert s.basis.col(0) == (F(1), F(-1, 2))
 
 
+class TestConstructors:
+    def test_an_explicit_count_must_match_the_data(self):
+        A = Matrix.from_rows([[1, 2]])
+        assert Matrix.from_rows([[1, 2]], cols=2) == A
+        assert Matrix.from_cols([[1], ["2"]], rows=1) == A
+        with pytest.raises(ValueError):
+            Matrix.from_rows([[1, 2]], cols=3)
+        with pytest.raises(ValueError):
+            Matrix.from_rows([[1, 2], [3, 4]], cols=1)
+        with pytest.raises(ValueError):
+            Matrix.from_cols([[1], [2]], rows=2)
+        with pytest.raises(ValueError):
+            Matrix.from_cols([[1, 2], [3, 4]], rows=0)
+
+    def test_no_data_needs_an_explicit_count(self):
+        assert Matrix.from_rows([], cols=2) == Matrix.zeros(0, 2)
+        assert Matrix.from_cols([], rows=2) == Matrix.zeros(2, 0)
+        with pytest.raises(ValueError):
+            Matrix.from_rows([])
+        with pytest.raises(ValueError):
+            Matrix.from_cols([])
+
+    def test_ragged_data_raises(self):
+        with pytest.raises(ValueError):
+            Matrix.from_rows([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            Matrix.from_cols([[1, 2], [3]])
+
+
 small_fracs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 
 
@@ -385,6 +414,10 @@ def old_image(A, U):
     return Subspace.span(A.rows, [A.apply(v) for v in U.basis_vectors()])
 
 
+def product_image(A, U):
+    return Subspace.span(A.rows, (A @ U.basis).columns())
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(subspaces(), min_size=1, max_size=3), subspaces(4),
        st.booleans())
@@ -505,10 +538,17 @@ def test_slice_actions_are_rebased_like_the_eliminating_solve():
         [[4, 1], [1, F(11, 4)]])
 
 
+def wide_matrices():
+    """Matrices from Q^N to Q^r, r = 0..5: square ones, and drawn sparse
+    ones with zero rows and columns."""
+    return st.one_of(square_matrices(), st.integers(0, 5).flatmap(
+        lambda r: sparse_matrices(r, N)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(square_matrices(), subspaces())
+@given(wide_matrices(), subspaces())
 def test_image_matches_apply_then_span(A, U):
-    assert image(A, U) == old_image(A, U)
+    assert image(A, U) == old_image(A, U) == product_image(A, U)
 
 
 @settings(max_examples=60, deadline=None)
@@ -618,6 +658,48 @@ def square_sparse_matrices():
 def test_apply_matches_dense_apply(Av):
     A, v = Av
     assert A.apply(v.row(0)) == dense_apply(A, v.row(0))
+
+
+def per_col_columns(A):
+    return [A.col(j) for j in range(A.cols)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+@example(Matrix.zeros(0, 3))
+@example(Matrix.zeros(3, 0))
+@example(Matrix.zeros(0, 0))
+def test_columns_and_transpose_match_per_col_reference(A):
+    assert A.columns() == per_col_columns(A)
+    T = A.transpose()
+    assert (T.rows, T.cols, T.entries) == (
+        A.cols, A.rows, tuple(per_col_columns(A)))
+    assert T.transpose() == A
+    assert Matrix.from_cols(A.columns(), rows=A.rows) == A
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, max(n - 1, 0)),
+                         max_size=8 if n else 0))))
+@example((4, []))
+@example((0, []))
+@example((5, [3, 1, 3, 0, 1]))
+def test_coordinate_span_matches_span_of_unit_vectors(case):
+    n, indices = case
+    S = Subspace.coordinate(n, indices)
+    assert S == Subspace.span(n, [unit_vec(n, i) for i in indices])
+    assert S.pivots == tuple(sorted(set(indices)))
+
+
+def test_coordinate_span_does_not_eliminate(monkeypatch):
+    def no_rref(self):
+        raise AssertionError("a coordinate span eliminated")
+
+    monkeypatch.setattr(Matrix, "rref", no_rref)
+    assert Subspace.coordinate(3, (2, 0, 2)).basis == Matrix.from_rows(
+        [[1, 0], [0, 0], [0, 1]])
+    assert Subspace.coordinate(3, ()) == Subspace.zero(3)
 
 
 @st.composite
@@ -895,3 +977,12 @@ def test_antisymmetry_witness_negates_only_nonzero_pairs(fraction_ops, A):
     checked = pairs[:pairs.index(w) + 1] if w else pairs
     assert fraction_ops == [("__neg__", False)] * sum(
         1 for i, j in checked if e[i][j] and e[j][i])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(wide_matrices(), subspaces())
+def test_image_takes_no_zero_operand(fraction_ops, A, U):
+    del fraction_ops[:]
+    image(A, U)
+    assert not any(zero for _, zero in fraction_ops)
