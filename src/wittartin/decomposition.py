@@ -221,7 +221,9 @@ def g_decomposition_check(decomp: WittDecompositionG,
 
 def _chu_on_n(model: TangentModel) -> Matrix:
     # T1's canonical basis vectors are the model units at the n positions,
-    # which correspond to the concatenated (a, s, ntilde, r) columns.
+    # which correspond to the concatenated (a, s, ntilde, r) columns.  The
+    # product with the Chu Gram is dense on purpose: build_model sums this
+    # block sparsely (LieAlgebra.bracket_gram), and this is the second route.
     N = Matrix.from_cols(
         [model.mn_basis.col(i) for i in model.indices("a", "s", "ntilde", "r")],
         rows=model.inst.dim)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -84,9 +84,12 @@ def scale_vec(c: Fraction, v: Vec) -> Vec:
 
 
 def _total(terms: list[Fraction]) -> Fraction:
-    """The sum of the terms, ZERO for none, with no addition of a zero
-    start value."""
-    return reduce(add, terms) if terms else ZERO
+    """The sum of the terms, ZERO for none.  A partial sum that is zero,
+    the start or a cancellation, is replaced by the next term, not added."""
+    s = ZERO
+    for t in terms:
+        s = s + t if s else t
+    return s
 
 
 def _eliminate(row: list[Fraction], f: Fraction,

@@ -11,10 +11,12 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactlin import (
+    AmbientMismatch,
     Matrix,
     Subspace,
     Vec,
     ZERO,
+    _total,
     frac,
     kernel,
     zero_vec,
@@ -93,7 +95,14 @@ class LieAlgebra:
                         jac[key] = jac.get(key, ZERO) + term
         return [t for (t, _), v in jac.items() if v]
 
+    def _check_len(self, *vs: Vec) -> None:
+        for v in vs:
+            if len(v) != self.dim:
+                raise AmbientMismatch(f"vector of length {len(v)} in a "
+                                      f"{self.dim}-dimensional algebra")
+
     def bracket(self, x: Vec, y: Vec) -> Vec:
+        self._check_len(x, y)
         out = [ZERO] * self.dim
         for i, j, k, c in self.nonzero:
             if x[i] and y[j]:
@@ -111,6 +120,7 @@ class LieAlgebra:
 
     def coad_apply(self, x: Vec, lam: Vec) -> Vec:
         """ad*_x lam, i.e. the covector y -> <lam, [x, y]>."""
+        self._check_len(x, lam)
         out = [ZERO] * self.dim
         for i, j, k, c in self.nonzero:
             if x[i] and lam[k]:
@@ -120,12 +130,52 @@ class LieAlgebra:
     def bracket_pairing(self, lam: Vec) -> Matrix:
         """K[a][b] = <lam, [e_a, e_b]>: the structure constants contracted
         with the covector lam."""
+        self._check_len(lam)
         n = self.dim
         K = [[ZERO] * n for _ in range(n)]
         for a, b, k, c in self.nonzero:
             if lam[k]:
                 K[a][b] += lam[k] * c
         return Matrix(n, n, tuple(map(tuple, K)))
+
+    def bracket_gram(self, lam: Vec, X: Matrix, Y: Matrix) -> Matrix:
+        """Entry (a, b) is <lam, [x_a, y_b]> for the columns x_a of X and
+        y_b of Y: the Gram X^T K Y of the bracket pairing K, with no K built.
+
+        Row a is the covector ad*_{x_a} lam, summed from the nonzero entries
+        of x_a and of the contraction <lam, [e_i, e_j]>, which is read off
+        the nonzero constants at the nonzero entries of lam; it is paired
+        with each y_b where both are nonzero.  No sum or product takes a
+        zero operand.
+        """
+        self._check_len(lam)
+        for M in (X, Y):
+            if M.rows != self.dim:
+                raise AmbientMismatch(f"{M.rows}x{M.cols} basis in a "
+                                      f"{self.dim}-dimensional algebra")
+        sums: dict[int, dict[int, Fraction]] = {}
+        for i, j, k, c in self.nonzero:
+            if lam[k]:
+                _accumulate(sums.setdefault(i, {}), j, lam[k] * c)
+        # K[i] holds the nonzero <lam, [e_i, e_j]> as (j, w).
+        K = {i: [(j, w) for j, w in r.items() if w] for i, r in sums.items()}
+        ys = [[(j, y) for j, y in enumerate(col) if y] for col in Y.columns()]
+        gram = []
+        for x in X.columns():
+            row: dict[int, Fraction] = {}
+            for i, xi in enumerate(x):
+                if xi:
+                    for j, w in K.get(i, ()):
+                        _accumulate(row, j, xi * w)
+            gram.append(tuple(_total([r * y for j, y in nz if (r := row.get(j))])
+                              for nz in ys))
+        return Matrix(X.cols, Y.cols, tuple(gram))
+
+
+def _accumulate(acc: dict[int, Fraction], j: int, t: Fraction) -> None:
+    """acc[j] += t for a nonzero t; an absent or cancelled entry becomes t."""
+    s = acc.get(j)
+    acc[j] = s + t if s else t
 
 
 Covector = Vec
@@ -150,10 +200,13 @@ def h_perp_mu(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
     Equivalently ad*_x mu annihilates h; these are the algebra elements whose
     generator at the point pairs to zero with the H-orbit under omega.
     The formula holds for any subspace h; that the instance's h is a
-    subalgebra is validate's h_subalgebra check.
+    subalgebra is validate's h_subalgebra check.  Its constraint rows are
+    the covectors ad*_eta mu over h's basis, from LieAlgebra.bracket_gram,
+    so no matrix of the bracket pairing is built.
     """
-    # Row t is x -> <mu, [x, eta_t]>, i.e. K eta_t.
-    return kernel((L.bracket_pairing(mu) @ h.basis).transpose())
+    # Row t is x -> <mu, [eta_t, x]> = -<mu, [x, eta_t]>: the sign leaves
+    # the kernel alone.
+    return kernel(L.bracket_gram(mu, h.basis, Matrix.identity(L.dim)))
 
 
 def chu_form(L: LieAlgebra, mu: Covector) -> Matrix:

@@ -140,7 +140,7 @@ def build_model(chain: SplittingChain) -> TangentModel:
     # Gram of the point form in (U, R, V) coordinates.
     UR = Matrix.identity(un).submatrix(range(un), range(dim_m))
     omega = Matrix.from_blocks((
-        (mn_basis.transpose() @ inst.chu @ mn_basis, UR,
+        (inst.algebra.bracket_gram(inst.mu, mn_basis, mn_basis), UR,
          Matrix.zeros(un, slice_dim)),
         (-UR.transpose(), Matrix.zeros(dim_m, dim_m + slice_dim)),
         (Matrix.zeros(slice_dim, un + dim_m), inst.slice_rep.omega)))

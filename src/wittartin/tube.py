@@ -71,28 +71,22 @@ def omega_tube_gram(model: TangentModel, p: TubePoint) -> Matrix:
     """Gram matrix of the tube 2-form at a slice point, exactly.
 
     It is the point form model.omega with its U x U block replaced by
-    UU = Mn^T K Mn, where Mn is the (m, n) basis of g and K[a][b] =
-    <lam, [e_a, e_b]> for lam = mu + rho + Phi_N1(nu), summed over the
-    nonzero K and Mn entries only.  Moving along the slice changes no other
-    block: they pair the (m, n) directions with m* and give omega_N1 on N1.
+    UU[a][b] = <lam, [u_a, u_b]> over the (m, n) basis u of g, for lam =
+    mu + rho + Phi_N1(nu): LieAlgebra.bracket_gram, which sums over the
+    nonzero constants, lam and basis entries and builds no matrix of the
+    bracket pairing.  Moving along the slice changes no other block: they
+    pair the (m, n) directions with m* and give omega_N1 on N1.
 
     Only points with group coordinate at the identity are accepted; by
     invariance nothing is lost, and the evaluation stays rational.
     """
     if not is_zero_vec(p.xi):
         raise OffSlice("omega_tube only evaluates at group coordinate zero")
-    un = model.mn_basis.cols
-    K = model.inst.algebra.bracket_pairing(_shifted_momentum(model, p)).entries
-    mn = [[(a, x) for a, x in enumerate(row) if x] for row in model.mn_basis.entries]
-    uu = [[Fraction(0)] * un for _ in range(un)]
-    for i, j, w in ((i, j, w) for i, r in enumerate(K) for j, w in enumerate(r) if w):
-        for a, x in mn[i]:
-            for b, y in mn[j]:
-                uu[a][b] += x * w * y
-    om = model.omega
+    mn, om = model.mn_basis, model.omega
+    uu = model.inst.algebra.bracket_gram(_shifted_momentum(model, p), mn, mn)
     return Matrix(om.rows, om.cols, tuple(
-        tuple(row) + fixed[un:] for row, fixed in zip(uu, om.entries))
-        + om.entries[un:])
+        row + fixed[mn.cols:] for row, fixed in zip(uu.entries, om.entries))
+        + om.entries[mn.cols:])
 
 
 def omega_tube(model: TangentModel, p: TubePoint, v1: Vec, v2: Vec) -> Fraction:

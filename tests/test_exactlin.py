@@ -982,6 +982,10 @@ def test_antisymmetry_witness_negates_only_nonzero_pairs(fraction_ops, A):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(wide_matrices(), subspaces())
+# Row 3 of A.apply((1, 1, 1, 1)) sums -1 + 1 - 1 - 1: the partial sum
+# cancels to zero after two terms.
+@example(Matrix.from_rows([[-1] * 4] * 3 + [[-1, 1, -1, -1]]),
+         span(4, (1, 1, 1, 1)))
 def test_image_takes_no_zero_operand(fraction_ops, A, U):
     del fraction_ops[:]
     image(A, U)

@@ -12,6 +12,14 @@ bring one back without a failing test.  build_chain takes every complement
 as W & U^perp on the sparse form-perp, so the one Gram it builds is the Chu
 Gram on [a | C] that shears the pre-complement C into r, and none when
 C = 0.
+
+The bracket Grams <lam, [u, v]> that the package constructs (the point
+form's U x U block, the tube form's, and h_perp_mu's constraint rows) come
+from the sparse LieAlgebra.bracket_gram, and no Matrix.__matmul__ builds
+them.  The dense products left are validation's invariance tests, the
+checks' independent second routes (gram_on of the Chu form, _chu_on_n),
+dphi_H, the isotropy action and the momentum forms; their number per run
+is pinned, so that a dense product cannot come back unseen.
 """
 
 import dataclasses
@@ -21,8 +29,11 @@ import pytest
 from wittartin import decomposition as dec
 from wittartin import exactlin, splitting, verify
 from wittartin.catalog import build_example
+from wittartin.exactlin import Matrix
 from wittartin.instancefile import from_dict
+from wittartin.liecore import h_perp_mu
 from wittartin.pointmodel import TangentModel, build_model
+from wittartin.report import build_report
 from wittartin.splitting import build_chain
 
 GRAM_BUILDERS = ("gram_on",)
@@ -118,3 +129,46 @@ def test_witt_h5_and_witt_g_forms_build_no_gram_of_omega(model, grams,
     assert read == [g_decomp.T1, g_decomp.N1,
                     h_decomp.s_block + h_decomp.Xm_block + h_decomp.N1_block,
                     h_decomp.Zm]
+
+
+@pytest.fixture
+def matmuls(monkeypatch):
+    """The (rows, inner, cols) shape of every Matrix.__matmul__ call."""
+    calls = []
+    exact = Matrix.__matmul__
+
+    def counted(self, other):
+        calls.append((self.rows, self.cols, other.cols))
+        return exact(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    return calls
+
+
+EXAMPLES = {"so3xso3-diagonal": {}, "torus(8,4)": {"dim": 8, "subdim": 4}}
+
+
+def _example(label):
+    return from_dict(build_example(label.split("(")[0], **EXAMPLES[label]))
+
+
+@pytest.mark.parametrize("label", EXAMPLES)
+def test_build_model_and_h_perp_mu_take_no_dense_product(matmuls, label):
+    inst = _example(label)
+    chain = build_chain(inst)
+    del matmuls[:]
+    build_model(chain)
+    h_perp_mu(inst.algebra, inst.h, inst.mu)
+    assert matmuls == []
+
+
+@pytest.mark.parametrize("label, run, count", [
+    ("so3xso3-diagonal", verify.run_all, 23),
+    ("so3xso3-diagonal", build_report, 17),
+    ("torus(8,4)", verify.run_all, 7),
+    ("torus(8,4)", build_report, 7),
+], ids=["so3xso3-run_all", "so3xso3-build_report", "torus-run_all",
+        "torus-build_report"])
+def test_dense_products_per_run(matmuls, label, run, count):
+    run(_example(label))
+    assert len(matmuls) == count

@@ -7,20 +7,24 @@ aff(1), so(3) + aff(1) and the Heisenberg algebra, is compared on
 Hypothesis-drawn vectors.  The constructor's antisymmetry and Jacobi checks
 are compared with the triple-by-triple reference on drawn tables.  The
 verify-only Lie checks (center, Killing invariance) are compared with the
-dense ad-matrix formulas they replaced.
+dense ad-matrix formulas they replaced, and bracket_gram with the dense
+congruence X^T K Y of the contraction K it never builds.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus
+from test_exactlin import fraction_ops  # noqa: F401  (a fixture)
 from wittartin.exactlin import Matrix, Subspace, dot, kernel, unit_vec
 from wittartin.liecore import (
     LieAlgebra,
     StructureConstantError,
+    abelian,
     ad_invariance_defect,
     center,
     chu_form,
@@ -196,6 +200,50 @@ def test_ad_invariance_defect_matches_dense_products(L, data):
 def test_h_perp_mu_matches_unit_vector_formula(L, h, data):
     mu = data.draw(vectors(L.dim))
     assert h_perp_mu(L, h, mu) == ref_h_perp_mu(L, h, mu)
+
+
+def sums_of_so3_and_abelian():
+    """Direct sums of one to three so(3) and abelian summands, in any order."""
+    summand = st.one_of(st.just(so3()), st.integers(1, 2).map(abelian))
+    return st.lists(summand, min_size=1, max_size=3).map(
+        lambda parts: reduce(direct_sum, parts))
+
+
+def covectors(n):
+    """lam = 0, integer lam and fractional lam."""
+    ints = st.integers(-3, 3).map(F)
+    return st.one_of(st.just((ZERO,) * n),
+                     st.lists(ints, min_size=n, max_size=n).map(tuple),
+                     vectors(n))
+
+
+@st.composite
+def gram_data(draw):
+    """An algebra, a covector and two bases of 0 to 4 columns each."""
+    L = draw(sums_of_so3_and_abelian())
+    lam = draw(covectors(L.dim))
+    X, Y = (draw(st.integers(0, 4).flatmap(lambda k: matrices(L.dim, k)))
+            for _ in range(2))
+    return L, lam, X, Y
+
+
+@settings(max_examples=80, deadline=None)
+@given(gram_data())
+def test_bracket_gram_matches_the_dense_congruence(data):
+    L, lam, X, Y = data
+    expected = X.transpose() @ L.bracket_pairing(lam) @ Y
+    assert L.bracket_gram(lam, X, Y) == expected
+    assert L.bracket_gram(lam, Y, X) == -expected.transpose()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gram_data())
+def test_bracket_gram_takes_no_zero_operand(fraction_ops, data):
+    L, lam, X, Y = data
+    del fraction_ops[:]
+    L.bracket_gram(lam, X, Y)
+    assert not any(zero for _, zero in fraction_ops)
 
 
 def test_corpus_instances_hold_the_reference_mu_data():

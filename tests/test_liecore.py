@@ -6,6 +6,7 @@ import pytest
 from test_lie_reference import ref_h_perp_mu
 
 from wittartin.exactlin import (
+    AmbientMismatch,
     InnerProduct,
     Matrix,
     Subspace,
@@ -119,6 +120,36 @@ class TestHPerpMu:
         h, mu = span(3, (1, 0, 0), (0, 1, 0)), vec(0, 0, 1)
         result = h_perp_mu(so3(), h, mu)
         assert result == ref_h_perp_mu(so3(), h, mu) == span(3, (0, 0, 1))
+
+
+class TestLengths:
+    """Every operation names both lengths when a vector or basis does not
+    live in the algebra, instead of reading a prefix or running off the end."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_vector_operations_reject_a_wrong_length(self, n):
+        L, good, bad = so3(), vec(1, 2, 3), tuple(F(1) for _ in range(n))
+        calls = [lambda: L.bracket(bad, good), lambda: L.bracket(good, bad),
+                 lambda: L.coad_apply(bad, good),
+                 lambda: L.coad_apply(good, bad),
+                 lambda: L.bracket_pairing(bad),
+                 lambda: L.bracket_gram(bad, Matrix.identity(3),
+                                        Matrix.identity(3))]
+        for call in calls:
+            with pytest.raises(AmbientMismatch,
+                               match=f"length {n} in a 3-dimensional"):
+                call()
+
+    def test_bracket_gram_rejects_a_basis_of_another_space(self):
+        L, mu = so3(), vec(0, 0, 1)
+        for X, Y in ((Matrix.identity(4), Matrix.identity(3)),
+                     (Matrix.identity(3), Matrix.zeros(2, 1))):
+            with pytest.raises(AmbientMismatch, match="in a 3-dimensional"):
+                L.bracket_gram(mu, X, Y)
+
+    def test_h_perp_mu_rejects_h_of_another_space(self):
+        with pytest.raises(AmbientMismatch):
+            h_perp_mu(so3(), span(4, (1, 0, 0, 0)), vec(0, 0, 1))
 
 
 def h_alpha(L, h, mu):
