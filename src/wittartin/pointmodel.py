@@ -79,6 +79,14 @@ class TangentModel:
     def ker_dphi_H(self) -> Subspace:
         return kernel(dphi_H(self))
 
+    @cached_property
+    def slice_isotropy(self) -> tuple[Matrix, ...]:
+        """The R and V block of isotropy_action for each g_m basis vector:
+        how g_m acts on (rho, nu)."""
+        rv = range(self.dim_m + self.dim_n, self.total_dim)
+        return tuple(isotropy_action(self, eta).submatrix(rv, rv)
+                     for eta in self.inst.gm.basis_vectors())
+
     def g_coords(self, x: Vec) -> Vec:
         """Coordinates of x in the (gm, m, n) basis of g."""
         return self.g_basis_inv.apply(x)
@@ -194,22 +202,32 @@ def f_contract_check(model: TangentModel) -> Check:
 
 
 def dphi_G(model: TangentModel) -> Matrix:
-    """Matrix of the momentum differential, model coordinates -> g*.
+    """Matrix of the momentum differential at the base point: the
+    momentum_differential at lam = mu and nu = 0, where the V columns
+    vanish (the slice momentum is quadratic)."""
+    return momentum_differential(model, model.inst.mu,
+                                 zero_vec(model.slice_dim))
 
-    Columns: U direction u gives -ad*_u mu; R direction gives the
-    zero-extended dual covector; V directions vanish (the slice momentum is
-    quadratic, so its derivative at the origin is zero).
+
+def momentum_differential(model: TangentModel, lam: Vec, nu: Vec) -> Matrix:
+    """Matrix of dJ at the slice point [e, rho, nu] of the normal form,
+    model coordinates -> g*, for lam = mu + rho + Phi_N1(nu).
+
+    Columns: U direction u gives -ad*_u lam; R direction gives the
+    zero-extended dual covector; V direction j gives the g_m* covector of
+    the partial derivatives of Phi_N1, d/dnu_j nu^T S_t nu = ((S_t +
+    S_t^T) nu)_j for each momentum form S_t, zero-extended: 0 at nu = 0.
     """
-    L = model.inst.algebra
-    cols: list[Vec] = []
-    for j in range(model.dim_m + model.dim_n):
-        v = model.mn_basis.col(j)
-        cols.append(tuple(-x for x in L.coad_apply(v, model.inst.mu)))
-    gm = model.gm_dim
+    L, gm, n = model.inst.algebra, model.gm_dim, model.inst.dim
+    minus_lam = tuple(-x for x in lam)
+    cols = [L.coad_apply(v, minus_lam) for v in model.mn_basis.columns()]
     cols.extend(model.coframe.columns()[gm:gm + model.dim_m])
-    for _ in range(model.slice_dim):
-        cols.append(zero_vec(model.inst.dim))
-    return Matrix.from_cols(cols, rows=model.inst.dim)
+    grads = [(S + S.transpose()).apply(nu) for S in
+             model.inst.slice_rep.momentum_forms] if any(nu) else []
+    cols.extend(model.coframe.apply(tuple(d[j] for d in grads)
+                                    + zero_vec(n - len(grads)))
+                for j in range(model.slice_dim))
+    return Matrix.from_cols(cols, rows=n)
 
 
 def dphi_H(model: TangentModel) -> Matrix:

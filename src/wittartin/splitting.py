@@ -93,6 +93,8 @@ def entry_detail(got: Matrix, expected: Matrix, what: str) -> str:
     if (got.rows, got.cols) != (expected.rows, expected.cols):
         return (f"{what} is {got.rows}x{got.cols}, expected "
                 f"{expected.rows}x{expected.cols}")
+    if got.entries == expected.entries:
+        return ""
     return next((f"entry ({i}, {j}) of {what} is {x}, expected {y}"
                  for i, (row, want) in enumerate(zip(got.entries,
                                                      expected.entries))
@@ -238,8 +240,8 @@ def validate(inst: ProblemInstance) -> ValidationReport:
     def record(name: str, passed: bool, detail: str = ""):
         checks.append(Check(name, passed, detail))
 
-    record("mu_length", len(inst.mu) == n,
-           f"len(mu)={len(inst.mu)}, dim g={n}")
+    checks.append(Check.of("mu_length", dim_detail("len(mu)", len(inst.mu),
+                                                   "dim g", n)))
     for name, space in (("h", inst.h), ("gm", inst.gm)):
         checks.append(Check.of(f"{name}_ambient", dim_detail(
             f"the ambient dimension of {name}", space.ambient_dim, "dim g", n)))
@@ -319,8 +321,9 @@ def validate(inst: ProblemInstance) -> ValidationReport:
                 "" if j is None else f"R {name}_{j} leaves {name} for rep {t}")))
 
     sl = inst.slice_rep
-    record("slice_action_count", len(sl.action) == inst.gm.dim,
-           f"{len(sl.action)} action matrices for gm of dim {inst.gm.dim}")
+    checks.append(Check.of("slice_action_count", dim_detail(
+        "the number of slice action matrices", len(sl.action),
+        "dim gm", inst.gm.dim)))
     checks.append(Check.of("slice_omega_antisymmetric",
                            antisymmetry_detail(sl.omega, "the slice omega")))
     radical = sl.dim - sl.omega.rank()

@@ -5,21 +5,20 @@ at the identity) in exact arithmetic, as one Gram matrix in the model's
 (U, R, V) coordinates: the point form model.omega with its U x U block, the
 bracket pairing against the shifted momentum mu + rho + Phi_N1(nu),
 replaced.  omega_tube pairs two model coordinate vectors through it.
-phi_tilde evaluates the normal-form momentum J([g, rho, nu]) =
-Ad*_{g^-1}(mu + rho + Phi_N1(nu)), which needs a matrix exponential and is
-the one floating-point corner of the package.
+check_dphi_consistency states, exactly, that the normal-form momentum J is
+a momentum map for it at a slice point: dJ(p) = X(p)^T G(p).
+phi_tilde evaluates J([g, rho, nu]) = Ad*_{g^-1}(mu + rho + Phi_N1(nu)),
+which needs a matrix exponential and is the one floating-point corner of
+the package.
 
-Two checks tie it to the exact model, and both differentiate the
-exponential by one complex-step routine, _complex_step(A, t): Re Z and
-Im Z / h for Z = expm((t + ih) A).  check_dphi_consistency takes it at
-t = 0 along each group direction (central differences along the slice),
-and phi_equivariance_check at t = 1 for the ODE of the exponential of
-A = coad(-xi), beside the identity J([g k, k^-1 (rho, nu)]) = J([g, rho,
-nu]) for k = exp(zeta), zeta in g_m, compared before the Ad*_{g^-1} both
-sides apply.  A sample of the latter takes one n x n exponential when
-g_m = 0, and two small ones more otherwise.  Float errors are
-_relative_error, against REL_TOL or FD_TOL.  A value out of float range, a
-series that does not converge and a nan fail a check by name.
+phi_equivariance_check ties it to the exact model: the ODE of the
+exponential of A = coad(-xi), by the complex step _complex_step(A), Re Z
+and Im Z / h for Z = expm((1 + ih) A), beside the identity J([g k, k^-1
+(rho, nu)]) = J([g, rho, nu]) for k = exp(zeta), zeta in g_m, compared
+before the Ad*_{g^-1} both sides apply.  A sample takes one n x n
+exponential when g_m = 0, and two small ones more otherwise.  Float errors
+are _relative_error, against REL_TOL or FD_TOL.  A value out of float
+range, a series that does not converge and a nan fail it by name.
 """
 
 from __future__ import annotations
@@ -30,12 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlin import ZERO, Matrix, Vec, add_vec, dot, is_zero_vec, zero_vec
-from .pointmodel import TangentModel, isotropy_action
-from .splitting import Check
+from .exactlin import Matrix, Vec, add_vec, dot, is_zero_vec, zero_vec
+from .pointmodel import TangentModel, momentum_differential
+from .splitting import Check, entry_detail
 
 # Relative tolerance of the exponential series and of the equivariance
-# comparison, and the bound on the finite-difference error of phi_tilde.
+# comparison, and the bound on the ODE residual of the complex step.
 REL_TOL = 1e-9
 FD_TOL = 1e-6
 
@@ -308,90 +307,59 @@ def _coadjoint_exp(ad: list[list[float]],
     return tuple(_mat_vec(list(zip(*expm(ad))), lam))
 
 
-def check_dphi_consistency(model: TangentModel) -> list[Check]:
-    """The derivatives of phi_tilde at the base against dphi_G, direction
-    by direction.
+def check_dphi_consistency(model: TangentModel, p: TubePoint,
+                           G: Matrix) -> str:
+    """"" when J is a momentum map for the tube 2-form at the slice point p,
+    exactly: dJ(p) = X(p)^T G for G = omega_tube_gram(model, p), that is
+    <dJ(p) v, xi> = omega_tube(p)(xi_Y(p), v) (Ortega and Ratiu 2004,
+    7.2); otherwise entry_detail's first differing entry.
 
-    Along a U direction xi_d (column d of the (m, n) basis) rho = nu = 0,
-    so phi_tilde at exp(s xi_d) is expm(sA)^T mu for A = ad(-xi_d), and its
-    derivative at s = 0 is D^T mu, D the complex-step derivative of
-    _complex_step at t = 0: one exponential per direction, and no
-    difference that cancels.  Along an R or V direction the group
-    coordinate is the identity, where phi_tilde is exact, and the central
-    difference with step _FD_STEP takes no exponential.  A nan error fails
-    it at the first direction where it occurs.
+    Column i of X(p) is the generator of e_i at p: (u, zeta.(rho, nu)) for
+    the g_coords (zeta, u) of e_i, with zeta acting on (rho, nu) by the R
+    and V block of isotropy_action (model.slice_isotropy).  Row i of
+    X^T G is G^T x_i.  dJ(p) is pointmodel.momentum_differential at lam =
+    mu + rho + Phi_N1(nu); at the base point it is model.dphi_G, the
+    matrix the kernel checks read.
     """
-    dG = model.dphi_G
-    L = model.inst.algebra
-    un = model.dim_m + model.dim_n
-
-    worst = 0.0
-    worst_dir = -1
-    try:
-        muf = _to_floats(model.inst.mu)
-        for d in range(model.total_dim):
-            if d < un:
-                A = _to_float_rows(L.ad_matrix(
-                    tuple(-x for x in model.mn_basis.col(d))))
-                D = _complex_step(A, 0.0)[1]
-                deriv = _mat_vec(list(zip(*D)), muf)
-            else:
-                fp = phi_tilde(model, _point_along(model, d, _FD_STEP))
-                fm = phi_tilde(model, _point_along(model, d, -_FD_STEP))
-                deriv = [(a - b) / (2.0 * float(_FD_STEP))
-                         for a, b in zip(fp, fm)]
-            err = _relative_error(deriv, _to_floats(dG.col(d)))
-            if math.isnan(err):  # the float path overflowed
-                worst, worst_dir = err, d
-                break
-            if err > worst:
-                worst, worst_dir = err, d
-    except (OutOfFloatRange, SeriesNotConverged) as e:
-        return [Check("tube.dphi_fd_consistency", False, str(e))]
-    return [Check(
-        "tube.dphi_fd_consistency",
-        worst <= FD_TOL,
-        f"max relative error {worst:.3e} at direction {worst_dir}",
-    )]
+    if not is_zero_vec(p.xi):
+        raise OffSlice("the momentum map equation is only checked at group "
+                       "coordinate zero")
+    rho_nu, gm = p.rho + p.nu, model.gm_dim
+    dJ = (model.dphi_G if is_zero_vec(rho_nu) else momentum_differential(
+        model, _shifted_momentum(model, p), p.nu))
+    moved = Matrix.from_cols([A.apply(rho_nu) for A in model.slice_isotropy],
+                             rows=len(rho_nu))
+    GT = G.transpose()
+    XtG = Matrix(model.inst.dim, G.cols, tuple(
+        GT.apply(c[gm:] + moved.apply(c[:gm]))
+        for c in model.g_basis_inv.columns()))
+    return entry_detail(XtG, dJ, "X^T G")
 
 
-# Central-difference step of tube.dphi_fd_consistency along R and V.
-_FD_STEP = Fraction(1, 10_000)
-
-
-def _point_along(model: TangentModel, index: int, t: Fraction) -> TubePoint:
-    """The point t times the model unit vector at an R or V index, whose
-    group coordinate is the identity."""
-    un = model.dim_m + model.dim_n
-    v = tuple(t if j == index else ZERO for j in range(un, model.total_dim))
-    return TubePoint(xi=zero_vec(model.inst.dim), rho=v[:model.dim_m],
-                     nu=v[model.dim_m:])
-
-
-# Complex step of s -> expm(sA), before division by max(1, ||A||).
+# Complex step of s -> expm(sA) at s = 1, before division by max(1, ||A||).
 _ODE_STEP = 1e-4
 
 
-def _complex_step(A: list[list[float]], t: float
+def _complex_step(A: list[list[float]]
                   ) -> tuple[list[list[float]], list[list[float]]]:
-    """expm(tA) and its derivative A expm(tA), as Re Z and Im Z / h for
-    Z = expm((t + ih) A), h = _ODE_STEP / max(1, ||A||), so h ||A|| <= 1e-4
-    (Squire and Trapp, SIAM Rev. 1998; Al-Mohy and Higham, Numer.
-    Algorithms 2010).  Re Z = expm(tA) cos(hA) is within cosh(h ||A||) - 1
-    <= 5.1e-9 of expm(tA), and Im Z / h = expm(tA) sin(hA) / h is about
-    (h ||A||)^2 / 6 <= 1.7e-9 from A expm(tA), relatively, with nothing
-    cancelling."""
+    """expm(A) and its derivative A expm(A) along s -> expm(sA), as Re Z
+    and Im Z / h for Z = expm((1 + ih) A), h = _ODE_STEP / max(1, ||A||),
+    so h ||A|| <= 1e-4 (Squire and Trapp, SIAM Rev. 1998; Al-Mohy and
+    Higham, Numer. Algorithms 2010).  Re Z = expm(A) cos(hA) is within
+    cosh(h ||A||) - 1 <= 5.1e-9 of expm(A), and Im Z / h = expm(A) sin(hA)
+    / h is about (h ||A||)^2 / 6 <= 1.7e-9 from A expm(A), relatively,
+    with nothing cancelling."""
     h = _ODE_STEP / max(1.0, _mat_norm(A))
-    Z = expm([[complex(t * x, h * x) for x in row] for row in A])
+    Z = expm([[complex(x, h * x) for x in row] for row in A])
     return ([[z.real for z in row] for row in Z],
             [[z.imag / h for z in row] for row in Z])
 
 
 def _ode_residual(A: list[list[float]]) -> float:
-    """The _relative_error of Im Z / h against A Re Z for _complex_step at
-    t = 1: how far Z is from the ODE d/dt expm(tA) = A expm(tA) there,
-    about (h ||A||)^2 / 3 <= 3.4e-9 on an exact exponential."""
-    E, D = _complex_step(A, 1.0)
+    """The _relative_error of Im Z / h against A Re Z for _complex_step:
+    how far Z is from the ODE d/dt expm(tA) = A expm(tA) at t = 1, about
+    (h ||A||)^2 / 3 <= 3.4e-9 on an exact exponential."""
+    E, D = _complex_step(A)
     return _relative_error([x for row in D for x in row],
                            [x for row in _mat_mul(A, E) for x in row])
 
@@ -421,9 +389,9 @@ def phi_equivariance_check(model: TangentModel, samples: int,
     sides of the identity apply the invertible Ad*_{g^-1}, so it is
     compared before it: Ad*_{k^-1} lam(k^-1 (rho, nu)) against lam(rho,
     nu), lam = mu + rho + Phi_N1(nu) in floats.  k^-1 acts on (rho, nu) by
-    the exponential of minus pointmodel.isotropy_action there (the
-    coadjoint action on m*, from the (p, b) block of ad(zeta) in the
-    (g_m, m, n) basis, and the slice action on N1), and on the momentum by
+    the exponential of minus model.slice_isotropy (the coadjoint action on
+    m*, from the (p, b) block of ad(zeta) in the (g_m, m, n) basis, and the
+    slice action on N1), and on the momentum by
     the coadjoint exponential of ad(-zeta), with zeta scaled so that
     neither exponent has a norm above _GM_NORM.  A sample takes three
     exponentials, the n x n ODE's, k^-1's and ad(-zeta)'s.  When g_m = 0 it
@@ -440,13 +408,12 @@ def phi_equivariance_check(model: TangentModel, samples: int,
 
     worst, off_gm, off_ode = 0.0, "", ""
     L, gm, dm = model.inst.algebra, model.gm_dim, model.dim_m
-    rv = range(dm + model.dim_n, model.total_dim)
     try:
         # Per g_m basis vector eta: ad(-eta), and -(its action on rho, nu).
         gens = [[_to_float_rows(X) for X in (
-            L.ad_matrix(tuple(-x for x in eta)),
-            isotropy_action(model, eta).submatrix(rv, rv).scale(-1))]
-            for eta in model.inst.gm.basis_vectors()]
+            L.ad_matrix(tuple(-x for x in eta)), act.scale(-1))]
+            for eta, act in zip(model.inst.gm.basis_vectors(),
+                                model.slice_isotropy)]
         forms = [_to_float_rows(S) for S in model.inst.slice_rep.momentum_forms]
         coframe, muf = ((_to_float_rows(model.coframe),
                          _to_floats(model.inst.mu)) if gm else ([], []))

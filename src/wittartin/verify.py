@@ -4,7 +4,7 @@ run_all executes every invariant the package claims, on one instance, and
 returns a flat list of named checks.  All core checks are exact and draw
 no samples: the slice momentum's identities compare quadratic forms entry
 by entry.  Only the tube.* checks draw sample points (samples and seed),
-and only the tube consistency checks carry floating-point tolerances.
+and only tube.equivariance carries floating-point tolerances.
 """
 
 from __future__ import annotations
@@ -135,9 +135,9 @@ def model_checks(model: pm.TangentModel) -> list[Check]:
         perp_under_form(model.omega, h_orbit), "the omega-perp of the h-orbit")))
 
     d = dim_formulas(model.chain)
-    out.append(Check("dims.kernel_gap_formula",
-                     kerH.dim - kerG.dim == d.kernel_gap,
-                     f"actual gap {kerH.dim - kerG.dim}, predicted {d.kernel_gap}"))
+    out.append(Check.of("dims.kernel_gap_formula", dim_detail(
+        "dim ker dphi_H - dim ker dphi_G", kerH.dim - kerG.dim,
+        "the predicted gap", d.kernel_gap)))
 
     out.append(pm.f_contract_check(model))
 
@@ -201,21 +201,23 @@ def _phi_n1_equivariance_detail(inst: ProblemInstance) -> str:
 
 def tube_checks(model: pm.TangentModel, samples: int,
                 seed: int) -> list[Check]:
+    """The tube checks at the base point and at min(samples, 5) slice
+    points drawn from seed, with one omega_tube_gram per point for all the
+    checks there; each detail names the first point that fails."""
     n = model.inst.dim
-    out = []
     origin = tube.TubePoint(zero_vec(n), zero_vec(model.dim_m),
                             zero_vec(model.slice_dim))
-
-    out.append(Check.of("tube.base_point_matches_model", entry_detail(
-        tube.omega_tube_gram(model, origin), model.omega,
-        "the tube form at the base point")))
+    G = tube.omega_tube_gram(model, origin)
+    out = [Check.of("tube.base_point_matches_model", entry_detail(
+        G, model.omega, "the tube form at the base point"))]
+    miss = tube.check_dphi_consistency(model, origin, G)
+    dphi = miss and f"base point: {miss}"
 
     rng = random.Random(seed)
 
     def rand_small() -> Fraction:
         return Fraction(rng.randint(-1, 1), 10)
 
-    # The first failing sample of each check, as its detail.
     anti = nondeg = ""
     for t in range(min(samples, 5)):
         p = tube.TubePoint(
@@ -223,15 +225,15 @@ def tube_checks(model: pm.TangentModel, samples: int,
             tuple(rand_small() for _ in range(model.dim_m)),
             tuple(rand_small() for _ in range(model.slice_dim)))
         G = tube.omega_tube_gram(model, p)
-        if not anti and not G.is_antisymmetric():
-            i, j = G.antisymmetry_witness()
-            anti = f"sample {t}: entry ({i}, {j}) is not minus entry ({j}, {i})"
+        anti = anti or antisymmetry_detail(G, f"the tube form at sample {t}")
         if not nondeg and model.total_dim and G.det() == 0:
             nondeg = f"sample {t}: the form is degenerate"
-    out.append(Check("tube.antisymmetric_at_slice_points", not anti, anti))
-    out.append(Check("tube.nondegenerate_near_origin", not nondeg, nondeg))
-
-    out.extend(tube.check_dphi_consistency(model))
+        if not dphi:
+            miss = tube.check_dphi_consistency(model, p, G)
+            dphi = miss and f"sample {t}: {miss}"
+    out.append(Check.of("tube.antisymmetric_at_slice_points", anti))
+    out.append(Check.of("tube.nondegenerate_near_origin", nondeg))
+    out.append(Check.of("tube.dphi_fd_consistency", dphi))
     out.extend(tube.phi_equivariance_check(model, samples, seed=seed))
     return out
 

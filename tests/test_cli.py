@@ -413,10 +413,11 @@ class TestVerify:
     def test_rational_beyond_float_range_fails_the_float_checks(
             self, capsys, tmp_path, where):
         # A valid instance that check and decompose accept; the float tube
-        # checks cannot convert 10**400 and name the value instead of
+        # check cannot convert 10**400 and names the value instead of
         # raising OverflowError.  The equivariance check reads mu only
         # through the G_m identity, so mu is scaled on an instance with
-        # g_m != 0, where k = exp(zeta) still fixes it.
+        # g_m != 0, where k = exp(zeta) still fixes it.  The momentum map
+        # equation is exact and passes.
         example = "so3xso3-diagonal" if where == "mu" else "so3-generic"
         path = write_example(capsys, tmp_path, example)
         doc = json.loads(path.read_text())
@@ -435,27 +436,26 @@ class TestVerify:
         assert code == 1
         failed = {c["name"].split(":")[-1]: c["detail"]
                   for c in json.loads(out)["checks"] if not c["passed"]}
-        assert sorted(failed) == ["tube.dphi_fd_consistency",
-                                  "tube.equivariance"]
+        assert sorted(failed) == ["tube.equivariance"]
         for detail in failed.values():
             assert detail.startswith("the exact value ")
             assert detail.endswith(" is out of float range")
             assert "0" * 8 in detail and len(detail) < 100
 
-    def test_mu_beyond_float_range_with_gm_zero_fails_only_the_fd_check(
+    def test_mu_beyond_float_range_with_gm_zero_passes_every_check(
             self, capsys, tmp_path):
         # With g_m = 0 the equivariance check is the ODE test of the
-        # exponential of coad(-xi), which does not read mu.
+        # exponential of coad(-xi), which does not read mu, and every
+        # other check is exact: no check converts mu to a float.
         path = write_example(capsys, tmp_path, "so3-generic")
         doc = json.loads(path.read_text())
         doc["mu"][2] = "1" + "0" * 400
         path.write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, "verify", str(path), "--samples", "3",
                                "--format", "json")
-        assert code == 1
-        failed = [c["name"].split(":")[-1]
-                  for c in json.loads(out)["checks"] if not c["passed"]]
-        assert failed == ["tube.dphi_fd_consistency"]
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 69 and all(c["passed"] for c in checks)
 
     def test_negative_samples_is_usage_error(self, capsys, tmp_path):
         # Zero samples would pass the sampled checks without testing a point.

@@ -76,16 +76,20 @@ def test_flipped_tube_gram_entry_fails_base_point_check(monkeypatch):
 def test_doubled_tube_gram_fails_base_point_check_and_names_the_entry(
         monkeypatch):
     # Twice the tube form is still antisymmetric and nondegenerate at every
-    # point; only the comparison with the model's form at the base sees it.
+    # point; the comparison with the model's form at the base sees it, and
+    # so does the momentum map equation dJ = X^T G there.
     expected_names = [c.name for c in _run()]
     exact = tube.omega_tube_gram
     monkeypatch.setattr(tube, "omega_tube_gram",
                         lambda model, p: exact(model, p).scale(2))
     checks = _run()
     assert [c.name for c in checks] == expected_names
-    assert _failed(checks) == ["tube.base_point_matches_model"]
+    assert _failed(checks) == ["tube.base_point_matches_model",
+                               "tube.dphi_fd_consistency"]
     assert _check(checks, "tube.base_point_matches_model").detail == \
         "entry (0, 3) of the tube form at the base point is 2, expected 1"
+    assert _check(checks, "tube.dphi_fd_consistency").detail \
+        == "base point: entry (0, 2) of X^T G is 2, expected 1"
 
 
 def test_non_invariant_killing_form_fails_invariance_check(monkeypatch):
@@ -431,7 +435,8 @@ def test_momentum_form_off_the_action_fails_phi_n1_equivariance():
     # basis vector, is not preserved by the slice action.  The slice
     # momentum reads the same cached forms, so it may fail too.  The tube's
     # G_m identity evaluates Phi_N1 at nu and at k^-1 nu, which the rotation
-    # k moves, so it fails as well.
+    # k moves, so it fails as well, and so does the momentum map equation:
+    # Phi_N1 is no momentum map for the slice action now.
     expected_names = [c.name for c in _run("so3xso3-diagonal")]
     inst = from_dict(build_example("so3xso3-diagonal"))
     S = inst.slice_rep.momentum_forms
@@ -443,15 +448,18 @@ def test_momentum_form_off_the_action_fails_phi_n1_equivariance():
     assert "tube.equivariance" in _failed(checks)
     assert "; sample 0: J([g k, k^-1 (rho, nu)]) misses J([g, rho, nu]) by " \
         in _check(checks, "tube.equivariance").detail
+    assert "tube.dphi_fd_consistency" in _failed(checks)
+    assert _check(checks, "tube.dphi_fd_consistency").detail \
+        == "sample 1: entry (2, 6) of X^T G is -1/20, expected 1/20"
 
 
 def test_momentum_form_off_the_action_names_the_phi_n1_pair():
     # torus(4, 1) with g_m = span(e2, e3) acting by 0 and by a rotation:
-    # h_m = 0, so no formula form reads the slice momentum forms, and the
-    # finite differences at nu = 0 see no quadratic term.  diag(1, 0) added
-    # to S_0 breaks pair (1, 0) of the phi_N1 equivariance, and the tube's
-    # G_m identity, which compares Phi_N1 at nu and at k^-1 nu, with k
-    # rotating the slice.  Pair (0, 0) holds, as A_0 = 0.
+    # h_m = 0, so no formula form reads the slice momentum forms.  diag(1,
+    # 0) added to S_0 breaks pair (1, 0) of the phi_N1 equivariance; the
+    # tube's G_m identity, which compares Phi_N1 at nu and at k^-1 nu, with
+    # k rotating the slice; and the momentum map equation at the first
+    # sample with nu != 0.  Pair (0, 0) holds, as A_0 = 0.
     doc = build_example("torus", 4, 1)
     doc = dict(doc, gm_basis=[["0", "0", "1", "0"], ["0", "0", "0", "1"]],
                slice=dict(doc["slice"], action=[
@@ -466,6 +474,8 @@ def test_momentum_form_off_the_action_names_the_phi_n1_pair():
     assert [c.name for c in checks] == expected_names
     assert [(c.name, c.detail) for c in checks if not c.passed] == [
         ("momentum.phiN1_equivariance", "equivariance fails on gm pair (1, 0)"),
+        ("tube.dphi_fd_consistency",
+         "sample 0: entry (2, 4) of X^T G is 0, expected -1/5"),
         ("tube.equivariance", "max relative deviation 2.238e-01 over 3 "
          "samples; sample 0: J([g k, k^-1 (rho, nu)]) misses J([g, rho, nu]) "
          "by 2.238e-01")]
@@ -888,20 +898,20 @@ def test_ker_dphiG_outside_smaller_ker_dphiH_fails_and_names_a_vector(
 
 
 def _off_origin(change):
-    """omega_tube_gram with `change` applied at every point but the origin,
-    so the base-point check still passes."""
+    """omega_tube_gram with change(model, G) in place of G at every point
+    but the origin, so the base-point check still passes."""
     exact = tube.omega_tube_gram
 
     def broken(model, p):
         G = exact(model, p)
-        return G if is_zero_vec(p.rho + p.nu) else change(G)
+        return G if is_zero_vec(p.rho + p.nu) else change(model, G)
     return broken
 
 
 def test_symmetric_part_off_origin_fails_antisymmetry_check(monkeypatch):
     expected_names = [c.name for c in _run()]
 
-    def bumped(G):
+    def bumped(model, G):
         rows = [list(row) for row in G.entries]
         rows[0][0] += 1
         return Matrix.from_rows(rows, cols=G.cols)
@@ -909,16 +919,41 @@ def test_symmetric_part_off_origin_fails_antisymmetry_check(monkeypatch):
     monkeypatch.setattr(tube, "omega_tube_gram", _off_origin(bumped))
     checks = _run()
     assert [c.name for c in checks] == expected_names
-    assert _failed(checks) == ["tube.antisymmetric_at_slice_points"]
+    assert _failed(checks) == ["tube.antisymmetric_at_slice_points",
+                               "tube.dphi_fd_consistency"]
+    assert _check(checks, "tube.dphi_fd_consistency").detail \
+        == "sample 0: entry (2, 0) of X^T G is 1, expected 0"
 
 
 def test_zero_form_off_origin_fails_nondegeneracy_check(monkeypatch):
     expected_names = [c.name for c in _run()]
-    monkeypatch.setattr(tube, "omega_tube_gram",
-                        _off_origin(lambda G: Matrix.zeros(G.rows, G.cols)))
+    monkeypatch.setattr(tube, "omega_tube_gram", _off_origin(
+        lambda model, G: Matrix.zeros(G.rows, G.cols)))
     checks = _run()
     assert [c.name for c in checks] == expected_names
-    assert _failed(checks) == ["tube.nondegenerate_near_origin"]
+    assert _failed(checks) == ["tube.nondegenerate_near_origin",
+                               "tube.dphi_fd_consistency"]
+    assert _check(checks, "tube.dphi_fd_consistency").detail \
+        == "sample 0: entry (0, 2) of X^T G is 0, expected 1"
+
+
+def test_form_pairing_with_mu_alone_fails_the_momentum_map_equation(
+        monkeypatch):
+    # The tube form with its brackets paired with mu, not with mu + rho +
+    # Phi_N1(nu), is the point form model.omega: antisymmetric and
+    # nondegenerate everywhere, and right at the base point.  J is no
+    # momentum map for it once rho != 0.  At 3 samples of seed 0 every
+    # drawn rho is 0 on so3-generic, where g_m = 0 and the form is then
+    # unchanged, so the default 10 samples (5 slice points) are drawn.
+    inst = from_dict(build_example("so3-generic"))
+    expected_names = [c.name for c in verify.run_all(inst)]
+    monkeypatch.setattr(tube, "omega_tube_gram",
+                        _off_origin(lambda model, G: model.omega))
+    checks = verify.run_all(inst)
+    assert [c.name for c in checks] == expected_names
+    assert _failed(checks) == ["tube.dphi_fd_consistency"]
+    assert _check(checks, "tube.dphi_fd_consistency").detail \
+        == "sample 4: entry (0, 2) of X^T G is 1, expected 11/10"
 
 
 def _at_sample(t, change):
@@ -946,9 +981,12 @@ def test_asymmetric_entry_at_one_sample_is_named_by_the_antisymmetry_check(
     monkeypatch.setattr(tube, "omega_tube_gram", _at_sample(2, bumped))
     checks = _run()
     assert [c.name for c in checks] == expected_names
-    assert _failed(checks) == ["tube.antisymmetric_at_slice_points"]
-    assert _check(checks, "tube.antisymmetric_at_slice_points").detail \
-        == "sample 2: entry (0, 1) is not minus entry (1, 0)"
+    assert _failed(checks) == ["tube.antisymmetric_at_slice_points",
+                               "tube.dphi_fd_consistency"]
+    assert _check(checks, "tube.antisymmetric_at_slice_points").detail == (
+        "entry (0, 1) of the tube form at sample 2 is not minus entry (1, 0)")
+    assert _check(checks, "tube.dphi_fd_consistency").detail \
+        == "sample 2: entry (2, 1) of X^T G is 1, expected 0"
 
 
 def test_degenerate_form_at_one_sample_is_named_by_the_nondegeneracy_check(
@@ -964,9 +1002,12 @@ def test_degenerate_form_at_one_sample_is_named_by_the_nondegeneracy_check(
                         _at_sample(1, first_unit_in_radical))
     checks = _run()
     assert [c.name for c in checks] == expected_names
-    assert _failed(checks) == ["tube.nondegenerate_near_origin"]
+    assert _failed(checks) == ["tube.nondegenerate_near_origin",
+                               "tube.dphi_fd_consistency"]
     assert _check(checks, "tube.nondegenerate_near_origin").detail \
         == "sample 1: the form is degenerate"
+    assert _check(checks, "tube.dphi_fd_consistency").detail \
+        == "sample 1: entry (2, 3) of X^T G is 0, expected 1"
 
 
 def _orbit_without_first_generator(monkeypatch, call):
@@ -1010,12 +1051,11 @@ def test_smaller_h_orbit_fails_h_orbit_perp_check_and_names_a_vector(
                            "ker dphi_H")
 
 
-def test_float_overflow_in_the_exponential_fails_fd_check(monkeypatch):
+def test_float_overflow_in_the_exponential_fails_equivariance():
     # so(3) with brackets 10**160 times the usual ones is a valid instance
-    # whose exact data all fit in a float.  The complex step shrinks with
-    # ||A||, so the derivatives along the group stay accurate, but the
-    # exponential at an equivariance sample overflows: its ODE residual is
-    # nan.  g_m = 0, so the deviation is exactly 0.
+    # whose exact data all fit in a float.  The exponential at an
+    # equivariance sample overflows: its ODE residual is nan.  g_m = 0, so
+    # the deviation is exactly 0.
     doc = build_example("so3-generic")
     big = "1" + "0" * 160
     doc["structure_constants"] = [
@@ -1027,21 +1067,12 @@ def test_float_overflow_in_the_exponential_fails_fd_check(monkeypatch):
     assert _check(checks, "tube.equivariance").detail == (
         "max relative deviation 0.000e+00 over 2 samples; sample 0: "
         "d/dt expm(tA) at t = 1 misses A expm(A) by nan")
-    # With a complex step that does not shrink with the norm, h about 1e-4
-    # at ||ad|| about 1e160, the exponential at t = 0 along a group
-    # direction overflows too: the derivative there is nan.
-    monkeypatch.setattr(tube, "_ODE_STEP", 1e156)
-    checks = verify.run_all(inst, samples=2)
-    assert _failed(checks) == ["tube.dphi_fd_consistency",
-                               "tube.equivariance"]
-    assert _check(checks, "tube.dphi_fd_consistency").detail \
-        == "max relative error nan at direction 0"
 
 
 def _is_ode_exponent(A):
-    """Whether tube.expm is given (1 + ih) A, the ODE's exponent: complex
-    entries with a nonzero real part (at t = 0 the real parts are 0)."""
-    return any(isinstance(x, complex) and x.real for row in A for x in row)
+    """Whether tube.expm is given (1 + ih) A, the ODE's exponent: the only
+    one with complex entries."""
+    return any(isinstance(x, complex) for row in A for x in row)
 
 
 def test_nan_in_the_ode_derivative_fails_equivariance(monkeypatch):
@@ -1085,10 +1116,8 @@ def _scaled_brackets(doc, c):
 @pytest.mark.parametrize("example", ["so3-generic", "so3-collinear",
                                      "so3xso3-diagonal"])
 def test_scaled_brackets_pass_every_check(example, c):
-    # The finite-difference step shrinks with ||ad||; with the fixed step
-    # 1e-4, tube.dphi_fd_consistency failed from c = 100 on.  At c = 10^4
-    # the ODE residual of expm is 2.4e-10 at sample 0 on so3-generic,
-    # within FD_TOL, which bounds it at every norm.
+    # At c = 10^4 the ODE residual of expm is 2.4e-10 at sample 0 on
+    # so3-generic, within FD_TOL, which bounds it at every norm.
     checks = verify.run_all(from_dict(
         _scaled_brackets(build_example(example), c)))
     assert len(checks) == 69
@@ -1150,28 +1179,29 @@ def test_unconverged_exponential_series_is_a_named_fail(monkeypatch):
     monkeypatch.setattr(tube, "expm", unconverged)
     checks = _run()
     assert [c.name for c in checks] == expected_names
-    assert _failed(checks) == ["tube.dphi_fd_consistency",
-                               "tube.equivariance"]
-    for name in _failed(checks):
-        assert _check(checks, name).detail == \
-            "exponential series tail bound not met"
+    assert _failed(checks) == ["tube.equivariance"]
+    assert _check(checks, "tube.equivariance").detail == \
+        "exponential series tail bound not met"
 
 
 def test_doubled_momentum_differential_fails_fd_check(monkeypatch):
     expected_names = [c.name for c in _run()]
-    # Doubling keeps both kernels, so only the finite differences see it.
+    # Doubling keeps both kernels, so only the momentum map equation at
+    # the base point, which reads model.dphi_G, sees it.
     exact = pm.dphi_G
     monkeypatch.setattr(pm, "dphi_G", lambda model: exact(model).scale(2))
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["tube.dphi_fd_consistency"]
+    assert _check(checks, "tube.dphi_fd_consistency").detail \
+        == "base point: entry (0, 2) of X^T G is 1, expected 2"
 
 
 def test_shifted_momentum_off_identity_fails_equivariance(monkeypatch):
     # The coadjoint exponential is what phi_tilde applies off the identity,
     # and what moves the momentum by Ad*_{k^-1} on the k side of the G_m
-    # identity.  The derivatives along the group read the complex step,
-    # not it, so only the G_m identity sees it, on an instance with
+    # identity.  The momentum map equation is exact and takes no
+    # exponential, so only the G_m identity sees it, on an instance with
     # g_m != 0.
     expected_names = [c.name for c in _run("so3xso3-diagonal")]
     exact = tube._coadjoint_exp
@@ -1384,9 +1414,9 @@ def _skip_last_squaring(monkeypatch):
 
 def test_expm_one_squaring_short_fails_equivariance_and_names_a_sample(
         monkeypatch):
-    # g_m = 0, so the G_m identity draws no k and its deviation is 0; the
-    # finite differences of phi_tilde step below 1/2, so only the ODE
-    # condition of the complex step sees it.
+    # g_m = 0, so the G_m identity draws no k and its deviation is 0, and
+    # the momentum map equation is exact, so only the ODE condition of the
+    # complex step sees it.
     expected_names = [c.name for c in _run()]
     _skip_last_squaring(monkeypatch)
     checks = _run()
@@ -1452,9 +1482,11 @@ def test_transposed_expm_fails_equivariance_and_names_a_sample(monkeypatch):
 
 
 def _break_gm_action(monkeypatch, blocks, broken):
-    """tube's isotropy_action with the square block at the named model
-    blocks, B, replaced by broken(model, eta, B).  Only the k^-1 action of
-    the G_m identity reads it there."""
+    """pointmodel's isotropy_action with the square block at the named
+    model blocks, B, replaced by broken(model, eta, B).  Only the tube
+    checks read it there, through model.slice_isotropy: the k^-1 action of
+    the G_m identity and the generators X(p) of the momentum map
+    equation."""
     exact = pm.isotropy_action
 
     def faulty(model, eta):
@@ -1467,7 +1499,22 @@ def _break_gm_action(monkeypatch, blocks, broken):
                 rows[i][j] = B.entries[a][b]
         return Matrix.from_rows(rows, cols=X.cols)
 
-    monkeypatch.setattr(tube, "isotropy_action", faulty)
+    monkeypatch.setattr(pm, "isotropy_action", faulty)
+
+
+def test_sign_flipped_gm_action_on_rho_nu_fails_the_momentum_map_equation(
+        monkeypatch):
+    # zeta acts on (rho, nu) by minus its action: the generator of zeta at
+    # a slice point with (rho, nu) != 0 is wrong.  The G_m identity reads
+    # the same blocks and may fail too.
+    expected_names = [c.name for c in _run("so3xso3-diagonal")]
+    _break_gm_action(monkeypatch, ("pstar", "bstar", "N1"),
+                     lambda model, eta, B: B.scale(-1))
+    checks = _run("so3xso3-diagonal")
+    assert [c.name for c in checks] == expected_names
+    assert "tube.dphi_fd_consistency" in _failed(checks)
+    assert _check(checks, "tube.dphi_fd_consistency").detail \
+        == "sample 0: entry (2, 7) of X^T G is -1/20, expected 1/20"
 
 
 # On so3xso3-diagonal g_m is abelian and acts trivially on m* = b*, and the
@@ -1475,27 +1522,34 @@ def _break_gm_action(monkeypatch, blocks, broken):
 # invariant under G_m, so Phi_N1(k nu) = Phi_N1(k^-1 nu), and these three
 # faults keep the G_m identity.  On a g_m that is so(3) and rotates m
 # they break it.
-@pytest.mark.parametrize("blocks, broken", [
+@pytest.mark.parametrize("blocks, broken, witness", [
     # k^-1 acts on N1 by exp(+A(zeta)), as k does.
-    (("N1",), lambda model, eta, V: V.scale(-1)),
+    (("N1",), lambda model, eta, V: V.scale(-1),
+     "entry (0, 7) of X^T G is 1/40, expected -1/40"),
     # -(ad(eta) on m) in place of the coadjoint -(ad(eta) on m)^T.
-    (("pstar", "bstar"), lambda model, eta, R: R.transpose()),
+    (("pstar", "bstar"), lambda model, eta, R: R.transpose(),
+     "entry (0, 1) of X^T G is 1/20, expected -1/20"),
     # The g_m rows of ad(eta) on m in the (g_m, m, n) basis, in place of
     # its m rows.
     (("pstar", "bstar"), lambda model, eta, R: -(
         model.g_basis_inv.submatrix(range(model.dim_m), range(model.inst.dim))
         @ model.inst.algebra.ad_matrix(eta)
         @ model.mn_basis.submatrix(range(model.inst.dim), range(model.dim_m))
-    ).transpose()),
+    ).transpose(), "entry (0, 1) of X^T G is 0, expected -1/20"),
 ], ids=["slice_action_sign", "m_star_transpose", "m_star_block"])
 def test_wrong_k_inverse_action_fails_equivariance_and_names_a_sample(
-        monkeypatch, blocks, broken):
+        monkeypatch, blocks, broken, witness):
+    # The generators X(p) of the momentum map equation read the same
+    # action, so the equation fails at the same sample.
     inst = diagonal_quaternion_instance()
     checks = verify.run_all(inst, samples=3)
     assert _failed(checks) == []
     _break_gm_action(monkeypatch, blocks, broken)
     broken_checks = verify.run_all(inst, samples=3)
     assert [c.name for c in broken_checks] == [c.name for c in checks]
-    assert _failed(broken_checks) == ["tube.equivariance"]
+    assert _failed(broken_checks) == ["tube.dphi_fd_consistency",
+                                      "tube.equivariance"]
+    assert _check(broken_checks, "tube.dphi_fd_consistency").detail \
+        == f"sample 0: {witness}"
     assert "; sample 0: J([g k, k^-1 (rho, nu)]) misses J([g, rho, nu]) by " \
         in _check(broken_checks, "tube.equivariance").detail
