@@ -66,7 +66,7 @@ def _parse_fraction(x: Any, path: tuple, memo: dict[str, Fraction]) -> Fraction:
     if isinstance(x, bool):
         raise InstanceFormatError(f"{_at(path)}: booleans are not numbers")
     if isinstance(x, int):
-        return Fraction(x)
+        return Fraction(x) if x else ZERO
     raise InstanceFormatError(
         f"{_at(path)}: expected a rational string or integer, got {type(x).__name__}")
 

@@ -65,7 +65,7 @@ class LieAlgebra:
         zero_row = (ZERO,) * self.dim
         return tuple((i, j, k, x) for i, ci in enumerate(self.c)
                      for j, cij in enumerate(ci) if cij != zero_row
-                     for k, x in enumerate(cij) if x)
+                     for k, x in enumerate(cij) if x is not ZERO and x)
 
     @staticmethod
     def from_constants(c) -> "LieAlgebra":
@@ -105,8 +105,8 @@ class LieAlgebra:
         self._check_len(x, y)
         out = [ZERO] * self.dim
         for i, j, k, c in self.nonzero:
-            if x[i] and y[j]:
-                out[k] += x[i] * y[j] * c
+            if (a := x[i]) is not ZERO and a and (b := y[j]) is not ZERO and b:
+                out[k] += a * b * c
         return tuple(out)
 
     def ad_matrix(self, x: Vec) -> Matrix:
@@ -114,8 +114,8 @@ class LieAlgebra:
         n = self.dim
         m = [[ZERO] * n for _ in range(n)]
         for i, j, k, c in self.nonzero:
-            if x[i]:
-                m[k][j] += x[i] * c
+            if (a := x[i]) is not ZERO and a:
+                m[k][j] += a * c
         return Matrix(n, n, tuple(map(tuple, m)))
 
     def coad_apply(self, x: Vec, lam: Vec) -> Vec:
@@ -123,8 +123,8 @@ class LieAlgebra:
         self._check_len(x, lam)
         out = [ZERO] * self.dim
         for i, j, k, c in self.nonzero:
-            if x[i] and lam[k]:
-                out[j] += x[i] * lam[k] * c
+            if (a := x[i]) is not ZERO and a and (b := lam[k]) is not ZERO and b:
+                out[j] += a * b * c
         return tuple(out)
 
     def bracket_pairing(self, lam: Vec) -> Matrix:
@@ -134,8 +134,8 @@ class LieAlgebra:
         n = self.dim
         K = [[ZERO] * n for _ in range(n)]
         for a, b, k, c in self.nonzero:
-            if lam[k]:
-                K[a][b] += lam[k] * c
+            if (x := lam[k]) is not ZERO and x:
+                K[a][b] += x * c
         return Matrix(n, n, tuple(map(tuple, K)))
 
     def bracket_gram(self, lam: Vec, X: Matrix, Y: Matrix) -> Matrix:
@@ -155,16 +155,17 @@ class LieAlgebra:
                                       f"{self.dim}-dimensional algebra")
         sums: dict[int, dict[int, Fraction]] = {}
         for i, j, k, c in self.nonzero:
-            if lam[k]:
-                _accumulate(sums.setdefault(i, {}), j, lam[k] * c)
+            if (x := lam[k]) is not ZERO and x:
+                _accumulate(sums.setdefault(i, {}), j, x * c)
         # K[i] holds the nonzero <lam, [e_i, e_j]> as (j, w).
         K = {i: [(j, w) for j, w in r.items() if w] for i, r in sums.items()}
-        ys = [[(j, y) for j, y in enumerate(col) if y] for col in Y.columns()]
+        ys = [[(j, y) for j, y in enumerate(col) if y is not ZERO and y]
+              for col in Y.columns()]
         gram = []
         for x in X.columns():
             row: dict[int, Fraction] = {}
             for i, xi in enumerate(x):
-                if xi:
+                if xi is not ZERO and xi:
                     for j, w in K.get(i, ()):
                         _accumulate(row, j, xi * w)
             gram.append(tuple(_total([r * y for j, y in nz if (r := row.get(j))])
@@ -257,7 +258,7 @@ def so3() -> LieAlgebra:
     """so(3) with the cross-product bracket: [e_i, e_j] = eps_ijk e_k."""
     eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
            (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
-    c = [[[Fraction(eps.get((i, j, k), 0)) for k in range(3)]
+    c = [[[frac(eps.get((i, j, k), 0)) for k in range(3)]
           for j in range(3)] for i in range(3)]
     return LieAlgebra(3, tuple(tuple(tuple(r) for r in ci) for ci in c))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlin import Matrix, Vec, add_vec, dot, is_zero_vec, zero_vec
+from .exactlin import ZERO, Matrix, Vec, add_vec, dot, is_zero_vec, zero_vec
 from .pointmodel import TangentModel, momentum_differential
 from .splitting import Check, entry_detail
 
@@ -108,7 +108,7 @@ def _to_floats(values: Vec) -> list[float]:
     out = []
     for x in values:
         try:
-            out.append(float(x) if x else 0.0)
+            out.append(float(x) if x is not ZERO and x else 0.0)
         except OverflowError:
             raise OutOfFloatRange(f"the exact value {_brief(x)} is out of "
                                   "float range") from None
@@ -317,7 +317,8 @@ def check_dphi_consistency(model: TangentModel, p: TubePoint,
     Column i of X(p) is the generator of e_i at p: (u, zeta.(rho, nu)) for
     the g_coords (zeta, u) of e_i, with zeta acting on (rho, nu) by the R
     and V block of isotropy_action (model.slice_isotropy).  Row i of
-    X^T G is G^T x_i.  dJ(p) is pointmodel.momentum_differential at lam =
+    X^T G is x_i^T G, the rows of G at the nonzero coordinates of x_i
+    combined: row k of G itself when x_i = e_k.  dJ(p) is pointmodel.momentum_differential at lam =
     mu + rho + Phi_N1(nu); at the base point it is model.dphi_G, the
     matrix the kernel checks read.
     """
@@ -329,9 +330,8 @@ def check_dphi_consistency(model: TangentModel, p: TubePoint,
         model, _shifted_momentum(model, p), p.nu))
     moved = Matrix.from_cols([A.apply(rho_nu) for A in model.slice_isotropy],
                              rows=len(rho_nu))
-    GT = G.transpose()
     XtG = Matrix(model.inst.dim, G.cols, tuple(
-        GT.apply(c[gm:] + moved.apply(c[:gm]))
+        G.left_apply(c[gm:] + moved.apply(c[:gm]))
         for c in model.g_basis_inv.columns()))
     return entry_detail(XtG, dJ, "X^T G")
 

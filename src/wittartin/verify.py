@@ -203,7 +203,9 @@ def tube_checks(model: pm.TangentModel, samples: int,
                 seed: int) -> list[Check]:
     """The tube checks at the base point and at min(samples, 5) slice
     points drawn from seed, with one omega_tube_gram per point for all the
-    checks there; each detail names the first point that fails."""
+    checks there; each detail names the first point that fails.  Every
+    rho and nu coordinate of a slice point is -1/10 or 1/10, never 0, so
+    each point probes how the form depends on rho."""
     n = model.inst.dim
     origin = tube.TubePoint(zero_vec(n), zero_vec(model.dim_m),
                             zero_vec(model.slice_dim))
@@ -216,7 +218,7 @@ def tube_checks(model: pm.TangentModel, samples: int,
     rng = random.Random(seed)
 
     def rand_small() -> Fraction:
-        return Fraction(rng.randint(-1, 1), 10)
+        return Fraction(rng.choice((-1, 1)), 10)
 
     anti = nondeg = ""
     for t in range(min(samples, 5)):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wittartin.exactlin import (
+    ZERO,
     AmbientMismatch,
     Matrix,
     NotContained,
@@ -20,6 +21,7 @@ from wittartin.exactlin import (
     dot,
     first_escape,
     first_outside,
+    frac,
     gram_on,
     image,
     intersect,
@@ -903,19 +905,36 @@ COUNTED_OPS = tuple(name for op in ("add", "sub", "mul", "truediv")
                     for name in (f"__{op}__", f"__r{op}__")) + ("__neg__",)
 
 
+class FractionOps(list):
+    """The fraction_ops log; ``tested`` lists every Fraction whose truth
+    was tested, that is every zero test that reached Fraction.__bool__."""
+
+    def __init__(self):
+        super().__init__()
+        self.tested = []
+
+
 @pytest.fixture
 def fraction_ops(monkeypatch):
     """Records (operation, whether an operand was zero) for every Fraction
-    + - * / (the reflected forms and negation too) while the test runs."""
-    log = []
+    + - * / (the reflected forms and negation too) while the test runs,
+    and in ``tested`` every Fraction tested for truth."""
+    log = FractionOps()
     for name in COUNTED_OPS:
         original = getattr(F, name)
 
         def counted(*operands, _name=name, _original=original):
-            log.append((_name, not all(operands)))
+            log.append((_name, any(x == 0 for x in operands)))
             return _original(*operands)
 
         monkeypatch.setattr(F, name, counted)
+    truth = F.__bool__
+
+    def tested(x):
+        log.tested.append(x)
+        return truth(x)
+
+    monkeypatch.setattr(F, "__bool__", tested)
     return log
 
 
@@ -925,6 +944,30 @@ def test_fraction_ops_fixture_counts_and_sees_zeros(fraction_ops):
     assert fraction_ops == [("__add__", True), ("__rsub__", False),
                             ("__mul__", False), ("__rtruediv__", False),
                             ("__neg__", False)]
+    assert fraction_ops.tested == []
+    assert x and not ZERO
+    assert list(map(id, fraction_ops.tested)) == [id(x), id(ZERO)]
+
+
+def test_a_second_product_tests_no_entry_of_the_matrix(fraction_ops):
+    # Two nonzero entries, the shared ZERO and a zero that is not shared:
+    # the first product builds the column (or row) view and tests each
+    # entry but ZERO once; a second product reads the view.
+    A = Matrix(2, 3, ((F(2), ZERO, F(0)), (ZERO, F(-1, 2), ZERO)))
+    entries = [x for row in A.entries for x in row]
+
+    def entry_tests():
+        return sum(1 for t in fraction_ops.tested
+                   if any(t is x for x in entries))
+
+    for product, u in ((A.apply, vec([1, 3, -1])),
+                       (A.left_apply, vec([1, 1]))):
+        fraction_ops.tested.clear()
+        first = product(u)
+        assert entry_tests() == 3
+        fraction_ops.tested.clear()
+        assert product(u) == first
+        assert entry_tests() == 0
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4])
@@ -990,3 +1033,106 @@ def test_image_takes_no_zero_operand(fraction_ops, A, U):
     del fraction_ops[:]
     image(A, U)
     assert not any(zero for _, zero in fraction_ops)
+
+
+# Shared zeros.  Every zero the kernels build is ZERO, and a zero built
+# elsewhere (a fresh Fraction(0), -ZERO, a cancellation) costs a truth
+# test more and never changes a result.
+
+@pytest.mark.parametrize("zero", [0, "0", "-0", "0/5", F(0), -ZERO,
+                                  F(1, 3) - F(1, 3)])
+def test_frac_vec_and_from_rows_give_the_shared_zero(zero):
+    assert frac(zero) is ZERO
+    v = vec([zero, 1, zero])
+    assert v[0] is ZERO and v[2] is ZERO and all(type(x) is F for x in v)
+    A = Matrix.from_rows([[zero, "1/2"], [zero, zero]])
+    assert [x is ZERO for row in A.entries for x in row] == [
+        True, False, True, True]
+    assert all(type(x) is F for row in A.entries for x in row)
+
+
+ZERO_SPELLINGS = (lambda: ZERO, lambda: F(0), lambda: -ZERO,
+                  lambda: F(1, 3) - F(1, 3))
+
+
+@st.composite
+def unshared(draw, A):
+    """A with each zero entry spelt by a drawn ZERO_SPELLINGS entry."""
+    spell = st.sampled_from(ZERO_SPELLINGS)
+    return Matrix(A.rows, A.cols, tuple(
+        tuple(draw(spell)() if x == 0 else x for x in row)
+        for row in A.entries))
+
+
+def shared(A):
+    return Matrix.from_rows(A.entries, cols=A.cols)
+
+
+def all_fractions(*vectors):
+    return all(type(x) is F for v in vectors for x in v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernels_agree_on_zeros_that_are_not_shared(data):
+    r, c, n = (data.draw(st.integers(0, 5)) for _ in range(3))
+    A = data.draw(unshared(data.draw(sparse_matrices(r, c))))
+    G = data.draw(unshared(data.draw(sparse_matrices(n, n))))
+    u, v, w = (data.draw(unshared(data.draw(sparse_matrices(1, k)))).row(0)
+               for k in (r, c, c))
+    x = data.draw(st.one_of(st.sampled_from(ZERO_SPELLINGS).map(
+        lambda z: z()), small_fracs))
+
+    assert A.apply(v) == dense_apply(A, v) == shared(A).apply(v)
+    assert A.left_apply(u) == dense_apply(A.transpose(), u)
+    assert all_fractions(A.apply(v), A.left_apply(u))
+    red, pivots = A.rref()
+    assert (red, pivots) == dense_rref(A) == shared(A).rref()
+    assert all_fractions(*red.entries)
+    K = kernel(A)
+    assert K == kernel(shared(A)) and all_fractions(*K.basis.entries)
+    assert all(dense_apply(A, k) == (0,) * r for k in K.basis_vectors())
+    assert G.det() == dense_det(G) and type(G.det()) is F
+    assert G.leading_minors_positive() == all(
+        m > 0 for m in map(dense_det, (G.submatrix(range(k), range(k))
+                                       for k in range(1, n + 1))))
+    assert G.antisymmetry_witness() == dense_antisymmetry_witness(G)
+
+    def space():
+        S = Subspace.span(n, data.draw(sparse_matrices(cols=n)).entries)
+        return Subspace(n, data.draw(unshared(S.basis)))
+
+    U, V = space(), space()
+    assert pairing_witness(G, U, V) == dense_pairing_witness(G, U, V)
+    P = perp_under_form(G, U)
+    assert P == dense_perp_under_form(G, U) and all_fractions(*P.basis.entries)
+
+    for got, dense in ((add_vec(w, v), tuple(a + b for a, b in zip(w, v))),
+                       (sub_vec(w, v), tuple(a - b for a, b in zip(w, v))),
+                       (scale_vec(x, v), tuple(x * a for a in v))):
+        assert got == dense and all_fractions(got)
+
+
+def zeros_shared(*vectors):
+    return all(x is ZERO for v in vectors for x in v if x == 0)
+
+
+def test_a_sum_that_cancels_is_the_shared_zero():
+    A, one = Matrix.from_rows([[1, -1], [2, -2]]), vec([1, 1])
+    assert A.apply(one) == (0, 0) and zeros_shared(A.apply(one))
+    assert A.transpose().left_apply(one) == (0, 0)
+    assert zeros_shared(A.transpose().left_apply(one))
+    assert zeros_shared((dot(vec([1, -1]), one),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_zero_a_kernel_builds_is_the_shared_zero(data):
+    r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    A = shared(data.draw(sparse_matrices(r, c)))
+    u, v = (shared(data.draw(sparse_matrices(1, k))).row(0) for k in (r, c))
+    x = data.draw(st.one_of(st.just(ZERO), small_fracs.map(frac)))
+    assert zeros_shared(A.apply(v), A.left_apply(u), *A.rref()[0].entries,
+                        *kernel(A).basis.entries, add_vec(v, v),
+                        sub_vec(v, v), add_vec(v, scale_vec(F(-1), v)),
+                        scale_vec(x, v), (dot(v, v),))

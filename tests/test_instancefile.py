@@ -20,7 +20,7 @@ from wittartin.catalog import (
     build_example,
     so3xso3_diagonal,
 )
-from wittartin.exactlin import Matrix
+from wittartin.exactlin import ZERO, Matrix
 from wittartin.instancefile import (
     InstanceDataError,
     InstanceFormatError,
@@ -416,6 +416,19 @@ class TestMemoizedParser:
         doc = build_example("so3-generic")
         doc["mu"] = ["0", "0", spelling]
         assert from_dict(doc).mu == (0, 0, value)
+
+    @pytest.mark.parametrize("zero", [0, "0", "-0", "0/7", "+00"])
+    def test_every_zero_spelling_parses_to_the_shared_zero(self, zero):
+        doc = build_example("so3-generic")
+        doc["mu"] = [zero, "1", zero]
+        doc["structure_constants"] = [
+            [[zero if x == "0" else x for x in cij] for cij in ci]
+            for ci in doc["structure_constants"]]
+        inst = from_dict(doc)
+        assert inst.mu[0] is ZERO and inst.mu[2] is ZERO
+        zeros = [x for ci in inst.algebra.c for cij in ci for x in cij
+                 if x == 0]
+        assert len(zeros) == 21 and all(x is ZERO for x in zeros)
 
     def test_bool_is_rejected_where_the_memo_holds_its_integer(self):
         doc = build_example("so3-generic")
