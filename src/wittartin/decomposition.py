@@ -40,7 +40,6 @@ from .exactlin import (
     pairing_witness,
     perp_under_form,
     sum_spaces,
-    unit_vec,
 )
 from .pointmodel import TangentModel, inf_action, isotropy_action
 from .splitting import (Check, SliceRep, dim_detail, direct_sum_detail,
@@ -494,9 +493,8 @@ def coadjoint_slice_check(model: TangentModel) -> list[Check]:
     ker = kernel(constraint)
 
     da, ds = chain.a.dim, chain.s.dim
-    expected = Subspace.span(dim_n, [unit_vec(dim_n, i) for i in range(da + ds)])
-    s_image = Subspace.span(dim_n, [unit_vec(dim_n, i)
-                                    for i in range(da, da + ds)])
+    expected = Subspace.coordinate(dim_n, range(da + ds))
+    s_image = Subspace.coordinate(dim_n, range(da, da + ds))
     halpha_orbit = Subspace.span(
         dim_n, [model.g_coords(v)[n_first:]
                 for v in model.inst.h_alpha.basis_vectors()])

@@ -124,7 +124,9 @@ class LieAlgebra:
         out = [ZERO] * self.dim
         for i, j, k, c in self.nonzero:
             if (a := x[i]) is not ZERO and a and (b := lam[k]) is not ZERO and b:
-                out[j] += a * b * c
+                # As _total: a ZERO partial sum is replaced, not added to.
+                t, s = a * b * c, out[j]
+                out[j] = (s + t or ZERO) if s is not ZERO else t
         return tuple(out)
 
     def bracket_pairing(self, lam: Vec) -> Matrix:

@@ -22,10 +22,12 @@ from functools import cached_property
 from typing import Sequence
 
 from .exactlin import (
+    ONE,
     Matrix,
     Subspace,
     Vec,
     kernel,
+    scale_vec,
     zero_vec,
 )
 from .splitting import Check, ProblemInstance, SplittingChain, entry_detail
@@ -219,7 +221,7 @@ def momentum_differential(model: TangentModel, lam: Vec, nu: Vec) -> Matrix:
     S_t^T) nu)_j for each momentum form S_t, zero-extended: 0 at nu = 0.
     """
     L, gm, n = model.inst.algebra, model.gm_dim, model.inst.dim
-    minus_lam = tuple(-x for x in lam)
+    minus_lam = scale_vec(-ONE, lam)
     cols = [L.coad_apply(v, minus_lam) for v in model.mn_basis.columns()]
     cols.extend(model.coframe.columns()[gm:gm + model.dim_m])
     grads = [(S + S.transpose()).apply(nu) for S in

@@ -8,28 +8,43 @@ replaced.  omega_tube pairs two model coordinate vectors through it.
 check_dphi_consistency states, exactly, that the normal-form momentum J is
 a momentum map for it at a slice point: dJ(p) = X(p)^T G(p).
 phi_tilde evaluates J([g, rho, nu]) = Ad*_{g^-1}(mu + rho + Phi_N1(nu)),
-which needs a matrix exponential and is the one floating-point corner of
-the package.
+which needs an exponential and is the one floating-point corner of the
+package.  expm(A, v) is exp(A) v, a Taylor series run on the vector in
+ceil(||A|| / (1/2)) substeps, never a matrix exponential.
 
 phi_equivariance_check ties it to the exact model: the ODE of the
-exponential of A = coad(-xi), by the complex step _complex_step(A), Re Z
-and Im Z / h for Z = expm((1 + ih) A), beside the identity J([g k, k^-1
-(rho, nu)]) = J([g, rho, nu]) for k = exp(zeta), zeta in g_m, compared
-before the Ad*_{g^-1} both sides apply.  A sample takes one n x n
-exponential when g_m = 0, and two small ones more otherwise.  Float errors
-are _relative_error, against REL_TOL or FD_TOL.  A value out of float
-range, a series that does not converge and a nan fail it by name.
+exponential of A = coad(-xi) on a drawn vector w, by the complex step
+Z = exp((1 + ih) A), Im(Z w) / h against A Re(Z w), beside the identity
+J([g k, k^-1 (rho, nu)]) = J([g, rho, nu]) for k = exp(zeta), zeta in
+g_m, compared before the Ad*_{g^-1} both sides apply.  xi and zeta are
+scaled exactly so that no exponent has a norm above 1/2: one series step
+each.  A sample takes one exponential when g_m = 0, and two more
+otherwise.  Float errors are _relative_error, against REL_TOL or FD_TOL.
+A value out of float range, a series that does not converge and a nan
+fail it by name.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlin import ZERO, Matrix, Vec, add_vec, dot, is_zero_vec, zero_vec
+from .exactlin import (
+    ONE,
+    ZERO,
+    Matrix,
+    Vec,
+    _total,
+    add_vec,
+    dot,
+    is_zero_vec,
+    scale_vec,
+    zero_vec,
+)
 from .pointmodel import TangentModel, momentum_differential
 from .splitting import Check, entry_detail
 
@@ -135,176 +150,96 @@ def _to_float_rows(M: Matrix) -> list[list[float]]:
     return [_to_floats(row) for row in M.entries]
 
 
-def _row_times(row: list[float], nzB: list[list[tuple[int, float]]],
-               cols: int) -> list[float]:
-    # row times B, from the nonzero (j, b) of each row k of B: sums a*b over
-    # the nonzero a of row and the nonzero b in increasing k, == the dense
-    # sums but for a 0's sign.
-    acc = [0.0] * cols
-    for k, a in enumerate(row):
-        if a:
-            for j, b in nzB[k]:
-                acc[j] += a * b
-    return acc
-
-
-def _mat_mul(A: list[list[float]], B: list[list[float]]) -> list[list[float]]:
-    nzB = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-    cols = len(B[0]) if B else 0
-    return [_row_times(row, nzB, cols) for row in A]
-
-
-def _mat_scale(c: float, A):
-    return [[c * x for x in row] for row in A]
-
-
 def _mat_norm(A) -> float:
-    # Max absolute row sum (induced infinity norm).
-    return max((sum(map(abs, row)) for row in A), default=0.0)
+    """The largest absolute row sum (induced infinity norm), inf beyond
+    float range, nan when a row holds a nan.  Each row sum is correctly
+    rounded (math.fsum), so exact rows of sum at most 1/2, each entry
+    rounded to the nearest float, still give at most 1/2."""
+    try:
+        return _worst(math.fsum(map(abs, row)) for row in A)
+    except OverflowError:
+        return math.inf
 
 
-# Relative slack of the running bound on ||result|| against float rounding.
-_NORM_MARGIN = 1.0 + 1e-6
+# The largest norm of an exponent: expm takes one series step per 1/2 of
+# the norm, and every exponent a check takes is scaled to at most 1/2.
+_HALF = 0.5
 
 
-def _identity(n: int) -> list[list[float]]:
-    return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+def expm(A: list[list], v: Sequence, rel_tol: float = REL_TOL) -> list:
+    """exp(A) v, by the Taylor series on the vector (Al-Mohy and Higham,
+    "Computing the action of the matrix exponential", SIAM J. Sci. Comput.
+    33(2), 2011), in m = ceil(||A|| / (1/2)) substeps of exp(A / m).
 
+    Each substep sums the series until the rigorous remainder bound
+    ||term|| / (1 - q), q = ||A / m|| / (k + 2), drops below rel_tol times
+    max(1, ||partial sum||), in infinity norms.  Every exponent that
+    phi_equivariance_check takes has norm at most 1/2, so m = 1 there;
+    phi_tilde takes any xi.
 
-def _blocks(S: list[list[float]]) -> list[list[int]]:
-    """The connected components of S's nonzero pattern, i ~ j when S[i][j]
-    or S[j][i] is nonzero, each in ascending order.  An index whose row
-    and column are zero, a zero 1x1 block, is left out."""
-    n = len(S)
-    near: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(S):
-        for j, x in enumerate(row):
-            if x:
-                near[i].append(j)
-                near[j].append(i)
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if seen[i] or not near[i]:
-            continue
-        seen[i] = True
-        stack, block = [i], []
-        while stack:
-            v = stack.pop()
-            block.append(v)
-            for w in near[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        out.append(sorted(block))
-    return out
+    A norm of A beyond float range raises OutOfFloatRange.
+    SeriesNotConverged is raised for a nan in A, before the series; for a
+    nan in v or in a term, as a nan tail or partial sum never passes the
+    tail test; for a tail test not met in 59 terms; and for m epsilon >
+    rel_tol, where the rounding of the m substeps alone could miss the
+    tolerance: expm names m instead of running them.
 
-
-def expm(A: list[list[float]], rel_tol: float = REL_TOL) -> list[list[float]]:
-    """Matrix exponential by scaling and squaring with a bounded series tail.
-
-    After scaling so the norm is at most 1/2, the Taylor series is summed
-    until the rigorous remainder bound  ||term|| / (1 - q)  with
-    q = ||A|| / (k + 2) drops below the tolerance.  ||result|| is at most
-    1 + the sum of the term norms, so it is only computed once that bound
-    (with a margin far above rounding) lets the tail test pass.
-
-    The exponential of a block-diagonal matrix is made of its blocks'
-    exponentials, so the series and the squarings run on each block of
-    the scaled matrix S (see _blocks), with its indices in ascending order,
-    and the blocks step in lockstep: the tail test reads the largest row
-    sum over all of them.  Every sum then runs in the order of the dense
-    computation, and on finite input each float equals its value there.
-    An index in no block, with a zero row and column, is an identity row
-    of the result; a block of every index is the result itself.
-
-    A norm of A that is not finite, a row sum beyond float range, raises
-    OutOfFloatRange: halving it would never reach 1/2.  A nan in any row of
-    a term makes the tail nan, which never passes the tail test, so the
-    series raises SeriesNotConverged.
-
-    The entries may be complex, as in _complex_step: the code only
-    multiplies, adds, takes abs (the modulus) and tests entries for zero.
-    A real matrix given with zero imaginary parts gives its float result
-    as the real parts.
+    The entries may be complex, as in _ode_residual: the code only
+    multiplies, adds, divides by an integer, takes abs (the modulus) and
+    tests entries for zero.
     """
-    n = len(A)
-    if n == 0:
-        return []
-    norm = _mat_norm(A)
-    if not math.isfinite(norm):
+    n, norm = len(A), _mat_norm(A)
+    if math.isnan(norm):
+        raise SeriesNotConverged(f"a {n}x{n} matrix to exponentiate holds "
+                                 "a nan")
+    if norm == math.inf:
         raise OutOfFloatRange(f"the norm of a {n}x{n} matrix to exponentiate "
-                              f"is {norm}, out of float range")
-    squarings = 0
-    while norm > 0.5:
-        squarings += 1
-        norm /= 2.0
-    S = _mat_scale(0.5 ** squarings, A)
-    s_norm = _mat_norm(S)
-
-    blocks = _blocks(S)
-    # Per block: S's nonzeros by row, in block coordinates; the partial
-    # sum; and the last term of the series.
-    nz = [[[(c, S[i][j]) for c, j in enumerate(idx) if S[i][j]] for i in idx]
-          for idx in blocks]
-    results = [_identity(len(idx)) for idx in blocks]
-    terms = [_identity(len(idx)) for idx in blocks]
-    bound = 1.0
-    for k in range(1, 60):
-        inv_k = 1.0 / k
-        tail = 0.0
-        for nzS, term, result in zip(nz, terms, results):
-            m = len(term)
-            for r, row in enumerate(term):
-                acc = [inv_k * x if x else x for x in _row_times(row, nzS, m)]
-                term[r] = acc
-                result[r] = [x + y for x, y in zip(result[r], acc)]
-                row_sum = sum(map(abs, acc))
-                # The largest row sum, or nan once one is nan (as _worst).
-                if row_sum > tail or row_sum != row_sum:
-                    tail = row_sum
-        bound += tail
-        q = s_norm / (k + 2)
-        if (q < 1 and tail / (1 - q) <= rel_tol * bound * _NORM_MARGIN
-                and tail / (1 - q) <= rel_tol * max(
-                    1.0, max(map(_mat_norm, results), default=0.0))):
-            break
-    else:
-        raise SeriesNotConverged("exponential series tail bound not met")
-
-    for b, result in enumerate(results):
-        for _ in range(squarings):
-            result = _mat_mul(result, result)
-        results[b] = result
-    if len(blocks) == 1 and len(blocks[0]) == n:  # one block of every index
-        return results[0]
-    E = _identity(n)
-    for idx, result in zip(blocks, results):
-        for i, row in zip(idx, result):
-            E[i] = [0.0] * n
-            for j, x in zip(idx, row):
-                E[i][j] = x
-    return E
+                              "is inf, out of float range")
+    m = max(1, math.ceil(norm / _HALF))
+    if m * sys.float_info.epsilon > rel_tol:
+        raise SeriesNotConverged(
+            f"exp(A) v at ||A|| = {norm:.3e} takes {m} substeps, whose "
+            f"rounding could exceed the tolerance {rel_tol:.0e}")
+    if m > 1:
+        A = [[x / m for x in row] for row in A]
+        norm = _mat_norm(A)
+    nz = [[(j, x) for j, x in enumerate(row) if x] for row in A]
+    for _ in range(m):
+        result = term = v
+        for k in range(1, 60):
+            term = [sum(x * term[j] for j, x in row) / k for row in nz]
+            result = [a + b for a, b in zip(result, term)]
+            # q = ||A / m|| / (k + 2) <= 1/6: the bound is finite.
+            q = norm / (k + 2)
+            if _worst(map(abs, term)) / (1 - q) <= rel_tol * _worst(
+                    [1.0, *map(abs, result)]):
+                break
+        else:
+            raise SeriesNotConverged("exponential series tail bound not met")
+        v = result
+    return list(v)
 
 
 def phi_tilde(model: TangentModel, p: TubePoint) -> tuple[float, ...]:
     """Normal-form momentum Ad*_{exp(-xi)}(mu + rho + Phi_N1(nu)), as floats.
 
     At xi = 0 the exponential is skipped and the returned floats are exact
-    conversions of the rational covector.
+    conversions of the rational covector.  Any other xi is taken as it is:
+    expm runs ceil(||ad(xi)|| / (1/2)) substeps, and names a norm that
+    would need more than REL_TOL / epsilon (about 4.5e6) of them.
     """
     lam = _shifted_momentum(model, p)
     if is_zero_vec(p.xi):
         return tuple(_to_floats(lam))
-    ad = model.inst.algebra.ad_matrix(tuple(-x for x in p.xi))
+    ad = model.inst.algebra.ad_matrix(scale_vec(-ONE, p.xi))
     return _coadjoint_exp(_to_float_rows(ad), _to_floats(lam))
 
 
 def _coadjoint_exp(ad: list[list[float]],
-                   lam: list[float]) -> tuple[float, ...]:
-    """Ad*_{exp(-xi)} lam, as floats, from the floats of ad(-xi) and lam."""
-    # <Ad*_{exp(-xi)} lam, y> = <lam, exp(-ad_xi) y>: apply the transpose.
-    return tuple(_mat_vec(list(zip(*expm(ad))), lam))
+                   lam: Sequence[float]) -> tuple[float, ...]:
+    """Ad*_{exp(-xi)} lam = exp(ad(-xi)^T) lam, as floats, from the floats
+    of ad(-xi) and lam: <Ad*_{exp(-xi)} lam, y> = <lam, exp(-ad_xi) y>."""
+    return tuple(expm([list(col) for col in zip(*ad)], lam))
 
 
 def check_dphi_consistency(model: TangentModel, p: TubePoint,
@@ -318,9 +253,10 @@ def check_dphi_consistency(model: TangentModel, p: TubePoint,
     the g_coords (zeta, u) of e_i, with zeta acting on (rho, nu) by the R
     and V block of isotropy_action (model.slice_isotropy).  Row i of
     X^T G is x_i^T G, the rows of G at the nonzero coordinates of x_i
-    combined: row k of G itself when x_i = e_k.  dJ(p) is pointmodel.momentum_differential at lam =
-    mu + rho + Phi_N1(nu); at the base point it is model.dphi_G, the
-    matrix the kernel checks read.
+    combined: row k of G itself when x_i = e_k.  dJ(p) is
+    pointmodel.momentum_differential at lam = mu + rho + Phi_N1(nu); at
+    the base point it is model.dphi_G, the matrix the kernel checks read.
+    The check takes no exponential.
     """
     if not is_zero_vec(p.xi):
         raise OffSlice("the momentum map equation is only checked at group "
@@ -336,36 +272,45 @@ def check_dphi_consistency(model: TangentModel, p: TubePoint,
     return entry_detail(XtG, dJ, "X^T G")
 
 
-# Complex step of s -> expm(sA) at s = 1, before division by max(1, ||A||).
+# The complex step h of the ODE test.
 _ODE_STEP = 1e-4
 
 
-def _complex_step(A: list[list[float]]
-                  ) -> tuple[list[list[float]], list[list[float]]]:
-    """expm(A) and its derivative A expm(A) along s -> expm(sA), as Re Z
-    and Im Z / h for Z = expm((1 + ih) A), h = _ODE_STEP / max(1, ||A||),
-    so h ||A|| <= 1e-4 (Squire and Trapp, SIAM Rev. 1998; Al-Mohy and
-    Higham, Numer. Algorithms 2010).  Re Z = expm(A) cos(hA) is within
-    cosh(h ||A||) - 1 <= 5.1e-9 of expm(A), and Im Z / h = expm(A) sin(hA)
-    / h is about (h ||A||)^2 / 6 <= 1.7e-9 from A expm(A), relatively,
-    with nothing cancelling."""
-    h = _ODE_STEP / max(1.0, _mat_norm(A))
-    Z = expm([[complex(x, h * x) for x in row] for row in A])
-    return ([[z.real for z in row] for row in Z],
-            [[z.imag / h for z in row] for row in Z])
+def _ode_residual(A: list[list[float]], w: Sequence[float]) -> float:
+    """The _relative_error of Im(Z w) / h against A Re(Z w), for Z =
+    exp((1 + ih) A) and h = _ODE_STEP: how far Z w is from the ODE
+    d/dt exp(tA) w = A exp(tA) w at t = 1, by a complex step (Squire and
+    Trapp, SIAM Rev. 1998; Al-Mohy and Higham, Numer. Algorithms 2010).
+    Im(Z w) / h = exp(A) sin(hA) w / h and A Re(Z w) = A exp(A) cos(hA) w
+    differ by about (h ||A||)^2 / 3 of A exp(A) w, 8.3e-10 at ||A|| =
+    1/2, with nothing cancelling."""
+    h = _ODE_STEP
+    z = expm([[complex(x, h * x) for x in row] for row in A], w)
+    return _relative_error([y.imag / h for y in z],
+                           _mat_vec(A, [y.real for y in z]))
 
 
-def _ode_residual(A: list[list[float]]) -> float:
-    """The _relative_error of Im Z / h against A Re Z for _complex_step:
-    how far Z is from the ODE d/dt expm(tA) = A expm(tA) at t = 1, about
-    (h ||A||)^2 / 3 <= 3.4e-9 on an exact exponential."""
-    E, D = _complex_step(A)
-    return _relative_error([x for row in D for x in row],
-                           [x for row in _mat_mul(A, E) for x in row])
+def _exact_norm(M: Matrix) -> Fraction:
+    """||M||_inf exactly: the largest row sum of |entries|, summed over the
+    nonzero entries only (no sum takes a zero operand)."""
+    return max((_total([abs(x) for x in row if x is not ZERO and x])
+                for row in M.entries), default=ZERO)
 
 
-# The largest norm of an exponent of k^-1: no squaring multiplies errors.
-_GM_NORM = 0.5
+def _scaled_floats(bound: Fraction, norm: Fraction,
+                   *mats: Matrix) -> list[list[list[float]]]:
+    """The floats of mats, each first scaled exactly by min(1, bound /
+    norm): for norm the largest norm among the exponents they give, no
+    exponent has a norm above bound, and every entry fits a float.  The
+    factor is never 0, so a nonzero matrix stays nonzero."""
+    if norm > bound:
+        mats = tuple(M.scale(bound / norm) for M in mats)
+    return [_to_float_rows(M) for M in mats]
+
+
+# The bound on ||coad(-xi)||: the ODE test exponentiates (1 + ih) coad(-xi),
+# of norm at most (1 + h) ||coad(-xi)||, and that must be at most 1/2.
+_ODE_BOUND = Fraction(_HALF) / (1 + Fraction(_ODE_STEP))
 
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -384,20 +329,27 @@ def phi_equivariance_check(model: TangentModel, samples: int,
 
         J([g k, k^-1 (rho, nu)]) = J([g, rho, nu]),
 
-    to REL_TOL, and the _ode_residual of A = coad(-xi), g = exp(xi), to
-    FD_TOL; the detail names the first sample that misses either.  Both
-    sides of the identity apply the invertible Ad*_{g^-1}, so it is
-    compared before it: Ad*_{k^-1} lam(k^-1 (rho, nu)) against lam(rho,
-    nu), lam = mu + rho + Phi_N1(nu) in floats.  k^-1 acts on (rho, nu) by
-    the exponential of minus model.slice_isotropy (the coadjoint action on
-    m*, from the (p, b) block of ad(zeta) in the (g_m, m, n) basis, and the
-    slice action on N1), and on the momentum by
-    the coadjoint exponential of ad(-zeta), with zeta scaled so that
-    neither exponent has a norm above _GM_NORM.  A sample takes three
-    exponentials, the n x n ODE's, k^-1's and ad(-zeta)'s.  When g_m = 0 it
-    takes the ODE's alone, the deviation is 0, and the ODE test is all the
-    check holds: its residual depends on the structure constants and the
-    drawn xi, never on mu, the slice or the model.
+    to REL_TOL, and the _ode_residual of A = coad(-xi), g = exp(xi), on a
+    vector w of floats drawn in [-1, 1], to FD_TOL; the detail names the
+    first sample that misses either, or that raises.  Both sides of the
+    identity apply the invertible Ad*_{g^-1}, so it is compared before
+    it: Ad*_{k^-1} lam(k^-1 (rho, nu)) against lam(rho, nu), lam = mu +
+    rho + Phi_N1(nu) in floats.  k^-1 acts on (rho, nu) by the
+    exponential of minus model.slice_isotropy (the coadjoint action on
+    m*, from the (p, b) block of ad(zeta) in the (g_m, m, n) basis, and
+    the slice action on N1), and on the momentum by the coadjoint
+    exponential of ad(-zeta).
+
+    xi and zeta are drawn as rationals and scaled exactly, before any
+    float conversion, by min(1, bound / norm): coad(-xi) to _ODE_BOUND,
+    and ad(-zeta)^T and the action on (rho, nu) together to 1/2.  So no
+    exponent has a norm above 1/2, expm sums one series step on a vector
+    for each, and a value out of float range is one the instance holds,
+    not one the draw made.  A sample takes three exponentials, the ODE's,
+    k^-1's on (rho, nu) and ad(-zeta)^T's on lam.  When g_m = 0 it takes
+    the ODE's alone, the deviation is 0, and the ODE test is all the
+    check holds: its residual depends on the structure constants, the
+    drawn xi and w, never on mu, the slice or the model.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -406,14 +358,9 @@ def phi_equivariance_check(model: TangentModel, samples: int,
     def rand_frac() -> Fraction:
         return Fraction(rng.randint(-8, 8), rng.randint(1, 8))
 
-    worst, off_gm, off_ode = 0.0, "", ""
+    worst, off_gm, off_ode, at = 0.0, "", "", ""
     L, gm, dm = model.inst.algebra, model.gm_dim, model.dim_m
     try:
-        # Per g_m basis vector eta: ad(-eta), and -(its action on rho, nu).
-        gens = [[_to_float_rows(X) for X in (
-            L.ad_matrix(tuple(-x for x in eta)), act.scale(-1))]
-            for eta, act in zip(model.inst.gm.basis_vectors(),
-                                model.slice_isotropy)]
         forms = [_to_float_rows(S) for S in model.inst.slice_rep.momentum_forms]
         coframe, muf = ((_to_float_rows(model.coframe),
                          _to_floats(model.inst.mu)) if gm else ([], []))
@@ -426,32 +373,36 @@ def phi_equivariance_check(model: TangentModel, samples: int,
             return [m + _dot(row, dual) for m, row in zip(muf, coframe)]
 
         for t in range(samples):
+            at = f"sample {t}: "
             xi = tuple(rand_frac() for _ in range(L.dim))
             rho = tuple(rand_frac() for _ in range(dm))
             nu = tuple(rand_frac() for _ in range(model.slice_dim))
-            # coad(-xi) = ad(-xi)^T, as floats entry by entry.
-            miss = _ode_residual([list(col) for col in zip(
-                *_to_float_rows(L.ad_matrix(tuple(-x for x in xi))))])
+            w = [rng.uniform(-1.0, 1.0) for _ in range(L.dim)]
+            coad = L.ad_matrix(scale_vec(-ONE, xi)).transpose()
+            miss = _ode_residual(*_scaled_floats(
+                _ODE_BOUND, _exact_norm(coad), coad), w)
             if not off_ode and not miss <= FD_TOL:
-                off_ode = (f"; sample {t}: d/dt expm(tA) at t = 1 misses "
-                           f"A expm(A) by {miss:.3e}")
+                off_ode = (f"; {at}d/dt exp(tA) w at t = 1 misses "
+                           f"A exp(A) w by {miss:.3e}")
             if not gm:
                 continue
-            c = _to_floats([rand_frac() for _ in range(gm)])
-            ad_k, act_k = ([[_dot(c, xs) for xs in zip(*rows)]
-                            for rows in zip(*mats)] for mats in zip(*gens))
-            scale = _GM_NORM / max(_GM_NORM, _mat_norm(ad_k), _mat_norm(act_k))
+            c = tuple(rand_frac() for _ in range(gm))
+            ad_k = L.ad_matrix(scale_vec(-ONE, model.inst.gm.basis.apply(c)))
+            acts = [A.scale(-x) for A, x in zip(model.slice_isotropy, c)]
+            act_k = sum(acts[1:], acts[0])
+            ad_f, act_f = _scaled_floats(
+                Fraction(_HALF),
+                max(_exact_norm(ad_k.transpose()), _exact_norm(act_k)),
+                ad_k, act_k)
             rho_nu = _to_floats(rho + nu)
-            moved = _mat_vec(expm(_mat_scale(scale, act_k)), rho_nu)
             dev = _relative_error(
-                _coadjoint_exp(_mat_scale(scale, ad_k), lam(moved)),
-                lam(rho_nu))
+                _coadjoint_exp(ad_f, lam(expm(act_f, rho_nu))), lam(rho_nu))
             worst = _worst((worst, dev))
             if not off_gm and not dev <= REL_TOL:
-                off_gm = (f"; sample {t}: J([g k, k^-1 (rho, nu)]) misses "
+                off_gm = (f"; {at}J([g k, k^-1 (rho, nu)]) misses "
                           f"J([g, rho, nu]) by {dev:.3e}")
     except (OutOfFloatRange, SeriesNotConverged) as e:
-        return [Check("tube.equivariance", False, str(e))]
+        return [Check("tube.equivariance", False, f"{at}{e}")]
     return [Check(
         "tube.equivariance", worst <= REL_TOL and not off_gm and not off_ode,
         f"max relative deviation {worst:.3e} over {samples} samples"

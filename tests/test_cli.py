@@ -11,7 +11,7 @@ from instances import zero_slice_block
 
 from wittartin import decomposition as dec
 from wittartin import pointmodel as pm
-from wittartin import splitting
+from wittartin import splitting, tube
 from wittartin.catalog import EXAMPLE_NAMES, build_example
 from wittartin.cli import main
 from wittartin.exactlin import Subspace
@@ -411,12 +411,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("where", ["mu", "structure_constants"])
     def test_rational_beyond_float_range_fails_the_float_checks(
-            self, capsys, tmp_path, where):
-        # A valid instance that check and decompose accept; the float tube
-        # check cannot convert 10**400 and names the value instead of
-        # raising OverflowError.  The equivariance check reads mu only
+            self, capsys, tmp_path, monkeypatch, where):
+        # A valid instance that check and decompose accept.  The float tube
+        # check cannot convert a mu of 10**400 and names the value instead
+        # of raising OverflowError.  The equivariance check reads mu only
         # through the G_m identity, so mu is scaled on an instance with
-        # g_m != 0, where k = exp(zeta) still fixes it.  The momentum map
+        # g_m != 0, where k = exp(zeta) still fixes it.  Brackets of
+        # 10**400 pass: xi is scaled exactly, before any float conversion,
+        # to a coad(-xi) of norm at most 1/2, whose entries all fit a
+        # float; a halved exponent still fails there.  The momentum map
         # equation is exact and passes.
         example = "so3xso3-diagonal" if where == "mu" else "so3-generic"
         path = write_example(capsys, tmp_path, example)
@@ -431,11 +434,27 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert run_cli(capsys, "check", str(path))[0] == 0
         assert run_cli(capsys, "decompose", str(path))[0] == 0
-        code, out, _ = run_cli(capsys, "verify", str(path), "--samples", "3",
-                               "--format", "json")
+
+        def verify_failures():
+            code, out, _ = run_cli(capsys, "verify", str(path), "--samples",
+                                   "3", "--format", "json")
+            checks = json.loads(out)["checks"]
+            assert len(checks) == 69
+            return code, {c["name"].split(":")[-1]: c["detail"]
+                          for c in checks if not c["passed"]}
+
+        code, failed = verify_failures()
+        if where == "structure_constants":
+            assert (code, failed) == (0, {})
+            exact = tube.expm
+            monkeypatch.setattr(tube, "expm", lambda A, v, *rest: exact(
+                [[x / 2 for x in row] for row in A], v, *rest))
+            code, failed = verify_failures()
+            assert code == 1 and sorted(failed) == ["tube.equivariance"]
+            assert "; sample 0: d/dt exp(tA) w at t = 1 misses A exp(A) w " \
+                "by " in failed["tube.equivariance"]
+            return
         assert code == 1
-        failed = {c["name"].split(":")[-1]: c["detail"]
-                  for c in json.loads(out)["checks"] if not c["passed"]}
         assert sorted(failed) == ["tube.equivariance"]
         for detail in failed.values():
             assert detail.startswith("the exact value ")

@@ -22,9 +22,11 @@ from wittartin.pointmodel import (
     dphi_H,
     inf_action,
     isotropy_action,
+    momentum_differential,
 )
 from wittartin.splitting import build_chain
-from wittartin.tube import TubePoint, omega_tube_gram
+from wittartin.tube import TubePoint, _shifted_momentum, omega_tube_gram
+from test_exactlin import fraction_ops  # noqa: F401  (a fixture)
 
 F = Fraction
 
@@ -268,3 +270,23 @@ def test_tube_form_is_the_point_form_outside_uu():
             assert all(G[i][j] == m.omega.entries[i][j]
                        for i in range(m.total_dim) for j in range(m.total_dim)
                        if i >= un or j >= un)
+
+
+def test_momentum_differential_takes_no_zero_operand(fraction_ops):
+    # -lam keeps lam's shared zeros, and ad*_u(-lam) replaces a ZERO
+    # partial sum instead of adding to it, so at slice points (fresh
+    # Fraction(0) coordinates among them) no sum or product of dJ takes a
+    # zero operand.
+    from corpus import build_corpus
+    models = [model_for(inst) for inst in build_corpus()[::20]]
+    models.append(model_for(so3xso3_diag(with_gm=True)))
+    rng = random.Random(1)
+    for m in models:
+        for _ in range(2):
+            p = TubePoint(zero_vec(m.inst.dim), *(
+                tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(k)) for k in (m.dim_m, m.slice_dim)))
+            lam = _shifted_momentum(m, p)
+            del fraction_ops[:]
+            momentum_differential(m, lam, p.nu)
+            assert fraction_ops and not any(zero for _, zero in fraction_ops)

@@ -131,3 +131,48 @@ def test_exponentials_per_run_all_with_gm_are_pinned(monkeypatch, samples,
     checks = verify.run_all(inst, samples=samples)
     assert all(c.passed for c in checks)
     assert len(calls) == expected == 3 * samples
+
+
+def _instances_for_the_exponent_bound():
+    """The catalog, and the x10^4 scaled non-abelian corpus instances."""
+    from test_verify import _scaled_brackets, _scaled_corpus_instances
+    out = [(name, instancefile.from_dict(doc))
+           for name, doc in catalog.all_examples()]
+    out += [(f"corpus{shape} x 10^4", instancefile.from_dict(_scaled_brackets(
+        instancefile.to_dict(inst), 10**4)))
+        for shape, inst in _scaled_corpus_instances().items()]
+    return [pytest.param(inst, id=name) for name, inst in out]
+
+
+@pytest.mark.parametrize("inst", _instances_for_the_exponent_bound())
+def test_every_exponent_has_norm_at_most_one_half(monkeypatch, inst):
+    """Every exponent run_all gives tube.expm has infinity norm at most 1/2,
+    so the series takes one step; and the ODE's, (1 + ih) coad(-xi), the
+    one with complex entries, is nonzero wherever coad(-xi) is: the exact
+    scaling of xi never reaches 0, even where the brackets are large."""
+    events = []
+    ad_matrix, expm = liecore.LieAlgebra.ad_matrix, tube.expm
+
+    def recorded_ad(self, x):
+        events.append(("ad", ad_matrix(self, x)))
+        return events[-1][1]
+
+    def recorded_expm(A, *args):
+        events.append(("expm", A))
+        return expm(A, *args)
+
+    monkeypatch.setattr(liecore.LieAlgebra, "ad_matrix", recorded_ad)
+    monkeypatch.setattr(tube, "expm", recorded_expm)
+    checks = verify.run_all(inst, samples=3)
+    assert all(c.passed for c in checks)
+    exponents = 0
+    for t, (kind, A) in enumerate(events):
+        if kind != "expm":
+            continue
+        exponents += 1
+        assert tube._mat_norm(A) <= 0.5
+        if any(isinstance(x, complex) for row in A for x in row):
+            # The tube takes ad(-xi) just before the ODE's exponent.
+            ad = next(M for k, M in reversed(events[:t]) if k == "ad")
+            assert any(x for row in A for x in row) == (not ad.is_zero())
+    assert exponents == (3 if inst.gm.dim else 1) * 3

@@ -1051,22 +1051,42 @@ def test_smaller_h_orbit_fails_h_orbit_perp_check_and_names_a_vector(
                            "ker dphi_H")
 
 
-def test_float_overflow_in_the_exponential_fails_equivariance():
-    # so(3) with brackets 10**160 times the usual ones is a valid instance
-    # whose exact data all fit in a float.  The exponential at an
-    # equivariance sample overflows: its ODE residual is nan.  g_m = 0, so
-    # the deviation is exactly 0.
+def _halve_exponent(monkeypatch):
+    """tube.expm on half its exponent: exp(A/2) v."""
+    exact = tube.expm
+
+    def halved(A, v, rel_tol=tube.REL_TOL):
+        return exact([[x / 2 for x in row] for row in A], v, rel_tol)
+
+    monkeypatch.setattr(tube, "expm", halved)
+
+
+def _big_brackets(power):
+    """so3-generic with brackets 10**power times the usual ones."""
     doc = build_example("so3-generic")
-    big = "1" + "0" * 160
+    big = "1" + "0" * power
     doc["structure_constants"] = [
         [[{"1": big, "-1": "-" + big}.get(x, x) for x in row]
          for row in plane] for plane in doc["structure_constants"]]
-    inst = from_dict(doc)
+    return doc
+
+
+def test_float_overflow_in_the_exponential_fails_equivariance(monkeypatch):
+    # so(3) with brackets 10**160 times the usual ones is a valid instance
+    # whose exact data all fit in a float.  Unscaled, the exponential at an
+    # equivariance sample overflowed; xi is now scaled exactly until
+    # coad(-xi) has norm at most 1/2, so nothing overflows and every check
+    # passes.  A halved exponent still fails the ODE test.  g_m = 0, so the
+    # deviation is exactly 0.
+    inst = from_dict(_big_brackets(160))
+    checks = verify.run_all(inst, samples=2)
+    assert len(checks) == 69 and _failed(checks) == []
+    _halve_exponent(monkeypatch)
     checks = verify.run_all(inst, samples=2)
     assert _failed(checks) == ["tube.equivariance"]
-    assert _check(checks, "tube.equivariance").detail == (
+    assert _check(checks, "tube.equivariance").detail.startswith(
         "max relative deviation 0.000e+00 over 2 samples; sample 0: "
-        "d/dt expm(tA) at t = 1 misses A expm(A) by nan")
+        "d/dt exp(tA) w at t = 1 misses A exp(A) w by ")
 
 
 def _is_ode_exponent(A):
@@ -1076,17 +1096,17 @@ def _is_ode_exponent(A):
 
 
 def test_nan_in_the_ode_derivative_fails_equivariance(monkeypatch):
-    # A nan at entry (1, 1) of the ODE's complex-step exponential: a plain
-    # max over the residual's entries keeps the finite value it holds from
-    # entry (0, 0) when it meets the nan, so only a nan-aware one sees it.
+    # A nan at entry 1 of the ODE's complex-step vector Z w: a plain max
+    # over the residual's entries keeps the finite value it holds from
+    # entry 0 when it meets the nan, so only a nan-aware one sees it.
     expected_names = [c.name for c in _run()]
     exact = tube.expm
 
     def nan_imaginary(A, *args):
-        E = exact(A, *args)
+        z = exact(A, *args)
         if _is_ode_exponent(A):
-            E[1][1] = complex(E[1][1].real, float("nan"))
-        return E
+            z[1] = complex(z[1].real, float("nan"))
+        return z
 
     monkeypatch.setattr(tube, "expm", nan_imaginary)
     checks = _run()
@@ -1094,7 +1114,7 @@ def test_nan_in_the_ode_derivative_fails_equivariance(monkeypatch):
     assert _failed(checks) == ["tube.equivariance"]
     assert _check(checks, "tube.equivariance").detail == (
         "max relative deviation 0.000e+00 over 3 samples; sample 0: "
-        "d/dt expm(tA) at t = 1 misses A expm(A) by nan")
+        "d/dt exp(tA) w at t = 1 misses A exp(A) w by nan")
 
 
 def _scaled_brackets(doc, c):
@@ -1116,8 +1136,8 @@ def _scaled_brackets(doc, c):
 @pytest.mark.parametrize("example", ["so3-generic", "so3-collinear",
                                      "so3xso3-diagonal"])
 def test_scaled_brackets_pass_every_check(example, c):
-    # At c = 10^4 the ODE residual of expm is 2.4e-10 at sample 0 on
-    # so3-generic, within FD_TOL, which bounds it at every norm.
+    # At every c the check scales xi until coad(-xi) has norm at most 1/2,
+    # so the ODE residual stays within FD_TOL.
     checks = verify.run_all(from_dict(
         _scaled_brackets(build_example(example), c)))
     assert len(checks) == 69
@@ -1147,33 +1167,36 @@ def test_scaled_corpus_instances_pass_every_check(c):
         assert _failed(checks) == [], shape
 
 
-def test_norm_beyond_float_range_is_a_named_tube_fail(tmp_path):
+def test_norm_beyond_float_range_is_a_named_tube_fail(tmp_path,
+                                                     monkeypatch):
     # At 10^308 the structure constants still fit a float, but a row sum of
-    # ad(xi) at an equivariance sample does not: halving an infinite norm
-    # never ended.  A subprocess with a timeout turns a hang into a failure.
+    # ad(xi) at an equivariance sample does not; that norm was a named FAIL
+    # until xi was scaled exactly, before any float conversion, to a
+    # coad(-xi) of norm at most 1/2.  Every check passes now, and a halved
+    # exponent still fails.  A subprocess with a timeout turns a hang into
+    # a failure.
+    doc = _scaled_brackets(build_example("so3-generic"), 10**308)
     path = tmp_path / "scaled.json"
-    path.write_text(json.dumps(
-        _scaled_brackets(build_example("so3-generic"), 10**308)))
+    path.write_text(json.dumps(doc))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-m", "wittartin", "verify", str(path),
          "--format", "json"],
         capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 1, done.stderr
+    assert done.returncode == 0, done.stderr
     checks = json.loads(done.stdout)["checks"]
-    assert len(checks) == 69
-    failed = [c for c in checks if not c["passed"]]
-    assert failed
-    for c in failed:
-        assert c["name"].startswith(f"{path}:tube."), c["name"]
-        assert c["detail"], c["name"]
-    assert any("out of float range" in c["detail"] for c in failed)
+    assert len(checks) == 69 and all(c["passed"] for c in checks)
+    _halve_exponent(monkeypatch)
+    checks = verify.run_all(from_dict(doc), samples=3)
+    assert _failed(checks) == ["tube.equivariance"]
+    assert "; sample 0: d/dt exp(tA) w at t = 1 misses A exp(A) w by " \
+        in _check(checks, "tube.equivariance").detail
 
 
 def test_unconverged_exponential_series_is_a_named_fail(monkeypatch):
     expected_names = [c.name for c in _run()]
 
-    def unconverged(A, rel_tol=tube.REL_TOL):
+    def unconverged(A, v, rel_tol=tube.REL_TOL):
         raise tube.SeriesNotConverged("exponential series tail bound not met")
 
     monkeypatch.setattr(tube, "expm", unconverged)
@@ -1181,7 +1204,7 @@ def test_unconverged_exponential_series_is_a_named_fail(monkeypatch):
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["tube.equivariance"]
     assert _check(checks, "tube.equivariance").detail == \
-        "exponential series tail bound not met"
+        "sample 0: exponential series tail bound not met"
 
 
 def test_doubled_momentum_differential_fails_fd_check(monkeypatch):
@@ -1400,61 +1423,46 @@ def test_zero_Zm_gram_fails_witt_h5_and_names_Zm(monkeypatch):
         == "Zm is degenerate under omega"
 
 
-def _skip_last_squaring(monkeypatch):
-    """tube.expm without its last squaring: exp(A/2) once ||A|| > 1/2."""
-    exact = tube.expm
-
-    def one_squaring_short(A, rel_tol=tube.REL_TOL):
-        if tube._mat_norm(A) > 0.5:
-            A = tube._mat_scale(0.5, A)
-        return exact(A, rel_tol)
-
-    monkeypatch.setattr(tube, "expm", one_squaring_short)
-
-
-def test_expm_one_squaring_short_fails_equivariance_and_names_a_sample(
-        monkeypatch):
+def test_halved_exponent_fails_equivariance_and_names_a_sample(monkeypatch):
     # g_m = 0, so the G_m identity draws no k and its deviation is 0, and
     # the momentum map equation is exact, so only the ODE condition of the
-    # complex step sees it.
+    # complex step sees it: Im(Z w) / h is A/2 exp(A/2) w, not A exp(A/2) w.
     expected_names = [c.name for c in _run()]
-    _skip_last_squaring(monkeypatch)
+    _halve_exponent(monkeypatch)
     checks = _run()
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["tube.equivariance"]
-    detail = _check(checks, "tube.equivariance").detail
-    assert detail.startswith("max relative deviation 0.000e+00 over 3 "
-                             "samples; sample 0: d/dt expm(tA) at t = 1 "
-                             "misses A expm(A) by ")
+    assert _check(checks, "tube.equivariance").detail == (
+        "max relative deviation 0.000e+00 over 3 samples; sample 0: "
+        "d/dt exp(tA) w at t = 1 misses A exp(A) w by 7.527e-02")
 
 
-def test_expm_one_squaring_short_fails_equivariance_at_scale_10_4(
-        monkeypatch):
-    # The ODE bound grows with ||A|| beyond 10^3, but a halved exponent
-    # still misses it by far.
+def test_halved_exponent_fails_equivariance_at_scale_10_4(monkeypatch):
+    # xi is scaled to a coad(-xi) of norm at most 1/2 at every scale, so a
+    # halved exponent misses the ODE by as much as at scale 1.
     inst = from_dict(_scaled_brackets(build_example("so3-generic"), 10**4))
     expected_names = [c.name for c in verify.run_all(inst, samples=3)]
-    _skip_last_squaring(monkeypatch)
+    _halve_exponent(monkeypatch)
     checks = verify.run_all(inst, samples=3)
     assert [c.name for c in checks] == expected_names
     assert _failed(checks) == ["tube.equivariance"]
-    assert _check(checks, "tube.equivariance").detail.startswith(
+    assert _check(checks, "tube.equivariance").detail == (
         "max relative deviation 0.000e+00 over 3 samples; sample 0: "
-        "d/dt expm(tA) at t = 1 misses A expm(A) by ")
+        "d/dt exp(tA) w at t = 1 misses A exp(A) w by 7.527e-02")
 
 
 def test_expm_dropping_imaginary_parts_fails_equivariance_by_its_ode(
         monkeypatch):
     # The complex step reads the imaginary part of one exponential: without
-    # it the derivative is 0, a miss of all of A expm(A).  g_m = 0, so no
-    # other exponential is taken at an equivariance sample.
+    # it the derivative is 0, a miss of all of A exp(A) w, which is below
+    # 1 in size here, so the relative miss is its largest entry.  g_m = 0,
+    # so no other exponential is taken at an equivariance sample.
     expected_names = [c.name for c in _run()]
     exact = tube.expm
 
-    def real_only(A, rel_tol=tube.REL_TOL):
-        E = exact(A, rel_tol)
-        return [[x.real for x in row] for row in E] \
-            if _is_ode_exponent(A) else E
+    def real_only(A, v, rel_tol=tube.REL_TOL):
+        z = exact(A, v, rel_tol)
+        return [x.real for x in z] if _is_ode_exponent(A) else z
 
     monkeypatch.setattr(tube, "expm", real_only)
     checks = _run()
@@ -1462,23 +1470,24 @@ def test_expm_dropping_imaginary_parts_fails_equivariance_by_its_ode(
     assert _failed(checks) == ["tube.equivariance"]
     assert _check(checks, "tube.equivariance").detail == (
         "max relative deviation 0.000e+00 over 3 samples; sample 0: "
-        "d/dt expm(tA) at t = 1 misses A expm(A) by 1.000e+00")
+        "d/dt exp(tA) w at t = 1 misses A exp(A) w by 1.387e-01")
 
 
 def test_transposed_expm_fails_equivariance_and_names_a_sample(monkeypatch):
+    # exp(A^T) v in place of exp(A) v.
     expected_names = [c.name for c in _run()]
     exact = tube.expm
 
-    def transposed(A, rel_tol=tube.REL_TOL):
-        return [list(col) for col in zip(*exact(A, rel_tol))]
+    def transposed(A, v, rel_tol=tube.REL_TOL):
+        return exact([list(col) for col in zip(*A)], v, rel_tol)
 
     monkeypatch.setattr(tube, "expm", transposed)
     checks = _run()
     assert [c.name for c in checks] == expected_names
-    assert "tube.equivariance" in _failed(checks)
-    assert _check(checks, "tube.equivariance").detail.startswith(
+    assert _failed(checks) == ["tube.equivariance"]
+    assert _check(checks, "tube.equivariance").detail == (
         "max relative deviation 0.000e+00 over 3 samples; sample 0: "
-        "d/dt expm(tA) at t = 1 misses A expm(A) by ")
+        "d/dt exp(tA) w at t = 1 misses A exp(A) w by 4.127e-01")
 
 
 def _break_gm_action(monkeypatch, blocks, broken):
