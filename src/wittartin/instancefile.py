@@ -141,7 +141,7 @@ def from_dict(doc: Any) -> ProblemInstance:
             _parse_vector(cij, n, memo, "structure_constants", i, j)
             for j, cij in enumerate(ci)))
     try:
-        algebra = LieAlgebra(n, tuple(table))
+        algebra = LieAlgebra.from_constants(table)
     except StructureConstantError as e:
         raise InstanceDataError("structure_constants", str(e))
 

@@ -13,13 +13,13 @@ from functools import cached_property
 from .exactlin import (
     AmbientMismatch,
     Matrix,
+    ONE,
     Subspace,
     Vec,
     ZERO,
     _total,
     frac,
     kernel,
-    zero_vec,
 )
 
 
@@ -31,25 +31,25 @@ class StructureConstantError(ValueError):
 class LieAlgebra:
     """A Lie algebra on Q^n with [e_i, e_j] = sum_k c[i][j][k] e_k.
 
+    The constants are held once, as their nonzero entries (i, j, k,
+    c[i][j][k]) in lexicographic order; every operation reads them.
     Antisymmetry and the Jacobi identity are checked eagerly; malformed
-    constants are rejected at construction time.  Every operation reads the
-    nonzero constants, held once as (i, j, k, c[i][j][k]) in lexicographic
-    order.
+    constants are rejected at construction time.
     """
 
     dim: int
-    c: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    nonzero: tuple[tuple[int, int, int, Fraction], ...]
 
     def __post_init__(self):
-        n = self.dim
-        if len(self.c) != n or any(
-            len(ci) != n or any(len(cij) != n for cij in ci) for ci in self.c
-        ):
-            raise StructureConstantError("structure constant array is not n x n x n")
+        value = {(i, j, k): x for i, j, k, x in self.nonzero}
+        if list(value) != sorted(value) or len(value) != len(self.nonzero) or not all(
+                x and 0 <= min(key) and max(key) < self.dim for key, x in value.items()):
+            raise StructureConstantError("nonzero constants are not sorted, "
+                                         "distinct, nonzero and in range")
         # c[i][j][k] = -c[j][i][k] fails at (i,j,k) or (j,i,k) only when one
         # of the two is nonzero; report the lexicographically first.
         bad = [min((i, j, k), (j, i, k)) for i, j, k, x in self.nonzero
-               if self.c[j][i][k] != -x]
+               if value.get((j, i, k), ZERO) != -x]
         if bad:
             raise StructureConstantError(
                 "antisymmetry fails at (i,j,k)=({},{},{})".format(*min(bad)))
@@ -58,22 +58,26 @@ class LieAlgebra:
             raise StructureConstantError(
                 "Jacobi identity fails on basis triple ({},{},{})".format(*min(bad)))
 
-    @cached_property
-    def nonzero(self) -> tuple[tuple[int, int, int, Fraction], ...]:
-        # A row c[i][j] of the shared ZERO equals zero_row by identity alone,
-        # so the all-zero rows of a sparse table cost no Fraction comparison.
-        zero_row = (ZERO,) * self.dim
-        return tuple((i, j, k, x) for i, ci in enumerate(self.c)
-                     for j, cij in enumerate(ci) if cij != zero_row
-                     for k, x in enumerate(cij) if x is not ZERO and x)
-
     @staticmethod
     def from_constants(c) -> "LieAlgebra":
+        """The algebra of a dense n x n x n table of rationals; its zeros
+        are dropped."""
         n = len(c)
-        table = tuple(
-            tuple(tuple(frac(x) for x in cij) for cij in ci) for ci in c
-        )
-        return LieAlgebra(n, table)
+        if any(len(ci) != n or any(len(cij) != n for cij in ci) for ci in c):
+            raise StructureConstantError("structure constant array is not n x n x n")
+        # A shared ZERO is dropped by identity, with no coercion.
+        return LieAlgebra(n, tuple(
+            (i, j, k, y) for i, ci in enumerate(c) for j, cij in enumerate(ci)
+            for k, x in enumerate(cij) if x is not ZERO and (y := frac(x)) is not ZERO))
+
+    @cached_property
+    def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The dense table c[i][j][k], a read-only view for the writers."""
+        n = self.dim
+        table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k, x in self.nonzero:
+            table[i][j][k] = x
+        return tuple(tuple(map(tuple, ci)) for ci in table)
 
     def _jacobi_failures(self) -> list[tuple[int, int, int]]:
         """Basis triples i < j < k whose Jacobiator is nonzero.
@@ -90,9 +94,8 @@ class LieAlgebra:
             if y < z:
                 for x, m, b in by_middle.get(l, ()):
                     if x != y and x != z:
-                        key = (tuple(sorted((x, y, z))), m)
-                        term = -a * b if y < x < z else a * b
-                        jac[key] = jac.get(key, ZERO) + term
+                        _accumulate(jac, (tuple(sorted((x, y, z))), m),
+                                    -a * b if y < x < z else a * b)
         return [t for (t, _), v in jac.items() if v]
 
     def _check_len(self, *vs: Vec) -> None:
@@ -103,42 +106,29 @@ class LieAlgebra:
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
         self._check_len(x, y)
-        out = [ZERO] * self.dim
+        out: dict[int, Fraction] = {}
         for i, j, k, c in self.nonzero:
             if (a := x[i]) is not ZERO and a and (b := y[j]) is not ZERO and b:
-                out[k] += a * b * c
-        return tuple(out)
+                _accumulate(out, k, a * b * c)
+        return _dense(out, self.dim)
 
     def ad_matrix(self, x: Vec) -> Matrix:
         """Matrix of y -> [x, y] in the defining basis."""
-        n = self.dim
-        m = [[ZERO] * n for _ in range(n)]
+        self._check_len(x)
+        n, rows = self.dim, {}
         for i, j, k, c in self.nonzero:
             if (a := x[i]) is not ZERO and a:
-                m[k][j] += a * c
-        return Matrix(n, n, tuple(map(tuple, m)))
+                _accumulate(rows.setdefault(k, {}), j, a * c)
+        return Matrix(n, n, tuple(_dense(rows.get(k, {}), n) for k in range(n)))
 
     def coad_apply(self, x: Vec, lam: Vec) -> Vec:
         """ad*_x lam, i.e. the covector y -> <lam, [x, y]>."""
         self._check_len(x, lam)
-        out = [ZERO] * self.dim
+        out: dict[int, Fraction] = {}
         for i, j, k, c in self.nonzero:
             if (a := x[i]) is not ZERO and a and (b := lam[k]) is not ZERO and b:
-                # As _total: a ZERO partial sum is replaced, not added to.
-                t, s = a * b * c, out[j]
-                out[j] = (s + t or ZERO) if s is not ZERO else t
-        return tuple(out)
-
-    def bracket_pairing(self, lam: Vec) -> Matrix:
-        """K[a][b] = <lam, [e_a, e_b]>: the structure constants contracted
-        with the covector lam."""
-        self._check_len(lam)
-        n = self.dim
-        K = [[ZERO] * n for _ in range(n)]
-        for a, b, k, c in self.nonzero:
-            if (x := lam[k]) is not ZERO and x:
-                K[a][b] += x * c
-        return Matrix(n, n, tuple(map(tuple, K)))
+                _accumulate(out, j, a * b * c)
+        return _dense(out, self.dim)
 
     def bracket_gram(self, lam: Vec, X: Matrix, Y: Matrix) -> Matrix:
         """Entry (a, b) is <lam, [x_a, y_b]> for the columns x_a of X and
@@ -175,10 +165,16 @@ class LieAlgebra:
         return Matrix(X.cols, Y.cols, tuple(gram))
 
 
-def _accumulate(acc: dict[int, Fraction], j: int, t: Fraction) -> None:
-    """acc[j] += t for a nonzero t; an absent or cancelled entry becomes t."""
+def _accumulate(acc: dict, j, t: Fraction) -> None:
+    """acc[j] += t for a nonzero t; an absent or cancelled entry becomes t,
+    so no sum takes a zero operand."""
     s = acc.get(j)
     acc[j] = s + t if s else t
+
+
+def _dense(acc: dict[int, Fraction], n: int) -> Vec:
+    """The vector of the sums in acc; an absent or cancelled entry is ZERO."""
+    return tuple(acc.get(k) or ZERO for k in range(n))
 
 
 Covector = Vec
@@ -193,8 +189,10 @@ def subalgebra_witness(L: LieAlgebra, S: Subspace) -> tuple[int, int] | None:
 
 def stabilizer_of_momentum(L: LieAlgebra, mu: Covector) -> Subspace:
     """g_mu = {x : ad*_x mu = 0}, the coadjoint stabilizer of mu."""
-    # Row j of the constraint matrix is x -> <mu, [x, e_j]>: column j of K.
-    return kernel(L.bracket_pairing(mu).transpose())
+    # Row j of the constraint matrix is x -> <mu, [x, e_j]>, column j of the
+    # Chu form K; K is antisymmetric, so K and K^T have one kernel.
+    I = Matrix.identity(L.dim)
+    return kernel(L.bracket_gram(mu, I, I))
 
 
 def h_perp_mu(L: LieAlgebra, h: Subspace, mu: Covector) -> Subspace:
@@ -217,28 +215,34 @@ def chu_form(L: LieAlgebra, mu: Covector) -> Matrix:
 
     Its radical is g_mu; verify proves that as liecore.chu_radical_is_g_mu.
     """
-    return L.bracket_pairing(mu)
+    I = Matrix.identity(L.dim)
+    return L.bracket_gram(mu, I, I)
 
 
 def killing_form(L: LieAlgebra) -> Matrix:
     """The Gram matrix of B(x, y) = trace(ad_x ad_y), read off the
     structure constants.
 
-    (ad_i)[k][l] = c[i][l][k], so B_ij = sum_{k,l} c[i][l][k] c[j][k][l];
-    the sum runs over the nonzero constants only.
+    (ad_i)[k][l] = c[i][l][k], so B_ij = sum_{k,l} c[i][l][k] c[j][k][l]:
+    each nonzero c[i][l][k] is paired with the nonzero c[j][k][l] of the
+    same (k, l).
     """
-    n, c = L.dim, L.c
-    gram = [[ZERO] * n for _ in range(n)]
+    by_pair: dict[tuple[int, int], list] = {}
+    for j, k, l, y in L.nonzero:
+        by_pair.setdefault((k, l), []).append((j, y))
+    rows: dict[int, dict[int, Fraction]] = {}
     for i, l, k, x in L.nonzero:
-        for j in range(n):
-            if c[j][k][l]:
-                gram[i][j] += x * c[j][k][l]
-    return Matrix(n, n, tuple(map(tuple, gram)))
+        for j, y in by_pair.get((k, l), ()):
+            _accumulate(rows.setdefault(i, {}), j, x * y)
+    n = L.dim
+    return Matrix(n, n, tuple(_dense(rows.get(i, {}), n) for i in range(n)))
 
 
 def center(L: LieAlgebra) -> Subspace:
     """{x : [x, e_j] = 0 for all j}: the kernel of the rows (c[i][j][k])_i."""
-    rows = {(j, k): [L.c[i][j][k] for i in range(L.dim)] for _, j, k, _ in L.nonzero}
+    rows: dict[tuple[int, int], list[Fraction]] = {}
+    for i, j, k, x in L.nonzero:
+        rows.setdefault((j, k), [ZERO] * L.dim)[i] = x
     return kernel(Matrix.from_rows(list(rows.values()), cols=L.dim))
 
 
@@ -249,8 +253,8 @@ def ad_invariance_defect(L: LieAlgebra, B: Matrix) -> dict:
     for i, j, k, c in L.nonzero:
         for t in range(L.dim):
             for key, x in (((i, j, t), g[k][t]), ((i, t, j), g[t][k])):
-                if x:
-                    out[key] = out.get(key, ZERO) + c * x
+                if x is not ZERO and x:
+                    _accumulate(out, key, c * x)
     return {key: x for key, x in out.items() if x}
 
 
@@ -258,24 +262,18 @@ def ad_invariance_defect(L: LieAlgebra, B: Matrix) -> dict:
 
 def so3() -> LieAlgebra:
     """so(3) with the cross-product bracket: [e_i, e_j] = eps_ijk e_k."""
-    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-           (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
-    c = [[[frac(eps.get((i, j, k), 0)) for k in range(3)]
-          for j in range(3)] for i in range(3)]
-    return LieAlgebra(3, tuple(tuple(tuple(r) for r in ci) for ci in c))
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    return LieAlgebra(3, tuple(sorted([(i, j, k, ONE) for i, j, k in cyclic]
+                                      + [(j, i, k, -ONE) for i, j, k in cyclic])))
 
 
 def abelian(n: int) -> LieAlgebra:
-    z = tuple(tuple(zero_vec(n) for _ in range(n)) for _ in range(n))
-    return LieAlgebra(n, z)
+    return LieAlgebra(n, ())
 
 
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
     """L1 on the first L1.dim coordinates and L2 on the rest: each summand's
-    nonzero constants, shifted by its offset."""
-    n = L1.dim + L2.dim
-    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for offset, L in ((0, L1), (L1.dim, L2)):
-        for i, j, k, x in L.nonzero:
-            c[offset + i][offset + j][offset + k] = x
-    return LieAlgebra(n, tuple(tuple(tuple(r) for r in ci) for ci in c))
+    nonzero constants, shifted by its offset, so L2's sort after L1's."""
+    d = L1.dim
+    return LieAlgebra(d + L2.dim, L1.nonzero + tuple(
+        (i + d, j + d, k + d, x) for i, j, k, x in L2.nonzero))

@@ -34,6 +34,7 @@ from .exactlin import (
     perp_under_form,
     preserves,
     sum_spaces,
+    unit_vec,
 )
 from .liecore import (
     LieAlgebra,
@@ -300,11 +301,11 @@ def validate(inst: ProblemInstance) -> ValidationReport:
         checks.append(Check.of(f"gm_component_rep_{t}_isometry", misfit or shape
                                or entry_detail(R.transpose() @ G @ R, G,
                                                f"R^T G R for rep {t}")))
-        # L.c[i][j] is [e_i, e_j], and column i of R is R e_i.
+        # Column i of R is R e_i.
         cols = [] if shape else R.columns()
         pair = next(((i, j) for i in range(len(cols)) for j in range(i + 1, n)
-                     if R.apply(L.c[i][j]) != L.bracket(cols[i], cols[j])),
-                    None)
+                     if R.apply(L.bracket(unit_vec(n, i), unit_vec(n, j)))
+                     != L.bracket(cols[i], cols[j])), None)
         checks.append(Check.of(f"gm_component_rep_{t}_automorphism", shape or (
             "" if pair is None else f"R [e_{pair[0]}, e_{pair[1]}] is not "
             f"[R e_{pair[0]}, R e_{pair[1]}] for rep {t}")))

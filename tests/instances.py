@@ -1,9 +1,9 @@
-"""Named instances used across the test modules."""
+"""Named instances and dense Lie references used across the test modules."""
 
 from dataclasses import replace
 from fractions import Fraction
 
-from wittartin.exactlin import InnerProduct, Matrix, Subspace
+from wittartin.exactlin import InnerProduct, Matrix, Subspace, dot, kernel, unit_vec
 from wittartin.liecore import abelian, direct_sum, so3
 from wittartin.splitting import ProblemInstance, SliceRep
 
@@ -124,3 +124,31 @@ def zero_slice_block(build):
         return replace(model, omega=Matrix.from_rows(rows,
                                                      cols=model.total_dim))
     return wrapped
+
+
+# Dense references: each brackets unit vectors through the full n x n x n
+# table c, as the package did before it read only the nonzero constants.
+
+def ref_bracket(c, x, y):
+    n = len(c)
+    return tuple(sum((x[i] * y[j] * c[i][j][k]
+                      for i in range(n) for j in range(n)), F(0))
+                 for k in range(n))
+
+
+def ref_mu_pairing(L, mu, x, y):
+    return dot(mu, ref_bracket(L.c, x, y))
+
+
+def ref_h_perp_mu(L, h, mu):
+    e = [unit_vec(L.dim, i) for i in range(L.dim)]
+    return kernel(Matrix.from_rows(
+        [[ref_mu_pairing(L, mu, ei, eta) for ei in e]
+         for eta in h.basis_vectors()], cols=L.dim))
+
+
+def ref_tube_K(L, lam):
+    """K[a][b] = <lam, [e_a, e_b]>, the table contracted with lam."""
+    n = L.dim
+    return Matrix(n, n, tuple(tuple(dot(lam, L.c[a][b]) for b in range(n))
+                              for a in range(n)))

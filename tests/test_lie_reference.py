@@ -1,14 +1,14 @@
 """The Lie layer against the unit-vector formulas it replaced.
 
-liecore reads the nonzero structure constants once; the references below
-bracket unit vectors through the full n x n x n table instead, as the
-package used to.  Every algebra of the test corpus, plus the non-unimodular
-aff(1), so(3) + aff(1) and the Heisenberg algebra, is compared on
-Hypothesis-drawn vectors.  The constructor's antisymmetry and Jacobi checks
-are compared with the triple-by-triple reference on drawn tables.  The
-verify-only Lie checks (center, Killing invariance) are compared with the
-dense ad-matrix formulas they replaced, and bracket_gram with the dense
-congruence X^T K Y of the contraction K it never builds.
+liecore holds the nonzero structure constants only; the references below
+and in instances.py bracket unit vectors through the full n x n x n table
+instead, as the package used to.  Every algebra of the test corpus, plus
+the non-unimodular aff(1), so(3) + aff(1) and the Heisenberg algebra, is
+compared on Hypothesis-drawn vectors.  The constructor's antisymmetry and
+Jacobi checks are compared with the triple-by-triple reference on drawn
+tables.  The verify-only Lie checks (center, Killing invariance) are
+compared with the dense ad-matrix formulas they replaced, and bracket_gram
+with the dense congruence X^T K Y of the contraction K it never builds.
 """
 
 from fractions import Fraction
@@ -19,8 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus
-from test_exactlin import fraction_ops  # noqa: F401  (a fixture)
-from wittartin.exactlin import Matrix, Subspace, dot, kernel, unit_vec
+from instances import ref_bracket, ref_h_perp_mu, ref_mu_pairing, ref_tube_K
+from wittartin.exactlin import ZERO, Matrix, Subspace, kernel, unit_vec
 from wittartin.liecore import (
     LieAlgebra,
     StructureConstantError,
@@ -36,14 +36,6 @@ from wittartin.liecore import (
 )
 
 F = Fraction
-ZERO = F(0)
-
-
-def ref_bracket(c, x, y):
-    n = len(c)
-    return tuple(sum((x[i] * y[j] * c[i][j][k]
-                      for i in range(n) for j in range(n)), ZERO)
-                 for k in range(n))
 
 
 def ref_ad_matrix(L, x):
@@ -56,10 +48,6 @@ def ref_coad_apply(L, x, lam):
     return ref_ad_matrix(L, x).transpose().apply(lam)
 
 
-def ref_mu_pairing(L, mu, x, y):
-    return dot(mu, ref_bracket(L.c, x, y))
-
-
 def ref_chu_gram(L, mu):
     e = [unit_vec(L.dim, i) for i in range(L.dim)]
     return Matrix.from_rows(
@@ -70,19 +58,6 @@ def ref_stabilizer(L, mu):
     e = [unit_vec(L.dim, i) for i in range(L.dim)]
     return kernel(Matrix.from_rows(
         [[ref_mu_pairing(L, mu, ei, ej) for ei in e] for ej in e], cols=L.dim))
-
-
-def ref_h_perp_mu(L, h, mu):
-    e = [unit_vec(L.dim, i) for i in range(L.dim)]
-    return kernel(Matrix.from_rows(
-        [[ref_mu_pairing(L, mu, ei, eta) for ei in e]
-         for eta in h.basis_vectors()], cols=L.dim))
-
-
-def ref_tube_K(L, lam):
-    n = L.dim
-    return Matrix(n, n, tuple(tuple(dot(lam, L.c[a][b]) for b in range(n))
-                              for a in range(n)))
 
 
 def ref_center(L):
@@ -165,7 +140,6 @@ def test_mu_data_matches_unit_vector_formulas(L, data):
     mu = data.draw(vectors(L.dim))
     assert chu_form(L, mu) == ref_chu_gram(L, mu)
     assert stabilizer_of_momentum(L, mu) == ref_stabilizer(L, mu)
-    assert L.bracket_pairing(mu) == ref_tube_K(L, mu)
 
 
 def matrices(rows, cols):
@@ -231,7 +205,7 @@ def gram_data(draw):
 @given(gram_data())
 def test_bracket_gram_matches_the_dense_congruence(data):
     L, lam, X, Y = data
-    expected = X.transpose() @ L.bracket_pairing(lam) @ Y
+    expected = X.transpose() @ ref_tube_K(L, lam) @ Y
     assert L.bracket_gram(lam, X, Y) == expected
     assert L.bracket_gram(lam, Y, X) == -expected.transpose()
 
@@ -244,6 +218,65 @@ def test_bracket_gram_takes_no_zero_operand(fraction_ops, data):
     del fraction_ops[:]
     L.bracket_gram(lam, X, Y)
     assert not any(zero for _, zero in fraction_ops)
+
+
+@st.composite
+def kernel_data(draw):
+    """An algebra, three vectors with about half their entries zero (shared
+    ZERO or a fresh Fraction(0)) and a drawn form B."""
+    L = draw(sums_of_so3_and_abelian())
+    entry = st.one_of(st.just(ZERO), small)
+    x, y, lam = (draw(st.lists(entry, min_size=L.dim, max_size=L.dim).map(tuple))
+                 for _ in range(3))
+    return L, x, y, lam, draw(matrices(L.dim, L.dim))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kernel_data())
+def test_lie_kernels_take_no_zero_operand(fraction_ops, data):
+    L, x, y, lam, B = data
+    calls = {"bracket": lambda: L.bracket(x, y),
+             "ad_matrix": lambda: L.ad_matrix(x),
+             "coad_apply": lambda: L.coad_apply(x, lam),
+             "chu_form": lambda: chu_form(L, lam),
+             "killing_form": lambda: killing_form(L),
+             "ad_invariance_defect": lambda: ad_invariance_defect(L, B)}
+    for name, call in calls.items():
+        del fraction_ops[:]
+        call()
+        assert not any(zero for _, zero in fraction_ops), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(sums_of_so3_and_abelian())
+def test_the_dense_view_round_trips_through_from_constants(L):
+    assert LieAlgebra.from_constants(L.c) == L
+    e = [unit_vec(L.dim, i) for i in range(L.dim)]
+    assert all(L.c[i][j] == ref_bracket(L.c, e[i], e[j]) == L.bracket(e[i], e[j])
+               for i in range(L.dim) for j in range(L.dim))
+
+
+@pytest.mark.parametrize("c", [
+    [[[0, 0], [0]], [[0, 0], [0, 0]]],
+    [[[0, 0]], [[0, 0], [0, 0]]],
+    [[[0], [0]], [[0], [0]]],
+])
+def test_from_constants_rejects_a_ragged_table(c):
+    with pytest.raises(StructureConstantError) as err:
+        LieAlgebra.from_constants(c)
+    assert str(err.value) == "structure constant array is not n x n x n"
+
+
+@pytest.mark.parametrize("nonzero", [
+    ((1, 0, 2, F(-1)), (0, 1, 2, F(1))),
+    ((0, 1, 2, F(1)), (0, 1, 2, F(1))),
+    ((0, 1, 2, ZERO), (1, 0, 2, ZERO)),
+    ((0, 1, 3, F(1)), (1, 0, 3, F(-1))),
+])
+def test_constructor_rejects_an_unsorted_or_out_of_range_list(nonzero):
+    with pytest.raises(StructureConstantError, match="not sorted"):
+        LieAlgebra(3, nonzero)
 
 
 def test_corpus_instances_hold_the_reference_mu_data():

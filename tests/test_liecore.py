@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from test_lie_reference import ref_h_perp_mu
+from instances import ref_h_perp_mu
 
 from wittartin.exactlin import (
     AmbientMismatch,
@@ -132,7 +132,7 @@ class TestLengths:
         calls = [lambda: L.bracket(bad, good), lambda: L.bracket(good, bad),
                  lambda: L.coad_apply(bad, good),
                  lambda: L.coad_apply(good, bad),
-                 lambda: L.bracket_pairing(bad),
+                 lambda: L.ad_matrix(bad), lambda: chu_form(L, bad),
                  lambda: L.bracket_gram(bad, Matrix.identity(3),
                                         Matrix.identity(3))]
         for call in calls:

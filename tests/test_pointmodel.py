@@ -26,7 +26,6 @@ from wittartin.pointmodel import (
 )
 from wittartin.splitting import build_chain
 from wittartin.tube import TubePoint, _shifted_momentum, omega_tube_gram
-from test_exactlin import fraction_ops  # noqa: F401  (a fixture)
 
 F = Fraction
 

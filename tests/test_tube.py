@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import build_corpus
-from instances import so3_case, so3xso3_diag, standard_slice, torus_instance, vec
+from instances import (
+    ref_tube_K, so3_case, so3xso3_diag, standard_slice, torus_instance, vec,
+)
 from wittartin import tube
 from wittartin.catalog import all_examples, build_example
 from wittartin.exactlin import (
@@ -238,7 +240,7 @@ class TestGramAgainstReference:
 def ref_uu(model, p):
     """UU = Mn^T K Mn: the dense product omega_tube_gram's U x U block
     replaced, with K the bracket pairing against the shifted momentum."""
-    K = model.inst.algebra.bracket_pairing(tube._shifted_momentum(model, p))
+    K = ref_tube_K(model.inst.algebra, tube._shifted_momentum(model, p))
     return model.mn_basis.transpose() @ K @ model.mn_basis
 
 
